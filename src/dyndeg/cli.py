@@ -1,8 +1,9 @@
 """Command-line front door: parse the parameter, dispatch, emit text/JSON/CSV.
 
-Exit codes: 0 success, 2 inadmissible parameter, 3 precision cap reached,
-4 resource budget exceeded, 5 oracle mismatch.  All JSON numerals are decimal
-strings, and identical invocations produce byte-identical output.
+Exit codes: 0 success, 1 usage or invalid argument, 2 inadmissible parameter,
+3 precision cap reached, 4 resource budget exceeded, 5 oracle mismatch.  All
+JSON numerals are decimal strings, and identical invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -94,11 +95,15 @@ def _parse_zeta(raw: str) -> GaussianInt:
         raise SystemExit(f"error: {exc}")
 
 
+def _nonnegative(value: int, flag: str) -> int:
+    if value < 0:
+        raise SystemExit(f"error: {flag} must be >= 0")
+    return value
+
+
 def cmd_degrees(args) -> int:
     zeta = _parse_zeta(args.zeta)
-    n = args.count
-    if n < 0:
-        raise SystemExit("error: --count must be >= 0")
+    n = _nonnegative(args.count, "--count")
     if n == 0:
         rows = []
     else:
@@ -126,6 +131,7 @@ def cmd_degrees(args) -> int:
 
 def cmd_lambda(args) -> int:
     zeta = _parse_zeta(args.zeta)
+    _nonnegative(args.digits, "--digits")
     enclosure = solve_lambda(zeta, Fraction(1, 10**args.digits))
     digits = args.digits + 4
     if args.format == "json":
@@ -151,9 +157,7 @@ def cmd_lambda(args) -> int:
 
 def cmd_oracle(args) -> int:
     zeta = _parse_zeta(args.zeta)
-    n_max = args.max_iter
-    if n_max < 0:
-        raise SystemExit("error: --max-iter must be >= 0")
+    n_max = _nonnegative(args.max_iter, "--max-iter")
     rows = []
     all_match = True
     if n_max > 0:
@@ -192,6 +196,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_cf(args) -> int:
     zeta = _parse_zeta(args.zeta)
+    _nonnegative(args.depth, "--depth")
     ctx = theta_interval(zeta, args.precision_bits)
     cf = cf_expand(ctx, args.depth)
     diag = badly_approximable_diagnostics(cf) if cf.depth >= 2 else None
@@ -249,7 +254,9 @@ def cmd_irregular(args) -> int:
 
 def cmd_report(args) -> int:
     zeta = _parse_zeta(args.zeta)
-    count = args.count
+    count = _nonnegative(args.count, "--count")
+    _nonnegative(args.digits, "--digits")
+    _nonnegative(args.depth, "--depth")
     d = d_sequence(zeta, max(count, 1))
     e = e_sequence(d, max(count, 1))
     enclosure = solve_lambda(zeta, Fraction(1, 10**args.digits))

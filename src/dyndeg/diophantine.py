@@ -11,6 +11,7 @@ real power of zeta, which admissibility excludes).
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -24,7 +25,7 @@ from .intervals import (
     _pi_brackets_bits,
     atan2_brackets,
 )
-from .solver import _DegreeCache, phi_eval, precision_cap
+from .solver import _DegreeCache, _choose_tail_terms, phi_eval, precision_cap
 
 # sector of Arg(zeta^j), in eighths of a turn, -> maximizer of Re(gamma * zeta^j)
 OCTANT_TO_GAMMA = {
@@ -278,15 +279,7 @@ def irregular_indices(ctx: ThetaContext, n: int, window_end: int) -> Irregularit
     min_pair_gap = min(
         (b - a for a, b in zip(irregular, irregular[1:])), default=None
     )
-    min_shifted_gap = min(
-        (
-            abs(j - j2 - n)
-            for j in irregular
-            for j2 in irregular
-            if j != j2 + n
-        ),
-        default=None,
-    )
+    min_shifted_gap = _min_shifted_gap(irregular, n)
     return IrregularityReport(
         n=n,
         window_end=window_end,
@@ -296,6 +289,23 @@ def irregular_indices(ctx: ThetaContext, n: int, window_end: int) -> Irregularit
         min_shifted_gap=min_shifted_gap,
         beta=beta,
     )
+
+
+def _min_shifted_gap(irregular, n: int):
+    """min |j - j2 - n| over j, j2 in the sorted list with j != j2 + n, or None.
+
+    For each j2 only the neighbours of j2 + n in the list can attain the
+    minimum, so a binary search per j2 replaces the scan over all pairs.
+    """
+    gaps = []
+    for j2 in irregular:
+        target = j2 + n
+        i = bisect_left(irregular, target)
+        hit = i < len(irregular) and irregular[i] == target
+        for k in (i - 1, i + 1 if hit else i):
+            if 0 <= k < len(irregular):
+                gaps.append(abs(irregular[k] - target))
+    return min(gaps, default=None)
 
 
 @dataclass(frozen=True)
@@ -454,7 +464,7 @@ def psi_n_eval(ctx: ThetaContext, n: int, alpha: ComplexInterval, tail_tol) -> R
     s_hi = alpha.abs_sup(prec)
     if s_hi >= Dyadic.from_int(1):
         raise PrecisionError("need sup|alpha| < 1")
-    T, tail = _beta_truncation(s_hi, tol, prec)
+    T, tail = _choose_tail_terms(s_hi, tol, prec, 320)  # 4*sqrt(20) per bilinear term
     T = max(T, n + 1)
     report = irregular_indices(ctx, n, T)
     conj_n = alpha_n.conj()
@@ -483,20 +493,3 @@ def psi_n_eval(ctx: ThetaContext, n: int, alpha: ComplexInterval, tail_tol) -> R
 
 def _frac_bits(fr: Fraction) -> int:
     return max(1, (fr.denominator // max(1, fr.numerator)).bit_length())
-
-
-def _beta_truncation(s_hi: Dyadic, tol: Fraction, prec: int):
-    """Smallest tried T with 4*sqrt(20)*s^(T+1)/(1-s) <= tol, plus that bound."""
-    one = Dyadic.from_int(1)
-    const = Dyadic.sqrt(Dyadic.from_int(320), prec, "ceil")  # 4*sqrt(20)
-    inv_gap = Dyadic.div(const, one - s_hi, prec, "ceil")
-    T = 8
-    while T <= (1 << 20):
-        sp = s_hi
-        for _ in range(T):
-            sp = (sp * s_hi).round(prec, "ceil")
-        bound = inv_gap * sp
-        if bound.to_fraction() <= tol:
-            return T, bound
-        T *= 2
-    raise PrecisionError("bilinear tail tolerance unreachable")

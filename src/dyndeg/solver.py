@@ -6,8 +6,23 @@ The dynamical degree of the composed map is the unique positive solution of
 
 where d_j is the exact degree sequence of the monomial factor.  Solving happens
 in the substituted variable t = 1/lambda on (0, 1/|zeta|), where the series is
-strictly increasing; bisection with exact polynomial evaluation plus a certified
-geometric tail bound gives an unconditional bracket at every step.
+strictly increasing.  Bisection keeps a bracket t_lo < t_hi: at t_hi the
+partial sum rounded down is > 1, at t_lo the partial sum rounded up plus a
+certified geometric tail bound is < 1, so the root lies strictly inside.
+
+Integer kernel.  Both directed partial sums run on plain Python ints at the
+fixed exponent -prec.  A point is t = m * 2^-s, and one Horner step is
+acc = ((acc + (d_j << prec)) * m) >> s, the floor of (acc + d_j) * t on the
+2^-prec grid; the ceiling negates around the shift.  These are the values of
+exact dyadic products rounded to 2^-prec in the named direction.
+
+Deciding a midpoint.  For each series length N and precision, Newton's method
+in uncertified fixed point finds the root r_N of the partial sum, and the
+kernels certify two points around it: upper < 1 at lo < r_N and lower > 1 at
+hi > r_N.  A midpoint at or beyond hi, or at or below lo, is decided by that
+certified bracket; only a midpoint inside (lo, hi) is evaluated.  Either way
+the bisection takes the step evaluation would take (see _solve_at_precision),
+so the enclosure is the one a full evaluation of every midpoint returns.
 """
 
 from __future__ import annotations
@@ -16,13 +31,17 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .errors import AdmissibilityError, PrecisionError
 from .gaussian import GaussianInt, _require_admissible, _support_argmax, ONE
-from .intervals import ComplexInterval, Dyadic, RealInterval
+from .intervals import DY_ONE, ComplexInterval, Dyadic, RealInterval
 
 DEFAULT_PRECISION_CAP = 1 << 16
 _TERM_CAP = 1 << 20
+_GUARD = 32  # fractional bits of the certified bracket points beyond the working precision
+_WIDEN = 4  # tries per side of a certified bracket, each doubling the offset
+_NEWTON_STEPS = 200  # cap on the low-precision Newton steps that locate a root
 
 
 def precision_cap() -> int:
@@ -109,27 +128,137 @@ class _DegreeCache:
         return self.gammas[j - 1]
 
 
-def _horner_directed(ds, t: Dyadic, prec: int, direction: str) -> Dyadic:
-    """sum_{j=1}^{N} d_j t^j with per-multiplication directed rounding.
+def _ceil_sqrt(n: int) -> int:
+    q = isqrt(n)
+    return q + (q * q != n)
 
-    floor gives a certified lower bound, ceil an upper bound (t > 0, d_j > 0).
+
+def _horner_directed(coeffs, m: int, s: int, direction: str) -> int:
+    """sum_{j=1}^{N} d_j t^j at t = m * 2^-s, rounded after every step, over 2^prec.
+
+    coeffs is d_N << prec, ..., d_1 << prec.  Each step is one directed rounding
+    of (acc + d_j) * t to a multiple of 2^-prec, so floor gives a certified
+    lower bound and ceil an upper bound (t > 0, d_j > 0).
     """
-    acc = Dyadic.from_int(0)
-    for d in reversed(ds):
-        acc = ((acc + Dyadic.from_int(d)) * t).round(prec, direction)
+    acc = 0
+    if direction == "floor":
+        for c in coeffs:
+            acc = ((acc + c) * m) >> s
+    else:
+        for c in coeffs:
+            acc = -((-(acc + c) * m) >> s)
     return acc
 
 
-def _tail_upper(abs_hi: Dyadic, t: Dyadic, n_terms: int, prec: int):
-    """Upper bound on sum_{j>N} d_j t^j via d_j <= sqrt(5)|zeta|^j; None if divergent."""
-    x = (abs_hi * t).round(prec, "ceil")
-    if x >= Dyadic.from_int(1):
+def _tail_upper(abs_hi: int, sqrt5_hi: int, m: int, s: int, n_terms: int, prec: int):
+    """Upper bound over 2^prec on sum_{j>N} d_j t^j, t = m * 2^-s; None if divergent.
+
+    Uses d_j <= sqrt(5)|zeta|^j; abs_hi and sqrt5_hi are |zeta| and sqrt(5)
+    rounded up, over 2^prec.
+    """
+    one = 1 << prec
+    x = -((-abs_hi * m) >> s)
+    if x >= one:
         return None
     xp = x
     for _ in range(n_terms):  # x^(N+1), rounded up each step
-        xp = (xp * x).round(prec, "ceil")
-    sqrt5_hi = Dyadic.sqrt(Dyadic.from_int(5), prec, "ceil")
-    return Dyadic.div(sqrt5_hi * xp, Dyadic.from_int(1) - x, prec, "ceil")
+        xp = -((-xp * x) >> prec)
+    return -((-sqrt5_hi * xp) // (one - x))
+
+
+class _PartialSums:
+    """The two directed partial sums of the first n_terms d_j at one precision."""
+
+    def __init__(self, cache: _DegreeCache, prec: int):
+        self.cache = cache
+        self.prec = prec
+        self.one = 1 << prec
+        self.abs_hi = _ceil_sqrt(cache.zeta.norm_sq() << (2 * prec))
+        self.sqrt5_hi = _ceil_sqrt(5 << (2 * prec))
+
+    def resize(self, n_terms: int):
+        self.cache.extend_to(n_terms)
+        self.n_terms = n_terms
+        self.ds = self.cache.values[n_terms - 1 :: -1]  # d_N first, for Horner
+        self.coeffs = [d << self.prec for d in self.ds]
+
+    def lower(self, m: int, s: int) -> int:
+        return _horner_directed(self.coeffs, m, s, "floor")
+
+    def upper(self, m: int, s: int):
+        tail = _tail_upper(self.abs_hi, self.sqrt5_hi, m, s, self.n_terms, self.prec)
+        if tail is None:
+            return None
+        return _horner_directed(self.coeffs, m, s, "ceil") + tail
+
+
+def _newton_step(ds, r: int, p: int):
+    """(Newton correction, slope) of sum d_j t^j = 1 at t = r * 2^-p, both over 2^p."""
+    acc = slope = 0
+    for d in ds:
+        c = acc + (d << p)
+        slope = ((slope * r) >> p) + c
+        acc = (c * r) >> p
+    return ((acc - (1 << p)) << p) // slope, slope
+
+
+def _newton_root(ds, m: int, s: int, q: int):
+    """Root of sum d_j t^j = 1 over 2^q, and the slope near it, from t = m * 2^-s above it.
+
+    Not certified: it only places the bracket points.  Newton runs at the
+    lowest precision of the ladder q, q/2, q/4, ... that is at least 64 bits
+    until its steps stall, then takes one step per rung; each step roughly
+    doubles the correct bits, so every rung starts from a root good to half
+    its bits.
+    """
+    ladder = [q]
+    while ladder[-1] >= 128:
+        ladder.append((ladder[-1] + 1) // 2)
+    p = ladder.pop()
+    r = m >> (s - p) if s >= p else m << (p - s)
+    for _ in range(_NEWTON_STEPS):
+        step, slope = _newton_step(ds, r, p)
+        r -= step
+        if abs(step) <= max(1, r >> 40):
+            break
+    while ladder:
+        r <<= ladder[-1] - p
+        p = ladder.pop()
+        step, slope = _newton_step(ds, r, p)
+        r -= step
+    return r, slope
+
+
+def _certified_bracket(sums: _PartialSums, m: int, s: int, q: int):
+    """(lo, hi) over 2^q with upper(lo) < 1 < lower(hi) at sums' N and precision.
+
+    m * 2^-s must lie above the root of the partial sum, r_N.  Newton finds
+    r_N; hi sits a few units of 2^-prec (divided by the slope) above it, lo
+    below it by the tail bound at r_N over the slope.  Each offset is doubled
+    at most _WIDEN - 1 times until the kernel certifies it; a side that never
+    certifies is None.
+    """
+    root, slope = _newton_root(sums.ds, m, s, q)
+    unit = (1 << (2 * q - sums.prec)) // slope + 1  # 2^-prec / slope, over 2^q
+    hi = None
+    for k in range(_WIDEN):
+        point = root + (4 * unit << k)
+        if sums.lower(point, q) > sums.one:
+            hi = point
+            break
+    lo = None
+    tail = _tail_upper(sums.abs_hi, sums.sqrt5_hi, root, q, sums.n_terms, sums.prec)
+    if tail is not None:
+        offset = (5 * (tail + 4) * unit) >> 2
+        for k in range(_WIDEN):
+            point = root - (offset << k)
+            if point <= 0:
+                break
+            up = sums.upper(point, q)
+            if up is not None and up < sums.one:
+                lo = point
+                break
+    return lo, hi
 
 
 def solve_lambda(zeta: GaussianInt, target_width, *, start_terms: int = 32) -> LambdaEnclosure:
@@ -160,64 +289,81 @@ def solve_lambda(zeta: GaussianInt, target_width, *, start_terms: int = 32) -> L
 
 
 def _solve_at_precision(zeta, cache, width_goal, prec, start_terms):
-    norm = zeta.norm_sq()
-    abs_hi = Dyadic.sqrt(Dyadic.from_int(norm), prec, "ceil")
-    one = Dyadic.from_int(1)
+    """Bisection in t at fixed precision; None if it cannot finish at this precision.
 
-    t_hi = Dyadic.div(one - Dyadic.make(1, -10), abs_hi, prec, "floor")
-    t_lo = (t_hi * Dyadic.make(1, -10)).round(prec, "floor")
+    The bracket is t_lo = a * 2^-s < t_hi = b * 2^-s, and a midpoint is
+    (a + b) * 2^-(s+1), exact.  A midpoint goes to t_hi if lower > 1 there, to
+    t_lo if upper < 1, and otherwise doubles the number of terms.  The
+    certified points lo < hi of _certified_bracket decide midpoints outside
+    (lo, hi) without evaluating: at fixed N and precision both kernels are
+    monotone in t (each rounding step is monotone in acc and t, and so is the
+    tail bound) and lower <= upper, so a midpoint >= hi has lower >= lower(hi) > 1
+    and one <= lo has lower <= upper <= upper(lo) < 1.  Only midpoints inside
+    (lo, hi) are evaluated, and every decision is the one evaluating would give.
+    A term doubling changes the kernels, so it voids the certified points.
+    """
+    norm = zeta.norm_sq()
+    sums = _PartialSums(cache, prec)
+    one = sums.one
+    q = prec + _GUARD
+
+    b = (1023 << (2 * prec - 10)) // sums.abs_hi  # (1 - 2^-10) / |zeta|, rounded down
+    a = b >> 10
+    s = prec
 
     n_terms = start_terms
-    cache.extend_to(n_terms)
-
-    def upper_value(t):
-        tail = _tail_upper(abs_hi, t, n_terms, prec)
-        if tail is None:
-            return None
-        return _horner_directed(cache.values[:n_terms], t, prec, "ceil") + tail
-
-    def lower_value(t):
-        return _horner_directed(cache.values[:n_terms], t, prec, "floor")
+    sums.resize(n_terms)
 
     # establish the initial bracket: strictly below 1 at t_lo, strictly above at t_hi
     guard = 0
     while True:
-        up = upper_value(t_lo)
+        up = sums.upper(a, s)
         if up is not None and up < one:
             break
         n_terms *= 2
         guard += 1
         if n_terms > _TERM_CAP or guard > 24:
             return None
-        cache.extend_to(n_terms)
-    while lower_value(t_hi) <= one:
+        sums.resize(n_terms)
+    while sums.lower(b, s) <= one:
         n_terms *= 2
         if n_terms > _TERM_CAP:
             return None
-        cache.extend_to(n_terms)
+        sums.resize(n_terms)
 
-    half = Dyadic.make(1, -1)
-    while True:
-        lam_width = 1 / t_lo.to_fraction() - 1 / t_hi.to_fraction()
-        if lam_width <= width_goal / 2:
-            break
-        mid = (t_lo + t_hi) * half
-        if lower_value(mid) > one:
-            t_hi = mid
+    goal_num, goal_den = width_goal.numerator, width_goal.denominator
+    certified = None
+    # 1/t_lo - 1/t_hi = 2^s (b - a) / (a b) against width_goal / 2
+    while (2 * goal_den * (b - a)) << s > goal_num * a * b:
+        mid = a + b  # over 2^(s+1)
+        if certified is None:
+            certified = _certified_bracket(sums, b, s, q)
+        lo, hi = certified
+        if hi is not None and mid << q >= hi << (s + 1):
+            to_hi = True
+        elif lo is not None and mid << q <= lo << (s + 1):
+            to_hi = False
+        elif sums.lower(mid, s + 1) > one:
+            to_hi = True
+        elif (up := sums.upper(mid, s + 1)) is not None and up < one:
+            to_hi = False
         else:
-            up = upper_value(mid)
-            if up is not None and up < one:
-                t_lo = mid
-            else:
-                # tail too fat to decide at this midpoint: sharpen the series
-                n_terms *= 2
-                if n_terms > _TERM_CAP:
-                    return None
-                cache.extend_to(n_terms)
+            # tail too fat to decide at this midpoint: sharpen the series
+            n_terms *= 2
+            if n_terms > _TERM_CAP:
+                return None
+            sums.resize(n_terms)
+            certified = None
+            continue
+        if to_hi:
+            a, b = a << 1, mid
+        else:
+            a, b = mid, b << 1
+        s += 1
 
     out_prec = max(prec, _bits_of(width_goal) + 8)
-    lam_lo = Dyadic.div(one, t_hi, out_prec, "floor")
-    lam_hi = Dyadic.div(one, t_lo, out_prec, "ceil")
+    lam_lo = Dyadic.div(DY_ONE, Dyadic.make(b, -s), out_prec, "floor")
+    lam_hi = Dyadic.div(DY_ONE, Dyadic.make(a, -s), out_prec, "ceil")
     interval = RealInterval(lam_lo, lam_hi)
     if interval.width().to_fraction() > width_goal:
         return None

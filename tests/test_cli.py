@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -146,6 +149,35 @@ class TestReportCommand:
             return isinstance(node, str)
 
         assert only_strings(json.loads(out))
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("lambda", "--digits", "-3"), "--digits"),
+            (("report", "--digits", "-1"), "--digits"),
+            (("cf", "--depth", "-1"), "--depth"),
+            (("report", "--depth", "-2"), "--depth"),
+            (("report", "--count", "-2"), "--count"),
+        ],
+    )
+    def test_negative_argument_one_line_error(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--zeta", "1+2i", *argv[1:]])
+        assert exc.value.code == f"error: {flag} must be >= 0"
+        assert capsys.readouterr().out == ""
+
+    def test_negative_digits_exit1_without_traceback(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dyndeg.cli", "lambda", "--zeta", "1+2i", "--digits", "-3"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: --digits must be >= 0\n"
 
 
 class TestDeterminism:

@@ -175,6 +175,24 @@ class TestIrregularIndices:
         assert rep.min_shifted_gap == 5
         assert len(rep.irregular) == 16
 
+    @pytest.mark.parametrize(
+        "zeta, n, window_end",
+        [
+            (Z(1, 2), 210, 1050),
+            (Z(-11, -8), 100, 701),
+            (Z(2, 1), 12, 40),  # two exact hits j = j2 + n
+            (Z(3, 1), 5, 100),
+            (Z(517, -263), 210, 1050),  # 840 irregular indices, 630 exact hits
+        ],
+    )
+    def test_min_shifted_gap_matches_pairwise_definition(self, zeta, n, window_end):
+        rep = irregular_indices(theta_interval(zeta, 128), n, window_end)
+        pairwise = min(
+            (abs(j - j2 - n) for j in rep.irregular for j2 in rep.irregular if j != j2 + n),
+            default=None,
+        )
+        assert rep.min_shifted_gap == pairwise
+
     def test_beta_sparsity_pattern(self):
         ctx = theta_interval(ZETA, 192)
         n = 210

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -33,7 +34,43 @@ def mp_lambda_oracle(zeta, dps=60, terms=400):
     return 1 / mid
 
 
+# SHA-256 of to_json_text(160) for (zeta, width exponent), recorded from the
+# Dyadic-object bisection that evaluated every midpoint; the integer kernel
+# and the certified brackets must reproduce it bit for bit.
+ENCLOSURE_DIGESTS = {
+    (Z(1, 2), 10): "bf6632cb31aae7f05452ea71968f7d4d371b22afee08b71c9b38264fe1bf4f8d",
+    (Z(1, 2), 50): "36005482264f1f091f38e90559fa948ed633c541ee0d7de37e6fa18e3220ff46",
+    (Z(1, 2), 150): "7d70d8525fd8a53ae28bdca9c7c7d8dd584b357573775af63959783414408d0a",
+    (Z(-3, 4), 10): "1107ca024997df84bfb820988894f0d83561a77eafa4bd4d2d5ea639bf3f7cf5",
+    (Z(-3, 4), 150): "fa74c18fa5b697bc143cf1fd791a872ff5525307e6df6f128f75b700351e8d98",
+    (Z(-11, -8), 50): "aaa1122769bd75bf50bda0667473820ed8d0686feaf1d9278b8a32e4871f8422",
+    (Z(42, -45), 10): "20c344b61c460a464a776b1a0655e6f2dfc4e051a6f3b30b58c083ee029f4551",
+    (Z(42, -45), 150): "c7554567417a07a04a389ee1983d0df705e501fc6aac2d6c13da0164b9b75626",
+}
+
+
 class TestSolveLambda:
+    @pytest.mark.parametrize(
+        "zeta, exponent", list(ENCLOSURE_DIGESTS), ids=[f"{z}-1e-{e}" for z, e in ENCLOSURE_DIGESTS]
+    )
+    def test_enclosure_bit_identical(self, zeta, exponent):
+        enc = solve_lambda(zeta, Fraction(1, 10**exponent))
+        digest = hashlib.sha256(enc.to_json_text(160).encode()).hexdigest()
+        assert digest == ENCLOSURE_DIGESTS[(zeta, exponent)]
+
+    def test_300_digits_contains_findroot(self):
+        enc = solve_lambda(ZETA, Fraction(1, 10**300))
+        assert enc.width() <= Fraction(1, 10**300)
+        terms = 1100  # tail below 5 * 0.33^1101 < 1e-530
+        ds = d_sequence(ZETA, terms)
+        coeffs = [ds[j] for j in range(terms, 0, -1)] + [0]
+        with mpmath.workdps(330):
+            t = mpmath.findroot(lambda x: mpmath.polyval(coeffs, x) - 1, mpmath.mpf(1) / 6.8575574)
+            lam = 1 / t
+            lam_fr = Fraction(int(lam.man)) * Fraction(2) ** int(lam.exp)
+        slack = Fraction(1, 10**320)  # findroot works in floating point at 330 digits
+        assert enc.lo.to_fraction() - slack <= lam_fr <= enc.hi.to_fraction() + slack
+
     def test_reference_digits_small_topological_degree(self):
         enc = solve_lambda(ZETA, W9)
         assert enc.width() <= W9
