@@ -22,7 +22,7 @@ from .diophantine import (
 )
 from .errors import AdmissibilityError, PrecisionError, ResourceExhausted
 from .gaussian import GaussianInt, IntMatrix2x2, d_sequence, parse_gaussian
-from .oracle import compose, degree_of_iterate, g_map, monomial_map
+from .oracle import compose, g_map, monomial_map
 from .solver import solve_lambda
 
 EXIT_OK = 0
@@ -33,19 +33,23 @@ EXIT_RESOURCES = 4
 EXIT_MISMATCH = 5
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line exits 1 with one `error:` line; 2 means an inadmissible zeta."""
+
+    def error(self, message):
+        raise SystemExit(f"error: {message}")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dyndeg",
         description="Degree growth of the plane rational maps built from a "
         "Gaussian-integer monomial map composed with a quadratic involution.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, zeta=True):
-        if zeta:
-            p.add_argument("--zeta", required=True, help="Gaussian integer, e.g. 1+2i")
-        p.add_argument("--precision-bits", type=int, default=128)
-        p.add_argument("--seed", type=int, default=0)
+    def common(p):
+        p.add_argument("--zeta", required=True, help="Gaussian integer, e.g. 1+2i")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("--out", default=None, help="write output to this path")
 
@@ -64,15 +68,18 @@ def _build_parser():
 
     p = sub.add_parser("cf", help="continued fraction of the rotation number")
     common(p)
+    p.add_argument("--precision-bits", type=int, default=128, help="rotation-number precision")
     p.add_argument("--depth", type=int, default=20)
 
     p = sub.add_parser("irregular", help="lag-n irregular indices and beta table")
     common(p)
+    p.add_argument("--precision-bits", type=int, default=128, help="rotation-number precision")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--window", type=int, default=5, help="window end as a multiple of n")
 
     p = sub.add_parser("report", help="combined JSON report")
     common(p)
+    p.add_argument("--precision-bits", type=int, default=128, help="rotation-number precision")
     p.add_argument("--count", type=int, default=200)
     p.add_argument("--digits", type=int, default=12)
     p.add_argument("--depth", type=int, default=12)
@@ -95,15 +102,15 @@ def _parse_zeta(raw: str) -> GaussianInt:
         raise SystemExit(f"error: {exc}")
 
 
-def _nonnegative(value: int, flag: str) -> int:
-    if value < 0:
-        raise SystemExit(f"error: {flag} must be >= 0")
+def _at_least(value: int, flag: str, low: int) -> int:
+    if value < low:
+        raise SystemExit(f"error: {flag} must be >= {low}")
     return value
 
 
 def cmd_degrees(args) -> int:
     zeta = _parse_zeta(args.zeta)
-    n = _nonnegative(args.count, "--count")
+    n = _at_least(args.count, "--count", 0)
     if n == 0:
         rows = []
     else:
@@ -131,7 +138,7 @@ def cmd_degrees(args) -> int:
 
 def cmd_lambda(args) -> int:
     zeta = _parse_zeta(args.zeta)
-    _nonnegative(args.digits, "--digits")
+    _at_least(args.digits, "--digits", 0)
     enclosure = solve_lambda(zeta, Fraction(1, 10**args.digits))
     digits = args.digits + 4
     if args.format == "json":
@@ -157,7 +164,7 @@ def cmd_lambda(args) -> int:
 
 def cmd_oracle(args) -> int:
     zeta = _parse_zeta(args.zeta)
-    n_max = _nonnegative(args.max_iter, "--max-iter")
+    n_max = _at_least(args.max_iter, "--max-iter", 0)
     rows = []
     all_match = True
     if n_max > 0:
@@ -168,7 +175,8 @@ def cmd_oracle(args) -> int:
             if args.fault == "skip-reduce":
                 oracle_deg = f.degree**n  # raw composition degree, no reduction
             else:
-                oracle_deg = degree_of_iterate(f, n)
+                iterate = f if n == 1 else compose(f, iterate)
+                oracle_deg = iterate.degree
             match = oracle_deg == e[n]
             all_match = all_match and match
             rows.append((n, e[n], oracle_deg, match))
@@ -196,8 +204,8 @@ def cmd_oracle(args) -> int:
 
 def cmd_cf(args) -> int:
     zeta = _parse_zeta(args.zeta)
-    _nonnegative(args.depth, "--depth")
-    ctx = theta_interval(zeta, args.precision_bits)
+    _at_least(args.depth, "--depth", 0)
+    ctx = theta_interval(zeta, _at_least(args.precision_bits, "--precision-bits", 8))
     cf = cf_expand(ctx, args.depth)
     diag = badly_approximable_diagnostics(cf) if cf.depth >= 2 else None
     if args.format == "json":
@@ -233,7 +241,7 @@ def cmd_irregular(args) -> int:
     zeta = _parse_zeta(args.zeta)
     if args.n < 1 or args.window < 2:
         raise SystemExit("error: need --n >= 1 and --window >= 2")
-    ctx = theta_interval(zeta, args.precision_bits)
+    ctx = theta_interval(zeta, _at_least(args.precision_bits, "--precision-bits", 8))
     rep = irregular_indices(ctx, args.n, args.window * args.n)
     if args.format == "json":
         _emit(json.dumps(rep.to_json_obj(), sort_keys=True) + "\n", args.out)
@@ -254,14 +262,14 @@ def cmd_irregular(args) -> int:
 
 def cmd_report(args) -> int:
     zeta = _parse_zeta(args.zeta)
-    count = _nonnegative(args.count, "--count")
-    _nonnegative(args.digits, "--digits")
-    _nonnegative(args.depth, "--depth")
+    count = _at_least(args.count, "--count", 0)
+    _at_least(args.digits, "--digits", 0)
+    _at_least(args.depth, "--depth", 0)
+    bits = _at_least(args.precision_bits, "--precision-bits", 8)
     d = d_sequence(zeta, max(count, 1))
     e = e_sequence(d, max(count, 1))
     enclosure = solve_lambda(zeta, Fraction(1, 10**args.digits))
-    ctx = theta_interval(zeta, args.precision_bits)
-    cf = cf_expand(ctx, args.depth)
+    cf = cf_expand(theta_interval(zeta, bits), args.depth)
     obj = {
         "zeta": str(zeta),
         "lambda": enclosure.to_json_obj(args.digits + 4),

@@ -15,9 +15,10 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import floor
 
-from .errors import AdmissibilityError, InconsistencyError, PrecisionError
-from .gaussian import GaussianInt, _require_admissible
+from .errors import InconsistencyError, PrecisionError
+from .gaussian import DegreeCache, GaussianInt, _require_admissible
 from .intervals import (
     ComplexInterval,
     Dyadic,
@@ -25,7 +26,7 @@ from .intervals import (
     _pi_brackets_bits,
     atan2_brackets,
 )
-from .solver import _DegreeCache, _choose_tail_terms, phi_eval, precision_cap
+from .solver import _bits_of, _choose_tail_terms, _series_table, precision_cap
 
 # sector of Arg(zeta^j), in eighths of a turn, -> maximizer of Re(gamma * zeta^j)
 OCTANT_TO_GAMMA = {
@@ -45,15 +46,11 @@ def _theta_fraction_brackets(re: int, im: int, prec: int):
     """Exact rational bracket of Arg(re+im*i)/(2*pi) mod 1, width ~2^-prec."""
     alo, ahi = atan2_brackets(im, re, prec + 8)
     plo, phi_hi = _pi_brackets_bits(prec + 8)
-    tl, th = alo / (2 * phi_hi), ahi / (2 * plo)
     if alo > 0:
-        pass
-    elif ahi < 0:
-        tl, th = alo / (2 * plo), ahi / (2 * phi_hi)
-        tl, th = tl + 1, th + 1
-    else:
-        raise PrecisionError("argument bracket straddles zero; parameter near real axis")
-    return tl, th
+        return alo / (2 * phi_hi), ahi / (2 * plo)
+    if ahi < 0:
+        return alo / (2 * plo) + 1, ahi / (2 * phi_hi) + 1
+    raise PrecisionError("argument bracket straddles zero; parameter near real axis")
 
 
 @dataclass(frozen=True)
@@ -116,7 +113,7 @@ def _expand_at_precision(zeta, depth, bits):
     coeffs = []
     lo, hi = tl, th
     for _ in range(depth + 1):
-        fl, fh = _floor_pair(lo, hi)
+        fl, fh = floor(lo), floor(hi)
         if fl != fh:
             return None
         coeffs.append(fl)
@@ -125,12 +122,6 @@ def _expand_at_precision(zeta, depth, bits):
             return None
         lo, hi = 1 / hi, 1 / lo
     return coeffs
-
-
-def _floor_pair(lo: Fraction, hi: Fraction):
-    import math
-
-    return math.floor(lo), math.floor(hi)
 
 
 def _convergents_from(coeffs):
@@ -209,8 +200,7 @@ def octant_gamma(ctx: ThetaContext, j: int):
     while True:
         if bits > cap:
             raise PrecisionError(f"octant of {j}*theta undecided below {cap} bits")
-        theta = ctx.theta if bits == ctx.precision_bits else theta_interval(ctx.zeta, bits).theta
-        scaled = theta.scale_int(j)
+        scaled = ctx.refined(bits).theta.scale_int(j)
         split = scaled.floor_split()
         if split is not None:
             _, frac = split
@@ -263,14 +253,11 @@ def irregular_indices(ctx: ThetaContext, n: int, window_end: int) -> Irregularit
         raise ValueError("n must be >= 1")
     if window_end <= n:
         raise ValueError("window_end must exceed n")
-    cache = _DegreeCache(ctx.zeta)
-    cache.extend_to(window_end)
-    irregular = [
-        j for j in range(n + 1, window_end + 1) if cache.gamma(j) != cache.gamma(j - n)
-    ]
+    gammas = DegreeCache(ctx.zeta).extend_to(window_end).gammas
+    irregular = [j for j in range(n + 1, window_end + 1) if gammas[j - 1] != gammas[j - n - 1]]
     beta = {}
     for j in irregular:
-        c = cache.gamma(j) - cache.gamma(j - n)
+        c = gammas[j - 1] - gammas[j - n - 1]
         beta[(j, 0)] = c
         beta[(0, j)] = c.conj()
         beta[(j, n)] = -c
@@ -328,11 +315,10 @@ def regular_window_check(ctx: ThetaContext, n: int, C) -> RegularWindowReport:
     if C < 1:
         raise ValueError("C must be >= 1")
     window_end = int(n * C)
-    cache = _DegreeCache(ctx.zeta)
-    cache.extend_to(max(window_end, n + 1))
+    gammas = DegreeCache(ctx.zeta).extend_to(window_end).gammas
     first = None
     for j in range(n + 1, window_end + 1):
-        if cache.gamma(j) != cache.gamma(j - n):
+        if gammas[j - 1] != gammas[j - n - 1]:
             first = j
             break
     eps = Fraction(1, 16 * (C + 1))
@@ -431,15 +417,8 @@ def phi_n_eval(ctx: ThetaContext, n: int, alpha: ComplexInterval, prec: int = No
         prec = max(96, (-w.exp if w.exp < 0 else 0) + 32)
     if alpha.abs_sq().hi >= Dyadic.from_int(1):
         raise PrecisionError("need sup|alpha| < 1")
-    cache = _DegreeCache(ctx.zeta)
-    cache.extend_to(n)
-    total = ComplexInterval.point(0, 0)
-    power = ComplexInterval.point(1, 0)
-    for j in range(1, n + 1):
-        power = (power * alpha).squeeze(prec)
-        total = total + power.mul_gaussian(cache.gamma(j))
-    denom = ComplexInterval.point(1, 0) - alpha.pow_int(n).squeeze(prec)
-    return total.div(denom, prec)
+    _, sums = _series_table(DegreeCache(ctx.zeta).extend_to(n).gammas, alpha, prec)
+    return sums[-1].div(ComplexInterval.point(1, 0) - alpha.pow_int(n).squeeze(prec), prec)
 
 
 def psi_n_eval(ctx: ThetaContext, n: int, alpha: ComplexInterval, tail_tol) -> RealInterval:
@@ -447,39 +426,37 @@ def psi_n_eval(ctx: ThetaContext, n: int, alpha: ComplexInterval, tail_tol) -> R
 
     Route (a) evaluates the definition from the full and periodic series
     boxes; route (b) sums the sparse bilinear expansion over irregular
-    indices with a certified tail.  The routes must intersect; the
-    intersection is returned.
+    indices with a certified tail.  Both read alpha^j from one table, which
+    also holds the partial sums of route (a).  The routes must intersect;
+    the intersection is returned.
     """
     tol = Fraction(tail_tol)
     if tol <= 0:
         raise ValueError("tail_tol must be positive")
-    prec = max(96, _frac_bits(tol) + 48)
-
-    phi_box = phi_eval(ctx.zeta, alpha, tol, prec=prec)
-    phin_box = phi_n_eval(ctx, n, alpha, prec=prec)
-    alpha_n = alpha.pow_int(n).squeeze(prec)
-    weight = (ComplexInterval.point(1, 0) - alpha_n).abs_sq().scale_int(2)
-    route_a = weight * (phi_box.re - phin_box.re)
-
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    prec = max(96, _bits_of(tol) + 48)
     s_hi = alpha.abs_sup(prec)
-    if s_hi >= Dyadic.from_int(1):
-        raise PrecisionError("need sup|alpha| < 1")
+    N, phi_tail = _choose_tail_terms(s_hi, tol, prec, 20)  # as phi_eval
     T, tail = _choose_tail_terms(s_hi, tol, prec, 320)  # 4*sqrt(20) per bilinear term
     T = max(T, n + 1)
+    powers, sums = _series_table(DegreeCache(ctx.zeta).extend_to(max(N, T)).gammas, alpha, prec)
+
+    alpha_n = alpha.pow_int(n).squeeze(prec)
+    gap = ComplexInterval.point(1, 0) - alpha_n
+    phi_box = sums[N - 1].widen(phi_tail)
+    phin_box = sums[n - 1].div(gap, prec)  # as phi_n_eval
+    route_a = gap.abs_sq().scale_int(2) * (phi_box.re - phin_box.re)
+
     report = irregular_indices(ctx, n, T)
     conj_n = alpha_n.conj()
     total = RealInterval.point(0)
-    power = ComplexInterval.point(1, 0)
-    powers = {}
-    for j in range(1, T + 1):
-        power = (power * alpha).squeeze(prec)
-        powers[j] = power
     for j in report.irregular:
         c = report.beta[(j, 0)]
-        term = powers[j].mul_gaussian(c)
+        term = powers[j - 1].mul_gaussian(c)
         total = total + term.re.scale_int(2)  # beta_(j,0) and beta_(0,j) pair
         if j + n <= T:
-            shifted = (powers[j] * conj_n).squeeze(prec)
+            shifted = (powers[j - 1] * conj_n).squeeze(prec)
             total = total - shifted.mul_gaussian(c).re.scale_int(2)
     route_b = total.widen(tail)
 
@@ -490,6 +467,3 @@ def psi_n_eval(ctx: ThetaContext, n: int, alpha: ComplexInterval, tail_tol) -> R
         )
     return meet
 
-
-def _frac_bits(fr: Fraction) -> int:
-    return max(1, (fr.denominator // max(1, fr.numerator)).bit_length())

@@ -112,6 +112,30 @@ def _support_argmax(z: GaussianInt):
     return best, best_val, tie
 
 
+class DegreeCache:
+    """Exact d_j = psi(zeta^j) and the maximizers gamma(j), extended on demand.
+
+    After extend_to(n), values[j-1] is d_j and gammas[j-1] is gamma(j) for
+    j <= n.  This is the one generator of the degree sequence.
+    """
+
+    def __init__(self, zeta: GaussianInt):
+        self.zeta = zeta
+        self.values = []
+        self.gammas = []
+        self._power = ONE
+
+    def extend_to(self, n: int) -> "DegreeCache":
+        while len(self.values) < n:
+            self._power = self._power * self.zeta
+            g, val, tie = _support_argmax(self._power)
+            if tie:
+                raise AdmissibilityError(f"argmax tie at zeta={self.zeta}, j={len(self.values) + 1}")
+            self.values.append(val)
+            self.gammas.append(g)
+        return self
+
+
 def psi(z: GaussianInt) -> int:
     """max Re(gamma*z) over GAMMA0; the degree of the monomial map of z. 0 iff z = 0."""
     return _support_argmax(z)[1]
@@ -217,18 +241,9 @@ def d_sequence(zeta: GaussianInt, N: int) -> DegreeSequence:
     if N < 1:
         raise ValueError("N must be >= 1")
     _require_admissible(zeta)
-    values = []
-    gammas = []
-    power = ONE
-    for j in range(1, N + 1):
-        power = power * zeta
-        g, val, tie = _support_argmax(power)
-        if tie:
-            raise AdmissibilityError(f"argmax tie at zeta={zeta}, j={j}")
-        values.append(val)
-        gammas.append(g)
+    cache = DegreeCache(zeta).extend_to(N)
     return DegreeSequence(
-        values=tuple(values), start_index=1, origin="monomial_d", gammas=tuple(gammas)
+        values=tuple(cache.values), start_index=1, origin="monomial_d", gammas=tuple(cache.gammas)
     )
 
 

@@ -337,9 +337,6 @@ class RealInterval:
             return None
         return RealInterval(lo, hi)
 
-    def hull(self, other: "RealInterval") -> "RealInterval":
-        return RealInterval(min(self.lo, other.lo), max(self.hi, other.hi))
-
     def widen(self, margin: Dyadic) -> "RealInterval":
         if margin.sign() < 0:
             raise ValueError("margin must be >= 0")

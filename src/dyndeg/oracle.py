@@ -4,8 +4,13 @@ A map is a triple of homogeneous polynomials of equal degree.  Internally each
 component is kept as an integer unit times a product of primitive pairwise-
 coprime factors; with that representation the common factor of the triple is
 read off from minimum exponents, so iterated composition never needs a large
-polynomial gcd.  The public ``reduce_triple`` works on raw expanded triples via
-subresultant gcds, serving as the independent general-purpose route.
+polynomial gcd.  The independent general-purpose route substitutes into
+expanded components (``compose_raw_components``) and divides out their
+subresultant gcd (``reduce_triple``).  ``iterate_map`` composes each iterate once.
+
+The line oracle restricts each factor of each component (an expanded component
+is one factor) to seeded random lines mod a large prime and reports D minus
+the degree of the gcd of the restrictions: a trial can err low, never high.
 """
 
 from __future__ import annotations
@@ -266,7 +271,7 @@ def compose(outer: PlaneRationalMap, inner: PlaneRationalMap, budget: Budget = D
         for p, _ in factors
     ):
         return _compose_factored(outer, inner, budget)
-    return _compose_general(outer, inner, budget)
+    return reduce_triple(*compose_raw_components(outer, inner, budget))
 
 
 class _Session:
@@ -424,30 +429,13 @@ def _substitute(P: HomoPoly, images, pow_caches) -> HomoPoly:
     return total
 
 
-def _compose_general(outer, inner, budget) -> PlaneRationalMap:
-    images = inner.components
-    caches = ({}, {}, {})
-    raw = []
-    for P in outer.components:
-        comp = _substitute(P, images, caches)
-        budget.check_terms(len(comp.terms))
-        raw.append(comp)
-    deg = outer.degree * inner.degree
-    raw = [HomoPoly.zero(deg) if c.is_zero() else c for c in raw]
-    return reduce_triple(*raw)
-
-
 def degree_of_iterate(map_: PlaneRationalMap, n: int, budget: Budget = DEFAULT_BUDGET) -> int:
     """deg of the n-th iterate, reducing after every composition step."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    acc = map_
-    for _ in range(n - 1):
-        acc = compose(map_, acc, budget)
-    return acc.degree
+    return iterate_map(map_, n, budget).degree
 
 
 def iterate_map(map_: PlaneRationalMap, n: int, budget: Budget = DEFAULT_BUDGET) -> PlaneRationalMap:
+    """The n-th iterate, reducing after every composition step."""
     if n < 1:
         raise ValueError("n must be >= 1")
     acc = map_
@@ -457,7 +445,7 @@ def iterate_map(map_: PlaneRationalMap, n: int, budget: Budget = DEFAULT_BUDGET)
 
 
 def compose_raw_components(outer: PlaneRationalMap, inner: PlaneRationalMap, budget: Budget = DEFAULT_BUDGET):
-    """Unreduced triple of outer after inner (for oracle cross-checks)."""
+    """Unreduced triple of outer after inner; compose reduces it on its general route."""
     budget.check_degree(outer.degree * inner.degree)
     images = inner.components
     caches = ({}, {}, {})
@@ -482,54 +470,19 @@ def random_line_degree_check(F0, F1, F2, trials: int = 3, seed: int = 0) -> int:
     the three restrictions mod a large prime, and reports D - deg(gcd).  All
     trials must agree; disagreement raises OracleInconsistency.
     """
-    comps = [F0, F1, F2]
-    degs = {c.degree for c in comps if not c.is_zero()}
-    if len(degs) != 1:
-        raise ValueError("components must have equal degrees")
-    D = degs.pop()
-    rng = random.Random(seed)
-    answers = []
-    for trial in range(trials):
-        p = LINE_PRIMES[trial % len(LINE_PRIMES)]
-        value = None
-        for _attempt in range(12):
-            a = [rng.randint(-(10**6), 10**6) for _ in range(3)]
-            b = [rng.randint(-(10**6), 10**6) for _ in range(3)]
-            if all(v == 0 for v in a):
-                continue
-            restrictions = []
-            for c in comps:
-                if c.is_zero():
-                    continue
-                r = restrict_line_mod(c, a, b, p)
-                if r is None:
-                    break
-                restrictions.append(r)
-            else:
-                g = restrictions[0]
-                for r in restrictions[1:]:
-                    g = univ_gcd_mod(g, r, p)
-                value = D - (len(g) - 1)
-                break
-        if value is None:
-            raise OracleInconsistency(
-                f"no degree-preserving line found in trial {trial}"
-            )
-        answers.append(value)
-    if len(set(answers)) != 1:
-        raise OracleInconsistency(f"line trials disagree: {answers}")
-    return answers[0]
+    return factored_line_degree(PlaneRationalMap(components=(F0, F1, F2)), trials, seed)
 
 
 def factored_line_degree(map_: PlaneRationalMap, trials: int = 3, seed: int = 0) -> int:
-    """Line-restriction degree of a factored map without expanding it.
+    """Line-restriction degree of a map, without expanding a factored one.
 
     Restriction of a product is the product of restrictions, so components are
-    restricted atom by atom; the rest matches random_line_degree_check.
+    restricted atom by atom; an expanded component is one factor to the first
+    power.  Each trial draws seeded lines until every factor keeps its degree.
     """
-    if map_._factored is None:
-        return random_line_degree_check(*map_.components, trials=trials, seed=seed)
-    D = map_.degree
+    factored = map_._factored
+    if factored is None:
+        factored = [(1, ((c, 1),)) for c in map_.components if not c.is_zero()]
     rng = random.Random(seed)
     answers = []
     for trial in range(trials):
@@ -540,26 +493,13 @@ def factored_line_degree(map_: PlaneRationalMap, trials: int = 3, seed: int = 0)
             b = [rng.randint(-(10**6), 10**6) for _ in range(3)]
             if all(v == 0 for v in a):
                 continue
-            restrictions = []
-            ok = True
-            for unit, factors in map_._factored:
-                r = [unit % p]
-                for poly, e in factors:
-                    rp = restrict_line_mod(poly, a, b, p)
-                    if rp is None:
-                        ok = False
-                        break
-                    for _ in range(e):
-                        r = _mul_mod(r, rp, p)
-                if not ok:
-                    break
-                restrictions.append(r)
-            if not ok:
+            restrictions = _restrict_components(factored, a, b, p)
+            if restrictions is None:
                 continue
             g = restrictions[0]
             for r in restrictions[1:]:
                 g = univ_gcd_mod(g, r, p)
-            value = D - (len(g) - 1)
+            value = map_.degree - (len(g) - 1)
             break
         if value is None:
             raise OracleInconsistency(f"no degree-preserving line found in trial {trial}")
@@ -567,6 +507,21 @@ def factored_line_degree(map_: PlaneRationalMap, trials: int = 3, seed: int = 0)
     if len(set(answers)) != 1:
         raise OracleInconsistency(f"line trials disagree: {answers}")
     return answers[0]
+
+
+def _restrict_components(factored, a, b, p: int):
+    """Each component restricted to t -> a*t + b mod p; None if some factor loses degree."""
+    out = []
+    for unit, factors in factored:
+        r = [unit % p]
+        for poly, e in factors:
+            rp = restrict_line_mod(poly, a, b, p)
+            if rp is None:
+                return None
+            for _ in range(e):
+                r = _mul_mod(r, rp, p)
+        out.append(r)
+    return out
 
 
 def _mul_mod(f, g, p):

@@ -452,10 +452,6 @@ def _dmp1_strip(f):
     return f[i:]
 
 
-def _dmp1_neg(f):
-    return [_dup_neg(c) for c in f]
-
-
 def _dmp1_sub(f, g):
     if len(f) < len(g):
         f = [[] for _ in range(len(g) - len(f))] + f

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .errors import AdmissibilityError, PrecisionError
-from .gaussian import GaussianInt, _require_admissible, _support_argmax, ONE
+from .errors import PrecisionError
+from .gaussian import DegreeCache, GaussianInt, _require_admissible
 from .intervals import DY_ONE, ComplexInterval, Dyadic, RealInterval
 
 DEFAULT_PRECISION_CAP = 1 << 16
@@ -101,33 +101,6 @@ def _as_width_fraction(target_width) -> Fraction:
     return w
 
 
-class _DegreeCache:
-    """Exact d_j = psi(zeta^j), extended on demand."""
-
-    def __init__(self, zeta: GaussianInt):
-        self.zeta = zeta
-        self.values = []
-        self.gammas = []
-        self._power = ONE
-
-    def extend_to(self, n: int):
-        while len(self.values) < n:
-            self._power = self._power * self.zeta
-            g, val, tie = _support_argmax(self._power)
-            if tie:
-                raise AdmissibilityError(f"argmax tie at {self.zeta}^{len(self.values)+1}")
-            self.values.append(val)
-            self.gammas.append(g)
-
-    def d(self, j: int) -> int:
-        self.extend_to(j)
-        return self.values[j - 1]
-
-    def gamma(self, j: int) -> GaussianInt:
-        self.extend_to(j)
-        return self.gammas[j - 1]
-
-
 def _ceil_sqrt(n: int) -> int:
     q = isqrt(n)
     return q + (q * q != n)
@@ -169,7 +142,7 @@ def _tail_upper(abs_hi: int, sqrt5_hi: int, m: int, s: int, n_terms: int, prec: 
 class _PartialSums:
     """The two directed partial sums of the first n_terms d_j at one precision."""
 
-    def __init__(self, cache: _DegreeCache, prec: int):
+    def __init__(self, cache: DegreeCache, prec: int):
         self.cache = cache
         self.prec = prec
         self.one = 1 << prec
@@ -272,11 +245,10 @@ def solve_lambda(zeta: GaussianInt, target_width, *, start_terms: int = 32) -> L
     _require_admissible(zeta)
     width_goal = _as_width_fraction(target_width)
     cap = precision_cap()
-    cache = _DegreeCache(zeta)
+    cache = DegreeCache(zeta)
 
     # enough fractional bits to resolve the goal on the t side, plus headroom
-    goal_bits = max(1, (width_goal.denominator // max(1, width_goal.numerator)).bit_length())
-    prec = max(64, goal_bits + 48)
+    prec = max(64, _bits_of(width_goal) + 48)
     while True:
         if prec > cap:
             raise PrecisionError(
@@ -373,8 +345,9 @@ def _solve_at_precision(zeta, cache, width_goal, prec, start_terms):
     return LambdaEnclosure(zeta=zeta, interval=interval, n_terms=n_terms, precision_bits=prec)
 
 
-def _bits_of(width_goal: Fraction) -> int:
-    return max(1, (width_goal.denominator // max(1, width_goal.numerator)).bit_length())
+def _bits_of(fr: Fraction) -> int:
+    """Bit length of floor(1/fr), at least 1: the fractional bits needed to resolve fr."""
+    return max(1, (fr.denominator // max(1, fr.numerator)).bit_length())
 
 
 def alpha_of(zeta: GaussianInt, lam, prec: int = None) -> ComplexInterval:
@@ -424,11 +397,23 @@ def phi_eval(zeta: GaussianInt, alpha: ComplexInterval, tail_tol, prec: int = No
         prec = max(96, _bits_of(tol) + 32)
     s_hi = alpha.abs_sup(prec)
     n_terms, tail = _choose_tail_terms(s_hi, tol, prec, 20)
-    cache = _DegreeCache(zeta)
-    cache.extend_to(n_terms)
-    total = ComplexInterval.point(0, 0)
+    _, sums = _series_table(DegreeCache(zeta).extend_to(n_terms).gammas, alpha, prec)
+    return sums[-1].widen(tail)
+
+
+def _series_table(gammas, alpha: ComplexInterval, prec: int):
+    """Lists of alpha^j and of sum_{i<=j} gamma(i) alpha^i for j = 1..len(gammas).
+
+    Each power is the previous one times alpha, squeezed outward to prec.
+    Every evaluator of the maximizer series reads its powers and partial sums
+    from this one pass, so equal inputs give bit-identical boxes.
+    """
+    powers, sums = [], []
     power = ComplexInterval.point(1, 0)
-    for j in range(1, n_terms + 1):
+    total = ComplexInterval.point(0, 0)
+    for g in gammas:
         power = (power * alpha).squeeze(prec)
-        total = total + power.mul_gaussian(cache.gamma(j))
-    return total.widen(tail)
+        total = total + power.mul_gaussian(g)
+        powers.append(power)
+        sums.append(total)
+    return powers, sums

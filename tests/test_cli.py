@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 
 import pytest
 
+from dyndeg import oracle
 from dyndeg.cli import main
 
 
@@ -160,13 +162,40 @@ class TestUsageErrors:
             (("cf", "--depth", "-1"), "--depth"),
             (("report", "--depth", "-2"), "--depth"),
             (("report", "--count", "-2"), "--count"),
+            (("cf", "--precision-bits", "0"), "--precision-bits"),
+            (("irregular", "--n", "50", "--precision-bits", "7"), "--precision-bits"),
+            (("report", "--precision-bits", "-1"), "--precision-bits"),
         ],
     )
     def test_negative_argument_one_line_error(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
             main([argv[0], "--zeta", "1+2i", *argv[1:]])
-        assert exc.value.code == f"error: {flag} must be >= 0"
+        low = 8 if flag == "--precision-bits" else 0
+        assert exc.value.code == f"error: {flag} must be >= {low}"
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (("lambda", "--zeta", "1+2i", "--digits", "abc"), "--digits"),
+            (("cf", "--depth", "4"), "--zeta"),
+            (("degrees", "--zeta", "1+2i", "--precision-bits", "64"), "--precision-bits"),
+            (("frobnicate", "--zeta", "1+2i"), "frobnicate"),
+            (("degrees", "--zeta", "1+2i", "--seed", "3"), "--seed"),
+            (("lambda", "--zeta", "1+2i", "--seed", "3"), "--seed"),
+            (("oracle", "--zeta", "1+2i", "--seed", "3"), "--seed"),
+            (("cf", "--zeta", "1+2i", "--seed", "3"), "--seed"),
+            (("irregular", "--zeta", "1+2i", "--n", "50", "--seed", "3"), "--seed"),
+            (("report", "--zeta", "1+2i", "--seed", "3"), "--seed"),
+        ],
+    )
+    def test_parser_error_one_line(self, capsys, argv, names):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        message = exc.value.code
+        assert isinstance(message, str) and message.startswith("error: ") and "\n" not in message
+        assert names in message
+        assert capsys.readouterr() == ("", "")
 
     def test_negative_digits_exit1_without_traceback(self):
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -178,6 +207,17 @@ class TestUsageErrors:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == "error: --digits must be >= 0\n"
+
+    def test_parser_error_exit1_one_line(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dyndeg.cli", "lambda", "--zeta", "1+2i", "--digits", "abc"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: argument --digits: invalid int value: 'abc'\n"
 
 
 class TestDeterminism:
@@ -191,3 +231,67 @@ class TestDeterminism:
         code = main(["lambda", "--zeta", "1+2i", "--digits", "9", "--format", "json", "--out", str(target)])
         assert code == 0
         assert json.loads(target.read_text())["zeta"] == "1+2i"
+
+
+# SHA-256 of stdout for each README invocation and format, recorded before the
+# d_j generator, the partial-sum pass and the iterate loop were unified.
+README_DIGESTS = {
+    ("degrees", "--zeta", "1+2i", "--count", "10"): {
+        "text": "93154169eae6dcd4f81e81930e872acb994d30ef27b3017daa40697d051c489c",
+        "json": "9d59de7408eaca94ff28cba1a536f1ef466e3facc9cfa46ab1e78536d2ee04a4",
+        "csv": "5515559ed93573d01f88febf86e826b11b1d2b3b0a398981f0f776d88f285d42",
+    },
+    ("lambda", "--zeta", "1+2i", "--digits", "10"): {
+        "text": "1cc0ba6ca7a4cc877f5bc358a928892350ed0c2e049ebba60e86e9c6483779de",
+        "json": "72ab8aacc6061084b234334b765bef44daf5e3709e0176f7f92546e638a6989a",
+        "csv": "65efe2be134712b92ce1558f5b2119c70dc08a4a2a2b9ec26937cb7bdeafb5ee",
+    },
+    ("lambda", "--zeta", "-3+4i", "--digits", "10"): {
+        "text": "1e2b2bda30af9d320d998e60162b193541e057b02a74689d4166cee01539f70a",
+        "json": "da35ae81a3840ef775ecfdf6a3475ca09b99834613f423a3e2733bbfcaeecc0e",
+        "csv": "89b449a1d4ad16e30279954b55fa1ef45ddf67a85bb79b80eccf738777b8c238",
+    },
+    ("oracle", "--zeta", "1+2i", "--max-iter", "3"): {
+        "text": "8a7b029e39b09ec16afa8b9550ccddec6ca1d6d3068bb7e33823229c4bb0b7c6",
+        "json": "1c63ec5fc15a2bf7112a084593e9c7143eac31fe12dbb73fae82be58bafafeb4",
+        "csv": "56d2871c6e007b235af59eb7f2451104656623515dfc08aaa911f3a3b7fb6a6c",
+    },
+    ("cf", "--zeta", "1+2i", "--depth", "20"): {
+        "text": "02f896948f744bb8c87137dc3852cd1914d7804d24c5130c477fafff05cf2bbe",
+        "json": "bc6b53c577ca450eff4396915dd264d1cf080f657755166636d0c16195002bdb",
+        "csv": "b9198454610f1cbc51fdf4d0b6c1ae5253a4d1981a4a9483f4f3635677b3e0e8",
+    },
+    ("irregular", "--zeta", "1+2i", "--n", "210", "--window", "5"): {
+        "text": "f1aa1226929b627ccc0df6d88374fa743ab1111ea8935181439b826fc02b861a",
+        "json": "bbc0d472de7bd7c596f6662c2b6024b4b728d3d622083722bd1ffa3f162debc4",
+        "csv": "4c836abd992cc3c5c9158b66cbbd3c6d1ea26bb098721ca5227a006493297d66",
+    },
+    ("report", "--zeta", "1+2i"): dict.fromkeys(  # always JSON
+        ("text", "json", "csv"), "738bc4c5b7e1e788a57acb787a1693f398ff8737cae005fc29c7de4a30d811f8"
+    ),
+}
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("argv", list(README_DIGESTS), ids="_".join)
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_readme_invocation_byte_identical(self, capsys, argv, fmt):
+        code, out, _ = run(capsys, *argv, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == README_DIGESTS[argv][fmt]
+
+    def test_oracle_composes_each_iterate_once(self, capsys, monkeypatch):
+        calls = []
+        real = oracle.compose
+
+        def counted(outer, inner, *rest):
+            calls.append((outer.degree, inner.degree))
+            return real(outer, inner, *rest)
+
+        monkeypatch.setattr(oracle, "compose", counted)
+        monkeypatch.setattr("dyndeg.cli.compose", counted)
+        code, out, _ = run(capsys, "oracle", "--zeta", "-1+2i", "--max-iter", "3", "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[1:] == ["1,8,8,true", "2,48,48,true", "3,286,286,true"]
+        # f = g o h, then f o f and f o f^2: one composition per iterate
+        assert calls == [(2, 4), (8, 8), (8, 48)]

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import mpmath
@@ -345,3 +346,76 @@ class TestPsiN:
         psi = psi_n_eval(ctx, 1345, alpha, Fraction(1, 10**40))
         assert abs(psi.lo.to_fraction()) < Fraction(1, 10**38)
         assert abs(psi.hi.to_fraction()) < Fraction(1, 10**38)
+
+
+def _box_digest(box):
+    parts = (box.re, box.im) if hasattr(box, "im") else (box,)
+    text = " ".join(f"{d.man}p{d.exp}" for iv in parts for d in (iv.lo, iv.hi))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# SHA-256 of the exact endpoints of the Phi, Phi_n and Psi_n boxes (lambda to
+# 1e-60, theta at 192 bits, tail tolerance 1e-40), recorded before the three
+# evaluators shared one power table; n = 200 exceeds Phi's 128 terms.
+BOX_DIGESTS = {
+    ((1, 2), 50): (
+        "bf3c7e372e31e4f1f91d8e22261922ecb8035cc70386489617da185b967e52c9",
+        "c72251b4ce7d6a3d23d19d297749938645d36f896f2f3ee13d0ea9996af69bf8",
+        "a503e0349c4338e8f7e6537a72861e171cc2ba3ad004f3ab86ebbdf5955b036f",
+    ),
+    ((1, 2), 200): (
+        "bf3c7e372e31e4f1f91d8e22261922ecb8035cc70386489617da185b967e52c9",
+        "71fbcad5e37fffe6212eee8a16b9675840afa2052b2b4835a6d86c08aab53f53",
+        "c1a5f6daa6973c0565de140f08139cb8f7e0cbecd7f0036b4ec2cfb8724e3392",
+    ),
+    ((-7, 23), 50): (
+        "9259a7072b8cc2b9600e0b9cabd32489b984a1662cc47d77d7471af500151e4a",
+        "6b6dd3fdd1d3cb5d629dcee4fc3d9a0e22b1beaeba4fd60e07c55994d3b83f82",
+        "8e7da5907e91f3145300bc3e86bc6929c56e40d635f87209c25d5f4549f845f4",
+    ),
+    ((-7, 23), 200): (
+        "9259a7072b8cc2b9600e0b9cabd32489b984a1662cc47d77d7471af500151e4a",
+        "314616393ba38c3044e3e5e42601e9e84499d7d62e904870905d09866d38f4cd",
+        "77fc1e649abde5cd1f6a66da45998ec0cdec5799434f45426888c20990cadf76",
+    ),
+    ((31, -44), 50): (
+        "57afa8ca6aa8c8d07bbdd914b8edefe48fd2865a1e22ff33a461b477e340d1b5",
+        "34b38438f01747a7aae0ccc6318cb8e05ef314d13f315df928005f59258d02bb",
+        "36ca6fca3ba9348b0a676888db73f7b588cc7d7e5bd9de425e9ce599ff24361b",
+    ),
+    ((31, -44), 200): (
+        "57afa8ca6aa8c8d07bbdd914b8edefe48fd2865a1e22ff33a461b477e340d1b5",
+        "5ea101ea19ded801ade45f4955a0edcd88937ffbcb5c0068897a8656f17bae61",
+        "d97bfa38c322a65f972cc442e706d1c8ad7b1881769a9a880a377199a8154744",
+    ),
+    ((-3, 4), 50): (
+        "6c6d9fb99a4146036d2dccda060fbf7664ff825c2c1e39a032e9ab9495614569",
+        "8a026d3e9c49636f007f6d55043ae5acdfd0ec6b73be0a0a2fcd5c99a5e0648e",
+        "696ccce4d8b81950449c680cca06ab2d10a315b207d657968d813186b6deaf6f",
+    ),
+    ((-3, 4), 200): (
+        "6c6d9fb99a4146036d2dccda060fbf7664ff825c2c1e39a032e9ab9495614569",
+        "823e87943507ef254e6361c3b9300b2a8bacbe1759d1c8023a3909fd67dfdaf8",
+        "0ca61a18e4e7404ab6b964c9cb0af2690be1f681e678c5db2d795471ca0b5b50",
+    ),
+    ((2, 1), 50): (
+        "1a788b7582c5fd12a266c4c2046411ea548bc086e94ee7c38e3aea4e4e39738b",
+        "8960b69e8ff3d433273e9345dcdf46b8dc273779038f94e7b525ad5589af10ee",
+        "d2c6ce2083d596fcb5593a08d57b395c9b135ba06f4e664c86f670efa5f65993",
+    ),
+    ((2, 1), 200): (
+        "1a788b7582c5fd12a266c4c2046411ea548bc086e94ee7c38e3aea4e4e39738b",
+        "245025240e61d34ade66d15482b825b67e455ec46b9daad555cbd9572351dff5",
+        "323bd5074541abd57112fbdcea03e1f993a326fddf53986c76e0bf389d512ef3",
+    ),
+}
+
+
+@pytest.mark.parametrize("zeta, n", list(BOX_DIGESTS))
+def test_series_boxes_bit_identical(zeta, n):
+    z = Z(*zeta)
+    alpha = alpha_of(z, solve_lambda(z, Fraction(1, 10**60)))
+    ctx = theta_interval(z, 192)
+    tol = Fraction(1, 10**40)
+    boxes = (phi_eval(z, alpha, tol), phi_n_eval(ctx, n, alpha), psi_n_eval(ctx, n, alpha, tol))
+    assert tuple(_box_digest(b) for b in boxes) == BOX_DIGESTS[(zeta, n)]

@@ -205,6 +205,13 @@ class TestRandomLine:
         b = random_line_degree_check(*raw, seed=9)
         assert a == b == 66
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    def test_expanded_and_factored_agree(self, f_map, seed):
+        f2 = iterate_map(f_map, 2)
+        assert f2._factored is not None
+        by_components = random_line_degree_check(*f2.components, seed=seed)
+        assert by_components == factored_line_degree(f2, seed=seed) == 66
+
 
 class TestInvolutionChecks:
     def test_all_pass(self):
