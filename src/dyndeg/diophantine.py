@@ -253,7 +253,11 @@ def irregular_indices(ctx: ThetaContext, n: int, window_end: int) -> Irregularit
         raise ValueError("n must be >= 1")
     if window_end <= n:
         raise ValueError("window_end must exceed n")
-    gammas = DegreeCache(ctx.zeta).extend_to(window_end).gammas
+    return _irregularity_report(DegreeCache(ctx.zeta).extend_to(window_end).gammas, n, window_end)
+
+
+def _irregularity_report(gammas, n: int, window_end: int) -> IrregularityReport:
+    """The report of ``irregular_indices`` read from gamma(1), ..., gamma(>= window_end)."""
     irregular = [j for j in range(n + 1, window_end + 1) if gammas[j - 1] != gammas[j - n - 1]]
     beta = {}
     for j in irregular:
@@ -440,7 +444,8 @@ def psi_n_eval(ctx: ThetaContext, n: int, alpha: ComplexInterval, tail_tol) -> R
     N, phi_tail = _choose_tail_terms(s_hi, tol, prec, 20)  # as phi_eval
     T, tail = _choose_tail_terms(s_hi, tol, prec, 320)  # 4*sqrt(20) per bilinear term
     T = max(T, n + 1)
-    powers, sums = _series_table(DegreeCache(ctx.zeta).extend_to(max(N, T)).gammas, alpha, prec)
+    gammas = DegreeCache(ctx.zeta).extend_to(max(N, T)).gammas
+    powers, sums = _series_table(gammas, alpha, prec)
 
     alpha_n = alpha.pow_int(n).squeeze(prec)
     gap = ComplexInterval.point(1, 0) - alpha_n
@@ -448,7 +453,7 @@ def psi_n_eval(ctx: ThetaContext, n: int, alpha: ComplexInterval, tail_tol) -> R
     phin_box = sums[n - 1].div(gap, prec)  # as phi_n_eval
     route_a = gap.abs_sq().scale_int(2) * (phi_box.re - phin_box.re)
 
-    report = irregular_indices(ctx, n, T)
+    report = _irregularity_report(gammas, n, T)
     conj_n = alpha_n.conj()
     total = RealInterval.point(0)
     for j in report.irregular:

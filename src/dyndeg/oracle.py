@@ -3,14 +3,16 @@
 A map is a triple of homogeneous polynomials of equal degree.  Internally each
 component is kept as an integer unit times a product of primitive pairwise-
 coprime factors; with that representation the common factor of the triple is
-read off from minimum exponents, so iterated composition never needs a large
-polynomial gcd.  The independent general-purpose route substitutes into
-expanded components (``compose_raw_components``) and divides out their
-subresultant gcd (``reduce_triple``).  ``iterate_map`` composes each iterate once.
+read off from minimum exponents, so composition never needs a large
+polynomial gcd.  ``compose`` has one route: an expanded component (of either
+map) is one factor to the first power.  ``iterate_map`` composes each iterate
+once.
 
-The line oracle restricts each factor of each component (an expanded component
-is one factor) to seeded random lines mod a large prime and reports D minus
-the degree of the gcd of the restrictions: a trial can err low, never high.
+The independent route substitutes into expanded components
+(``compose_raw_components``) and hands the unreduced triple to the line
+oracle, which restricts each factor of each component to seeded random lines
+mod a large prime and reports D minus the degree of the gcd of the
+restrictions: a trial can err low, never high.
 """
 
 from __future__ import annotations
@@ -31,17 +33,12 @@ from .polynomials import (
     CoprimeBase,
     HomoPoly,
     LINE_PRIMES,
-    homo_divexact,
-    homo_gcd,
     restrict_line_mod,
     univ_gcd_mod,
 )
 
 DEFAULT_DEGREE_CAP = 1000
 DEFAULT_TERM_CAP = 10_000_000
-
-# factors at most this many terms qualify for factorwise substitution
-_SMALL_FACTOR_TERMS = 4
 
 
 @dataclass(frozen=True)
@@ -224,54 +221,8 @@ def monomial_map(mat: IntMatrix2x2) -> PlaneRationalMap:
 
 
 # ---------------------------------------------------------------------------
-# Reduction of raw triples: the subresultant-gcd route
-# ---------------------------------------------------------------------------
-
-
-def reduce_triple(F0: HomoPoly, F1: HomoPoly, F2: HomoPoly) -> PlaneRationalMap:
-    """Divide out gcd(F0, F1, F2) (polynomial part and integer content)."""
-    comps = [F0, F1, F2]
-    if all(c.is_zero() for c in comps):
-        raise ValueError("all three components vanish")
-    degs = {c.degree for c in comps if not c.is_zero()}
-    if len(degs) != 1:
-        raise ReductionFailure("components have unequal degrees")
-    nonzero = [c for c in comps if not c.is_zero()]
-    g = nonzero[0]
-    for c in nonzero[1:]:
-        g = homo_gcd(g, c)
-        if g.degree == 0 and abs(g.content()) == 1:
-            break
-    if g.degree == 0 and abs(g.content()) == 1:
-        out = comps
-    else:
-        out = [c if c.is_zero() else homo_divexact(c, g) for c in comps]
-        zdeg = out[0].degree if not out[0].is_zero() else out[1].degree
-        out = [HomoPoly.zero(zdeg) if c.is_zero() else c for c in out]
-    raw = PlaneRationalMap(components=tuple(out), reduced=True)
-    return PlaneRationalMap(components=raw.normalized_components(), reduced=True)
-
-
-# ---------------------------------------------------------------------------
 # Composition
 # ---------------------------------------------------------------------------
-
-
-def compose(outer: PlaneRationalMap, inner: PlaneRationalMap, budget: Budget = DEFAULT_BUDGET) -> PlaneRationalMap:
-    """outer after inner, reduced.
-
-    Uses exponent-level substitution when the outer components factor into
-    few-term pieces (monomial maps, the involution, and their composites);
-    otherwise substitutes into the expanded outer and reduces by gcd.
-    """
-    budget.check_degree(outer.degree * inner.degree)
-    if outer._factored is not None and all(
-        len(p.terms) <= _SMALL_FACTOR_TERMS
-        for _, factors in outer._factored
-        for p, _ in factors
-    ):
-        return _compose_factored(outer, inner, budget)
-    return reduce_triple(*compose_raw_components(outer, inner, budget))
 
 
 class _Session:
@@ -309,16 +260,20 @@ def _apply_splits(exp_dicts, splits):
                 exps[new_idx] = exps.get(new_idx, 0) + exps[old_idx]
 
 
-def _compose_factored(outer, inner, budget) -> PlaneRationalMap:
+def compose(outer: PlaneRationalMap, inner: PlaneRationalMap, budget: Budget = DEFAULT_BUDGET) -> PlaneRationalMap:
+    """outer after inner, reduced.
+
+    Exponent-level substitution over a shared coprime base: each outer factor
+    is either a monomial, whose image is an exponent sum, or a sum of composed
+    monomials that is expanded and decomposed again.  The common factor of
+    the result is read off from minimum exponents.
+    """
+    budget.check_degree(outer.degree * inner.degree)
     session = _Session()
     live: list = []  # exponent dicts that must survive atom splits
 
-    inner_fact = inner._factored
-    if inner_fact is None:
-        inner_fact = tuple((1, ((c, 1),)) for c in inner.components)
-
     inner_exps = []
-    for unit, factors in inner_fact:
+    for unit, factors in _factored_components(inner):
         exps: dict = {}
         live.append(exps)
         for poly, e in factors:
@@ -351,7 +306,7 @@ def _compose_factored(outer, inner, budget) -> PlaneRationalMap:
         return got
 
     result_factored = []
-    for unit, factors in outer._factored:
+    for unit, factors in _factored_components(outer):
         res_unit = unit
         res_exps: dict = {}
         live.append(res_exps)
@@ -363,7 +318,7 @@ def _compose_factored(outer, inner, budget) -> PlaneRationalMap:
                 for idx, n in exps.items():
                     res_exps[idx] = res_exps.get(idx, 0) + n * e
                 continue
-            # few-term factor: expand the sum of composed monomials, re-split
+            # expand the sum of composed monomials, re-split
             total = None
             for (i, j, k, c) in poly.items():
                 u, exps = cached_image((i, j, k))
@@ -401,6 +356,15 @@ def _compose_factored(outer, inner, budget) -> PlaneRationalMap:
     out = PlaneRationalMap(factored=tuple(comps), reduced=True)
     budget.check_degree(out.degree)
     return out
+
+
+def _factored_components(map_: PlaneRationalMap):
+    """The map's factored components; an expanded component is one factor to the first power."""
+    if map_._factored is not None:
+        return map_._factored
+    if any(c.is_zero() for c in map_.components):
+        raise ValueError("cannot decompose the zero polynomial")
+    return tuple((1, ((c, 1),)) for c in map_.components)
 
 
 def _substitute(P: HomoPoly, images, pow_caches) -> HomoPoly:
@@ -445,7 +409,10 @@ def iterate_map(map_: PlaneRationalMap, n: int, budget: Budget = DEFAULT_BUDGET)
 
 
 def compose_raw_components(outer: PlaneRationalMap, inner: PlaneRationalMap, budget: Budget = DEFAULT_BUDGET):
-    """Unreduced triple of outer after inner; compose reduces it on its general route."""
+    """Unreduced triple of outer after inner, by substitution into expanded components.
+
+    The line oracle checks this triple as the route independent of ``compose``.
+    """
     budget.check_degree(outer.degree * inner.degree)
     images = inner.components
     caches = ({}, {}, {})

@@ -4,17 +4,19 @@ Representation: a homogeneous polynomial of degree d in (x0, x1, x2) stores
 only nonzero coefficients, keyed by the packed exponent pair (i << 11) | j;
 the x2 exponent is d - i - j.  Degrees are capped at 2047 by the packing.
 
-The gcd of two homogeneous polynomials is computed by stripping the common
-x2 power, dehomogenizing at x2 = 1 to a bivariate polynomial, running a
-subresultant polynomial-remainder-sequence gcd in Z[x1][x0] with content
-extraction at each level, and rehomogenizing.  A cheap deterministic
-coprimality certificate via restriction to a degree-preserving line (gcd of
-the univariate images mod p) avoids the full PRS in the common case.
+Everything modular runs on one pair of line kernels: restriction of a
+polynomial to a line mod p (``restrict_line_mod``) and the univariate gcd mod
+p (``univ_gcd_mod``).  A constant gcd of the restrictions to a line that keeps
+both degrees proves coprimality (``certify_coprime``).  ``homo_gcd`` is Brown's
+modular gcd built from the same kernels: restrictions to a pencil of lines in
+a random unimodular frame, interpolated across the pencil, lifted by CRT, and
+returned only after ``divexact`` divides both inputs.
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import islice
 from math import gcd as igcd
 
 import numpy as np
@@ -296,8 +298,7 @@ def divexact(num: HomoPoly, den: HomoPoly):
 
 
 # ---------------------------------------------------------------------------
-# Dense recursive machinery for subresultant gcd: dup = Z[x], dmp1 = Z[x1][x0]
-# Lists are coefficient sequences with the leading coefficient first.
+# Dense univariate helpers: coefficient lists, leading coefficient first
 # ---------------------------------------------------------------------------
 
 
@@ -306,18 +307,6 @@ def _dup_strip(f):
     while i < len(f) and f[i] == 0:
         i += 1
     return f[i:]
-
-
-def _dup_neg(f):
-    return [-c for c in f]
-
-
-def _dup_sub(f, g):
-    if len(f) < len(g):
-        f = [0] * (len(g) - len(f)) + f
-    elif len(g) < len(f):
-        g = [0] * (len(f) - len(g)) + g
-    return _dup_strip([a - b for a, b in zip(f, g)])
 
 
 def _dup_mul(f, g):
@@ -338,147 +327,6 @@ def _dup_mul_ground(f, c):
     return [a * c for a in f]
 
 
-def _dup_quo_ground(f, c):
-    out = []
-    for a in f:
-        q, r = divmod(a, c)
-        if r:
-            raise ReductionFailure("inexact ground division in remainder sequence")
-        out.append(q)
-    return out
-
-
-def _dup_pow(f, n):
-    result = [1]
-    base = f
-    while n:
-        if n & 1:
-            result = _dup_mul(result, base)
-        base = _dup_mul(base, base)
-        n >>= 1
-    return result
-
-
-def _dup_content(f):
-    g = 0
-    for c in f:
-        g = igcd(g, c)
-        if g == 1:
-            return 1
-    return g
-
-
-def _dup_primitive(f):
-    if not f:
-        return 0, f
-    c = _dup_content(f)
-    sign = 1 if f[0] > 0 else -1
-    c *= sign
-    return c, [a // c for a in f]
-
-
-def _dup_prem(f, g):
-    """Pseudo-remainder of f by g: lc(g)^(df-dg+1) f mod g."""
-    df, dg = len(f) - 1, len(g) - 1
-    if dg < 0:
-        raise ZeroDivisionError("pseudo-division by zero")
-    r = list(f)
-    if df < dg:
-        return r
-    N = df - dg + 1
-    lc_g = g[0]
-    dr = df
-    while dr >= dg:
-        lc_r = r[0]
-        N -= 1
-        r = _dup_sub(_dup_mul_ground(r, lc_g), _dup_mul_ground(g + [0] * (dr - dg), lc_r))
-        dr = len(r) - 1
-    return _dup_mul_ground(r, lc_g**N) if N > 0 else r
-
-
-def _dup_subresultants(f, g):
-    """Subresultant PRS of f, g (Brown's algorithm)."""
-    n, m = len(f) - 1, len(g) - 1
-    if n < m:
-        f, g = g, f
-        n, m = m, n
-    if not f:
-        return []
-    if not g:
-        return [f]
-    prs = [f, g]
-    d = n - m
-    b = (-1) ** (d + 1)
-    h = _dup_mul_ground(_dup_prem(f, g), b)
-    lc = g[0]
-    c = -(lc**d)
-    while h:
-        k = len(h) - 1
-        prs.append(h)
-        f, g, m, d = g, h, k, m - k
-        b = -lc * c**d
-        h = _dup_quo_ground(_dup_prem(f, g), b)
-        lc = g[0]
-        if d > 1:
-            c = -((-lc) ** d // c ** (d - 1))
-        else:
-            c = -lc
-    return prs
-
-
-def _dup_gcd(f, g):
-    """gcd in Z[x], positive leading coefficient."""
-    if not f:
-        c, pg = _dup_primitive(g)
-        return _dup_mul_ground(pg, abs(c)) if g else []
-    if not g:
-        c, pf = _dup_primitive(f)
-        return _dup_mul_ground(pf, abs(c))
-    fc, fp = _dup_primitive(f)
-    gc, gp = _dup_primitive(g)
-    c = igcd(abs(fc), abs(gc))
-    prs = _dup_subresultants(fp, gp)
-    h = prs[-1]
-    if len(h) - 1 == 0:
-        return [c]
-    _, hp = _dup_primitive(h)
-    return _dup_mul_ground(hp, c)
-
-
-def _dmp1_strip(f):
-    i = 0
-    while i < len(f) and not f[i]:
-        i += 1
-    return f[i:]
-
-
-def _dmp1_sub(f, g):
-    if len(f) < len(g):
-        f = [[] for _ in range(len(g) - len(f))] + f
-    elif len(g) < len(f):
-        g = [[] for _ in range(len(f) - len(g))] + g
-    return _dmp1_strip([_dup_sub(a, b) for a, b in zip(f, g)])
-
-
-def _dmp1_mul_dup(f, c):
-    if not c:
-        return []
-    return _dmp1_strip([_dup_mul(a, c) for a in f])
-
-
-def _dmp1_quo_dup(f, c):
-    out = []
-    for a in f:
-        if not a:
-            out.append([])
-            continue
-        q = _dup_exact_div(a, c)
-        if q is None:
-            raise ReductionFailure("inexact coefficient division in remainder sequence")
-        out.append(q)
-    return _dmp1_strip(out)
-
-
 def _dup_add(f, g):
     if len(f) < len(g):
         f, g = g, f
@@ -487,204 +335,6 @@ def _dup_add(f, g):
     for idx, c in enumerate(g):
         out[off + idx] += c
     return _dup_strip(out)
-
-
-def _dup_exact_div(f, g):
-    """f / g in Z[x] if exact, else None."""
-    if not g:
-        raise ZeroDivisionError
-    if not f:
-        return []
-    df, dg = len(f) - 1, len(g) - 1
-    if df < dg:
-        return None
-    q = [0] * (df - dg + 1)
-    r = list(f)
-    while r and len(r) - 1 >= dg:
-        dr = len(r) - 1
-        lc, rem = divmod(r[0], g[0])
-        if rem:
-            return None
-        q[df - dr] = lc
-        r = _dup_sub(r, _dup_mul_ground(g, lc) + [0] * (dr - dg))
-    return q if not r else None
-
-
-def _dmp1_prem(f, g):
-    df, dg = len(f) - 1, len(g) - 1
-    if dg < 0:
-        raise ZeroDivisionError("pseudo-division by zero")
-    r = list(f)
-    if df < dg:
-        return r
-    N = df - dg + 1
-    lc_g = g[0]
-    dr = df
-    while dr >= dg:
-        lc_r = r[0]
-        N -= 1
-        shifted = g + [[] for _ in range(dr - dg)]
-        r = _dmp1_sub(_dmp1_mul_dup(r, lc_g), _dmp1_mul_dup(shifted, lc_r))
-        dr = len(r) - 1
-    if N > 0:
-        r = _dmp1_mul_dup(r, _dup_pow(lc_g, N))
-    return r
-
-
-def _dmp1_subresultants(f, g):
-    n, m = len(f) - 1, len(g) - 1
-    if n < m:
-        f, g = g, f
-        n, m = m, n
-    if not f:
-        return []
-    if not g:
-        return [f]
-    prs = [f, g]
-    d = n - m
-    b = [(-1) ** (d + 1)]
-    h = _dmp1_mul_dup(_dmp1_prem(f, g), b)
-    lc = g[0]
-    c = _dup_neg(_dup_pow(lc, d))
-    while h:
-        k = len(h) - 1
-        prs.append(h)
-        f, g, m, d = g, h, k, m - k
-        b = _dup_mul(_dup_neg(lc), _dup_pow(c, d))
-        h = _dmp1_quo_dup(_dmp1_prem(f, g), b)
-        lc = g[0]
-        if d > 1:
-            num = _dup_pow(_dup_neg(lc), d)
-            den = _dup_pow(c, d - 1)
-            c = _dup_exact_div(num, den)
-            if c is None:
-                raise ReductionFailure("subresultant divisor was inexact")
-            c = _dup_neg(c)
-        else:
-            c = _dup_neg(lc)
-    return prs
-
-
-def _dmp1_content(f):
-    cont = []
-    for c in f:
-        cont = _dup_gcd(cont, c)
-        if cont == [1]:
-            return cont
-    return cont
-
-
-def _dmp1_primitive(f):
-    if not f:
-        return [], f
-    cont = _dmp1_content(f)
-    if cont == [1]:
-        return cont, f
-    return cont, _dmp1_quo_dup(f, cont)
-
-
-def _dmp1_gcd(f, g):
-    """gcd in Z[x1][x0] via subresultant PRS with content extraction."""
-    if not f:
-        return g
-    if not g:
-        return f
-    fc, fp = _dmp1_primitive(f)
-    gc, gp = _dmp1_primitive(g)
-    c = _dup_gcd(fc, gc)
-    if len(fp) - 1 >= len(gp) - 1:
-        prs = _dmp1_subresultants(fp, gp)
-    else:
-        prs = _dmp1_subresultants(gp, fp)
-    h = prs[-1]
-    if len(h) - 1 == 0:
-        return [c]  # only the coefficient-ring content is shared
-    _, hp = _dmp1_primitive(h)
-    return _dmp1_mul_dup(hp, c)
-
-
-# ---------------------------------------------------------------------------
-# Homogeneous gcd via dehomogenization
-# ---------------------------------------------------------------------------
-
-
-def _dehomogenize(P: HomoPoly):
-    """(common x2 power, dmp1 in Z[x1][x0]) of P evaluated at x2 = 1.
-
-    Setting x2 = 1 erases the common x2 factor, so it is reported separately.
-    """
-    if P.is_zero():
-        return 0, []
-    kmin = min(k for _, _, k, _ in P.items())
-    by_i: dict = {}
-    for key, c in P.terms.items():
-        i, j = _unpack(key)
-        by_i.setdefault(i, {})[j] = c
-    rows = []
-    for i in range(max(by_i), -1, -1):
-        row = by_i.get(i)
-        if not row:
-            rows.append([])
-            continue
-        mj = max(row)
-        rows.append([row.get(j, 0) for j in range(mj, -1, -1)])
-    return kmin, _dmp1_strip(rows)
-
-
-def _dmp1_total_degree(f):
-    deg = -1
-    n = len(f) - 1
-    for idx, c in enumerate(f):
-        if c:
-            deg = max(deg, (n - idx) + (len(c) - 1))
-    return deg
-
-
-def _rehomogenize(f, x2_power: int) -> HomoPoly:
-    """Homogenize a bivariate dmp1 to its total degree, then multiply by x2^x2_power."""
-    total = _dmp1_total_degree(f)
-    if total < 0:
-        return HomoPoly.zero(0)
-    triples = []
-    n = len(f) - 1
-    for idx, coeff in enumerate(f):
-        i = n - idx
-        m = len(coeff) - 1
-        for jdx, c in enumerate(coeff):
-            if c:
-                j = m - jdx
-                triples.append((i, j, total + x2_power - i - j, c))
-    return HomoPoly.from_triples(total + x2_power, triples)
-
-
-def homo_gcd(P: HomoPoly, Q: HomoPoly) -> HomoPoly:
-    """gcd in Z[x0,x1,x2] of homogeneous polynomials, sign-normalized.
-
-    Integer content is included (gcd of the two contents), matching gcd
-    semantics over Z[x0,x1,x2].
-    """
-    if P.is_zero() and Q.is_zero():
-        return HomoPoly.zero(0)
-    if P.is_zero():
-        P, Q = Q, P
-    if Q.is_zero():
-        scale, G = P.primitive_normalized()
-        return G.scale(abs(scale))
-    cp, fp = _dehomogenize(P)
-    cq, fq = _dehomogenize(Q)
-    g = _dmp1_gcd(fp, fq)  # includes the integer content gcd
-    G = _rehomogenize(g, min(cp, cq))
-    if G.sign_anchor() < 0:
-        G = -G
-    return G
-
-
-def homo_divexact(P: HomoPoly, D: HomoPoly) -> HomoPoly:
-    """Exact quotient P / D; raises ReductionFailure if division is inexact."""
-    q = divexact(P, D)
-    if q is None:
-        raise ReductionFailure("polynomial division left a remainder")
-    return q
 
 
 # ---------------------------------------------------------------------------
@@ -715,19 +365,18 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
-def _primes_near(start: int, count: int):
-    out = []
+def _primes_from(start: int):
+    """Probable primes >= start in increasing order, generated on demand."""
     n = start | 1
-    while len(out) < count:
+    while True:
         if _is_probable_prime(n):
-            out.append(n)
+            yield n
         n += 2
-    return tuple(out)
 
 
 # ~2^25: small enough for int64-safe numpy modular arithmetic, large enough
 # for interpolation grids beyond any degree the budget allows
-LINE_PRIMES = _primes_near(1 << 25, 8)
+LINE_PRIMES = tuple(islice(_primes_from(1 << 25), 8))
 
 
 def restrict_line_mod(P: HomoPoly, a, b, p: int):
@@ -859,7 +508,7 @@ def certify_coprime(P: HomoPoly, Q: HomoPoly, seed: int = 0, attempts: int = 4) 
 
     Restrict both to a line whose images keep full degree mod p; a constant
     univariate gcd then forces any common factor to be constant.  False means
-    "unknown" (caller should fall back to the exact gcd).
+    "unknown" (the caller falls back to ``homo_gcd``).
     """
     if P.is_zero() or Q.is_zero():
         return False
@@ -879,6 +528,184 @@ def certify_coprime(P: HomoPoly, Q: HomoPoly, seed: int = 0, attempts: int = 4) 
         if len(univ_gcd_mod(rp, rq, p)) - 1 == 0:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Modular gcd: pencil restrictions in a random frame, CRT, exact-division check
+# ---------------------------------------------------------------------------
+
+# random frames tried before homo_gcd gives up
+_GCD_FRAMES = 8
+# bound on the off-diagonal entries of a frame's triangular factors
+_FRAME_ENTRY = 64
+
+
+def homo_gcd(P: HomoPoly, Q: HomoPoly) -> HomoPoly:
+    """gcd in Z[x0,x1,x2] of homogeneous polynomials, sign-normalized.
+
+    Integer content is included (gcd of the two contents), matching gcd
+    semantics over Z[x0,x1,x2].
+
+    Brown's modular gcd on the line kernels.  A seeded random unimodular
+    integer frame M gives the pencil of lines t -> M(t, u, 1) through
+    a = M(1, 0, 0).  For u = 0..g the primitive parts are restricted to the
+    line mod p, their monic gcd is scaled by gcd(P(a), Q(a)) so that the
+    leading coefficients agree, the images are interpolated in u and lifted
+    by CRT over primes until the symmetric lift stops changing, and
+    substituting M^-1 back gives the primitive candidate.
+
+    Why a returned result is the gcd: every restriction used keeps the full
+    degree of P and Q mod p, so P(a) and Q(a) are nonzero mod p.  G = gcd(P, Q)
+    divides both, so G(a) is nonzero mod p too, and the restriction of G keeps
+    degree deg G and divides the gcd of the restrictions: every
+    restricted-gcd degree is an upper bound on deg G.  A candidate C that
+    ``divexact`` divides into both primitive parts divides G, so
+    deg C <= deg G.  C is returned only if it also has the smallest
+    restricted-gcd degree seen, so deg C = deg G and G is an integer multiple
+    of the primitive C.  A smallest degree of 0 proves the gcd is the content
+    gcd alone.  Any other outcome tries a new frame; after ``_GCD_FRAMES``
+    frames ReductionFailure is raised, never an unproven result.
+    """
+    if P.is_zero() and Q.is_zero():
+        return HomoPoly.zero(0)
+    if P.is_zero():
+        P, Q = Q, P
+    if Q.is_zero():
+        scale, G = P.primitive_normalized()
+        return G.scale(abs(scale))
+    content = igcd(P.content(), Q.content())
+    P = P.primitive_normalized()[1]
+    Q = Q.primitive_normalized()[1]
+    rng = np.random.default_rng(0x6CD)
+    best = min(P.degree, Q.degree) + 1  # above every restricted-gcd degree
+    for _ in range(_GCD_FRAMES):
+        cand, best = _frame_candidate(P, Q, _unimodular_frame(rng), best)
+        if best == 0:
+            return HomoPoly.monomial(content, 0, 0, 0)
+        if (
+            cand is not None
+            and cand.degree == best
+            and divexact(P, cand) is not None
+            and divexact(Q, cand) is not None
+        ):
+            return cand.scale(content)
+    raise ReductionFailure(f"no gcd candidate divided both inputs in {_GCD_FRAMES} frames")
+
+
+def _unimodular_frame(rng):
+    """Random integer matrix L * U with unit lower and upper triangular L, U (det 1)."""
+    l10, l20, l21, u01, u02, u12 = (
+        int(v) for v in rng.integers(-_FRAME_ENTRY, _FRAME_ENTRY + 1, size=6)
+    )
+    return [
+        [1, u01, u02],
+        [l10, l10 * u01 + 1, l10 * u02 + u12],
+        [l20, l20 * u01 + l21, l20 * u02 + l21 * u12 + 1],
+    ]
+
+
+def _frame_candidate(P: HomoPoly, Q: HomoPoly, M, best: int):
+    """(candidate or None, smallest restricted-gcd degree seen) for the frame M."""
+    a = [row[0] for row in M]
+    pa, qa = P.evaluate(*a), Q.evaluate(*a)
+    if pa == 0 or qa == 0:
+        return None, best
+    scale = igcd(pa, qa)
+    # The lifted image is scale / G(a) times G(M(t, u, 1)), a factor of the
+    # bivariate F(M(t, u, 1)) for F = P, Q.  A factor's coefficients are at
+    # most 2^(deg_t + deg_u) times F's Mahler measure, which is at most
+    # ||F||_1 * (largest row sum of |M|)^deg F.
+    row_bits = max(sum(abs(v) for v in row) for row in M).bit_length()
+    norm_bits = min(
+        sum(abs(c) for c in F.terms.values()).bit_length() + F.degree * row_bits
+        for F in (P, Q)
+    )
+    limit = scale.bit_length() + 2 * min(P.degree, Q.degree) + norm_bits + 1
+    g = acc = modulus = lifted = None
+    for p in islice(_primes_from(1 << 25), limit // 24 + 8):
+        gcds = _pencil_gcds(P, Q, M, p)
+        if gcds is None:
+            continue  # p divides P(a) or Q(a)
+        degrees = {len(h) - 1 for h in gcds}
+        best = min(best, *degrees)
+        if best == 0 or len(degrees) > 1:
+            return None, best  # a line of the pencil meets a common zero of the cofactors
+        d = degrees.pop()
+        if d > best:
+            continue  # unlucky prime
+        image = [
+            c
+            for i in range(d + 1)
+            for c in _interpolate_mod(np.array([h[i] * scale % p for h in gcds], dtype=np.int64), p)
+        ]
+        if d != g:
+            g, acc, modulus = d, image, p
+        else:
+            inv = pow(modulus, -1, p)
+            acc = [x + modulus * ((r - x) * inv % p) for x, r in zip(acc, image)]
+            modulus *= p
+        lift = [x - modulus if 2 * x > modulus else x for x in acc]
+        if lift == lifted or modulus.bit_length() > limit:
+            return _unframe(lift, g, M), best
+        lifted = lift
+    return None, best
+
+
+def _pencil_gcds(P: HomoPoly, Q: HomoPoly, M, p: int):
+    """Monic gcds mod p of P and Q restricted to t -> M(t, u, 1), u = 0, 1, ...
+
+    Stops at one line more than the smallest gcd degree.  None if a
+    restriction loses degree, which depends only on P(a), Q(a) and p.
+    """
+    a = [row[0] for row in M]
+    gcds = []
+    while not gcds or len(gcds) < min(map(len, gcds)):
+        u = len(gcds)
+        b = [u * row[1] + row[2] for row in M]
+        rp = restrict_line_mod(P, a, b, p)
+        rq = restrict_line_mod(Q, a, b, p)
+        if rp is None or rq is None:
+            return None
+        gcds.append(univ_gcd_mod(rp, rq, p))
+    return gcds
+
+
+def _unframe(coeffs, g: int, M):
+    """Primitive H(M^-1 x), H the homogenization of sum coeffs[i(g+1)+j] t^(g-i) u^j.
+
+    None if H would need degree above g.
+    """
+    triples = [
+        (g - i, j, i - j, coeffs[i * (g + 1) + j])
+        for i in range(g + 1)
+        for j in range(g + 1)
+        if coeffs[i * (g + 1) + j]
+    ]
+    if any(k < 0 for _, _, k, _ in triples):
+        return None
+    powers = []
+    for row in _adjugate(M):  # M^-1, as det M = 1
+        form = HomoPoly.from_triples(1, [(1, 0, 0, row[0]), (0, 1, 0, row[1]), (0, 0, 1, row[2])])
+        table = [HomoPoly.monomial(1, 0, 0, 0)]
+        for _ in range(g):
+            table.append(table[-1] * form)
+        powers.append(table)
+    G = HomoPoly.zero(g)
+    for i, j, k, c in triples:
+        G = G + (powers[0][i] * powers[1][j] * powers[2][k]).scale(c)
+    return G.primitive_normalized()[1]
+
+
+def _adjugate(M):
+    """Adjugate of a 3x3 matrix: entry (i, j) is the (j, i) cofactor."""
+    return [
+        [
+            M[(j + 1) % 3][(i + 1) % 3] * M[(j + 2) % 3][(i + 2) % 3]
+            - M[(j + 1) % 3][(i + 2) % 3] * M[(j + 2) % 3][(i + 1) % 3]
+            for j in range(3)
+        ]
+        for i in range(3)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -373,11 +373,11 @@ def _choose_tail_terms(s_hi: Dyadic, tail_tol: Fraction, prec: int, constant_sq:
         raise PrecisionError("|alpha| upper bound reached 1; tighten lambda first")
     const_hi = Dyadic.sqrt(Dyadic.from_int(constant_sq), prec, "ceil")
     inv_gap = Dyadic.div(const_hi, one - s_hi, prec, "ceil")
-    n = 8
+    n, done, sp = 8, 0, s_hi
     while n <= _TERM_CAP:
-        sp = s_hi
-        for _ in range(n):
+        while done < n:  # sp is s^(done+1), rounded up after every product
             sp = (sp * s_hi).round(prec, "ceil")
+            done += 1
         bound = inv_gap * sp
         if bound.to_fraction() <= tail_tol:
             return n, bound

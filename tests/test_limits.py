@@ -8,7 +8,7 @@ from dyndeg.cli import main
 from dyndeg.errors import PrecisionError
 from dyndeg.gaussian import GaussianInt
 from dyndeg.diophantine import cf_expand, theta_interval
-from dyndeg.oracle import compose_raw_components, g_map, reduce_triple
+from dyndeg.oracle import PlaneRationalMap, compose, compose_raw_components, g_map, identity_map
 from dyndeg.solver import precision_cap, solve_lambda
 
 ZETA = GaussianInt(1, 2)
@@ -49,6 +49,7 @@ class TestPrecisionCap:
 class TestReduceIdempotence:
     def test_on_raw_involution_square(self):
         raw = compose_raw_components(g_map(), g_map())
-        once = reduce_triple(*raw)
-        twice = reduce_triple(*once.components)
+        once = compose(PlaneRationalMap(components=raw), identity_map())
+        twice = compose(PlaneRationalMap(components=once.components), identity_map())
+        assert once.same_map(identity_map())
         assert once.components == twice.components

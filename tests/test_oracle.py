@@ -29,7 +29,6 @@ from dyndeg.oracle import (
     map_to_text,
     monomial_map,
     random_line_degree_check,
-    reduce_triple,
 )
 from dyndeg.polynomials import HomoPoly
 
@@ -40,6 +39,16 @@ BIG = Budget(degree_cap=10**6)
 
 def h_of(zeta):
     return monomial_map(IntMatrix2x2.from_zeta(zeta))
+
+
+def expanded(map_):
+    """The same map with expanded components, which compose takes as one factor each."""
+    return PlaneRationalMap(components=map_.components)
+
+
+def reduce_by_compose(*components):
+    """A raw triple reduced on the one composition route: the triple after the identity."""
+    return compose(PlaneRationalMap(components=components), identity_map())
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +150,19 @@ class TestCompose:
         with pytest.raises(ResourceExhausted):
             degree_of_iterate(f_map, 5, Budget(degree_cap=500))
 
+    @pytest.mark.parametrize("zeta", [Z(1, 2), Z(2, 1), Z(-1, 2), Z(3, 2)])
+    def test_expanded_outer_matches_factored(self, zeta):
+        f = compose(g_map(), h_of(zeta))
+        assert compose(expanded(f), f).same_map(compose(f, f))
+
+    def test_zero_component_rejected(self):
+        x = HomoPoly.monomial(1, 1, 0, 0)
+        degenerate = PlaneRationalMap(components=(x, HomoPoly.zero(1), x))
+        with pytest.raises(ValueError):
+            compose(degenerate, identity_map())
+        with pytest.raises(ValueError):
+            compose(identity_map(), degenerate)
+
 
 class TestReduceTriple:
     def test_constructed_common_factor(self):
@@ -154,33 +176,33 @@ class TestReduceTriple:
         if G.is_zero():
             G = HomoPoly.monomial(1, 3, 0, 0)
         xs = [HomoPoly.monomial(1, 1, 0, 0), HomoPoly.monomial(1, 0, 1, 0), HomoPoly.monomial(1, 0, 0, 1)]
-        reduced = reduce_triple(xs[0] * G, xs[1] * G, xs[2] * G)
+        reduced = reduce_by_compose(xs[0] * G, xs[1] * G, xs[2] * G)
         assert reduced.same_map(identity_map())
 
     def test_raw_involution_square(self):
         raw = compose_raw_components(g_map(), g_map())
         assert raw[0].degree == 4
-        m = reduce_triple(*raw)
+        m = reduce_by_compose(*raw)
         assert m.degree == 1
         assert m.same_map(identity_map())
 
     def test_already_reduced_unchanged(self, f_map):
         comps = f_map.normalized_components()
-        again = reduce_triple(*comps)
+        again = reduce_by_compose(*comps)
         assert again.normalized_components() == comps
 
     def test_content_removed(self):
         a = HomoPoly.monomial(6, 1, 0, 0)
         b = HomoPoly.monomial(-9, 0, 1, 0)
         c = HomoPoly.monomial(12, 0, 0, 1)
-        m = reduce_triple(a, b, c)
+        m = reduce_by_compose(a, b, c)
         norm = m.normalized_components()
         assert [list(p.terms.values()) for p in norm] == [[2], [-3], [4]]
 
     def test_raw_f2_reduces_to_66(self, f_map):
-        raw = compose_raw_components(f_map, f_map)
-        assert raw[0].degree == 100
-        assert reduce_triple(*raw).degree == 66
+        f2 = compose(expanded(f_map), f_map)
+        assert f2.degree == 66
+        assert f2.same_map(compose(f_map, f_map))
 
 
 class TestRandomLine:
@@ -193,6 +215,7 @@ class TestRandomLine:
 
     def test_raw_f2(self, f_map):
         raw = compose_raw_components(f_map, f_map)
+        assert raw[0].degree == 100
         assert random_line_degree_check(*raw, seed=4) == 66
 
     def test_factored_f3(self, f_map):
@@ -260,13 +283,8 @@ class TestSerialization:
 
 class TestLineOracleConsistency:
     def test_matches_reduce_on_corpus(self, f_map):
-        # every triple both oracles can see: raw g o g, raw f o f, reduced f
-        corpus = [
-            compose_raw_components(g_map(), g_map()),
-            compose_raw_components(f_map, f_map),
-            f_map.components,
-        ]
-        for triple in corpus:
-            by_line = random_line_degree_check(*triple, seed=13)
-            by_gcd = reduce_triple(*triple).degree
-            assert by_line == by_gcd
+        # raw g o g, raw f o f and f itself, each against the expanded-outer compose
+        corpus = [(g_map(), g_map()), (f_map, f_map), (f_map, identity_map())]
+        for outer, inner in corpus:
+            by_line = random_line_degree_check(*compose_raw_components(outer, inner), seed=13)
+            assert by_line == compose(expanded(outer), inner).degree

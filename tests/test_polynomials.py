@@ -4,6 +4,8 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+import dyndeg.polynomials as polynomials
+from dyndeg.errors import ReductionFailure
 from dyndeg.polynomials import (
     CoprimeBase,
     HomoPoly,
@@ -11,7 +13,6 @@ from dyndeg.polynomials import (
     certify_coprime,
     divexact,
     homo_gcd,
-    homo_divexact,
     restrict_line_exact,
     restrict_line_mod,
     univ_gcd_mod,
@@ -90,14 +91,6 @@ class TestDivexact:
         B = HomoPoly.from_triples(1, [(1, 0, 0, 1), (0, 1, 0, 1)])  # x0 + x1
         assert divexact(A, B) is None
 
-    def test_wrapper_raises(self):
-        from dyndeg.errors import ReductionFailure
-
-        A = HomoPoly.monomial(1, 2, 0, 0)
-        B = HomoPoly.from_triples(1, [(1, 0, 0, 1), (0, 1, 0, 1)])
-        with pytest.raises(ReductionFailure):
-            homo_divexact(A, B)
-
     @settings(max_examples=40)
     @given(st.integers(0, 10**6))
     def test_random_triple_products(self, seed):
@@ -152,6 +145,38 @@ class TestHomoGcd:
             assert divexact(P, g) is not None
             assert divexact(Q, g) is not None
             assert g.degree >= G.degree - abs(G.content() - 1)  # at least the planted part
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 10**6),
+        st.integers(0, 3),
+        st.integers(0, 3),
+        st.integers(0, 3),
+        st.integers(0, 2),
+        st.integers(1, 30),
+        st.integers(1, 30),
+        st.integers(1, 30),
+    )
+    def test_planted_products_property(self, seed, dg, da, db, x2_power, content, ca, cb):
+        # degree <= 8; the inputs share G, a power of x2 and integer content
+        rng = random.Random(seed)
+        G = random_homo(rng, dg, 4, 10**6)
+        shared = (G * HomoPoly.monomial(1, 0, 0, x2_power)).scale(content)
+        P = (shared * random_homo(rng, da, 4, 10**6)).scale(ca)
+        Q = (shared * random_homo(rng, db, 4, 10**6)).scale(cb)
+        mine = homo_gcd(P, Q)
+        truth = from_sympy(sympy.gcd(to_sympy(P), to_sympy(Q)))
+        assert mine == truth or mine == -truth
+        assert mine.sign_anchor() == 1
+
+    def test_unverified_candidate_raises(self, monkeypatch):
+        G = HomoPoly.from_triples(1, [(1, 0, 0, 1), (0, 1, 0, 2), (0, 0, 1, 3)])
+        P = G * HomoPoly.from_triples(1, [(1, 0, 0, 1), (0, 0, 1, -1)])
+        Q = G * HomoPoly.from_triples(1, [(0, 1, 0, 1), (0, 0, 1, 5)])
+        assert homo_gcd(P, Q) == G
+        monkeypatch.setattr(polynomials, "divexact", lambda num, den: None)
+        with pytest.raises(ReductionFailure):
+            homo_gcd(P, Q)
 
 
 class TestLineTools:
