@@ -5,8 +5,10 @@ component is kept as an integer unit times a product of primitive pairwise-
 coprime factors; with that representation the common factor of the triple is
 read off from minimum exponents, so composition never needs a large
 polynomial gcd.  ``compose`` has one route: an expanded component (of either
-map) is one factor to the first power.  ``iterate_map`` composes each iterate
-once.
+map) is one factor to the first power.  An outer factor that is a sum of
+monomials composes to a sum of atom-power products; the powers all of them
+share are added to the result's exponents, and only the cofactors are
+expanded and decomposed.  ``iterate_map`` composes each iterate once.
 
 The independent route substitutes into expanded components
 (``compose_raw_components``) and hands the unreduced triple to the line
@@ -33,8 +35,10 @@ from .polynomials import (
     CoprimeBase,
     HomoPoly,
     LINE_PRIMES,
+    apply_splits,
     restrict_line_mod,
     univ_gcd_mod,
+    univ_mul_mod,
 )
 
 DEFAULT_DEGREE_CAP = 1000
@@ -253,13 +257,6 @@ class _Session:
         return result
 
 
-def _apply_splits(exp_dicts, splits):
-    for (old_idx, new_idx) in splits:
-        for exps in exp_dicts:
-            if exps and old_idx in exps:
-                exps[new_idx] = exps.get(new_idx, 0) + exps[old_idx]
-
-
 def compose(outer: PlaneRationalMap, inner: PlaneRationalMap, budget: Budget = DEFAULT_BUDGET) -> PlaneRationalMap:
     """outer after inner, reduced.
 
@@ -278,7 +275,7 @@ def compose(outer: PlaneRationalMap, inner: PlaneRationalMap, budget: Budget = D
         live.append(exps)
         for poly, e in factors:
             u, ex, splits = session.decompose(poly)
-            _apply_splits(live, splits)
+            apply_splits(live, splits)
             unit *= u**e
             for idx, n in ex.items():
                 exps[idx] = exps.get(idx, 0) + n * e
@@ -318,20 +315,27 @@ def compose(outer: PlaneRationalMap, inner: PlaneRationalMap, budget: Budget = D
                 for idx, n in exps.items():
                     res_exps[idx] = res_exps.get(idx, 0) + n * e
                 continue
-            # expand the sum of composed monomials, re-split
+            # The atom powers every composed monomial shares go straight into
+            # the result; only the cofactors are expanded, summed and
+            # decomposed.  ``common`` is live, so atom splits rewrite it.
+            images = [(c, *cached_image((i, j, k))) for (i, j, k, c) in poly.items()]
+            common = {idx: min(ex.get(idx, 0) for _, _, ex in images) for idx in images[0][2]}
+            common = {idx: n for idx, n in common.items() if n}
+            live.append(common)
             total = None
-            for (i, j, k, c) in poly.items():
-                u, exps = cached_image((i, j, k))
-                term = session.expand(c * u, exps)
+            for c, u, exps in images:
+                cofactor = {idx: n - common.get(idx, 0) for idx, n in exps.items() if n > common.get(idx, 0)}
+                term = session.expand(c * u, cofactor)
                 budget.check_terms(len(term.terms))
                 total = term if total is None else total + term
-            if total is None or total.is_zero():
+            if total.is_zero():
                 raise ReductionFailure("composed component factor vanished")
             u, ex, splits = session.decompose(total)
-            _apply_splits(live, splits)
+            apply_splits(live, splits)
             res_unit *= u**e
-            for idx, n in ex.items():
-                res_exps[idx] = res_exps.get(idx, 0) + n * e
+            for part in (ex, common):
+                for idx, n in part.items():
+                    res_exps[idx] = res_exps.get(idx, 0) + n * e
         result_factored.append([res_unit, res_exps])
 
     # reduction: strip minimal exponents and the unit gcd
@@ -486,24 +490,9 @@ def _restrict_components(factored, a, b, p: int):
             if rp is None:
                 return None
             for _ in range(e):
-                r = _mul_mod(r, rp, p)
+                r = univ_mul_mod(r, rp, p)
         out.append(r)
     return out
-
-
-def _mul_mod(f, g, p):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] = (out[i + j] + a * b) % p
-    i = 0
-    while i < len(out) and out[i] == 0:
-        i += 1
-    return out[i:]
 
 
 # ---------------------------------------------------------------------------

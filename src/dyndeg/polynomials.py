@@ -4,13 +4,17 @@ Representation: a homogeneous polynomial of degree d in (x0, x1, x2) stores
 only nonzero coefficients, keyed by the packed exponent pair (i << 11) | j;
 the x2 exponent is d - i - j.  Degrees are capped at 2047 by the packing.
 
-Everything modular runs on one pair of line kernels: restriction of a
-polynomial to a line mod p (``restrict_line_mod``) and the univariate gcd mod
-p (``univ_gcd_mod``).  A constant gcd of the restrictions to a line that keeps
-both degrees proves coprimality (``certify_coprime``).  ``homo_gcd`` is Brown's
-modular gcd built from the same kernels: restrictions to a pencil of lines in
-a random unimodular frame, interpolated across the pencil, lifted by CRT, and
-returned only after ``divexact`` divides both inputs.
+Everything modular runs on one set of mod-p kernels over numpy int64:
+restriction of a polynomial to a line (``restrict_line_mod``) and the
+univariate product, remainder and gcd (``univ_mul_mod``, ``_univ_rem_mod``,
+``univ_gcd_mod``).  Residues stay below p ~ 2^25, so no sum they form
+overflows.  A constant gcd of the restrictions to a line that keeps both
+degrees proves coprimality (``certify_coprime``); a nonzero remainder proves
+non-division.  A ``CoprimeBase`` draws its certificate lines once and
+restricts each polynomial to each of them at most once.  ``homo_gcd`` is
+Brown's modular gcd built from the same kernels: restrictions to a pencil of
+lines in a random unimodular frame, interpolated across the pencil, lifted
+by CRT, and returned only after ``divexact`` divides both inputs.
 """
 
 from __future__ import annotations
@@ -138,8 +142,6 @@ class HomoPoly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        if len(a) * len(b) > 1_500_000:
-            return _kronecker_mul(self, other)
         out: dict = {}
         get = out.get
         for ka, ca in a.items():
@@ -194,54 +196,6 @@ class HomoPoly:
         if scale == 1:
             return 1, self
         return scale, HomoPoly(self.degree, {k: c // scale for k, c in self.terms.items()})
-
-
-# ---------------------------------------------------------------------------
-# Kronecker-substitution multiplication: pack coefficients into one big integer
-# per operand and let bignum multiplication do the convolution.
-# ---------------------------------------------------------------------------
-
-
-def _pack_to_int(P: HomoPoly, stride: int, slot_bits: int) -> int:
-    """Signed packing: sum of c * 2^(slot_bits * (i*stride + j))."""
-    nbytes = slot_bits // 8
-    max_slot = P.degree * stride + P.degree
-    pos = bytearray((max_slot + 1) * nbytes)
-    neg = bytearray((max_slot + 1) * nbytes)
-    for key, c in P.terms.items():
-        i, j = _unpack(key)
-        off = (i * stride + j) * nbytes
-        if c > 0:
-            pos[off : off + nbytes] = c.to_bytes(nbytes, "little")
-        else:
-            neg[off : off + nbytes] = (-c).to_bytes(nbytes, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-
-def _kronecker_mul(A: HomoPoly, B: HomoPoly) -> HomoPoly:
-    deg = A.degree + B.degree
-    stride = deg + 1
-    bits_a = max(abs(c) for c in A.terms.values()).bit_length()
-    bits_b = max(abs(c) for c in B.terms.values()).bit_length()
-    slot_bits = bits_a + bits_b + min(len(A.terms), len(B.terms)).bit_length() + 2
-    slot_bits = ((slot_bits + 7) // 8) * 8
-    n = _pack_to_int(A, stride, slot_bits) * _pack_to_int(B, stride, slot_bits)
-    nslots = deg * stride + deg + 1
-    # shift every slot by half its range so all digits become nonnegative
-    half = 1 << (slot_bits - 1)
-    offset = ((1 << (slot_bits * nslots)) - 1) // ((1 << slot_bits) - 1) * half
-    m = n + offset
-    nbytes = slot_bits // 8
-    raw = m.to_bytes(nslots * nbytes + 16, "little")
-    arr = np.frombuffer(raw[: nslots * nbytes], dtype=np.uint8).reshape(nslots, nbytes)
-    nonzero_rows = np.nonzero(arr.any(axis=1))[0]
-    out: dict = {}
-    for s in nonzero_rows:
-        c = int.from_bytes(arr[s].tobytes(), "little") - half
-        if c:
-            i, j = divmod(int(s), stride)
-            out[_pack(i, j)] = c
-    return HomoPoly(deg, out)
 
 
 # ---------------------------------------------------------------------------
@@ -379,33 +333,41 @@ def _primes_from(start: int):
 LINE_PRIMES = tuple(islice(_primes_from(1 << 25), 8))
 
 
+# terms gathered per step of restrict_line_mod; 256 raised peak memory by 6%
+_GATHER_CHUNK = 64
+
+
 def restrict_line_mod(P: HomoPoly, a, b, p: int):
     """Coefficients (descending) of t -> P(a*t + b) mod p, via evaluation/interpolation.
 
     Returns None if the restriction does not have full degree P.degree mod p
-    (a degenerate line for this certificate's purposes).
+    (a degenerate line for this certificate's purposes).  The power tables of
+    the three coordinates are gathered for ``_GATHER_CHUNK`` terms at a time;
+    a chunk's sum of at most 64 products below p^2 < 2^51 fits in int64.
     """
     d = P.degree
-    npts = d + 1
-    ts = np.arange(npts, dtype=np.int64)
-    values = np.zeros(npts, dtype=np.int64)
-    pows = []
+    ts = np.arange(d + 1, dtype=np.int64)
+    keys = np.fromiter(P.terms, dtype=np.int64, count=len(P.terms))
+    coeffs = np.fromiter((c % p for c in P.terms.values()), dtype=np.int64, count=len(P.terms))
+    i, j = keys >> _J_BITS, keys & _J_MASK
+    exps = (i, j, d - i - j)
+    tables = []
     for coord in range(3):
         x = (a[coord] % p * ts + b[coord] % p) % p
-        table = np.empty((d + 1, npts), dtype=np.int64)
+        table = np.empty((int(exps[coord].max(initial=0)) + 1, d + 1), dtype=np.int64)
         table[0] = 1
-        for e in range(1, d + 1):
+        for e in range(1, len(table)):
             table[e] = table[e - 1] * x % p
-        pows.append(table)
-    p0, p1, p2 = pows
-    for i, j, k, c in P.items():
-        term = p0[i] * p1[j] % p
-        term = term * p2[k] % p
-        values = (values + (c % p) * term) % p
+        tables.append(table)
+    values = np.zeros(d + 1, dtype=np.int64)
+    for s in range(0, len(keys), _GATHER_CHUNK):
+        chunk = slice(s, s + _GATHER_CHUNK)
+        terms = tables[0][exps[0][chunk]] * tables[1][exps[1][chunk]] % p * tables[2][exps[2][chunk]] % p
+        values = (values + (coeffs[chunk, None] * terms).sum(axis=0)) % p
     coeffs_asc = _interpolate_mod(values, p)
     if coeffs_asc[d] % p == 0:
         return None
-    return [coeffs_asc[i] for i in range(d, -1, -1)]
+    return coeffs_asc[::-1]
 
 
 def _interpolate_mod(values: np.ndarray, p: int):
@@ -456,51 +418,82 @@ def restrict_line_exact(P: HomoPoly, a, b):
     return result
 
 
+def _strip_mod(f, p: int) -> np.ndarray:
+    """Residues mod p of a descending coefficient sequence, leading zeros dropped."""
+    f = np.asarray(f, dtype=np.int64) % p
+    nonzero = np.flatnonzero(f)
+    return f[nonzero[0]:] if len(nonzero) else f[:0]
+
+
 def univ_gcd_mod(f, g, p: int):
     """Monic gcd of univariate polynomials (descending coeffs) over F_p."""
-    f = _dup_strip([c % p for c in f])
-    g = _dup_strip([c % p for c in g])
-    while g:
+    f, g = _strip_mod(f, p), _strip_mod(g, p)
+    while len(g):
         f, g = g, _univ_rem_mod(f, g, p)
-    if not f:
+    if not len(f):
         return []
-    inv = pow(f[0], p - 2, p)
-    return [c * inv % p for c in f]
+    return (f * pow(int(f[0]), p - 2, p) % p).tolist()
 
 
-def _univ_rem_mod(f, g, p):
-    r = list(f)
-    dg = len(g) - 1
-    inv_lc = pow(g[0], p - 2, p)
-    while r and len(r) - 1 >= dg:
-        factor = r[0] * inv_lc % p
-        for idx in range(dg + 1):
-            r[idx] = (r[idx] - factor * g[idx]) % p
-        r = _dup_strip(r)
-    return r
+def _univ_rem_mod(f, g, p: int) -> np.ndarray:
+    """Remainder of f by g over F_p (descending), as a stripped int64 array.
 
-
-def may_divide(A: HomoPoly, P: HomoPoly, seed: int = 0) -> bool:
-    """Cheap modular filter: False means A certainly does not divide P.
-
-    If A | P then the line restriction of A divides that of P mod any prime,
-    so a nonzero remainder refutes divisibility outright.
+    g must not vanish mod p.  Each step subtracts q * g with q, g < p, so no
+    int64 value reaches p^2 < 2^51.
     """
-    if A.degree > P.degree:
-        return False
-    rng = np.random.default_rng(seed ^ 0xD1F)
-    for attempt in range(3):
-        p = LINE_PRIMES[(attempt + 3) % len(LINE_PRIMES)]
+    r, g = _strip_mod(f, p), _strip_mod(g, p)
+    dg = len(g) - 1
+    if dg == 0:
+        return r[:0]
+    inv_lc = pow(int(g[0]), p - 2, p)
+    for i in range(len(r) - dg):
+        q = int(r[i]) * inv_lc % p
+        if q:
+            r[i : i + dg + 1] = (r[i : i + dg + 1] - q * g) % p
+    return _strip_mod(r[max(len(r) - dg, 0):], p)
+
+
+def univ_mul_mod(f, g, p: int):
+    """Product of univariate polynomials (descending coeffs) over F_p.
+
+    ``np.convolve`` sums exact int64 products.  That cannot overflow:
+    residues are < p ~ 2^25, so each product is below 2^50, and each sum has
+    at most min(len f, len g) <= 2048 products (a restricted HomoPoly has at
+    most MAX_PACKED_DEGREE + 1 coefficients), so every sum is < 2^61.
+    """
+    f, g = _strip_mod(f, p), _strip_mod(g, p)
+    if not len(f) or not len(g):
+        return []
+    if min(len(f), len(g)) > MAX_PACKED_DEGREE + 1:
+        raise ValueError("an int64 product sum could overflow: both factors exceed 2048 coefficients")
+    return _strip_mod(np.convolve(f, g), p).tolist()
+
+
+def _certificate_lines(seed: int, count: int):
+    """Up to ``count`` seeded lines (p, a, b), t -> a*t + b mod p, with a != 0."""
+    rng = np.random.default_rng(seed ^ 0x5EED)
+    lines = []
+    for n in range(count):
         a = [int(x) for x in rng.integers(-(10**6), 10**6 + 1, size=3)]
         b = [int(x) for x in rng.integers(-(10**6), 10**6 + 1, size=3)]
-        ra = restrict_line_mod(A, a, b, p)
-        if ra is None:
-            continue
-        rp = restrict_line_mod(P, a, b, p)
-        if rp is None:
-            continue
-        return not _univ_rem_mod(rp, ra, p)
-    return True  # could not decide; let the exact division try
+        if any(a):
+            lines.append((LINE_PRIMES[n % len(LINE_PRIMES)], a, b))
+    return lines
+
+
+def _restricted_pairs(lines, P: HomoPoly, p_images: dict, Q: HomoPoly, q_images: dict):
+    """(p, P restricted, Q restricted) for each line on which both keep their degree.
+
+    Lazy: a restriction is computed the first time a line is reached and kept
+    in the caller's dict (line index -> coefficients, or None if the
+    restriction loses degree), so no polynomial is restricted to a line twice.
+    """
+    for n, (p, a, b) in enumerate(lines):
+        for poly, images in ((P, p_images), (Q, q_images)):
+            if n not in images:
+                images[n] = restrict_line_mod(poly, a, b, p)
+        if p_images[n] is not None and q_images[n] is not None:
+            yield p, p_images[n], q_images[n]
 
 
 def certify_coprime(P: HomoPoly, Q: HomoPoly, seed: int = 0, attempts: int = 4) -> bool:
@@ -512,22 +505,8 @@ def certify_coprime(P: HomoPoly, Q: HomoPoly, seed: int = 0, attempts: int = 4) 
     """
     if P.is_zero() or Q.is_zero():
         return False
-    rng = np.random.default_rng(seed ^ 0x5EED)
-    for attempt in range(attempts):
-        p = LINE_PRIMES[attempt % len(LINE_PRIMES)]
-        a = [int(x) for x in rng.integers(-(10**6), 10**6 + 1, size=3)]
-        b = [int(x) for x in rng.integers(-(10**6), 10**6 + 1, size=3)]
-        if all(v == 0 for v in a):
-            continue
-        rp = restrict_line_mod(P, a, b, p)
-        if rp is None:
-            continue
-        rq = restrict_line_mod(Q, a, b, p)
-        if rq is None:
-            continue
-        if len(univ_gcd_mod(rp, rq, p)) - 1 == 0:
-            return True
-    return False
+    lines = _certificate_lines(seed, attempts)
+    return any(len(univ_gcd_mod(rp, rq, p)) == 1 for p, rp, rq in _restricted_pairs(lines, P, {}, Q, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -713,18 +692,30 @@ def _adjugate(M):
 # ---------------------------------------------------------------------------
 
 
+# certificate lines a CoprimeBase draws from its seed
+_BASE_LINES = 4
+
+
 class CoprimeBase:
     """Maintains a list of pairwise-coprime primitive polynomials (the atoms).
 
     ``decompose`` expresses a polynomial as unit * product of atom powers,
     inserting new atoms (and splitting existing ones) as needed.  Split events
     are returned so callers can rewrite exponent dictionaries.
+
+    The base draws its certificate lines once, from its seed.  Each atom is
+    restricted to each line at most once (``_images``, reset when the atom is
+    replaced), and the polynomial being decomposed likewise for as long as it
+    stays unchanged.  Both certificates read these restrictions: a nonzero
+    remainder on a line refutes that an atom divides, and a constant gcd on a
+    line proves that two polynomials are coprime.
     """
 
     def __init__(self, seed: int = 0):
         self.atoms: list = []
         self.seed = seed
-        self._cert_calls = 0
+        self.lines = _certificate_lines(seed, _BASE_LINES)
+        self._images: list = []  # per atom: line index -> restriction, filled lazily
 
     def decompose(self, poly: HomoPoly):
         """(unit, {atom_index: exponent}, split_events) with unit in {+1, -1} * content."""
@@ -733,63 +724,63 @@ class CoprimeBase:
         unit, P = poly.primitive_normalized()
         exps: dict = {}
         splits: list = []
-        idx = 0
-        while idx < len(self.atoms):
-            atom = self.atoms[idx]
-            if atom.degree > P.degree:
+        images: dict = {}  # P's restrictions; reset whenever P changes
+
+        def divide_out():
+            nonlocal unit, P, images
+            idx = 0
+            while idx < len(self.atoms):
+                q = self._quotient(P, images, idx)
+                if q is not None:
+                    exps[idx] = exps.get(idx, 0) + 1
+                    s, P = q.primitive_normalized()
+                    unit *= s
+                    images = {}
+                    continue  # same atom may divide again
                 idx += 1
-                continue
-            if len(atom.terms) * len(P.terms) > 200_000:
-                self._cert_calls += 1
-                if not may_divide(atom, P, seed=self.seed + self._cert_calls):
-                    idx += 1
-                    continue
-            q = divexact(P, atom)
-            if q is not None:
-                exps[idx] = exps.get(idx, 0) + 1
-                s, P = q.primitive_normalized()
-                unit *= s
-                continue  # same atom may divide again
-            idx += 1
+
+        divide_out()
         while P.degree >= 1:
             # coprime-ify the leftover against the base, splitting as required
-            interacted = False
-            for aidx in range(len(self.atoms)):
-                atom = self.atoms[aidx]
-                self._cert_calls += 1
-                if certify_coprime(P, atom, seed=self.seed + self._cert_calls):
+            for aidx, atom in enumerate(self.atoms):
+                pairs = _restricted_pairs(self.lines, P, images, atom, self._images[aidx])
+                if any(len(univ_gcd_mod(rp, ra, p)) == 1 for p, rp, ra in pairs):
                     continue
-                g = homo_gcd(P, atom)
-                _, g = g.primitive_normalized()
-                if g.degree == 0:
-                    continue
-                interacted = True
-                splits.extend(self._split_atom(aidx, g))
-                # retry division from the top with the refined base
-                break
-            if interacted:
-                idx = 0
-                while idx < len(self.atoms):
-                    atom = self.atoms[idx]
-                    q = divexact(P, atom) if atom.degree <= P.degree else None
-                    if q is not None:
-                        exps[idx] = exps.get(idx, 0) + 1
-                        s, P = q.primitive_normalized()
-                        unit *= s
-                        continue
-                    idx += 1
-                if P.degree == 0:
+                _, g = homo_gcd(P, atom).primitive_normalized()
+                if g.degree >= 1:
+                    events = self._split_atom(aidx, g)
+                    apply_splits([exps], events)  # an atom that already divided P was split
+                    splits.extend(events)
                     break
-                continue
-            # genuinely new atom
-            self.atoms.append(P)
-            exps[len(self.atoms) - 1] = exps.get(len(self.atoms) - 1, 0) + 1
-            P = HomoPoly.monomial(1, 0, 0, 0)
-            break
+            else:
+                # genuinely new atom
+                self.atoms.append(P)
+                self._images.append(images)
+                exps[len(self.atoms) - 1] = exps.get(len(self.atoms) - 1, 0) + 1
+                P = HomoPoly.monomial(1, 0, 0, 0)
+                break
+            # retry division from the top with the refined base
+            divide_out()
         if P.degree == 0:
             s, _ = P.primitive_normalized()
             unit *= s if s else 1
         return unit, exps, splits
+
+    def _quotient(self, P: HomoPoly, images: dict, idx: int):
+        """P / atom idx, or None.
+
+        A nonzero remainder of the restrictions to the first line on which both
+        keep their degree proves the atom does not divide P, as A | P forces
+        A|L | P|L mod p; otherwise ``divexact`` decides.
+        """
+        atom = self.atoms[idx]
+        if atom.degree > P.degree:
+            return None
+        for p, rp, ra in _restricted_pairs(self.lines, P, images, atom, self._images[idx]):
+            if len(_univ_rem_mod(rp, ra, p)):
+                return None
+            break
+        return divexact(P, atom)
 
     def _split_atom(self, aidx: int, g: HomoPoly):
         """Replace atom a with g, appending a/g; returns [(aidx, new_idx)]."""
@@ -802,7 +793,17 @@ class CoprimeBase:
             raise ReductionFailure("sign drift while splitting an atom")
         events = []
         self.atoms[aidx] = g
+        self._images[aidx] = {}
         if cof.degree >= 1:
             self.atoms.append(cof)
+            self._images.append({})
             events.append((aidx, len(self.atoms) - 1))
         return events
+
+
+def apply_splits(exp_dicts, splits):
+    """Rewrite exponent dicts for split events: atom old became old * new."""
+    for (old_idx, new_idx) in splits:
+        for exps in exp_dicts:
+            if exps and old_idx in exps:
+                exps[new_idx] = exps.get(new_idx, 0) + exps[old_idx]

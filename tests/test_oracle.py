@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -35,6 +36,8 @@ from dyndeg.polynomials import HomoPoly
 Z = GaussianInt
 ZETA = Z(1, 2)
 BIG = Budget(degree_cap=10**6)
+ORACLE_ZETAS = [Z(re, s * im) for re, im in ((1, 2), (-1, 2), (2, 1), (-2, 1), (3, 1)) for s in (1, -1)]
+FACTORED_F3_DIGEST = "e208b045246c1c52440f7482ca8446546da78f35d6cfe3d21b01f768918c7de5"
 
 
 def h_of(zeta):
@@ -154,6 +157,28 @@ class TestCompose:
     def test_expanded_outer_matches_factored(self, zeta):
         f = compose(g_map(), h_of(zeta))
         assert compose(expanded(f), f).same_map(compose(f, f))
+
+    def test_factored_third_iterates_pinned(self):
+        # atoms, their order, exponents and units of iterate 3 for the ten
+        # oracle-iterates parameters; recorded before common atom powers were
+        # factored out ahead of expansion
+        h = hashlib.sha256()
+        for zeta in ORACLE_ZETAS:
+            for unit, factors in iterate_map(compose(g_map(), h_of(zeta)), 3)._factored:
+                h.update(f"unit {unit}\n".encode())
+                for poly, e in factors:
+                    h.update(f"{e} {poly.degree} {sorted(poly.terms.items())}\n".encode())
+            h.update(b"--\n")
+        assert h.hexdigest() == FACTORED_F3_DIGEST
+
+    def test_shared_atom_split_by_cofactor(self):
+        # y0 + y1 after [A x0 : A x1 : A x2], A = (x0 + x1)(x0 + x2): the
+        # composed monomials share A, and their cofactor sum x0 + x1 splits it
+        x0, x1, x2 = (HomoPoly.monomial(1, *e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        A = (x0 + x1) * (x0 + x2)
+        inner = PlaneRationalMap(components=(A * x0, A * x1, A * x2))
+        outer = linear_map([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+        assert compose(expanded(outer), inner).same_map(outer)
 
     def test_zero_component_rejected(self):
         x = HomoPoly.monomial(1, 1, 0, 0)

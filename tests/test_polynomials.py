@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from dyndeg.polynomials import (
     restrict_line_exact,
     restrict_line_mod,
     univ_gcd_mod,
+    univ_mul_mod,
 )
 
 X0, X1, X2 = sympy.symbols("x0 x1 x2")
@@ -32,6 +34,35 @@ def from_sympy(p):
     triples = [(m[0], m[1], m[2], int(c)) for m, c in p.terms()]
     deg = max(sum(m[:3]) for m, _ in p.terms())
     return HomoPoly.from_triples(deg, triples)
+
+
+def ref_mul_mod(f, g, p):
+    n, m = len(f), len(g)
+    out = [sum(f[i] * g[k - i] for i in range(max(0, k - m + 1), min(k, n - 1) + 1)) % p for k in range(n + m - 1)]
+    return ref_strip(out)
+
+
+def ref_rem_mod(f, g, p):
+    r = [c % p for c in f]
+    inv = pow(g[0], p - 2, p)
+    while len(r) >= len(g):
+        q = r[0] * inv % p
+        r = ref_strip([(c - q * d) % p for c, d in zip(r, g)] + r[len(g):])
+    return r
+
+
+def ref_gcd_mod(f, g, p):
+    f, g = ref_strip([c % p for c in f]), ref_strip([c % p for c in g])
+    while g:
+        f, g = g, ref_rem_mod(f, g, p)
+    inv = pow(f[0], p - 2, p)
+    return [c * inv % p for c in f]
+
+
+def ref_strip(f):
+    while f and f[0] == 0:
+        f = f[1:]
+    return f
 
 
 def random_homo(rng, degree, nterms, coeff_range=9):
@@ -210,6 +241,45 @@ class TestLineTools:
             assert modular is not None
             assert [c % p for c in exact] == [c % p for c in modular]
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(11, 80), st.integers(65, 160))
+    def test_mod_restriction_matches_exact_property(self, seed, degree, nterms):
+        # more terms than one gather chunk, coefficients beyond 2^64 of both signs
+        rng = random.Random(seed)
+        monomials = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
+        triples = [
+            (i, j, degree - i - j, rng.choice((-1, 1)) * rng.randint(1, 1 << 70))
+            for i, j in rng.sample(monomials, min(nterms, len(monomials)))
+        ]
+        triples[0] = triples[0][:3] + (-(1 << 64) - rng.randint(1, 1 << 66),)
+        P = HomoPoly.from_triples(degree, triples)
+        assert len(P.terms) > 64
+        p = LINE_PRIMES[seed % len(LINE_PRIMES)]
+        a = [rng.randint(-(10**6), 10**6) for _ in range(3)]
+        b = [rng.randint(-(10**6), 10**6) for _ in range(3)]
+        modular = restrict_line_mod(P, a, b, p)
+        if P.evaluate(*a) % p == 0:  # the t^degree coefficient vanishes mod p
+            assert modular is None
+        else:
+            assert modular == [c % p for c in restrict_line_exact(P, a, b)]
+
+    def test_mod_kernels_at_int64_extremes(self):
+        # 2048 residues p - 1: a product sum reaches 2048 (p - 1)^2 ~ 2^61
+        p = LINE_PRIMES[0]
+        full = [p - 1] * 2048
+        assert univ_mul_mod(full, full, p) == ref_mul_mod(full, full, p)
+        rng = random.Random(23)
+        for _ in range(20):
+            f = [rng.randint(0, p - 1) for _ in range(rng.randint(1, 60))]
+            g = [rng.randint(1, p - 1)] + [rng.randint(0, p - 1) for _ in range(rng.randint(0, 60))]
+            assert univ_mul_mod(f, g, p) == ref_mul_mod(f, g, p)
+            assert polynomials._univ_rem_mod(f, g, p).tolist() == ref_rem_mod(f, g, p)
+            assert univ_gcd_mod(f, g, p) == ref_gcd_mod(f, g, p)
+        short = [p - 1] * 1000
+        assert polynomials._univ_rem_mod(full, short, p).tolist() == ref_rem_mod(full, short, p)
+        # gcd(x^2048 - 1, x^1000 - 1) / (x - 1) = 1 + x + ... + x^7
+        assert univ_gcd_mod(full, short, p) == ref_gcd_mod(full, short, p) == [1] * 8
+
     def test_univ_gcd_mod(self):
         p = LINE_PRIMES[1]
         # (x+1)(x+2) and (x+1)(x+3) share x+1
@@ -262,6 +332,45 @@ class TestCoprimeBase:
         for i in range(len(base.atoms)):
             for j in range(i + 1, len(base.atoms)):
                 assert homo_gcd(base.atoms[i], base.atoms[j]).degree == 0
+
+    def test_split_after_division(self):
+        # x0 x1 divides x0^2 x1, then splits against the leftover x0
+        base = CoprimeBase(seed=4)
+        x0, x1 = HomoPoly.monomial(1, 1, 0, 0), HomoPoly.monomial(1, 0, 1, 0)
+        base.decompose(x0 * x1)
+        unit, exps, splits = base.decompose(x0 * x0 * x1)
+        assert splits
+        rebuilt = HomoPoly.monomial(unit, 0, 0, 0)
+        for idx, e in exps.items():
+            rebuilt = rebuilt * base.atoms[idx].pow(e)
+        assert rebuilt == x0 * x0 * x1
+
+    def test_restricts_each_polynomial_once_per_line(self, monkeypatch):
+        # on the base's own lines: no polynomial twice within one decompose,
+        # and no atom again once restricted while it stays an atom
+        base = CoprimeBase(seed=5)
+        lines = {(p, tuple(a), tuple(b)) for p, a, b in base.lines}
+        calls = []
+        original = polynomials.restrict_line_mod
+
+        def counting(P, a, b, p):
+            if (p, tuple(a), tuple(b)) in lines:
+                calls.append((P, p, tuple(a), tuple(b)))
+            return original(P, a, b, p)
+
+        monkeypatch.setattr(polynomials, "restrict_line_mod", counting)
+        rng = random.Random(29)
+        factors = [random_homo(rng, rng.randint(1, 3), 4) for _ in range(4)]
+        earlier = set()
+        for F, G in itertools.combinations(factors, 2):
+            before = list(base.atoms)
+            calls.clear()
+            base.decompose(F * G * F)
+            assert len(calls) == len(set(calls))
+            kept = [A for A, B in zip(before, base.atoms) if A is B]
+            assert not [c for c in calls if c in earlier and any(c[0] is A for A in kept)]
+            earlier |= set(calls)
+        assert earlier
 
     def test_monomial_factors(self):
         base = CoprimeBase(seed=3)
