@@ -111,12 +111,9 @@ def _at_least(value: int, flag: str, low: int) -> int:
 def cmd_degrees(args) -> int:
     zeta = _parse_zeta(args.zeta)
     n = _at_least(args.count, "--count", 0)
-    if n == 0:
-        rows = []
-    else:
-        d = d_sequence(zeta, n)
-        e = e_sequence(d, n)
-        rows = [(j, d[j], str(d.gammas[j - 1]), e[j]) for j in range(1, n + 1)]
+    d = d_sequence(zeta, n)
+    e = e_sequence(d, n)
+    rows = [(j, d[j], str(d.gammas[j - 1]), e[j]) for j in range(1, n + 1)]
     if args.format == "json":
         obj = {
             "zeta": str(zeta),
@@ -266,8 +263,8 @@ def cmd_report(args) -> int:
     _at_least(args.digits, "--digits", 0)
     _at_least(args.depth, "--depth", 0)
     bits = _at_least(args.precision_bits, "--precision-bits", 8)
-    d = d_sequence(zeta, max(count, 1))
-    e = e_sequence(d, max(count, 1))
+    d = d_sequence(zeta, count)
+    e = e_sequence(d, count)
     enclosure = solve_lambda(zeta, Fraction(1, 10**args.digits))
     cf = cf_expand(theta_interval(zeta, bits), args.depth)
     obj = {

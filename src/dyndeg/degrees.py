@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import mul
 
 _ORIGINS = ("monomial_d", "composed_e", "oracle")
 
@@ -76,12 +77,12 @@ def e_sequence(d: DegreeSequence, N: int) -> DegreeSequence:
         raise ValueError("N must be >= 0")
     if N > 0 and (d.start_index > 1 or d.last_index < N):
         raise ValueError(f"need d_1..d_{N}, have d_{d.start_index}..d_{d.last_index}")
+    first = 1 - d.start_index  # position of d_1 in d.values
+    rev = d.values[first : first + N][::-1]  # d_N, ..., d_1
     e = [1]
     for n in range(1, N + 1):
-        acc = d[n]
-        for j in range(n):
-            acc += e[j] * d[n - j]
-        e.append(acc)
+        tail = rev[N - n :]  # d_n, ..., d_1
+        e.append(tail[0] + sum(map(mul, e, tail)))
     return DegreeSequence(values=tuple(e), start_index=0, origin="composed_e")
 
 
@@ -120,14 +121,8 @@ class TruncatedIntSeries:
     def __mul__(self, other):
         self._check(other)
         N = self.order
-        out = [0] * (N + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(N + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
+        rev = other.coeffs[::-1]  # b_N, ..., b_0
+        out = [sum(map(mul, self.coeffs, rev[N - k :])) for k in range(N + 1)]  # a_i * b_(k-i)
         return TruncatedIntSeries(out, N)
 
     def _check(self, other):

@@ -190,7 +190,10 @@ def octant_gamma(ctx: ThetaContext, j: int):
     """(octant k with j*theta mod 1 in (k/8,(k+1)/8), table gamma for it).
 
     Refines precision until the enclosure avoids every boundary; termination
-    is guaranteed because a boundary hit would make zeta^(8j) real.
+    is guaranteed because a boundary hit would make zeta^(8j) real.  With
+    theta in [A, B] * 2^-p for integers A <= B, the octant is decided when
+    8*j*A and 8*j*B have the same floor q after division by 2^p and 8*j*A
+    is not a multiple of 2^p (the lower bound is strict); then k = q mod 8.
     """
     if j < 1:
         raise ValueError("j must be >= 1")
@@ -200,15 +203,14 @@ def octant_gamma(ctx: ThetaContext, j: int):
     while True:
         if bits > cap:
             raise PrecisionError(f"octant of {j}*theta undecided below {cap} bits")
-        scaled = ctx.refined(bits).theta.scale_int(j)
-        split = scaled.floor_split()
-        if split is not None:
-            _, frac = split
-            eighth = frac.scale_int(8)
-            lo8, hi8 = eighth.lo.to_fraction(), eighth.hi.to_fraction()
-            k = int(lo8)  # floor; lo8 >= 0
-            if lo8 > k and hi8 < k + 1:
-                return k, OCTANT_TO_GAMMA[k]
+        theta = ctx.refined(bits).theta
+        lo, hi = theta.lo, theta.hi
+        p = -min(lo.exp, hi.exp)  # both endpoints are multiples of 2^-p
+        a = (8 * j * lo.man) << (lo.exp + p)
+        q = a >> p
+        if q == ((8 * j * hi.man) << (hi.exp + p)) >> p and a & ((1 << p) - 1):
+            k = q & 7  # q is the floor of 8*j*theta
+            return k, OCTANT_TO_GAMMA[k]
         bits *= 2
 
 

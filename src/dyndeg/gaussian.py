@@ -69,10 +69,6 @@ class GaussianInt:
         return f"GaussianInt({self.re}, {self.im})"
 
 
-ZERO = GaussianInt(0, 0)
-ONE = GaussianInt(1, 0)
-I = GaussianInt(0, 1)
-
 # Fixed evaluation order; ties are never broken silently (a tie certifies
 # inadmissibility of the parameter).
 GAMMA0 = (
@@ -88,28 +84,38 @@ def gi_pow(z: GaussianInt, n: int) -> GaussianInt:
     """Exact nth power, n >= 0, by binary squaring."""
     if n < 0:
         raise ValueError("negative exponent")
-    result = ONE
-    base = z
-    while n:
+    return GaussianInt(*_pow_ints(z.re, z.im, n))
+
+
+def _pow_ints(a: int, b: int, n: int):
+    """(re, im) of (a + b*i)^n, n >= 0, by binary squaring; the last bit squares nothing."""
+    re, im = 1, 0
+    while True:
         if n & 1:
-            result = result * base
-        base = base * base
+            re, im = re * a - im * b, re * b + im * a
         n >>= 1
-    return result
+        if not n:
+            return re, im
+        a, b = a * a - b * b, 2 * a * b
 
 
-def _support_argmax(z: GaussianInt):
-    """(best gamma, max Re(gamma*z), tie flag) over GAMMA0, exact."""
-    best = None
-    best_val = None
-    tie = False
-    for g in GAMMA0:
-        val = g.re * z.re - g.im * z.im
-        if best_val is None or val > best_val:
-            best, best_val, tie = g, val, False
-        elif val == best_val:
-            tie = True
-    return best, best_val, tie
+def _support_argmax(re: int, im: int):
+    """(index k in GAMMA0 of the first maximizer of Re(gamma*z), tie flag) for z = re + im*i.
+
+    Re(gamma*z) over GAMMA0 is (-2re, -2im, 2im, re - 2im, re + 2im).  For
+    re > 0, re + 2|im| is the largest, at k = 4 or 3 by the sign of im and
+    at both when im = 0.  For re = 0, 2|im| is attained twice.  For re < 0
+    only -2re and 2|im| (k = 0 and k = 2 or 1) can be largest, so the sign
+    of |im| - |re| decides.  One addition of z's size at most; no products.
+    """
+    if re > 0:
+        return (4 if im > 0 else 3), im == 0
+    if re == 0:
+        return (2 if im > 0 else 1 if im < 0 else 0), True
+    c = re + im if im > 0 else re - im  # |im| - |re|
+    if c > 0:
+        return (2 if im > 0 else 1), False
+    return 0, c == 0
 
 
 class DegreeCache:
@@ -123,22 +129,28 @@ class DegreeCache:
         self.zeta = zeta
         self.values = []
         self.gammas = []
-        self._power = ONE
+        self._power = (1, 0)  # zeta^len(values) as (re, im)
 
     def extend_to(self, n: int) -> "DegreeCache":
-        while len(self.values) < n:
-            self._power = self._power * self.zeta
-            g, val, tie = _support_argmax(self._power)
+        a, b = self.zeta.re, self.zeta.im
+        re, im = self._power
+        values, gammas = self.values, self.gammas
+        while len(values) < n:
+            re, im = re * a - im * b, re * b + im * a
+            k, tie = _support_argmax(re, im)
             if tie:
-                raise AdmissibilityError(f"argmax tie at zeta={self.zeta}, j={len(self.values) + 1}")
-            self.values.append(val)
-            self.gammas.append(g)
+                raise AdmissibilityError(f"argmax tie at zeta={self.zeta}, j={len(values) + 1}")
+            g = GAMMA0[k]
+            values.append(g.re * re - g.im * im)
+            gammas.append(g)
+            self._power = (re, im)
         return self
 
 
 def psi(z: GaussianInt) -> int:
     """max Re(gamma*z) over GAMMA0; the degree of the monomial map of z. 0 iff z = 0."""
-    return _support_argmax(z)[1]
+    g = GAMMA0[_support_argmax(z.re, z.im)[0]]
+    return g.re * z.re - g.im * z.im
 
 
 def is_admissible(zeta: GaussianInt) -> bool:
@@ -170,17 +182,41 @@ def _require_admissible(zeta: GaussianInt):
         raise AdmissibilityError(f"zeta={zeta} is inadmissible: {reason}")
 
 
+# (zeta, j, re, im) with zeta^j = re + im*i, left by the last gamma_argmax call.
+# It is read once and replaced whole, so callers that interleave (or threads)
+# can only cost each other a fresh powering, never change an answer.
+_cursor = (None, 0, 1, 0)
+
+
 def gamma_argmax(zeta: GaussianInt, j: int) -> GaussianInt:
-    """The unique element of GAMMA0 maximizing Re(gamma * zeta^j)."""
+    """The unique element of GAMMA0 maximizing Re(gamma * zeta^j).
+
+    A call with the zeta of the previous call and a j no smaller steps that
+    call's power forward (one small-times-big multiply for j + 1), so a
+    sweep over j costs O(1) multiplies per call; any other call powers
+    from scratch.
+    """
+    global _cursor
     if j < 1:
         raise ValueError("j must be >= 1")
     _require_admissible(zeta)
-    g, _, tie = _support_argmax(gi_pow(zeta, j))
+    a, b = zeta.re, zeta.im
+    z0, j0, re, im = _cursor
+    if z0 == zeta and j >= j0:
+        if j == j0 + 1:
+            re, im = re * a - im * b, re * b + im * a
+        elif j > j0:
+            c, d = _pow_ints(a, b, j - j0)
+            re, im = re * c - im * d, re * d + im * c
+    else:
+        re, im = _pow_ints(a, b, j)
+    _cursor = (zeta, j, re, im)
+    k, tie = _support_argmax(re, im)
     if tie:
         raise AdmissibilityError(
             f"argmax tie at zeta={zeta}, j={j}; zeta cannot be admissible"
         )
-    return g
+    return GAMMA0[k]
 
 
 @dataclass(frozen=True)
@@ -238,8 +274,8 @@ def monomial_degree(mat: IntMatrix2x2) -> int:
 
 def d_sequence(zeta: GaussianInt, N: int) -> DegreeSequence:
     """(d_1, ..., d_N) with d_j = psi(zeta^j), plus the maximizing gamma per index."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    if N < 0:
+        raise ValueError("N must be >= 0")
     _require_admissible(zeta)
     cache = DegreeCache(zeta).extend_to(N)
     return DegreeSequence(

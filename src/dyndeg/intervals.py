@@ -351,14 +351,6 @@ class RealInterval:
     def strictly_inside_unit(self) -> bool:
         return self.lo > Dyadic.from_int(0) and self.hi < Dyadic.from_int(1)
 
-    def floor_split(self):
-        """(floor, fractional interval) if both endpoints share a floor, else None."""
-        fl = self.lo.floor_int()
-        if self.hi.floor_int() != fl:
-            return None
-        shift = RealInterval.point(fl)
-        return fl, self - shift
-
     def __repr__(self):
         return f"RealInterval({float(self.lo):.17g}, {float(self.hi):.17g})"
 

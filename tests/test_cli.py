@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from dyndeg import oracle
+from dyndeg import cli, oracle
 from dyndeg.cli import main
 
 
@@ -34,6 +34,11 @@ class TestDegreesCommand:
         code, out, _ = run(capsys, "degrees", "--zeta", "1+2i", "--count", "0", "--format", "csv")
         assert code == 0
         assert out.strip() == "j,d,gamma,e"
+
+    def test_zero_count_inadmissible_exit2(self, capsys):
+        code, out, err = run(capsys, "degrees", "--zeta", "1+1i", "--count", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: zeta=1+i is inadmissible: integer multiple of 1+i\n"
 
     def test_default_count_is_200(self, capsys):
         code, out, _ = run(capsys, "degrees", "--zeta", "1+2i", "--format", "csv")
@@ -151,6 +156,39 @@ class TestReportCommand:
             return isinstance(node, str)
 
         assert only_strings(json.loads(out))
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_zero_count_pinned(self, capsys, fmt):
+        code, out, _ = run(capsys, "report", "--zeta", "1+2i", "--count", "0", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "542b46736e35db4d846090a94a218c18468c3dcc582cd0abfc0cdbca7e92b9a2"
+        )
+        degrees = json.loads(out)["degrees"]
+        assert degrees == {"d": [], "e": ["1"], "series_identity_verified_order": "0"}
+
+    def test_zero_count_computes_no_degrees(self, capsys, monkeypatch):
+        lengths = {"d_sequence": [], "e_sequence": []}
+
+        def recording(name, real):
+            def wrapper(*args):
+                seq = real(*args)
+                lengths[name].append(len(seq))
+                return seq
+
+            return wrapper
+
+        for name in lengths:
+            monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
+        code, _, _ = run(capsys, "report", "--zeta", "503+64i", "--count", "0")
+        assert code == 0
+        assert set(lengths["d_sequence"]) <= {0}
+        assert set(lengths["e_sequence"]) <= {1}  # e_0 = 1 needs no d_j
+
+    def test_zero_count_inadmissible_exit2(self, capsys):
+        code, out, err = run(capsys, "report", "--zeta", "1+1i", "--count", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: zeta=1+i is inadmissible: integer multiple of 1+i\n"
 
 
 class TestUsageErrors:
@@ -271,6 +309,16 @@ README_DIGESTS = {
     ),
 }
 
+# |zeta| up to 1000, the sizes of the survey benchmark
+SURVEY_DIGESTS = {
+    ("degrees", "--zeta", "503+64i", "--count", "200"): "fd17400434b15b5ab9db7a7c216fc6252be9f71324bd4696ec8dc96a5039db82",
+    ("degrees", "--zeta", "-16+282i", "--count", "200"): "35f4d0ad1b1b593db1224349fe95c87af44d390050824afb966d087a4e55773a",
+    ("degrees", "--zeta", "999-998i", "--count", "200"): "69adf6131bf9097af01d2ea5150c1898733f2ec974e023dc0ffc39fb3020a208",
+    ("report", "--zeta", "503+64i"): "32b06f17534918808b968f25d1398a6cdf2b500cd140c8a93ee311714578d3c4",
+    ("report", "--zeta", "-16+282i"): "d8ed6713aabbce27b93b5ff004e577a1dccfb4033929c4707fd63c968f46df9f",
+    ("report", "--zeta", "999-998i"): "c9ec15f7001d42b063e288b6bb12782dde53a6a785d46f2980df40c16a0c7da3",
+}
+
 
 class TestPinnedOutput:
     @pytest.mark.parametrize("argv", list(README_DIGESTS), ids="_".join)
@@ -279,6 +327,12 @@ class TestPinnedOutput:
         code, out, _ = run(capsys, *argv, "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == README_DIGESTS[argv][fmt]
+
+    @pytest.mark.parametrize("argv", list(SURVEY_DIGESTS), ids="_".join)
+    def test_survey_size_json_byte_identical(self, capsys, argv):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SURVEY_DIGESTS[argv]
 
     def test_oracle_composes_each_iterate_once(self, capsys, monkeypatch):
         calls = []

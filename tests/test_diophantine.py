@@ -6,8 +6,10 @@ import pytest
 
 from dyndeg.errors import AdmissibilityError, InconsistencyError
 from dyndeg.gaussian import GaussianInt, gamma_argmax
+from dyndeg import diophantine
 from dyndeg.diophantine import (
     OCTANT_TO_GAMMA,
+    ThetaContext,
     badly_approximable_diagnostics,
     cf_expand,
     irregular_indices,
@@ -17,6 +19,7 @@ from dyndeg.diophantine import (
     regular_window_check,
     theta_interval,
 )
+from dyndeg.intervals import Dyadic, RealInterval
 from dyndeg.solver import alpha_of, phi_eval, solve_lambda
 
 Z = GaussianInt
@@ -137,6 +140,20 @@ class TestContinuedFraction:
         assert a.theta == b.theta
 
 
+@pytest.fixture
+def refinements(monkeypatch):
+    """The precisions octant_gamma refines theta to, in call order."""
+    seen = []
+    real = diophantine.theta_interval
+
+    def counted(zeta, bits):
+        seen.append(bits)
+        return real(zeta, bits)
+
+    monkeypatch.setattr(diophantine, "theta_interval", counted)
+    return seen
+
+
 class TestOctantGamma:
     def test_first_indices(self):
         ctx = theta_interval(ZETA, 128)
@@ -157,6 +174,50 @@ class TestOctantGamma:
         ctx = theta_interval(Z(1, -2), 128)
         for j in range(1, 200):
             assert octant_gamma(ctx, j)[1] == gamma_argmax(Z(1, -2), j)
+
+    @pytest.mark.parametrize("zeta", [ZETA, Z(-3, 4), Z(503, 64)])
+    def test_refines_from_eight_bits(self, zeta, refinements):
+        ctx = theta_interval(zeta, 8)
+        for j in range(1, 10**4 + 1):
+            assert octant_gamma(ctx, j)[1] == gamma_argmax(zeta, j)
+        assert refinements and max(refinements) >= 32
+
+    def test_endpoints_with_different_exponents(self, refinements):
+        # lo = 1/8 is a multiple of 2^-3 only and j*lo is an octant boundary
+        # for every j, so the strict lower bound must send each call to 128 bits
+        hi = theta_interval(ZETA, 64).theta.hi
+        ctx = ThetaContext(ZETA, 64, RealInterval(Dyadic(1, -3), hi))
+        assert (ctx.theta.lo.exp, hi.exp) == (-3, -63)
+        for j in range(1, 2001):
+            assert octant_gamma(ctx, j)[1] == gamma_argmax(ZETA, j)
+        assert refinements == [128] * 2000
+
+    @pytest.mark.parametrize(
+        "zeta, octants, argmaxes",
+        [
+            (
+                Z(503, 64),
+                "b6f3280ba7c1ea0f6a789a00a63378bdb8ae8d789278fe15c068704271c903e2",
+                "45e8ad8efbb294b836e3d86723c929e9f5e331c3ff0184405481b1579a9b4c74",
+            ),
+            (
+                Z(-16, 282),
+                "4d1fc846230c33ec8f2af7a0e57c4b71e51f5e8a9a7b9291122de8951b87e472",
+                "88c856abab8e3c1eb3187a7989937c5df7c441d6d69684346b2b61619884004a",
+            ),
+            (
+                Z(999, -998),
+                "307ae153c16cc01a5adad36af36361ac1fe4dc2ac5bd7269ef2a47583a5521fb",
+                "bfeb48c524edfa71d557f667d1cdc44e19e9ced3a6ea6c054119b683198ad742",
+            ),
+        ],
+    )
+    def test_survey_size_sweeps_pinned(self, zeta, octants, argmaxes):
+        ctx = theta_interval(zeta, 128)
+        by_octant = [(k, g.re, g.im) for k, g in (octant_gamma(ctx, j) for j in range(1, 1001))]
+        by_argmax = [(g.re, g.im) for g in (gamma_argmax(zeta, j) for j in range(1, 1001))]
+        assert hashlib.sha256(repr(by_octant).encode()).hexdigest() == octants
+        assert hashlib.sha256(repr(by_argmax).encode()).hexdigest() == argmaxes
 
 
 class TestIrregularIndices:

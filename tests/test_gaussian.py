@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dyndeg.errors import AdmissibilityError, DegenerateMatrix
 from dyndeg.gaussian import (
     GAMMA0,
+    DegreeCache,
     GaussianInt,
     IntMatrix2x2,
     d_sequence,
@@ -13,6 +14,7 @@ from dyndeg.gaussian import (
     monomial_degree,
     parse_gaussian,
     psi,
+    _support_argmax,
 )
 
 Z = GaussianInt
@@ -20,6 +22,26 @@ ZETA = Z(1, 2)
 
 gaussians = st.builds(Z, st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
 small_ints = st.integers(-5, 5)
+
+# admissible parameters of several sizes and one inadmissible parameter
+CURSOR_ZETAS = (Z(1, 2), Z(-3, 4), Z(503, 64), Z(999, -998), Z(6, 6))
+
+
+def check_sign_rule(re, im):
+    """_support_argmax agrees with the five values Re(gamma*z), first maximizer and tie."""
+    values = [(g * Z(re, im)).re for g in GAMMA0]
+    best = max(values)
+    assert _support_argmax(re, im) == (values.index(best), values.count(best) > 1)
+
+
+def reference_argmax(zeta, j):
+    """First maximizer of Re(gamma * zeta^j) in GAMMA0 from GaussianInt products; None on a tie."""
+    power = Z(1, 0)
+    for _ in range(j):
+        power = power * zeta
+    values = [(g * power).re for g in GAMMA0]
+    best = max(values)
+    return None if values.count(best) > 1 else GAMMA0[values.index(best)]
 
 
 class TestGiPow:
@@ -113,6 +135,51 @@ class TestGammaArgmax:
         # 2i has a real square; the tie shows up at j = 2 regardless
         with pytest.raises(AdmissibilityError):
             gamma_argmax(Z(2, 2), 1)
+
+    @given(st.integers(-10**40, 10**40), st.integers(-10**40, 10**40))
+    def test_sign_rule_matches_the_five_values(self, re, im):
+        check_sign_rule(re, im)
+
+    def test_sign_rule_on_every_tie_pattern(self):
+        for re in range(-6, 7):
+            for im in range(-6, 7):
+                check_sign_rule(re, im)
+
+    def test_degree_cache_reports_tie(self):
+        # (1-i)^2 = -2i, where 2i and 1+2i both give Re(gamma * z) = 4
+        with pytest.raises(AdmissibilityError, match=r"^argmax tie at zeta=1-i, j=2$"):
+            DegreeCache(Z(1, -1)).extend_to(3)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(CURSOR_ZETAS),
+                st.sampled_from(("next", "next", "next", "same", "jump")),
+                st.integers(1, 150),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    def test_any_call_sequence_matches_fresh_powers(self, calls):
+        # steps of +1, repeats, jumps both ways, switches of zeta and an
+        # inadmissible zeta in between, which must raise and change nothing
+        j = 0
+        for zeta, move, jump in calls:
+            j = {"next": j + 1, "same": max(j, 1), "jump": jump}[move]
+            if not is_admissible(zeta):
+                with pytest.raises(AdmissibilityError):
+                    gamma_argmax(zeta, j)
+                continue
+            assert gamma_argmax(zeta, j) == reference_argmax(zeta, j)
+
+    def test_long_sweeps_interleaved(self):
+        a, b = Z(503, 64), Z(-16, 282)
+        for j in range(1, 301):
+            assert gamma_argmax(a, j) == reference_argmax(a, j)
+            if j % 50 == 0:
+                assert gamma_argmax(b, j) == reference_argmax(b, j)
 
 
 class TestMonomialDegree:

@@ -143,11 +143,6 @@ class TestRealInterval:
     def test_squeeze_contains(self, x, prec):
         assert x.squeeze(prec).contains_interval(x)
 
-    def test_floor_split(self):
-        assert iv_of(Fraction(5, 2), Fraction(11, 4)).floor_split()[0] == 2
-        assert iv_of(Fraction(-3, 2), Fraction(-5, 4)).floor_split()[0] == -2
-        assert iv_of(Fraction(1, 2), Fraction(3, 2)).floor_split() is None
-
 
 class TestComplexInterval:
     def test_mul_matches_gaussian(self):
