@@ -162,11 +162,11 @@ def cmd_lambda(args) -> int:
 def cmd_oracle(args) -> int:
     zeta = _parse_zeta(args.zeta)
     n_max = _at_least(args.max_iter, "--max-iter", 0)
+    d = d_sequence(zeta, n_max)
+    e = e_sequence(d, n_max)
     rows = []
     all_match = True
-    if n_max > 0:
-        d = d_sequence(zeta, n_max)
-        e = e_sequence(d, n_max)
+    if n_max > 0:  # f alone may exceed the degree budget
         f = compose(g_map(), monomial_map(IntMatrix2x2.from_zeta(zeta)))
         for n in range(1, n_max + 1):
             if args.fault == "skip-reduce":

@@ -191,10 +191,11 @@ _cursor = (None, 0, 1, 0)
 def gamma_argmax(zeta: GaussianInt, j: int) -> GaussianInt:
     """The unique element of GAMMA0 maximizing Re(gamma * zeta^j).
 
-    A call with the zeta of the previous call and a j no smaller steps that
-    call's power forward (one small-times-big multiply for j + 1), so a
-    sweep over j costs O(1) multiplies per call; any other call powers
-    from scratch.
+    A call with the zeta of the previous call and j + 1 steps that call's
+    power by one small-times-big multiply, so a sweep over j costs one
+    multiply per call; any other call powers from scratch. The last power
+    stays in a module slot after the call returns, until the next call
+    replaces it.
     """
     global _cursor
     if j < 1:
@@ -202,12 +203,8 @@ def gamma_argmax(zeta: GaussianInt, j: int) -> GaussianInt:
     _require_admissible(zeta)
     a, b = zeta.re, zeta.im
     z0, j0, re, im = _cursor
-    if z0 == zeta and j >= j0:
-        if j == j0 + 1:
-            re, im = re * a - im * b, re * b + im * a
-        elif j > j0:
-            c, d = _pow_ints(a, b, j - j0)
-            re, im = re * c - im * d, re * d + im * c
+    if z0 == zeta and j == j0 + 1:
+        re, im = re * a - im * b, re * b + im * a
     else:
         re, im = _pow_ints(a, b, j)
     _cursor = (zeta, j, re, im)

@@ -85,6 +85,11 @@ class TestOracleCommand:
         assert code == 0
         assert out.strip() == "n,recursion,oracle,match"
 
+    def test_zero_iterations_inadmissible_exit2(self, capsys):
+        code, out, err = run(capsys, "oracle", "--zeta", "1+1i", "--max-iter", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: zeta=1+i is inadmissible: integer multiple of 1+i\n"
+
     def test_fault_injection_exit5(self, capsys):
         code, out, _ = run(
             capsys, "oracle", "--zeta", "1+2i", "--max-iter", "2", "--fault", "skip-reduce"
