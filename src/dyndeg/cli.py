@@ -4,6 +4,11 @@ Exit codes: 0 success, 1 usage or invalid argument, 2 inadmissible parameter,
 3 precision cap reached, 4 resource budget exceeded, 5 oracle mismatch.  All
 JSON numerals are decimal strings, and identical invocations produce
 byte-identical output.
+
+Each policy lives in one place: the parser is built once per process, `main`
+parses `--zeta` and checks the `_BOUNDS` table before a command runs, and
+`_EXIT_CODES` maps the errors a command raises to exit codes.  A command takes
+the parsed arguments and zeta and returns its output text and exit code.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from .diophantine import (
     theta_interval,
 )
 from .errors import AdmissibilityError, PrecisionError, ResourceExhausted
-from .gaussian import GaussianInt, IntMatrix2x2, d_sequence, parse_gaussian
+from .gaussian import IntMatrix2x2, d_sequence, parse_gaussian
 from .oracle import compose, g_map, monomial_map
 from .solver import solve_lambda
 
@@ -32,6 +37,25 @@ EXIT_PRECISION = 3
 EXIT_RESOURCES = 4
 EXIT_MISMATCH = 5
 
+# (dest, flag, low) of every bounded integer flag, checked in this order
+_BOUNDS = (
+    ("count", "--count", 0),
+    ("max_iter", "--max-iter", 0),
+    ("digits", "--digits", 0),
+    ("depth", "--depth", 0),
+    ("n", "--n", 1),
+    ("window", "--window", 2),
+    ("precision_bits", "--precision-bits", 8),
+)
+
+# error a command raises -> exit code; the message is one `error:` line on stderr
+_EXIT_CODES = {
+    AdmissibilityError: EXIT_INADMISSIBLE,
+    PrecisionError: EXIT_PRECISION,
+    ResourceExhausted: EXIT_RESOURCES,
+    OSError: EXIT_USAGE,  # an unwritable --out
+}
+
 
 class _Parser(argparse.ArgumentParser):
     """A malformed command line exits 1 with one `error:` line; 2 means an inadmissible zeta."""
@@ -40,113 +64,32 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(f"error: {message}")
 
 
-def _build_parser():
-    parser = _Parser(
-        prog="dyndeg",
-        description="Degree growth of the plane rational maps built from a "
-        "Gaussian-integer monomial map composed with a quadratic involution.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--zeta", required=True, help="Gaussian integer, e.g. 1+2i")
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        p.add_argument("--out", default=None, help="write output to this path")
-
-    p = sub.add_parser("degrees", help="inner/composed degree sequences")
-    common(p)
-    p.add_argument("--count", type=int, default=200)
-
-    p = sub.add_parser("lambda", help="certified enclosure of the dynamical degree")
-    common(p)
-    p.add_argument("--digits", type=int, default=12)
-
-    p = sub.add_parser("oracle", help="symbolic iterate degrees vs the recursion")
-    common(p)
-    p.add_argument("--max-iter", type=int, default=3)
-    p.add_argument("--fault", choices=("skip-reduce",), default=None, help="test hook")
-
-    p = sub.add_parser("cf", help="continued fraction of the rotation number")
-    common(p)
-    p.add_argument("--precision-bits", type=int, default=128, help="rotation-number precision")
-    p.add_argument("--depth", type=int, default=20)
-
-    p = sub.add_parser("irregular", help="lag-n irregular indices and beta table")
-    common(p)
-    p.add_argument("--precision-bits", type=int, default=128, help="rotation-number precision")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--window", type=int, default=5, help="window end as a multiple of n")
-
-    p = sub.add_parser("report", help="combined JSON report")
-    common(p)
-    p.add_argument("--precision-bits", type=int, default=128, help="rotation-number precision")
-    p.add_argument("--count", type=int, default=200)
-    p.add_argument("--digits", type=int, default=12)
-    p.add_argument("--depth", type=int, default=12)
-
-    return parser
-
-
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _parse_zeta(raw: str) -> GaussianInt:
-    try:
-        return parse_gaussian(raw)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
-
-
-def _at_least(value: int, flag: str, low: int) -> int:
-    if value < low:
-        raise SystemExit(f"error: {flag} must be >= {low}")
-    return value
-
-
-def cmd_degrees(args) -> int:
-    zeta = _parse_zeta(args.zeta)
-    n = _at_least(args.count, "--count", 0)
+def cmd_degrees(args, zeta):
+    n = args.count
     d = d_sequence(zeta, n)
     e = e_sequence(d, n)
     rows = [(j, d[j], str(d.gammas[j - 1]), e[j]) for j in range(1, n + 1)]
     if args.format == "json":
-        obj = {
-            "zeta": str(zeta),
-            "rows": [
-                {"j": str(j), "d": str(dj), "gamma": g, "e": str(ej)}
-                for (j, dj, g, ej) in rows
-            ],
-        }
-        _emit(json.dumps(obj, sort_keys=True) + "\n", args.out)
-    elif args.format == "csv":
+        json_rows = [{"j": str(j), "d": str(dj), "gamma": g, "e": str(ej)} for (j, dj, g, ej) in rows]
+        return json.dumps({"zeta": str(zeta), "rows": json_rows}, sort_keys=True) + "\n", EXIT_OK
+    if args.format == "csv":
         lines = ["j,d,gamma,e"] + [f"{j},{dj},{g},{ej}" for (j, dj, g, ej) in rows]
-        _emit("\n".join(lines) + "\n", args.out)
     else:
         lines = [f"degree data for zeta = {zeta}", f"{'j':>4} {'d_j':>16} {'gamma(j)':>10} {'e_j':>24}"]
         lines += [f"{j:>4} {dj:>16} {g:>10} {ej:>24}" for (j, dj, g, ej) in rows]
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
-def cmd_lambda(args) -> int:
-    zeta = _parse_zeta(args.zeta)
-    _at_least(args.digits, "--digits", 0)
+def cmd_lambda(args, zeta):
     enclosure = solve_lambda(zeta, Fraction(1, 10**args.digits))
     digits = args.digits + 4
     if args.format == "json":
-        _emit(enclosure.to_json_text(digits) + "\n", args.out)
-    elif args.format == "csv":
-        obj = enclosure.to_json_obj(digits)
+        return enclosure.to_json_text(digits) + "\n", EXIT_OK
+    obj = enclosure.to_json_obj(digits)
+    if args.format == "csv":
         keys = ["zeta", "lambda_lo", "lambda_hi", "width", "N_used", "precision_bits"]
         lines = [",".join(keys), ",".join(obj[k] for k in keys)]
-        _emit("\n".join(lines) + "\n", args.out)
     else:
-        obj = enclosure.to_json_obj(digits)
         lines = [
             f"dynamical degree of the composed map, zeta = {zeta}",
             f"  lambda in [{obj['lambda_lo']}, {obj['lambda_hi']}]",
@@ -155,28 +98,19 @@ def cmd_lambda(args) -> int:
             f"  working precision: {enclosure.precision_bits} fractional bits",
             f"  topological degree lambda_2 = {lambda2(zeta)}",
         ]
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
-def cmd_oracle(args) -> int:
-    zeta = _parse_zeta(args.zeta)
-    n_max = _at_least(args.max_iter, "--max-iter", 0)
-    d = d_sequence(zeta, n_max)
-    e = e_sequence(d, n_max)
+def cmd_oracle(args, zeta):
+    n_max = args.max_iter
+    e = e_sequence(d_sequence(zeta, n_max), n_max)
     rows = []
-    all_match = True
     if n_max > 0:  # f alone may exceed the degree budget
         f = compose(g_map(), monomial_map(IntMatrix2x2.from_zeta(zeta)))
         for n in range(1, n_max + 1):
-            if args.fault == "skip-reduce":
-                oracle_deg = f.degree**n  # raw composition degree, no reduction
-            else:
-                iterate = f if n == 1 else compose(f, iterate)
-                oracle_deg = iterate.degree
-            match = oracle_deg == e[n]
-            all_match = all_match and match
-            rows.append((n, e[n], oracle_deg, match))
+            iterate = f if n == 1 else compose(f, iterate)
+            rows.append((n, e[n], iterate.degree, iterate.degree == e[n]))
+    all_match = all(m for (_, _, _, m) in rows)
     if args.format == "json":
         obj = {
             "zeta": str(zeta),
@@ -186,36 +120,30 @@ def cmd_oracle(args) -> int:
             ],
             "all_match": all_match,
         }
-        _emit(json.dumps(obj, sort_keys=True) + "\n", args.out)
+        text = json.dumps(obj, sort_keys=True) + "\n"
     elif args.format == "csv":
         lines = ["n,recursion,oracle,match"]
         lines += [f"{n},{en},{on},{str(m).lower()}" for (n, en, on, m) in rows]
-        _emit("\n".join(lines) + "\n", args.out)
+        text = "\n".join(lines) + "\n"
     else:
         lines = [f"iterate degrees for f = g o h, zeta = {zeta}",
                  f"{'n':>3} {'recursion':>16} {'oracle':>16} match"]
         lines += [f"{n:>3} {en:>16} {on:>16} {'yes' if m else 'NO'}" for (n, en, on, m) in rows]
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK if all_match else EXIT_MISMATCH
+        text = "\n".join(lines) + "\n"
+    return text, EXIT_OK if all_match else EXIT_MISMATCH
 
 
-def cmd_cf(args) -> int:
-    zeta = _parse_zeta(args.zeta)
-    _at_least(args.depth, "--depth", 0)
-    ctx = theta_interval(zeta, _at_least(args.precision_bits, "--precision-bits", 8))
-    cf = cf_expand(ctx, args.depth)
+def cmd_cf(args, zeta):
+    cf = cf_expand(theta_interval(zeta, args.precision_bits), args.depth)
     diag = badly_approximable_diagnostics(cf) if cf.depth >= 2 else None
     if args.format == "json":
         obj = cf.to_json_obj()
         if diag is not None:
             obj["diagnostics"] = diag.to_json_obj()
-        _emit(json.dumps(obj, sort_keys=True) + "\n", args.out)
-    elif args.format == "csv":
+        return json.dumps(obj, sort_keys=True) + "\n", EXIT_OK
+    if args.format == "csv":
         lines = ["i,a,m,n"]
-        for i, a in enumerate(cf.coefficients):
-            m, n = cf.convergents[i]
-            lines.append(f"{i},{a},{m},{n}")
-        _emit("\n".join(lines) + "\n", args.out)
+        lines += [f"{i},{a},{m},{n}" for i, (a, (m, n)) in enumerate(zip(cf.coefficients, cf.convergents))]
     else:
         coeffs = ";".join(str(a) for a in cf.coefficients)
         lines = [
@@ -230,43 +158,32 @@ def cmd_cf(args) -> int:
                 f"  kappa statistic >= {diag.kappa.lo.decimal_str(12, 'floor')}",
                 f"  max denominator ratio: {diag.max_denominator_ratio}",
             ]
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
-def cmd_irregular(args) -> int:
-    zeta = _parse_zeta(args.zeta)
-    if args.n < 1 or args.window < 2:
-        raise SystemExit("error: need --n >= 1 and --window >= 2")
-    ctx = theta_interval(zeta, _at_least(args.precision_bits, "--precision-bits", 8))
-    rep = irregular_indices(ctx, args.n, args.window * args.n)
+def cmd_irregular(args, zeta):
+    rep = irregular_indices(theta_interval(zeta, args.precision_bits), args.n, args.window * args.n)
     if args.format == "json":
-        _emit(json.dumps(rep.to_json_obj(), sort_keys=True) + "\n", args.out)
-    elif args.format == "csv":
-        _emit(rep.beta_csv_text(), args.out)
-    else:
-        lines = [
-            f"lag-{rep.n} irregular indices in ({rep.n}, {rep.window_end}], zeta = {zeta}",
-            f"  irregular: {list(rep.irregular)}",
-            f"  min excess over n: {rep.min_excess}",
-            f"  min pairwise gap: {rep.min_pair_gap}",
-            f"  min shifted gap |j-j'-n|: {rep.min_shifted_gap}",
-            f"  nonzero beta entries: {len(rep.beta)}",
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+        return json.dumps(rep.to_json_obj(), sort_keys=True) + "\n", EXIT_OK
+    if args.format == "csv":
+        return rep.beta_csv_text(), EXIT_OK
+    lines = [
+        f"lag-{rep.n} irregular indices in ({rep.n}, {rep.window_end}], zeta = {zeta}",
+        f"  irregular: {list(rep.irregular)}",
+        f"  min excess over n: {rep.min_excess}",
+        f"  min pairwise gap: {rep.min_pair_gap}",
+        f"  min shifted gap |j-j'-n|: {rep.min_shifted_gap}",
+        f"  nonzero beta entries: {len(rep.beta)}",
+    ]
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
-def cmd_report(args) -> int:
-    zeta = _parse_zeta(args.zeta)
-    count = _at_least(args.count, "--count", 0)
-    _at_least(args.digits, "--digits", 0)
-    _at_least(args.depth, "--depth", 0)
-    bits = _at_least(args.precision_bits, "--precision-bits", 8)
+def cmd_report(args, zeta):
+    count = args.count
     d = d_sequence(zeta, count)
     e = e_sequence(d, count)
     enclosure = solve_lambda(zeta, Fraction(1, 10**args.digits))
-    cf = cf_expand(theta_interval(zeta, bits), args.depth)
+    cf = cf_expand(theta_interval(zeta, args.precision_bits), args.depth)
     obj = {
         "zeta": str(zeta),
         "lambda": enclosure.to_json_obj(args.digits + 4),
@@ -280,49 +197,98 @@ def cmd_report(args) -> int:
     }
     if cf.depth >= 2:
         obj["diagnostics"] = badly_approximable_diagnostics(cf).to_json_obj()
-    _emit(json.dumps(obj, sort_keys=True) + "\n", args.out)
-    return EXIT_OK
+    return json.dumps(obj, sort_keys=True) + "\n", EXIT_OK
 
 
-_DISPATCH = {
-    "degrees": cmd_degrees,
-    "lambda": cmd_lambda,
-    "oracle": cmd_oracle,
-    "cf": cmd_cf,
-    "irregular": cmd_irregular,
-    "report": cmd_report,
-}
+def _build_parser():
+    parser = _Parser(
+        prog="dyndeg",
+        description="Degree growth of the plane rational maps built from a "
+        "Gaussian-integer monomial map composed with a quadratic involution.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, run, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        p.add_argument("--zeta", required=True, help="Gaussian integer, e.g. 1+2i")
+        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        p.add_argument("--out", default=None, help="write output to this path")
+        return p
+
+    def precision_bits(p):
+        p.add_argument("--precision-bits", type=int, default=128, help="rotation-number precision")
+
+    p = command("degrees", cmd_degrees, "inner/composed degree sequences")
+    p.add_argument("--count", type=int, default=200)
+
+    p = command("lambda", cmd_lambda, "certified enclosure of the dynamical degree")
+    p.add_argument("--digits", type=int, default=12)
+
+    p = command("oracle", cmd_oracle, "symbolic iterate degrees vs the recursion")
+    p.add_argument("--max-iter", type=int, default=3)
+
+    p = command("cf", cmd_cf, "continued fraction of the rotation number")
+    precision_bits(p)
+    p.add_argument("--depth", type=int, default=20)
+
+    p = command("irregular", cmd_irregular, "lag-n irregular indices and beta table")
+    precision_bits(p)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--window", type=int, default=5, help="window end as a multiple of n")
+
+    p = command("report", cmd_report, "combined JSON report")
+    precision_bits(p)
+    p.add_argument("--count", type=int, default=200)
+    p.add_argument("--digits", type=int, default=12)
+    p.add_argument("--depth", type=int, default=12)
+
+    return parser
+
+
+_PARSER = _build_parser()  # each parse_args call fills a fresh namespace
 
 
 def _glue_zeta(argv):
-    """Join '--zeta -3+4i' into '--zeta=-3+4i' so argparse keeps the value."""
+    """Join '--zeta -3+4i' into '--zeta=-3+4i' so argparse keeps the value.
+
+    argparse turns a value of '--' into [], so '--zeta --' and '--zeta=--'
+    are passed apart and read as a missing value.
+    """
     out = []
     i = 0
     while i < len(argv):
-        if argv[i] == "--zeta" and i + 1 < len(argv):
+        if argv[i] == "--zeta=--":
+            out += ["--zeta", "--"]
+        elif argv[i] == "--zeta" and i + 1 < len(argv) and argv[i + 1] != "--":
             out.append(f"--zeta={argv[i + 1]}")
-            i += 2
+            i += 1
         else:
             out.append(argv[i])
-            i += 1
+        i += 1
     return out
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = _build_parser().parse_args(_glue_zeta(list(argv)))
+    args = _PARSER.parse_args(_glue_zeta(sys.argv[1:] if argv is None else list(argv)))
     try:
-        return _DISPATCH[args.command](args)
-    except AdmissibilityError as exc:
+        zeta = parse_gaussian(args.zeta)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
+    for dest, flag, low in _BOUNDS:
+        if getattr(args, dest, low) < low:
+            raise SystemExit(f"error: {flag} must be >= {low}")
+    try:
+        text, code = args.run(args, zeta)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
-    except PrecisionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECISION
-    except ResourceExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCES
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -414,13 +414,12 @@ def badly_approximable_diagnostics(cf: ContinuedFraction) -> BadApproxReport:
 # ---------------------------------------------------------------------------
 
 
-def phi_n_eval(ctx: ThetaContext, n: int, alpha: ComplexInterval, prec: int = None) -> ComplexInterval:
+def phi_n_eval(ctx: ThetaContext, n: int, alpha: ComplexInterval) -> ComplexInterval:
     """Box around (1 - alpha^n)^(-1) * sum_{j<=n} gamma(j) alpha^j."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if prec is None:
-        w = alpha.max_width()
-        prec = max(96, (-w.exp if w.exp < 0 else 0) + 32)
+    w = alpha.max_width()
+    prec = max(96, (-w.exp if w.exp < 0 else 0) + 32)
     if alpha.abs_sq().hi >= Dyadic.from_int(1):
         raise PrecisionError("need sup|alpha| < 1")
     _, sums = _series_table(DegreeCache(ctx.zeta).extend_to(n).gammas, alpha, prec)

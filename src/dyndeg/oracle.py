@@ -43,6 +43,7 @@ from .polynomials import (
 
 DEFAULT_DEGREE_CAP = 1000
 DEFAULT_TERM_CAP = 10_000_000
+_LINE_TRIALS = 3  # seeded trials of the line oracle; all must agree
 
 
 @dataclass(frozen=True)
@@ -65,14 +66,13 @@ DEFAULT_BUDGET = Budget()
 class PlaneRationalMap:
     """Rational self-map of the projective plane in homogeneous coordinates."""
 
-    __slots__ = ("_factored", "_components", "reduced", "degree")
+    __slots__ = ("_factored", "_components", "degree")
 
-    def __init__(self, components=None, factored=None, reduced=False):
+    def __init__(self, components=None, factored=None):
         if components is None and factored is None:
             raise ValueError("need components or a factorization")
         self._components = tuple(components) if components is not None else None
         self._factored = factored
-        self.reduced = reduced
         if self._components is not None:
             degs = {c.degree for c in self._components if not c.is_zero()}
             if len(degs) != 1:
@@ -123,8 +123,7 @@ class PlaneRationalMap:
         return self.normalized_components() == other.normalized_components()
 
     def __repr__(self):
-        state = "reduced" if self.reduced else "raw"
-        return f"PlaneRationalMap(degree={self.degree}, {state})"
+        return f"PlaneRationalMap(degree={self.degree})"
 
 
 def _factored_degree(comp) -> int:
@@ -148,9 +147,7 @@ _X = [HomoPoly.monomial(1, 1, 0, 0), HomoPoly.monomial(1, 0, 1, 0), HomoPoly.mon
 
 
 def identity_map() -> PlaneRationalMap:
-    return PlaneRationalMap(
-        factored=tuple((1, ((_X[i], 1),)) for i in range(3)), reduced=True
-    )
+    return PlaneRationalMap(factored=tuple((1, ((_X[i], 1),)) for i in range(3)))
 
 
 def g_map() -> PlaneRationalMap:
@@ -160,9 +157,7 @@ def g_map() -> PlaneRationalMap:
         HomoPoly.from_triples(1, [(1, 0, 0, 1), (0, 1, 0, -1), (0, 0, 1, 1)]),
         HomoPoly.from_triples(1, [(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, -1)]),
     ]
-    return PlaneRationalMap(
-        factored=tuple((1, ((_X[i], 1), (ells[i], 1))) for i in range(3)), reduced=True
-    )
+    return PlaneRationalMap(factored=tuple((1, ((_X[i], 1), (ells[i], 1))) for i in range(3)))
 
 
 def linear_map(rows) -> PlaneRationalMap:
@@ -179,7 +174,7 @@ def linear_map(rows) -> PlaneRationalMap:
     for poly in comps:
         unit, prim = poly.primitive_normalized()
         factored.append((unit, ((prim, 1),)))
-    return PlaneRationalMap(factored=tuple(factored), reduced=True)
+    return PlaneRationalMap(factored=tuple(factored))
 
 
 def conjugating_map() -> PlaneRationalMap:
@@ -200,7 +195,6 @@ def cremona_map() -> PlaneRationalMap:
             (1, ((_X[2], 1), (_X[0], 1))),
             (1, ((_X[0], 1), (_X[1], 1))),
         ),
-        reduced=True,
     )
 
 
@@ -221,7 +215,7 @@ def monomial_map(mat: IntMatrix2x2) -> PlaneRationalMap:
     for e in exps:
         factors = tuple((_X[c], e[c]) for c in range(3) if e[c] > 0)
         factored.append((1, factors))
-    return PlaneRationalMap(factored=tuple(factored), reduced=True)
+    return PlaneRationalMap(factored=tuple(factored))
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +351,7 @@ def compose(outer: PlaneRationalMap, inner: PlaneRationalMap, budget: Budget = D
             (session.base.atoms[idx], clean[idx]) for idx in sorted(clean)
         )
         comps.append((u // ug, factors))
-    out = PlaneRationalMap(factored=tuple(comps), reduced=True)
+    out = PlaneRationalMap(factored=tuple(comps))
     budget.check_degree(out.degree)
     return out
 
@@ -434,17 +428,17 @@ def compose_raw_components(outer: PlaneRationalMap, inner: PlaneRationalMap, bud
 # ---------------------------------------------------------------------------
 
 
-def random_line_degree_check(F0, F1, F2, trials: int = 3, seed: int = 0) -> int:
+def random_line_degree_check(F0, F1, F2, seed: int = 0) -> int:
     """Reduced degree via restriction to random rational lines.
 
     Restricts the triple to seeded random lines, computes the univariate gcd of
     the three restrictions mod a large prime, and reports D - deg(gcd).  All
     trials must agree; disagreement raises OracleInconsistency.
     """
-    return factored_line_degree(PlaneRationalMap(components=(F0, F1, F2)), trials, seed)
+    return factored_line_degree(PlaneRationalMap(components=(F0, F1, F2)), seed)
 
 
-def factored_line_degree(map_: PlaneRationalMap, trials: int = 3, seed: int = 0) -> int:
+def factored_line_degree(map_: PlaneRationalMap, seed: int = 0) -> int:
     """Line-restriction degree of a map, without expanding a factored one.
 
     Restriction of a product is the product of restrictions, so components are
@@ -456,7 +450,7 @@ def factored_line_degree(map_: PlaneRationalMap, trials: int = 3, seed: int = 0)
         factored = [(1, ((c, 1),)) for c in map_.components if not c.is_zero()]
     rng = random.Random(seed)
     answers = []
-    for trial in range(trials):
+    for trial in range(_LINE_TRIALS):
         p = LINE_PRIMES[trial % len(LINE_PRIMES)]
         value = None
         for _attempt in range(12):
@@ -593,7 +587,4 @@ def map_from_text(text: str) -> PlaneRationalMap:
         comps[-1].append((i, j, k, c))
     if len(comps) != 3:
         raise ValueError(f"expected 3 components, found {len(comps)}")
-    return PlaneRationalMap(
-        components=tuple(HomoPoly.from_triples(degree, t) for t in comps),
-        reduced=False,
-    )
+    return PlaneRationalMap(components=tuple(HomoPoly.from_triples(degree, t) for t in comps))

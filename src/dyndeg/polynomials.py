@@ -469,11 +469,15 @@ def univ_mul_mod(f, g, p: int):
     return _strip_mod(np.convolve(f, g), p).tolist()
 
 
-def _certificate_lines(seed: int, count: int):
-    """Up to ``count`` seeded lines (p, a, b), t -> a*t + b mod p, with a != 0."""
+# certificate lines drawn from one seed, by certify_coprime and by a CoprimeBase
+_BASE_LINES = 4
+
+
+def _certificate_lines(seed: int):
+    """Up to ``_BASE_LINES`` seeded lines (p, a, b), t -> a*t + b mod p, with a != 0."""
     rng = np.random.default_rng(seed ^ 0x5EED)
     lines = []
-    for n in range(count):
+    for n in range(_BASE_LINES):
         a = [int(x) for x in rng.integers(-(10**6), 10**6 + 1, size=3)]
         b = [int(x) for x in rng.integers(-(10**6), 10**6 + 1, size=3)]
         if any(a):
@@ -496,7 +500,7 @@ def _restricted_pairs(lines, P: HomoPoly, p_images: dict, Q: HomoPoly, q_images:
             yield p, p_images[n], q_images[n]
 
 
-def certify_coprime(P: HomoPoly, Q: HomoPoly, seed: int = 0, attempts: int = 4) -> bool:
+def certify_coprime(P: HomoPoly, Q: HomoPoly, seed: int = 0) -> bool:
     """True only with a proof that gcd(P, Q) is constant.
 
     Restrict both to a line whose images keep full degree mod p; a constant
@@ -505,8 +509,8 @@ def certify_coprime(P: HomoPoly, Q: HomoPoly, seed: int = 0, attempts: int = 4) 
     """
     if P.is_zero() or Q.is_zero():
         return False
-    lines = _certificate_lines(seed, attempts)
-    return any(len(univ_gcd_mod(rp, rq, p)) == 1 for p, rp, rq in _restricted_pairs(lines, P, {}, Q, {}))
+    pairs = _restricted_pairs(_certificate_lines(seed), P, {}, Q, {})
+    return any(len(univ_gcd_mod(rp, rq, p)) == 1 for p, rp, rq in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -692,10 +696,6 @@ def _adjugate(M):
 # ---------------------------------------------------------------------------
 
 
-# certificate lines a CoprimeBase draws from its seed
-_BASE_LINES = 4
-
-
 class CoprimeBase:
     """Maintains a list of pairwise-coprime primitive polynomials (the atoms).
 
@@ -714,7 +714,7 @@ class CoprimeBase:
     def __init__(self, seed: int = 0):
         self.atoms: list = []
         self.seed = seed
-        self.lines = _certificate_lines(seed, _BASE_LINES)
+        self.lines = _certificate_lines(seed)
         self._images: list = []  # per atom: line index -> restriction, filled lazily
 
     def decompose(self, poly: HomoPoly):

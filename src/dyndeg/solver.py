@@ -39,6 +39,7 @@ from .intervals import DY_ONE, ComplexInterval, Dyadic, RealInterval
 
 DEFAULT_PRECISION_CAP = 1 << 16
 _TERM_CAP = 1 << 20
+_START_TERMS = 32  # series terms of the first bisection; doubled while undecided
 _GUARD = 32  # fractional bits of the certified bracket points beyond the working precision
 _WIDEN = 4  # tries per side of a certified bracket, each doubling the offset
 _NEWTON_STEPS = 200  # cap on the low-precision Newton steps that locate a root
@@ -234,7 +235,7 @@ def _certified_bracket(sums: _PartialSums, m: int, s: int, q: int):
     return lo, hi
 
 
-def solve_lambda(zeta: GaussianInt, target_width, *, start_terms: int = 32) -> LambdaEnclosure:
+def solve_lambda(zeta: GaussianInt, target_width) -> LambdaEnclosure:
     """Certified interval of width <= target_width around the dynamical degree.
 
     The returned bracket [lo, hi] satisfies: the partial sum plus tail bound is
@@ -254,13 +255,13 @@ def solve_lambda(zeta: GaussianInt, target_width, *, start_terms: int = 32) -> L
             raise PrecisionError(
                 f"needed more than {cap} fractional bits (cap; see DYNDEG_PRECISION_CAP)"
             )
-        result = _solve_at_precision(zeta, cache, width_goal, prec, start_terms)
+        result = _solve_at_precision(zeta, cache, width_goal, prec)
         if result is not None:
             return result
         prec *= 2
 
 
-def _solve_at_precision(zeta, cache, width_goal, prec, start_terms):
+def _solve_at_precision(zeta, cache, width_goal, prec):
     """Bisection in t at fixed precision; None if it cannot finish at this precision.
 
     The bracket is t_lo = a * 2^-s < t_hi = b * 2^-s, and a midpoint is
@@ -283,7 +284,7 @@ def _solve_at_precision(zeta, cache, width_goal, prec, start_terms):
     a = b >> 10
     s = prec
 
-    n_terms = start_terms
+    n_terms = _START_TERMS
     sums.resize(n_terms)
 
     # establish the initial bracket: strictly below 1 at t_lo, strictly above at t_hi
@@ -350,13 +351,12 @@ def _bits_of(fr: Fraction) -> int:
     return max(1, (fr.denominator // max(1, fr.numerator)).bit_length())
 
 
-def alpha_of(zeta: GaussianInt, lam, prec: int = None) -> ComplexInterval:
+def alpha_of(zeta: GaussianInt, lam: LambdaEnclosure) -> ComplexInterval:
     """Box around zeta / lambda; certified strictly inside the unit disk."""
-    interval = lam.interval if isinstance(lam, LambdaEnclosure) else lam
+    interval = lam.interval
     if interval.lo.sign() <= 0:
         raise ValueError("lambda interval must be strictly positive")
-    if prec is None:
-        prec = max(64, -interval.width().exp + 16) if not interval.width().is_zero() else 64
+    prec = max(64, -interval.width().exp + 16) if not interval.width().is_zero() else 64
     alpha = ComplexInterval(
         RealInterval.point(zeta.re).div(interval, prec),
         RealInterval.point(zeta.im).div(interval, prec),
@@ -385,7 +385,7 @@ def _choose_tail_terms(s_hi: Dyadic, tail_tol: Fraction, prec: int, constant_sq:
     raise PrecisionError("tail tolerance unreachable within the term cap")
 
 
-def phi_eval(zeta: GaussianInt, alpha: ComplexInterval, tail_tol, prec: int = None) -> ComplexInterval:
+def phi_eval(zeta: GaussianInt, alpha: ComplexInterval, tail_tol) -> ComplexInterval:
     """Box around the power series sum gamma(j) alpha^j with certified tail.
 
     Partial sum in interval arithmetic plus a componentwise widening of
@@ -393,8 +393,7 @@ def phi_eval(zeta: GaussianInt, alpha: ComplexInterval, tail_tol, prec: int = No
     """
     _require_admissible(zeta)
     tol = _as_width_fraction(tail_tol)
-    if prec is None:
-        prec = max(96, _bits_of(tol) + 32)
+    prec = max(96, _bits_of(tol) + 32)
     s_hi = alpha.abs_sup(prec)
     n_terms, tail = _choose_tail_terms(s_hi, tol, prec, 20)
     _, sums = _series_table(DegreeCache(zeta).extend_to(n_terms).gammas, alpha, prec)

@@ -1,10 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dyndeg import cli, oracle
 from dyndeg.cli import main
@@ -14,6 +17,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv):
+    """`python -m dyndeg.cli argv` in a fresh process, against this checkout's source."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    return subprocess.run(
+        [sys.executable, "-m", "dyndeg.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
 
 
 class TestDegreesCommand:
@@ -90,10 +102,10 @@ class TestOracleCommand:
         assert (code, out) == (2, "")
         assert err == "error: zeta=1+i is inadmissible: integer multiple of 1+i\n"
 
-    def test_fault_injection_exit5(self, capsys):
-        code, out, _ = run(
-            capsys, "oracle", "--zeta", "1+2i", "--max-iter", "2", "--fault", "skip-reduce"
-        )
+    def test_fault_injection_exit5(self, capsys, monkeypatch):
+        real = cli.e_sequence
+        monkeypatch.setattr(cli, "e_sequence", lambda d, n: [e + 1 for e in real(d, n).values])
+        code, out, _ = run(capsys, "oracle", "--zeta", "1+2i", "--max-iter", "2")
         assert code == 5
         assert "NO" in out
 
@@ -208,12 +220,17 @@ class TestUsageErrors:
             (("cf", "--precision-bits", "0"), "--precision-bits"),
             (("irregular", "--n", "50", "--precision-bits", "7"), "--precision-bits"),
             (("report", "--precision-bits", "-1"), "--precision-bits"),
+            (("oracle", "--max-iter", "-1"), "--max-iter"),
+            (("irregular", "--n", "0"), "--n"),
+            (("irregular", "--n", "50", "--window", "1"), "--window"),
+            (("irregular", "--n", "0", "--window", "1"), "--n"),
+            (("irregular", "--n", "50", "--window", "1", "--precision-bits", "7"), "--window"),
         ],
     )
     def test_negative_argument_one_line_error(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
             main([argv[0], "--zeta", "1+2i", *argv[1:]])
-        low = 8 if flag == "--precision-bits" else 0
+        low = {"--precision-bits": 8, "--n": 1, "--window": 2}.get(flag, 0)
         assert exc.value.code == f"error: {flag} must be >= {low}"
         assert capsys.readouterr().out == ""
 
@@ -230,6 +247,10 @@ class TestUsageErrors:
             (("cf", "--zeta", "1+2i", "--seed", "3"), "--seed"),
             (("irregular", "--zeta", "1+2i", "--n", "50", "--seed", "3"), "--seed"),
             (("report", "--zeta", "1+2i", "--seed", "3"), "--seed"),
+            (("oracle", "--zeta", "1+2i", "--fault", "skip-reduce"), "--fault"),
+            (("degrees", "--zeta", "--", "--count", "3"), "--zeta"),
+            (("degrees", "--zeta=--"), "--zeta"),
+            (("report", "--zeta", "1+", "--count", "-1", "--precision-bits", "0"), "from '1+'"),
         ],
     )
     def test_parser_error_one_line(self, capsys, argv, names):
@@ -241,26 +262,99 @@ class TestUsageErrors:
         assert capsys.readouterr() == ("", "")
 
     def test_negative_digits_exit1_without_traceback(self):
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-        proc = subprocess.run(
-            [sys.executable, "-m", "dyndeg.cli", "lambda", "--zeta", "1+2i", "--digits", "-3"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = run_module("lambda", "--zeta", "1+2i", "--digits", "-3")
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == "error: --digits must be >= 0\n"
 
     def test_parser_error_exit1_one_line(self):
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-        proc = subprocess.run(
-            [sys.executable, "-m", "dyndeg.cli", "lambda", "--zeta", "1+2i", "--digits", "abc"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = run_module("lambda", "--zeta", "1+2i", "--digits", "abc")
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == "error: argument --digits: invalid int value: 'abc'\n"
+
+    @pytest.mark.parametrize("target", [".", "no-such-dir/out.json"], ids=["directory", "missing-dir"])
+    def test_unwritable_out_exit1_one_line(self, tmp_path, target):
+        proc = run_module("lambda", "--zeta", "1+2i", "--digits", "3", "--out", str(tmp_path / target))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+# the size flags each subcommand takes
+COMMAND_FLAGS = {
+    "degrees": ("--count",),
+    "lambda": ("--digits",),
+    "oracle": ("--max-iter",),
+    "cf": ("--precision-bits", "--depth"),
+    "irregular": ("--precision-bits", "--n", "--window"),
+    "report": ("--precision-bits", "--count", "--digits", "--depth"),
+}
+# a value for every flag the grammar draws; no subcommand takes --seed or --fault
+FLAG_VALUES = {
+    "--format": st.sampled_from(["text", "json", "csv"]),
+    "--count": _ints(-3, 30),
+    "--max-iter": _ints(-2, 2),
+    "--digits": _ints(-3, 12),
+    "--depth": _ints(-2, 20),
+    "--n": _ints(-2, 50),
+    "--window": _ints(-1, 4),
+    "--precision-bits": _ints(-2, 160),
+    "--seed": _ints(0, 3),
+    "--fault": st.just("skip-reduce"),
+}
+ZETAS = st.sampled_from([
+    "1+2i", "-3+4i", "2-i", "-1-2i", "3+i", "503+64i",  # admissible
+    "1+1i", "2", "-3i", "0",  # inadmissible
+    "1+", "abc", "", "1.5+2i", "--",  # malformed
+])
+MALFORMED = st.sampled_from(["x", "1.5", "", "--", "1e3"])
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from([*COMMAND_FLAGS, "frobnicate"]))
+    argv = [command]
+    if draw(st.integers(0, 9)):  # mostly present
+        argv += ["--zeta", draw(ZETAS)]
+    # --max-iter is always given: its default, 3, is not a small size
+    flags = [f for f in COMMAND_FLAGS.get(command, ()) if f == "--max-iter" or draw(st.integers(0, 7))]
+    if draw(st.booleans()):  # one more flag, often one the subcommand does not take
+        flags.append(draw(st.sampled_from(list(FLAG_VALUES))))
+    for flag in flags:
+        malformed = draw(st.integers(0, 7)) == 0
+        argv += [flag, draw(MALFORMED if malformed else FLAG_VALUES[flag])]
+    return argv
+
+
+def _outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestArgvGrammar:
+    @settings(max_examples=200, deadline=None)
+    @given(command_lines())
+    def test_documented_exit_and_repeatable_output(self, argv):
+        code, out, err = _outcome(argv)
+        if isinstance(code, str):  # a usage error: one line, no output
+            assert code.startswith("error: ") and "\n" not in code
+            assert (out, err) == ("", "")
+        else:
+            assert code in (0, 2, 3, 4, 5)
+            if code in (2, 3, 4):  # a domain error: one line on stderr, no output
+                assert err.startswith("error: ") and err.count("\n") == 1 and out == ""
+        assert _outcome(argv) == (code, out, err)
 
 
 class TestDeterminism:
@@ -338,6 +432,22 @@ class TestPinnedOutput:
         code, out, _ = run(capsys, *argv, "--format", "json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == SURVEY_DIGESTS[argv]
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        def fail():
+            raise AssertionError("main rebuilt the parser")
+
+        monkeypatch.setattr(cli, "_build_parser", fail)
+        calls = [
+            ("report", "--zeta", "1+2i"),
+            ("degrees", "--zeta", "1+2i", "--count", "10"),
+            ("cf", "--zeta", "1+2i", "--depth", "20"),
+            ("report", "--zeta", "1+2i"),
+        ]
+        for argv in calls:  # a default or value left by one call would change the next digest
+            code, out, _ = run(capsys, *argv, "--format", "json")
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == README_DIGESTS[argv]["json"]
 
     def test_oracle_composes_each_iterate_once(self, capsys, monkeypatch):
         calls = []
