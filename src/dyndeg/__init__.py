@@ -26,6 +26,6 @@ from .gaussian import (
     parse_gaussian,
     psi,
 )
-from .degrees import DegreeSequence, TruncatedIntSeries, e_sequence, lambda2, series_identity_check
+from .degrees import DegreeSequence, e_sequence, lambda2, series_identity_check
 
 __version__ = "0.1.0"

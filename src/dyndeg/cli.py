@@ -162,7 +162,7 @@ def cmd_cf(args, zeta):
 
 
 def cmd_irregular(args, zeta):
-    rep = irregular_indices(theta_interval(zeta, args.precision_bits), args.n, args.window * args.n)
+    rep = irregular_indices(zeta, args.n, args.window * args.n)
     if args.format == "json":
         return json.dumps(rep.to_json_obj(), sort_keys=True) + "\n", EXIT_OK
     if args.format == "csv":
@@ -233,7 +233,6 @@ def _build_parser():
     p.add_argument("--depth", type=int, default=20)
 
     p = command("irregular", cmd_irregular, "lag-n irregular indices and beta table")
-    precision_bits(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--window", type=int, default=5, help="window end as a multiple of n")
 

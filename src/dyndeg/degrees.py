@@ -2,7 +2,8 @@
 
 The inner degree data (d_j) comes from the Gaussian-integer module; this module
 owns the sequence containers, the convolution recursion producing (e_n), the
-truncated generating-series identity, and the topological degree.
+generating-series identity checked coefficient by coefficient, and the
+topological degree.
 """
 
 from __future__ import annotations
@@ -86,81 +87,25 @@ def e_sequence(d: DegreeSequence, N: int) -> DegreeSequence:
     return DegreeSequence(values=tuple(e), start_index=0, origin="composed_e")
 
 
-class TruncatedIntSeries:
-    """Integer power series truncated at a fixed order; arithmetic is exact mod z^(N+1)."""
-
-    __slots__ = ("coeffs", "order")
-
-    def __init__(self, coeffs, order):
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        c = list(coeffs)[: order + 1]
-        c += [0] * (order + 1 - len(c))
-        self.coeffs = c
-        self.order = order
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedIntSeries)
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    def __add__(self, other):
-        self._check(other)
-        return TruncatedIntSeries(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], self.order
-        )
-
-    def __sub__(self, other):
-        self._check(other)
-        return TruncatedIntSeries(
-            [a - b for a, b in zip(self.coeffs, other.coeffs)], self.order
-        )
-
-    def __mul__(self, other):
-        self._check(other)
-        N = self.order
-        rev = other.coeffs[::-1]  # b_N, ..., b_0
-        out = [sum(map(mul, self.coeffs, rev[N - k :])) for k in range(N + 1)]  # a_i * b_(k-i)
-        return TruncatedIntSeries(out, N)
-
-    def _check(self, other):
-        if not isinstance(other, TruncatedIntSeries) or other.order != self.order:
-            raise ValueError("series orders must match")
-
-    def __repr__(self):
-        return f"TruncatedIntSeries({self.coeffs!r})"
-
-
-def _delta_series(seq: DegreeSequence, N: int) -> TruncatedIntSeries:
-    """sum_{j=1}^{N} seq_j z^j as a truncated series."""
-    coeffs = [0] * (N + 1)
-    for j in range(1, N + 1):
-        coeffs[j] = seq[j]
-    return TruncatedIntSeries(coeffs, N)
-
-
 def series_identity_check(d: DegreeSequence, e: DegreeSequence, N: int) -> int:
     """Verify (2 + Delta_f)(1 - Delta_h) = 2 through order N, exactly.
 
-    Returns the largest M <= N such that the product has constant term 2 and
-    vanishing coefficients at orders 1..M; N means full success, 0 means
-    failure already at order 1.
+    With Delta_f = sum_{j>=1} e_j z^j and Delta_h = sum_{j>=1} d_j z^j the
+    product's constant term is 2, and its coefficient k >= 1 is
+    e_k - 2 d_k - sum_{0<i<k} e_i d_{k-i}.  Returns the largest M <= N such
+    that coefficients 1..M vanish; N means full success, 0 means failure
+    already at order 1.
     """
     if e.start_index != 0 or e[0] != 1:
         raise ValueError("e must be a composed_e-style sequence with e_0 = 1")
     if N > 0 and (d.last_index < N or e.last_index < N):
         raise ValueError("both sequences must reach index N")
-    two = TruncatedIntSeries([2], N)
-    one = TruncatedIntSeries([1], N)
-    prod = (two + _delta_series(e, N)) * (one - _delta_series(d, N))
-    if prod.coeffs[0] != 2:
-        raise ValueError("constant term is not 2; malformed sequences")
-    M = 0
-    while M < N and prod.coeffs[M + 1] == 0:
-        M += 1
-    return M
+    rev = [d[j] for j in range(N, 0, -1)]  # d_N, ..., d_1
+    for k in range(1, N + 1):
+        tail = rev[N - k :]  # d_k, ..., d_1
+        if e[k] - 2 * tail[0] - sum(map(mul, e.values[1:k], tail[1:])):
+            return k - 1
+    return N
 
 
 def lambda2(zeta) -> int:

@@ -249,13 +249,14 @@ class IrregularityReport:
         return "\n".join(lines) + "\n"
 
 
-def irregular_indices(ctx: ThetaContext, n: int, window_end: int) -> IrregularityReport:
-    """Scan (n, window_end] for lag-n maximizer changes; exact integer route."""
+def irregular_indices(zeta: GaussianInt, n: int, window_end: int) -> IrregularityReport:
+    """Scan (n, window_end] for lag-n maximizer changes; exact integer route, no theta."""
+    _require_admissible(zeta)
     if n < 1:
         raise ValueError("n must be >= 1")
     if window_end <= n:
         raise ValueError("window_end must exceed n")
-    return _irregularity_report(DegreeCache(ctx.zeta).extend_to(window_end).gammas, n, window_end)
+    return _irregularity_report(DegreeCache(zeta).extend_to(window_end).gammas, n, window_end)
 
 
 def _irregularity_report(gammas, n: int, window_end: int) -> IrregularityReport:

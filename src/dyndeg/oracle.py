@@ -10,11 +10,13 @@ monomials composes to a sum of atom-power products; the powers all of them
 share are added to the result's exponents, and only the cofactors are
 expanded and decomposed.  ``iterate_map`` composes each iterate once.
 
-The independent route substitutes into expanded components
-(``compose_raw_components``) and hands the unreduced triple to the line
-oracle, which restricts each factor of each component to seeded random lines
-mod a large prime and reports D minus the degree of the gcd of the
-restrictions: a trial can err low, never high.
+The independent route substitutes expanded components into expanded
+components with ``polynomials.substitute`` (``compose_raw_components``) and
+hands the unreduced triple to the line oracle, which restricts each factor of
+each component to seeded random lines mod a large prime and reports D minus
+the degree of the gcd of the restrictions: a trial can err low, never high.
+The only budget is a degree cap; the 2047 packing cap already bounds a
+component's term count.
 """
 
 from __future__ import annotations
@@ -37,27 +39,22 @@ from .polynomials import (
     LINE_PRIMES,
     apply_splits,
     restrict_line_mod,
+    substitute,
     univ_gcd_mod,
     univ_mul_mod,
 )
 
 DEFAULT_DEGREE_CAP = 1000
-DEFAULT_TERM_CAP = 10_000_000
 _LINE_TRIALS = 3  # seeded trials of the line oracle; all must agree
 
 
 @dataclass(frozen=True)
 class Budget:
     degree_cap: int = DEFAULT_DEGREE_CAP
-    term_cap: int = DEFAULT_TERM_CAP
 
     def check_degree(self, degree: int):
         if degree > self.degree_cap:
             raise ResourceExhausted(f"degree {degree} exceeds cap {self.degree_cap}")
-
-    def check_terms(self, n: int):
-        if n > self.term_cap:
-            raise ResourceExhausted(f"term count {n} exceeds cap {self.term_cap}")
 
 
 DEFAULT_BUDGET = Budget()
@@ -320,7 +317,6 @@ def compose(outer: PlaneRationalMap, inner: PlaneRationalMap, budget: Budget = D
             for c, u, exps in images:
                 cofactor = {idx: n - common.get(idx, 0) for idx, n in exps.items() if n > common.get(idx, 0)}
                 term = session.expand(c * u, cofactor)
-                budget.check_terms(len(term.terms))
                 total = term if total is None else total + term
             if total.is_zero():
                 raise ReductionFailure("composed component factor vanished")
@@ -365,32 +361,6 @@ def _factored_components(map_: PlaneRationalMap):
     return tuple((1, ((c, 1),)) for c in map_.components)
 
 
-def _substitute(P: HomoPoly, images, pow_caches) -> HomoPoly:
-    """P(I0, I1, I2) for expanded images, via cached powers."""
-    p0, p1, p2 = pow_caches
-
-    def powof(cache, base, e):
-        got = cache.get(e)
-        if got is None:
-            got = base.pow(e)
-            cache[e] = got
-        return got
-
-    total = None
-    for i, j, k, c in P.items():
-        term = HomoPoly.monomial(c, 0, 0, 0)
-        if i:
-            term = term * powof(p0, images[0], i)
-        if j:
-            term = term * powof(p1, images[1], j)
-        if k:
-            term = term * powof(p2, images[2], k)
-        total = term if total is None else total + term
-    if total is None:
-        return HomoPoly.zero(0)
-    return total
-
-
 def degree_of_iterate(map_: PlaneRationalMap, n: int, budget: Budget = DEFAULT_BUDGET) -> int:
     """deg of the n-th iterate, reducing after every composition step."""
     return iterate_map(map_, n, budget).degree
@@ -411,16 +381,10 @@ def compose_raw_components(outer: PlaneRationalMap, inner: PlaneRationalMap, bud
 
     The line oracle checks this triple as the route independent of ``compose``.
     """
-    budget.check_degree(outer.degree * inner.degree)
-    images = inner.components
-    caches = ({}, {}, {})
-    out = []
     deg = outer.degree * inner.degree
-    for P in outer.components:
-        comp = _substitute(P, images, caches)
-        budget.check_terms(len(comp.terms))
-        out.append(HomoPoly.zero(deg) if comp.is_zero() else comp)
-    return tuple(out)
+    budget.check_degree(deg)
+    comps = substitute(outer.components, inner.components)
+    return tuple(HomoPoly.zero(deg) if c.is_zero() else c for c in comps)
 
 
 # ---------------------------------------------------------------------------

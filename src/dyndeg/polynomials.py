@@ -4,6 +4,12 @@ Representation: a homogeneous polynomial of degree d in (x0, x1, x2) stores
 only nonzero coefficients, keyed by the packed exponent pair (i << 11) | j;
 the x2 exponent is d - i - j.  Degrees are capped at 2047 by the packing.
 
+``substitute`` is the one routine that substitutes polynomials into a
+polynomial (Horner in the first image over shared power tables of the other
+two): the oracle's raw triple, the gcd candidate mapped back through its
+frame, and the exact line restriction ``restrict_line_exact``, which the
+tests use as an independent reference for the mod-p kernel.
+
 Everything modular runs on one set of mod-p kernels over numpy int64:
 restriction of a polynomial to a line (``restrict_line_mod``) and the
 univariate product, remainder and gcd (``univ_mul_mod``, ``_univ_rem_mod``,
@@ -252,43 +258,39 @@ def divexact(num: HomoPoly, den: HomoPoly):
 
 
 # ---------------------------------------------------------------------------
-# Dense univariate helpers: coefficient lists, leading coefficient first
+# Substitution
 # ---------------------------------------------------------------------------
 
 
-def _dup_strip(f):
-    i = 0
-    while i < len(f) and f[i] == 0:
-        i += 1
-    return f[i:]
+def substitute(polys, images):
+    """P(I0, I1, I2) for each P in polys; the images are homogeneous of one degree.
 
+    Horner in I0 over the slices of P with a fixed x0 exponent; the powers of
+    I1 and I2 are built once, as far as some P needs them, and shared by all
+    of polys.
+    """
+    m = max(I.degree for I in images)
+    powers = {1: [HomoPoly.monomial(1, 0, 0, 0)], 2: [HomoPoly.monomial(1, 0, 0, 0)]}
 
-def _dup_mul(f, g):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] += a * b
-    return _dup_strip(out)
+    def power(n, e):
+        """images[n]^e, for n = 1, 2."""
+        table = powers[n]
+        while len(table) <= e:
+            table.append(table[-1] * images[n])
+        return table[e]
 
-
-def _dup_mul_ground(f, c):
-    if c == 0:
-        return []
-    return [a * c for a in f]
-
-
-def _dup_add(f, g):
-    if len(f) < len(g):
-        f, g = g, f
-    out = list(f)
-    off = len(f) - len(g)
-    for idx, c in enumerate(g):
-        out[off + idx] += c
-    return _dup_strip(out)
+    out = []
+    for P in polys:
+        slices: dict = {}
+        for i, j, k, c in P.items():
+            slices.setdefault(i, []).append((j, k, c))
+        R = HomoPoly.zero(0)
+        for i in range(max(slices, default=0), -1, -1):
+            R = R * images[0]
+            for j, k, c in slices.get(i, ()):
+                R = R + (power(1, j) * power(2, k)).scale(c)
+        out.append(HomoPoly.zero(P.degree * m) if R.is_zero() else R)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -391,31 +393,15 @@ def _interpolate_mod(values: np.ndarray, p: int):
 
 
 def restrict_line_exact(P: HomoPoly, a, b):
-    """Exact integer coefficients (descending, stripped) of t -> P(a*t + b)."""
-    if P.is_zero():
-        return []
-    by_i: dict = {}
-    for i, j, k, c in P.items():
-        by_i.setdefault(i, []).append((j, k, c))
-    lin0 = _dup_strip([a[0], b[0]])
-    lin1 = _dup_strip([a[1], b[1]])
-    lin2 = _dup_strip([a[2], b[2]])
-    max_j = max((j for rows in by_i.values() for (j, _, _) in rows), default=0)
-    max_k = max((k for rows in by_i.values() for (_, k, _) in rows), default=0)
-    pow1 = [[1]]
-    for _ in range(max_j):
-        pow1.append(_dup_mul(pow1[-1], lin1))
-    pow2 = [[1]]
-    for _ in range(max_k):
-        pow2.append(_dup_mul(pow2[-1], lin2))
-    result = []
-    for i in range(max(by_i), -1, -1):
-        result = _dup_mul(result, lin0)
-        inner = []
-        for (j, k, c) in by_i.get(i, []):
-            inner = _dup_add(inner, _dup_mul_ground(_dup_mul(pow1[j], pow2[k]), c))
-        result = _dup_add(result, inner)
-    return result
+    """Exact integer coefficients (descending, stripped) of t -> P(a*t + b).
+
+    The coefficient of t^(d-m) is that of x0^(d-m) x1^m in P(a*x0 + b*x1).
+    """
+    forms = [HomoPoly.from_triples(1, [(1, 0, 0, a[c]), (0, 1, 0, b[c])]) for c in range(3)]
+    (R,) = substitute([P], forms)
+    coeffs = [R.terms.get(_pack(P.degree - m, m), 0) for m in range(P.degree + 1)]
+    lead = next((n for n, c in enumerate(coeffs) if c), len(coeffs))
+    return coeffs[lead:]
 
 
 def _strip_mod(f, p: int) -> np.ndarray:
@@ -666,16 +652,11 @@ def _unframe(coeffs, g: int, M):
     ]
     if any(k < 0 for _, _, k, _ in triples):
         return None
-    powers = []
-    for row in _adjugate(M):  # M^-1, as det M = 1
-        form = HomoPoly.from_triples(1, [(1, 0, 0, row[0]), (0, 1, 0, row[1]), (0, 0, 1, row[2])])
-        table = [HomoPoly.monomial(1, 0, 0, 0)]
-        for _ in range(g):
-            table.append(table[-1] * form)
-        powers.append(table)
-    G = HomoPoly.zero(g)
-    for i, j, k, c in triples:
-        G = G + (powers[0][i] * powers[1][j] * powers[2][k]).scale(c)
+    forms = [  # M^-1, as det M = 1
+        HomoPoly.from_triples(1, [(1, 0, 0, row[0]), (0, 1, 0, row[1]), (0, 0, 1, row[2])])
+        for row in _adjugate(M)
+    ]
+    (G,) = substitute([HomoPoly.from_triples(g, triples)], forms)
     return G.primitive_normalized()[1]
 
 

@@ -237,7 +237,7 @@ def test_13_empirical_irregularity_reports():
     # replacement artifacts are the property suites above plus finite-window
     # irregularity evidence, which must exist and be well-formed.
     ctx = theta_interval(ZETA, 256)
-    rep = irregular_indices(ctx, 210, 5 * 210)
+    rep = irregular_indices(ZETA, 210, 5 * 210)
     assert rep.irregular  # evidence exists on this window
     assert rep.min_excess == 61 and rep.min_pair_gap == 22 and rep.min_shifted_gap == 5
     irregular = set(rep.irregular)

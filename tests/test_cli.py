@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from dyndeg import cli, oracle
 from dyndeg.cli import main
+from dyndeg.gaussian import GaussianInt, gamma_argmax
 
 
 def run(capsys, *argv):
@@ -148,6 +149,15 @@ class TestIrregularCommand:
         assert code == 0
         assert out.splitlines()[0] == "n,i,j,beta_re,beta_im"
 
+    def test_large_real_part_needs_no_theta(self, capsys):
+        # theta of 10^40 + i is below 2^-128, so its enclosure at 128 bits
+        # does not fit in (0, 1); the scan reads only gamma(j)
+        zeta = GaussianInt(10**40, 1)
+        code, out, err = run(capsys, "irregular", "--zeta", f"{10**40}+i", "--n", "3", "--format", "json")
+        assert (code, err) == (0, "")
+        want = [str(j) for j in range(4, 16) if gamma_argmax(zeta, j) != gamma_argmax(zeta, j - 3)]
+        assert json.loads(out)["irregular"] == want
+
 
 class TestReportCommand:
     def test_combined_json(self, capsys):
@@ -218,13 +228,13 @@ class TestUsageErrors:
             (("report", "--depth", "-2"), "--depth"),
             (("report", "--count", "-2"), "--count"),
             (("cf", "--precision-bits", "0"), "--precision-bits"),
-            (("irregular", "--n", "50", "--precision-bits", "7"), "--precision-bits"),
+            (("report", "--count", "3", "--precision-bits", "7"), "--precision-bits"),
             (("report", "--precision-bits", "-1"), "--precision-bits"),
             (("oracle", "--max-iter", "-1"), "--max-iter"),
             (("irregular", "--n", "0"), "--n"),
             (("irregular", "--n", "50", "--window", "1"), "--window"),
             (("irregular", "--n", "0", "--window", "1"), "--n"),
-            (("irregular", "--n", "50", "--window", "1", "--precision-bits", "7"), "--window"),
+            (("irregular", "--n", "1", "--window", "0"), "--window"),
         ],
     )
     def test_negative_argument_one_line_error(self, capsys, argv, flag):
@@ -251,6 +261,7 @@ class TestUsageErrors:
             (("degrees", "--zeta", "--", "--count", "3"), "--zeta"),
             (("degrees", "--zeta=--"), "--zeta"),
             (("report", "--zeta", "1+", "--count", "-1", "--precision-bits", "0"), "from '1+'"),
+            (("irregular", "--zeta", "1+2i", "--n", "50", "--precision-bits", "64"), "--precision-bits"),
         ],
     )
     def test_parser_error_one_line(self, capsys, argv, names):
@@ -292,7 +303,7 @@ COMMAND_FLAGS = {
     "lambda": ("--digits",),
     "oracle": ("--max-iter",),
     "cf": ("--precision-bits", "--depth"),
-    "irregular": ("--precision-bits", "--n", "--window"),
+    "irregular": ("--n", "--window"),
     "report": ("--precision-bits", "--count", "--digits", "--depth"),
 }
 # a value for every flag the grammar draws; no subcommand takes --seed or --fault

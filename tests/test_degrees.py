@@ -1,13 +1,7 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from dyndeg.degrees import (
-    DegreeSequence,
-    TruncatedIntSeries,
-    e_sequence,
-    lambda2,
-    series_identity_check,
-)
+from dyndeg.degrees import DegreeSequence, e_sequence, lambda2, series_identity_check
 from dyndeg.gaussian import GaussianInt, d_sequence
 
 Z = GaussianInt
@@ -72,20 +66,21 @@ class TestSeriesIdentity:
         bad = DegreeSequence(values=tuple(vals), start_index=0, origin="composed_e")
         assert series_identity_check(d, bad, 30) == 6
 
-
-class TestTruncatedSeries:
-    @given(
-        st.lists(st.integers(-50, 50), min_size=1, max_size=8),
-        st.lists(st.integers(-50, 50), min_size=1, max_size=8),
-    )
-    def test_mul_commutes(self, a, b):
-        N = 7
-        sa, sb = TruncatedIntSeries(a, N), TruncatedIntSeries(b, N)
-        assert sa * sb == sb * sa
-
-    def test_truncation(self):
-        s = TruncatedIntSeries([0, 1], 3)  # z
-        assert (s * s * s * s).coeffs == [0, 0, 0, 0]  # z^4 == 0 mod z^4
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 30), st.sampled_from([-3, -1, 1, 2]), st.booleans())
+    def test_first_perturbed_order_property(self, k, delta, perturb_d):
+        # coefficient k moves by delta (e_k) or -2 delta (d_k); lower orders do not
+        d = d_sequence(ZETA, 30)
+        e = e_sequence(d, 30)
+        if perturb_d:
+            vals = list(d.values)
+            vals[k - 1] += delta
+            d = DegreeSequence(values=tuple(vals), start_index=1, origin="monomial_d")
+        else:
+            vals = list(e.values)
+            vals[k] += delta
+            e = DegreeSequence(values=tuple(vals), start_index=0, origin="composed_e")
+        assert series_identity_check(d, e, 30) == k - 1
 
 
 class TestLambda2:

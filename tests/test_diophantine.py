@@ -223,14 +223,12 @@ class TestOctantGamma:
 class TestIrregularIndices:
     def test_regular_window_empty(self):
         # n = 1345 is a deep convergent denominator; window up to 2n is clean
-        ctx = theta_interval(ZETA, 256)
-        rep = irregular_indices(ctx, 1345, 2690)
+        rep = irregular_indices(ZETA, 1345, 2690)
         assert rep.irregular == ()
         assert rep.min_excess is None
 
     def test_frozen_n210(self):
-        ctx = theta_interval(ZETA, 192)
-        rep = irregular_indices(ctx, 210, 1050)
+        rep = irregular_indices(ZETA, 210, 1050)
         assert rep.irregular[:4] == (271, 354, 437, 498)
         assert rep.min_excess == 61
         assert rep.min_pair_gap == 22
@@ -248,7 +246,7 @@ class TestIrregularIndices:
         ],
     )
     def test_min_shifted_gap_matches_pairwise_definition(self, zeta, n, window_end):
-        rep = irregular_indices(theta_interval(zeta, 128), n, window_end)
+        rep = irregular_indices(zeta, n, window_end)
         pairwise = min(
             (abs(j - j2 - n) for j in rep.irregular for j2 in rep.irregular if j != j2 + n),
             default=None,
@@ -256,9 +254,8 @@ class TestIrregularIndices:
         assert rep.min_shifted_gap == pairwise
 
     def test_beta_sparsity_pattern(self):
-        ctx = theta_interval(ZETA, 192)
         n = 210
-        rep = irregular_indices(ctx, n, 1050)
+        rep = irregular_indices(ZETA, n, 1050)
         irregular = set(rep.irregular)
         for (i, j), v in rep.beta.items():
             small, big = min(i, j), max(i, j)
@@ -268,19 +265,22 @@ class TestIrregularIndices:
             assert not v.is_zero()
 
     def test_beta_values_are_gamma_differences(self):
-        ctx = theta_interval(ZETA, 128)
-        rep = irregular_indices(ctx, 50, 120)
+        rep = irregular_indices(ZETA, 50, 120)
         for j in rep.irregular:
             c = gamma_argmax(ZETA, j) - gamma_argmax(ZETA, j - 50)
             assert rep.beta[(j, 0)] == c
             assert rep.beta[(j, 50)] == -c
 
     def test_csv_shape(self):
-        ctx = theta_interval(ZETA, 128)
-        rep = irregular_indices(ctx, 50, 80)
+        rep = irregular_indices(ZETA, 50, 80)
         lines = rep.beta_csv_text().strip().splitlines()
         assert lines[0] == "n,i,j,beta_re,beta_im"
         assert len(lines) == 1 + len(rep.beta)
+
+    def test_inadmissible_rejected_first(self):
+        # admissibility is checked before the window, as theta_interval did
+        with pytest.raises(AdmissibilityError, match="integer multiple of 1\\+i"):
+            irregular_indices(Z(1, 1), 0, 0)
 
 
 class TestRegularWindowCheck:

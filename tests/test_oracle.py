@@ -38,6 +38,9 @@ ZETA = Z(1, 2)
 BIG = Budget(degree_cap=10**6)
 ORACLE_ZETAS = [Z(re, s * im) for re, im in ((1, 2), (-1, 2), (2, 1), (-2, 1), (3, 1)) for s in (1, -1)]
 FACTORED_F3_DIGEST = "e208b045246c1c52440f7482ca8446546da78f35d6cfe3d21b01f768918c7de5"
+# sorted terms of the raw f o f triple at 1+2i, 2+i, -1+2i and 3+i, recorded
+# before compose_raw_components ran on polynomials.substitute
+RAW_F2_DIGEST = "75524bcff926562bb46e1391f2c817eaae5f1e72003b4fcb7e2daa9d9693baba"
 
 
 def h_of(zeta):
@@ -246,6 +249,15 @@ class TestRandomLine:
     def test_factored_f3(self, f_map):
         f3 = iterate_map(f_map, 3)
         assert factored_line_degree(f3, seed=5) == 454
+
+    def test_raw_f2_pinned(self):
+        h = hashlib.sha256()
+        for zeta in (Z(1, 2), Z(2, 1), Z(-1, 2), Z(3, 1)):
+            f = compose(g_map(), h_of(zeta))
+            for comp in compose_raw_components(f, f):
+                h.update(f"{comp.degree} {sorted(comp.terms.items())}\n".encode())
+            h.update(b"--\n")
+        assert h.hexdigest() == RAW_F2_DIGEST
 
     def test_determinism(self, f_map):
         raw = compose_raw_components(f_map, f_map)

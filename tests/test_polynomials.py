@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -16,11 +17,14 @@ from dyndeg.polynomials import (
     homo_gcd,
     restrict_line_exact,
     restrict_line_mod,
+    substitute,
     univ_gcd_mod,
     univ_mul_mod,
 )
 
 X0, X1, X2 = sympy.symbols("x0 x1 x2")
+# SHA-256 of restrict_line_exact over line_corpus(), recorded before it ran on substitute
+EXACT_RESTRICTION_DIGEST = "1c9b6db821202811e697d1d531a03cf9b5c64ab5fdcb4f071fd23d419357c3da"
 
 
 def to_sympy(P: HomoPoly):
@@ -132,6 +136,65 @@ class TestDivexact:
         assert divexact(C, A) == B
 
 
+def to_expr(P: HomoPoly):
+    return sum((c * X0**i * X1**j * X2**k for i, j, k, c in P.items()), sympy.Integer(0))
+
+
+def line_corpus():
+    """(P, a, b) cases for the exact restriction: zero and constant P, a form
+    vanishing on its line, and seeded random ones with a zero coordinate form."""
+    rng = random.Random(20261018)
+    corpus = [
+        (HomoPoly.zero(3), [1, 2, 3], [4, 5, 6]),
+        (HomoPoly.monomial(-7, 0, 0, 0), [1, 0, 0], [0, 0, 0]),
+        # x0 - x1 vanishes on a line with equal first two coordinates
+        (HomoPoly.from_triples(1, [(1, 0, 0, 1), (0, 1, 0, -1)]), [3, 3, 1], [2, 2, 5]),
+    ]
+    for _ in range(60):
+        degree = rng.randint(0, 12)
+        triples = []
+        for _ in range(rng.randint(1, 25)):
+            i = rng.randint(0, degree)
+            j = rng.randint(0, degree - i)
+            triples.append((i, j, degree - i - j, rng.randint(-(10**9), 10**9)))
+        a = [rng.randint(-30, 30) for _ in range(3)]
+        b = [rng.randint(-30, 30) for _ in range(3)]
+        zero = rng.randrange(4)  # 3: no coordinate forced to the zero form
+        if zero < 3:
+            a[zero] = b[zero] = 0
+        corpus.append((HomoPoly.from_triples(degree, triples), a, b))
+    return corpus
+
+
+class TestSubstitute:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 3),
+        st.lists(st.integers(0, 4), min_size=1, max_size=4),
+        st.integers(-1, 2),
+    )
+    def test_matches_sympy(self, seed, m, degrees, zero_image):
+        # images of degree m, one of them zero unless zero_image is -1; several
+        # P, degree 0 among them, share one call and its power tables
+        rng = random.Random(seed)
+        images = [random_homo(rng, m, 4, 10**3) for _ in range(3)]
+        if zero_image >= 0:
+            images[zero_image] = HomoPoly.zero(m)
+        polys = [random_homo(rng, degree, 5, 10**3) for degree in degrees]
+        results = substitute(polys, images)
+        subs = dict(zip((X0, X1, X2), map(to_expr, images)))
+        for P, R in zip(polys, results):
+            assert R.degree == P.degree * m
+            assert sympy.expand(to_expr(P).subs(subs, simultaneous=True) - to_expr(R)) == 0
+        assert results == [substitute([P], images)[0] for P in polys]
+
+    def test_zero_polynomial(self):
+        x = HomoPoly.monomial(1, 1, 0, 0)
+        assert substitute([HomoPoly.zero(3)], [x, x, x]) == [HomoPoly.zero(3)]
+        assert substitute([x], [HomoPoly.zero(2), x * x, x * x]) == [HomoPoly.zero(2)]
+
+
 class TestHomoGcd:
     def test_coprime_lines(self):
         A = HomoPoly.from_triples(1, [(1, 0, 0, 1), (0, 1, 0, 1)])
@@ -225,6 +288,12 @@ class TestLineTools:
             truth = sympy.Poly(sympy.expand(expr), t)
             mine = sympy.Poly(coeffs if coeffs else [0], t)
             assert mine == truth
+
+    def test_exact_restriction_pinned(self):
+        h = hashlib.sha256()
+        for P, a, b in line_corpus():
+            h.update(f"{restrict_line_exact(P, a, b)}\n".encode())
+        assert h.hexdigest() == EXACT_RESTRICTION_DIGEST
 
     def test_mod_restriction_matches_exact(self):
         rng = random.Random(17)
