@@ -6,9 +6,10 @@ JSON numerals are decimal strings, and identical invocations produce
 byte-identical output.
 
 Each policy lives in one place: the parser is built once per process, `main`
-parses `--zeta` and checks the `_BOUNDS` table before a command runs, and
-`_EXIT_CODES` maps the errors a command raises to exit codes.  A command takes
-the parsed arguments and zeta and returns its output text and exit code.
+parses `--zeta`, reads DYNDEG_PRECISION_CAP and checks the `_BOUNDS` table
+before a command runs, and `_EXIT_CODES` maps the errors a command raises to
+exit codes.  A command takes the parsed arguments and zeta and returns its
+output text and exit code.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .diophantine import (
 from .errors import AdmissibilityError, PrecisionError, ResourceExhausted
 from .gaussian import IntMatrix2x2, d_sequence, parse_gaussian
 from .oracle import compose, g_map, monomial_map
-from .solver import solve_lambda
+from .solver import precision_cap, solve_lambda
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -272,6 +273,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(_glue_zeta(sys.argv[1:] if argv is None else list(argv)))
     try:
         zeta = parse_gaussian(args.zeta)
+        precision_cap()  # a malformed DYNDEG_PRECISION_CAP stops every subcommand
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
     for dest, flag, low in _BOUNDS:

@@ -26,7 +26,7 @@ from .intervals import (
     _pi_brackets_bits,
     atan2_brackets,
 )
-from .solver import _bits_of, _choose_tail_terms, _series_table, precision_cap
+from .solver import _bits_of, _choose_tail_terms, _series_table, precision_ladder
 
 # sector of Arg(zeta^j), in eighths of a turn, -> maximizer of Re(gamma * zeta^j)
 OCTANT_TO_GAMMA = {
@@ -107,11 +107,15 @@ class ContinuedFraction:
         }
 
 
-def _expand_at_precision(zeta, depth, bits):
-    """Coefficient list via the interval Gauss map, or None if ambiguous."""
-    tl, th = _theta_fraction_brackets(zeta.re, zeta.im, bits)
+def _cf_at_precision(bits, args):
+    """The ContinuedFraction of zeta to depth certified at bits, args = (zeta, depth); None if ambiguous.
+
+    Coefficients come from the interval Gauss map; the convergents are then
+    certified against the theta enclosure at the same precision.
+    """
+    zeta, depth = args
+    lo, hi = _theta_fraction_brackets(zeta.re, zeta.im, bits)
     coeffs = []
-    lo, hi = tl, th
     for _ in range(depth + 1):
         fl, fh = floor(lo), floor(hi)
         if fl != fh:
@@ -121,7 +125,13 @@ def _expand_at_precision(zeta, depth, bits):
         if lo <= 0:  # cannot certify the fractional part is positive
             return None
         lo, hi = 1 / hi, 1 / lo
-    return coeffs
+    convs = _convergents_from(coeffs)
+    theta = theta_interval(zeta, bits).theta
+    if not _certify_convergents(theta, convs):
+        return None
+    return ContinuedFraction(
+        zeta=zeta, coefficients=tuple(coeffs), convergents=convs, precision_bits=bits, theta=theta
+    )
 
 
 def _convergents_from(coeffs):
@@ -142,24 +152,12 @@ def cf_expand(ctx: ThetaContext, depth: int) -> ContinuedFraction:
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    cap = precision_cap()
-    bits = max(ctx.precision_bits, 32)
-    while True:
-        if bits > cap:
-            raise PrecisionError(f"continued fraction needs more than {cap} bits")
-        coeffs = _expand_at_precision(ctx.zeta, depth, bits)
-        if coeffs is not None:
-            convs = _convergents_from(coeffs)
-            refined = theta_interval(ctx.zeta, bits)
-            if _certify_convergents(refined.theta, convs):
-                return ContinuedFraction(
-                    zeta=ctx.zeta,
-                    coefficients=tuple(coeffs),
-                    convergents=convs,
-                    precision_bits=bits,
-                    theta=refined.theta,
-                )
-        bits *= 2
+    return precision_ladder(
+        max(ctx.precision_bits, 32),
+        _cf_at_precision,
+        (ctx.zeta, depth),
+        "continued fraction needs more than {cap} bits",
+    )
 
 
 def _certify_convergents(theta: RealInterval, convs) -> bool:
@@ -198,20 +196,23 @@ def octant_gamma(ctx: ThetaContext, j: int):
     if j < 1:
         raise ValueError("j must be >= 1")
     _require_admissible(ctx.zeta)
-    cap = precision_cap()
-    bits = ctx.precision_bits
-    while True:
-        if bits > cap:
-            raise PrecisionError(f"octant of {j}*theta undecided below {cap} bits")
-        theta = ctx.refined(bits).theta
-        lo, hi = theta.lo, theta.hi
-        p = -min(lo.exp, hi.exp)  # both endpoints are multiples of 2^-p
-        a = (8 * j * lo.man) << (lo.exp + p)
-        q = a >> p
-        if q == ((8 * j * hi.man) << (hi.exp + p)) >> p and a & ((1 << p) - 1):
-            k = q & 7  # q is the floor of 8*j*theta
-            return k, OCTANT_TO_GAMMA[k]
-        bits *= 2
+    return precision_ladder(
+        ctx.precision_bits, _octant_at, (ctx, j), "octant of {args[1]}*theta undecided below {cap} bits"
+    )
+
+
+def _octant_at(bits, args):
+    """(octant, gamma) of j*theta decided at bits, args = (ctx, j); None if undecided."""
+    ctx, j = args
+    theta = ctx.refined(bits).theta
+    lo, hi = theta.lo, theta.hi
+    p = -min(lo.exp, hi.exp)  # both endpoints are multiples of 2^-p
+    a = (8 * j * lo.man) << (lo.exp + p)
+    q = a >> p
+    if q == ((8 * j * hi.man) << (hi.exp + p)) >> p and a & ((1 << p) - 1):
+        k = q & 7  # q is the floor of 8*j*theta
+        return k, OCTANT_TO_GAMMA[k]
+    return None
 
 
 @dataclass(frozen=True)
@@ -443,8 +444,8 @@ def psi_n_eval(ctx: ThetaContext, n: int, alpha: ComplexInterval, tail_tol) -> R
         raise ValueError("n must be >= 1")
     prec = max(96, _bits_of(tol) + 48)
     s_hi = alpha.abs_sup(prec)
-    N, phi_tail = _choose_tail_terms(s_hi, tol, prec, 20)  # as phi_eval
-    T, tail = _choose_tail_terms(s_hi, tol, prec, 320)  # 4*sqrt(20) per bilinear term
+    # sqrt(20) as phi_eval; 4*sqrt(20) per bilinear term
+    (N, phi_tail), (T, tail) = _choose_tail_terms(s_hi, tol, prec, 20, 320)
     T = max(T, n + 1)
     gammas = DegreeCache(ctx.zeta).extend_to(max(N, T)).gammas
     powers, sums = _series_table(gammas, alpha, prec)

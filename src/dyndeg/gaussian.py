@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .degrees import DegreeSequence
 from .errors import AdmissibilityError, DegenerateMatrix
+from .powering import binary_power
 
 
 @dataclass(frozen=True)
@@ -81,22 +82,8 @@ GAMMA0 = (
 
 
 def gi_pow(z: GaussianInt, n: int) -> GaussianInt:
-    """Exact nth power, n >= 0, by binary squaring."""
-    if n < 0:
-        raise ValueError("negative exponent")
-    return GaussianInt(*_pow_ints(z.re, z.im, n))
-
-
-def _pow_ints(a: int, b: int, n: int):
-    """(re, im) of (a + b*i)^n, n >= 0, by binary squaring; the last bit squares nothing."""
-    re, im = 1, 0
-    while True:
-        if n & 1:
-            re, im = re * a - im * b, re * b + im * a
-        n >>= 1
-        if not n:
-            return re, im
-        a, b = a * a - b * b, 2 * a * b
+    """Exact nth power, n >= 0."""
+    return binary_power(z, n, GaussianInt(1, 0))
 
 
 def _support_argmax(re: int, im: int):
@@ -206,7 +193,8 @@ def gamma_argmax(zeta: GaussianInt, j: int) -> GaussianInt:
     if z0 == zeta and j == j0 + 1:
         re, im = re * a - im * b, re * b + im * a
     else:
-        re, im = _pow_ints(a, b, j)
+        power = gi_pow(zeta, j)
+        re, im = power.re, power.im
     _cursor = (zeta, j, re, im)
     k, tie = _support_argmax(re, im)
     if tie:
@@ -237,16 +225,7 @@ class IntMatrix2x2:
         )
 
     def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative exponent")
-        result = IntMatrix2x2(1, 0, 0, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return binary_power(self, n, IntMatrix2x2(1, 0, 0, 1))
 
     @classmethod
     def from_zeta(cls, zeta: GaussianInt):

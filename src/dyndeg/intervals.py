@@ -17,6 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
+from .powering import binary_power
+
 
 def _normalized(man: int, exp: int):
     if man == 0:
@@ -275,18 +277,6 @@ class RealInterval:
             return RealInterval(b * b, a * a)
         return RealInterval(_ZERO, max(a * a, b * b))
 
-    def pow_int(self, n: int) -> "RealInterval":
-        if n < 0:
-            raise ValueError("negative exponent; use recip")
-        result = RealInterval.point(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base.sq()
-            n >>= 1
-        return result
-
     def div(self, other: "RealInterval", prec: int) -> "RealInterval":
         if other.contains_zero():
             raise ZeroDivisionError("division by an interval containing zero")
@@ -401,16 +391,7 @@ class ComplexInterval:
         return Dyadic.sqrt(self.abs_sq().lo, prec, "floor")
 
     def pow_int(self, n: int) -> "ComplexInterval":
-        if n < 0:
-            raise ValueError("negative exponent")
-        result = ComplexInterval.point(1, 0)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return binary_power(self, n, ComplexInterval.point(1, 0))
 
     def div(self, other: "ComplexInterval", prec: int) -> "ComplexInterval":
         denom = other.abs_sq()

@@ -84,7 +84,9 @@ class PlaneRationalMap:
     @property
     def components(self):
         if self._components is None:
-            self._components = tuple(_expand_factored(c) for c in self._factored)
+            self._components = tuple(
+                _expand(unit, [poly.pow(e) for poly, e in factors]) for unit, factors in self._factored
+            )
         return self._components
 
     def component(self, idx: int) -> HomoPoly:
@@ -128,11 +130,11 @@ def _factored_degree(comp) -> int:
     return sum(e * p.degree for p, e in factors)
 
 
-def _expand_factored(comp) -> HomoPoly:
-    unit, factors = comp
+def _expand(unit: int, powers) -> HomoPoly:
+    """unit times the product of the raised factors, multiplied in ascending order of term count."""
     result = HomoPoly.monomial(unit, 0, 0, 0)
-    for poly, e in sorted(factors, key=lambda pe: len(pe[0].terms) ** pe[1]):
-        result = result * poly.pow(e)
+    for power in sorted(powers, key=len):
+        result = result * power
     return result
 
 
@@ -220,34 +222,6 @@ def monomial_map(mat: IntMatrix2x2) -> PlaneRationalMap:
 # ---------------------------------------------------------------------------
 
 
-class _Session:
-    """Shared coprime base plus caches for one composition."""
-
-    def __init__(self, seed: int = 7):
-        self.base = CoprimeBase(seed=seed)
-        self.pow_cache: dict = {}
-
-    def decompose(self, poly: HomoPoly):
-        unit, exps, splits = self.base.decompose(poly)
-        if splits:
-            self.pow_cache.clear()
-        return unit, exps, splits
-
-    def atom_pow(self, idx: int, e: int) -> HomoPoly:
-        key = (idx, e)
-        got = self.pow_cache.get(key)
-        if got is None:
-            got = self.base.atoms[idx].pow(e)
-            self.pow_cache[key] = got
-        return got
-
-    def expand(self, unit: int, exps: dict) -> HomoPoly:
-        result = HomoPoly.monomial(unit, 0, 0, 0)
-        for idx in sorted(exps, key=lambda i: len(self.base.atoms[i].terms) * exps[i]):
-            result = result * self.atom_pow(idx, exps[idx])
-        return result
-
-
 def compose(outer: PlaneRationalMap, inner: PlaneRationalMap, budget: Budget = DEFAULT_BUDGET) -> PlaneRationalMap:
     """outer after inner, reduced.
 
@@ -257,7 +231,7 @@ def compose(outer: PlaneRationalMap, inner: PlaneRationalMap, budget: Budget = D
     the result is read off from minimum exponents.
     """
     budget.check_degree(outer.degree * inner.degree)
-    session = _Session()
+    base = CoprimeBase(seed=7)
     live: list = []  # exponent dicts that must survive atom splits
 
     inner_exps = []
@@ -265,7 +239,7 @@ def compose(outer: PlaneRationalMap, inner: PlaneRationalMap, budget: Budget = D
         exps: dict = {}
         live.append(exps)
         for poly, e in factors:
-            u, ex, splits = session.decompose(poly)
+            u, ex, splits = base.decompose(poly)
             apply_splits(live, splits)
             unit *= u**e
             for idx, n in ex.items():
@@ -316,11 +290,11 @@ def compose(outer: PlaneRationalMap, inner: PlaneRationalMap, budget: Budget = D
             total = None
             for c, u, exps in images:
                 cofactor = {idx: n - common.get(idx, 0) for idx, n in exps.items() if n > common.get(idx, 0)}
-                term = session.expand(c * u, cofactor)
+                term = _expand(c * u, [base.power(idx, n) for idx, n in cofactor.items()])
                 total = term if total is None else total + term
             if total.is_zero():
                 raise ReductionFailure("composed component factor vanished")
-            u, ex, splits = session.decompose(total)
+            u, ex, splits = base.decompose(total)
             apply_splits(live, splits)
             res_unit *= u**e
             for part in (ex, common):
@@ -343,9 +317,7 @@ def compose(outer: PlaneRationalMap, inner: PlaneRationalMap, budget: Budget = D
     comps = []
     for u, exps in result_factored:
         clean = {idx: e for idx, e in exps.items() if e > 0}
-        factors = tuple(
-            (session.base.atoms[idx], clean[idx]) for idx in sorted(clean)
-        )
+        factors = tuple((base.atoms[idx], clean[idx]) for idx in sorted(clean))
         comps.append((u // ug, factors))
     out = PlaneRationalMap(factored=tuple(comps))
     budget.check_degree(out.degree)

@@ -32,6 +32,7 @@ from math import gcd as igcd
 import numpy as np
 
 from .errors import ReductionFailure
+from .powering import binary_power
 
 _J_BITS = 11
 _J_MASK = (1 << _J_BITS) - 1
@@ -158,16 +159,7 @@ class HomoPoly:
         return HomoPoly(deg, {k: c for k, c in out.items() if c})
 
     def pow(self, n: int) -> "HomoPoly":
-        if n < 0:
-            raise ValueError("negative exponent")
-        result = HomoPoly.monomial(1, 0, 0, 0)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return binary_power(self, n, HomoPoly.monomial(1, 0, 0, 0))
 
     def evaluate(self, x0: int, x1: int, x2: int) -> int:
         total = 0
@@ -689,7 +681,8 @@ class CoprimeBase:
     replaced), and the polynomial being decomposed likewise for as long as it
     stays unchanged.  Both certificates read these restrictions: a nonzero
     remainder on a line refutes that an atom divides, and a constant gcd on a
-    line proves that two polynomials are coprime.
+    line proves that two polynomials are coprime.  The powers of each atom
+    are kept beside its restrictions (``power``) and reset with them.
     """
 
     def __init__(self, seed: int = 0):
@@ -697,6 +690,15 @@ class CoprimeBase:
         self.seed = seed
         self.lines = _certificate_lines(seed)
         self._images: list = []  # per atom: line index -> restriction, filled lazily
+        self._powers: list = []  # per atom: exponent -> atom^exponent, filled lazily
+
+    def power(self, idx: int, e: int) -> HomoPoly:
+        """atoms[idx]^e, computed once for as long as the atom stays unchanged."""
+        powers = self._powers[idx]
+        got = powers.get(e)
+        if got is None:
+            got = powers[e] = self.atoms[idx].pow(e)
+        return got
 
     def decompose(self, poly: HomoPoly):
         """(unit, {atom_index: exponent}, split_events) with unit in {+1, -1} * content."""
@@ -737,6 +739,7 @@ class CoprimeBase:
                 # genuinely new atom
                 self.atoms.append(P)
                 self._images.append(images)
+                self._powers.append({})
                 exps[len(self.atoms) - 1] = exps.get(len(self.atoms) - 1, 0) + 1
                 P = HomoPoly.monomial(1, 0, 0, 0)
                 break
@@ -775,9 +778,11 @@ class CoprimeBase:
         events = []
         self.atoms[aidx] = g
         self._images[aidx] = {}
+        self._powers[aidx] = {}
         if cof.degree >= 1:
             self.atoms.append(cof)
             self._images.append({})
+            self._powers.append({})
             events.append((aidx, len(self.atoms) - 1))
         return events
 

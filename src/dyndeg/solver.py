@@ -50,10 +50,31 @@ def precision_cap() -> int:
     raw = os.environ.get("DYNDEG_PRECISION_CAP")
     if raw is None:
         return DEFAULT_PRECISION_CAP
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
     if cap < 16:
-        raise ValueError("DYNDEG_PRECISION_CAP must be >= 16")
+        raise ValueError("DYNDEG_PRECISION_CAP must be an integer >= 16")
     return cap
+
+
+def precision_ladder(start: int, attempt, args: tuple, message: str):
+    """The first non-None attempt(bits, args) for bits = start, 2*start, ... up to the cap.
+
+    Past the cap raises PrecisionError(message.format(cap=cap, args=args)),
+    formatted only then.  The attempt is a module-level function and args a
+    tuple, so a call builds no closure: octant_gamma runs the ladder once per
+    index of a sweep.
+    """
+    cap = precision_cap()
+    bits = start
+    while bits <= cap:
+        result = attempt(bits, args)
+        if result is not None:
+            return result
+        bits *= 2
+    raise PrecisionError(message.format(cap=cap, args=args))
 
 
 @dataclass(frozen=True)
@@ -245,24 +266,16 @@ def solve_lambda(zeta: GaussianInt, target_width) -> LambdaEnclosure:
     """
     _require_admissible(zeta)
     width_goal = _as_width_fraction(target_width)
-    cap = precision_cap()
-    cache = DegreeCache(zeta)
-
-    # enough fractional bits to resolve the goal on the t side, plus headroom
-    prec = max(64, _bits_of(width_goal) + 48)
-    while True:
-        if prec > cap:
-            raise PrecisionError(
-                f"needed more than {cap} fractional bits (cap; see DYNDEG_PRECISION_CAP)"
-            )
-        result = _solve_at_precision(zeta, cache, width_goal, prec)
-        if result is not None:
-            return result
-        prec *= 2
+    return precision_ladder(
+        max(64, _bits_of(width_goal) + 48),  # resolves the goal on the t side, plus headroom
+        _solve_at_precision,
+        (zeta, DegreeCache(zeta), width_goal),
+        "needed more than {cap} fractional bits (cap; see DYNDEG_PRECISION_CAP)",
+    )
 
 
-def _solve_at_precision(zeta, cache, width_goal, prec):
-    """Bisection in t at fixed precision; None if it cannot finish at this precision.
+def _solve_at_precision(prec, args):
+    """Bisection in t at fixed precision, args = (zeta, cache, width goal); None if it cannot finish.
 
     The bracket is t_lo = a * 2^-s < t_hi = b * 2^-s, and a midpoint is
     (a + b) * 2^-(s+1), exact.  A midpoint goes to t_hi if lower > 1 there, to
@@ -275,6 +288,7 @@ def _solve_at_precision(zeta, cache, width_goal, prec):
     (lo, hi) are evaluated, and every decision is the one evaluating would give.
     A term doubling changes the kernels, so it voids the certified points.
     """
+    zeta, cache, width_goal = args
     norm = zeta.norm_sq()
     sums = _PartialSums(cache, prec)
     one = sums.one
@@ -366,21 +380,29 @@ def alpha_of(zeta: GaussianInt, lam: LambdaEnclosure) -> ComplexInterval:
     return alpha
 
 
-def _choose_tail_terms(s_hi: Dyadic, tail_tol: Fraction, prec: int, constant_sq: int):
-    """Smallest tried N with sqrt(constant_sq) * s^(N+1) / (1-s) <= tail_tol, plus the bound."""
+def _choose_tail_terms(s_hi: Dyadic, tail_tol: Fraction, prec: int, *constants_sq: int):
+    """Per constant c, (smallest tried N with sqrt(c) * s^(N+1) / (1-s) <= tail_tol, bound).
+
+    One pass of the rounded powers of s serves every constant.
+    """
     one = Dyadic.from_int(1)
     if s_hi >= one:
         raise PrecisionError("|alpha| upper bound reached 1; tighten lambda first")
-    const_hi = Dyadic.sqrt(Dyadic.from_int(constant_sq), prec, "ceil")
-    inv_gap = Dyadic.div(const_hi, one - s_hi, prec, "ceil")
+    inv_gaps = [
+        Dyadic.div(Dyadic.sqrt(Dyadic.from_int(c), prec, "ceil"), one - s_hi, prec, "ceil")
+        for c in constants_sq
+    ]
+    chosen = [None] * len(constants_sq)
     n, done, sp = 8, 0, s_hi
     while n <= _TERM_CAP:
         while done < n:  # sp is s^(done+1), rounded up after every product
             sp = (sp * s_hi).round(prec, "ceil")
             done += 1
-        bound = inv_gap * sp
-        if bound.to_fraction() <= tail_tol:
-            return n, bound
+        for k, inv_gap in enumerate(inv_gaps):
+            if chosen[k] is None and (bound := inv_gap * sp).to_fraction() <= tail_tol:
+                chosen[k] = (n, bound)
+        if None not in chosen:
+            return chosen
         n *= 2
     raise PrecisionError("tail tolerance unreachable within the term cap")
 
@@ -395,7 +417,7 @@ def phi_eval(zeta: GaussianInt, alpha: ComplexInterval, tail_tol) -> ComplexInte
     tol = _as_width_fraction(tail_tol)
     prec = max(96, _bits_of(tol) + 32)
     s_hi = alpha.abs_sup(prec)
-    n_terms, tail = _choose_tail_terms(s_hi, tol, prec, 20)
+    ((n_terms, tail),) = _choose_tail_terms(s_hi, tol, prec, 20)
     _, sums = _series_table(DegreeCache(zeta).extend_to(n_terms).gammas, alpha, prec)
     return sums[-1].widen(tail)
 

@@ -20,10 +20,10 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_module(*argv):
+def run_module(*argv, **env_vars):
     """`python -m dyndeg.cli argv` in a fresh process, against this checkout's source."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), **env_vars)
     return subprocess.run(
         [sys.executable, "-m", "dyndeg.cli", *argv], capture_output=True, text=True, env=env, timeout=60
     )
@@ -283,6 +283,22 @@ class TestUsageErrors:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == "error: argument --digits: invalid int value: 'abc'\n"
+
+    @pytest.mark.parametrize("cap", ["abc", "", "4"])
+    def test_malformed_precision_cap_exit1_one_line(self, cap):
+        proc = run_module("lambda", "--zeta", "1+2i", DYNDEG_PRECISION_CAP=cap)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: DYNDEG_PRECISION_CAP must be an integer >= 16\n"
+
+    @pytest.mark.parametrize("command", ["degrees", "lambda", "oracle", "cf", "report", "irregular"])
+    def test_malformed_precision_cap_rejected_by_every_command(self, monkeypatch, capsys, command):
+        monkeypatch.setenv("DYNDEG_PRECISION_CAP", "-5")
+        extra = ("--n", "3") if command == "irregular" else ()
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--zeta", "1+2i", *extra])
+        assert exc.value.code == "error: DYNDEG_PRECISION_CAP must be an integer >= 16"
+        assert capsys.readouterr() == ("", "")
 
     @pytest.mark.parametrize("target", [".", "no-such-dir/out.json"], ids=["directory", "missing-dir"])
     def test_unwritable_out_exit1_one_line(self, tmp_path, target):

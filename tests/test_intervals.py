@@ -123,10 +123,6 @@ class TestRealInterval:
         m = fr(x.mid())
         assert s.contains(m * m)
 
-    @given(intervals, st.integers(0, 6))
-    def test_pow_contains_midpoint_power(self, x, n):
-        assert x.pow_int(n).contains(fr(x.mid()) ** n)
-
     def test_div_basic(self):
         x = iv_of(1, 2)
         y = iv_of(3, 4)

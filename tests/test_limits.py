@@ -45,6 +45,12 @@ class TestPrecisionCap:
         with pytest.raises(ValueError):
             precision_cap()
 
+    @pytest.mark.parametrize("raw", ["abc", "", "-5", "16.0"])
+    def test_rejects_malformed_cap(self, monkeypatch, raw):
+        monkeypatch.setenv("DYNDEG_PRECISION_CAP", raw)
+        with pytest.raises(ValueError, match="must be an integer >= 16"):
+            precision_cap()
+
 
 class TestReduceIdempotence:
     def test_on_raw_involution_square(self):

@@ -99,6 +99,23 @@ class TestArithmetic:
         A = random_homo(rng, 3, 4)
         assert to_sympy(A.pow(3)) == to_sympy(A) ** 3
 
+    def test_pow_multiplication_count(self, monkeypatch):
+        # binary powering: popcount(n) + bit_length(n) - 1 products, none
+        # past the top bit
+        A = random_homo(random.Random(3), 2, 4)
+        calls = []
+        original = HomoPoly.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(HomoPoly, "__mul__", counting)
+        for n, products in ((1, 1), (2, 2), (5, 4)):
+            calls.clear()
+            A.pow(n)
+            assert len(calls) == products == bin(n).count("1") + n.bit_length() - 1
+
     def test_evaluate(self):
         P = HomoPoly.from_triples(2, [(2, 0, 0, 1), (0, 1, 1, -3)])
         assert P.evaluate(2, 5, 7) == 4 - 105
@@ -401,6 +418,22 @@ class TestCoprimeBase:
         for i in range(len(base.atoms)):
             for j in range(i + 1, len(base.atoms)):
                 assert homo_gcd(base.atoms[i], base.atoms[j]).degree == 0
+
+    def test_powers_follow_split(self):
+        # powers cached before an atom is split must not survive the split
+        base = CoprimeBase(seed=2)
+        A = HomoPoly.from_triples(1, [(1, 0, 0, 1), (0, 1, 0, 1)])   # x0+x1
+        B = HomoPoly.from_triples(1, [(1, 0, 0, 1), (0, 0, 1, 1)])   # x0+x2
+        C = HomoPoly.from_triples(1, [(0, 1, 0, 1), (0, 0, 1, 1)])   # x1+x2
+        base.decompose(A * B * B)
+        used = [(idx, e) for idx in range(len(base.atoms)) for e in (1, 2, 3)]
+        before = {key: base.power(*key) for key in used}
+        _, _, splits = base.decompose(A * C)
+        assert splits
+        used += [(idx, e) for idx in range(len(before), len(base.atoms)) for e in (1, 2, 3)]
+        for idx, e in used:
+            assert base.power(idx, e) == base.atoms[idx].pow(e)
+        assert any(base.power(*key) != got for key, got in before.items())
 
     def test_split_after_division(self):
         # x0 x1 divides x0^2 x1, then splits against the leftover x0
