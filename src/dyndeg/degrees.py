@@ -96,6 +96,8 @@ def series_identity_check(d: DegreeSequence, e: DegreeSequence, N: int) -> int:
     that coefficients 1..M vanish; N means full success, 0 means failure
     already at order 1.
     """
+    if N < 0:
+        raise ValueError("N must be >= 0")
     if e.start_index != 0 or e[0] != 1:
         raise ValueError("e must be a composed_e-style sequence with e_0 = 1")
     if N > 0 and (d.last_index < N or e.last_index < N):

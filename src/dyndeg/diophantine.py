@@ -26,7 +26,7 @@ from .intervals import (
     _pi_brackets_bits,
     atan2_brackets,
 )
-from .solver import _bits_of, _choose_tail_terms, _series_table, precision_ladder
+from .solver import _bits_of, _choose_tail_terms, _series_table, precision_cap, precision_ladder
 
 # sector of Arg(zeta^j), in eighths of a turn, -> maximizer of Re(gamma * zeta^j)
 OCTANT_TO_GAMMA = {
@@ -72,6 +72,9 @@ def theta_interval(zeta: GaussianInt, precision_bits: int = 128) -> ThetaContext
     _require_admissible(zeta)
     if precision_bits < 8:
         raise ValueError("precision_bits must be >= 8")
+    cap = precision_cap()
+    if precision_bits > cap:  # before the exact brackets, whose cost grows fast with the bits
+        raise PrecisionError(f"theta precision of {precision_bits} bits exceeds the cap of {cap} bits")
     tl, th = _theta_fraction_brackets(zeta.re, zeta.im, precision_bits)
     box = RealInterval.from_fractions(tl, th, precision_bits)
     if not box.strictly_inside_unit():
@@ -319,6 +322,8 @@ def regular_window_check(ctx: ThetaContext, n: int, C) -> RegularWindowReport:
     Also certifies (when possible) the approximation hypothesis under which
     such windows are provably all-regular for suitable n.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     C = Fraction(C)
     if C < 1:
         raise ValueError("C must be >= 1")

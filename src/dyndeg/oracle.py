@@ -1,14 +1,16 @@
 """Exact plane rational maps: construction, composition, reduction, degree oracles.
 
-A map is a triple of homogeneous polynomials of equal degree.  Internally each
-component is kept as an integer unit times a product of primitive pairwise-
-coprime factors; with that representation the common factor of the triple is
-read off from minimum exponents, so composition never needs a large
-polynomial gcd.  ``compose`` has one route: an expanded component (of either
-map) is one factor to the first power.  An outer factor that is a sum of
-monomials composes to a sum of atom-power products; the powers all of them
-share are added to the result's exponents, and only the cofactors are
-expanded and decomposed.  ``iterate_map`` composes each iterate once.
+A map is a triple of homogeneous polynomials of equal degree, held in one
+form: each component is an integer unit times a product of factors.  A map
+built from expanded components holds each as one factor to the first power
+(a zero component as unit 0), and the expanded components are a view built on
+demand.  ``compose`` keeps its result over primitive pairwise-coprime factors;
+with that representation the common factor of the triple is read off from
+minimum exponents, so composition never needs a large polynomial gcd.
+``compose`` has one route: every outer factor, a monomial being a one-term
+sum, composes to a sum of atom-power products; the powers all of them share
+are added to the result's exponents, and only the cofactors are expanded and
+decomposed.  ``iterate_map`` composes each iterate once.
 
 The independent route substitutes expanded components into expanded
 components with ``polynomials.substitute`` (``compose_raw_components``) and
@@ -66,20 +68,17 @@ class PlaneRationalMap:
     __slots__ = ("_factored", "_components", "degree")
 
     def __init__(self, components=None, factored=None):
-        if components is None and factored is None:
-            raise ValueError("need components or a factorization")
-        self._components = tuple(components) if components is not None else None
+        if factored is None:
+            if components is None:
+                raise ValueError("need components or a factorization")
+            components = tuple(components)
+            factored = tuple((0, ()) if c.is_zero() else (1, ((c, 1),)) for c in components)
+        self._components = components
         self._factored = factored
-        if self._components is not None:
-            degs = {c.degree for c in self._components if not c.is_zero()}
-            if len(degs) != 1:
-                raise ValueError("components must share one degree and not all vanish")
-            self.degree = degs.pop()
-        else:
-            degs = {_factored_degree(c) for c in factored}
-            if len(degs) != 1:
-                raise ValueError("factored components must share one degree")
-            self.degree = degs.pop()
+        degs = {sum(e * p.degree for p, e in factors) for unit, factors in factored if unit}
+        if len(degs) != 1:
+            raise ValueError("components must share one degree and not all vanish")
+        self.degree = degs.pop()
 
     @property
     def components(self):
@@ -88,9 +87,6 @@ class PlaneRationalMap:
                 _expand(unit, [poly.pow(e) for poly, e in factors]) for unit, factors in self._factored
             )
         return self._components
-
-    def component(self, idx: int) -> HomoPoly:
-        return self.components[idx]
 
     def evaluate(self, point):
         x0, x1, x2 = point
@@ -123,11 +119,6 @@ class PlaneRationalMap:
 
     def __repr__(self):
         return f"PlaneRationalMap(degree={self.degree})"
-
-
-def _factored_degree(comp) -> int:
-    _, factors = comp
-    return sum(e * p.degree for p, e in factors)
 
 
 def _expand(unit: int, powers) -> HomoPoly:
@@ -169,11 +160,7 @@ def linear_map(rows) -> PlaneRationalMap:
         if poly.is_zero():
             raise ValueError("zero row in linear map")
         comps.append(poly)
-    factored = []
-    for poly in comps:
-        unit, prim = poly.primitive_normalized()
-        factored.append((unit, ((prim, 1),)))
-    return PlaneRationalMap(factored=tuple(factored))
+    return PlaneRationalMap(components=comps)
 
 
 def conjugating_map() -> PlaneRationalMap:
@@ -226,16 +213,19 @@ def compose(outer: PlaneRationalMap, inner: PlaneRationalMap, budget: Budget = D
     """outer after inner, reduced.
 
     Exponent-level substitution over a shared coprime base: each outer factor
-    is either a monomial, whose image is an exponent sum, or a sum of composed
-    monomials that is expanded and decomposed again.  The common factor of
-    the result is read off from minimum exponents.
+    is a sum of composed monomials (a monomial is a one-term sum) whose shared
+    atom powers go straight into the result; the cofactors are expanded,
+    summed and decomposed again.  The common factor of the result is read off
+    from minimum exponents.
     """
     budget.check_degree(outer.degree * inner.degree)
+    if any(unit == 0 for map_ in (outer, inner) for unit, _ in map_._factored):
+        raise ValueError("cannot decompose the zero polynomial")
     base = CoprimeBase(seed=7)
     live: list = []  # exponent dicts that must survive atom splits
 
     inner_exps = []
-    for unit, factors in _factored_components(inner):
+    for unit, factors in inner._factored:
         exps: dict = {}
         live.append(exps)
         for poly, e in factors:
@@ -246,44 +236,32 @@ def compose(outer: PlaneRationalMap, inner: PlaneRationalMap, budget: Budget = D
                 exps[idx] = exps.get(idx, 0) + n * e
         inner_exps.append([unit, exps])
 
-    def monomial_image(i, j, k):
-        """Exponent dict of inner0^i * inner1^j * inner2^k."""
-        unit = inner_exps[0][0] ** i * inner_exps[1][0] ** j * inner_exps[2][0] ** k
-        out: dict = {}
-        for mult, (_, exps) in zip((i, j, k), inner_exps):
-            if mult:
-                for idx, n in exps.items():
-                    out[idx] = out.get(idx, 0) + n * mult
-        return unit, out
-
     image_cache: dict = {}
 
-    def cached_image(trip):
-        got = image_cache.get(trip)
+    def image(i, j, k):
+        """(unit, exponent dict) of inner0^i * inner1^j * inner2^k, cached and live."""
+        got = image_cache.get((i, j, k))
         if got is None:
-            unit, exps = monomial_image(*trip)
-            image_cache[trip] = (unit, exps)
+            unit = inner_exps[0][0] ** i * inner_exps[1][0] ** j * inner_exps[2][0] ** k
+            exps: dict = {}
+            for mult, (_, ex) in zip((i, j, k), inner_exps):
+                if mult:
+                    for idx, n in ex.items():
+                        exps[idx] = exps.get(idx, 0) + n * mult
             live.append(exps)
-            got = (unit, exps)
+            got = image_cache[(i, j, k)] = (unit, exps)
         return got
 
     result_factored = []
-    for unit, factors in _factored_components(outer):
+    for unit, factors in outer._factored:
         res_unit = unit
         res_exps: dict = {}
         live.append(res_exps)
         for poly, e in factors:
-            if len(poly.terms) == 1:
-                ((i, j, k, c),) = poly.items()
-                u, exps = cached_image((i, j, k))
-                res_unit *= (c * u) ** e
-                for idx, n in exps.items():
-                    res_exps[idx] = res_exps.get(idx, 0) + n * e
-                continue
             # The atom powers every composed monomial shares go straight into
             # the result; only the cofactors are expanded, summed and
             # decomposed.  ``common`` is live, so atom splits rewrite it.
-            images = [(c, *cached_image((i, j, k))) for (i, j, k, c) in poly.items()]
+            images = [(c, *image(i, j, k)) for (i, j, k, c) in poly.items()]
             common = {idx: min(ex.get(idx, 0) for _, _, ex in images) for idx in images[0][2]}
             common = {idx: n for idx, n in common.items() if n}
             live.append(common)
@@ -322,15 +300,6 @@ def compose(outer: PlaneRationalMap, inner: PlaneRationalMap, budget: Budget = D
     out = PlaneRationalMap(factored=tuple(comps))
     budget.check_degree(out.degree)
     return out
-
-
-def _factored_components(map_: PlaneRationalMap):
-    """The map's factored components; an expanded component is one factor to the first power."""
-    if map_._factored is not None:
-        return map_._factored
-    if any(c.is_zero() for c in map_.components):
-        raise ValueError("cannot decompose the zero polynomial")
-    return tuple((1, ((c, 1),)) for c in map_.components)
 
 
 def degree_of_iterate(map_: PlaneRationalMap, n: int, budget: Budget = DEFAULT_BUDGET) -> int:
@@ -375,15 +344,13 @@ def random_line_degree_check(F0, F1, F2, seed: int = 0) -> int:
 
 
 def factored_line_degree(map_: PlaneRationalMap, seed: int = 0) -> int:
-    """Line-restriction degree of a map, without expanding a factored one.
+    """Line-restriction degree of a map, without expanding its factors.
 
     Restriction of a product is the product of restrictions, so components are
-    restricted atom by atom; an expanded component is one factor to the first
-    power.  Each trial draws seeded lines until every factor keeps its degree.
+    restricted factor by factor; a zero component restricts to zero, which
+    leaves the gcd unchanged.  Each trial draws seeded lines until every
+    factor keeps its degree.
     """
-    factored = map_._factored
-    if factored is None:
-        factored = [(1, ((c, 1),)) for c in map_.components if not c.is_zero()]
     rng = random.Random(seed)
     answers = []
     for trial in range(_LINE_TRIALS):
@@ -394,7 +361,7 @@ def factored_line_degree(map_: PlaneRationalMap, seed: int = 0) -> int:
             b = [rng.randint(-(10**6), 10**6) for _ in range(3)]
             if all(v == 0 for v in a):
                 continue
-            restrictions = _restrict_components(factored, a, b, p)
+            restrictions = _restrict_components(map_._factored, a, b, p)
             if restrictions is None:
                 continue
             g = restrictions[0]
@@ -492,35 +459,3 @@ def involution_checks() -> InvolutionReport:
         if not ok:
             raise CheckFailed(f"line {j} did not contract to the expected point")
     return report
-
-
-# ---------------------------------------------------------------------------
-# Serialization: 'degree D' header, 'coeff i j k' lines, components split by --
-# ---------------------------------------------------------------------------
-
-
-def map_to_text(map_: PlaneRationalMap) -> str:
-    lines = [f"degree {map_.degree}"]
-    for idx, comp in enumerate(map_.components):
-        if idx:
-            lines.append("--")
-        for i, j, k, c in comp.sorted_items():
-            lines.append(f"{c} {i} {j} {k}")
-    return "\n".join(lines) + "\n"
-
-
-def map_from_text(text: str) -> PlaneRationalMap:
-    lines = [ln.strip() for ln in text.strip().splitlines()]
-    if not lines or not lines[0].startswith("degree "):
-        raise ValueError("missing degree header")
-    degree = int(lines[0].split()[1])
-    comps = [[]]
-    for ln in lines[1:]:
-        if ln == "--":
-            comps.append([])
-            continue
-        c, i, j, k = (int(x) for x in ln.split())
-        comps[-1].append((i, j, k, c))
-    if len(comps) != 3:
-        raise ValueError(f"expected 3 components, found {len(comps)}")
-    return PlaneRationalMap(components=tuple(HomoPoly.from_triples(degree, t) for t in comps))

@@ -20,12 +20,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_module(*argv, **env_vars):
+def run_module(*argv, timeout=60, **env_vars):
     """`python -m dyndeg.cli argv` in a fresh process, against this checkout's source."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), **env_vars)
     return subprocess.run(
-        [sys.executable, "-m", "dyndeg.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-m", "dyndeg.cli", *argv], capture_output=True, text=True, env=env, timeout=timeout
     )
 
 
@@ -290,6 +290,15 @@ class TestUsageErrors:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == "error: DYNDEG_PRECISION_CAP must be an integer >= 16\n"
+
+    def test_precision_bits_above_cap_exit3_before_work(self):
+        # the exact theta brackets at 20000 bits take tens of seconds
+        proc = run_module(
+            "cf", "--zeta", "1+2i", "--precision-bits", "20000", timeout=20, DYNDEG_PRECISION_CAP="64"
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == "error: theta precision of 20000 bits exceeds the cap of 64 bits\n"
 
     @pytest.mark.parametrize("command", ["degrees", "lambda", "oracle", "cf", "report", "irregular"])
     def test_malformed_precision_cap_rejected_by_every_command(self, monkeypatch, capsys, command):

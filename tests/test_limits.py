@@ -5,13 +5,15 @@ from fractions import Fraction
 import pytest
 
 from dyndeg.cli import main
+from dyndeg.degrees import e_sequence, series_identity_check
 from dyndeg.errors import PrecisionError
-from dyndeg.gaussian import GaussianInt
-from dyndeg.diophantine import cf_expand, theta_interval
+from dyndeg.gaussian import GaussianInt, d_sequence
+from dyndeg.diophantine import cf_expand, regular_window_check, theta_interval
 from dyndeg.oracle import PlaneRationalMap, compose, compose_raw_components, g_map, identity_map
 from dyndeg.solver import precision_cap, solve_lambda
 
 ZETA = GaussianInt(1, 2)
+D3 = d_sequence(ZETA, 3)
 
 
 class TestPrecisionCap:
@@ -34,6 +36,11 @@ class TestPrecisionCap:
         with pytest.raises(PrecisionError):
             cf_expand(ctx, 60)
 
+    def test_theta_interval_checks_cap_first(self, monkeypatch):
+        monkeypatch.setenv("DYNDEG_PRECISION_CAP", "64")
+        with pytest.raises(PrecisionError, match="100 bits exceeds the cap of 64 bits"):
+            theta_interval(ZETA, 100)
+
     def test_cli_exit3(self, monkeypatch, capsys):
         monkeypatch.setenv("DYNDEG_PRECISION_CAP", "64")
         code = main(["lambda", "--zeta", "1+2i", "--digits", "40"])
@@ -50,6 +57,21 @@ class TestPrecisionCap:
         monkeypatch.setenv("DYNDEG_PRECISION_CAP", raw)
         with pytest.raises(ValueError, match="must be an integer >= 16"):
             precision_cap()
+
+
+class TestIndexBounds:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: regular_window_check(theta_interval(ZETA), 0, 2), "n must be >= 1"),
+            (lambda: regular_window_check(theta_interval(ZETA), -3, 2), "n must be >= 1"),
+            (lambda: series_identity_check(D3, e_sequence(D3, 3), -1), "N must be >= 0"),
+        ],
+        ids=["window-n0", "window-n-3", "identity-N-1"],
+    )
+    def test_rejects_index_below_range(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 class TestReduceIdempotence:

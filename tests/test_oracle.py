@@ -26,8 +26,6 @@ from dyndeg.oracle import (
     involution_checks,
     iterate_map,
     linear_map,
-    map_from_text,
-    map_to_text,
     monomial_map,
     random_line_degree_check,
 )
@@ -36,6 +34,7 @@ from dyndeg.polynomials import HomoPoly
 Z = GaussianInt
 ZETA = Z(1, 2)
 BIG = Budget(degree_cap=10**6)
+X0, X1, X2 = (HomoPoly.monomial(1, *e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 ORACLE_ZETAS = [Z(re, s * im) for re, im in ((1, 2), (-1, 2), (2, 1), (-2, 1), (3, 1)) for s in (1, -1)]
 FACTORED_F3_DIGEST = "e208b045246c1c52440f7482ca8446546da78f35d6cfe3d21b01f768918c7de5"
 # sorted terms of the raw f o f triple at 1+2i, 2+i, -1+2i and 3+i, recorded
@@ -272,6 +271,23 @@ class TestRandomLine:
         by_components = random_line_degree_check(*f2.components, seed=seed)
         assert by_components == factored_line_degree(f2, seed=seed) == 66
 
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize(
+        "components",
+        [
+            (X0 * X1, HomoPoly.zero(2), X0 * X2),
+            (X0, HomoPoly.zero(1), X1),
+            (HomoPoly.zero(1), X0, X1),
+        ],
+        ids=["x0x1,0,x0x2", "x0,0,x1", "0,x0,x1"],
+    )
+    def test_zero_component(self, components, seed):
+        # a zero component is unit 0 with no factors; its zero restriction
+        # leaves the gcd of the others unchanged
+        map_ = PlaneRationalMap(components=components)
+        assert map_.components == components
+        assert factored_line_degree(map_, seed=seed) == 1
+
 
 class TestInvolutionChecks:
     def test_all_pass(self):
@@ -297,25 +313,6 @@ class TestInvolutionChecks:
         monkeypatch.setattr(oracle_mod, "cremona_map", lambda: broken)
         with pytest.raises(CheckFailed):
             involution_checks()
-
-
-class TestSerialization:
-    def test_round_trip_bit_exact(self, f_map):
-        text = map_to_text(f_map)
-        back = map_from_text(text)
-        assert back.components == f_map.components
-        assert map_to_text(back) == text
-
-    def test_header(self):
-        text = map_to_text(g_map())
-        assert text.splitlines()[0] == "degree 2"
-        assert text.count("--") == 2
-
-    def test_rejects_malformed(self):
-        with pytest.raises(ValueError):
-            map_from_text("nonsense")
-        with pytest.raises(ValueError):
-            map_from_text("degree 1\n1 1 0 0\n--\n1 0 1 0\n")  # only two components
 
 
 class TestLineOracleConsistency:
