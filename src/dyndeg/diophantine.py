@@ -26,7 +26,15 @@ from .intervals import (
     _pi_brackets_bits,
     atan2_brackets,
 )
-from .solver import _bits_of, _choose_tail_terms, _series_table, precision_cap, precision_ladder
+from .solver import (
+    _bits_of,
+    _box_product,
+    _choose_tail_terms,
+    _gaussian_product,
+    _series_table,
+    precision_cap,
+    precision_ladder,
+)
 
 # sector of Arg(zeta^j), in eighths of a turn, -> maximizer of Re(gamma * zeta^j)
 OCTANT_TO_GAMMA = {
@@ -430,7 +438,8 @@ def phi_n_eval(ctx: ThetaContext, n: int, alpha: ComplexInterval) -> ComplexInte
     if alpha.abs_sq().hi >= Dyadic.from_int(1):
         raise PrecisionError("need sup|alpha| < 1")
     _, sums = _series_table(DegreeCache(ctx.zeta).extend_to(n).gammas, alpha, prec)
-    return sums[-1].div(ComplexInterval.point(1, 0) - alpha.pow_int(n).squeeze(prec), prec)
+    box = ComplexInterval.from_fixed(sums[n - 1], prec)
+    return box.div(ComplexInterval.point(1, 0) - alpha.pow_int(n).squeeze(prec), prec)
 
 
 def psi_n_eval(ctx: ThetaContext, n: int, alpha: ComplexInterval, tail_tol) -> RealInterval:
@@ -438,9 +447,14 @@ def psi_n_eval(ctx: ThetaContext, n: int, alpha: ComplexInterval, tail_tol) -> R
 
     Route (a) evaluates the definition from the full and periodic series
     boxes; route (b) sums the sparse bilinear expansion over irregular
-    indices with a certified tail.  Both read alpha^j from one table, which
-    also holds the partial sums of route (a).  The routes must intersect;
-    the intersection is returned.
+    indices with a certified tail.  Both read one table (_series_table):
+    route (a) its partial sums at N and n, route (b) the powers alpha^j at
+    irregular j.  Route (b) runs on the table's ints over 2^prec: each
+    alpha^j * conj(alpha^n) is squeezed by a shift of prec bits, as
+    ComplexInterval.squeeze, and the scalings by beta and by 2 and the sum
+    are exact, so the one RealInterval built at the end is the box that
+    interval arithmetic gives.  The routes must intersect; the intersection
+    is returned.
     """
     tol = Fraction(tail_tol)
     if tol <= 0:
@@ -457,21 +471,21 @@ def psi_n_eval(ctx: ThetaContext, n: int, alpha: ComplexInterval, tail_tol) -> R
 
     alpha_n = alpha.pow_int(n).squeeze(prec)
     gap = ComplexInterval.point(1, 0) - alpha_n
-    phi_box = sums[N - 1].widen(phi_tail)
-    phin_box = sums[n - 1].div(gap, prec)  # as phi_n_eval
+    phi_box = ComplexInterval.from_fixed(sums[N - 1], prec).widen(phi_tail)
+    phin_box = ComplexInterval.from_fixed(sums[n - 1], prec).div(gap, prec)  # as phi_n_eval
     route_a = gap.abs_sq().scale_int(2) * (phi_box.re - phin_box.re)
 
     report = _irregularity_report(gammas, n, T)
-    conj_n = alpha_n.conj()
-    total = RealInterval.point(0)
+    conj_n = alpha_n.conj().fixed(prec)  # exact: alpha_n is squeezed to prec
+    lo = hi = 0
     for j in report.irregular:
         c = report.beta[(j, 0)]
-        term = powers[j - 1].mul_gaussian(c)
-        total = total + term.re.scale_int(2)  # beta_(j,0) and beta_(0,j) pair
+        rl, rh, _, _ = _gaussian_product(powers[j - 1], c)
+        lo, hi = lo + 2 * rl, hi + 2 * rh  # beta_(j,0) and beta_(0,j) pair
         if j + n <= T:
-            shifted = (powers[j - 1] * conj_n).squeeze(prec)
-            total = total - shifted.mul_gaussian(c).re.scale_int(2)
-    route_b = total.widen(tail)
+            rl, rh, _, _ = _gaussian_product(_box_product(powers[j - 1], conj_n, prec), c)
+            lo, hi = lo - 2 * rh, hi - 2 * rl
+    route_b = RealInterval.from_fixed(lo, hi, prec).widen(tail)
 
     meet = route_a.intersect(route_b)
     if meet is None:
@@ -479,4 +493,3 @@ def psi_n_eval(ctx: ThetaContext, n: int, alpha: ComplexInterval, tail_tol) -> R
             f"defect routes disjoint at n={n}: a={route_a!r}, b={route_b!r}"
         )
     return meet
-

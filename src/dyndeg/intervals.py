@@ -254,12 +254,23 @@ class RealInterval:
         return RealInterval(-self.hi, -self.lo)
 
     def __mul__(self, other: "RealInterval") -> "RealInterval":
-        products = [
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        ]
+        """Exact product; two endpoint products unless a factor straddles 0.
+
+        A factor with lo >= 0 or hi <= 0 has one sign, so the signs pick the
+        endpoints of the min and the max of the four products.
+        """
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
+        if a.man >= 0:
+            if c.man >= 0:
+                return RealInterval(a * c, b * d)
+            if d.man <= 0:
+                return RealInterval(b * c, a * d)
+        elif b.man <= 0:
+            if c.man >= 0:
+                return RealInterval(a * d, b * c)
+            if d.man <= 0:
+                return RealInterval(b * d, a * c)
+        products = (a * c, a * d, b * c, b * d)
         return RealInterval(min(products), max(products))
 
     def scale_int(self, n: int) -> "RealInterval":
@@ -301,6 +312,16 @@ class RealInterval:
     def squeeze(self, prec: int) -> "RealInterval":
         """Outward requantization; contains the original interval."""
         return RealInterval(self.lo.round(prec, "floor"), self.hi.round(prec, "ceil"))
+
+    @staticmethod
+    def from_fixed(lo: int, hi: int, prec: int) -> "RealInterval":
+        """The interval [lo, hi] * 2^-prec."""
+        return RealInterval(Dyadic.make(lo, -prec), Dyadic.make(hi, -prec))
+
+    def fixed(self, prec: int):
+        """(lo, hi) ints over 2^prec of the interval squeezed to prec."""
+        lo, hi = self.lo, self.hi
+        return Dyadic(lo.man, lo.exp + prec).floor_int(), -Dyadic(-hi.man, hi.exp + prec).floor_int()
 
     def width(self) -> Dyadic:
         return self.hi - self.lo
@@ -402,6 +423,16 @@ class ComplexInterval:
 
     def squeeze(self, prec: int) -> "ComplexInterval":
         return ComplexInterval(self.re.squeeze(prec), self.im.squeeze(prec))
+
+    @staticmethod
+    def from_fixed(ends, prec: int) -> "ComplexInterval":
+        """The box with endpoints ends = (re lo, re hi, im lo, im hi) * 2^-prec."""
+        rl, rh, il, ih = ends
+        return ComplexInterval(RealInterval.from_fixed(rl, rh, prec), RealInterval.from_fixed(il, ih, prec))
+
+    def fixed(self, prec: int):
+        """(re lo, re hi, im lo, im hi) ints over 2^prec of the box squeezed to prec."""
+        return self.re.fixed(prec) + self.im.fixed(prec)
 
     def widen(self, margin: Dyadic) -> "ComplexInterval":
         return ComplexInterval(self.re.widen(margin), self.im.widen(margin))

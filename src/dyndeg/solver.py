@@ -419,22 +419,63 @@ def phi_eval(zeta: GaussianInt, alpha: ComplexInterval, tail_tol) -> ComplexInte
     s_hi = alpha.abs_sup(prec)
     ((n_terms, tail),) = _choose_tail_terms(s_hi, tol, prec, 20)
     _, sums = _series_table(DegreeCache(zeta).extend_to(n_terms).gammas, alpha, prec)
-    return sums[-1].widen(tail)
+    return ComplexInterval.from_fixed(sums[-1], prec).widen(tail)
 
 
 def _series_table(gammas, alpha: ComplexInterval, prec: int):
     """Lists of alpha^j and of sum_{i<=j} gamma(i) alpha^i for j = 1..len(gammas).
 
-    Each power is the previous one times alpha, squeezed outward to prec.
-    Every evaluator of the maximizer series reads its powers and partial sums
-    from this one pass, so equal inputs give bit-identical boxes.
+    Entries are (re lo, re hi, im lo, im hi) ints over 2^prec; callers build
+    boxes (ComplexInterval.from_fixed) only for the entries they read.  Each
+    power is the previous one times alpha, squeezed outward to prec: alpha's
+    endpoints are ints over one 2^-pa, the box product takes the min and max
+    of exact endpoint products over 2^(prec+pa), and the squeeze is a floor
+    or ceiling shift by pa.  That is the exact Dyadic interval product
+    rounded by RealInterval.squeeze, so every entry has the value, and its
+    box the canonical endpoints, of ComplexInterval arithmetic.  The partial
+    sums add gamma(j) times each power exactly.  Every evaluator of the
+    maximizer series reads this one table, so equal inputs give
+    bit-identical boxes.
     """
+    pa = max(0, *(-d.exp for d in (alpha.re.lo, alpha.re.hi, alpha.im.lo, alpha.im.hi)))
+    a = alpha.fixed(pa)  # exact: every endpoint is a multiple of 2^-pa
+    power = (1 << prec, 1 << prec, 0, 0)
+    sl = sh = tl = th = 0
     powers, sums = [], []
-    power = ComplexInterval.point(1, 0)
-    total = ComplexInterval.point(0, 0)
     for g in gammas:
-        power = (power * alpha).squeeze(prec)
-        total = total + power.mul_gaussian(g)
+        power = _box_product(power, a, pa)
+        rl, rh, il, ih = _gaussian_product(power, g)
+        sl, sh, tl, th = sl + rl, sh + rh, tl + il, th + ih
         powers.append(power)
-        sums.append(total)
+        sums.append((sl, sh, tl, th))
     return powers, sums
+
+
+def _box_product(x, y, shift: int):
+    """The box x * y, its endpoints floored or ceiled by a right shift of shift bits.
+
+    x and y are (re lo, re hi, im lo, im hi) ints; each part takes the min
+    and max of the exact endpoint products, as ComplexInterval.__mul__.
+    """
+    rl, rh, il, ih = x
+    a, b, c, d = y
+    p = (rl * a, rl * b, rh * a, rh * b)  # re x * re y
+    q = (il * c, il * d, ih * c, ih * d)  # im x * im y
+    u = (rl * c, rl * d, rh * c, rh * d)  # re x * im y
+    v = (il * a, il * b, ih * a, ih * b)  # im x * re y
+    return (
+        (min(p) - max(q)) >> shift,
+        -((min(q) - max(p)) >> shift),
+        (min(u) + min(v)) >> shift,
+        -((-max(u) - max(v)) >> shift),
+    )
+
+
+def _gaussian_product(x, g):
+    """The box x * g, exact, for ints x = (re lo, re hi, im lo, im hi) and a GaussianInt g."""
+    rl, rh, il, ih = x
+    p = (rl * g.re, rh * g.re)
+    q = (il * g.im, ih * g.im)
+    u = (rl * g.im, rh * g.im)
+    v = (il * g.re, ih * g.re)
+    return min(p) - max(q), max(p) - min(q), min(u) + min(v), max(u) + max(v)

@@ -19,7 +19,7 @@ from dyndeg.diophantine import (
     regular_window_check,
     theta_interval,
 )
-from dyndeg.intervals import Dyadic, RealInterval
+from dyndeg.intervals import ComplexInterval, Dyadic, RealInterval
 from dyndeg.solver import alpha_of, phi_eval, solve_lambda
 
 Z = GaussianInt
@@ -480,3 +480,64 @@ def test_series_boxes_bit_identical(zeta, n):
     tol = Fraction(1, 10**40)
     boxes = (phi_eval(z, alpha, tol), phi_n_eval(ctx, n, alpha), psi_n_eval(ctx, n, alpha, tol))
     assert tuple(_box_digest(b) for b in boxes) == BOX_DIGESTS[(zeta, n)]
+
+
+# SHA-256 of the Phi, Phi_n and Psi_n boxes in the benchmark's lambda-deep
+# configuration (lambda to 1e-150, theta at 256 bits, n = 100, tail tolerance
+# 1e-110), recorded from the ComplexInterval series loop before the table ran
+# on integers.
+LAMBDA_DEEP_DIGESTS = {
+    (1, 2): (
+        "2379bf9d6061c4ff1bfb1c5f4f4724e2f90f9b74b1e614d253cf206880381244",
+        "f3645e49a91c753c9d079b65fe9a20db8150556befbf2ee8bc2587de05e754d7",
+        "d551f5a32dcf409aa114cdb0dec398e777ce5dc407dc9c6d7bb8c23dbc32dff3",
+    ),
+    (-7, 23): (
+        "5cde9067bb7788ef1456853e20d7f750025f2624f36ef096f22bbf38be94c077",
+        "caee7a7454298418f493152b77ecec2a22111667fc76b68ddd6dae47b6fb616d",
+        "1b17f235ef97cd411643dd12c58068962346b196bc4ff6a9b145a3886f10fd03",
+    ),
+    (42, -45): (
+        "3f36978543fce971a10643f714d70d2d0f8728e2c800c432b433d275045de719",
+        "b75d60f9122d35ab4bb1f39e526df5f3c22debfb0c68ae09f67a68e79da90fca",
+        "9fc769fa70ebf6ecb1dfdd8be09256fda029584f224e778d0bec2cf7acaad806",
+    ),
+}
+
+
+@pytest.mark.parametrize("zeta", list(LAMBDA_DEEP_DIGESTS))
+def test_lambda_deep_boxes_bit_identical(zeta):
+    z = Z(*zeta)
+    alpha = alpha_of(z, solve_lambda(z, Fraction(1, 10**150)))
+    ctx = theta_interval(z, 256)
+    tol = Fraction(1, 10**110)
+    boxes = (phi_eval(z, alpha, tol), phi_n_eval(ctx, 100, alpha), psi_n_eval(ctx, 100, alpha, tol))
+    assert tuple(_box_digest(b) for b in boxes) == LAMBDA_DEEP_DIGESTS[zeta]
+
+
+# hand-built alpha boxes that straddle an axis; the second has a lower
+# endpoint at 2^-200, finer than phi_n_eval's 96-bit working precision
+STRADDLING_ALPHAS = {
+    "imaginary-axis": ComplexInterval(
+        RealInterval(Dyadic.make(-3, -12), Dyadic.make(5, -7)),
+        RealInterval(Dyadic.make(11, -5), Dyadic.make(23, -6)),
+    ),
+    "real-axis": ComplexInterval(
+        RealInterval(Dyadic.make(-(1211 << 189) - 1, -200), Dyadic.make(-1211, -11)),
+        RealInterval(Dyadic.make(-7, -23), Dyadic.make(3, -15)),
+    ),
+}
+
+# SHA-256 of phi_n_eval's box for 1+2i at those alphas, recorded as above
+STRADDLING_DIGESTS = {
+    ("imaginary-axis", 37): "135b46231393232b4fff8497b22dceece602edf93d3ece7214820e12bf283f75",
+    ("imaginary-axis", 100): "506c9b0a19ba8b7b3be7f911e43297ac801ac991969639ce896259f1eb1f5e39",
+    ("real-axis", 37): "df246569063cb1469c8a5e95569d369307076420bfd5da090c5779e2e9b9cd09",
+    ("real-axis", 100): "3aabc4c7d6e1f92d676b6f36ed0f00b32c72602bacee2736cb18e6eb9f500a28",
+}
+
+
+@pytest.mark.parametrize("name, n", list(STRADDLING_DIGESTS))
+def test_straddling_alpha_phi_n_bit_identical(name, n):
+    box = phi_n_eval(theta_interval(ZETA, 128), n, STRADDLING_ALPHAS[name])
+    assert _box_digest(box) == STRADDLING_DIGESTS[(name, n)]

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dyndeg.intervals import (
+    DY_ZERO,
     ComplexInterval,
     Dyadic,
     RealInterval,
@@ -91,6 +92,16 @@ intervals = st.builds(
     lambda a, b: RealInterval(min(a, b), max(a, b)), dyadics, dyadics
 )
 samples = st.fractions(min_value=-2, max_value=2)
+# every sign pattern: one sign, a zero endpoint, a point (0 included), straddling 0
+signed_dyadics = st.one_of(
+    st.just(DY_ZERO),
+    st.builds(Dyadic.make, st.integers(1, 10**9), st.integers(-60, 30)),
+    st.builds(Dyadic.make, st.integers(-(10**9), -1), st.integers(-60, 30)),
+)
+signed_intervals = st.one_of(
+    st.builds(lambda a, b: RealInterval(min(a, b), max(a, b)), signed_dyadics, signed_dyadics),
+    st.builds(RealInterval.point, signed_dyadics),
+)
 
 
 def iv_of(lo, hi):
@@ -113,6 +124,13 @@ class TestRealInterval:
         for a in (x.lo, x.hi):
             for b in (y.lo, y.hi):
                 assert z.contains(fr(a) * fr(b))
+
+    @given(signed_intervals, signed_intervals)
+    @example(RealInterval.point(0), RealInterval.point(Dyadic.make(-3, -2)))
+    @example(RealInterval(Dyadic.make(-5, -1), DY_ZERO), RealInterval(DY_ZERO, Dyadic.make(7, 3)))
+    def test_mul_sign_split_matches_four_products(self, x, y):
+        products = (x.lo * y.lo, x.lo * y.hi, x.hi * y.lo, x.hi * y.hi)
+        assert x * y == RealInterval(min(products), max(products))
 
     @given(intervals)
     def test_sq_nonnegative_and_sound(self, x):
@@ -141,6 +159,11 @@ class TestRealInterval:
 
 
 class TestComplexInterval:
+    @given(intervals, intervals, st.integers(0, 80))
+    def test_fixed_is_squeeze(self, re, im, prec):
+        box = ComplexInterval(re, im)
+        assert ComplexInterval.from_fixed(box.fixed(prec), prec) == box.squeeze(prec)
+
     def test_mul_matches_gaussian(self):
         a = ComplexInterval.point(1, 2)
         b = ComplexInterval.point(-3, 4)

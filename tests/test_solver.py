@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, strategies as st
 
 from dyndeg.errors import AdmissibilityError
 from dyndeg.gaussian import GaussianInt, d_sequence
-from dyndeg.intervals import Dyadic, RealInterval
-from dyndeg.solver import LambdaEnclosure, alpha_of, phi_eval, solve_lambda
+from dyndeg.intervals import ComplexInterval, Dyadic, RealInterval
+from dyndeg.solver import LambdaEnclosure, _series_table, alpha_of, phi_eval, solve_lambda
 
 Z = GaussianInt
 ZETA = Z(1, 2)
@@ -69,6 +70,19 @@ class TestSolveLambda:
             lam = 1 / t
             lam_fr = Fraction(int(lam.man)) * Fraction(2) ** int(lam.exp)
         slack = Fraction(1, 10**320)  # findroot works in floating point at 330 digits
+        assert enc.lo.to_fraction() - slack <= lam_fr <= enc.hi.to_fraction() + slack
+
+    def test_1000_digits_contains_findroot(self):
+        enc = solve_lambda(ZETA, Fraction(1, 10**1000))
+        assert enc.width() <= Fraction(1, 10**1000)
+        terms = 2200  # tail below 5 * 0.33^2201 < 1e-1059
+        ds = d_sequence(ZETA, terms)
+        coeffs = [ds[j] for j in range(terms, 0, -1)] + [0]
+        with mpmath.workdps(1030):
+            t = mpmath.findroot(lambda x: mpmath.polyval(coeffs, x) - 1, mpmath.mpf(1) / 6.8575574)
+            lam = 1 / t
+            lam_fr = Fraction(int(lam.man)) * Fraction(2) ** int(lam.exp)
+        slack = Fraction(1, 10**1020)  # findroot works in floating point at 1030 digits
         assert enc.lo.to_fraction() - slack <= lam_fr <= enc.hi.to_fraction() + slack
 
     def test_reference_digits_small_topological_degree(self):
@@ -199,3 +213,49 @@ class TestPhi:
         loose = phi_eval(ZETA, alpha, Fraction(1, 10**6))
         tight = phi_eval(ZETA, alpha, Fraction(1, 10**12))
         assert loose.re.width().to_fraction() > tight.re.width().to_fraction()
+
+
+def reference_series_table(gammas, alpha, prec):
+    """The powers and partial sums of _series_table, in ComplexInterval arithmetic."""
+    powers, sums = [], []
+    power = ComplexInterval.point(1, 0)
+    total = ComplexInterval.point(0, 0)
+    for g in gammas:
+        power = (power * alpha).squeeze(prec)
+        total = total + power.mul_gaussian(g)
+        powers.append(power)
+        sums.append(total)
+    return powers, sums
+
+
+# endpoints in (-1, 1) with exponents from -90 to -1, so a box may straddle
+# either axis and its endpoints may differ in exponent
+unit_dyadics = st.integers(1, 90).flatmap(
+    lambda k: st.builds(Dyadic.make, st.integers(-(1 << k) + 1, (1 << k) - 1), st.just(-k))
+)
+unit_intervals = st.builds(lambda a, b: RealInterval(min(a, b), max(a, b)), unit_dyadics, unit_dyadics)
+boxes = st.builds(ComplexInterval, unit_intervals, unit_intervals)
+gaussians = st.builds(GaussianInt, st.integers(-3, 3), st.integers(-3, 3))
+
+
+def _box(re_lo, re_hi, im_lo, im_hi):
+    return ComplexInterval(RealInterval(re_lo, re_hi), RealInterval(im_lo, im_hi))
+
+
+class TestSeriesTable:
+    @given(boxes, st.lists(gaussians, min_size=1, max_size=12), st.integers(1, 120))
+    @example(  # straddles both axes, prec below alpha's exponent
+        _box(Dyadic.make(-3, -70), Dyadic.make(5, -3), Dyadic.make(-1, -2), Dyadic.make(7, -80)),
+        [GaussianInt(-2, 0), GaussianInt(1, -2), GaussianInt(0, 2)],
+        40,
+    )
+    @example(  # straddles the real axis, prec above alpha's exponent
+        _box(Dyadic.make(-11, -4), Dyadic.make(-5, -3), Dyadic.make(-1, -9), Dyadic.make(1, -7)),
+        [GaussianInt(1, 2), GaussianInt(-2, -3)] * 4,
+        100,
+    )
+    def test_matches_interval_arithmetic(self, alpha, gammas, prec):
+        powers, sums = _series_table(gammas, alpha, prec)
+        ref_powers, ref_sums = reference_series_table(gammas, alpha, prec)
+        assert [ComplexInterval.from_fixed(p, prec) for p in powers] == ref_powers
+        assert [ComplexInterval.from_fixed(t, prec) for t in sums] == ref_sums
