@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .degrees import e_sequence, lambda2, series_identity_check
 from .diophantine import (
@@ -27,9 +26,9 @@ from .diophantine import (
     theta_interval,
 )
 from .errors import AdmissibilityError, PrecisionError, ResourceExhausted
-from .gaussian import IntMatrix2x2, d_sequence, parse_gaussian
+from .gaussian import IntMatrix2x2, _require_admissible, d_sequence, parse_gaussian
 from .oracle import compose, g_map, monomial_map
-from .solver import precision_cap, solve_lambda
+from .solver import digits_goal, precision_cap, solve_lambda
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -82,7 +81,7 @@ def cmd_degrees(args, zeta):
 
 
 def cmd_lambda(args, zeta):
-    enclosure = solve_lambda(zeta, Fraction(1, 10**args.digits))
+    enclosure = solve_lambda(zeta, digits_goal(zeta, args.digits))
     digits = args.digits + 4
     if args.format == "json":
         return enclosure.to_json_text(digits) + "\n", EXIT_OK
@@ -104,13 +103,17 @@ def cmd_lambda(args, zeta):
 
 def cmd_oracle(args, zeta):
     n_max = args.max_iter
-    e = e_sequence(d_sequence(zeta, n_max), n_max)
-    rows = []
+    _require_admissible(zeta)
+    degrees = []
     if n_max > 0:  # f alone may exceed the degree budget
         f = compose(g_map(), monomial_map(IntMatrix2x2.from_zeta(zeta)))
         for n in range(1, n_max + 1):
             iterate = f if n == 1 else compose(f, iterate)
-            rows.append((n, e[n], iterate.degree, iterate.degree == e[n]))
+            degrees.append(iterate.degree)
+    # the recursion only after the budget let every iterate through: at a large
+    # --max-iter, e_1..e_N take far longer than the iterates the cap allows
+    e = e_sequence(d_sequence(zeta, n_max), n_max)
+    rows = [(n, e[n], on, on == e[n]) for n, on in enumerate(degrees, 1)]
     all_match = all(m for (_, _, _, m) in rows)
     if args.format == "json":
         obj = {
@@ -183,7 +186,7 @@ def cmd_report(args, zeta):
     count = args.count
     d = d_sequence(zeta, count)
     e = e_sequence(d, count)
-    enclosure = solve_lambda(zeta, Fraction(1, 10**args.digits))
+    enclosure = solve_lambda(zeta, digits_goal(zeta, args.digits))
     cf = cf_expand(theta_interval(zeta, args.precision_bits), args.depth)
     obj = {
         "zeta": str(zeta),

@@ -8,7 +8,6 @@ topological degree.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from operator import mul
 
@@ -62,9 +61,6 @@ class DegreeSequence:
             "origin": self.origin,
             "values": [str(v) for v in self.values],
         }
-
-    def to_json_text(self):
-        return json.dumps(self.to_json_obj(), sort_keys=True)
 
 
 def e_sequence(d: DegreeSequence, N: int) -> DegreeSequence:

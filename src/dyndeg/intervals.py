@@ -231,13 +231,6 @@ class RealInterval:
         return RealInterval(d, d)
 
     @staticmethod
-    def from_fraction(fr: Fraction, prec: int) -> "RealInterval":
-        return RealInterval(
-            Dyadic.from_fraction(fr, prec, "floor"),
-            Dyadic.from_fraction(fr, prec, "ceil"),
-        )
-
-    @staticmethod
     def from_fractions(lo: Fraction, hi: Fraction, prec: int) -> "RealInterval":
         return RealInterval(
             Dyadic.from_fraction(lo, prec, "floor"),
@@ -301,13 +294,6 @@ class RealInterval:
 
     def recip(self, prec: int) -> "RealInterval":
         return RealInterval.point(1).div(self, prec)
-
-    def sqrt(self, prec: int) -> "RealInterval":
-        if self.lo.sign() < 0:
-            raise ValueError("sqrt of interval with negative lower endpoint")
-        return RealInterval(
-            Dyadic.sqrt(self.lo, prec, "floor"), Dyadic.sqrt(self.hi, prec, "ceil")
-        )
 
     def squeeze(self, prec: int) -> "RealInterval":
         """Outward requantization; contains the original interval."""
@@ -383,9 +369,6 @@ class ComplexInterval:
     def __sub__(self, other: "ComplexInterval") -> "ComplexInterval":
         return ComplexInterval(self.re - other.re, self.im - other.im)
 
-    def __neg__(self) -> "ComplexInterval":
-        return ComplexInterval(-self.re, -self.im)
-
     def __mul__(self, other: "ComplexInterval") -> "ComplexInterval":
         return ComplexInterval(
             self.re * other.re - self.im * other.im,
@@ -436,16 +419,6 @@ class ComplexInterval:
 
     def widen(self, margin: Dyadic) -> "ComplexInterval":
         return ComplexInterval(self.re.widen(margin), self.im.widen(margin))
-
-    def contains_interval(self, other: "ComplexInterval") -> bool:
-        return self.re.contains_interval(other.re) and self.im.contains_interval(other.im)
-
-    def intersect(self, other: "ComplexInterval"):
-        re = self.re.intersect(other.re)
-        im = self.im.intersect(other.im)
-        if re is None or im is None:
-            return None
-        return ComplexInterval(re, im)
 
     def max_width(self) -> Dyadic:
         return max(self.re.width(), self.im.width())

@@ -24,8 +24,11 @@ component's term count.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
-from math import gcd as _igcd
+from functools import cache, reduce
+from math import gcd as _igcd, prod
+from operator import and_
 
 from .errors import (
     CheckFailed,
@@ -39,8 +42,8 @@ from .polynomials import (
     CoprimeBase,
     HomoPoly,
     LINE_PRIMES,
-    apply_splits,
     restrict_line_mod,
+    scaled,
     substitute,
     univ_gcd_mod,
     univ_mul_mod,
@@ -215,89 +218,59 @@ def compose(outer: PlaneRationalMap, inner: PlaneRationalMap, budget: Budget = D
     Exponent-level substitution over a shared coprime base: each outer factor
     is a sum of composed monomials (a monomial is a one-term sum) whose shared
     atom powers go straight into the result; the cofactors are expanded,
-    summed and decomposed again.  The common factor of the result is read off
-    from minimum exponents.
+    summed and decomposed again.  Exponent vectors are Counters that the base
+    tracks, so an atom split rewrites every one that outlives a ``decompose``;
+    the common factor of the result is their intersection.
     """
     budget.check_degree(outer.degree * inner.degree)
     if any(unit == 0 for map_ in (outer, inner) for unit, _ in map_._factored):
         raise ValueError("cannot decompose the zero polynomial")
     base = CoprimeBase(seed=7)
-    live: list = []  # exponent dicts that must survive atom splits
 
     inner_exps = []
     for unit, factors in inner._factored:
-        exps: dict = {}
-        live.append(exps)
+        exps = base.track(Counter())
         for poly, e in factors:
-            u, ex, splits = base.decompose(poly)
-            apply_splits(live, splits)
+            u, ex = base.decompose(poly)
             unit *= u**e
-            for idx, n in ex.items():
-                exps[idx] = exps.get(idx, 0) + n * e
-        inner_exps.append([unit, exps])
+            exps.update(scaled(ex, e))
+        inner_exps.append((unit, exps))
 
-    image_cache: dict = {}
+    @cache
+    def image(*mults):
+        """(unit, exponents) of inner0^i * inner1^j * inner2^k, (i, j, k) = mults; tracked."""
+        pairs = list(zip(mults, inner_exps))
+        unit = prod(u**m for m, (u, _) in pairs)
+        return unit, base.track(sum((scaled(ex, m) for m, (_, ex) in pairs), Counter()))
 
-    def image(i, j, k):
-        """(unit, exponent dict) of inner0^i * inner1^j * inner2^k, cached and live."""
-        got = image_cache.get((i, j, k))
-        if got is None:
-            unit = inner_exps[0][0] ** i * inner_exps[1][0] ** j * inner_exps[2][0] ** k
-            exps: dict = {}
-            for mult, (_, ex) in zip((i, j, k), inner_exps):
-                if mult:
-                    for idx, n in ex.items():
-                        exps[idx] = exps.get(idx, 0) + n * mult
-            live.append(exps)
-            got = image_cache[(i, j, k)] = (unit, exps)
-        return got
-
-    result_factored = []
+    result = []
     for unit, factors in outer._factored:
-        res_unit = unit
-        res_exps: dict = {}
-        live.append(res_exps)
+        exps = base.track(Counter())
         for poly, e in factors:
             # The atom powers every composed monomial shares go straight into
-            # the result; only the cofactors are expanded, summed and
-            # decomposed.  ``common`` is live, so atom splits rewrite it.
+            # the result; only the cofactors are expanded, summed and decomposed.
             images = [(c, *image(i, j, k)) for (i, j, k, c) in poly.items()]
-            common = {idx: min(ex.get(idx, 0) for _, _, ex in images) for idx in images[0][2]}
-            common = {idx: n for idx, n in common.items() if n}
-            live.append(common)
-            total = None
-            for c, u, exps in images:
-                cofactor = {idx: n - common.get(idx, 0) for idx, n in exps.items() if n > common.get(idx, 0)}
-                term = _expand(c * u, [base.power(idx, n) for idx, n in cofactor.items()])
-                total = term if total is None else total + term
+            common = reduce(and_, (ex for _, _, ex in images))
+            exps.update(scaled(common, e))
+            total = HomoPoly.zero(0)
+            for c, u, ex in images:
+                total = total + _expand(c * u, [base.power(idx, n) for idx, n in (ex - common).items()])
             if total.is_zero():
                 raise ReductionFailure("composed component factor vanished")
-            u, ex, splits = base.decompose(total)
-            apply_splits(live, splits)
-            res_unit *= u**e
-            for part in (ex, common):
-                for idx, n in part.items():
-                    res_exps[idx] = res_exps.get(idx, 0) + n * e
-        result_factored.append([res_unit, res_exps])
+            u, ex = base.decompose(total)
+            unit *= u**e
+            exps.update(scaled(ex, e))
+        result.append((unit, exps))
 
-    # reduction: strip minimal exponents and the unit gcd
-    all_idx = set()
-    for _, exps in result_factored:
-        all_idx |= set(exps)
-    for idx in all_idx:
-        m = min(exps.get(idx, 0) for _, exps in result_factored)
-        if m > 0:
-            for _, exps in result_factored:
-                exps[idx] -= m
-    ug = 0
-    for u, _ in result_factored:
-        ug = _igcd(ug, u)
-    comps = []
-    for u, exps in result_factored:
-        clean = {idx: e for idx, e in exps.items() if e > 0}
-        factors = tuple((base.atoms[idx], clean[idx]) for idx in sorted(clean))
-        comps.append((u // ug, factors))
-    out = PlaneRationalMap(factored=tuple(comps))
+    # reduction: strip the atom powers and the unit gcd all components share
+    shared = reduce(and_, (exps for _, exps in result))
+    ug = _igcd(*(unit for unit, _ in result))
+    out = PlaneRationalMap(
+        factored=tuple(
+            (unit // ug, tuple((base.atoms[idx], n) for idx, n in sorted((exps - shared).items())))
+            for unit, exps in result
+        )
+    )
     budget.check_degree(out.degree)
     return out
 

@@ -26,6 +26,7 @@ by CRT, and returned only after ``divexact`` divides both inputs.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from itertools import islice
 from math import gcd as igcd
 
@@ -669,12 +670,18 @@ def _adjugate(M):
 # ---------------------------------------------------------------------------
 
 
+def scaled(exps, n: int) -> Counter:
+    """The exponent multiset exps (atom index -> exponent) taken n times."""
+    return Counter({idx: e * n for idx, e in exps.items()})
+
+
 class CoprimeBase:
     """Maintains a list of pairwise-coprime primitive polynomials (the atoms).
 
     ``decompose`` expresses a polynomial as unit * product of atom powers,
-    inserting new atoms (and splitting existing ones) as needed.  Split events
-    are returned so callers can rewrite exponent dictionaries.
+    inserting new atoms (and splitting existing ones) as needed.  The base
+    owns the splits: every exponent vector that ``decompose`` returns or a
+    caller hands to ``track`` keeps naming the same product across them.
 
     The base draws its certificate lines once, from its seed.  Each atom is
     restricted to each line at most once (``_images``, reset when the atom is
@@ -691,6 +698,12 @@ class CoprimeBase:
         self.lines = _certificate_lines(seed)
         self._images: list = []  # per atom: line index -> restriction, filled lazily
         self._powers: list = []  # per atom: exponent -> atom^exponent, filled lazily
+        self._tracked: dict = {}  # id -> exponent vector kept current across splits
+
+    def track(self, exps):
+        """Keep the exponent vector exps (atom index -> exponent) current across splits; returns it."""
+        self._tracked[id(exps)] = exps
+        return exps
 
     def power(self, idx: int, e: int) -> HomoPoly:
         """atoms[idx]^e, computed once for as long as the atom stays unchanged."""
@@ -701,12 +714,11 @@ class CoprimeBase:
         return got
 
     def decompose(self, poly: HomoPoly):
-        """(unit, {atom_index: exponent}, split_events) with unit in {+1, -1} * content."""
+        """(unit, Counter {atom_index: exponent}) with unit in {+1, -1} * content; exps is tracked."""
         if poly.is_zero():
             raise ValueError("cannot decompose the zero polynomial")
         unit, P = poly.primitive_normalized()
-        exps: dict = {}
-        splits: list = []
+        exps = self.track(Counter())
         images: dict = {}  # P's restrictions; reset whenever P changes
 
         def divide_out():
@@ -715,7 +727,7 @@ class CoprimeBase:
             while idx < len(self.atoms):
                 q = self._quotient(P, images, idx)
                 if q is not None:
-                    exps[idx] = exps.get(idx, 0) + 1
+                    exps[idx] += 1
                     s, P = q.primitive_normalized()
                     unit *= s
                     images = {}
@@ -731,16 +743,14 @@ class CoprimeBase:
                     continue
                 _, g = homo_gcd(P, atom).primitive_normalized()
                 if g.degree >= 1:
-                    events = self._split_atom(aidx, g)
-                    apply_splits([exps], events)  # an atom that already divided P was split
-                    splits.extend(events)
+                    self._split_atom(aidx, g)  # rewrites exps too, if the atom already divided P
                     break
             else:
                 # genuinely new atom
                 self.atoms.append(P)
                 self._images.append(images)
                 self._powers.append({})
-                exps[len(self.atoms) - 1] = exps.get(len(self.atoms) - 1, 0) + 1
+                exps[len(self.atoms) - 1] += 1
                 P = HomoPoly.monomial(1, 0, 0, 0)
                 break
             # retry division from the top with the refined base
@@ -748,7 +758,7 @@ class CoprimeBase:
         if P.degree == 0:
             s, _ = P.primitive_normalized()
             unit *= s if s else 1
-        return unit, exps, splits
+        return unit, exps
 
     def _quotient(self, P: HomoPoly, images: dict, idx: int):
         """P / atom idx, or None.
@@ -767,29 +777,20 @@ class CoprimeBase:
         return divexact(P, atom)
 
     def _split_atom(self, aidx: int, g: HomoPoly):
-        """Replace atom a with g, appending a/g; returns [(aidx, new_idx)]."""
-        atom = self.atoms[aidx]
-        cof = divexact(atom, g)
+        """Replace atom a with its factor g; a/g, decomposed, joins every tracked vector that names a.
+
+        g and a/g may share a factor (a = x0^2 (x1+x2), g = x0 (x1+x2)): the
+        decomposition of a/g then splits g in turn, so the atoms stay coprime.
+        """
+        cof = divexact(self.atoms[aidx], g)
         if cof is None:
             raise ReductionFailure("claimed factor does not divide its atom")
-        s, cof = cof.primitive_normalized()
-        if s < 0:
-            raise ReductionFailure("sign drift while splitting an atom")
-        events = []
+        named = [(exps, exps[aidx]) for exps in self._tracked.values() if exps.get(aidx)]
         self.atoms[aidx] = g
         self._images[aidx] = {}
         self._powers[aidx] = {}
-        if cof.degree >= 1:
-            self.atoms.append(cof)
-            self._images.append({})
-            self._powers.append({})
-            events.append((aidx, len(self.atoms) - 1))
-        return events
-
-
-def apply_splits(exp_dicts, splits):
-    """Rewrite exponent dicts for split events: atom old became old * new."""
-    for (old_idx, new_idx) in splits:
-        for exps in exp_dicts:
-            if exps and old_idx in exps:
-                exps[new_idx] = exps.get(new_idx, 0) + exps[old_idx]
+        unit, parts = self.decompose(cof)
+        if unit != 1:
+            raise ReductionFailure("sign drift while splitting an atom")
+        for exps, n in named:
+            exps.update(scaled(parts, n))

@@ -43,6 +43,7 @@ _START_TERMS = 32  # series terms of the first bisection; doubled while undecide
 _GUARD = 32  # fractional bits of the certified bracket points beyond the working precision
 _WIDEN = 4  # tries per side of a certified bracket, each doubling the offset
 _NEWTON_STEPS = 200  # cap on the low-precision Newton steps that locate a root
+_LAMBDA_CAP_MESSAGE = "needed more than {cap} fractional bits (cap; see DYNDEG_PRECISION_CAP)"
 
 
 def precision_cap() -> int:
@@ -270,8 +271,24 @@ def solve_lambda(zeta: GaussianInt, target_width) -> LambdaEnclosure:
         max(64, _bits_of(width_goal) + 48),  # resolves the goal on the t side, plus headroom
         _solve_at_precision,
         (zeta, DegreeCache(zeta), width_goal),
-        "needed more than {cap} fractional bits (cap; see DYNDEG_PRECISION_CAP)",
+        _LAMBDA_CAP_MESSAGE,
     )
+
+
+def digits_goal(zeta: GaussianInt, digits: int) -> Fraction:
+    """The width goal 10^-digits, after the refusals solve_lambda would give it.
+
+    An inadmissible zeta is refused first.  Then the cap is checked before
+    10^digits is built: digits * 3321928094 // 10^9 + 1 is at most
+    bit_length(10^digits) = floor(digits * log2 10) + 1, so the refusal fires
+    only where the ladder's first rung already exceeds the cap, with the
+    ladder's message.
+    """
+    _require_admissible(zeta)
+    cap = precision_cap()
+    if digits * 3321928094 // 10**9 + 1 + 48 > cap:
+        raise PrecisionError(_LAMBDA_CAP_MESSAGE.format(cap=cap))
+    return Fraction(1, 10**digits)
 
 
 def _solve_at_precision(prec, args):

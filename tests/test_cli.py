@@ -115,6 +115,17 @@ class TestOracleCommand:
         assert code == 4
         assert "cap" in err
 
+    def test_budget_exit4_before_recursion(self):
+        # the degree cap stops iterate 4; e_1..e_20000 alone would take minutes
+        proc = run_module("oracle", "--zeta", "1+2i", "--max-iter", "20000", timeout=20)
+        assert (proc.returncode, proc.stdout) == (4, "")
+        assert proc.stderr == "error: degree 4540 exceeds cap 1000\n"
+
+    def test_zero_iterations_large_zeta(self, capsys):
+        # f at 503+64i exceeds the degree budget, but --max-iter 0 composes nothing
+        code, out, _ = run(capsys, "oracle", "--zeta", "503+64i", "--max-iter", "0", "--format", "csv")
+        assert (code, out) == (0, "n,recursion,oracle,match\n")
+
 
 class TestCfCommand:
     def test_depth4(self, capsys):
@@ -299,6 +310,21 @@ class TestUsageErrors:
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr == "error: theta precision of 20000 bits exceeds the cap of 64 bits\n"
+
+    @pytest.mark.parametrize("command", ["lambda", "report"])
+    @pytest.mark.parametrize("cap", [None, "100000"])
+    def test_huge_digits_exit3_before_power(self, command, cap):
+        # building 10^100000000 alone takes minutes
+        env = {} if cap is None else {"DYNDEG_PRECISION_CAP": cap}
+        proc = run_module(command, "--zeta", "1+2i", "--digits", "100000000", timeout=20, **env)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        bits = cap or "65536"
+        assert proc.stderr == f"error: needed more than {bits} fractional bits (cap; see DYNDEG_PRECISION_CAP)\n"
+
+    def test_huge_digits_inadmissible_exit2(self):
+        proc = run_module("lambda", "--zeta", "1+1i", "--digits", "100000000", timeout=20)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: zeta=1+i is inadmissible: integer multiple of 1+i\n"
 
     @pytest.mark.parametrize("command", ["degrees", "lambda", "oracle", "cf", "report", "irregular"])
     def test_malformed_precision_cap_rejected_by_every_command(self, monkeypatch, capsys, command):

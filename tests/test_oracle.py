@@ -2,6 +2,7 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dyndeg.errors import (
     CheckFailed,
@@ -29,7 +30,7 @@ from dyndeg.oracle import (
     monomial_map,
     random_line_degree_check,
 )
-from dyndeg.polynomials import HomoPoly
+from dyndeg.polynomials import CoprimeBase, HomoPoly
 
 Z = GaussianInt
 ZETA = Z(1, 2)
@@ -54,6 +55,13 @@ def expanded(map_):
 def reduce_by_compose(*components):
     """A raw triple reduced on the one composition route: the triple after the identity."""
     return compose(PlaneRationalMap(components=components), identity_map())
+
+
+LINEAR = st.tuples(*[st.integers(-3, 3)] * 3)  # coefficients of a linear form
+
+
+def linear_form(c):
+    return HomoPoly.from_triples(1, [(1, 0, 0, c[0]), (0, 1, 0, c[1]), (0, 0, 1, c[2])])
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +189,24 @@ class TestCompose:
         inner = PlaneRationalMap(components=(A * x0, A * x1, A * x2))
         outer = linear_map([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
         assert compose(expanded(outer), inner).same_map(outer)
+
+    @settings(max_examples=25, deadline=None)
+    @given(LINEAR.filter(lambda c: sum(map(bool, c)) >= 2), LINEAR.filter(any), LINEAR.filter(any))
+    @example((0, 1, 1), (1, 0, 0), (1, 0, 0))  # a/g = x0 shares x0 with g = x0 (x1+x2)
+    def test_splits_through_compose(self, a, b, c):
+        # [A B x0 : A C x1 : B C x2] for random linear A, B, C: the inner
+        # components share factors, so decomposing them splits atoms; A is not
+        # a multiple of a coordinate, so the atom A B x0 never divides the rest
+        A, B, C = map(linear_form, (a, b, c))
+        inner = PlaneRationalMap(components=(A * B * X0, A * C * X1, B * C * X2))
+        splits = []
+        split_atom = CoprimeBase._split_atom
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(CoprimeBase, "_split_atom", lambda *args: splits.append(args) or split_atom(*args))
+            composed = compose(g_map(), inner)
+        assert splits
+        raw = compose_raw_components(g_map(), inner)
+        assert composed.degree == factored_line_degree(PlaneRationalMap(components=raw))
 
     def test_zero_component_rejected(self):
         x = HomoPoly.monomial(1, 1, 0, 0)

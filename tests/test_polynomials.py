@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 import sympy
@@ -389,13 +390,19 @@ class TestLineTools:
             assert not certify_coprime(A, B, seed=trial)
 
 
+def assert_split(before, after):
+    """One atom of before split: replaced in place by a factor, the cofactor appended next."""
+    (i,) = [i for i, (a, b) in enumerate(zip(before, after)) if a is not b]
+    assert after[i] * after[len(before)] == before[i]
+
+
 class TestCoprimeBase:
     def test_decompose_product(self):
         base = CoprimeBase(seed=1)
         A = HomoPoly.from_triples(1, [(1, 0, 0, 1), (0, 1, 0, 1)])
         B = HomoPoly.from_triples(1, [(1, 0, 0, 1), (0, 0, 1, -2)])
-        unit, exps, splits = base.decompose(A * A * B)
-        assert not splits
+        unit, exps = base.decompose(A * A * B)
+        assert len(base.atoms) == 1  # one new atom, nothing split
         rebuilt = HomoPoly.monomial(unit, 0, 0, 0)
         for idx, e in exps.items():
             rebuilt = rebuilt * base.atoms[idx].pow(e)
@@ -407,13 +414,14 @@ class TestCoprimeBase:
         B = HomoPoly.from_triples(1, [(1, 0, 0, 1), (0, 0, 1, 1)])   # x0+x2
         C = HomoPoly.from_triples(1, [(0, 1, 0, 1), (0, 0, 1, 1)])   # x1+x2
         base.decompose(A * B)
-        unit, exps, splits = base.decompose(A * C)
+        before = list(base.atoms)
+        unit, exps = base.decompose(A * C)
         # the first atom (A*B) must have been split so that A is shared
         rebuilt = HomoPoly.monomial(unit, 0, 0, 0)
         for idx, e in exps.items():
             rebuilt = rebuilt * base.atoms[idx].pow(e)
         assert rebuilt == A * C
-        assert splits  # a split happened
+        assert_split(before, base.atoms)
         # base atoms are pairwise coprime
         for i in range(len(base.atoms)):
             for j in range(i + 1, len(base.atoms)):
@@ -427,21 +435,58 @@ class TestCoprimeBase:
         C = HomoPoly.from_triples(1, [(0, 1, 0, 1), (0, 0, 1, 1)])   # x1+x2
         base.decompose(A * B * B)
         used = [(idx, e) for idx in range(len(base.atoms)) for e in (1, 2, 3)]
+        atoms = list(base.atoms)
         before = {key: base.power(*key) for key in used}
-        _, _, splits = base.decompose(A * C)
-        assert splits
+        base.decompose(A * C)
+        assert_split(atoms, base.atoms)
         used += [(idx, e) for idx in range(len(before), len(base.atoms)) for e in (1, 2, 3)]
         for idx, e in used:
             assert base.power(idx, e) == base.atoms[idx].pow(e)
         assert any(base.power(*key) != got for key, got in before.items())
+
+    def test_split_rewrites_tracked_vectors(self):
+        # atom 0 is (x0+x1)(x0+x2) until x0+x1 splits it; a vector tracked
+        # before the split and an earlier decompose result both follow
+        base = CoprimeBase(seed=2)
+        A = HomoPoly.from_triples(1, [(1, 0, 0, 1), (0, 1, 0, 1)])   # x0+x1
+        B = HomoPoly.from_triples(1, [(1, 0, 0, 1), (0, 0, 1, 1)])   # x0+x2
+        C = HomoPoly.from_triples(1, [(0, 1, 0, 1), (0, 0, 1, 1)])   # x1+x2
+        unit, first = base.decompose(A * B)
+        tracked = base.track(Counter({0: 3}))
+        assert first == Counter({0: 1})
+        before = list(base.atoms)
+        base.decompose(A * C)
+        assert_split(before, base.atoms)  # atoms are now x0+x1, x0+x2, x1+x2
+        assert first == Counter({0: 1, 1: 1})
+        assert tracked == Counter({0: 3, 1: 3})
+        rebuilt = HomoPoly.monomial(unit, 0, 0, 0)
+        for idx, e in first.items():
+            rebuilt = rebuilt * base.atoms[idx].pow(e)
+        assert rebuilt == A * B
+
+    def test_split_cofactor_sharing_a_factor(self):
+        # a = x0^2 (x1+x2) meets g = x0 (x1+x2), and a/g = x0 shares x0 with g:
+        # the split refines g in turn, so the atoms stay pairwise coprime
+        base = CoprimeBase(seed=2)
+        x0, x1, x2 = (HomoPoly.monomial(1, *e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        inputs = (x0 * x0 * (x1 + x2), x0 * x1 * (x1 + x2))
+        decomposed = [base.decompose(P) for P in inputs]
+        for i, j in itertools.combinations(range(len(base.atoms)), 2):
+            assert homo_gcd(base.atoms[i], base.atoms[j]).degree == 0
+        for P, (unit, exps) in zip(inputs, decomposed):
+            rebuilt = HomoPoly.monomial(unit, 0, 0, 0)
+            for idx, e in exps.items():
+                rebuilt = rebuilt * base.atoms[idx].pow(e)
+            assert rebuilt == P
 
     def test_split_after_division(self):
         # x0 x1 divides x0^2 x1, then splits against the leftover x0
         base = CoprimeBase(seed=4)
         x0, x1 = HomoPoly.monomial(1, 1, 0, 0), HomoPoly.monomial(1, 0, 1, 0)
         base.decompose(x0 * x1)
-        unit, exps, splits = base.decompose(x0 * x0 * x1)
-        assert splits
+        before = list(base.atoms)
+        unit, exps = base.decompose(x0 * x0 * x1)
+        assert_split(before, base.atoms)
         rebuilt = HomoPoly.monomial(unit, 0, 0, 0)
         for idx, e in exps.items():
             rebuilt = rebuilt * base.atoms[idx].pow(e)
@@ -477,7 +522,7 @@ class TestCoprimeBase:
     def test_monomial_factors(self):
         base = CoprimeBase(seed=3)
         P = HomoPoly.monomial(4, 2, 3, 1)
-        unit, exps, _ = base.decompose(P)
+        unit, exps = base.decompose(P)
         rebuilt = HomoPoly.monomial(unit, 0, 0, 0)
         for idx, e in exps.items():
             rebuilt = rebuilt * base.atoms[idx].pow(e)

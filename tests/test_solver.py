@@ -6,10 +6,18 @@ import mpmath
 import pytest
 from hypothesis import example, given, strategies as st
 
-from dyndeg.errors import AdmissibilityError
+from dyndeg.errors import AdmissibilityError, PrecisionError
 from dyndeg.gaussian import GaussianInt, d_sequence
 from dyndeg.intervals import ComplexInterval, Dyadic, RealInterval
-from dyndeg.solver import LambdaEnclosure, _series_table, alpha_of, phi_eval, solve_lambda
+from dyndeg.solver import (
+    LambdaEnclosure,
+    _series_table,
+    alpha_of,
+    digits_goal,
+    phi_eval,
+    precision_cap,
+    solve_lambda,
+)
 
 Z = GaussianInt
 ZETA = Z(1, 2)
@@ -152,6 +160,22 @@ class TestSolveLambda:
         assert set(obj) == {"zeta", "lambda_lo", "lambda_hi", "width", "N_used", "precision_bits"}
         assert all(isinstance(v, str) for v in obj.values())
         assert obj["zeta"] == "1+2i"
+
+
+class TestDigitsGoal:
+    @pytest.mark.parametrize("cap, digits", [(None, range(19690, 19740)), ("1000", range(270, 300))])
+    def test_refuses_exactly_past_the_first_rung(self, monkeypatch, cap, digits):
+        # the early refusal matches the ladder's first rung, bit_length(10^D) + 48,
+        # digit by digit across the boundary
+        if cap is not None:
+            monkeypatch.setenv("DYNDEG_PRECISION_CAP", cap)
+        limit = precision_cap()
+        for d in digits:
+            if (10**d).bit_length() + 48 > limit:
+                with pytest.raises(PrecisionError, match=f"needed more than {limit} fractional bits"):
+                    digits_goal(ZETA, d)
+            else:
+                assert digits_goal(ZETA, d) == Fraction(1, 10**d)
 
 
 class TestAlpha:
