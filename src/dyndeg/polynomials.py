@@ -4,6 +4,13 @@ Representation: a homogeneous polynomial of degree d in (x0, x1, x2) stores
 only nonzero coefficients, keyed by the packed exponent pair (i << 11) | j;
 the x2 exponent is d - i - j.  Degrees are capped at 2047 by the packing.
 
+A product takes one of two exact routes, picked by a bound on the operands
+alone: when ba + bb + (shorter term count).bit_length() <= 63, with ba and
+bb the bit lengths of the largest coefficient magnitudes, an int64
+scatter-add over the product's bounding box (``_mul_int64``, where the
+proof is), which no partial sum can overflow; otherwise the dict loop on
+Python integers, exact at any size.
+
 ``substitute`` is the one routine that substitutes polynomials into a
 polynomial (Horner in the first image over shared power tables of the other
 two): the oracle's raw triple, the gcd candidate mapped back through its
@@ -46,6 +53,55 @@ def _pack(i: int, j: int) -> int:
 
 def _unpack(key: int):
     return key >> _J_BITS, key & _J_MASK
+
+
+# terms of one operand taken per step of the int64 kernels (the shorter factor
+# of a product, the polynomial restricted by restrict_line_mod); 256 in
+# restrict_line_mod raised peak memory by 6%
+_GATHER_CHUNK = 64
+
+
+def _coeff_bits(terms: dict) -> int:
+    """Bit length of the largest coefficient magnitude."""
+    return max(map(abs, terms.values())).bit_length()
+
+
+def _mul_int64(a: dict, b: dict) -> dict:
+    """Terms of the product of the term dicts a and b, summed in one int64 array.
+
+    Each term gets an index in the product's bounding box: row i - i0, column
+    j - j0, where (i0, j0) is the smallest (i, j) of the product and a row is
+    as wide as the product's j-range.  The operands split the offsets between
+    them, so the index of a product term is the sum of its factors' indices.
+    ``_GATHER_CHUNK`` terms of a at a time, the outer sums of the indices and
+    the outer products of the coefficients are ``np.add.at``-ed into one
+    zeroed accumulator, whose nonzero slots are the product's terms.
+
+    Exact when ba + bb + len(a).bit_length() <= 63, with ba and bb the bit
+    lengths of the largest coefficient magnitudes of a and b (``__mul__``
+    checks this).  For a fixed term of a, a product key has at most one
+    partner in b, so a slot receives at most len(a) < 2^len(a).bit_length()
+    contributions, each of magnitude below 2^(ba + bb).  Every partial sum,
+    in any order, is therefore below 2^63 in magnitude and no int64 value
+    overflows.
+    """
+    ka = np.fromiter(a, dtype=np.int64, count=len(a))
+    kb = np.fromiter(b, dtype=np.int64, count=len(b))
+    ia, ja, ib, jb = ka >> _J_BITS, ka & _J_MASK, kb >> _J_BITS, kb & _J_MASK
+    i0, j0 = int(ia.min() + ib.min()), int(ja.min() + jb.min())
+    width = int(ja.max() + jb.max()) - j0 + 1
+    height = int(ia.max() + ib.max()) - i0 + 1
+    xa = (ia - ia.min()) * width + (ja - ja.min())
+    xb = (ib - ib.min()) * width + (jb - jb.min())
+    ca = np.fromiter(a.values(), dtype=np.int64, count=len(a))
+    cb = np.fromiter(b.values(), dtype=np.int64, count=len(b))
+    acc = np.zeros(height * width, dtype=np.int64)
+    for s in range(0, len(a), _GATHER_CHUNK):
+        chunk = slice(s, s + _GATHER_CHUNK)
+        np.add.at(acc, np.add.outer(xa[chunk], xb), np.multiply.outer(ca[chunk], cb))
+    slots = np.flatnonzero(acc)
+    keys = ((slots // width + i0) << _J_BITS) | (slots % width + j0)
+    return dict(zip(keys.tolist(), acc[slots].tolist()))
 
 
 class HomoPoly:
@@ -150,6 +206,8 @@ class HomoPoly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
+        if _coeff_bits(a) + _coeff_bits(b) + len(a).bit_length() <= 63:
+            return HomoPoly(deg, _mul_int64(a, b))
         out: dict = {}
         get = out.get
         for ka, ca in a.items():
@@ -328,10 +386,6 @@ def _primes_from(start: int):
 LINE_PRIMES = tuple(islice(_primes_from(1 << 25), 8))
 
 
-# terms gathered per step of restrict_line_mod; 256 raised peak memory by 6%
-_GATHER_CHUNK = 64
-
-
 def restrict_line_mod(P: HomoPoly, a, b, p: int):
     """Coefficients (descending) of t -> P(a*t + b) mod p, via evaluation/interpolation.
 
@@ -369,9 +423,9 @@ def _interpolate_mod(values: np.ndarray, p: int):
     """Newton interpolation at nodes 0..n-1 over F_p; ascending coefficients."""
     n = len(values)
     d = values.copy()
-    inv = [0] * n
-    for step in range(1, n):
-        inv[step] = pow(step, p - 2, p)
+    inv = [0, 1] + [0] * (n - 2)
+    for step in range(2, n):  # p = (p // step) * step + p % step, read mod p
+        inv[step] = -(p // step) * inv[p % step] % p
     for j in range(1, n):
         diff = (d[j:] - d[j - 1 : -1]) % p
         d[j:] = diff * inv[j] % p
@@ -399,7 +453,11 @@ def restrict_line_exact(P: HomoPoly, a, b):
 
 def _strip_mod(f, p: int) -> np.ndarray:
     """Residues mod p of a descending coefficient sequence, leading zeros dropped."""
-    f = np.asarray(f, dtype=np.int64) % p
+    return _strip(np.asarray(f, dtype=np.int64) % p)
+
+
+def _strip(f: np.ndarray) -> np.ndarray:
+    """f with its leading zeros dropped (a view)."""
     nonzero = np.flatnonzero(f)
     return f[nonzero[0]:] if len(nonzero) else f[:0]
 
@@ -408,7 +466,7 @@ def univ_gcd_mod(f, g, p: int):
     """Monic gcd of univariate polynomials (descending coeffs) over F_p."""
     f, g = _strip_mod(f, p), _strip_mod(g, p)
     while len(g):
-        f, g = g, _univ_rem_mod(f, g, p)
+        f, g = g, _rem_stripped(f.copy(), g, p)
     if not len(f):
         return []
     return (f * pow(int(f[0]), p - 2, p) % p).tolist()
@@ -417,10 +475,17 @@ def univ_gcd_mod(f, g, p: int):
 def _univ_rem_mod(f, g, p: int) -> np.ndarray:
     """Remainder of f by g over F_p (descending), as a stripped int64 array.
 
-    g must not vanish mod p.  Each step subtracts q * g with q, g < p, so no
-    int64 value reaches p^2 < 2^51.
+    g must not vanish mod p.
     """
-    r, g = _strip_mod(f, p), _strip_mod(g, p)
+    return _rem_stripped(_strip_mod(f, p), _strip_mod(g, p), p)
+
+
+def _rem_stripped(r: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
+    """Remainder of r by g, both stripped residue arrays and g nonempty; reduces r in place.
+
+    Each step subtracts q * g with q, g < p, so no int64 value reaches
+    p^2 < 2^51, and every entry of r stays a residue.
+    """
     dg = len(g) - 1
     if dg == 0:
         return r[:0]
@@ -429,7 +494,7 @@ def _univ_rem_mod(f, g, p: int) -> np.ndarray:
         q = int(r[i]) * inv_lc % p
         if q:
             r[i : i + dg + 1] = (r[i : i + dg + 1] - q * g) % p
-    return _strip_mod(r[max(len(r) - dg, 0):], p)
+    return _strip(r[max(len(r) - dg, 0):])
 
 
 def univ_mul_mod(f, g, p: int):

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dyndeg.polynomials as polynomials
 from dyndeg.errors import ReductionFailure
@@ -83,7 +83,83 @@ def random_homo(rng, degree, nterms, coeff_range=9):
     return P
 
 
+def homo(terms):
+    """HomoPoly from {(i, j, k): c}; the degree is read off the first key."""
+    return HomoPoly.from_triples(sum(next(iter(terms))), [(*e, c) for e, c in terms.items()])
+
+
+@st.composite
+def mul_operands(draw):
+    """Two operands whose coefficient sizes put the int64 bound of ``__mul__`` at 63, at 64 or anywhere.
+
+    Each operand is a patch of monomials of low degree shifted by a
+    monomial, so the boxes sit anywhere in the triangle (apart, overlapping,
+    at degree 2047).  Every coefficient of one operand has the same bit
+    length or less, and the first reaches it; the bound
+    ba + bb + (shorter length).bit_length() is then known before the
+    coefficients are drawn.  A dense draw takes two full patches of degree 4
+    (15 terms, so 4 length bits), splits the bits evenly and makes every
+    coefficient 2^k - 1, with one sign per operand: ten products of top
+    coefficients then meet in one slot, so int64 overflows there at bound 64.
+    """
+    dense = draw(st.integers(0, 3)) == 0
+    shapes = []
+    for cap in (1023, 1024):
+        base = 4 if dense else draw(st.integers(0, 6))
+        monomials = [(i, j, base - i - j) for i in range(base + 1) for j in range(base + 1 - i)]
+        exps = monomials if dense else draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=10, unique=True))
+        room = cap - base
+        shift = []
+        for _ in range(3):
+            shift.append(draw(st.integers(0, room)))
+            room -= shift[-1]
+        if dense:
+            kinds, signs = ["top"] * len(exps), [draw(st.sampled_from((1, -1)))] * len(exps)
+        else:
+            kinds = draw(st.lists(st.sampled_from(("top", "low", "any")), min_size=len(exps), max_size=len(exps)))
+            signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(exps), max_size=len(exps)))
+        shapes.append(([tuple(e + s for e, s in zip(m, shift)) for m in exps], ["top"] + kinds[1:], signs))
+    length_bits = min(len(exps) for exps, _, _ in shapes).bit_length()
+    target = draw(st.sampled_from((63, 64, None)))
+    if target is None:
+        bits = [draw(st.integers(1, 80)), draw(st.integers(1, 80))]
+    else:
+        first = (target - length_bits) // 2 if dense else draw(st.integers(1, target - length_bits - 1))
+        bits = [first, target - length_bits - first]
+    operands = []
+    for (exps, kinds, signs), k in zip(shapes, bits):
+        top = (1 << k) - 1
+        size = {"top": lambda: top, "low": lambda: 1 << (k - 1), "any": lambda: draw(st.integers(1, top))}
+        operands.append(homo({e: sign * size[kind]() for e, kind, sign in zip(exps, kinds, signs)}))
+    if not dense and draw(st.booleans()):
+        A = operands[0]
+        A.terms[next(iter(A.terms))] = -(1 << 62)
+    return operands
+
+
+TRINOMIAL = {(2, 0, 0): 1, (1, 1, 0): 1, (0, 2, 0): 1}
+
+
 class TestArithmetic:
+    @settings(max_examples=50, deadline=None)
+    @given(mul_operands())
+    # three contributions of (2^31 - 1)^2 to x0^2 x1^2: past 2^63 at bound 64, below it at 63
+    @example([homo({e: (1 << 31) - 1 for e in TRINOMIAL}), homo({e: (1 << 31) - 1 for e in TRINOMIAL})])
+    @example([homo({e: (1 << 31) - 1 for e in TRINOMIAL}), homo({e: -((1 << 30) - 1) for e in TRINOMIAL})])
+    @example([homo({(1, 0, 0): -(1 << 62)}), homo({(1, 0, 0): 1, (0, 1, 0): -1, (0, 0, 1): 1})])
+    @example([homo({(1, 0, 0): 1, (0, 1, 0): -1}), homo({(1, 0, 0): 1, (0, 1, 0): 1})])  # x0^2 - x1^2
+    @example([homo({(0, 0, 0): -7}), homo({(0, 0, 0): 3})])
+    @example([homo({(0, 0, 0): 5}), homo({(1, 0, 0): 1, (0, 0, 1): -3})])
+    @example([homo({(101, 0, 0): 1, (100, 1, 0): 2}), homo({(0, 201, 7): 1, (0, 200, 8): -1, (1, 200, 7): 3})])
+    @example([homo({(1000, 24, 0): 1, (1000, 23, 1): -2}), homo({(3, 20, 1000): 5, (0, 23, 1000): -1, (1, 22, 1000): 4})])
+    def test_mul_matches_reference(self, operands):
+        A, B = operands
+        product = A * B
+        expected = sympy.Poly(sympy.expand(to_sympy(A).as_expr() * to_sympy(B).as_expr()), X0, X1, X2).as_dict()
+        assert product.degree == A.degree + B.degree
+        assert {(i, j, k): c for i, j, k, c in product.items()} == expected  # no zero term stored
+        assert B * A == product
+
     def test_mul_matches_sympy(self):
         rng = random.Random(1)
         for _ in range(25):
