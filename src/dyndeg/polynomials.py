@@ -4,12 +4,13 @@ Representation: a homogeneous polynomial of degree d in (x0, x1, x2) stores
 only nonzero coefficients, keyed by the packed exponent pair (i << 11) | j;
 the x2 exponent is d - i - j.  Degrees are capped at 2047 by the packing.
 
-A product takes one of two exact routes, picked by a bound on the operands
-alone: when ba + bb + (shorter term count).bit_length() <= 63, with ba and
-bb the bit lengths of the largest coefficient magnitudes, an int64
-scatter-add over the product's bounding box (``_mul_int64``, where the
-proof is), which no partial sum can overflow; otherwise the dict loop on
-Python integers, exact at any size.
+A product takes one of two exact routes, picked by the operands alone: when
+ba + bb + (shorter term count).bit_length() <= 63, with ba and bb the bit
+lengths of the largest coefficient magnitudes, and the product's bounding
+box has at most ``_GATHER_CHUNK`` slots per pair of terms, an int64
+scatter-add over that box (``_mul_int64``, where the proof is), which no
+partial sum can overflow; otherwise the dict loop on Python integers, exact
+at any size.
 
 ``substitute`` is the one routine that substitutes polynomials into a
 polynomial (Horner in the first image over shared power tables of the other
@@ -18,16 +19,23 @@ frame, and the exact line restriction ``restrict_line_exact``, which the
 tests use as an independent reference for the mod-p kernel.
 
 Everything modular runs on one set of mod-p kernels over numpy int64:
-restriction of a polynomial to a line (``restrict_line_mod``) and the
+restriction of a polynomial to a line (``restrict_line_mod``: values at the
+nodes 0..d with one coordinate divided out, the terms grouped by the
+exponent of one ratio and each group summed by one vector-matrix product,
+then interpolation by one convolution and an in-place Horner) and the
 univariate product, remainder and gcd (``univ_mul_mod``, ``_univ_rem_mod``,
-``univ_gcd_mod``).  Residues stay below p ~ 2^25, so no sum they form
-overflows.  A constant gcd of the restrictions to a line that keeps both
-degrees proves coprimality (``certify_coprime``); a nonzero remainder proves
-non-division.  A ``CoprimeBase`` draws its certificate lines once and
-restricts each polynomial to each of them at most once.  ``homo_gcd`` is
-Brown's modular gcd built from the same kernels: restrictions to a pencil of
-lines in a random unimodular frame, interpolated across the pencil, lifted
-by CRT, and returned only after ``divexact`` divides both inputs.
+``univ_gcd_mod``; a quotient longer than the divisor comes from one Newton
+inversion of the reversed divisor, a Euclid step from the division loop).
+Each sum there adds at most 2048 products of two residues, so it stays
+below 2^63 for any p <= 2^26; for the primes near 2^25 that the callers
+draw (p < 2^25.01) it stays below 2^61.02.  A constant gcd of the
+restrictions to a line that keeps both degrees proves coprimality
+(``certify_coprime``); a nonzero remainder proves non-division.  A
+``CoprimeBase`` draws its certificate lines once and restricts each
+polynomial to each of them at most once.  ``homo_gcd`` is Brown's modular
+gcd built from the same kernels: restrictions to a pencil of lines in a
+random unimodular frame, interpolated across the pencil, lifted by CRT, and
+returned only after ``divexact`` divides both inputs.
 """
 
 from __future__ import annotations
@@ -55,9 +63,8 @@ def _unpack(key: int):
     return key >> _J_BITS, key & _J_MASK
 
 
-# terms of one operand taken per step of the int64 kernels (the shorter factor
-# of a product, the polynomial restricted by restrict_line_mod); 256 in
-# restrict_line_mod raised peak memory by 6%
+# terms of the shorter factor taken per step of the int64 product kernel, and
+# the most box slots it allocates per pair of terms
 _GATHER_CHUNK = 64
 
 
@@ -66,7 +73,7 @@ def _coeff_bits(terms: dict) -> int:
     return max(map(abs, terms.values())).bit_length()
 
 
-def _mul_int64(a: dict, b: dict) -> dict:
+def _mul_int64(a: dict, b: dict) -> dict | None:
     """Terms of the product of the term dicts a and b, summed in one int64 array.
 
     Each term gets an index in the product's bounding box: row i - i0, column
@@ -76,6 +83,12 @@ def _mul_int64(a: dict, b: dict) -> dict:
     ``_GATHER_CHUNK`` terms of a at a time, the outer sums of the indices and
     the outer products of the coefficients are ``np.add.at``-ed into one
     zeroed accumulator, whose nonzero slots are the product's terms.
+
+    None, for the dict loop, when the box has more than ``_GATHER_CHUNK``
+    slots per pair of terms: the accumulator then stays within
+    ``_GATHER_CHUNK`` times the outer arrays the chunks build, and a sparse
+    product over a wide box, such as (x0^1000 + x1^1000)^2, allocates no
+    2001 x 2001 array for its three terms.
 
     Exact when ba + bb + len(a).bit_length() <= 63, with ba and bb the bit
     lengths of the largest coefficient magnitudes of a and b (``__mul__``
@@ -91,6 +104,8 @@ def _mul_int64(a: dict, b: dict) -> dict:
     i0, j0 = int(ia.min() + ib.min()), int(ja.min() + jb.min())
     width = int(ja.max() + jb.max()) - j0 + 1
     height = int(ia.max() + ib.max()) - i0 + 1
+    if height * width > _GATHER_CHUNK * len(a) * len(b):
+        return None
     xa = (ia - ia.min()) * width + (ja - ja.min())
     xb = (ib - ib.min()) * width + (jb - jb.min())
     ca = np.fromiter(a.values(), dtype=np.int64, count=len(a))
@@ -207,8 +222,10 @@ class HomoPoly:
         if len(a) > len(b):
             a, b = b, a
         if _coeff_bits(a) + _coeff_bits(b) + len(a).bit_length() <= 63:
-            return HomoPoly(deg, _mul_int64(a, b))
-        out: dict = {}
+            out = _mul_int64(a, b)
+            if out is not None:
+                return HomoPoly(deg, out)
+        out = {}
         get = out.get
         for ka, ca in a.items():
             for kb, cb in b.items():
@@ -389,54 +406,104 @@ LINE_PRIMES = tuple(islice(_primes_from(1 << 25), 8))
 def restrict_line_mod(P: HomoPoly, a, b, p: int):
     """Coefficients (descending) of t -> P(a*t + b) mod p, via evaluation/interpolation.
 
-    Returns None if the restriction does not have full degree P.degree mod p
-    (a degenerate line for this certificate's purposes).  The power tables of
-    the three coordinates are gathered for ``_GATHER_CHUNK`` terms at a time;
-    a chunk's sum of at most 64 products below p^2 < 2^51 fits in int64.
+    Returns None exactly when P(a), the coefficient of t^d, vanishes mod p
+    (a degenerate line for this certificate's purposes).
+
+    The values at the nodes t = 0..d divide out a coordinate x_c that
+    vanishes at no more than one node: one with a_c != 0 mod p, or with
+    a_c = 0 and b_c != 0.  If there is none, a = b = 0 mod p and d >= 1, so
+    P(a) = 0.  With the ratios r_u = x_u / x_c and r_v = x_v / x_c of the
+    other two coordinates, the terms grouped by their exponent e_u, and
+    S(e_u) the sum over one group of coefficient * r_v^e_v,
+
+        P(x) = x_c^d * (sum over e_u of r_u^e_u * S(e_u)).
+
+    Each S(e_u) is one int64 vector-matrix product of the group's
+    coefficients with rows of the r_v power table.  At the node where x_c
+    vanishes only the terms free of x_c contribute; they are summed there
+    directly.  Every sum adds at most 2048 products of residues below
+    p < 2^25.01: a group's terms have distinct e_v and the groups distinct
+    e_u, so neither outnumbers d + 1 <= 2048, and each sum stays below
+    2^61.02 < 2^63.
     """
     d = P.degree
     ts = np.arange(d + 1, dtype=np.int64)
-    keys = np.fromiter(P.terms, dtype=np.int64, count=len(P.terms))
-    coeffs = np.fromiter((c % p for c in P.terms.values()), dtype=np.int64, count=len(P.terms))
+    xs = [(a[k] % p * ts + b[k] % p) % p for k in range(3)]
+    c = next((k for k in range(3) if np.count_nonzero(xs[k] == 0) <= 1), None)
+    if c is None or P.is_zero():
+        return None
+    u, v = (k for k in range(3) if k != c)
+    n = len(P.terms)
+    keys = np.fromiter(P.terms, dtype=np.int64, count=n)
+    coeffs = np.fromiter((x % p for x in P.terms.values()), dtype=np.int64, count=n)
     i, j = keys >> _J_BITS, keys & _J_MASK
     exps = (i, j, d - i - j)
-    tables = []
-    for coord in range(3):
-        x = (a[coord] % p * ts + b[coord] % p) % p
-        table = np.empty((int(exps[coord].max(initial=0)) + 1, d + 1), dtype=np.int64)
-        table[0] = 1
-        for e in range(1, len(table)):
-            table[e] = table[e - 1] * x % p
-        tables.append(table)
-    values = np.zeros(d + 1, dtype=np.int64)
-    for s in range(0, len(keys), _GATHER_CHUNK):
-        chunk = slice(s, s + _GATHER_CHUNK)
-        terms = tables[0][exps[0][chunk]] * tables[1][exps[1][chunk]] % p * tables[2][exps[2][chunk]] % p
-        values = (values + (coeffs[chunk, None] * terms).sum(axis=0)) % p
+    xc = xs[c].tolist()
+    inv = np.array([pow(x, -1, p) if x else 0 for x in xc], dtype=np.int64)
+    order = np.argsort(exps[u])
+    eu, ev, cf = exps[u][order], exps[v][order], coeffs[order]
+    starts = np.flatnonzero(eu[1:] != eu[:-1]) + 1
+    bounds = [0, *starts.tolist(), n]
+    sums = np.zeros((int(eu[-1]) + 1, d + 1), dtype=np.int64)  # row e_u: the sum of its group
+    v_table = _power_table(xs[v] * inv % p, int(ev.max()), p)
+    for lo, hi in zip(bounds, bounds[1:]):
+        sums[eu[lo]] = cf[lo:hi] @ v_table[ev[lo:hi]]
+    del v_table  # one power table alive at a time
+    sums %= p
+    values = np.einsum("et,et->t", sums, _power_table(xs[u] * inv % p, len(sums) - 1, p)) % p
+    values = values * np.array([pow(x, d, p) for x in xc], dtype=np.int64) % p
+    if 0 in xc:
+        t = xc.index(0)
+        xu, xv = int(xs[u][t]), int(xs[v][t])
+        free = np.flatnonzero(exps[c] == 0).tolist()
+        values[t] = sum(
+            int(coeffs[m]) * pow(xu, int(exps[u][m]), p) * pow(xv, int(exps[v][m]), p) for m in free
+        ) % p
     coeffs_asc = _interpolate_mod(values, p)
-    if coeffs_asc[d] % p == 0:
+    if coeffs_asc[d] == 0:
         return None
     return coeffs_asc[::-1]
 
 
+def _power_table(r: np.ndarray, top: int, p: int) -> np.ndarray:
+    """Rows r^0..r^top mod p of the residue vector r, filled by doubling."""
+    table = np.empty((top + 1, len(r)), dtype=np.int64)
+    table[0] = 1
+    k = 1
+    while k <= top:  # rows below k are filled
+        m = min(k, top + 1 - k)
+        table[k : k + m] = table[:m] * (table[k - 1] * r % p) % p
+        k += m
+    return table
+
+
 def _interpolate_mod(values: np.ndarray, p: int):
-    """Newton interpolation at nodes 0..n-1 over F_p; ascending coefficients."""
+    """Interpolation of the residues values at nodes 0..n-1 over F_p, n <= 2048; ascending coefficients.
+
+    The Newton coefficients are the scaled forward differences
+    N_j = sum over i <= j of f(i)/i! * (-1)^(j-i)/(j-i)!, one convolution
+    that adds at most n <= 2048 products of residues below p < 2^25.01, so
+    each sum stays below 2^61.02 < 2^63.  Horner then turns the Newton form
+    into monomial coefficients in place: step i multiplies the active
+    suffix by (x - i) and adds N_i at its low end, reducing N_i with it.
+    """
     n = len(values)
-    d = values.copy()
+    if n > MAX_PACKED_DEGREE + 1:
+        raise ValueError("an int64 interpolation sum could overflow: more than 2048 nodes")
     inv = [0, 1] + [0] * (n - 2)
     for step in range(2, n):  # p = (p // step) * step + p % step, read mod p
         inv[step] = -(p // step) * inv[p % step] % p
-    for j in range(1, n):
-        diff = (d[j:] - d[j - 1 : -1]) % p
-        d[j:] = diff * inv[j] % p
-    coeffs = np.zeros(n, dtype=np.int64)
-    for i in range(n - 1, -1, -1):
-        # coeffs = coeffs * (x - i) + d[i]
-        shifted = np.zeros(n, dtype=np.int64)
-        shifted[1:] = coeffs[:-1]
-        coeffs = (shifted - i * coeffs) % p
-        coeffs[0] = (coeffs[0] + int(d[i])) % p
-    return [int(c) for c in coeffs]
+    inv_fact = [1] * n
+    for step in range(1, n):
+        inv_fact[step] = inv_fact[step - 1] * inv[step] % p
+    inv_fact = np.array(inv_fact, dtype=np.int64)
+    signed = inv_fact.copy()
+    signed[1::2] = -signed[1::2] % p
+    horner = np.zeros(n + 1, dtype=np.int64)  # the Newton coefficients, then the result
+    horner[:n] = np.convolve(values * inv_fact % p, signed)[:n]
+    for step in range(n - 1, -1, -1):
+        horner[step:n] = (horner[step:n] - step * horner[step + 1 :]) % p
+    return horner[:n].tolist()
 
 
 def restrict_line_exact(P: HomoPoly, a, b):
@@ -481,20 +548,45 @@ def _univ_rem_mod(f, g, p: int) -> np.ndarray:
 
 
 def _rem_stripped(r: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
-    """Remainder of r by g, both stripped residue arrays and g nonempty; reduces r in place.
+    """Remainder of r by g, both stripped residue arrays and g nonempty; may overwrite r.
 
-    Each step subtracts q * g with q, g < p, so no int64 value reaches
-    p^2 < 2^51, and every entry of r stays a residue.
+    Two routes, picked by the quotient length nq = len(r) - deg g.  When
+    the quotient is longer than g and nq <= 2048, it is computed in one
+    pass: the reversed g is inverted as a power series by Newton iteration,
+    h <- h (2 - g h) mod x^2k, the quotient is r[:nq] * h mod x^nq (a
+    descending array read ascending is the reversed polynomial), and the
+    remainder is the low part of r - q g.  Each ``np.convolve`` there adds
+    at most min(len) <= 2048 products of residues below p < 2^25.01, so
+    every sum stays below 2^61.02 < 2^63; each result is reduced mod p.
+
+    Otherwise the division loop subtracts q * g in place, one quotient
+    coefficient per step, and reduces r mod p only every 2048 steps and at
+    the end: between reductions an entry of r takes at most 2048 products
+    q * g[k] below p^2, so it stays below p + 2^61.02 < 2^63 in magnitude.
     """
     dg = len(g) - 1
     if dg == 0:
         return r[:0]
-    inv_lc = pow(int(g[0]), p - 2, p)
-    for i in range(len(r) - dg):
-        q = int(r[i]) * inv_lc % p
-        if q:
-            r[i : i + dg + 1] = (r[i : i + dg + 1] - q * g) % p
-    return _strip(r[max(len(r) - dg, 0):])
+    nq = len(r) - dg
+    if dg + 1 < nq <= MAX_PACKED_DEGREE + 1:
+        h, k = np.array([pow(int(g[0]), -1, p)], dtype=np.int64), 1
+        while k < nq:
+            k = min(2 * k, nq)
+            e = -np.convolve(g[:k], h)[:k] % p
+            e[0] = (e[0] + 2) % p
+            h = np.convolve(h, e)[:k] % p
+        q = np.convolve(r[:nq], h)[:nq] % p
+        rem = (r[nq:] - np.convolve(q[-dg:], g)[dg:]) % p
+    else:
+        inv_lc = pow(int(g[0]), -1, p)
+        for i in range(nq):
+            if i and not i % (MAX_PACKED_DEGREE + 1):
+                r[i:] %= p
+            q = int(r[i]) * inv_lc % p
+            if q:
+                r[i : i + dg + 1] -= q * g
+        rem = r[max(nq, 0) :] % p
+    return rem if not len(rem) or rem[0] else _strip(rem)
 
 
 def univ_mul_mod(f, g, p: int):

@@ -1,8 +1,10 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
@@ -26,6 +28,8 @@ from dyndeg.polynomials import (
 X0, X1, X2 = sympy.symbols("x0 x1 x2")
 # SHA-256 of restrict_line_exact over line_corpus(), recorded before it ran on substitute
 EXACT_RESTRICTION_DIGEST = "1c9b6db821202811e697d1d531a03cf9b5c64ab5fdcb4f071fd23d419357c3da"
+# SHA-256 of restrict_line_mod over mod_line_corpus(), recorded before the grouped evaluation
+MOD_RESTRICTION_DIGEST = "aac700a714c134931ad31862da3d8a710a404a9a8a6ddd014b44160bbd7f1c2e"
 
 
 def to_sympy(P: HomoPoly):
@@ -68,6 +72,28 @@ def ref_strip(f):
     while f and f[0] == 0:
         f = f[1:]
     return f
+
+
+def ref_interpolate_mod(values, p):
+    """Lagrange interpolation at the nodes 0..n-1 over F_p, ascending; a sum over the nonzero values."""
+    n = len(values)
+    full = [1]  # (x - 0)(x - 1)...(x - (n - 1))
+    for j in range(n):
+        full = [(lo - j * hi) % p for lo, hi in zip([0] + full, full + [0])]
+    out = [0] * n
+    for i, y in enumerate(values):
+        if y % p == 0:
+            continue
+        denom = 1
+        for j in range(n):
+            if j != i:
+                denom = denom * (i - j) % p
+        w = y * pow(denom, -1, p) % p
+        carry = 0
+        for k in range(n, 0, -1):  # full / (x - i), from the top
+            carry = (full[k] + i * carry) % p
+            out[k - 1] = (out[k - 1] + w * carry) % p
+    return out
 
 
 def random_homo(rng, degree, nterms, coeff_range=9):
@@ -137,6 +163,30 @@ def mul_operands(draw):
     return operands
 
 
+@st.composite
+def division_operands(draw):
+    """(f, g, p) with g[0] != 0 mod p and a quotient of 1..600 coefficients.
+
+    Half the draws take the division loop (a quotient no longer than g),
+    half Newton inversion (a longer one); a third of each sit at the route
+    boundary, a quotient as long as g or one longer.  A quarter of the draws
+    fill both operands with p - 1.
+    """
+    p = draw(st.sampled_from(LINE_PRIMES))
+    newton, boundary = draw(st.booleans()), draw(st.integers(0, 2)) == 0
+    if newton:
+        nq = draw(st.integers(2, 600))
+        dg = nq - 2 if boundary else draw(st.integers(0, nq - 2))
+    else:
+        nq = draw(st.integers(1, 600))
+        dg = nq - 1 if boundary else draw(st.integers(nq - 1, nq + 299))
+    if draw(st.integers(0, 3)) == 0:
+        return [p - 1] * (nq + dg), [p - 1] * (dg + 1), p
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    f = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(nq + dg - 1)]
+    g = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(dg)]
+    return f, g, p
+
 TRINOMIAL = {(2, 0, 0): 1, (1, 1, 0): 1, (0, 2, 0): 1}
 
 
@@ -166,6 +216,26 @@ class TestArithmetic:
             A = random_homo(rng, rng.randint(1, 6), 5)
             B = random_homo(rng, rng.randint(1, 6), 5)
             assert to_sympy(A * B) == to_sympy(A) * to_sympy(B)
+
+    def test_sparse_wide_product_takes_dict_loop(self):
+        # 4 pairs of terms over a 2001 x 2001 box: no int64 accumulator
+        A = homo({(1000, 0, 0): 1, (0, 1000, 0): 1})
+        tracemalloc.start()
+        try:
+            product = A * A
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        expected = sympy.Poly(sympy.expand(to_sympy(A).as_expr() ** 2), X0, X1, X2).as_dict()
+        assert {(i, j, k): c for i, j, k, c in product.items()} == expected
+
+    def test_int64_route_box_bound(self):
+        # (x0^m + x1^m)^2 has 4 pairs of terms, so a box of up to 4 * 64 slots
+        narrow = homo({(7, 0, 0): 1, (0, 7, 0): 1}).terms  # 15 x 15 = 225 slots
+        wide = homo({(8, 0, 0): 1, (0, 8, 0): 1}).terms  # 17 x 17 = 289 slots
+        assert polynomials._mul_int64(narrow, narrow) == homo({(14, 0, 0): 1, (7, 7, 0): 2, (0, 14, 0): 1}).terms
+        assert polynomials._mul_int64(wide, wide) is None
 
     def test_add_requires_same_degree(self):
         with pytest.raises(ValueError):
@@ -257,6 +327,57 @@ def line_corpus():
         if zero < 3:
             a[zero] = b[zero] = 0
         corpus.append((HomoPoly.from_triples(degree, triples), a, b))
+    return corpus
+
+
+def mod_line_corpus():
+    """(P, a, b, p) cases for the modular restriction: random lines, lines on
+    which x0, x1 and x2 each vanish at a different node 0..d, lines with a
+    zero coordinate form, and polynomials with P(a) = 0 mod p."""
+    rng = random.Random(20261019)
+    corpus = [
+        (HomoPoly.zero(3), [1, 2, 3], [4, 5, 6], LINE_PRIMES[0]),
+        (HomoPoly.monomial(-7, 0, 0, 0), [1, 0, 0], [0, 0, 0], LINE_PRIMES[1]),
+        (HomoPoly.monomial(5, 0, 0, 0), [0, 0, 0], [0, 0, 0], LINE_PRIMES[2]),
+        (HomoPoly.from_triples(2, [(2, 0, 0, 1), (0, 1, 1, 1)]), [0, 0, 0], [0, 0, 0], LINE_PRIMES[3]),
+    ]
+    for n in range(160):
+        p = LINE_PRIMES[n % len(LINE_PRIMES)]
+        degree = rng.choice((rng.randint(0, 12), rng.randint(13, 120), rng.randint(121, 700)))
+        monomials = degree + 1 if degree > 40 else (degree + 1) * (degree + 2) // 2
+        nterms = rng.randint(1, min(monomials, 300))
+        triples = []
+        for _ in range(nterms):
+            i = rng.randint(0, degree)
+            j = rng.randint(0, degree - i)
+            c = rng.choice((-1, 1)) * rng.randint(1, 1 << rng.choice((8, 30, 70)))
+            triples.append((i, j, degree - i - j, c))
+        a = [rng.randint(-(10**6), 10**6) for _ in range(3)]
+        b = [rng.randint(-(10**6), 10**6) for _ in range(3)]
+        kind = n % 5
+        if kind == 1:  # x0, x1, x2 vanish at three different nodes
+            nodes = rng.sample(range(degree + 1), 3) if degree >= 2 else [0, 1, 2]
+            for c, k in enumerate(nodes):
+                b[c] = -a[c] * k
+        elif kind == 2:  # one coordinate form is zero, another vanishes at a node
+            c, e = rng.sample(range(3), 2)
+            a[c] = b[c] = 0
+            b[e] = -a[e] * rng.randint(0, degree)
+        elif kind == 3:  # one coordinate constant on the line
+            a[rng.randrange(3)] = 0
+        P = HomoPoly.from_triples(degree, triples)
+        if P.is_zero():
+            P = HomoPoly.monomial(1, 0, 0, degree)
+        if kind == 4 and degree >= 1:  # force P(a) = 0 mod p through an x-coordinate with a_c invertible
+            c = next(c for c in range(3) if a[c] % p)
+            exps = [0, 0, 0]
+            exps[c] = degree
+            key = polynomials._pack(exps[0], exps[1])
+            v = P.evaluate(*a) % p
+            P.terms[key] = P.terms.get(key, 0) - v * pow(a[c], -degree, p)
+            if not P.terms[key]:
+                del P.terms[key]
+        corpus.append((P, a, b, p))
     return corpus
 
 
@@ -426,6 +547,45 @@ class TestLineTools:
         else:
             assert modular == [c % p for c in restrict_line_exact(P, a, b)]
 
+    def test_mod_restriction_pinned(self):
+        h = hashlib.sha256()
+        for P, a, b, p in mod_line_corpus():
+            h.update(f"{restrict_line_mod(P, a, b, p)}\n".encode())
+        assert h.hexdigest() == MOD_RESTRICTION_DIGEST
+
+    def test_mod_restriction_at_degenerate_nodes(self):
+        rng = random.Random(29)
+        p = LINE_PRIMES[2]
+
+        def check(P, a, b):
+            modular = restrict_line_mod(P, a, b, p)
+            if P.evaluate(*a) % p == 0:
+                assert modular is None
+            else:
+                assert modular == [c % p for c in restrict_line_exact(P, a, b)]
+
+        for degree in (1, 2, 3, 7, 30, 64):
+            # every monomial free of some coordinate, plus random ones
+            triples = [(degree, 0, 0, 3), (0, degree, 0, -5), (0, 0, degree, 7)]
+            triples += [(i, j, degree - i - j, rng.randint(-(1 << 40), 1 << 40))
+                        for i in range(degree + 1) for j in range(degree + 1 - i) if rng.random() < 0.5]
+            P = HomoPoly.from_triples(degree, triples)
+            nodes = rng.sample(range(degree + 1), 3) if degree >= 2 else [0, 1, 5]
+            a = [rng.randint(1, 10**6) for _ in range(3)]
+            for shift in (0, p):  # x_c = 0 at its node over Z, or only mod p
+                b = [-a[c] * nodes[c] + shift for c in range(3)]
+                check(P, a, b)
+            for zero in ((0,), (1,), (2,), (0, 1), (1, 2), (0, 2)):  # a_c = b_c = 0
+                a2, b2 = list(a), [-a[c] * nodes[c] for c in range(3)]
+                for c in zero:
+                    a2[c] = b2[c] = 0
+                check(P, a2, b2)
+            # P(a) = 0 exactly, with x0 vanishing at a node
+            line = HomoPoly.from_triples(1, [(1, 0, 0, a[1]), (0, 1, 0, -a[0])])
+            Q = line * P
+            assert Q.evaluate(*a) == 0
+            assert restrict_line_mod(Q, a, [-a[0] * nodes[0], 1, 2], p) is None
+
     def test_mod_kernels_at_int64_extremes(self):
         # 2048 residues p - 1: a product sum reaches 2048 (p - 1)^2 ~ 2^61
         p = LINE_PRIMES[0]
@@ -464,6 +624,47 @@ class TestLineTools:
             A = G * random_homo(rng, 2, 3)
             B = G * random_homo(rng, 2, 3)
             assert not certify_coprime(A, B, seed=trial)
+
+
+class TestUnivariateKernels:
+    @settings(max_examples=40, deadline=None)
+    @given(division_operands())
+    # 2048 residues p - 1 over quotients of 2047, 1025 = len(g) (the loop) and 1026 (Newton)
+    @example(([LINE_PRIMES[0] - 1] * 2048, [LINE_PRIMES[0] - 1] * 2, LINE_PRIMES[0]))
+    @example(([LINE_PRIMES[0] - 1] * 2048, [LINE_PRIMES[0] - 1] * 1024, LINE_PRIMES[0]))
+    @example(([LINE_PRIMES[0] - 1] * 2048, [LINE_PRIMES[0] - 1] * 1023, LINE_PRIMES[0]))
+    @example(([3, 1, 4, 1, 5], [2], LINE_PRIMES[1]))  # constant divisor
+    @example(([2, 7], [5, 1, 8], LINE_PRIMES[1]))  # dividend shorter than the divisor
+    def test_rem_and_gcd_match_reference(self, operands):
+        f, g, p = operands
+        assert polynomials._univ_rem_mod(f, g, p).tolist() == ref_rem_mod(f, g, p)
+        assert univ_gcd_mod(f, g, p) == ref_gcd_mod(f, g, p)
+
+    def test_rem_long_quotient_and_divisor(self):
+        # quotient and divisor both past 2048 coefficients: the division loop,
+        # with an entry taking more than 2048 products before the final reduction
+        p = LINE_PRIMES[3]
+        rng = random.Random(31)
+        f = [p - 1] * 4200
+        g = [p - 1] + [rng.randrange(p) for _ in range(2099)]
+        assert polynomials._univ_rem_mod(f, g, p).tolist() == ref_rem_mod(f, g, p)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 40])
+    def test_interpolate_matches_lagrange(self, n):
+        rng = random.Random(n)
+        for p in LINE_PRIMES[:3]:
+            values = [rng.randrange(p) for _ in range(n)]
+            expected = ref_interpolate_mod(values, p)
+            assert polynomials._interpolate_mod(np.array(values, dtype=np.int64), p) == expected
+
+    def test_interpolate_2048_nodes_matches_lagrange(self):
+        # nonzero values at a few nodes keep the reference's sum short; the
+        # convolution still runs over every order up to 2047
+        p = LINE_PRIMES[4]
+        values = [0] * 2048
+        values[0], values[1], values[1000], values[2047] = p - 1, 12345, 1, p - 2
+        expected = ref_interpolate_mod(values, p)
+        assert polynomials._interpolate_mod(np.array(values, dtype=np.int64), p) == expected
 
 
 def assert_split(before, after):
