@@ -14,9 +14,12 @@ decomposed.  ``iterate_map`` composes each iterate once.
 
 The independent route substitutes expanded components into expanded
 components with ``polynomials.substitute`` (``compose_raw_components``) and
-hands the unreduced triple to the line oracle, which restricts each factor of
-each component to seeded random lines mod a large prime and reports D minus
+hands the unreduced triple to the line oracle, which restricts the
+components to seeded random lines mod a large prime and reports D minus
 the degree of the gcd of the restrictions: a trial can err low, never high.
+A component is restricted factor by factor: each distinct factor once per
+line, however many components share it, raised to its exponent by binary
+powering.
 The only budget is a degree cap; the 2047 packing cap already bounds a
 component's term count.
 """
@@ -48,6 +51,7 @@ from .polynomials import (
     univ_gcd_mod,
     univ_mul_mod,
 )
+from .powering import binary_power
 
 DEFAULT_DEGREE_CAP = 1000
 _LINE_TRIALS = 3  # seeded trials of the line oracle; all must agree
@@ -351,16 +355,27 @@ def factored_line_degree(map_: PlaneRationalMap, seed: int = 0) -> int:
 
 
 def _restrict_components(factored, a, b, p: int):
-    """Each component restricted to t -> a*t + b mod p; None if some factor loses degree."""
+    """Each component restricted to t -> a*t + b mod p; None if some factor loses degree.
+
+    A factor shared by several components (an atom of the composition's base)
+    is restricted once, and each restriction is raised to its exponent by
+    binary powering: a factor slot with exponent e costs at most
+    popcount(e) + bit_length(e) univariate products.
+    """
+    def mul(f, g):
+        return univ_mul_mod(f, g, p)
+
+    restricted = {}  # id(factor) -> its restriction; every factor stays alive in factored
     out = []
     for unit, factors in factored:
         r = [unit % p]
         for poly, e in factors:
-            rp = restrict_line_mod(poly, a, b, p)
+            rp = restricted.get(id(poly))
             if rp is None:
-                return None
-            for _ in range(e):
-                r = univ_mul_mod(r, rp, p)
+                rp = restricted[id(poly)] = restrict_line_mod(poly, a, b, p)
+                if rp is None:
+                    return None
+            r = mul(r, binary_power(rp, e, [1], mul))
         out.append(r)
     return out
 

@@ -4,7 +4,10 @@ Representation: a homogeneous polynomial of degree d in (x0, x1, x2) stores
 only nonzero coefficients, keyed by the packed exponent pair (i << 11) | j;
 the x2 exponent is d - i - j.  Degrees are capped at 2047 by the packing.
 
-A product takes one of two exact routes, picked by the operands alone: when
+A product takes one of three exact routes, picked by the operands alone.
+When one operand has a single term, its key is added to every key of the
+other and its coefficient multiplies every coefficient, on Python integers:
+exact at any size, with no bound to check.  Otherwise, when
 ba + bb + (shorter term count).bit_length() <= 63, with ba and bb the bit
 lengths of the largest coefficient magnitudes, and the product's bounding
 box has at most ``_GATHER_CHUNK`` slots per pair of terms, an int64
@@ -22,20 +25,22 @@ Everything modular runs on one set of mod-p kernels over numpy int64:
 restriction of a polynomial to a line (``restrict_line_mod``: values at the
 nodes 0..d with one coordinate divided out, the terms grouped by the
 exponent of one ratio and each group summed by one vector-matrix product,
-then interpolation by one convolution and an in-place Horner) and the
-univariate product, remainder and gcd (``univ_mul_mod``, ``_univ_rem_mod``,
-``univ_gcd_mod``; a quotient longer than the divisor comes from one Newton
-inversion of the reversed divisor, a Euclid step from the division loop).
-Each sum there adds at most 2048 products of two residues, so it stays
-below 2^63 for any p <= 2^26; for the primes near 2^25 that the callers
-draw (p < 2^25.01) it stays below 2^61.02.  A constant gcd of the
-restrictions to a line that keeps both degrees proves coprimality
-(``certify_coprime``); a nonzero remainder proves non-division.  A
-``CoprimeBase`` draws its certificate lines once and restricts each
-polynomial to each of them at most once.  ``homo_gcd`` is Brown's modular
-gcd built from the same kernels: restrictions to a pencil of lines in a
-random unimodular frame, interpolated across the pencil, lifted by CRT, and
-returned only after ``divexact`` divides both inputs.
+then interpolation by one convolution and a Horner blocked in sqrt(n)
+blocks) and the univariate product, remainder and gcd (``univ_mul_mod``,
+``_univ_rem_mod``, ``univ_gcd_mod``; a quotient longer than the divisor
+comes from one Newton inversion of the reversed divisor, a Euclid step from
+the division loop).  Each sum there adds at most 2048 products of two
+residues, so it stays below 2^63 for any p <= 2^26; for the primes near
+2^25 that the callers draw (p < 2^25.01) it stays below 2^61.02.  A
+constant gcd of the restrictions to a line that keeps both degrees proves
+coprimality (``certify_coprime``); a nonzero remainder proves non-division.
+A ``CoprimeBase`` draws its certificate lines once, restricts each
+polynomial to each of them at most once, and takes the remainder of a
+leftover by an atom on a line once: the division test and the coprimality
+gcd share it.  ``homo_gcd`` is Brown's modular gcd built from the same
+kernels: restrictions to a pencil of lines in a random unimodular frame,
+interpolated across the pencil, lifted by CRT, and returned only after
+``divexact`` divides both inputs.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from itertools import islice
-from math import gcd as igcd
+from math import gcd as igcd, isqrt
 
 import numpy as np
 
@@ -221,6 +226,9 @@ class HomoPoly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
+        if len(a) == 1:
+            ((ka, ca),) = a.items()
+            return HomoPoly(deg, {ka + kb: ca * cb for kb, cb in b.items()})
         if _coeff_bits(a) + _coeff_bits(b) + len(a).bit_length() <= 63:
             out = _mul_int64(a, b)
             if out is not None:
@@ -483,9 +491,25 @@ def _interpolate_mod(values: np.ndarray, p: int):
     The Newton coefficients are the scaled forward differences
     N_j = sum over i <= j of f(i)/i! * (-1)^(j-i)/(j-i)!, one convolution
     that adds at most n <= 2048 products of residues below p < 2^25.01, so
-    each sum stays below 2^61.02 < 2^63.  Horner then turns the Newton form
-    into monomial coefficients in place: step i multiplies the active
-    suffix by (x - i) and adds N_i at its low end, reducing N_i with it.
+    each sum stays below 2^61.02 < 2^63.
+
+    The Newton form sum_j N_j (x - 0)...(x - j + 1) becomes monomial
+    coefficients by a blocked Horner (baby steps, giant steps; Paterson and
+    Stockmeyer, SIAM J. Comput. 1973) with k = ceil(sqrt(n)) nodes per block
+    and m = ceil(n / k) blocks, the last padded with N_j = 0.  Block b holds
+    B_b = sum_i N_(bk+i) (x - bk)...(x - bk - i + 1), i < k, and
+    W_b = (x - bk)...(x - bk - k + 1), so
+
+        P = B_0 + W_0 (B_1 + W_1 (... + W_(m-2) B_(m-1))).
+
+    The baby steps run Horner on every B_b and build every W_b at once: k
+    numpy steps, each multiplying all rows by (x - s) for their own s and
+    adding the block's N at the low end; an entry adds a residue to s times
+    a residue, s < n + k, so it stays below 2^37.  The giant steps are
+    m - 1 convolutions by the W_b, each adding at most k + 1 <= 2048
+    residue products (k + 1 <= 47 here), each below 2^50.02, plus one
+    residue of B_b: below 2^56 < 2^63.  Exact mod p throughout, so the
+    result is the unique interpolant, whatever the blocking.
     """
     n = len(values)
     if n > MAX_PACKED_DEGREE + 1:
@@ -499,11 +523,25 @@ def _interpolate_mod(values: np.ndarray, p: int):
     inv_fact = np.array(inv_fact, dtype=np.int64)
     signed = inv_fact.copy()
     signed[1::2] = -signed[1::2] % p
-    horner = np.zeros(n + 1, dtype=np.int64)  # the Newton coefficients, then the result
-    horner[:n] = np.convolve(values * inv_fact % p, signed)[:n]
-    for step in range(n - 1, -1, -1):
-        horner[step:n] = (horner[step:n] - step * horner[step + 1 :]) % p
-    return horner[:n].tolist()
+    k = isqrt(n - 1) + 1
+    m = -(-n // k)
+    newton = np.zeros(m * k, dtype=np.int64)  # row b: the N of block b
+    newton[:n] = np.convolve(values * inv_fact % p, signed)[:n]
+    newton = newton.reshape(m, k)
+    # rows 0..m-1 hold B_b, rows m..2m-2 hold W_b for b < m - 1; column 0
+    # takes the N added at each step, columns 1..k+1 the ascending coefficients
+    shifts = (np.arange(2 * m - 1) % m * k)[:, None] + np.arange(k)
+    rows = np.zeros((2 * m - 1, k + 2), dtype=np.int64)
+    rows[m:, 1] = 1
+    for i in range(k - 1, -1, -1):
+        rows[:m, 0] = newton[:, i]
+        np.remainder(rows[:, :-1] - shifts[:, i : i + 1] * rows[:, 1:], p, out=rows[:, 1:])
+    out = rows[m - 1, 1:-1]
+    for b in range(m - 2, -1, -1):
+        out = np.convolve(rows[m + b, 1:], out)
+        out[:k] += rows[b, 1:-1]
+        out %= p
+    return out[:n].tolist()
 
 
 def restrict_line_exact(P: HomoPoly, a, b):
@@ -622,7 +660,7 @@ def _certificate_lines(seed: int):
 
 
 def _restricted_pairs(lines, P: HomoPoly, p_images: dict, Q: HomoPoly, q_images: dict):
-    """(p, P restricted, Q restricted) for each line on which both keep their degree.
+    """(line index, p, P restricted, Q restricted) for each line on which both keep their degree.
 
     Lazy: a restriction is computed the first time a line is reached and kept
     in the caller's dict (line index -> coefficients, or None if the
@@ -633,7 +671,7 @@ def _restricted_pairs(lines, P: HomoPoly, p_images: dict, Q: HomoPoly, q_images:
             if n not in images:
                 images[n] = restrict_line_mod(poly, a, b, p)
         if p_images[n] is not None and q_images[n] is not None:
-            yield p, p_images[n], q_images[n]
+            yield n, p, p_images[n], q_images[n]
 
 
 def certify_coprime(P: HomoPoly, Q: HomoPoly, seed: int = 0) -> bool:
@@ -646,7 +684,7 @@ def certify_coprime(P: HomoPoly, Q: HomoPoly, seed: int = 0) -> bool:
     if P.is_zero() or Q.is_zero():
         return False
     pairs = _restricted_pairs(_certificate_lines(seed), P, {}, Q, {})
-    return any(len(univ_gcd_mod(rp, rq, p)) == 1 for p, rp, rq in pairs)
+    return any(len(univ_gcd_mod(rp, rq, p)) == 1 for _, p, rp, rq in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -845,8 +883,11 @@ class CoprimeBase:
     replaced), and the polynomial being decomposed likewise for as long as it
     stays unchanged.  Both certificates read these restrictions: a nonzero
     remainder on a line refutes that an atom divides, and a constant gcd on a
-    line proves that two polynomials are coprime.  The powers of each atom
-    are kept beside its restrictions (``power``) and reset with them.
+    line proves that two polynomials are coprime.  The remainder the division
+    test takes is kept, for as long as the polynomial and the atom stay
+    unchanged, and the gcd on its line starts from it, so no remainder of a
+    polynomial by an atom is taken twice on one line.  The powers of each
+    atom are kept beside its restrictions (``power``) and reset with them.
     """
 
     def __init__(self, seed: int = 0):
@@ -877,17 +918,18 @@ class CoprimeBase:
         unit, P = poly.primitive_normalized()
         exps = self.track(Counter())
         images: dict = {}  # P's restrictions; reset whenever P changes
+        kept: dict = {}  # atom index -> (atom, line index, P|L mod A|L); reset with images
 
         def divide_out():
-            nonlocal unit, P, images
+            nonlocal unit, P, images, kept
             idx = 0
             while idx < len(self.atoms):
-                q = self._quotient(P, images, idx)
+                q = self._quotient(P, images, idx, kept)
                 if q is not None:
                     exps[idx] += 1
                     s, P = q.primitive_normalized()
                     unit *= s
-                    images = {}
+                    images, kept = {}, {}
                     continue  # same atom may divide again
                 idx += 1
 
@@ -895,8 +937,7 @@ class CoprimeBase:
         while P.degree >= 1:
             # coprime-ify the leftover against the base, splitting as required
             for aidx, atom in enumerate(self.atoms):
-                pairs = _restricted_pairs(self.lines, P, images, atom, self._images[aidx])
-                if any(len(univ_gcd_mod(rp, ra, p)) == 1 for p, rp, ra in pairs):
+                if self._certified_coprime(P, images, aidx, kept):
                     continue
                 _, g = homo_gcd(P, atom).primitive_normalized()
                 if g.degree >= 1:
@@ -917,21 +958,47 @@ class CoprimeBase:
             unit *= s if s else 1
         return unit, exps
 
-    def _quotient(self, P: HomoPoly, images: dict, idx: int):
+    def _quotient(self, P: HomoPoly, images: dict, idx: int, kept: dict):
         """P / atom idx, or None.
 
         A nonzero remainder of the restrictions to the first line on which both
         keep their degree proves the atom does not divide P, as A | P forces
-        A|L | P|L mod p; otherwise ``divexact`` decides.
+        A|L | P|L mod p; otherwise ``divexact`` decides.  The remainder goes
+        into kept, for the coprimality gcd on that line.  A remainder already
+        kept for this atom means the atom was tried against this P and did
+        not divide it.
         """
         atom = self.atoms[idx]
-        if atom.degree > P.degree:
+        if atom.degree > P.degree or self._kept(kept, idx) is not None:
             return None
-        for p, rp, ra in _restricted_pairs(self.lines, P, images, atom, self._images[idx]):
-            if len(_univ_rem_mod(rp, ra, p)):
+        for n, p, rp, ra in _restricted_pairs(self.lines, P, images, atom, self._images[idx]):
+            rem = _univ_rem_mod(rp, ra, p)
+            kept[idx] = (atom, n, rem)
+            if len(rem):
                 return None
             break
         return divexact(P, atom)
+
+    def _certified_coprime(self, P: HomoPoly, images: dict, idx: int, kept: dict) -> bool:
+        """True if a constant gcd of the restrictions to some line proves P and atom idx coprime.
+
+        On the line of a kept remainder R = P|L mod A|L the gcd starts from
+        gcd(A|L, R), which is gcd(P|L, A|L): the first Euclid step is not
+        taken twice.
+        """
+        got = self._kept(kept, idx)
+        for n, p, rp, ra in _restricted_pairs(self.lines, P, images, self.atoms[idx], self._images[idx]):
+            pair = (ra, got[1]) if got is not None and got[0] == n else (rp, ra)
+            if len(univ_gcd_mod(*pair, p)) == 1:
+                return True
+        return False
+
+    def _kept(self, kept: dict, idx: int):
+        """(line index, remainder) kept for atom idx, or None once the atom was split."""
+        got = kept.get(idx)
+        if got is None or got[0] is not self.atoms[idx]:
+            return None
+        return got[1:]
 
     def _split_atom(self, aidx: int, g: HomoPoly):
         """Replace atom a with its factor g; a/g, decomposed, joins every tracked vector that names a.

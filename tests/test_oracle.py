@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import dyndeg.oracle as oracle
 from dyndeg.errors import (
     CheckFailed,
     DegenerateMatrix,
@@ -274,6 +275,48 @@ class TestRandomLine:
     def test_factored_f3(self, f_map):
         f3 = iterate_map(f_map, 3)
         assert factored_line_degree(f3, seed=5) == 454
+
+    def test_one_restriction_per_factor_and_binary_powers(self, f_map, monkeypatch):
+        # on each line: every distinct factor restricted once (f^3 has 21
+        # factor slots over 12 distinct atoms), at most popcount(e) +
+        # bit_length(e) univariate products per slot with exponent e, summed
+        # over the slots, and the restrictions of the one-product-at-a-time loop
+        f3 = iterate_map(f_map, 3)
+        restricted, products, lines = [], [], []
+        restrict, mul, restrict_all = oracle.restrict_line_mod, oracle.univ_mul_mod, oracle._restrict_components
+
+        def counting_restrict(P, a, b, p):
+            restricted.append(id(P))
+            return restrict(P, a, b, p)
+
+        def counting_mul(f, g, p):
+            products.append(p)
+            return mul(f, g, p)
+
+        def per_line(factored, a, b, p):
+            restricted.clear()
+            products.clear()
+            out = restrict_all(factored, a, b, p)
+            slots = [(poly, e) for _, factors in factored for poly, e in factors]
+            distinct = {id(poly) for poly, _ in slots}
+            assert len(restricted) == len(set(restricted))
+            assert set(restricted) == distinct if out is not None else set(restricted) <= distinct
+            assert len(products) <= sum(bin(e).count("1") + e.bit_length() for _, e in slots)
+            lines.append((len(slots), len(distinct)))
+            for (unit, factors), got in zip(factored, out or ()):
+                want = [unit % p]  # e products by the slot's restriction, one at a time
+                for poly, e in factors:
+                    rp = restrict(poly, a, b, p)
+                    for _ in range(e):
+                        want = mul(want, rp, p)
+                assert got == want
+            return out
+
+        monkeypatch.setattr(oracle, "restrict_line_mod", counting_restrict)
+        monkeypatch.setattr(oracle, "univ_mul_mod", counting_mul)
+        monkeypatch.setattr(oracle, "_restrict_components", per_line)
+        assert factored_line_degree(f3, seed=5) == 454
+        assert (21, 12) in lines
 
     def test_raw_f2_pinned(self):
         h = hashlib.sha256()

@@ -202,6 +202,11 @@ class TestArithmetic:
     @example([homo({(0, 0, 0): 5}), homo({(1, 0, 0): 1, (0, 0, 1): -3})])
     @example([homo({(101, 0, 0): 1, (100, 1, 0): 2}), homo({(0, 201, 7): 1, (0, 200, 8): -1, (1, 200, 7): 3})])
     @example([homo({(1000, 24, 0): 1, (1000, 23, 1): -2}), homo({(3, 20, 1000): 5, (0, 23, 1000): -1, (1, 22, 1000): 4})])
+    # one-term operands: a monomial times a full 15-term patch, two monomials
+    # meeting at degree 2047, and a 200-bit coefficient
+    @example([homo({(3, 1, 0): -5}), homo({(i, j, 4 - i - j): (-1) ** j * (1 + 3 * i + j) for i in range(5) for j in range(5 - i)})])
+    @example([homo({(1000, 23, 0): -3}), homo({(0, 1000, 24): (1 << 62) - 1})])
+    @example([homo({(0, 1, 0): (1 << 200) - 1}), homo({e: -((1 << 31) - 1) for e in TRINOMIAL})])
     def test_mul_matches_reference(self, operands):
         A, B = operands
         product = A * B
@@ -649,7 +654,8 @@ class TestUnivariateKernels:
         g = [p - 1] + [rng.randrange(p) for _ in range(2099)]
         assert polynomials._univ_rem_mod(f, g, p).tolist() == ref_rem_mod(f, g, p)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 40])
+    # k = ceil(sqrt(n)) nodes per block: n at and around k^2 and k(k - 1)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 10, 40, 63, 64, 65, 399, 400, 401])
     def test_interpolate_matches_lagrange(self, n):
         rng = random.Random(n)
         for p in LINE_PRIMES[:3]:
@@ -795,6 +801,54 @@ class TestCoprimeBase:
             assert not [c for c in calls if c in earlier and any(c[0] is A for A in kept)]
             earlier |= set(calls)
         assert earlier
+
+    @pytest.mark.parametrize(
+        "inputs",
+        [
+            lambda x0, x1, x2: ([x0 * x1], x0 * x0 * x1),
+            lambda x0, x1, x2: ([x0 * x1], x0 * x2),
+            lambda x0, x1, x2: ([x1 + x2, x0 * x1], x0 * x2),
+        ],
+        ids=["x0x1,x0^2x1", "x0x1,x0x2", "x1+x2,x0x1,x0x2"],
+    )
+    def test_one_remainder_per_leftover_atom_and_line(self, monkeypatch, inputs):
+        # a remainder of one restriction by another is taken once: the
+        # coprimality gcd goes on from the one the division test kept.  With
+        # x0 x1 then x0 x2, the remainder of x0 x2 by x0 x1 is kept, the atom
+        # splits into x0, which divides: the kept remainder dies with the
+        # split.  The one kept for x1 + x2, which does not split, outlives it
+        base = CoprimeBase(seed=4)
+        restrictions, remainders = set(), []
+        restrict, rem = polynomials.restrict_line_mod, polynomials._rem_stripped
+
+        def counting_restrict(P, a, b, p):
+            r = restrict(P, a, b, p)
+            if r is not None:
+                restrictions.add((tuple(r), p))
+            return r
+
+        def counting_rem(r, g, p):
+            key = (tuple(r.tolist()), tuple(g.tolist()), p)
+            if (key[0], p) in restrictions and (key[1], p) in restrictions:
+                remainders.append(key)
+            return rem(r, g, p)
+
+        monkeypatch.setattr(polynomials, "restrict_line_mod", counting_restrict)
+        monkeypatch.setattr(polynomials, "_rem_stripped", counting_rem)
+        earlier, Q = inputs(*(HomoPoly.monomial(1, *e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
+        for P in earlier:
+            base.decompose(P)
+        before = list(base.atoms)
+        unit, exps = base.decompose(Q)
+        assert remainders
+        assert len(remainders) == len(set(remainders))
+        assert_split(before, base.atoms)
+        rebuilt = HomoPoly.monomial(unit, 0, 0, 0)
+        for idx, e in exps.items():
+            rebuilt = rebuilt * base.atoms[idx].pow(e)
+        assert rebuilt == Q
+        for i, j in itertools.combinations(range(len(base.atoms)), 2):
+            assert homo_gcd(base.atoms[i], base.atoms[j]).degree == 0
 
     def test_monomial_factors(self):
         base = CoprimeBase(seed=3)
