@@ -429,6 +429,26 @@ def badly_approximable_diagnostics(cf: ContinuedFraction) -> BadApproxReport:
 # ---------------------------------------------------------------------------
 
 
+# (alpha, n, alpha^n) of the last _alpha_power call.  It is read once and
+# replaced whole, as gaussian.gamma_argmax's cursor, so interleaved callers can
+# only cost each other a fresh powering, never change a box.
+_last_power = (None, 0, None)
+
+
+def _alpha_power(alpha: ComplexInterval, n: int) -> ComplexInterval:
+    """The exact alpha^n; phi_n_eval and psi_n_eval of one alpha and n build it once.
+
+    The last power is kept in a module slot and reused while alpha (compared by
+    value) and n are unchanged.
+    """
+    global _last_power
+    alpha0, n0, power = _last_power
+    if n0 != n or alpha0 != alpha:
+        power = alpha.pow_int(n)
+        _last_power = (alpha, n, power)
+    return power
+
+
 def phi_n_eval(ctx: ThetaContext, n: int, alpha: ComplexInterval) -> ComplexInterval:
     """Box around (1 - alpha^n)^(-1) * sum_{j<=n} gamma(j) alpha^j."""
     if n < 1:
@@ -439,7 +459,7 @@ def phi_n_eval(ctx: ThetaContext, n: int, alpha: ComplexInterval) -> ComplexInte
         raise PrecisionError("need sup|alpha| < 1")
     _, sums = _series_table(DegreeCache(ctx.zeta).extend_to(n).gammas, alpha, prec)
     box = ComplexInterval.from_fixed(sums[n - 1], prec)
-    return box.div(ComplexInterval.point(1, 0) - alpha.pow_int(n).squeeze(prec), prec)
+    return box.div(ComplexInterval.point(1, 0) - _alpha_power(alpha, n).squeeze(prec), prec)
 
 
 def psi_n_eval(ctx: ThetaContext, n: int, alpha: ComplexInterval, tail_tol) -> RealInterval:
@@ -469,7 +489,7 @@ def psi_n_eval(ctx: ThetaContext, n: int, alpha: ComplexInterval, tail_tol) -> R
     gammas = DegreeCache(ctx.zeta).extend_to(max(N, T)).gammas
     powers, sums = _series_table(gammas, alpha, prec)
 
-    alpha_n = alpha.pow_int(n).squeeze(prec)
+    alpha_n = _alpha_power(alpha, n).squeeze(prec)
     gap = ComplexInterval.point(1, 0) - alpha_n
     phi_box = ComplexInterval.from_fixed(sums[N - 1], prec).widen(phi_tail)
     phin_box = ComplexInterval.from_fixed(sums[n - 1], prec).div(gap, prec)  # as phi_n_eval

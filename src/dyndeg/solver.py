@@ -19,7 +19,10 @@ exact dyadic products rounded to 2^-prec in the named direction.
 Deciding a midpoint.  For each series length N and precision, Newton's method
 in uncertified fixed point finds the root r_N of the partial sum, and the
 kernels certify two points around it: upper < 1 at lo < r_N and lower > 1 at
-hi > r_N.  A midpoint at or beyond hi, or at or below lo, is decided by that
+hi > r_N.  A side that does not certify near Newton's first root is tried
+again after further full-precision Newton steps, so both sides certify at
+every N (a side left uncertified would send every later midpoint on its side
+to the kernels).  A midpoint at or beyond hi, or at or below lo, is decided by that
 certified bracket; only a midpoint inside (lo, hi) is evaluated.  Either way
 the bisection takes the step evaluation would take (see _solve_at_precision),
 so the enclosure is the one a full evaluation of every midpoint returns.
@@ -41,7 +44,7 @@ DEFAULT_PRECISION_CAP = 1 << 16
 _TERM_CAP = 1 << 20
 _START_TERMS = 32  # series terms of the first bisection; doubled while undecided
 _GUARD = 32  # fractional bits of the certified bracket points beyond the working precision
-_WIDEN = 4  # tries per side of a certified bracket, each doubling the offset
+_WIDEN = 4  # tries per side of a certified bracket at one root, each doubling the offset
 _NEWTON_STEPS = 200  # cap on the low-precision Newton steps that locate a root
 _LAMBDA_CAP_MESSAGE = "needed more than {cap} fractional bits (cap; see DYNDEG_PRECISION_CAP)"
 
@@ -203,9 +206,12 @@ def _newton_root(ds, m: int, s: int, q: int):
 
     Not certified: it only places the bracket points.  Newton runs at the
     lowest precision of the ladder q, q/2, q/4, ... that is at least 64 bits
-    until its steps stall, then takes one step per rung; each step roughly
-    doubles the correct bits, so every rung starts from a root good to half
-    its bits.
+    until a step is below 2^-40 of the root, then takes one step per rung.
+    A rung's root can miss some of the rung's low bits, and a step doubles
+    the miss along with the correct bits, so the root returned can be tens
+    of bits short of q: off by about 2^34 units of 2^-q for -42+13i at
+    N = 512 and q = 579.  _certified_bracket takes further steps at q when
+    a bracket side needs them.
     """
     ladder = [q]
     while ladder[-1] >= 128:
@@ -230,31 +236,55 @@ def _certified_bracket(sums: _PartialSums, m: int, s: int, q: int):
 
     m * 2^-s must lie above the root of the partial sum, r_N.  Newton finds
     r_N; hi sits a few units of 2^-prec (divided by the slope) above it, lo
-    below it by the tail bound at r_N over the slope.  Each offset is doubled
-    at most _WIDEN - 1 times until the kernel certifies it; a side that never
-    certifies is None.
+    below it by the tail bound at r_N over the slope.  _newton_root can return
+    a root far enough off r_N that every try of one side lands on the wrong
+    side of r_N; so while a side fails, a Newton step at q with a fresh slope
+    moves the root and both sides are tried again.  A point certified at an
+    earlier root stays valid, but the new root's is nearer r_N and leaves
+    fewer midpoints between lo and hi to evaluate (ten fewer at N = 8192 for
+    1+2i at 3000 digits).  Once a step is no larger than one unit the root is
+    as close as the offsets can resolve, and a side that still fails is None.
     """
     root, slope = _newton_root(sums.ds, m, s, q)
-    unit = (1 << (2 * q - sums.prec)) // slope + 1  # 2^-prec / slope, over 2^q
-    hi = None
+    lo = hi = None
+    while True:
+        unit = (1 << (2 * q - sums.prec)) // slope + 1  # 2^-prec / slope, over 2^q
+        hi = _certified_above(sums, root, unit, q) or hi  # points are positive
+        lo = _certified_below(sums, root, unit, q) or lo
+        if lo is not None and hi is not None:
+            return lo, hi
+        step, slope = _newton_step(sums.ds, root, q)
+        root -= step
+        if abs(step) <= unit:
+            return lo, hi
+
+
+def _certified_above(sums: _PartialSums, root: int, unit: int, q: int):
+    """The first root + 4 * unit * 2^k, k < _WIDEN, with lower > 1 there; None if none."""
     for k in range(_WIDEN):
         point = root + (4 * unit << k)
         if sums.lower(point, q) > sums.one:
-            hi = point
-            break
-    lo = None
+            return point
+    return None
+
+
+def _certified_below(sums: _PartialSums, root: int, unit: int, q: int):
+    """The first root - offset * 2^k, k < _WIDEN, with upper < 1 there; None if none.
+
+    The offset is 5/4 (tail + 4) units, tail the tail bound at root over 2^prec.
+    """
     tail = _tail_upper(sums.abs_hi, sums.sqrt5_hi, root, q, sums.n_terms, sums.prec)
-    if tail is not None:
-        offset = (5 * (tail + 4) * unit) >> 2
-        for k in range(_WIDEN):
-            point = root - (offset << k)
-            if point <= 0:
-                break
-            up = sums.upper(point, q)
-            if up is not None and up < sums.one:
-                lo = point
-                break
-    return lo, hi
+    if tail is None:
+        return None
+    offset = (5 * (tail + 4) * unit) >> 2
+    for k in range(_WIDEN):
+        point = root - (offset << k)
+        if point <= 0:
+            return None
+        up = sums.upper(point, q)
+        if up is not None and up < sums.one:
+            return point
+    return None
 
 
 def solve_lambda(zeta: GaussianInt, target_width) -> LambdaEnclosure:

@@ -1,11 +1,13 @@
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import example, given, strategies as st
 
+from dyndeg import solver
 from dyndeg.errors import AdmissibilityError, PrecisionError
 from dyndeg.gaussian import GaussianInt, d_sequence
 from dyndeg.intervals import ComplexInterval, Dyadic, RealInterval
@@ -55,7 +57,31 @@ ENCLOSURE_DIGESTS = {
     (Z(-11, -8), 50): "aaa1122769bd75bf50bda0667473820ed8d0686feaf1d9278b8a32e4871f8422",
     (Z(42, -45), 10): "20c344b61c460a464a776b1a0655e6f2dfc4e051a6f3b30b58c083ee029f4551",
     (Z(42, -45), 150): "c7554567417a07a04a389ee1983d0df705e501fc6aac2d6c13da0164b9b75626",
+    # recorded from the solver whose certified brackets could leave a side
+    # uncertified at a term count (the BRACKET_CASES below)
+    (Z(-42, 13), 150): "ca59eb828c2196665f5eec5dbb3007ea176a03120aa2fd7cb502b867c41baff5",
+    (Z(27, 11), 150): "87adcb61632b2657f257dfb27d3f65fde4acf0329f27919a0c9c2677f9b66af1",
+    (Z(-45, -5), 150): "d7ea6f49cd2c4f7ff08b60cd963351b300ad9858f21c95f72f5351c48829fc18",
+    (Z(17, -37), 150): "0fb641d59ee54115e10d1655d96606b926d12a571d744a0edd5f9cac422f0b3c",
+    (Z(1, 2), 1250): "7296edba8afbf14eb3dfaede64e3054e646fb8b35967ef04440abe4f06d7aaea",
+    (Z(4, 5), 600): "def4eb1bc89d66de61262faf74177daf5de3d87ff0739e66c3de3db2a38aa096",
 }
+
+# Solves in which Newton's root alone left the lo side of a certified bracket
+# uncertified at the last term count, so that every later midpoint below the
+# root was evaluated: 101 to 129 kernel calls at N = 512 for the four
+# 150-digit ones, 817 at N = 4096 for 1+2i at 1250 digits and 334 at N = 2048
+# for 4+5i at 600 digits.  The last one also needs the side that certified
+# at the first root tried again at the corrected one: kept at the first root,
+# its point leaves 19 calls at N = 2048.
+BRACKET_CASES = [
+    (Z(-42, 13), 150),
+    (Z(27, 11), 150),
+    (Z(-45, -5), 150),
+    (Z(17, -37), 150),
+    (Z(1, 2), 1250),
+    (Z(4, 5), 600),
+]
 
 
 class TestSolveLambda:
@@ -66,6 +92,32 @@ class TestSolveLambda:
         enc = solve_lambda(zeta, Fraction(1, 10**exponent))
         digest = hashlib.sha256(enc.to_json_text(160).encode()).hexdigest()
         assert digest == ENCLOSURE_DIGESTS[(zeta, exponent)]
+
+    @pytest.mark.parametrize("zeta, exponent", BRACKET_CASES, ids=[f"{z}-1e-{e}" for z, e in BRACKET_CASES])
+    def test_both_bracket_sides_certify_at_every_term_count(self, zeta, exponent, monkeypatch):
+        brackets, calls = [], Counter()
+        bracket = solver._certified_bracket
+
+        def counted_bracket(sums, m, s, q):
+            lo, hi = bracket(sums, m, s, q)
+            brackets.append((sums.n_terms, lo, hi))
+            return lo, hi
+
+        monkeypatch.setattr(solver, "_certified_bracket", counted_bracket)
+        for name in ("lower", "upper"):
+            kernel = getattr(solver._PartialSums, name)
+
+            def counted(sums, m, s, kernel=kernel):
+                calls[sums.prec, sums.n_terms] += 1
+                return kernel(sums, m, s)
+
+            monkeypatch.setattr(solver._PartialSums, name, counted)
+        enc = solve_lambda(zeta, Fraction(1, 10**exponent))
+        assert all(lo is not None and hi is not None for _, lo, hi in brackets)
+        assert enc.n_terms in {n for n, _, _ in brackets}
+        # the initial bracket, the tries of each side and the few midpoints
+        # between the certified points: 4 to 8 calls per term count here
+        assert max(calls.values()) <= 12
 
     def test_300_digits_contains_findroot(self):
         enc = solve_lambda(ZETA, Fraction(1, 10**300))
