@@ -198,8 +198,11 @@ def _certify_convergents(theta: RealInterval, convs) -> bool:
 def octant_gamma(ctx: ThetaContext, j: int):
     """(octant k with j*theta mod 1 in (k/8,(k+1)/8), table gamma for it).
 
-    Refines precision until the enclosure avoids every boundary; termination
-    is guaranteed because a boundary hit would make zeta^(8j) real.  With
+    Decides at ctx's own precision first, which reads no setting (theta_interval
+    refuses a context above the precision cap); only an undecided index enters
+    the precision ladder, at twice that.  Refines precision until the
+    enclosure avoids every boundary; termination is guaranteed because a
+    boundary hit would make zeta^(8j) real.  With
     theta in [A, B] * 2^-p for integers A <= B, the octant is decided when
     8*j*A and 8*j*B have the same floor q after division by 2^p and 8*j*A
     is not a multiple of 2^p (the lower bound is strict); then k = q mod 8.
@@ -207,8 +210,11 @@ def octant_gamma(ctx: ThetaContext, j: int):
     if j < 1:
         raise ValueError("j must be >= 1")
     _require_admissible(ctx.zeta)
+    decided = _octant_at(ctx.precision_bits, (ctx, j))  # ctx.refined returns ctx itself here
+    if decided is not None:
+        return decided
     return precision_ladder(
-        ctx.precision_bits, _octant_at, (ctx, j), "octant of {args[1]}*theta undecided below {cap} bits"
+        2 * ctx.precision_bits, _octant_at, (ctx, j), "octant of {args[1]}*theta undecided below {cap} bits"
     )
 
 

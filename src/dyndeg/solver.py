@@ -68,8 +68,8 @@ def precision_ladder(start: int, attempt, args: tuple, message: str):
 
     Past the cap raises PrecisionError(message.format(cap=cap, args=args)),
     formatted only then.  The attempt is a module-level function and args a
-    tuple, so a call builds no closure: octant_gamma runs the ladder once per
-    index of a sweep.
+    tuple, so a call builds no closure: octant_gamma enters the ladder for
+    every index of a sweep that its context's own precision leaves undecided.
     """
     cap = precision_cap()
     bits = start

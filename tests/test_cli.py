@@ -470,7 +470,7 @@ README_DIGESTS = {
     ),
 }
 
-# |zeta| up to 1000, the sizes of the survey benchmark
+# |zeta| up to 1000, the sizes of the survey benchmark, and one count of 1000
 SURVEY_DIGESTS = {
     ("degrees", "--zeta", "503+64i", "--count", "200"): "fd17400434b15b5ab9db7a7c216fc6252be9f71324bd4696ec8dc96a5039db82",
     ("degrees", "--zeta", "-16+282i", "--count", "200"): "35f4d0ad1b1b593db1224349fe95c87af44d390050824afb966d087a4e55773a",
@@ -478,6 +478,10 @@ SURVEY_DIGESTS = {
     ("report", "--zeta", "503+64i"): "32b06f17534918808b968f25d1398a6cdf2b500cd140c8a93ee311714578d3c4",
     ("report", "--zeta", "-16+282i"): "d8ed6713aabbce27b93b5ff004e577a1dccfb4033929c4707fd63c968f46df9f",
     ("report", "--zeta", "999-998i"): "c9ec15f7001d42b063e288b6bb12782dde53a6a785d46f2980df40c16a0c7da3",
+    # recorded when e_n and the series identity came from exact big-integer convolutions
+    ("degrees", "--zeta", "503+64i"): "fd17400434b15b5ab9db7a7c216fc6252be9f71324bd4696ec8dc96a5039db82",
+    ("report", "--zeta", "-900+417i"): "f8933bf78782cf74702c511d56d51414303606246d62230bec85badcd8d35dea",
+    ("degrees", "--zeta", "503+64i", "--count", "1000"): "7a7cbfb3f9ff5bb600e0de3eda005a5284bef67fe9068fee53a3ba42556590a6",
 }
 
 
