@@ -8,8 +8,10 @@ byte-identical output.
 Each policy lives in one place: the parser is built once per process, `main`
 parses `--zeta`, reads DYNDEG_PRECISION_CAP and checks the `_BOUNDS` table
 before a command runs, and `_EXIT_CODES` maps the errors a command raises to
-exit codes.  A command takes the parsed arguments and zeta and returns its
-output text and exit code.
+exit codes.  `main` also lifts Python's limit on int <-> str conversion
+(4300 digits by default) while a command runs and restores it afterwards,
+since exact values such as `e_n` can be longer.  A command takes the parsed
+arguments and zeta and returns its output text and exit code.
 """
 
 from __future__ import annotations
@@ -273,6 +275,18 @@ def _glue_zeta(argv):
 
 
 def main(argv=None) -> int:
+    get_limit = getattr(sys, "get_int_max_str_digits", None)  # before CPython 3.10.7: no limit
+    if get_limit is None:
+        return _main(argv)
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv) -> int:
     args = _PARSER.parse_args(_glue_zeta(sys.argv[1:] if argv is None else list(argv)))
     try:
         zeta = parse_gaussian(args.zeta)

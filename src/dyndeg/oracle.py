@@ -33,11 +33,12 @@ from functools import cache, reduce
 from math import gcd as _igcd, prod
 from operator import and_
 
+import numpy as np
+
 from .errors import (
     CheckFailed,
     DegenerateMatrix,
     OracleInconsistency,
-    ReductionFailure,
     ResourceExhausted,
 )
 from .gaussian import IntMatrix2x2
@@ -45,6 +46,7 @@ from .polynomials import (
     CoprimeBase,
     HomoPoly,
     LINE_PRIMES,
+    expand,
     restrict_line_mod,
     scaled,
     substitute,
@@ -91,7 +93,7 @@ class PlaneRationalMap:
     def components(self):
         if self._components is None:
             self._components = tuple(
-                _expand(unit, [poly.pow(e) for poly, e in factors]) for unit, factors in self._factored
+                expand(unit, [poly.pow(e) for poly, e in factors]) for unit, factors in self._factored
             )
         return self._components
 
@@ -126,14 +128,6 @@ class PlaneRationalMap:
 
     def __repr__(self):
         return f"PlaneRationalMap(degree={self.degree})"
-
-
-def _expand(unit: int, powers) -> HomoPoly:
-    """unit times the product of the raised factors, multiplied in ascending order of term count."""
-    result = HomoPoly.monomial(unit, 0, 0, 0)
-    for power in sorted(powers, key=len):
-        result = result * power
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +215,11 @@ def compose(outer: PlaneRationalMap, inner: PlaneRationalMap, budget: Budget = D
 
     Exponent-level substitution over a shared coprime base: each outer factor
     is a sum of composed monomials (a monomial is a one-term sum) whose shared
-    atom powers go straight into the result; the cofactors are expanded,
-    summed and decomposed again.  Exponent vectors are Counters that the base
-    tracks, so an atom split rewrites every one that outlives a ``decompose``;
-    the common factor of the result is their intersection.
+    atom powers go straight into the result; the sum of the cofactors goes to
+    ``CoprimeBase.decompose_sum``, which restricts it through its atoms.
+    Exponent vectors are Counters that the base tracks, so an atom split
+    rewrites every one that outlives a ``decompose``; the common factor of
+    the result is their intersection.
     """
     budget.check_degree(outer.degree * inner.degree)
     if any(unit == 0 for map_ in (outer, inner) for unit, _ in map_._factored):
@@ -252,16 +247,11 @@ def compose(outer: PlaneRationalMap, inner: PlaneRationalMap, budget: Budget = D
         exps = base.track(Counter())
         for poly, e in factors:
             # The atom powers every composed monomial shares go straight into
-            # the result; only the cofactors are expanded, summed and decomposed.
+            # the result; only the sum of the cofactors is decomposed.
             images = [(c, *image(i, j, k)) for (i, j, k, c) in poly.items()]
             common = reduce(and_, (ex for _, _, ex in images))
             exps.update(scaled(common, e))
-            total = HomoPoly.zero(0)
-            for c, u, ex in images:
-                total = total + _expand(c * u, [base.power(idx, n) for idx, n in (ex - common).items()])
-            if total.is_zero():
-                raise ReductionFailure("composed component factor vanished")
-            u, ex = base.decompose(total)
+            u, ex = base.decompose_sum([(c * u, ex - common) for c, u, ex in images])
             unit *= u**e
             exps.update(scaled(ex, e))
         result.append((unit, exps))
@@ -365,17 +355,18 @@ def _restrict_components(factored, a, b, p: int):
     def mul(f, g):
         return univ_mul_mod(f, g, p)
 
+    one = np.ones(1, dtype=np.int64)
     restricted = {}  # id(factor) -> its restriction; every factor stays alive in factored
     out = []
     for unit, factors in factored:
-        r = [unit % p]
+        r = np.array([unit % p] if unit % p else [], dtype=np.int64)
         for poly, e in factors:
             rp = restricted.get(id(poly))
             if rp is None:
                 rp = restricted[id(poly)] = restrict_line_mod(poly, a, b, p)
                 if rp is None:
                     return None
-            r = mul(r, binary_power(rp, e, [1], mul))
+            r = mul(r, binary_power(rp, e, one, mul))
         out.append(r)
     return out
 

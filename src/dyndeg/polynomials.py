@@ -29,16 +29,29 @@ then interpolation by one convolution and a Horner blocked in sqrt(n)
 blocks) and the univariate product, remainder and gcd (``univ_mul_mod``,
 ``_univ_rem_mod``, ``univ_gcd_mod``; a quotient longer than the divisor
 comes from one Newton inversion of the reversed divisor, a Euclid step from
-the division loop).  Each sum there adds at most 2048 products of two
-residues, so it stays below 2^63 for any p <= 2^26; for the primes near
-2^25 that the callers draw (p < 2^25.01) it stays below 2^61.02.  A
-constant gcd of the restrictions to a line that keeps both degrees proves
-coprimality (``certify_coprime``); a nonzero remainder proves non-division.
-A ``CoprimeBase`` draws its certificate lines once, restricts each
-polynomial to each of them at most once, and takes the remainder of a
-leftover by an atom on a line once: the division test and the coprimality
-gcd share it.  ``homo_gcd`` is Brown's modular gcd built from the same
-kernels: restrictions to a pencil of lines in a random unimodular frame,
+the division loop).  They pass univariate polynomials to each other as
+reduced, stripped int64 arrays: coefficients descending, residues in
+[0, p), the leading one nonzero (the zero polynomial is empty), so no
+result goes through a Python list and back.  Only ``homo_gcd``, whose CRT
+lift multiplies residues by big integers, turns its gcds into Python ints.
+
+Each int64 bound is proved where its sum is formed: the group sums, the
+node powers and the sum over groups in ``restrict_line_mod``, the
+Newton-coefficient convolution and the blocked Horner in
+``_interpolate_mod``, the convolutions and the division loop in
+``_univ_rem_mod``, the product in ``univ_mul_mod``, the sum of term
+restrictions in ``CoprimeBase.decompose_sum``, and the integer products in
+``_mul_int64``.  Each mod-p sum adds at most 2048 products of two residues,
+so it stays below 2^63 for any p <= 2^26; for the primes near 2^25 that the
+callers draw (p < 2^25.01) it stays below 2^61.02.  A constant gcd of the
+restrictions to a line that keeps both degrees proves coprimality
+(``certify_coprime``); a nonzero remainder proves non-division.  A
+``CoprimeBase`` draws its certificate lines once, restricts each polynomial
+to each of them at most once (a sum of atom-power products through its
+atoms' restrictions), and takes the remainder of a leftover by an atom on a
+line once: the division test and the coprimality gcd share it.
+``homo_gcd`` is Brown's modular gcd built from the same kernels:
+restrictions to a pencil of lines in a random unimodular frame,
 interpolated across the pencil, lifted by CRT, and returned only after
 ``divexact`` divides both inputs.
 """
@@ -86,8 +99,9 @@ def _mul_int64(a: dict, b: dict) -> dict | None:
     as wide as the product's j-range.  The operands split the offsets between
     them, so the index of a product term is the sum of its factors' indices.
     ``_GATHER_CHUNK`` terms of a at a time, the outer sums of the indices and
-    the outer products of the coefficients are ``np.add.at``-ed into one
-    zeroed accumulator, whose nonzero slots are the product's terms.
+    the outer products of the coefficients are raveled and ``np.add.at``-ed
+    into one zeroed accumulator, whose nonzero slots are the product's terms
+    (with a 2-D index array, ``np.add.at`` takes a much slower path).
 
     None, for the dict loop, when the box has more than ``_GATHER_CHUNK``
     slots per pair of terms: the accumulator then stays within
@@ -118,7 +132,7 @@ def _mul_int64(a: dict, b: dict) -> dict | None:
     acc = np.zeros(height * width, dtype=np.int64)
     for s in range(0, len(a), _GATHER_CHUNK):
         chunk = slice(s, s + _GATHER_CHUNK)
-        np.add.at(acc, np.add.outer(xa[chunk], xb), np.multiply.outer(ca[chunk], cb))
+        np.add.at(acc, np.add.outer(xa[chunk], xb).ravel(), np.multiply.outer(ca[chunk], cb).ravel())
     slots = np.flatnonzero(acc)
     keys = ((slots // width + i0) << _J_BITS) | (slots % width + j0)
     return dict(zip(keys.tolist(), acc[slots].tolist()))
@@ -280,6 +294,14 @@ class HomoPoly:
         return scale, HomoPoly(self.degree, {k: c // scale for k, c in self.terms.items()})
 
 
+def expand(unit: int, powers) -> HomoPoly:
+    """unit times the product of the polynomials powers, multiplied in ascending order of term count."""
+    result = HomoPoly.monomial(unit, 0, 0, 0)
+    for power in sorted(powers, key=len):
+        result = result * power
+    return result
+
+
 # ---------------------------------------------------------------------------
 # Sparse exact division (heap-ordered single-divisor division)
 # ---------------------------------------------------------------------------
@@ -412,10 +434,11 @@ LINE_PRIMES = tuple(islice(_primes_from(1 << 25), 8))
 
 
 def restrict_line_mod(P: HomoPoly, a, b, p: int):
-    """Coefficients (descending) of t -> P(a*t + b) mod p, via evaluation/interpolation.
+    """Coefficients of t -> P(a*t + b) mod p, via evaluation/interpolation.
 
-    Returns None exactly when P(a), the coefficient of t^d, vanishes mod p
-    (a degenerate line for this certificate's purposes).
+    A reduced, stripped int64 array, descending; None exactly when P(a), the
+    coefficient of t^d, vanishes mod p (a degenerate line for this
+    certificate's purposes).
 
     The values at the nodes t = 0..d divide out a coordinate x_c that
     vanishes at no more than one node: one with a_c != 0 mod p, or with
@@ -432,7 +455,8 @@ def restrict_line_mod(P: HomoPoly, a, b, p: int):
     directly.  Every sum adds at most 2048 products of residues below
     p < 2^25.01: a group's terms have distinct e_v and the groups distinct
     e_u, so neither outnumbers d + 1 <= 2048, and each sum stays below
-    2^61.02 < 2^63.
+    2^61.02 < 2^63.  The node vector x_c^d comes from binary powering, each
+    step one product of two residue vectors, below 2^50.02.
     """
     d = P.degree
     ts = np.arange(d + 1, dtype=np.int64)
@@ -459,7 +483,7 @@ def restrict_line_mod(P: HomoPoly, a, b, p: int):
     del v_table  # one power table alive at a time
     sums %= p
     values = np.einsum("et,et->t", sums, _power_table(xs[u] * inv % p, len(sums) - 1, p)) % p
-    values = values * np.array([pow(x, d, p) for x in xc], dtype=np.int64) % p
+    values = values * binary_power(xs[c], d, 1, lambda x, y: x * y % p) % p
     if 0 in xc:
         t = xc.index(0)
         xu, xv = int(xs[u][t]), int(xs[v][t])
@@ -470,7 +494,7 @@ def restrict_line_mod(P: HomoPoly, a, b, p: int):
     coeffs_asc = _interpolate_mod(values, p)
     if coeffs_asc[d] == 0:
         return None
-    return coeffs_asc[::-1]
+    return coeffs_asc[::-1].copy()
 
 
 def _power_table(r: np.ndarray, top: int, p: int) -> np.ndarray:
@@ -485,8 +509,8 @@ def _power_table(r: np.ndarray, top: int, p: int) -> np.ndarray:
     return table
 
 
-def _interpolate_mod(values: np.ndarray, p: int):
-    """Interpolation of the residues values at nodes 0..n-1 over F_p, n <= 2048; ascending coefficients.
+def _interpolate_mod(values: np.ndarray, p: int) -> np.ndarray:
+    """Interpolation of the residues values at nodes 0..n-1 over F_p, n <= 2048; ascending residues.
 
     The Newton coefficients are the scaled forward differences
     N_j = sum over i <= j of f(i)/i! * (-1)^(j-i)/(j-i)!, one convolution
@@ -541,7 +565,7 @@ def _interpolate_mod(values: np.ndarray, p: int):
         out = np.convolve(rows[m + b, 1:], out)
         out[:k] += rows[b, 1:-1]
         out %= p
-    return out[:n].tolist()
+    return out[:n]
 
 
 def restrict_line_exact(P: HomoPoly, a, b):
@@ -556,66 +580,63 @@ def restrict_line_exact(P: HomoPoly, a, b):
     return coeffs[lead:]
 
 
-def _strip_mod(f, p: int) -> np.ndarray:
-    """Residues mod p of a descending coefficient sequence, leading zeros dropped."""
-    return _strip(np.asarray(f, dtype=np.int64) % p)
-
-
 def _strip(f: np.ndarray) -> np.ndarray:
     """f with its leading zeros dropped (a view)."""
     nonzero = np.flatnonzero(f)
     return f[nonzero[0]:] if len(nonzero) else f[:0]
 
 
-def univ_gcd_mod(f, g, p: int):
-    """Monic gcd of univariate polynomials (descending coeffs) over F_p."""
-    f, g = _strip_mod(f, p), _strip_mod(g, p)
+def univ_gcd_mod(f: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
+    """Monic gcd over F_p of two reduced, stripped residue arrays (descending)."""
     while len(g):
-        f, g = g, _rem_stripped(f.copy(), g, p)
+        f, g = g, _univ_rem_mod(f, g, p)
     if not len(f):
-        return []
-    return (f * pow(int(f[0]), p - 2, p) % p).tolist()
+        return f
+    return f * pow(int(f[0]), -1, p) % p
 
 
-def _univ_rem_mod(f, g, p: int) -> np.ndarray:
-    """Remainder of f by g over F_p (descending), as a stripped int64 array.
+def _univ_rem_mod(r: np.ndarray, g: np.ndarray, p: int, inverse: list | None = None) -> np.ndarray:
+    """Remainder of r by g over F_p, both reduced, stripped residue arrays and g nonempty.
 
-    g must not vanish mod p.
-    """
-    return _rem_stripped(_strip_mod(f, p), _strip_mod(g, p), p)
-
-
-def _rem_stripped(r: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
-    """Remainder of r by g, both stripped residue arrays and g nonempty; may overwrite r.
-
-    Two routes, picked by the quotient length nq = len(r) - deg g.  When
-    the quotient is longer than g and nq <= 2048, it is computed in one
-    pass: the reversed g is inverted as a power series by Newton iteration,
+    The result is reduced and stripped; r and g are not modified.  Two
+    routes, picked by the quotient length nq = len(r) - deg g.  When the
+    quotient is longer than g and nq <= 2048, it is computed in one pass:
+    the reversed g is inverted as a power series by Newton iteration,
     h <- h (2 - g h) mod x^2k, the quotient is r[:nq] * h mod x^nq (a
     descending array read ascending is the reversed polynomial), and the
-    remainder is the low part of r - q g.  Each ``np.convolve`` there adds
-    at most min(len) <= 2048 products of residues below p < 2^25.01, so
-    every sum stays below 2^61.02 < 2^63; each result is reduced mod p.
+    remainder is the low part of r - q g.  ``inverse``, when given, is a
+    one-item list that the caller keeps beside g: the route takes h from it
+    and stores back the longest h computed, so a later remainder by g costs
+    two convolutions.  The truncated series inverse is unique, so an h taken
+    from the list or extended gives the same quotient.  Each
+    ``np.convolve`` there adds at most min(len) <= 2048 products of residues
+    below p < 2^25.01, so every sum stays below 2^61.02 < 2^63; each result
+    is reduced mod p.
 
-    Otherwise the division loop subtracts q * g in place, one quotient
-    coefficient per step, and reduces r mod p only every 2048 steps and at
-    the end: between reductions an entry of r takes at most 2048 products
-    q * g[k] below p^2, so it stays below p + 2^61.02 < 2^63 in magnitude.
+    Otherwise the division loop subtracts q * g from a copy of r in place,
+    one quotient coefficient per step, and reduces it mod p only every 2048
+    steps and at the end: between reductions an entry takes at most 2048
+    products q * g[k] below p^2, so it stays below p + 2^61.02 < 2^63 in
+    magnitude.
     """
     dg = len(g) - 1
     if dg == 0:
         return r[:0]
     nq = len(r) - dg
     if dg + 1 < nq <= MAX_PACKED_DEGREE + 1:
-        h, k = np.array([pow(int(g[0]), -1, p)], dtype=np.int64), 1
+        h = inverse[0] if inverse else np.array([pow(int(g[0]), -1, p)], dtype=np.int64)
+        k = len(h)
         while k < nq:
             k = min(2 * k, nq)
             e = -np.convolve(g[:k], h)[:k] % p
             e[0] = (e[0] + 2) % p
             h = np.convolve(h, e)[:k] % p
-        q = np.convolve(r[:nq], h)[:nq] % p
+        if inverse is not None:
+            inverse[:] = [h]
+        q = np.convolve(r[:nq], h[:nq])[:nq] % p
         rem = (r[nq:] - np.convolve(q[-dg:], g)[dg:]) % p
     else:
+        r = r.copy()
         inv_lc = pow(int(g[0]), -1, p)
         for i in range(nq):
             if i and not i % (MAX_PACKED_DEGREE + 1):
@@ -627,20 +648,21 @@ def _rem_stripped(r: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
     return rem if not len(rem) or rem[0] else _strip(rem)
 
 
-def univ_mul_mod(f, g, p: int):
-    """Product of univariate polynomials (descending coeffs) over F_p.
+def univ_mul_mod(f: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
+    """Product over F_p, p prime, of two reduced, stripped residue arrays (descending).
 
-    ``np.convolve`` sums exact int64 products.  That cannot overflow:
-    residues are < p ~ 2^25, so each product is below 2^50, and each sum has
-    at most min(len f, len g) <= 2048 products (a restricted HomoPoly has at
-    most MAX_PACKED_DEGREE + 1 coefficients), so every sum is < 2^61.
+    The product of the leading residues is nonzero mod p, so the reduced
+    product is stripped.  ``np.convolve`` sums exact int64 products.  That
+    cannot overflow: residues are < p < 2^25.01, so each product is below
+    2^50.02, and each sum has at most min(len f, len g) <= 2048 products (a
+    restricted HomoPoly has at most MAX_PACKED_DEGREE + 1 coefficients), so
+    every sum is < 2^61.02.
     """
-    f, g = _strip_mod(f, p), _strip_mod(g, p)
     if not len(f) or not len(g):
-        return []
+        return f[:0]
     if min(len(f), len(g)) > MAX_PACKED_DEGREE + 1:
         raise ValueError("an int64 product sum could overflow: both factors exceed 2048 coefficients")
-    return _strip_mod(np.convolve(f, g), p).tolist()
+    return np.convolve(f, g) % p
 
 
 # certificate lines drawn from one seed, by certify_coprime and by a CoprimeBase
@@ -659,19 +681,38 @@ def _certificate_lines(seed: int):
     return lines
 
 
-def _restricted_pairs(lines, P: HomoPoly, p_images: dict, Q: HomoPoly, q_images: dict):
+class _LineImages(dict):
+    """Line index -> restriction of one polynomial (None if it loses degree), computed on first read.
+
+    ``restrict(n)`` computes the entry for line n once; the dict keeps it, so
+    no polynomial is restricted to a line twice.
+    """
+
+    __slots__ = ("restrict",)
+
+    def __init__(self, restrict):
+        super().__init__()
+        self.restrict = restrict
+
+    def __missing__(self, n):
+        got = self[n] = self.restrict(n)
+        return got
+
+
+def _line_images(P: HomoPoly, lines) -> _LineImages:
+    """P's restrictions to lines [(p, a, b)] by ``restrict_line_mod``, computed on first read."""
+    return _LineImages(lambda n: restrict_line_mod(P, lines[n][1], lines[n][2], lines[n][0]))
+
+
+def _restricted_pairs(lines, p_images: _LineImages, q_images: _LineImages):
     """(line index, p, P restricted, Q restricted) for each line on which both keep their degree.
 
-    Lazy: a restriction is computed the first time a line is reached and kept
-    in the caller's dict (line index -> coefficients, or None if the
-    restriction loses degree), so no polynomial is restricted to a line twice.
+    Lazy: a line's restrictions are computed when the line is reached.
     """
-    for n, (p, a, b) in enumerate(lines):
-        for poly, images in ((P, p_images), (Q, q_images)):
-            if n not in images:
-                images[n] = restrict_line_mod(poly, a, b, p)
-        if p_images[n] is not None and q_images[n] is not None:
-            yield n, p, p_images[n], q_images[n]
+    for n, (p, _, _) in enumerate(lines):
+        rp, rq = p_images[n], q_images[n]
+        if rp is not None and rq is not None:
+            yield n, p, rp, rq
 
 
 def certify_coprime(P: HomoPoly, Q: HomoPoly, seed: int = 0) -> bool:
@@ -683,7 +724,8 @@ def certify_coprime(P: HomoPoly, Q: HomoPoly, seed: int = 0) -> bool:
     """
     if P.is_zero() or Q.is_zero():
         return False
-    pairs = _restricted_pairs(_certificate_lines(seed), P, {}, Q, {})
+    lines = _certificate_lines(seed)
+    pairs = _restricted_pairs(lines, _line_images(P, lines), _line_images(Q, lines))
     return any(len(univ_gcd_mod(rp, rq, p)) == 1 for _, p, rp, rq in pairs)
 
 
@@ -793,7 +835,7 @@ def _frame_candidate(P: HomoPoly, Q: HomoPoly, M, best: int):
         image = [
             c
             for i in range(d + 1)
-            for c in _interpolate_mod(np.array([h[i] * scale % p for h in gcds], dtype=np.int64), p)
+            for c in _interpolate_mod(np.array([h[i] * scale % p for h in gcds], dtype=np.int64), p).tolist()
         ]
         if d != g:
             g, acc, modulus = d, image, p
@@ -823,7 +865,7 @@ def _pencil_gcds(P: HomoPoly, Q: HomoPoly, M, p: int):
         rq = restrict_line_mod(Q, a, b, p)
         if rp is None or rq is None:
             return None
-        gcds.append(univ_gcd_mod(rp, rq, p))
+        gcds.append(univ_gcd_mod(rp, rq, p).tolist())  # the CRT lift takes Python ints
     return gcds
 
 
@@ -874,9 +916,11 @@ class CoprimeBase:
     """Maintains a list of pairwise-coprime primitive polynomials (the atoms).
 
     ``decompose`` expresses a polynomial as unit * product of atom powers,
-    inserting new atoms (and splitting existing ones) as needed.  The base
-    owns the splits: every exponent vector that ``decompose`` returns or a
-    caller hands to ``track`` keeps naming the same product across them.
+    inserting new atoms (and splitting existing ones) as needed;
+    ``decompose_sum`` does the same for a sum of products of atom powers.
+    The base owns the splits: every exponent vector that ``decompose``
+    returns or a caller hands to ``track`` keeps naming the same product
+    across them.
 
     The base draws its certificate lines once, from its seed.  Each atom is
     restricted to each line at most once (``_images``, reset when the atom is
@@ -886,15 +930,39 @@ class CoprimeBase:
     line proves that two polynomials are coprime.  The remainder the division
     test takes is kept, for as long as the polynomial and the atom stay
     unchanged, and the gcd on its line starts from it, so no remainder of a
-    polynomial by an atom is taken twice on one line.  The powers of each
-    atom are kept beside its restrictions (``power``) and reset with them.
+    polynomial by an atom is taken twice on one line.  Beside each atom's
+    restriction to a line the base keeps the inverse of its reversal as a
+    power series, as long as the longest quotient asked so far
+    (``_inverses``, at most 2048 residues), so a remainder by the atom costs
+    two convolutions.  The powers of each atom are kept beside its
+    restrictions (``power``) and reset with them.
+
+    A sum S = sum of c * prod atom^e is restricted to a line through its
+    atoms: S|L is the same sum of products of the atoms' restrictions, each
+    (A|L)^e by binary powering, and the primitive part S / unit restricts
+    to S|L times the inverse of the unit mod p.  That is exact, because
+    restriction to a line followed by reduction mod p is a ring homomorphism
+    from Z[x0, x1, x2] to F_p[t]: it maps sums to sums, products to products
+    and powers to powers, so the result equals ``restrict_line_mod`` of the
+    expanded primitive part, whose coefficients are also reduced residues.
+    A term whose atoms all keep their degree on the line has degree exactly
+    deg S there (p is prime), so the terms align.  When p divides the unit,
+    or an atom of the sum loses degree on the line (``restrict_line_mod``
+    gives None for it, not its shorter restriction), the sum is restricted
+    by ``restrict_line_mod`` instead.  The sum reads the
+    restriction dicts its atoms have when it is formed: a later split gives
+    the split atom a new dict, so a late read of the sum's restriction still
+    multiplies the restrictions of the atoms the sum was formed from.  No
+    restriction dict refers to the base, so a base leaves no reference
+    cycle and is freed as soon as its caller drops it.
     """
 
     def __init__(self, seed: int = 0):
         self.atoms: list = []
         self.seed = seed
         self.lines = _certificate_lines(seed)
-        self._images: list = []  # per atom: line index -> restriction, filled lazily
+        self._images: list = []  # per atom: its _LineImages
+        self._inverses: list = []  # per atom: line index -> [series inverse of its reversed restriction]
         self._powers: list = []  # per atom: exponent -> atom^exponent, filled lazily
         self._tracked: dict = {}  # id -> exponent vector kept current across splits
 
@@ -911,13 +979,56 @@ class CoprimeBase:
             got = powers[e] = self.atoms[idx].pow(e)
         return got
 
-    def decompose(self, poly: HomoPoly):
-        """(unit, Counter {atom_index: exponent}) with unit in {+1, -1} * content; exps is tracked."""
+    def decompose_sum(self, terms):
+        """(unit, Counter {atom_index: exponent}) of the sum of c * prod atoms[idx]^e over terms.
+
+        terms is a list of (c, exps), with exps a Counter {idx: e}; the sum
+        is built from the atom powers, and its restrictions to the
+        certificate lines from the atoms' restrictions (see the class
+        docstring).  The result is that of ``decompose`` on the sum.
+        """
+        total = HomoPoly.zero(0)
+        for c, exps in terms:
+            total = total + expand(c, [self.power(idx, e) for idx, e in exps.items()])
+        if total.is_zero():
+            raise ReductionFailure("a sum of atom-power products vanished")
+        unit, P = total.primitive_normalized()
+        lines, one = self.lines, np.ones(1, dtype=np.int64)
+        factors = [(c, [(self._images[idx], e) for idx, e in exps.items()]) for c, exps in terms]
+
+        def restrict(n):
+            p, a, b = lines[n]
+            if unit % p == 0 or any(images[n] is None for _, parts in factors for images, _ in parts):
+                return restrict_line_mod(P, a, b, p)
+
+            def mul(f, g):
+                return univ_mul_mod(f, g, p)
+
+            acc = np.zeros(P.degree + 1, dtype=np.int64)
+            for c, parts in factors:
+                if c % p:
+                    r = np.array([c % p], dtype=np.int64)
+                    for images, e in parts:
+                        r = mul(r, binary_power(images[n], e, one, mul))
+                    acc += r  # below 2^47.01: at most 2048 * 2049 / 2 < 2^22 terms of residues
+            acc = acc % p * pow(unit, -1, p) % p
+            return acc if acc[0] else None
+
+        u, exps = self.decompose(P, _LineImages(restrict))
+        return unit * u, exps
+
+    def decompose(self, poly: HomoPoly, images: _LineImages | None = None):
+        """(unit, Counter {atom_index: exponent}) with unit in {+1, -1} * content; exps is tracked.
+
+        images, if given, holds the restrictions of poly's primitive part;
+        by default they come from ``restrict_line_mod``.
+        """
         if poly.is_zero():
             raise ValueError("cannot decompose the zero polynomial")
         unit, P = poly.primitive_normalized()
         exps = self.track(Counter())
-        images: dict = {}  # P's restrictions; reset whenever P changes
+        if images is None:
+            images = _line_images(P, self.lines)  # P's restrictions; reset whenever P changes
         kept: dict = {}  # atom index -> (atom, line index, P|L mod A|L); reset with images
 
         def divide_out():
@@ -929,7 +1040,7 @@ class CoprimeBase:
                     exps[idx] += 1
                     s, P = q.primitive_normalized()
                     unit *= s
-                    images, kept = {}, {}
+                    images, kept = _line_images(P, self.lines), {}
                     continue  # same atom may divide again
                 idx += 1
 
@@ -947,6 +1058,7 @@ class CoprimeBase:
                 # genuinely new atom
                 self.atoms.append(P)
                 self._images.append(images)
+                self._inverses.append({})
                 self._powers.append({})
                 exps[len(self.atoms) - 1] += 1
                 P = HomoPoly.monomial(1, 0, 0, 0)
@@ -958,7 +1070,7 @@ class CoprimeBase:
             unit *= s if s else 1
         return unit, exps
 
-    def _quotient(self, P: HomoPoly, images: dict, idx: int, kept: dict):
+    def _quotient(self, P: HomoPoly, images: _LineImages, idx: int, kept: dict):
         """P / atom idx, or None.
 
         A nonzero remainder of the restrictions to the first line on which both
@@ -971,15 +1083,15 @@ class CoprimeBase:
         atom = self.atoms[idx]
         if atom.degree > P.degree or self._kept(kept, idx) is not None:
             return None
-        for n, p, rp, ra in _restricted_pairs(self.lines, P, images, atom, self._images[idx]):
-            rem = _univ_rem_mod(rp, ra, p)
+        for n, p, rp, ra in _restricted_pairs(self.lines, images, self._images[idx]):
+            rem = _univ_rem_mod(rp, ra, p, self._inverses[idx].setdefault(n, []))
             kept[idx] = (atom, n, rem)
             if len(rem):
                 return None
             break
         return divexact(P, atom)
 
-    def _certified_coprime(self, P: HomoPoly, images: dict, idx: int, kept: dict) -> bool:
+    def _certified_coprime(self, P: HomoPoly, images: _LineImages, idx: int, kept: dict) -> bool:
         """True if a constant gcd of the restrictions to some line proves P and atom idx coprime.
 
         On the line of a kept remainder R = P|L mod A|L the gcd starts from
@@ -987,7 +1099,7 @@ class CoprimeBase:
         taken twice.
         """
         got = self._kept(kept, idx)
-        for n, p, rp, ra in _restricted_pairs(self.lines, P, images, self.atoms[idx], self._images[idx]):
+        for n, p, rp, ra in _restricted_pairs(self.lines, images, self._images[idx]):
             pair = (ra, got[1]) if got is not None and got[0] == n else (rp, ra)
             if len(univ_gcd_mod(*pair, p)) == 1:
                 return True
@@ -1011,7 +1123,8 @@ class CoprimeBase:
             raise ReductionFailure("claimed factor does not divide its atom")
         named = [(exps, exps[aidx]) for exps in self._tracked.values() if exps.get(aidx)]
         self.atoms[aidx] = g
-        self._images[aidx] = {}
+        self._images[aidx] = _line_images(g, self.lines)
+        self._inverses[aidx] = {}
         self._powers[aidx] = {}
         unit, parts = self.decompose(cof)
         if unit != 1:

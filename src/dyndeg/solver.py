@@ -367,8 +367,7 @@ def _solve_at_precision(prec, args):
 
     goal_num, goal_den = width_goal.numerator, width_goal.denominator
     certified = None
-    # 1/t_lo - 1/t_hi = 2^s (b - a) / (a b) against width_goal / 2
-    while (2 * goal_den * (b - a)) << s > goal_num * a * b:
+    while _wider_than_goal(a, b, s, goal_num, goal_den):
         mid = a + b  # over 2^(s+1)
         if certified is None:
             certified = _certified_bracket(sums, b, s, q)
@@ -405,6 +404,25 @@ def _solve_at_precision(prec, args):
     if lam_lo.to_fraction() ** 2 <= norm:
         return None
     return LambdaEnclosure(zeta=zeta, interval=interval, n_terms=n_terms, precision_bits=prec)
+
+
+def _wider_than_goal(a: int, b: int, s: int, goal_num: int, goal_den: int) -> bool:
+    """Whether 1/t_lo - 1/t_hi = 2^s (b - a) / (a b) exceeds width goal / 2.
+
+    That is L > R for L = (2 goal_den (b - a)) << s and R = goal_num a b,
+    with 0 <= a < b and a positive goal.  With
+    l = bits(goal_den) + bits(b - a) + s + 1 and
+    r = bits(goal_num) + bits(a) + bits(b), 2^(l-2) <= L < 2^l and R < 2^r,
+    and R >= 2^(r-3) when a > 0.  So l - 2 >= r proves L > R, and l <= r - 3
+    with a > 0 proves L < R; only in between are the products formed.
+    """
+    left = goal_den.bit_length() + (b - a).bit_length() + s + 1
+    right = goal_num.bit_length() + a.bit_length() + b.bit_length()
+    if left - 2 >= right:
+        return True
+    if a and left <= right - 3:
+        return False
+    return (2 * goal_den * (b - a)) << s > goal_num * a * b
 
 
 def _bits_of(fr: Fraction) -> int:

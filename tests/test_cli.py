@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from dyndeg import cli, oracle
 from dyndeg.cli import main
-from dyndeg.gaussian import GaussianInt, gamma_argmax
+from dyndeg.degrees import e_sequence
+from dyndeg.gaussian import GaussianInt, d_sequence, gamma_argmax, parse_gaussian
 
 
 def run(capsys, *argv):
@@ -62,6 +63,48 @@ class TestDegreesCommand:
         code, _, err = run(capsys, "degrees", "--zeta", "1+1i")
         assert code == 2
         assert "1+i" in err  # names the violated criterion
+
+
+@contextlib.contextmanager
+def int_text_unlimited():
+    """Python's int <-> str digit limit lifted inside the block, where the interpreter has one."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+class TestDegreesPastIntTextLimit:
+    # e_250 of 10^20 + 7i has about 5000 digits, past the 4300-digit int <-> str limit
+    ZETA, COUNT = "100000000000000000000+7i", 250
+
+    def rows(self, fmt, out):
+        if fmt == "json":
+            return [(r["j"], r["d"], r["gamma"], r["e"]) for r in json.loads(out)["rows"]]
+        if fmt == "csv":
+            return [tuple(line.split(",")) for line in out.splitlines()[1:]]
+        return [tuple(line.split()) for line in out.splitlines()[2:]]
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_exact_values_and_limit_restored(self, capsys, fmt):
+        before = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run(capsys, "degrees", "--zeta", self.ZETA, "--count", str(self.COUNT), "--format", fmt)
+        assert (code, err) == (0, "")
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == before
+        rows = self.rows(fmt, out)
+        assert [int(j) for j, *_ in rows] == list(range(1, self.COUNT + 1))
+        with int_text_unlimited():
+            d = d_sequence(parse_gaussian(self.ZETA), self.COUNT)
+            e = e_sequence(d, self.COUNT)
+            assert [(int(dj), int(ej)) for _, dj, _, ej in rows] == [(d[j], e[j]) for j in range(1, self.COUNT + 1)]
+            assert len(str(e[self.COUNT])) > 4300
+            # the last row against the exact recursion e_n = d_n + sum over j < n of e_j d_(n-j), e_0 = 1
+            n = self.COUNT
+            assert e[n] == d[n] + sum(e[j] * d[n - j] for j in range(n))
 
 
 class TestLambdaCommand:

@@ -1,10 +1,13 @@
+import gc
 import hashlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dyndeg.oracle as oracle
+import dyndeg.polynomials as polynomials
 from dyndeg.errors import (
     CheckFailed,
     DegenerateMatrix,
@@ -209,6 +212,43 @@ class TestCompose:
         raw = compose_raw_components(g_map(), inner)
         assert composed.degree == factored_line_degree(PlaneRationalMap(components=raw))
 
+    def test_composed_sums_restricted_through_atoms(self, f_map, monkeypatch):
+        # compose(f, f^2) for 1+2i: every multi-term composed sum gets its
+        # line restrictions from its atoms', so restrict_line_mod never sees one
+        f2 = compose(f_map, f_map)
+        sums, restricted = [], []
+        decompose, restrict = CoprimeBase.decompose, polynomials.restrict_line_mod
+
+        def spy_decompose(self, poly, images=None):
+            if images is not None:
+                sums.append(poly)
+            return decompose(self, poly, images)
+
+        def spy_restrict(P, a, b, p):
+            restricted.append(P)
+            return restrict(P, a, b, p)
+
+        monkeypatch.setattr(CoprimeBase, "decompose", spy_decompose)
+        monkeypatch.setattr(polynomials, "restrict_line_mod", spy_restrict)
+        f3 = compose(f_map, f2)
+        assert f3.degree == 454
+        composed = [P for P in sums if P.degree >= 1]
+        assert len(composed) == 3 and min(P.degree for P in composed) == 227  # one per component
+        assert restricted  # the atoms of the inner map are restricted
+        assert not [P for P in restricted if any(P == S for S in composed)]
+
+    def test_compose_leaves_no_reference_cycle(self, f_map):
+        # a coprime base and its cached restrictions are freed by reference
+        # counting when compose returns, not at a later garbage collection
+        f2 = compose(f_map, f_map)
+        gc.collect()
+        gc.disable()
+        try:
+            compose(f_map, f2)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_zero_component_rejected(self):
         x = HomoPoly.monomial(1, 1, 0, 0)
         degenerate = PlaneRationalMap(components=(x, HomoPoly.zero(1), x))
@@ -304,12 +344,12 @@ class TestRandomLine:
             assert len(products) <= sum(bin(e).count("1") + e.bit_length() for _, e in slots)
             lines.append((len(slots), len(distinct)))
             for (unit, factors), got in zip(factored, out or ()):
-                want = [unit % p]  # e products by the slot's restriction, one at a time
+                want = np.array([unit % p] if unit % p else [], dtype=np.int64)  # e products by the slot's restriction, one at a time
                 for poly, e in factors:
                     rp = restrict(poly, a, b, p)
                     for _ in range(e):
                         want = mul(want, rp, p)
-                assert got == want
+                assert got.tolist() == want.tolist()
             return out
 
         monkeypatch.setattr(oracle, "restrict_line_mod", counting_restrict)

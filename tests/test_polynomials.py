@@ -20,6 +20,7 @@ from dyndeg.polynomials import (
     homo_gcd,
     restrict_line_exact,
     restrict_line_mod,
+    scaled,
     substitute,
     univ_gcd_mod,
     univ_mul_mod,
@@ -72,6 +73,11 @@ def ref_strip(f):
     while f and f[0] == 0:
         f = f[1:]
     return f
+
+
+def residues(f, p):
+    """f as the mod-p kernels take it: a reduced, stripped int64 array."""
+    return np.array(ref_strip([c % p for c in f]), dtype=np.int64)
 
 
 def ref_interpolate_mod(values, p):
@@ -550,12 +556,14 @@ class TestLineTools:
         if P.evaluate(*a) % p == 0:  # the t^degree coefficient vanishes mod p
             assert modular is None
         else:
-            assert modular == [c % p for c in restrict_line_exact(P, a, b)]
+            assert modular.dtype == np.int64
+            assert modular.tolist() == [c % p for c in restrict_line_exact(P, a, b)]
 
     def test_mod_restriction_pinned(self):
         h = hashlib.sha256()
         for P, a, b, p in mod_line_corpus():
-            h.update(f"{restrict_line_mod(P, a, b, p)}\n".encode())
+            r = restrict_line_mod(P, a, b, p)
+            h.update(f"{None if r is None else r.tolist()}\n".encode())
         assert h.hexdigest() == MOD_RESTRICTION_DIGEST
 
     def test_mod_restriction_at_degenerate_nodes(self):
@@ -567,7 +575,7 @@ class TestLineTools:
             if P.evaluate(*a) % p == 0:
                 assert modular is None
             else:
-                assert modular == [c % p for c in restrict_line_exact(P, a, b)]
+                assert modular.tolist() == [c % p for c in restrict_line_exact(P, a, b)]
 
         for degree in (1, 2, 3, 7, 30, 64):
             # every monomial free of some coordinate, plus random ones
@@ -595,25 +603,28 @@ class TestLineTools:
         # 2048 residues p - 1: a product sum reaches 2048 (p - 1)^2 ~ 2^61
         p = LINE_PRIMES[0]
         full = [p - 1] * 2048
-        assert univ_mul_mod(full, full, p) == ref_mul_mod(full, full, p)
+        assert univ_mul_mod(residues(full, p), residues(full, p), p).tolist() == ref_mul_mod(full, full, p)
         rng = random.Random(23)
         for _ in range(20):
             f = [rng.randint(0, p - 1) for _ in range(rng.randint(1, 60))]
             g = [rng.randint(1, p - 1)] + [rng.randint(0, p - 1) for _ in range(rng.randint(0, 60))]
-            assert univ_mul_mod(f, g, p) == ref_mul_mod(f, g, p)
-            assert polynomials._univ_rem_mod(f, g, p).tolist() == ref_rem_mod(f, g, p)
-            assert univ_gcd_mod(f, g, p) == ref_gcd_mod(f, g, p)
+            rf, rg = residues(f, p), residues(g, p)
+            assert univ_mul_mod(rf, rg, p).tolist() == ref_mul_mod(f, g, p)
+            assert polynomials._univ_rem_mod(rf, rg, p).tolist() == ref_rem_mod(f, g, p)
+            assert univ_gcd_mod(rf, rg, p).tolist() == ref_gcd_mod(f, g, p)
         short = [p - 1] * 1000
-        assert polynomials._univ_rem_mod(full, short, p).tolist() == ref_rem_mod(full, short, p)
+        rfull, rshort = residues(full, p), residues(short, p)
+        assert polynomials._univ_rem_mod(rfull, rshort, p).tolist() == ref_rem_mod(full, short, p)
         # gcd(x^2048 - 1, x^1000 - 1) / (x - 1) = 1 + x + ... + x^7
-        assert univ_gcd_mod(full, short, p) == ref_gcd_mod(full, short, p) == [1] * 8
+        assert univ_gcd_mod(rfull, rshort, p).tolist() == ref_gcd_mod(full, short, p) == [1] * 8
+        assert rfull.tolist() == full and rshort.tolist() == short  # inputs not overwritten
 
     def test_univ_gcd_mod(self):
         p = LINE_PRIMES[1]
         # (x+1)(x+2) and (x+1)(x+3) share x+1
-        f = [1, 3, 2]
-        g = [1, 4, 3]
-        assert univ_gcd_mod(f, g, p) == [1, 1]
+        f = residues([1, 3, 2], p)
+        g = residues([1, 4, 3], p)
+        assert univ_gcd_mod(f, g, p).tolist() == [1, 1]
 
     def test_certificate_on_coprime_pair(self):
         A = HomoPoly.from_triples(2, [(2, 0, 0, 1), (0, 2, 0, 1)])
@@ -642,8 +653,9 @@ class TestUnivariateKernels:
     @example(([2, 7], [5, 1, 8], LINE_PRIMES[1]))  # dividend shorter than the divisor
     def test_rem_and_gcd_match_reference(self, operands):
         f, g, p = operands
-        assert polynomials._univ_rem_mod(f, g, p).tolist() == ref_rem_mod(f, g, p)
-        assert univ_gcd_mod(f, g, p) == ref_gcd_mod(f, g, p)
+        rf, rg = residues(f, p), residues(g, p)
+        assert polynomials._univ_rem_mod(rf, rg, p).tolist() == ref_rem_mod(f, g, p)
+        assert univ_gcd_mod(rf, rg, p).tolist() == ref_gcd_mod(f, g, p)
 
     def test_rem_long_quotient_and_divisor(self):
         # quotient and divisor both past 2048 coefficients: the division loop,
@@ -652,7 +664,7 @@ class TestUnivariateKernels:
         rng = random.Random(31)
         f = [p - 1] * 4200
         g = [p - 1] + [rng.randrange(p) for _ in range(2099)]
-        assert polynomials._univ_rem_mod(f, g, p).tolist() == ref_rem_mod(f, g, p)
+        assert polynomials._univ_rem_mod(residues(f, p), residues(g, p), p).tolist() == ref_rem_mod(f, g, p)
 
     # k = ceil(sqrt(n)) nodes per block: n at and around k^2 and k(k - 1)
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 10, 40, 63, 64, 65, 399, 400, 401])
@@ -661,7 +673,7 @@ class TestUnivariateKernels:
         for p in LINE_PRIMES[:3]:
             values = [rng.randrange(p) for _ in range(n)]
             expected = ref_interpolate_mod(values, p)
-            assert polynomials._interpolate_mod(np.array(values, dtype=np.int64), p) == expected
+            assert polynomials._interpolate_mod(np.array(values, dtype=np.int64), p).tolist() == expected
 
     def test_interpolate_2048_nodes_matches_lagrange(self):
         # nonzero values at a few nodes keep the reference's sum short; the
@@ -670,7 +682,7 @@ class TestUnivariateKernels:
         values = [0] * 2048
         values[0], values[1], values[1000], values[2047] = p - 1, 12345, 1, p - 2
         expected = ref_interpolate_mod(values, p)
-        assert polynomials._interpolate_mod(np.array(values, dtype=np.int64), p) == expected
+        assert polynomials._interpolate_mod(np.array(values, dtype=np.int64), p).tolist() == expected
 
 
 def assert_split(before, after):
@@ -819,22 +831,22 @@ class TestCoprimeBase:
         # split.  The one kept for x1 + x2, which does not split, outlives it
         base = CoprimeBase(seed=4)
         restrictions, remainders = set(), []
-        restrict, rem = polynomials.restrict_line_mod, polynomials._rem_stripped
+        restrict, rem = polynomials.restrict_line_mod, polynomials._univ_rem_mod
 
         def counting_restrict(P, a, b, p):
             r = restrict(P, a, b, p)
             if r is not None:
-                restrictions.add((tuple(r), p))
+                restrictions.add((tuple(r.tolist()), p))
             return r
 
-        def counting_rem(r, g, p):
+        def counting_rem(r, g, p, inverse=None):
             key = (tuple(r.tolist()), tuple(g.tolist()), p)
             if (key[0], p) in restrictions and (key[1], p) in restrictions:
                 remainders.append(key)
-            return rem(r, g, p)
+            return rem(r, g, p, inverse)
 
         monkeypatch.setattr(polynomials, "restrict_line_mod", counting_restrict)
-        monkeypatch.setattr(polynomials, "_rem_stripped", counting_rem)
+        monkeypatch.setattr(polynomials, "_univ_rem_mod", counting_rem)
         earlier, Q = inputs(*(HomoPoly.monomial(1, *e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
         for P in earlier:
             base.decompose(P)
@@ -858,3 +870,131 @@ class TestCoprimeBase:
         for idx, e in exps.items():
             rebuilt = rebuilt * base.atoms[idx].pow(e)
         assert rebuilt == P
+
+
+
+class SumSpyBase(CoprimeBase):
+    """A CoprimeBase that keeps each (primitive part, line images) decompose_sum hands to decompose."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.sums = []
+
+    def decompose(self, poly, images=None):
+        if images is not None:
+            self.sums.append((poly, images))
+        return super().decompose(poly, images)
+
+
+def atom_product(base, exps):
+    out = HomoPoly.monomial(1, 0, 0, 0)
+    for idx, e in exps.items():
+        out = out * base.atoms[idx].pow(e)
+    return out
+
+
+def sum_of(base, terms):
+    return sum((atom_product(base, exps).scale(c) for c, exps in terms), HomoPoly.zero(0))
+
+
+def assert_images_match(images, P, lines):
+    """Every line's entry of images is restrict_line_mod of P."""
+    for n, (p, a, b) in enumerate(lines):
+        want = restrict_line_mod(P, a, b, p)
+        got = images[n]
+        assert (got is None) == (want is None), n
+        if got is not None:
+            assert got.tolist() == want.tolist(), n
+
+
+class TestDecomposeSum:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 6), st.sampled_from((1, 5, 1 << 40)))
+    def test_restriction_matches_expanded_sum(self, seed, n_terms, coeff_size):
+        rng = random.Random(seed)
+        base = SumSpyBase(seed=seed % 7)
+        # atoms: x0, which pads every term to one degree, and random forms of degree 1 to 3
+        for P in [HomoPoly.monomial(1, 1, 0, 0)] + [random_homo(rng, rng.randint(1, 3), 4) for _ in range(3)]:
+            base.decompose(P)
+        (pad,) = base.decompose(HomoPoly.monomial(1, 1, 0, 0))[1]
+        raw = [Counter({idx: rng.randint(0, 3) for idx in rng.sample(range(len(base.atoms)), 2)}) for _ in range(n_terms)]
+        degree = max(sum(e * base.atoms[idx].degree for idx, e in exps.items()) for exps in raw) + 1
+        for exps in raw:
+            exps[pad] += degree - sum(e * base.atoms[idx].degree for idx, e in exps.items())
+        terms = [(rng.choice((-1, 1)) * rng.randint(1, coeff_size), +exps) for exps in raw]
+        total = sum_of(base, terms)
+        if total.is_zero():
+            return
+        unit, exps = base.decompose_sum(terms)
+        ((P, images),) = base.sums
+        assert P == total.primitive_normalized()[1]
+        assert_images_match(images, P, base.lines)  # read after the decomposition, across any split
+        assert atom_product(base, exps).scale(unit) == total
+
+    def test_restriction_read_after_a_split(self):
+        # the sum names the atom A = (x0 + x1)(x0 + x2), which splits after the
+        # sum is decomposed; a line first read then still gets the sum's restriction
+        x0, x1, x2 = (HomoPoly.monomial(1, *e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        A = (x0 + x1) * (x0 + x2)
+        base = SumSpyBase(seed=2)
+        (ia,) = base.decompose(A)[1]
+        (i2,) = base.decompose(x2)[1]
+        base.decompose_sum([(1, Counter({ia: 1})), (3, Counter({i2: 2}))])
+        ((P, images),) = base.sums
+        assert P == A + (x2 * x2).scale(3)
+        unread = [n for n in range(len(base.lines)) if n not in images]
+        base.decompose((x0 + x1) * x1)
+        assert A not in base.atoms and unread
+        assert_images_match(images, P, base.lines)
+
+    @staticmethod
+    def assert_falls_back_on(monkeypatch, polys, make_terms, line):
+        """decompose_sum against decompose of the expanded sum, on twin bases that hold the atoms polys.
+
+        The sum goes to restrict_line_mod on the given line only, and the
+        two decompositions leave the same result and the same atoms.
+        """
+        calls = []
+        restrict = polynomials.restrict_line_mod
+
+        def counting(P, a, b, p):
+            calls.append((P, (p, tuple(a), tuple(b))))
+            return restrict(P, a, b, p)
+
+        monkeypatch.setattr(polynomials, "restrict_line_mod", counting)
+        base, twin = SumSpyBase(seed=3), CoprimeBase(seed=3)
+        for P in polys:
+            base.decompose(P)
+            twin.decompose(P)
+        terms = make_terms([base.decompose(P)[1] for P in polys])
+        total = sum_of(base, terms)
+        calls.clear()
+        got = base.decompose_sum(terms)
+        ((P, images),) = base.sums
+        assert_images_match(images, P, base.lines)
+        p, a, b = base.lines[line]
+        assert {where for R, where in calls if R is P} == {(p, tuple(a), tuple(b))}
+        assert got == twin.decompose(total)
+        assert base.atoms == twin.atoms
+
+    def test_atom_losing_degree_takes_fallback(self, monkeypatch):
+        # x0 a1 - x1 a0 vanishes at a = a_1 of line 1: it loses degree there
+        p, a, b = CoprimeBase(seed=3).lines[1]
+        L = HomoPoly.from_triples(1, [(1, 0, 0, a[1]), (0, 1, 0, -a[0])])
+        assert restrict_line_mod(L, a, b, p) is None
+        self.assert_falls_back_on(
+            monkeypatch,
+            (HomoPoly.monomial(1, 1, 0, 0), HomoPoly.monomial(1, 0, 1, 0), L),
+            lambda ex: [(2, scaled(ex[0], 2) + ex[2]), (-3, scaled(ex[1], 3)), (1, ex[0] + scaled(ex[1], 2))],
+            line=1,
+        )
+
+    def test_content_divisible_by_line_prime_takes_fallback(self, monkeypatch):
+        p = CoprimeBase(seed=3).lines[0][0]
+        L = HomoPoly.from_triples(1, [(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1)])
+        self.assert_falls_back_on(
+            monkeypatch,
+            (HomoPoly.monomial(1, 1, 0, 0), HomoPoly.monomial(1, 0, 1, 0), L),
+            lambda ex: [(3 * p, scaled(ex[0], 2) + ex[2]), (-5 * p, scaled(ex[1], 3)), (p, ex[0] + ex[1] + ex[2])],
+            line=0,
+        )

@@ -84,6 +84,39 @@ BRACKET_CASES = [
 ]
 
 
+def _near_powers_of_two(top_bits):
+    """Positive ints, half of them 2^k - 1, 2^k or 2^k + 1, where bit-length bounds are tightest."""
+    k = st.integers(0, top_bits)
+    return st.one_of(
+        st.integers(1, 1 << top_bits),
+        st.builds(lambda k, d: max(1, (1 << k) + d), k, st.integers(-1, 1)),
+    )
+
+
+@given(_near_powers_of_two(300), _near_powers_of_two(300), st.integers(0, 200), _near_powers_of_two(80), _near_powers_of_two(300))
+@example(0, 1, 0, 1, 1)  # a = 0: the right side vanishes
+@example((1 << 10) - 1, 1 << 10, 0, 1, 1)
+def test_width_test_by_bit_lengths_matches_products(a, b, s, goal_num, goal_den):
+    a, b = sorted((a, b))
+    if a == b:
+        a -= 1
+    assert solver._wider_than_goal(a, b, s, goal_num, goal_den) == (
+        (2 * goal_den * (b - a)) << s > goal_num * a * b
+    )
+
+
+def test_width_test_by_bit_lengths_exhaustive_small():
+    # every small case, where powers of two and all-ones values meet the bit-length bounds exactly
+    for b in range(1, 16):
+        for a in range(b):
+            for goal_num in range(1, 9):
+                for goal_den in range(1, 9):
+                    for s in range(13):
+                        assert solver._wider_than_goal(a, b, s, goal_num, goal_den) == (
+                            (2 * goal_den * (b - a)) << s > goal_num * a * b
+                        )
+
+
 class TestSolveLambda:
     @pytest.mark.parametrize(
         "zeta, exponent", list(ENCLOSURE_DIGESTS), ids=[f"{z}-1e-{e}" for z, e in ENCLOSURE_DIGESTS]
