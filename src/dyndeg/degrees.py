@@ -113,11 +113,6 @@ class DegreeSequence:
     def indices(self):
         return range(self.start_index, self.start_index + len(self.values))
 
-    def to_csv_text(self):
-        lines = ["index,value"]
-        lines += [f"{i},{self[i]}" for i in self.indices()]
-        return "\n".join(lines) + "\n"
-
     def to_json_obj(self):
         # decimal strings: entries overflow fixed-width consumers quickly
         return {

@@ -391,9 +391,6 @@ class ComplexInterval:
     def abs_sup(self, prec: int) -> Dyadic:
         return Dyadic.sqrt(self.abs_sq().hi, prec, "ceil")
 
-    def abs_inf(self, prec: int) -> Dyadic:
-        return Dyadic.sqrt(self.abs_sq().lo, prec, "floor")
-
     def pow_int(self, n: int) -> "ComplexInterval":
         return binary_power(self, n, ComplexInterval.point(1, 0))
 
@@ -517,9 +514,3 @@ def atan2_brackets(y: int, x: int, prec: int):
 def atan2_interval(y: int, x: int, prec: int) -> RealInterval:
     lo, hi = atan2_brackets(y, x, prec)
     return RealInterval.from_fractions(lo, hi, prec)
-
-
-def sqrt_int_interval(n: int, prec: int) -> RealInterval:
-    """Certified enclosure of sqrt(n) for a nonnegative integer n."""
-    d = Dyadic.from_int(n)
-    return RealInterval(Dyadic.sqrt(d, prec, "floor"), Dyadic.sqrt(d, prec, "ceil"))

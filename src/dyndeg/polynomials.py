@@ -17,9 +17,9 @@ at any size.
 
 ``substitute`` is the one routine that substitutes polynomials into a
 polynomial (Horner in the first image over shared power tables of the other
-two): the oracle's raw triple, the gcd candidate mapped back through its
-frame, and the exact line restriction ``restrict_line_exact``, which the
-tests use as an independent reference for the mod-p kernel.
+two): the oracle's raw triple and the exact line restriction
+``restrict_line_exact``, which the tests use as an independent reference
+for the mod-p kernel.
 
 Everything modular runs on one set of mod-p kernels over numpy int64:
 restriction of a polynomial to a line (``restrict_line_mod``: values at the
@@ -32,8 +32,7 @@ comes from one Newton inversion of the reversed divisor, a Euclid step from
 the division loop).  They pass univariate polynomials to each other as
 reduced, stripped int64 arrays: coefficients descending, residues in
 [0, p), the leading one nonzero (the zero polynomial is empty), so no
-result goes through a Python list and back.  Only ``homo_gcd``, whose CRT
-lift multiplies residues by big integers, turns its gcds into Python ints.
+result goes through a Python list and back.
 
 Each int64 bound is proved where its sum is formed: the group sums, the
 node powers and the sum over groups in ``restrict_line_mod``, the
@@ -50,10 +49,10 @@ restrictions to a line that keeps both degrees proves coprimality
 to each of them at most once (a sum of atom-power products through its
 atoms' restrictions), and takes the remainder of a leftover by an atom on a
 line once: the division test and the coprimality gcd share it.
-``homo_gcd`` is Brown's modular gcd built from the same kernels:
-restrictions to a pencil of lines in a random unimodular frame,
-interpolated across the pencil, lifted by CRT, and returned only after
-``divexact`` divides both inputs.
+``homo_gcd`` is the heuristic gcd GCDHEU: integer gcds of values at
+x1 = s*x2, x0 = r*x2 read back as symmetric digits, returned only after
+``divexact`` divides both inputs and the degree meets the bound that a gcd
+of line restrictions gives.
 """
 
 from __future__ import annotations
@@ -176,12 +175,6 @@ class HomoPoly:
         for key, c in self.terms.items():
             i, j = _unpack(key)
             yield i, j, d - i - j, c
-
-    def sorted_items(self):
-        d = self.degree
-        for key in sorted(self.terms):
-            i, j = _unpack(key)
-            yield i, j, d - i - j, self.terms[key]
 
     # -- predicates / metrics ------------------------------------------------
 
@@ -669,11 +662,11 @@ def univ_mul_mod(f: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
 _BASE_LINES = 4
 
 
-def _certificate_lines(seed: int):
-    """Up to ``_BASE_LINES`` seeded lines (p, a, b), t -> a*t + b mod p, with a != 0."""
+def _certificate_lines(seed: int, count: int = _BASE_LINES):
+    """Up to count seeded lines (p, a, b), t -> a*t + b mod p, with a != 0."""
     rng = np.random.default_rng(seed ^ 0x5EED)
     lines = []
-    for n in range(_BASE_LINES):
+    for n in range(count):
         a = [int(x) for x in rng.integers(-(10**6), 10**6 + 1, size=3)]
         b = [int(x) for x in rng.integers(-(10**6), 10**6 + 1, size=3)]
         if any(a):
@@ -730,13 +723,11 @@ def certify_coprime(P: HomoPoly, Q: HomoPoly, seed: int = 0) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Modular gcd: pencil restrictions in a random frame, CRT, exact-division check
+# Heuristic gcd, checked by exact division and a line-degree bound
 # ---------------------------------------------------------------------------
 
-# random frames tried before homo_gcd gives up
-_GCD_FRAMES = 8
-# bound on the off-diagonal entries of a frame's triangular factors
-_FRAME_ENTRY = 64
+# tries before homo_gcd gives up; each takes one more line and larger points
+_GCD_TRIES = 8
 
 
 def homo_gcd(P: HomoPoly, Q: HomoPoly) -> HomoPoly:
@@ -745,25 +736,24 @@ def homo_gcd(P: HomoPoly, Q: HomoPoly) -> HomoPoly:
     Integer content is included (gcd of the two contents), matching gcd
     semantics over Z[x0,x1,x2].
 
-    Brown's modular gcd on the line kernels.  A seeded random unimodular
-    integer frame M gives the pencil of lines t -> M(t, u, 1) through
-    a = M(1, 0, 0).  For u = 0..g the primitive parts are restricted to the
-    line mod p, their monic gcd is scaled by gcd(P(a), Q(a)) so that the
-    leading coefficients agree, the images are interpolated in u and lifted
-    by CRT over primes until the symmetric lift stops changing, and
-    substituting M^-1 back gives the primitive candidate.
+    The heuristic gcd GCDHEU (Char, Geddes and Gonnet, J. Symb. Comput.
+    1989) in homogeneous form.  The primitive parts set aside x2^m, m the
+    smaller of their x2-orders; of what is left, P' and Q', at least one is
+    not divisible by x2, so neither is G = gcd(P', Q'), and G is determined
+    by G(x0, x1, 1).  Each try puts x1 = s*x2 and lifts a candidate from the
+    gcd of the two binary forms (``_heuristic_candidate``).
 
-    Why a returned result is the gcd: every restriction used keeps the full
-    degree of P and Q mod p, so P(a) and Q(a) are nonzero mod p.  G = gcd(P, Q)
-    divides both, so G(a) is nonzero mod p too, and the restriction of G keeps
-    degree deg G and divides the gcd of the restrictions: every
-    restricted-gcd degree is an upper bound on deg G.  A candidate C that
-    ``divexact`` divides into both primitive parts divides G, so
-    deg C <= deg G.  C is returned only if it also has the smallest
-    restricted-gcd degree seen, so deg C = deg G and G is an integer multiple
-    of the primitive C.  A smallest degree of 0 proves the gcd is the content
-    gcd alone.  Any other outcome tries a new frame; after ``_GCD_FRAMES``
-    frames ReductionFailure is raised, never an unproven result.
+    Why a returned result is the gcd: on a seeded line where P' and Q' keep
+    their degree mod p, G keeps its degree too (G(a) divides P'(a), which is
+    nonzero mod p), and its restriction divides the gcd of the restrictions,
+    so the degree of that gcd bounds deg G from above, as does
+    min(deg P', deg Q').
+    A candidate C that ``divexact`` divides into both P' and Q' divides G,
+    so deg C <= deg G.  C is returned only if its degree also equals the
+    smallest bound seen, so deg C = deg G and G is an integer multiple of
+    the primitive C.  A smallest bound of 0 proves G = 1.  Each try takes one
+    more line and points grown by 73794/27011 (``_point``); after
+    ``_GCD_TRIES`` tries ReductionFailure is raised, never an unproven result.
     """
     if P.is_zero() and Q.is_zero():
         return HomoPoly.zero(0)
@@ -773,133 +763,90 @@ def homo_gcd(P: HomoPoly, Q: HomoPoly) -> HomoPoly:
         scale, G = P.primitive_normalized()
         return G.scale(abs(scale))
     content = igcd(P.content(), Q.content())
-    P = P.primitive_normalized()[1]
-    Q = Q.primitive_normalized()[1]
-    rng = np.random.default_rng(0x6CD)
-    best = min(P.degree, Q.degree) + 1  # above every restricted-gcd degree
-    for _ in range(_GCD_FRAMES):
-        cand, best = _frame_candidate(P, Q, _unimodular_frame(rng), best)
+    P, Q = (F.primitive_normalized()[1] for F in (P, Q))
+    m = min(min(F.degree - sum(_unpack(k)) for k in F.terms) for F in (P, Q))
+    P, Q = HomoPoly(P.degree - m, P.terms), HomoPoly(Q.degree - m, Q.terms)
+    shared = HomoPoly.monomial(content, 0, 0, m)
+    best = min(P.degree, Q.degree)  # an upper bound on deg gcd(P, Q)
+    for n, (p, a, b) in enumerate(_certificate_lines(0x6CD, _GCD_TRIES)):
+        rp, rq = restrict_line_mod(P, a, b, p), restrict_line_mod(Q, a, b, p)
+        if rp is not None and rq is not None:
+            best = min(best, len(univ_gcd_mod(rp, rq, p)) - 1)
         if best == 0:
-            return HomoPoly.monomial(content, 0, 0, 0)
-        if (
-            cand is not None
-            and cand.degree == best
-            and divexact(P, cand) is not None
-            and divexact(Q, cand) is not None
-        ):
-            return cand.scale(content)
-    raise ReductionFailure(f"no gcd candidate divided both inputs in {_GCD_FRAMES} frames")
+            return shared
+        C = _heuristic_candidate(P, Q, n, best)
+        if C is not None and C.degree == best and divexact(P, C) is not None and divexact(Q, C) is not None:
+            return C * shared
+    raise ReductionFailure(f"no gcd candidate divided both inputs in {_GCD_TRIES} tries")
 
 
-def _unimodular_frame(rng):
-    """Random integer matrix L * U with unit lower and upper triangular L, U (det 1)."""
-    l10, l20, l21, u01, u02, u12 = (
-        int(v) for v in rng.integers(-_FRAME_ENTRY, _FRAME_ENTRY + 1, size=6)
-    )
-    return [
-        [1, u01, u02],
-        [l10, l10 * u01 + 1, l10 * u02 + u12],
-        [l20, l20 * u01 + l21, l20 * u02 + l21 * u12 + 1],
-    ]
+def _heuristic_candidate(P: HomoPoly, Q: HomoPoly, n: int, best: int):
+    """Primitive candidate of degree <= best for gcd(P, Q) from try n, or None.
 
-
-def _frame_candidate(P: HomoPoly, Q: HomoPoly, M, best: int):
-    """(candidate or None, smallest restricted-gcd degree seen) for the frame M."""
-    a = [row[0] for row in M]
-    pa, qa = P.evaluate(*a), Q.evaluate(*a)
-    if pa == 0 or qa == 0:
-        return None, best
-    scale = igcd(pa, qa)
-    # The lifted image is scale / G(a) times G(M(t, u, 1)), a factor of the
-    # bivariate F(M(t, u, 1)) for F = P, Q.  A factor's coefficients are at
-    # most 2^(deg_t + deg_u) times F's Mahler measure, which is at most
-    # ||F||_1 * (largest row sum of |M|)^deg F.
-    row_bits = max(sum(abs(v) for v in row) for row in M).bit_length()
-    norm_bits = min(
-        sum(abs(c) for c in F.terms.values()).bit_length() + F.degree * row_bits
-        for F in (P, Q)
-    )
-    limit = scale.bit_length() + 2 * min(P.degree, Q.degree) + norm_bits + 1
-    g = acc = modulus = lifted = None
-    for p in islice(_primes_from(1 << 25), limit // 24 + 8):
-        gcds = _pencil_gcds(P, Q, M, p)
-        if gcds is None:
-            continue  # p divides P(a) or Q(a)
-        degrees = {len(h) - 1 for h in gcds}
-        best = min(best, *degrees)
-        if best == 0 or len(degrees) > 1:
-            return None, best  # a line of the pencil meets a common zero of the cofactors
-        d = degrees.pop()
-        if d > best:
-            continue  # unlucky prime
-        image = [
-            c
-            for i in range(d + 1)
-            for c in _interpolate_mod(np.array([h[i] * scale % p for h in gcds], dtype=np.int64), p).tolist()
-        ]
-        if d != g:
-            g, acc, modulus = d, image, p
-        else:
-            inv = pow(modulus, -1, p)
-            acc = [x + modulus * ((r - x) * inv % p) for x, r in zip(acc, image)]
-            modulus *= p
-        lift = [x - modulus if 2 * x > modulus else x for x in acc]
-        if lift == lifted or modulus.bit_length() > limit:
-            return _unframe(lift, g, M), best
-        lifted = lift
-    return None, best
-
-
-def _pencil_gcds(P: HomoPoly, Q: HomoPoly, M, p: int):
-    """Monic gcds mod p of P and Q restricted to t -> M(t, u, 1), u = 0, 1, ...
-
-    Stops at one line more than the smallest gcd degree.  None if a
-    restriction loses degree, which depends only on P(a), Q(a) and p.
+    P(x0, s*x2, x2) and Q(x0, s*x2, x2), each with its own power of x2
+    divided out, are binary forms f and g.  The gcd of their primitive parts
+    is read off the integer gcd of their values at x0 = r*x2 as symmetric
+    r-adic digits, and kept only if ``divexact`` divides it into both; the
+    gcd of the contents of f and g goes back on.  Each coefficient of that
+    gcd, read as symmetric s-adic digits, gives the x1-part of one x0-power
+    of the candidate.  r is taken above s too, so that an input free of x1
+    cannot put r on s (at r = s, x0^k and (6 x0 + 7 x1)^2 share s^2).  None
+    when x1 - s*x2 divides an input (its form is zero), when the gcd of the
+    forms does not divide them, or when the candidate would exceed degree best.
     """
-    a = [row[0] for row in M]
-    gcds = []
-    while not gcds or len(gcds) < min(map(len, gcds)):
-        u = len(gcds)
-        b = [u * row[1] + row[2] for row in M]
-        rp = restrict_line_mod(P, a, b, p)
-        rq = restrict_line_mod(Q, a, b, p)
-        if rp is None or rq is None:
-            return None
-        gcds.append(univ_gcd_mod(rp, rq, p).tolist())  # the CRT lift takes Python ints
-    return gcds
-
-
-def _unframe(coeffs, g: int, M):
-    """Primitive H(M^-1 x), H the homogenization of sum coeffs[i(g+1)+j] t^(g-i) u^j.
-
-    None if H would need degree above g.
-    """
-    triples = [
-        (g - i, j, i - j, coeffs[i * (g + 1) + j])
-        for i in range(g + 1)
-        for j in range(g + 1)
-        if coeffs[i * (g + 1) + j]
-    ]
-    if any(k < 0 for _, _, k, _ in triples):
+    s = _point(min(_height(P), _height(Q)), n)
+    forms = []
+    for F in (P, Q):
+        coeffs: dict = {}
+        for i, j, _, c in F.items():
+            coeffs[i] = coeffs.get(i, 0) + c * s**j
+        coeffs = {i: c for i, c in coeffs.items() if c}
+        if not coeffs:
+            return None  # x1 - s*x2 divides F
+        forms.append(HomoPoly(max(coeffs), {_pack(i, 0): c for i, c in coeffs.items()}))
+    (cf, f), (cg, g) = (F.primitive_normalized() for F in forms)
+    r = _point(max(_height(f), _height(g), s), n)
+    digits = _symmetric_digits(igcd(f.evaluate(r, 0, 1), g.evaluate(r, 0, 1)), r)
+    if len(digits) - 1 > best:
         return None
-    forms = [  # M^-1, as det M = 1
-        HomoPoly.from_triples(1, [(1, 0, 0, row[0]), (0, 1, 0, row[1]), (0, 0, 1, row[2])])
-        for row in _adjugate(M)
+    H = HomoPoly(len(digits) - 1, {_pack(i, 0): c for i, c in enumerate(digits) if c})
+    H = H.primitive_normalized()[1]
+    if divexact(f, H) is None or divexact(g, H) is None:
+        return None
+    content = igcd(cf, cg)
+    lifted = [
+        (key >> _J_BITS, j, c)
+        for key, h in H.terms.items()
+        for j, c in enumerate(_symmetric_digits(h * content, s))
+        if c
     ]
-    (G,) = substitute([HomoPoly.from_triples(g, triples)], forms)
-    return G.primitive_normalized()[1]
+    degree = max(i + j for i, j, _ in lifted)
+    if degree > best:
+        return None
+    C = HomoPoly.from_triples(degree, [(i, j, degree - i - j, c) for i, j, c in lifted])
+    return C.primitive_normalized()[1]
 
 
-def _adjugate(M):
-    """Adjugate of a 3x3 matrix: entry (i, j) is the (j, i) cofactor."""
-    return [
-        [
-            M[(j + 1) % 3][(i + 1) % 3] * M[(j + 2) % 3][(i + 2) % 3]
-            - M[(j + 1) % 3][(i + 2) % 3] * M[(j + 2) % 3][(i + 1) % 3]
-            for j in range(3)
-        ]
-        for i in range(3)
-    ]
+def _point(height: int, n: int) -> int:
+    """The point of try n for a height: 2 * height + 29, grown by 73794/27011 per try."""
+    return (2 * height + 29) * 73794**n // 27011**n
+
+
+def _height(F: HomoPoly) -> int:
+    """The largest coefficient magnitude of F."""
+    return max(map(abs, F.terms.values()))
+
+
+def _symmetric_digits(n: int, base: int) -> list:
+    """Digits of n in base >= 3, least significant first, each in (-base/2, base/2]."""
+    digits = []
+    while n:
+        d = n % base
+        if 2 * d > base:
+            d -= base
+        digits.append(d)
+        n = (n - d) // base
+    return digits
 
 
 # ---------------------------------------------------------------------------

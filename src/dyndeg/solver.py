@@ -185,7 +185,8 @@ class _PartialSums:
         return _horner_directed(self.coeffs, m, s, "floor")
 
     def upper(self, m: int, s: int):
-        tail = _tail_upper(self.abs_hi, self.sqrt5_hi, m, s, self.n_terms, self.prec)
+        """Upper partial sum plus the tail bound, kept as self.tail; None if divergent."""
+        self.tail = tail = _tail_upper(self.abs_hi, self.sqrt5_hi, m, s, self.n_terms, self.prec)
         if tail is None:
             return None
         return _horner_directed(self.coeffs, m, s, "ceil") + tail
@@ -326,7 +327,12 @@ def _solve_at_precision(prec, args):
 
     The bracket is t_lo = a * 2^-s < t_hi = b * 2^-s, and a midpoint is
     (a + b) * 2^-(s+1), exact.  A midpoint goes to t_hi if lower > 1 there, to
-    t_lo if upper < 1, and otherwise doubles the number of terms.  The
+    t_lo if upper < 1, and otherwise doubles the number of terms, unless the
+    last doubling, at the same midpoint, left the tail bound no smaller: the
+    bound is rounded up on the 2^-prec grid, so past some N it stops
+    shrinking, and doubling on would only exhaust memory (at 88 bits for
+    10^20 + 7i, 5 units from N = 128 on); None then sends the solve to the
+    next precision.  The
     certified points lo < hi of _certified_bracket decide midpoints outside
     (lo, hi) without evaluating: at fixed N and precision both kernels are
     monotone in t (each rounding step is monotone in acc and t, and so is the
@@ -367,6 +373,7 @@ def _solve_at_precision(prec, args):
 
     goal_num, goal_den = width_goal.numerator, width_goal.denominator
     certified = None
+    doubled_at = None  # tail bound where the terms last doubled; reset when the bisection moves
     while _wider_than_goal(a, b, s, goal_num, goal_den):
         mid = a + b  # over 2^(s+1)
         if certified is None:
@@ -381,7 +388,12 @@ def _solve_at_precision(prec, args):
         elif (up := sums.upper(mid, s + 1)) is not None and up < one:
             to_hi = False
         else:
-            # tail too fat to decide at this midpoint: sharpen the series
+            # tail too fat to decide at this midpoint: sharpen the series,
+            # unless the last doubling left its tail bound no smaller there
+            # (the bound is rounded up at this precision; only more mends it)
+            if doubled_at is not None and sums.tail >= doubled_at:
+                return None
+            doubled_at = sums.tail
             n_terms *= 2
             if n_terms > _TERM_CAP:
                 return None
@@ -393,6 +405,7 @@ def _solve_at_precision(prec, args):
         else:
             a, b = mid, b << 1
         s += 1
+        doubled_at = None
 
     out_prec = max(prec, _bits_of(width_goal) + 8)
     lam_lo = Dyadic.div(DY_ONE, Dyadic.make(b, -s), out_prec, "floor")

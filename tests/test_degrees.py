@@ -274,10 +274,6 @@ class TestSequenceContainer:
         with pytest.raises(ValueError):
             DegreeSequence(values=(0,), start_index=1, origin="monomial_d")
 
-    def test_csv_round_numbers(self):
-        d = d_sequence(ZETA, 3)
-        assert d.to_csv_text() == "index,value\n1,5\n2,8\n3,22\n"
-
     def test_json_decimal_strings(self):
         e = e_sequence(d_sequence(ZETA, 3), 3)
         obj = e.to_json_obj()

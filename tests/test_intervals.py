@@ -11,7 +11,6 @@ from dyndeg.intervals import (
     RealInterval,
     atan2_interval,
     pi_interval,
-    sqrt_int_interval,
 )
 
 dyadics = st.builds(
@@ -180,8 +179,7 @@ class TestComplexInterval:
 
     def test_abs_bounds(self):
         z = ComplexInterval.point(3, 4)
-        assert fr(z.abs_inf(40)) <= 5 <= fr(z.abs_sup(40))
-        assert fr(z.abs_sup(40)) - fr(z.abs_inf(40)) < Fraction(1, 1 << 35)
+        assert 5 <= fr(z.abs_sup(40)) < 5 + Fraction(1, 1 << 35)
 
     def test_pow(self):
         z = ComplexInterval.point(1, 2)
@@ -223,8 +221,3 @@ class TestTranscendental:
         truth = Fraction(mpmath.nstr(mpmath.atan2(y, x), 35, strip_zeros=False))
         slack = Fraction(1, 10**30)
         assert box.lo.to_fraction() - slack <= truth <= box.hi.to_fraction() + slack
-
-    def test_sqrt_int(self):
-        s = sqrt_int_interval(5, 100)
-        assert s.sq().contains(5)
-        assert fr(s.width()) < Fraction(1, 1 << 95)

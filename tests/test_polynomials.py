@@ -31,6 +31,9 @@ X0, X1, X2 = sympy.symbols("x0 x1 x2")
 EXACT_RESTRICTION_DIGEST = "1c9b6db821202811e697d1d531a03cf9b5c64ab5fdcb4f071fd23d419357c3da"
 # SHA-256 of restrict_line_mod over mod_line_corpus(), recorded before the grouped evaluation
 MOD_RESTRICTION_DIGEST = "aac700a714c134931ad31862da3d8a710a404a9a8a6ddd014b44160bbd7f1c2e"
+# SHA-256 of homo_gcd over gcd_corpus(), recorded from the modular gcd that
+# interpolated restrictions to a pencil of lines in a random frame
+GCD_DIGEST = "04209f426b731c82804f96fe9c9e6c8e6089308142c783dbfc4e7b436d1b2b41"
 
 
 def to_sympy(P: HomoPoly):
@@ -282,7 +285,7 @@ class TestArithmetic:
         P = HomoPoly.from_triples(1, [(1, 0, 0, -6), (0, 1, 0, -9)])
         scale, Q = P.primitive_normalized()
         assert scale == -3
-        assert [c for _, _, _, c in Q.sorted_items()] == [3, 2]
+        assert Q == HomoPoly.from_triples(1, [(1, 0, 0, 2), (0, 1, 0, 3)])
         assert Q.sign_anchor() == 1
 
 
@@ -338,6 +341,33 @@ def line_corpus():
         if zero < 3:
             a[zero] = b[zero] = 0
         corpus.append((HomoPoly.from_triples(degree, triples), a, b))
+    return corpus
+
+
+def gcd_corpus():
+    """(P, Q) cases for homo_gcd: zero and constant inputs, pure x2 powers, and
+    seeded planted products G*A, G*B that share a power of x2 and integer
+    content, each input with its own power of x2 and content, coefficients up
+    to 2^70."""
+    x2 = HomoPoly.monomial(1, 0, 0, 1)
+    corpus = [
+        (HomoPoly.zero(2), HomoPoly.zero(3)),
+        (HomoPoly.from_triples(2, [(2, 0, 0, -6), (0, 1, 1, 4)]), HomoPoly.zero(1)),
+        (HomoPoly.monomial(12, 0, 0, 0), HomoPoly.monomial(-18, 1, 0, 0)),
+        (x2.pow(3), x2.pow(5) * HomoPoly.monomial(1, 1, 0, 0)),
+        (x2.pow(2).scale(4), HomoPoly.from_triples(2, [(0, 1, 1, 6), (0, 0, 2, -10)])),
+    ]
+    rng = random.Random(20261020)
+    for n in range(300):
+        bound = (9, 10**6, 1 << 70)[n % 3]
+        G = random_homo(rng, rng.randint(0, 3), rng.randint(1, 5), bound)
+        shared = G * x2.pow(rng.randint(0, 2))
+        P = shared * random_homo(rng, rng.randint(0, 3), rng.randint(1, 5), bound) * x2.pow(rng.randint(0, 2))
+        Q = shared * random_homo(rng, rng.randint(0, 3), rng.randint(1, 5), bound) * x2.pow(rng.randint(0, 2))
+        content = rng.randint(1, 30)
+        corpus.append(
+            (P.scale(content * rng.choice((-1, 1)) * rng.randint(1, 6)), Q.scale(content * rng.randint(1, 6)))
+        )
     return corpus
 
 
@@ -497,6 +527,49 @@ class TestHomoGcd:
         monkeypatch.setattr(polynomials, "divexact", lambda num, den: None)
         with pytest.raises(ReductionFailure):
             homo_gcd(P, Q)
+
+    def test_pinned(self):
+        h = hashlib.sha256()
+        for P, Q in gcd_corpus():
+            G = homo_gcd(P, Q)
+            h.update(f"{G.degree} {sorted(G.terms.items())}\n".encode())
+        assert h.hexdigest() == GCD_DIGEST
+
+    def test_point_on_a_factor_of_an_input(self, monkeypatch):
+        # the first point is s = 2 * height(Q) + 29 = 31, where x1 - 31 x2
+        # divides P: P(x0, 31 x2, x2) vanishes, and that try is skipped
+        G = homo({(1, 0, 0): 1, (0, 0, 1): 1})
+        Q = G * homo({(1, 0, 0): 1, (0, 1, 0): 1})
+        P = G * homo({(0, 1, 0): 1, (0, 0, 1): -31}) * homo({(1, 0, 0): 1000, (0, 0, 1): 999})
+        tries = []
+        candidate = polynomials._heuristic_candidate
+
+        def spy(*args):
+            tries.append(candidate(*args))
+            return tries[-1]
+
+        monkeypatch.setattr(polynomials, "_heuristic_candidate", spy)
+        assert homo_gcd(P, Q) == G
+        assert tries[0] is None and len(tries) > 1
+
+    def test_candidate_below_the_line_bound_is_refused(self, monkeypatch):
+        # x0 + x1 divides both inputs, but the gcd has degree 2, and every
+        # line bound is at least 2: a candidate of degree 1 proves nothing
+        L = homo({(1, 0, 0): 1, (0, 1, 0): 1})
+        G = L * homo({(0, 1, 0): 1, (0, 0, 1): 3})
+        P = G * homo({(1, 0, 0): 1, (0, 0, 1): -1})
+        Q = G * homo({(0, 1, 0): 1, (0, 0, 1): 5})
+        assert homo_gcd(P, Q) == G
+        assert divexact(P, L) is not None and divexact(Q, L) is not None
+        monkeypatch.setattr(polynomials, "_heuristic_candidate", lambda P, Q, n, best: L)
+        with pytest.raises(ReductionFailure):
+            homo_gcd(P, Q)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_planted_degree_30_in_60(self, seed):
+        rng = random.Random(seed)
+        G, A, B = (random_homo(rng, 30, 20) for _ in range(3))
+        assert homo_gcd(G * A, G * B) == G.primitive_normalized()[1]
 
 
 class TestLineTools:

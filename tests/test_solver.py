@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -245,6 +248,44 @@ class TestSolveLambda:
         assert set(obj) == {"zeta", "lambda_lo", "lambda_hi", "width", "N_used", "precision_bits"}
         assert all(isinstance(v, str) for v in obj.values())
         assert obj["zeta"] == "1+2i"
+
+
+class TestTailBoundAtItsPrecisionFloor:
+    # At 88 bits the tail bound of 10^20 + 7i at an undecided midpoint stays at
+    # 5 units of 2^-88 from N = 128 on; doubling N anyway, the solve ran out of
+    # memory.  It now takes the next rung of the precision ladder.
+    ZETA = "100000000000000000000+7i"
+    LIMIT = 3 << 29  # bytes of address space: 1.5 GiB
+
+    def run_limited(self, *argv):
+        resource = pytest.importorskip("resource")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        return subprocess.run(
+            [sys.executable, *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (self.LIMIT, self.LIMIT)),
+        )
+
+    def test_solve_takes_the_next_rung(self):
+        code = (
+            "from fractions import Fraction\n"
+            "from dyndeg.gaussian import parse_gaussian\n"
+            "from dyndeg.solver import solve_lambda\n"
+            f"enc = solve_lambda(parse_gaussian({self.ZETA!r}), Fraction(1, 10**12))\n"
+            "print(enc.n_terms, enc.precision_bits, enc.interval.contains(2 * 10**20 + 28))\n"
+        )
+        done = self.run_limited("-c", code)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == "128 176 True\n"
+
+    @pytest.mark.parametrize("argv", [["lambda"], ["report", "--count", "250"]], ids=["lambda", "report"])
+    def test_cli_within_the_limit(self, argv):
+        done = self.run_limited("-m", "dyndeg.cli", argv[0], "--zeta", self.ZETA, *argv[1:])
+        assert (done.returncode, done.stderr) == (0, "")
+        assert "176" in done.stdout
 
 
 class TestDigitsGoal:
