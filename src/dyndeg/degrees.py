@@ -75,7 +75,7 @@ _BLOCK_WORDS = 1 << 17  # int64 entries of a temporary: one group's table or one
 _RESIDUE_ROWS = 32  # rows of a residue block, each block as wide as its own largest value
 _PRIMES = {}  # k -> (primes in (2^(k-1), 2^k) found so far, ascending; their generator)
 
-_ORIGINS = ("monomial_d", "composed_e", "oracle")
+_ORIGINS = ("monomial_d", "composed_e")
 
 
 @dataclass(frozen=True)

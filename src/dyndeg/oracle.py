@@ -12,16 +12,14 @@ sum, composes to a sum of atom-power products; the powers all of them share
 are added to the result's exponents, and only the cofactors are expanded and
 decomposed.  ``iterate_map`` composes each iterate once.
 
-The independent route substitutes expanded components into expanded
-components with ``polynomials.substitute`` (``compose_raw_components``) and
-hands the unreduced triple to the line oracle, which restricts the
-components to seeded random lines mod a large prime and reports D minus
-the degree of the gcd of the restrictions: a trial can err low, never high.
-A component is restricted factor by factor: each distinct factor once per
-line, however many components share it, raised to its exponent by binary
-powering.
-The only budget is a degree cap; the 2047 packing cap already bounds a
-component's term count.
+The independent route is the line oracle: ``composed_line_degree`` restricts
+the inner map to seeded random lines mod a large prime, factor by factor
+(each distinct factor once per line, raised by binary powering), evaluates
+the outer map's factors on that curve, and reports the largest degree minus
+the degree of the gcd: the composite is never formed, and a trial can err
+low, never high.  ``factored_line_degree`` is the oracle after the identity.
+The only budget of ``compose`` is a degree cap; the 2047 packing cap
+already bounds a component's term count.
 """
 
 from __future__ import annotations
@@ -29,7 +27,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cache, reduce
+from functools import cache, partial, reduce
+from itertools import accumulate, repeat
 from math import gcd as _igcd, prod
 from operator import and_
 
@@ -49,7 +48,6 @@ from .polynomials import (
     expand,
     restrict_line_mod,
     scaled,
-    substitute,
     univ_gcd_mod,
     univ_mul_mod,
 )
@@ -284,40 +282,31 @@ def iterate_map(map_: PlaneRationalMap, n: int, budget: Budget = DEFAULT_BUDGET)
     return acc
 
 
-def compose_raw_components(outer: PlaneRationalMap, inner: PlaneRationalMap, budget: Budget = DEFAULT_BUDGET):
-    """Unreduced triple of outer after inner, by substitution into expanded components.
-
-    The line oracle checks this triple as the route independent of ``compose``.
-    """
-    deg = outer.degree * inner.degree
-    budget.check_degree(deg)
-    comps = substitute(outer.components, inner.components)
-    return tuple(HomoPoly.zero(deg) if c.is_zero() else c for c in comps)
-
-
 # ---------------------------------------------------------------------------
 # Randomized line oracle
 # ---------------------------------------------------------------------------
 
 
-def random_line_degree_check(F0, F1, F2, seed: int = 0) -> int:
-    """Reduced degree via restriction to random rational lines.
-
-    Restricts the triple to seeded random lines, computes the univariate gcd of
-    the three restrictions mod a large prime, and reports D - deg(gcd).  All
-    trials must agree; disagreement raises OracleInconsistency.
-    """
-    return factored_line_degree(PlaneRationalMap(components=(F0, F1, F2)), seed)
-
-
 def factored_line_degree(map_: PlaneRationalMap, seed: int = 0) -> int:
-    """Line-restriction degree of a map, without expanding its factors.
+    """Line-restriction degree of a map: ``composed_line_degree`` after the identity."""
+    return composed_line_degree(identity_map(), map_, seed)
 
-    Restriction of a product is the product of restrictions, so components are
-    restricted factor by factor; a zero component restricts to zero, which
-    leaves the gcd unchanged.  Each trial draws seeded lines until every
-    factor keeps its degree.
+
+def composed_line_degree(outer: PlaneRationalMap, inner: PlaneRationalMap, seed: int = 0) -> int:
+    """Reduced degree of outer after inner, from seeded random lines mod large primes.
+
+    On a line L, inner restricts factor by factor to a curve of three arrays
+    mod p, and each outer factor is evaluated once on it, so the composite
+    F = G * R (G the gcd of its components) is never formed.  Restriction
+    then reduction mod p is a ring homomorphism, so the images are
+    F_i|L = G|L * R_i|L, and their largest degree minus their gcd's is that
+    of the R_i|L: at most deg R, even when every component drops degree.  A
+    trial errs low, never high.  Trials redraw lines until every inner
+    factor keeps its degree, and must agree (else OracleInconsistency);
+    ``univ_mul_mod`` raises ValueError on products past 2048 coefficients
+    on both sides.
     """
+    top = max((poly.degree for _, factors in outer._factored for poly, _ in factors), default=0)  # highest power used
     rng = random.Random(seed)
     answers = []
     for trial in range(_LINE_TRIALS):
@@ -328,13 +317,16 @@ def factored_line_degree(map_: PlaneRationalMap, seed: int = 0) -> int:
             b = [rng.randint(-(10**6), 10**6) for _ in range(3)]
             if all(v == 0 for v in a):
                 continue
-            restrictions = _restrict_components(map_._factored, a, b, p)
-            if restrictions is None:
+            curve = _restrict_components(inner._factored, lambda P: restrict_line_mod(P, a, b, p), p)
+            if curve is None:
                 continue
-            g = restrictions[0]
-            for r in restrictions[1:]:
+            mul = partial(univ_mul_mod, p=p)
+            powers = [list(accumulate(repeat(x, top), mul, initial=np.ones(1, dtype=np.int64))) for x in curve]
+            images = _restrict_components(outer._factored, lambda P: _on_curve(P, powers, inner.degree, p), p)
+            g = images[0]
+            for r in images[1:]:
                 g = univ_gcd_mod(g, r, p)
-            value = map_.degree - (len(g) - 1)
+            value = max(len(r) for r in images) - len(g)
             break
         if value is None:
             raise OracleInconsistency(f"no degree-preserving line found in trial {trial}")
@@ -344,18 +336,16 @@ def factored_line_degree(map_: PlaneRationalMap, seed: int = 0) -> int:
     return answers[0]
 
 
-def _restrict_components(factored, a, b, p: int):
-    """Each component restricted to t -> a*t + b mod p; None if some factor loses degree.
+def _restrict_components(factored, restrict, p: int):
+    """Each component's image mod p, restrict(factor) giving a factor's; None if some image is None.
 
     A factor shared by several components (an atom of the composition's base)
     is restricted once, and each restriction is raised to its exponent by
     binary powering: a factor slot with exponent e costs at most
-    popcount(e) + bit_length(e) univariate products.
+    popcount(e) + bit_length(e) univariate products.  A zero component
+    (unit 0) restricts to zero, which leaves a gcd unchanged.
     """
-    def mul(f, g):
-        return univ_mul_mod(f, g, p)
-
-    one = np.ones(1, dtype=np.int64)
+    mul, one = partial(univ_mul_mod, p=p), np.ones(1, dtype=np.int64)
     restricted = {}  # id(factor) -> its restriction; every factor stays alive in factored
     out = []
     for unit, factors in factored:
@@ -363,12 +353,28 @@ def _restrict_components(factored, a, b, p: int):
         for poly, e in factors:
             rp = restricted.get(id(poly))
             if rp is None:
-                rp = restricted[id(poly)] = restrict_line_mod(poly, a, b, p)
+                rp = restricted[id(poly)] = restrict(poly)
                 if rp is None:
                     return None
             r = mul(r, binary_power(rp, e, one, mul))
         out.append(r)
     return out
+
+
+def _on_curve(P: HomoPoly, powers, degree: int, p: int) -> np.ndarray:
+    """P mod p on a curve of the given degree, powers[c][e] the e-th power of its c-th array.
+
+    Term by term: c x0^i x1^j x2^k adds c times the product of three powers,
+    of degree at most (i + j + k) * degree, aligned at the constant term.
+    The sum adds at most 2048 * 2049 / 2 < 2^22 residues, below 2^47.01.
+    The result is a stripped residue array.
+    """
+    acc = np.zeros(P.degree * degree + 1, dtype=np.int64)
+    for i, j, k, c in P.items():
+        if c % p:
+            r = univ_mul_mod(univ_mul_mod(powers[0][i], powers[1][j], p), powers[2][k], p) * (c % p) % p
+            acc[len(acc) - len(r) :] += r
+    return np.trim_zeros(acc % p, "f")
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,9 @@ scatter-add over that box (``_mul_int64``, where the proof is), which no
 partial sum can overflow; otherwise the dict loop on Python integers, exact
 at any size.
 
-``substitute`` is the one routine that substitutes polynomials into a
-polynomial (Horner in the first image over shared power tables of the other
-two): the oracle's raw triple and the exact line restriction
-``restrict_line_exact``, which the tests use as an independent reference
-for the mod-p kernel.
+``restrict_line_exact`` expands P(a*t + b) term by term on Python ints; it
+shares no code with the mod-p kernels, and the tests use it as their
+independent reference for ``restrict_line_mod``.
 
 Everything modular runs on one set of mod-p kernels over numpy int64:
 restriction of a polynomial to a line (``restrict_line_mod``: values at the
@@ -349,42 +347,6 @@ def divexact(num: HomoPoly, den: HomoPoly):
 
 
 # ---------------------------------------------------------------------------
-# Substitution
-# ---------------------------------------------------------------------------
-
-
-def substitute(polys, images):
-    """P(I0, I1, I2) for each P in polys; the images are homogeneous of one degree.
-
-    Horner in I0 over the slices of P with a fixed x0 exponent; the powers of
-    I1 and I2 are built once, as far as some P needs them, and shared by all
-    of polys.
-    """
-    m = max(I.degree for I in images)
-    powers = {1: [HomoPoly.monomial(1, 0, 0, 0)], 2: [HomoPoly.monomial(1, 0, 0, 0)]}
-
-    def power(n, e):
-        """images[n]^e, for n = 1, 2."""
-        table = powers[n]
-        while len(table) <= e:
-            table.append(table[-1] * images[n])
-        return table[e]
-
-    out = []
-    for P in polys:
-        slices: dict = {}
-        for i, j, k, c in P.items():
-            slices.setdefault(i, []).append((j, k, c))
-        R = HomoPoly.zero(0)
-        for i in range(max(slices, default=0), -1, -1):
-            R = R * images[0]
-            for j, k, c in slices.get(i, ()):
-                R = R + (power(1, j) * power(2, k)).scale(c)
-        out.append(HomoPoly.zero(P.degree * m) if R.is_zero() else R)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Modular line restrictions and the coprimality certificate
 # ---------------------------------------------------------------------------
 
@@ -564,11 +526,28 @@ def _interpolate_mod(values: np.ndarray, p: int) -> np.ndarray:
 def restrict_line_exact(P: HomoPoly, a, b):
     """Exact integer coefficients (descending, stripped) of t -> P(a*t + b).
 
-    The coefficient of t^(d-m) is that of x0^(d-m) x1^m in P(a*x0 + b*x1).
+    Term by term on Python ints, the forms x_c = a_c*t + b_c and their powers
+    as descending lists (a product of d forms has d + 1 entries, so all of
+    them align at index 0): the terms with one x0 exponent i add
+    c * x1^j * x2^k into one sum, which is then multiplied by x0^i.
     """
-    forms = [HomoPoly.from_triples(1, [(1, 0, 0, a[c]), (0, 1, 0, b[c])]) for c in range(3)]
-    (R,) = substitute([P], forms)
-    coeffs = [R.terms.get(_pack(P.degree - m, m), 0) for m in range(P.degree + 1)]
+    def addmul(out, f, g):
+        """out += f * g; returns out."""
+        for m, x in enumerate(f):
+            for n, y in enumerate(g):
+                out[m + n] += x * y
+        return out
+
+    powers = [[[1]] for _ in range(3)]
+    for c, table in enumerate(powers):
+        for e in range(P.degree):
+            table.append(addmul([0] * (e + 2), table[-1], [a[c], b[c]]))
+    sums: dict = {}  # x0 exponent i -> sum of c * x1^j * x2^k over its terms
+    for i, j, k, c in P.items():
+        addmul(sums.setdefault(i, [0] * (j + k + 1)), [c * x for x in powers[1][j]], powers[2][k])
+    coeffs = [0] * (P.degree + 1)
+    for i, s in sums.items():
+        addmul(coeffs, powers[0][i], s)
     lead = next((n for n, c in enumerate(coeffs) if c), len(coeffs))
     return coeffs[lead:]
 
@@ -647,9 +626,9 @@ def univ_mul_mod(f: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
     The product of the leading residues is nonzero mod p, so the reduced
     product is stripped.  ``np.convolve`` sums exact int64 products.  That
     cannot overflow: residues are < p < 2^25.01, so each product is below
-    2^50.02, and each sum has at most min(len f, len g) <= 2048 products (a
-    restricted HomoPoly has at most MAX_PACKED_DEGREE + 1 coefficients), so
-    every sum is < 2^61.02.
+    2^50.02, and each sum has at most min(len f, len g) products.  Inputs
+    longer than 2048 coefficients occur (the line oracle's evaluations on a
+    curve), so the raise keeps min(len f, len g) <= 2048: every sum < 2^61.02.
     """
     if not len(f) or not len(g):
         return f[:0]
@@ -930,13 +909,16 @@ class CoprimeBase:
         """(unit, Counter {atom_index: exponent}) of the sum of c * prod atoms[idx]^e over terms.
 
         terms is a list of (c, exps), with exps a Counter {idx: e}; the sum
-        is built from the atom powers, and its restrictions to the
-        certificate lines from the atoms' restrictions (see the class
+        is summed from the atom powers into one term dict, its zero
+        coefficients dropped once at the end, and its restrictions to the
+        certificate lines come from the atoms' restrictions (see the class
         docstring).  The result is that of ``decompose`` on the sum.
         """
-        total = HomoPoly.zero(0)
+        sums = Counter()
         for c, exps in terms:
-            total = total + expand(c, [self.power(idx, e) for idx, e in exps.items()])
+            term = expand(c, [self.power(idx, e) for idx, e in exps.items()])
+            sums.update(term.terms)
+        total = HomoPoly(term.degree, {key: v for key, v in sums.items() if v})
         if total.is_zero():
             raise ReductionFailure("a sum of atom-power products vanished")
         unit, P = total.primitive_normalized()

@@ -32,15 +32,15 @@ from dyndeg.gaussian import (
 from dyndeg.intervals import Dyadic, RealInterval
 from dyndeg.oracle import (
     Budget,
+    PlaneRationalMap,
     compose,
-    compose_raw_components,
+    composed_line_degree,
     degree_of_iterate,
     factored_line_degree,
     g_map,
     involution_checks,
     iterate_map,
     monomial_map,
-    random_line_degree_check,
 )
 from dyndeg.solver import alpha_of, solve_lambda
 
@@ -106,13 +106,12 @@ def test_04_oracle_equivalence(f_map):
     assert (e[1], e[2], e[3]) == (10, 66, 454)
     degs = [degree_of_iterate(f_map, n) for n in (1, 2, 3)]
     assert degs == [10, 66, 454]
-    # independent route 1: random lines on the raw second iterate
-    raw2 = compose_raw_components(f_map, f_map)
-    assert random_line_degree_check(*raw2, seed=101) == 66
+    # independent route 1: random lines through f o f, which is never formed
+    assert composed_line_degree(f_map, f_map, seed=101) == 66
     # independent route 2: random lines on the factored third iterate
     f3 = iterate_map(f_map, 3)
     assert factored_line_degree(f3, seed=102) == 454
-    assert random_line_degree_check(*f_map.components, seed=103) == 10
+    assert factored_line_degree(PlaneRationalMap(components=f_map.components), seed=103) == 10
     elapsed = time.perf_counter() - t0
     assert elapsed < 60
     report(4, f"iterate degrees 10/66/454 via reduction and random lines ({elapsed:.1f}s)")

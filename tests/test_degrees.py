@@ -273,6 +273,8 @@ class TestSequenceContainer:
             DegreeSequence(values=(2, 3), start_index=0, origin="composed_e")
         with pytest.raises(ValueError):
             DegreeSequence(values=(0,), start_index=1, origin="monomial_d")
+        with pytest.raises(ValueError, match="unknown origin"):
+            DegreeSequence(values=(10,), start_index=1, origin="oracle")
 
     def test_json_decimal_strings(self):
         e = e_sequence(d_sequence(ZETA, 3), 3)

@@ -9,7 +9,8 @@ from dyndeg.degrees import e_sequence, series_identity_check
 from dyndeg.errors import PrecisionError
 from dyndeg.gaussian import GaussianInt, d_sequence
 from dyndeg.diophantine import cf_expand, regular_window_check, theta_interval
-from dyndeg.oracle import PlaneRationalMap, compose, compose_raw_components, g_map, identity_map
+from dyndeg.oracle import PlaneRationalMap, compose, g_map, identity_map
+from dyndeg.polynomials import HomoPoly
 from dyndeg.solver import precision_cap, solve_lambda
 
 ZETA = GaussianInt(1, 2)
@@ -76,7 +77,12 @@ class TestIndexBounds:
 
 class TestReduceIdempotence:
     def test_on_raw_involution_square(self):
-        raw = compose_raw_components(g_map(), g_map())
+        # g's components evaluated at g's components, unreduced (degree 4)
+        x = g_map().components
+        raw = tuple(
+            sum(((x[0].pow(i) * x[1].pow(j) * x[2].pow(k)).scale(c) for i, j, k, c in P.items()), HomoPoly.zero(0))
+            for P in x
+        )
         once = compose(PlaneRationalMap(components=raw), identity_map())
         twice = compose(PlaneRationalMap(components=once.components), identity_map())
         assert once.same_map(identity_map())

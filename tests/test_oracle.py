@@ -20,7 +20,7 @@ from dyndeg.oracle import (
     Budget,
     PlaneRationalMap,
     compose,
-    compose_raw_components,
+    composed_line_degree,
     conjugating_map,
     conjugating_map_inverse,
     cremona_map,
@@ -32,7 +32,6 @@ from dyndeg.oracle import (
     iterate_map,
     linear_map,
     monomial_map,
-    random_line_degree_check,
 )
 from dyndeg.polynomials import CoprimeBase, HomoPoly
 
@@ -42,9 +41,6 @@ BIG = Budget(degree_cap=10**6)
 X0, X1, X2 = (HomoPoly.monomial(1, *e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 ORACLE_ZETAS = [Z(re, s * im) for re, im in ((1, 2), (-1, 2), (2, 1), (-2, 1), (3, 1)) for s in (1, -1)]
 FACTORED_F3_DIGEST = "e208b045246c1c52440f7482ca8446546da78f35d6cfe3d21b01f768918c7de5"
-# sorted terms of the raw f o f triple at 1+2i, 2+i, -1+2i and 3+i, recorded
-# before compose_raw_components ran on polynomials.substitute
-RAW_F2_DIGEST = "75524bcff926562bb46e1391f2c817eaae5f1e72003b4fcb7e2daa9d9693baba"
 
 
 def h_of(zeta):
@@ -54,6 +50,15 @@ def h_of(zeta):
 def expanded(map_):
     """The same map with expanded components, which compose takes as one factor each."""
     return PlaneRationalMap(components=map_.components)
+
+
+def raw_compose(outer, inner):
+    """Unreduced components of outer after inner: outer's components evaluated at inner's, by HomoPoly arithmetic."""
+    x = inner.components
+    return tuple(
+        sum(((x[0].pow(i) * x[1].pow(j) * x[2].pow(k)).scale(c) for i, j, k, c in P.items()), HomoPoly.zero(0))
+        for P in outer.components
+    )
 
 
 def reduce_by_compose(*components):
@@ -209,8 +214,7 @@ class TestCompose:
             mp.setattr(CoprimeBase, "_split_atom", lambda *args: splits.append(args) or split_atom(*args))
             composed = compose(g_map(), inner)
         assert splits
-        raw = compose_raw_components(g_map(), inner)
-        assert composed.degree == factored_line_degree(PlaneRationalMap(components=raw))
+        assert composed.degree == composed_line_degree(g_map(), inner)
 
     def test_composed_sums_restricted_through_atoms(self, f_map, monkeypatch):
         # compose(f, f^2) for 1+2i: every multi-term composed sum gets its
@@ -274,7 +278,7 @@ class TestReduceTriple:
         assert reduced.same_map(identity_map())
 
     def test_raw_involution_square(self):
-        raw = compose_raw_components(g_map(), g_map())
+        raw = raw_compose(g_map(), g_map())
         assert raw[0].degree == 4
         m = reduce_by_compose(*raw)
         assert m.degree == 1
@@ -301,16 +305,18 @@ class TestReduceTriple:
 
 class TestRandomLine:
     def test_raw_involution_square(self):
-        raw = compose_raw_components(g_map(), g_map())
-        assert random_line_degree_check(*raw, seed=2) == 1
+        raw = raw_compose(g_map(), g_map())
+        assert factored_line_degree(PlaneRationalMap(components=raw), seed=2) == 1
+        assert composed_line_degree(g_map(), g_map(), seed=2) == 1
 
     def test_reduced_triple_reports_own_degree(self, f_map):
-        assert random_line_degree_check(*f_map.components, seed=3) == 10
+        assert factored_line_degree(expanded(f_map), seed=3) == 10
 
     def test_raw_f2(self, f_map):
-        raw = compose_raw_components(f_map, f_map)
+        raw = raw_compose(f_map, f_map)
         assert raw[0].degree == 100
-        assert random_line_degree_check(*raw, seed=4) == 66
+        assert factored_line_degree(PlaneRationalMap(components=raw), seed=4) == 66
+        assert composed_line_degree(f_map, f_map, seed=4) == 66
 
     def test_factored_f3(self, f_map):
         f3 = iterate_map(f_map, 3)
@@ -320,7 +326,8 @@ class TestRandomLine:
         # on each line: every distinct factor restricted once (f^3 has 21
         # factor slots over 12 distinct atoms), at most popcount(e) +
         # bit_length(e) univariate products per slot with exponent e, summed
-        # over the slots, and the restrictions of the one-product-at-a-time loop
+        # over the slots, and the restrictions of the one-product-at-a-time
+        # loop; the identity it runs after is restricted by its own call
         f3 = iterate_map(f_map, 3)
         restricted, products, lines = [], [], []
         restrict, mul, restrict_all = oracle.restrict_line_mod, oracle.univ_mul_mod, oracle._restrict_components
@@ -333,10 +340,12 @@ class TestRandomLine:
             products.append(p)
             return mul(f, g, p)
 
-        def per_line(factored, a, b, p):
+        def per_line(factored, restrict_factor, p):
+            if factored is not f3._factored:
+                return restrict_all(factored, restrict_factor, p)
             restricted.clear()
             products.clear()
-            out = restrict_all(factored, a, b, p)
+            out = restrict_all(factored, restrict_factor, p)
             slots = [(poly, e) for _, factors in factored for poly, e in factors]
             distinct = {id(poly) for poly, _ in slots}
             assert len(restricted) == len(set(restricted))
@@ -346,7 +355,7 @@ class TestRandomLine:
             for (unit, factors), got in zip(factored, out or ()):
                 want = np.array([unit % p] if unit % p else [], dtype=np.int64)  # e products by the slot's restriction, one at a time
                 for poly, e in factors:
-                    rp = restrict(poly, a, b, p)
+                    rp = restrict_factor(poly)
                     for _ in range(e):
                         want = mul(want, rp, p)
                 assert got.tolist() == want.tolist()
@@ -358,26 +367,16 @@ class TestRandomLine:
         assert factored_line_degree(f3, seed=5) == 454
         assert (21, 12) in lines
 
-    def test_raw_f2_pinned(self):
-        h = hashlib.sha256()
-        for zeta in (Z(1, 2), Z(2, 1), Z(-1, 2), Z(3, 1)):
-            f = compose(g_map(), h_of(zeta))
-            for comp in compose_raw_components(f, f):
-                h.update(f"{comp.degree} {sorted(comp.terms.items())}\n".encode())
-            h.update(b"--\n")
-        assert h.hexdigest() == RAW_F2_DIGEST
-
     def test_determinism(self, f_map):
-        raw = compose_raw_components(f_map, f_map)
-        a = random_line_degree_check(*raw, seed=9)
-        b = random_line_degree_check(*raw, seed=9)
+        a = composed_line_degree(f_map, f_map, seed=9)
+        b = composed_line_degree(f_map, f_map, seed=9)
         assert a == b == 66
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
     def test_expanded_and_factored_agree(self, f_map, seed):
         f2 = iterate_map(f_map, 2)
         assert f2._factored is not None
-        by_components = random_line_degree_check(*f2.components, seed=seed)
+        by_components = factored_line_degree(expanded(f2), seed=seed)
         assert by_components == factored_line_degree(f2, seed=seed) == 66
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -426,8 +425,30 @@ class TestInvolutionChecks:
 
 class TestLineOracleConsistency:
     def test_matches_reduce_on_corpus(self, f_map):
-        # raw g o g, raw f o f and f itself, each against the expanded-outer compose
+        # g o g, f o f and f itself, each against the expanded-outer compose
         corpus = [(g_map(), g_map()), (f_map, f_map), (f_map, identity_map())]
         for outer, inner in corpus:
-            by_line = random_line_degree_check(*compose_raw_components(outer, inner), seed=13)
+            by_line = composed_line_degree(outer, inner, seed=13)
             assert by_line == compose(expanded(outer), inner).degree
+
+    @pytest.mark.parametrize("zeta", ORACLE_ZETAS, ids=str)
+    def test_third_iterate_both_ways(self, zeta):
+        f = compose(g_map(), h_of(zeta))
+        f2 = compose(f, f)
+        e3 = e_sequence(d_sequence(zeta, 3), 3)[3]
+        assert composed_line_degree(f, f2) == composed_line_degree(f2, f) == compose(f, f2).degree == e3
+
+    @pytest.mark.parametrize("zeta, e4", [(Z(2, 1), 2290), (Z(-1, 2), 1744), (Z(-2, 1), 2258)], ids=str)
+    def test_fourth_iterate_past_packing_cap(self, zeta, e4):
+        # f^2 o f^2 has degree past MAX_PACKED_DEGREE: no HomoPoly holds its components
+        f2 = iterate_map(compose(g_map(), h_of(zeta)), 2)
+        assert f2.degree**2 > polynomials.MAX_PACKED_DEGREE
+        assert e_sequence(d_sequence(zeta, 4), 4)[4] == e4
+        assert composed_line_degree(f2, f2) == e4
+
+    def test_refused_past_product_bound(self):
+        # for 1+2i a product of two curve evaluations exceeds 2048 coefficients
+        # on both sides, and the oracle raises rather than return a degree
+        f2 = iterate_map(compose(g_map(), h_of(Z(1, 2))), 2)
+        with pytest.raises(ValueError, match="both factors exceed 2048 coefficients"):
+            composed_line_degree(f2, f2)

@@ -21,7 +21,6 @@ from dyndeg.polynomials import (
     restrict_line_exact,
     restrict_line_mod,
     scaled,
-    substitute,
     univ_gcd_mod,
     univ_mul_mod,
 )
@@ -314,10 +313,6 @@ class TestDivexact:
         assert divexact(C, A) == B
 
 
-def to_expr(P: HomoPoly):
-    return sum((c * X0**i * X1**j * X2**k for i, j, k, c in P.items()), sympy.Integer(0))
-
-
 def line_corpus():
     """(P, a, b) cases for the exact restriction: zero and constant P, a form
     vanishing on its line, and seeded random ones with a zero coordinate form."""
@@ -420,35 +415,6 @@ def mod_line_corpus():
                 del P.terms[key]
         corpus.append((P, a, b, p))
     return corpus
-
-
-class TestSubstitute:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.integers(0, 10**6),
-        st.integers(1, 3),
-        st.lists(st.integers(0, 4), min_size=1, max_size=4),
-        st.integers(-1, 2),
-    )
-    def test_matches_sympy(self, seed, m, degrees, zero_image):
-        # images of degree m, one of them zero unless zero_image is -1; several
-        # P, degree 0 among them, share one call and its power tables
-        rng = random.Random(seed)
-        images = [random_homo(rng, m, 4, 10**3) for _ in range(3)]
-        if zero_image >= 0:
-            images[zero_image] = HomoPoly.zero(m)
-        polys = [random_homo(rng, degree, 5, 10**3) for degree in degrees]
-        results = substitute(polys, images)
-        subs = dict(zip((X0, X1, X2), map(to_expr, images)))
-        for P, R in zip(polys, results):
-            assert R.degree == P.degree * m
-            assert sympy.expand(to_expr(P).subs(subs, simultaneous=True) - to_expr(R)) == 0
-        assert results == [substitute([P], images)[0] for P in polys]
-
-    def test_zero_polynomial(self):
-        x = HomoPoly.monomial(1, 1, 0, 0)
-        assert substitute([HomoPoly.zero(3)], [x, x, x]) == [HomoPoly.zero(3)]
-        assert substitute([x], [HomoPoly.zero(2), x * x, x * x]) == [HomoPoly.zero(2)]
 
 
 class TestHomoGcd:
