@@ -10,7 +10,11 @@ minimum exponents, so composition never needs a large polynomial gcd.
 ``compose`` has one route: every outer factor, a monomial being a one-term
 sum, composes to a sum of atom-power products; the powers all of them share
 are added to the result's exponents, and only the cofactors are expanded and
-decomposed.  ``iterate_map`` composes each iterate once.
+decomposed.  ``iterate_map`` composes each iterate once.  A map that
+``compose`` returns carries its atoms with their line restrictions, and a
+later ``compose`` that takes it as the inner map adopts them into its base
+as they are, so along an iterate chain no atom is decomposed or proved
+coprime to the others again, and none is restricted to a line twice.
 
 The independent route is the line oracle: ``composed_line_degree`` restricts
 the inner map to seeded random lines mod a large prime, factor by factor
@@ -54,6 +58,7 @@ from .polynomials import (
 from .powering import binary_power
 
 DEFAULT_DEGREE_CAP = 1000
+_BASE_SEED = 7  # certificate-line seed of the coprime base of every compose
 _LINE_TRIALS = 3  # seeded trials of the line oracle; all must agree
 
 
@@ -72,7 +77,10 @@ DEFAULT_BUDGET = Budget()
 class PlaneRationalMap:
     """Rational self-map of the projective plane in homogeneous coordinates."""
 
-    __slots__ = ("_factored", "_components", "degree")
+    # _atoms: None, or set by compose: ((atom, its restrictions), ...) over the
+    # distinct factors of _factored in order of first appearance, all atoms
+    # of one coprime base of seed _BASE_SEED
+    __slots__ = ("_factored", "_components", "_atoms", "degree")
 
     def __init__(self, components=None, factored=None):
         if factored is None:
@@ -82,6 +90,7 @@ class PlaneRationalMap:
             factored = tuple((0, ()) if c.is_zero() else (1, ((c, 1),)) for c in components)
         self._components = components
         self._factored = factored
+        self._atoms = None
         degs = {sum(e * p.degree for p, e in factors) for unit, factors in factored if unit}
         if len(degs) != 1:
             raise ValueError("components must share one degree and not all vanish")
@@ -218,20 +227,32 @@ def compose(outer: PlaneRationalMap, inner: PlaneRationalMap, budget: Budget = D
     Exponent vectors are Counters that the base tracks, so an atom split
     rewrites every one that outlives a ``decompose``; the common factor of
     the result is their intersection.
+
+    An inner map that compose returned carries its atoms with their
+    restrictions (``_atoms``), and the base adopts them as they are: they
+    are primitive, sign-normalized and pairwise coprime by proof, so
+    decomposing them in a fresh base would enter each as a new atom, in
+    order of first appearance and with unit 1.  Any other inner map is
+    decomposed factor by factor.
     """
     budget.check_degree(outer.degree * inner.degree)
     if any(unit == 0 for map_ in (outer, inner) for unit, _ in map_._factored):
         raise ValueError("cannot decompose the zero polynomial")
-    base = CoprimeBase(seed=7)
+    base = CoprimeBase(seed=_BASE_SEED)
 
     inner_exps = []
-    for unit, factors in inner._factored:
-        exps = base.track(Counter())
-        for poly, e in factors:
-            u, ex = base.decompose(poly)
-            unit *= u**e
-            exps.update(scaled(ex, e))
-        inner_exps.append((unit, exps))
+    if inner._atoms is not None:
+        index = {id(atom): base.adopt(atom, images) for atom, images in inner._atoms}
+        for unit, factors in inner._factored:
+            inner_exps.append((unit, base.track(Counter({index[id(poly)]: e for poly, e in factors}))))
+    else:
+        for unit, factors in inner._factored:
+            exps = base.track(Counter())
+            for poly, e in factors:
+                u, ex = base.decompose(poly)
+                unit *= u**e
+                exps.update(scaled(ex, e))
+            inner_exps.append((unit, exps))
 
     @cache
     def image(*mults):
@@ -257,13 +278,13 @@ def compose(outer: PlaneRationalMap, inner: PlaneRationalMap, budget: Budget = D
     # reduction: strip the atom powers and the unit gcd all components share
     shared = reduce(and_, (exps for _, exps in result))
     ug = _igcd(*(unit for unit, _ in result))
+    rows = [(unit // ug, sorted((exps - shared).items())) for unit, exps in result]
     out = PlaneRationalMap(
-        factored=tuple(
-            (unit // ug, tuple((base.atoms[idx], n) for idx, n in sorted((exps - shared).items())))
-            for unit, exps in result
-        )
+        factored=tuple((unit, tuple((base.atoms[idx], n) for idx, n in row)) for unit, row in rows)
     )
     budget.check_degree(out.degree)
+    first_seen = dict.fromkeys(idx for _, row in rows for idx, _ in row)
+    out._atoms = tuple((base.atoms[idx], base.images[idx]) for idx in first_seen)
     return out
 
 

@@ -849,7 +849,7 @@ class CoprimeBase:
     across them.
 
     The base draws its certificate lines once, from its seed.  Each atom is
-    restricted to each line at most once (``_images``, reset when the atom is
+    restricted to each line at most once (``images``, reset when the atom is
     replaced), and the polynomial being decomposed likewise for as long as it
     stays unchanged.  Both certificates read these restrictions: a nonzero
     remainder on a line refutes that an atom divides, and a constant gcd on a
@@ -880,14 +880,15 @@ class CoprimeBase:
     the split atom a new dict, so a late read of the sum's restriction still
     multiplies the restrictions of the atoms the sum was formed from.  No
     restriction dict refers to the base, so a base leaves no reference
-    cycle and is freed as soon as its caller drops it.
+    cycle and is freed as soon as its caller drops it, and a dict can be
+    handed to another base with the same seed (``adopt``).
     """
 
     def __init__(self, seed: int = 0):
         self.atoms: list = []
         self.seed = seed
         self.lines = _certificate_lines(seed)
-        self._images: list = []  # per atom: its _LineImages
+        self.images: list = []  # per atom: its _LineImages
         self._inverses: list = []  # per atom: line index -> [series inverse of its reversed restriction]
         self._powers: list = []  # per atom: exponent -> atom^exponent, filled lazily
         self._tracked: dict = {}  # id -> exponent vector kept current across splits
@@ -896,6 +897,21 @@ class CoprimeBase:
         """Keep the exponent vector exps (atom index -> exponent) current across splits; returns it."""
         self._tracked[id(exps)] = exps
         return exps
+
+    def adopt(self, atom: HomoPoly, images: _LineImages) -> int:
+        """Enter atom with its restrictions to this base's lines as a new atom; returns its index.
+
+        No certificate is taken: the caller vouches that atom is primitive
+        and sign-normalized and coprime to every atom already here, and that
+        images restrict it to this base's lines (another base of the same
+        seed draws the same lines).  That is what ``decompose`` would find,
+        so it would enter atom the same way, with unit 1.
+        """
+        self.atoms.append(atom)
+        self.images.append(images)
+        self._inverses.append({})
+        self._powers.append({})
+        return len(self.atoms) - 1
 
     def power(self, idx: int, e: int) -> HomoPoly:
         """atoms[idx]^e, computed once for as long as the atom stays unchanged."""
@@ -923,7 +939,7 @@ class CoprimeBase:
             raise ReductionFailure("a sum of atom-power products vanished")
         unit, P = total.primitive_normalized()
         lines, one = self.lines, np.ones(1, dtype=np.int64)
-        factors = [(c, [(self._images[idx], e) for idx, e in exps.items()]) for c, exps in terms]
+        factors = [(c, [(self.images[idx], e) for idx, e in exps.items()]) for c, exps in terms]
 
         def restrict(n):
             p, a, b = lines[n]
@@ -985,11 +1001,7 @@ class CoprimeBase:
                     break
             else:
                 # genuinely new atom
-                self.atoms.append(P)
-                self._images.append(images)
-                self._inverses.append({})
-                self._powers.append({})
-                exps[len(self.atoms) - 1] += 1
+                exps[self.adopt(P, images)] += 1
                 P = HomoPoly.monomial(1, 0, 0, 0)
                 break
             # retry division from the top with the refined base
@@ -1012,7 +1024,7 @@ class CoprimeBase:
         atom = self.atoms[idx]
         if atom.degree > P.degree or self._kept(kept, idx) is not None:
             return None
-        for n, p, rp, ra in _restricted_pairs(self.lines, images, self._images[idx]):
+        for n, p, rp, ra in _restricted_pairs(self.lines, images, self.images[idx]):
             rem = _univ_rem_mod(rp, ra, p, self._inverses[idx].setdefault(n, []))
             kept[idx] = (atom, n, rem)
             if len(rem):
@@ -1028,7 +1040,7 @@ class CoprimeBase:
         taken twice.
         """
         got = self._kept(kept, idx)
-        for n, p, rp, ra in _restricted_pairs(self.lines, images, self._images[idx]):
+        for n, p, rp, ra in _restricted_pairs(self.lines, images, self.images[idx]):
             pair = (ra, got[1]) if got is not None and got[0] == n else (rp, ra)
             if len(univ_gcd_mod(*pair, p)) == 1:
                 return True
@@ -1052,7 +1064,7 @@ class CoprimeBase:
             raise ReductionFailure("claimed factor does not divide its atom")
         named = [(exps, exps[aidx]) for exps in self._tracked.values() if exps.get(aidx)]
         self.atoms[aidx] = g
-        self._images[aidx] = _line_images(g, self.lines)
+        self.images[aidx] = _line_images(g, self.lines)
         self._inverses[aidx] = {}
         self._powers[aidx] = {}
         unit, parts = self.decompose(cof)

@@ -218,9 +218,10 @@ class TestCompose:
 
     def test_composed_sums_restricted_through_atoms(self, f_map, monkeypatch):
         # compose(f, f^2) for 1+2i: every multi-term composed sum gets its
-        # line restrictions from its atoms', so restrict_line_mod never sees one
+        # line restrictions from its atoms', so restrict_line_mod never sees
+        # one.  f^2 rebuilt from its factors has no atom record, so its atoms
+        # are decomposed and restricted again: that run shows the spy is live
         f2 = compose(f_map, f_map)
-        sums, restricted = [], []
         decompose, restrict = CoprimeBase.decompose, polynomials.restrict_line_mod
 
         def spy_decompose(self, poly, images=None):
@@ -234,21 +235,110 @@ class TestCompose:
 
         monkeypatch.setattr(CoprimeBase, "decompose", spy_decompose)
         monkeypatch.setattr(polynomials, "restrict_line_mod", spy_restrict)
-        f3 = compose(f_map, f2)
-        assert f3.degree == 454
-        composed = [P for P in sums if P.degree >= 1]
-        assert len(composed) == 3 and min(P.degree for P in composed) == 227  # one per component
-        assert restricted  # the atoms of the inner map are restricted
-        assert not [P for P in restricted if any(P == S for S in composed)]
+        for inner, restricts_atoms in ((f2, False), (PlaneRationalMap(factored=f2._factored), True)):
+            sums, restricted = [], []
+            f3 = compose(f_map, inner)
+            assert f3.degree == 454
+            composed = [P for P in sums if P.degree >= 1]
+            assert len(composed) == 3 and min(P.degree for P in composed) == 227  # one per component
+            assert bool(restricted) == restricts_atoms
+            assert not [P for P in restricted if any(P == S for S in composed)]
+
+    @pytest.mark.parametrize("zeta", ORACLE_ZETAS, ids=str)
+    def test_adopted_atoms_match_decomposed(self, zeta):
+        # f^2 carries its atoms into compose(f, f^2); rebuilt from its factors
+        # it is decomposed afresh: same atoms, order, exponents and units
+        f = compose(g_map(), h_of(zeta))
+        f2 = compose(f, f)
+        adopted = compose(f, f2)
+        decomposed = compose(f, PlaneRationalMap(factored=f2._factored))
+        assert adopted._factored == decomposed._factored
+        assert [atom for atom, _ in adopted._atoms] == [atom for atom, _ in decomposed._atoms]
+
+    def test_adoption_takes_no_work_between_inner_atoms(self, f_map, monkeypatch):
+        # compose(f, f^2) for 1+2i: no division test, coprimality certificate
+        # or line restriction is taken for f^2's atoms among themselves
+        f2 = compose(f_map, f_map)
+        atoms = {atom for _, factors in f2._factored for atom, _ in factors}
+        pairs, restricted = [], []
+
+        def spy(name):
+            method = getattr(CoprimeBase, name)
+
+            def wrapper(self, P, images, idx, kept):
+                if P in atoms and self.atoms[idx] in atoms:
+                    pairs.append((name, P, self.atoms[idx]))
+                return method(self, P, images, idx, kept)
+
+            monkeypatch.setattr(CoprimeBase, name, wrapper)
+
+        spy("_quotient")
+        spy("_certified_coprime")
+        restrict = polynomials.restrict_line_mod
+        monkeypatch.setattr(
+            polynomials, "restrict_line_mod", lambda P, a, b, p: restricted.append(P) or restrict(P, a, b, p)
+        )
+        assert compose(f_map, f2).degree == 454
+        assert pairs == []
+        assert not [P for P in restricted if P in atoms]
+
+    def test_atom_record_set_only_by_compose(self, f_map, monkeypatch):
+        f2 = compose(f_map, f_map)
+        assert [atom for atom, _ in f2._atoms] == list(
+            dict.fromkeys(atom for _, factors in f2._factored for atom, _ in factors)
+        )
+        built = [g_map(), h_of(ZETA), identity_map(), cremona_map(), conjugating_map()]
+        rebuilt = [PlaneRationalMap(factored=f2._factored), PlaneRationalMap(components=f2.components)]
+        assert all(map_._atoms is None for map_ in built + rebuilt)
+        decompose = CoprimeBase.decompose
+
+        def spy_decompose(self, poly, images=None):
+            plain.append(images is None)  # a plain decompose: a factor of the inner map
+            return decompose(self, poly, images)
+
+        monkeypatch.setattr(CoprimeBase, "decompose", spy_decompose)
+        for inner, decomposes in ((f2, False), *((map_, True) for map_ in rebuilt)):
+            plain = []
+            assert compose(f_map, inner).degree == 454
+            assert any(plain) == decomposes
+
+    def test_split_of_adopted_atom_leaves_record(self):
+        # inner = [A x2 : x0^3 : x0 x1^2] with the atom A = (x0 + x1)(x0 + x2),
+        # carried in a record; y0 + y1 - y2 composes to a sum divisible by
+        # x0 + x1, which splits A in the adopting base only
+        A = (X0 + X1) * (X0 + X2)
+        raw = PlaneRationalMap(factored=((1, ((A, 1), (X2, 1))), (1, ((X0, 3),)), (1, ((X0, 1), (X1, 2)))))
+        inner = compose(identity_map(), raw)
+        record = inner._atoms
+        assert [atom for atom, _ in record] == [A, X2, X0, X1]
+        outer = linear_map([[1, 1, -1], [0, 1, 0], [0, 0, 1]])
+        splits = []
+        split_atom = CoprimeBase._split_atom
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(CoprimeBase, "_split_atom", lambda *args: splits.append(args) or split_atom(*args))
+            adopted = compose(outer, inner)
+        assert splits
+        assert adopted._factored == compose(outer, PlaneRationalMap(factored=inner._factored))._factored
+        assert adopted.same_map(PlaneRationalMap(components=raw_compose(outer, raw)))
+        assert [atom for atom, _ in inner._atoms] == [A, X2, X0, X1]
+        for atom, images in record:
+            for n, (p, a, b) in enumerate(CoprimeBase(seed=oracle._BASE_SEED).lines):
+                assert np.array_equal(images[n], polynomials.restrict_line_mod(atom, a, b, p))
+        assert compose(outer, inner)._factored == adopted._factored
 
     def test_compose_leaves_no_reference_cycle(self, f_map):
         # a coprime base and its cached restrictions are freed by reference
-        # counting when compose returns, not at a later garbage collection
+        # counting when compose returns, not at a later garbage collection;
+        # so is the atom record of a composed map, once the map is dropped
         f2 = compose(f_map, f_map)
         gc.collect()
         gc.disable()
         try:
-            compose(f_map, f2)
+            f3 = compose(f_map, f2)
+            assert f3._atoms and f2._atoms
+            del f3
+            assert gc.collect() == 0
+            del f2
             assert gc.collect() == 0
         finally:
             gc.enable()
