@@ -22,6 +22,12 @@ the inner map to seeded random lines mod a large prime, factor by factor
 the outer map's factors on that curve, and reports the largest degree minus
 the degree of the gcd: the composite is never formed, and a trial can err
 low, never high.  ``factored_line_degree`` is the oracle after the identity.
+A factor in the inner map's atom record is restricted through the sum it
+came from, as ``compose``'s base restricts it to its own lines; any other
+factor by ``restrict_line_mod`` of its terms.  What the oracle proves stays
+the same: on random lines the reduced triple keeps no common factor, so its
+degree is the composite's.  It no longer reads the expanded terms of a
+recorded atom; a pinned test ties those terms to the sums on seeded lines.
 The only budget of ``compose`` is a degree cap; the 2047 packing cap
 already bounds a component's term count.
 """
@@ -326,8 +332,18 @@ def composed_line_degree(outer: PlaneRationalMap, inner: PlaneRationalMap, seed:
     factor keeps its degree, and must agree (else OracleInconsistency);
     ``univ_mul_mod`` raises ValueError on products past 2048 coefficients
     on both sides.
+
+    A factor that inner's atom record holds (a map ``compose`` returned) is
+    restricted through the sum of atom-power products it came from, as its
+    coprime base restricts it (``_LineImages.on_line``, one memo per line,
+    so every atom beneath is restricted once per line); the residue array
+    is unique, so that equals ``restrict_line_mod`` of its terms, the route
+    of any other factor.  The trial still proves that the reduced triple
+    keeps no common factor on the line; it no longer reads a recorded
+    atom's expanded terms.
     """
     top = max((poly.degree for _, factors in outer._factored for poly, _ in factors), default=0)  # highest power used
+    recorded = {id(atom): images for atom, images in inner._atoms or ()}
     rng = random.Random(seed)
     answers = []
     for trial in range(_LINE_TRIALS):
@@ -338,7 +354,7 @@ def composed_line_degree(outer: PlaneRationalMap, inner: PlaneRationalMap, seed:
             b = [rng.randint(-(10**6), 10**6) for _ in range(3)]
             if all(v == 0 for v in a):
                 continue
-            curve = _restrict_components(inner._factored, lambda P: restrict_line_mod(P, a, b, p), p)
+            curve = _restrict_components(inner._factored, partial(_restrict_factor, recorded, (p, a, b), {}), p)
             if curve is None:
                 continue
             mul = partial(univ_mul_mod, p=p)
@@ -380,6 +396,15 @@ def _restrict_components(factored, restrict, p: int):
             r = mul(r, binary_power(rp, e, one, mul))
         out.append(r)
     return out
+
+
+def _restrict_factor(recorded: dict, line, memo: dict, P: HomoPoly):
+    """P's restriction to the line (p, a, b): through the sum it came from if the record holds it."""
+    images = recorded.get(id(P))
+    if images is None:
+        p, a, b = line
+        return restrict_line_mod(P, a, b, p)
+    return images.on_line(line, memo)
 
 
 def _on_curve(P: HomoPoly, powers, degree: int, p: int) -> np.ndarray:

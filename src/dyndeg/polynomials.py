@@ -45,8 +45,9 @@ restrictions to a line that keeps both degrees proves coprimality
 (``certify_coprime``); a nonzero remainder proves non-division.  A
 ``CoprimeBase`` draws its certificate lines once, restricts each polynomial
 to each of them at most once (a sum of atom-power products through its
-atoms' restrictions), and takes the remainder of a leftover by an atom on a
-line once: the division test and the coprimality gcd share it.
+atoms' restrictions, on those lines and on any other), and takes the
+remainder of a leftover by an atom on a line once: the division test and the
+coprimality gcd share it.
 ``homo_gcd`` is the heuristic gcd GCDHEU: integer gcds of values at
 x1 = s*x2, x0 = r*x2 read back as symmetric digits, returned only after
 ``divexact`` divides both inputs and the degree meets the bound that a gcd
@@ -654,26 +655,47 @@ def _certificate_lines(seed: int, count: int = _BASE_LINES):
 
 
 class _LineImages(dict):
-    """Line index -> restriction of one polynomial (None if it loses degree), computed on first read.
+    """Restrictions of one polynomial to lines (None where it loses degree), each computed on first read.
 
-    ``restrict(n)`` computes the entry for line n once; the dict keeps it, so
-    no polynomial is restricted to a line twice.
+    ``restrict(line, read)`` restricts the polynomial to the line (p, a, b).
+    ``read(images)`` gives the restriction to the same line of another
+    polynomial, held by its own ``_LineImages``: that is how a sum reads its
+    atoms'.  There are two readers.  The dict, keyed by line index, holds
+    the restrictions to ``lines``, the certificate lines of a coprime base:
+    ``self[n]`` is computed once and kept, and its reads go to the other
+    dicts' entry n.  ``on_line(line, memo)`` restricts to any other line:
+    the memo, which the caller keeps for that one line, takes the result of
+    this and of every ``_LineImages`` read beneath it, keyed by id (each is
+    held by the one that reads it, so no id is reused while the caller holds
+    this one), and no dict gains an entry.  ``inverses`` keeps, per line
+    index, the series inverse that ``_univ_rem_mod`` takes for a remainder
+    by the restriction, so it travels with the restrictions when a base
+    adopts the polynomial.
     """
 
-    __slots__ = ("restrict",)
+    __slots__ = ("lines", "restrict", "inverses")
 
-    def __init__(self, restrict):
+    def __init__(self, lines, restrict):
         super().__init__()
+        self.lines = lines
         self.restrict = restrict
+        self.inverses: dict = {}  # line index -> [series inverse of the reversed restriction]
 
     def __missing__(self, n):
-        got = self[n] = self.restrict(n)
+        got = self[n] = self.restrict(self.lines[n], lambda images: images[n])
         return got
+
+    def on_line(self, line, memo: dict):
+        """The restriction to the line (p, a, b), memo: id of a ``_LineImages`` -> its restriction to it."""
+        key = id(self)
+        if key not in memo:
+            memo[key] = self.restrict(line, lambda images: images.on_line(line, memo))
+        return memo[key]
 
 
 def _line_images(P: HomoPoly, lines) -> _LineImages:
     """P's restrictions to lines [(p, a, b)] by ``restrict_line_mod``, computed on first read."""
-    return _LineImages(lambda n: restrict_line_mod(P, lines[n][1], lines[n][2], lines[n][0]))
+    return _LineImages(lines, lambda line, _: restrict_line_mod(P, line[1], line[2], line[0]))
 
 
 def _restricted_pairs(lines, p_images: _LineImages, q_images: _LineImages):
@@ -857,14 +879,16 @@ class CoprimeBase:
     test takes is kept, for as long as the polynomial and the atom stay
     unchanged, and the gcd on its line starts from it, so no remainder of a
     polynomial by an atom is taken twice on one line.  Beside each atom's
-    restriction to a line the base keeps the inverse of its reversal as a
-    power series, as long as the longest quotient asked so far
-    (``_inverses``, at most 2048 residues), so a remainder by the atom costs
-    two convolutions.  The powers of each atom are kept beside its
-    restrictions (``power``) and reset with them.
+    restriction to a line its ``_LineImages`` keeps the inverse of its
+    reversal as a power series, as long as the longest quotient asked so far
+    (``inverses``, at most 2048 residues), so a remainder by the atom costs
+    two convolutions, in this base and in any base that adopts the atom.
+    The powers of each atom are kept beside its restrictions (``power``) and
+    reset with them.
 
-    A sum S = sum of c * prod atom^e is restricted to a line through its
-    atoms: S|L is the same sum of products of the atoms' restrictions, each
+    A sum S = sum of c * prod atom^e is restricted to a line, any line and
+    not only the base's, through its atoms: S|L is the same sum of products
+    of the atoms' restrictions, each
     (A|L)^e by binary powering, and the primitive part S / unit restricts
     to S|L times the inverse of the unit mod p.  That is exact, because
     restriction to a line followed by reduction mod p is a ring homomorphism
@@ -878,7 +902,12 @@ class CoprimeBase:
     by ``restrict_line_mod`` instead.  The sum reads the
     restriction dicts its atoms have when it is formed: a later split gives
     the split atom a new dict, so a late read of the sum's restriction still
-    multiplies the restrictions of the atoms the sum was formed from.  No
+    multiplies the restrictions of the atoms the sum was formed from.  On a
+    line of the base the sum and its atoms keep their restrictions in their
+    dicts; on any other line (``_LineImages.on_line``, the line oracle's
+    reader) they go into the caller's memo for that line, so an atom that
+    was itself such a sum is restricted through its own atoms, each once,
+    down to the atoms that ``restrict_line_mod`` restricted.  No
     restriction dict refers to the base, so a base leaves no reference
     cycle and is freed as soon as its caller drops it, and a dict can be
     handed to another base with the same seed (``adopt``).
@@ -889,7 +918,6 @@ class CoprimeBase:
         self.seed = seed
         self.lines = _certificate_lines(seed)
         self.images: list = []  # per atom: its _LineImages
-        self._inverses: list = []  # per atom: line index -> [series inverse of its reversed restriction]
         self._powers: list = []  # per atom: exponent -> atom^exponent, filled lazily
         self._tracked: dict = {}  # id -> exponent vector kept current across splits
 
@@ -905,11 +933,11 @@ class CoprimeBase:
         and sign-normalized and coprime to every atom already here, and that
         images restrict it to this base's lines (another base of the same
         seed draws the same lines).  That is what ``decompose`` would find,
-        so it would enter atom the same way, with unit 1.
+        so it would enter atom the same way, with unit 1.  The series
+        inverses already taken on those lines come along in images.
         """
         self.atoms.append(atom)
         self.images.append(images)
-        self._inverses.append({})
         self._powers.append({})
         return len(self.atoms) - 1
 
@@ -926,9 +954,9 @@ class CoprimeBase:
 
         terms is a list of (c, exps), with exps a Counter {idx: e}; the sum
         is summed from the atom powers into one term dict, its zero
-        coefficients dropped once at the end, and its restrictions to the
-        certificate lines come from the atoms' restrictions (see the class
-        docstring).  The result is that of ``decompose`` on the sum.
+        coefficients dropped once at the end, and its restrictions to lines
+        come from the atoms' restrictions (see the class docstring).  The
+        result is that of ``decompose`` on the sum.
         """
         sums = Counter()
         for c, exps in terms:
@@ -938,12 +966,12 @@ class CoprimeBase:
         if total.is_zero():
             raise ReductionFailure("a sum of atom-power products vanished")
         unit, P = total.primitive_normalized()
-        lines, one = self.lines, np.ones(1, dtype=np.int64)
+        one = np.ones(1, dtype=np.int64)
         factors = [(c, [(self.images[idx], e) for idx, e in exps.items()]) for c, exps in terms]
 
-        def restrict(n):
-            p, a, b = lines[n]
-            if unit % p == 0 or any(images[n] is None for _, parts in factors for images, _ in parts):
+        def restrict(line, read):
+            p, a, b = line
+            if unit % p == 0 or any(read(images) is None for _, parts in factors for images, _ in parts):
                 return restrict_line_mod(P, a, b, p)
 
             def mul(f, g):
@@ -954,12 +982,12 @@ class CoprimeBase:
                 if c % p:
                     r = np.array([c % p], dtype=np.int64)
                     for images, e in parts:
-                        r = mul(r, binary_power(images[n], e, one, mul))
+                        r = mul(r, binary_power(read(images), e, one, mul))
                     acc += r  # below 2^47.01: at most 2048 * 2049 / 2 < 2^22 terms of residues
             acc = acc % p * pow(unit, -1, p) % p
             return acc if acc[0] else None
 
-        u, exps = self.decompose(P, _LineImages(restrict))
+        u, exps = self.decompose(P, _LineImages(self.lines, restrict))
         return unit * u, exps
 
     def decompose(self, poly: HomoPoly, images: _LineImages | None = None):
@@ -1025,7 +1053,7 @@ class CoprimeBase:
         if atom.degree > P.degree or self._kept(kept, idx) is not None:
             return None
         for n, p, rp, ra in _restricted_pairs(self.lines, images, self.images[idx]):
-            rem = _univ_rem_mod(rp, ra, p, self._inverses[idx].setdefault(n, []))
+            rem = _univ_rem_mod(rp, ra, p, self.images[idx].inverses.setdefault(n, []))
             kept[idx] = (atom, n, rem)
             if len(rem):
                 return None
@@ -1065,7 +1093,6 @@ class CoprimeBase:
         named = [(exps, exps[aidx]) for exps in self._tracked.values() if exps.get(aidx)]
         self.atoms[aidx] = g
         self.images[aidx] = _line_images(g, self.lines)
-        self._inverses[aidx] = {}
         self._powers[aidx] = {}
         unit, parts = self.decompose(cof)
         if unit != 1:

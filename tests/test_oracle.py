@@ -33,7 +33,7 @@ from dyndeg.oracle import (
     linear_map,
     monomial_map,
 )
-from dyndeg.polynomials import CoprimeBase, HomoPoly
+from dyndeg.polynomials import LINE_PRIMES, CoprimeBase, HomoPoly
 
 Z = GaussianInt
 ZETA = Z(1, 2)
@@ -41,6 +41,9 @@ BIG = Budget(degree_cap=10**6)
 X0, X1, X2 = (HomoPoly.monomial(1, *e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 ORACLE_ZETAS = [Z(re, s * im) for re, im in ((1, 2), (-1, 2), (2, 1), (-2, 1), (3, 1)) for s in (1, -1)]
 FACTORED_F3_DIGEST = "e208b045246c1c52440f7482ca8446546da78f35d6cfe3d21b01f768918c7de5"
+# restrict_line_mod of every atom in the records of f, f^2 and f^3 on record_lines(zeta), for the
+# ten ORACLE_ZETAS; recorded before the line oracle restricted recorded atoms through their sums
+RECORD_RESTRICTION_DIGEST = "ba701194f03927b960648a0441cc8760cd2228f32720740f170c731d02ff3ae0"
 
 
 def h_of(zeta):
@@ -64,6 +67,21 @@ def raw_compose(outer, inner):
 def reduce_by_compose(*components):
     """A raw triple reduced on the one composition route: the triple after the identity."""
     return compose(PlaneRationalMap(components=components), identity_map())
+
+
+def record_lines(zeta):
+    """Seeded lines (p, a, b), one per line prime, then three whose a is a coordinate vector.
+
+    On the last three an atom free of x_c^d loses degree (a = e_c), and so
+    do sums built from such atoms.
+    """
+    rng = random.Random(zeta.re * 7 + zeta.im)
+
+    def draw():
+        return [rng.randint(-(10**6), 10**6) for _ in range(3)]
+
+    lines = [(p, draw(), draw()) for p in LINE_PRIMES]
+    return lines + [(LINE_PRIMES[c], [int(k == c) for k in range(3)], draw()) for c in range(3)]
 
 
 LINEAR = st.tuples(*[st.integers(-3, 3)] * 3)  # coefficients of a linear form
@@ -282,6 +300,26 @@ class TestCompose:
         assert pairs == []
         assert not [P for P in restricted if P in atoms]
 
+    def test_adopted_atoms_keep_their_series_inverses(self, f_map, monkeypatch):
+        # compose(f, f^2): a remainder by an adopted atom's restriction to a
+        # line on which f^2's base already inverted it takes that inverse
+        f2 = compose(f_map, f_map)
+        inverted = {
+            id(images[n]): atom for atom, images in f2._atoms for n, inverse in images.inverses.items() if inverse
+        }
+        assert inverted
+        rem = polynomials._univ_rem_mod
+        fresh, reused = [], []
+
+        def counting_rem(r, g, p, inverse=None):
+            if id(g) in inverted and inverse is not None:
+                (reused if inverse else fresh).append(inverted[id(g)])
+            return rem(r, g, p, inverse)
+
+        monkeypatch.setattr(polynomials, "_univ_rem_mod", counting_rem)
+        assert compose(f_map, f2).degree == 454
+        assert reused and not fresh
+
     def test_atom_record_set_only_by_compose(self, f_map, monkeypatch):
         f2 = compose(f_map, f_map)
         assert [atom for atom, _ in f2._atoms] == list(
@@ -329,13 +367,16 @@ class TestCompose:
     def test_compose_leaves_no_reference_cycle(self, f_map):
         # a coprime base and its cached restrictions are freed by reference
         # counting when compose returns, not at a later garbage collection;
-        # so is the atom record of a composed map, once the map is dropped
+        # so is the atom record of a composed map, once the map is dropped,
+        # and the per-line memo of the line oracle that read the record
         f2 = compose(f_map, f_map)
         gc.collect()
         gc.disable()
         try:
             f3 = compose(f_map, f2)
             assert f3._atoms and f2._atoms
+            assert factored_line_degree(f3, seed=0) == 454
+            assert gc.collect() == 0
             del f3
             assert gc.collect() == 0
             del f2
@@ -414,17 +455,29 @@ class TestRandomLine:
 
     def test_one_restriction_per_factor_and_binary_powers(self, f_map, monkeypatch):
         # on each line: every distinct factor restricted once (f^3 has 21
-        # factor slots over 12 distinct atoms), at most popcount(e) +
-        # bit_length(e) univariate products per slot with exponent e, summed
-        # over the slots, and the restrictions of the one-product-at-a-time
-        # loop; the identity it runs after is restricted by its own call
+        # factor slots over 12 distinct atoms), counted at the factor whatever
+        # route restricts it, at most popcount(e) + bit_length(e) univariate
+        # products per slot with exponent e, summed over the slots, and the
+        # restrictions of the one-product-at-a-time loop; the identity it runs
+        # after is restricted by its own call.  The recorded f^3 restricts its
+        # atoms through the sums they came from, each sum beneath them once,
+        # so only its three degree-1 monomial atoms reach restrict_line_mod;
+        # its record-less twin restricts all 12 atoms there
         f3 = iterate_map(f_map, 3)
-        restricted, products, lines = [], [], []
-        restrict, mul, restrict_all = oracle.restrict_line_mod, oracle.univ_mul_mod, oracle._restrict_components
+        atoms = {atom for atom, _ in f3._atoms}
+        assert len(atoms) == 12 and {X0, X1, X2} <= atoms
+        restricted, reads, computed, products, lines = [], [], [], [], []
+        restrict, mul, restrict_all = polynomials.restrict_line_mod, oracle.univ_mul_mod, oracle._restrict_components
+        on_line = polynomials._LineImages.on_line
 
         def counting_restrict(P, a, b, p):
-            restricted.append(id(P))
+            restricted.append(P)
             return restrict(P, a, b, p)
+
+        def counting_on_line(images, line, memo):
+            if id(images) not in memo:
+                computed.append(id(images))
+            return on_line(images, line, memo)
 
         def counting_mul(f, g, p):
             products.append(p)
@@ -433,15 +486,17 @@ class TestRandomLine:
         def per_line(factored, restrict_factor, p):
             if factored is not f3._factored:
                 return restrict_all(factored, restrict_factor, p)
-            restricted.clear()
-            products.clear()
-            out = restrict_all(factored, restrict_factor, p)
+            for spied in (restricted, reads, computed, products):
+                spied.clear()
+            out = restrict_all(factored, lambda poly: reads.append(id(poly)) or restrict_factor(poly), p)
             slots = [(poly, e) for _, factors in factored for poly, e in factors]
             distinct = {id(poly) for poly, _ in slots}
+            assert len(reads) == len(set(reads))
+            assert set(reads) == distinct if out is not None else set(reads) <= distinct
+            assert len(computed) == len(set(computed))
             assert len(restricted) == len(set(restricted))
-            assert set(restricted) == distinct if out is not None else set(restricted) <= distinct
             assert len(products) <= sum(bin(e).count("1") + e.bit_length() for _, e in slots)
-            lines.append((len(slots), len(distinct)))
+            lines.append((len(slots), len(distinct), out is not None, set(restricted)))
             for (unit, factors), got in zip(factored, out or ()):
                 want = np.array([unit % p] if unit % p else [], dtype=np.int64)  # e products by the slot's restriction, one at a time
                 for poly, e in factors:
@@ -452,10 +507,15 @@ class TestRandomLine:
             return out
 
         monkeypatch.setattr(oracle, "restrict_line_mod", counting_restrict)
+        monkeypatch.setattr(polynomials, "restrict_line_mod", counting_restrict)
+        monkeypatch.setattr(polynomials._LineImages, "on_line", counting_on_line)
         monkeypatch.setattr(oracle, "univ_mul_mod", counting_mul)
         monkeypatch.setattr(oracle, "_restrict_components", per_line)
-        assert factored_line_degree(f3, seed=5) == 454
-        assert (21, 12) in lines
+        for map_, reaching in ((f3, {X0, X1, X2}), (PlaneRationalMap(factored=f3._factored), atoms)):
+            lines.clear()
+            assert factored_line_degree(map_, seed=5) == 454
+            assert (21, 12, True, reaching) in lines
+            assert all(got == reaching for *_, kept, got in lines if kept)
 
     def test_determinism(self, f_map):
         a = composed_line_degree(f_map, f_map, seed=9)
@@ -485,6 +545,43 @@ class TestRandomLine:
         map_ = PlaneRationalMap(components=components)
         assert map_.components == components
         assert factored_line_degree(map_, seed=seed) == 1
+
+
+class TestRecordedRestriction:
+    def test_record_atoms_restrict_as_expanded(self):
+        # every atom in the records of f, f^2 and f^3, restricted through the
+        # sum it came from, equals restrict_line_mod of its expanded terms,
+        # None included, on a line of each prime and on three lines where
+        # atoms lose degree; one memo per line serves the three records
+        h = hashlib.sha256()
+        nones = 0
+        for zeta in ORACLE_ZETAS:
+            f = compose(g_map(), h_of(zeta))
+            f2 = compose(f, f)
+            lines = record_lines(zeta)
+            memos = [{} for _ in lines]
+            for record in (f._atoms, f2._atoms, compose(f, f2)._atoms):
+                for atom, images in record:
+                    for line, memo in zip(lines, memos):
+                        p, a, b = line
+                        got, want = images.on_line(line, memo), polynomials.restrict_line_mod(atom, a, b, p)
+                        assert (got is None) == (want is None)
+                        assert got is None or np.array_equal(got, want)
+                        nones += got is None
+                        h.update(b"None\n" if got is None else f"{got.tolist()}\n".encode())
+        assert nones
+        assert h.hexdigest() == RECORD_RESTRICTION_DIGEST
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    def test_recorded_and_record_less_agree(self, f_map, seed):
+        f2 = compose(f_map, f_map)
+        f3 = compose(f_map, f2)
+        assert f2._atoms and f3._atoms
+        twin2, twin3 = (PlaneRationalMap(factored=map_._factored) for map_ in (f2, f3))
+        assert twin2._atoms is None and twin3._atoms is None
+        assert factored_line_degree(f3, seed) == factored_line_degree(twin3, seed) == 454
+        assert composed_line_degree(f_map, f2, seed) == composed_line_degree(f_map, twin2, seed) == 454
+        assert factored_line_degree(f2, seed) == factored_line_degree(twin2, seed) == 66
 
 
 class TestInvolutionChecks:

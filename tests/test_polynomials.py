@@ -1037,3 +1037,52 @@ class TestDecomposeSum:
             lambda ex: [(3 * p, scaled(ex[0], 2) + ex[2]), (-5 * p, scaled(ex[1], 3)), (p, ex[0] + ex[1] + ex[2])],
             line=0,
         )
+
+    @staticmethod
+    def assert_falls_back_off_base(monkeypatch, polys, make_terms, line):
+        """decompose_sum's restriction to a line the base does not draw, read as the line oracle reads it.
+
+        ``on_line`` sends the sum to restrict_line_mod of its expanded terms
+        on that line, once per memo, with the same answer, and stores nothing
+        into the index-keyed dicts of the sum or its atoms.
+        """
+        base = SumSpyBase(seed=3)
+        base.decompose_sum(make_terms([base.decompose(P)[1] for P in polys]))
+        ((P, images),) = base.sums
+        held = [images, *base.images]
+        keys = [set(im) for im in held]
+        calls = []
+        restrict = polynomials.restrict_line_mod
+        monkeypatch.setattr(polynomials, "restrict_line_mod", lambda R, a, b, p: calls.append(R) or restrict(R, a, b, p))
+        p, a, b = line
+        memo = {}
+        got, want = images.on_line(line, memo), restrict(P, a, b, p)
+        assert (got is None) == (want is None)
+        assert got is None or got.tolist() == want.tolist()
+        assert [R for R in calls if R is P] == [P]
+        assert images.on_line(line, memo) is got and [R for R in calls if R is P] == [P]
+        assert [set(im) for im in held] == keys
+
+    def test_off_base_line_atom_losing_degree_takes_fallback(self, monkeypatch):
+        # x0 a1 - x1 a0 loses degree on a line of a prime no base of seed 3 draws
+        line = (LINE_PRIMES[5], [3, 5, 7], [11, -13, 17])
+        p, a, b = line
+        L = HomoPoly.from_triples(1, [(1, 0, 0, a[1]), (0, 1, 0, -a[0])])
+        assert restrict_line_mod(L, a, b, p) is None
+        self.assert_falls_back_off_base(
+            monkeypatch,
+            (HomoPoly.monomial(1, 1, 0, 0), HomoPoly.monomial(1, 0, 1, 0), L),
+            lambda ex: [(2, scaled(ex[0], 2) + ex[2]), (-3, scaled(ex[1], 3)), (1, ex[0] + scaled(ex[1], 2))],
+            line,
+        )
+
+    def test_off_base_line_prime_dividing_unit_takes_fallback(self, monkeypatch):
+        p = LINE_PRIMES[5]
+        assert p not in {q for q, _, _ in CoprimeBase(seed=3).lines}
+        L = HomoPoly.from_triples(1, [(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1)])
+        self.assert_falls_back_off_base(
+            monkeypatch,
+            (HomoPoly.monomial(1, 1, 0, 0), HomoPoly.monomial(1, 0, 1, 0), L),
+            lambda ex: [(3 * p, scaled(ex[0], 2) + ex[2]), (-5 * p, scaled(ex[1], 3)), (p, ex[0] + ex[1] + ex[2])],
+            (p, [3, 5, 7], [11, -13, 17]),
+        )
