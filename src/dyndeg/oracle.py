@@ -9,12 +9,28 @@ with that representation the common factor of the triple is read off from
 minimum exponents, so composition never needs a large polynomial gcd.
 ``compose`` has one route: every outer factor, a monomial being a one-term
 sum, composes to a sum of atom-power products; the powers all of them share
-are added to the result's exponents, and only the cofactors are expanded and
-decomposed.  ``iterate_map`` composes each iterate once.  A map that
-``compose`` returns carries its atoms with their line restrictions, and a
-later ``compose`` that takes it as the inner map adopts them into its base
-as they are, so along an iterate chain no atom is decomposed or proved
-coprime to the others again, and none is restricted to a line twice.
+are added to the result's exponents, and only the cofactors are decomposed,
+each entering the coprime base as an unexpanded ``SumAtom`` unless a
+certificate needs its terms.  So the degree of a composite is proven from
+line certificates of unexpanded sums, and a sum is expanded only when its
+terms are read: by ``components``, ``same_map``, ``compose`` reading its
+map's factors on the outer side, the canonical ``_factored`` view, a
+line-oracle trial on a prime that divides a sum's content, or one of the
+events ``CoprimeBase`` names.
+``iterate_map`` composes each iterate once.  A map that ``compose``
+returns carries its atoms with their line restrictions, and a later
+``compose`` that takes it as the inner map adopts them into its base as
+they are, so along an iterate chain no atom is decomposed or proved coprime
+to the others again, none is restricted to a line twice, and none is
+expanded.
+
+A composed map is held raw: a sum keeps its content and sign, its
+restrictions are those of the sum, and the units are those of the raw
+sums.  ``degree``, the inner side of ``compose`` and the line oracle read
+only the raw triple.  The canonical triple (primitive sign-normalized
+atoms, units over their gcd) is derived from it on first read, with new
+polynomials and arrays: a unit and the restrictions multiplied with it
+always come from one view, and no forcing rescales the raw ones in place.
 
 The independent route is the line oracle: ``composed_line_degree`` restricts
 the inner map to seeded random lines mod a large prime, factor by factor
@@ -26,10 +42,13 @@ A factor in the inner map's atom record is restricted through the sum it
 came from, as ``compose``'s base restricts it to its own lines; any other
 factor by ``restrict_line_mod`` of its terms.  What the oracle proves stays
 the same: on random lines the reduced triple keeps no common factor, so its
-degree is the composite's.  It no longer reads the expanded terms of a
-recorded atom; a pinned test ties those terms to the sums on seeded lines.
-The only budget of ``compose`` is a degree cap; the 2047 packing cap
-already bounds a component's term count.
+degree is the composite's.  It does not read the expanded terms of a
+recorded atom, except on a line whose prime divides a sum's content: the
+raw sum vanishes there, and the trial is taken on the canonical triple.
+Pinned tests tie those terms to the sums on seeded lines.
+The only budget of ``compose`` is a degree cap; a sum is not a ``HomoPoly``
+until read, so the 2047 packing cap bounds a component only once it is
+expanded.
 """
 
 from __future__ import annotations
@@ -39,7 +58,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, partial, reduce
 from itertools import accumulate, repeat
-from math import gcd as _igcd, prod
+from math import gcd as _igcd
 from operator import and_
 
 import numpy as np
@@ -55,6 +74,8 @@ from .polynomials import (
     CoprimeBase,
     HomoPoly,
     LINE_PRIMES,
+    SumAtom,
+    canonical_images,
     expand,
     restrict_line_mod,
     scaled,
@@ -81,12 +102,27 @@ DEFAULT_BUDGET = Budget()
 
 
 class PlaneRationalMap:
-    """Rational self-map of the projective plane in homogeneous coordinates."""
+    """Rational self-map of the projective plane in homogeneous coordinates.
 
-    # _atoms: None, or set by compose: ((atom, its restrictions), ...) over the
-    # distinct factors of _factored in order of first appearance, all atoms
-    # of one coprime base of seed _BASE_SEED
-    __slots__ = ("_factored", "_components", "_atoms", "degree")
+    ``_raw`` is the triple as built: (unit, ((factor, exponent), ...)) per
+    component.  A map that ``compose`` returns holds it raw: its factors
+    include ``SumAtom`` sums, unexpanded, whose content and sign stay in
+    them and out of the units.  ``_record`` is None, or set by compose:
+    ((atom, its restrictions), ...) over the distinct factors of ``_raw`` in
+    order of first appearance, all atoms of one coprime base of seed
+    ``_BASE_SEED``, each restriction that of the raw factor.  ``degree``,
+    ``compose`` on the inner side and the line oracle read only these.
+
+    ``_factored`` is the canonical triple, derived from the raw one on first
+    read: each sum expanded to its primitive sign-normalized part, its unit
+    moved into the component's unit, the units divided by their gcd.  A map
+    without sums is its own canonical triple.  It holds new polynomials;
+    the raw ones a unit was multiplied with are never rescaled, so a unit
+    and the restrictions multiplied with it always come from one view.
+    ``components`` expands the canonical triple.
+    """
+
+    __slots__ = ("_raw", "_record", "_canonical", "_components", "degree")
 
     def __init__(self, components=None, factored=None):
         if factored is None:
@@ -95,12 +131,19 @@ class PlaneRationalMap:
             components = tuple(components)
             factored = tuple((0, ()) if c.is_zero() else (1, ((c, 1),)) for c in components)
         self._components = components
-        self._factored = factored
-        self._atoms = None
+        self._raw = factored
+        self._record = None
+        self._canonical = None
         degs = {sum(e * p.degree for p, e in factors) for unit, factors in factored if unit}
         if len(degs) != 1:
             raise ValueError("components must share one degree and not all vanish")
         self.degree = degs.pop()
+
+    @property
+    def _factored(self):
+        if self._canonical is None:
+            self._canonical = _canonical_triple(self._raw)
+        return self._canonical
 
     @property
     def components(self):
@@ -141,6 +184,27 @@ class PlaneRationalMap:
 
     def __repr__(self):
         return f"PlaneRationalMap(degree={self.degree})"
+
+
+def _canonical_triple(raw):
+    """The raw triple with each ``SumAtom`` made primitive, its unit moved out, and the units over their gcd.
+
+    The sums are expanded together, sharing one memo of their atoms' powers.
+    """
+    if not any(isinstance(poly, SumAtom) for _, factors in raw for poly, _ in factors):
+        return raw
+    powers: dict = {}
+    rows = []
+    for unit, factors in raw:
+        row = []
+        for poly, e in factors:
+            if isinstance(poly, SumAtom):
+                u, poly = poly.canonical(powers)
+                unit *= u**e
+            row.append((poly, e))
+        rows.append((unit, tuple(row)))
+    ug = _igcd(*(unit for unit, _ in rows))
+    return tuple((unit // ug, row) for unit, row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -229,68 +293,73 @@ def compose(outer: PlaneRationalMap, inner: PlaneRationalMap, budget: Budget = D
     Exponent-level substitution over a shared coprime base: each outer factor
     is a sum of composed monomials (a monomial is a one-term sum) whose shared
     atom powers go straight into the result; the sum of the cofactors goes to
-    ``CoprimeBase.decompose_sum``, which restricts it through its atoms.
-    Exponent vectors are Counters that the base tracks, so an atom split
-    rewrites every one that outlives a ``decompose``; the common factor of
-    the result is their intersection.
+    ``CoprimeBase.decompose_sum``, which enters it as a ``SumAtom``,
+    unexpanded, unless a certificate asks for its terms.  The degree of the
+    result is thus proven from line certificates of unexpanded sums.
+    Units and exponent vectors are ``Product`` pairs that the base tracks,
+    so an atom split rewrites every one that outlives a ``decompose``, unit
+    included.  The common factor of the result is the intersection of the
+    vectors.
+
+    The result is the raw triple: a sum keeps its content and sign, and the
+    units are those of the raw sums.  Its canonical triple (``_factored``)
+    is derived on first read, which expands the sums; nothing else here
+    expands one except an outer factor's terms (the outer map's canonical
+    triple is read) and the events ``CoprimeBase`` names.
 
     An inner map that compose returned carries its atoms with their
-    restrictions (``_atoms``), and the base adopts them as they are: they
-    are primitive, sign-normalized and pairwise coprime by proof, so
-    decomposing them in a fresh base would enter each as a new atom, in
-    order of first appearance and with unit 1.  Any other inner map is
-    decomposed factor by factor.
+    restrictions (``_record``), and the base adopts them as they are: they
+    are pairwise coprime by proof, so decomposing them in a fresh base would
+    enter each as a new atom, in order of first appearance and with unit 1.
+    Any other inner map is decomposed factor by factor.
     """
     budget.check_degree(outer.degree * inner.degree)
-    if any(unit == 0 for map_ in (outer, inner) for unit, _ in map_._factored):
+    if any(unit == 0 for map_ in (outer, inner) for unit, _ in map_._raw):
         raise ValueError("cannot decompose the zero polynomial")
     base = CoprimeBase(seed=_BASE_SEED)
 
-    inner_exps = []
-    if inner._atoms is not None:
-        index = {id(atom): base.adopt(atom, images) for atom, images in inner._atoms}
-        for unit, factors in inner._factored:
-            inner_exps.append((unit, base.track(Counter({index[id(poly)]: e for poly, e in factors}))))
+    inner_rows = []
+    if inner._record is not None:
+        index = {id(atom): base.adopt(atom, images) for atom, images in inner._record}
+        for unit, factors in inner._raw:
+            inner_rows.append(base.track(unit, Counter({index[id(poly)]: e for poly, e in factors})))
     else:
-        for unit, factors in inner._factored:
-            exps = base.track(Counter())
+        for unit, factors in inner._raw:
+            row = base.track(unit)
             for poly, e in factors:
-                u, ex = base.decompose(poly)
-                unit *= u**e
-                exps.update(scaled(ex, e))
-            inner_exps.append((unit, exps))
+                row.times(base.decompose(poly), e)
+            inner_rows.append(row)
 
     @cache
     def image(*mults):
-        """(unit, exponents) of inner0^i * inner1^j * inner2^k, (i, j, k) = mults; tracked."""
-        pairs = list(zip(mults, inner_exps))
-        unit = prod(u**m for m, (u, _) in pairs)
-        return unit, base.track(sum((scaled(ex, m) for m, (_, ex) in pairs), Counter()))
+        """inner0^i * inner1^j * inner2^k, (i, j, k) = mults, as a tracked ``Product``."""
+        got = base.track()
+        for m, row in zip(mults, inner_rows):
+            got.times(row, m)
+        return got
 
     result = []
     for unit, factors in outer._factored:
-        exps = base.track(Counter())
+        row = base.track(unit)
         for poly, e in factors:
             # The atom powers every composed monomial shares go straight into
             # the result; only the sum of the cofactors is decomposed.
-            images = [(c, *image(i, j, k)) for (i, j, k, c) in poly.items()]
-            common = reduce(and_, (ex for _, _, ex in images))
-            exps.update(scaled(common, e))
-            u, ex = base.decompose_sum([(c * u, ex - common) for c, u, ex in images])
-            unit *= u**e
-            exps.update(scaled(ex, e))
-        result.append((unit, exps))
+            images = [(c, image(i, j, k)) for (i, j, k, c) in poly.items()]
+            common = reduce(and_, (got.exps for _, got in images))
+            row.exps.update(scaled(common, e))
+            row.times(base.decompose_sum([(c * got.unit, got.exps - common) for c, got in images]), e)
+        result.append(row)
 
     # reduction: strip the atom powers and the unit gcd all components share
-    shared = reduce(and_, (exps for _, exps in result))
-    ug = _igcd(*(unit for unit, _ in result))
-    rows = [(unit // ug, sorted((exps - shared).items())) for unit, exps in result]
+    shared = reduce(and_, (row.exps for row in result))
+    ug = _igcd(*(row.unit for row in result))
+    rows = [(row.unit // ug, sorted((row.exps - shared).items())) for row in result]
     out = PlaneRationalMap(
         factored=tuple((unit, tuple((base.atoms[idx], n) for idx, n in row)) for unit, row in rows)
     )
     budget.check_degree(out.degree)
     first_seen = dict.fromkeys(idx for _, row in rows for idx, _ in row)
-    out._atoms = tuple((base.atoms[idx], base.images[idx]) for idx in first_seen)
+    out._record = tuple((base.atoms[idx], base.images[idx]) for idx in first_seen)
     return out
 
 
@@ -333,17 +402,31 @@ def composed_line_degree(outer: PlaneRationalMap, inner: PlaneRationalMap, seed:
     ``univ_mul_mod`` raises ValueError on products past 2048 coefficients
     on both sides.
 
-    A factor that inner's atom record holds (a map ``compose`` returned) is
-    restricted through the sum of atom-power products it came from, as its
-    coprime base restricts it (``_LineImages.on_line``, one memo per line,
-    so every atom beneath is restricted once per line); the residue array
-    is unique, so that equals ``restrict_line_mod`` of its terms, the route
-    of any other factor.  The trial still proves that the reduced triple
-    keeps no common factor on the line; it no longer reads a recorded
-    atom's expanded terms.
+    inner is read raw: its units and its factors' restrictions, both of
+    the raw triple.  A factor that inner's atom record holds (a map
+    ``compose`` returned) is restricted through the sum of atom-power
+    products it came from, as its coprime base restricts it
+    (``_LineImages.on_line``, one memo per line, so every atom beneath is
+    restricted once per line, and each power of it raised once); the
+    residue array is unique, so that equals ``restrict_line_mod`` of the
+    sum, content and sign included, the route of any other factor.  Unless
+    the line's prime divides the content of a sum of inner, the raw triple
+    is the canonical one times an integer the prime does not divide, and
+    each factor's raw restriction a nonzero multiple of its canonical one,
+    so the trial value is the canonical triple's.  Where the prime divides
+    a sum's content, the sum restricts to zero, so to None, on every line
+    of the prime: a line on which the raw triple loses degree and inner
+    holds a sum is tried again on the canonical triple (``_factored``, with
+    the record through ``canonical_images``), which expands inner's sums,
+    so the value stays the canonical triple's.  The trial still proves that
+    the reduced triple keeps no common factor on the line; on the raw
+    triple it reads no recorded atom's expanded terms.  outer's terms are
+    read from its canonical triple.
     """
-    top = max((poly.degree for _, factors in outer._factored for poly, _ in factors), default=0)  # highest power used
-    recorded = {id(atom): images for atom, images in inner._atoms or ()}
+    top = max((poly.degree for _, factors in outer._raw for poly, _ in factors), default=0)  # highest power used
+    recorded = {id(atom): images for atom, images in inner._record or ()}
+    has_sums = any(isinstance(atom, SumAtom) for atom, _ in inner._record or ())
+    canonical = None  # inner's record in the canonical view, made on the first line that needs it
     rng = random.Random(seed)
     answers = []
     for trial in range(_LINE_TRIALS):
@@ -354,7 +437,12 @@ def composed_line_degree(outer: PlaneRationalMap, inner: PlaneRationalMap, seed:
             b = [rng.randint(-(10**6), 10**6) for _ in range(3)]
             if all(v == 0 for v in a):
                 continue
-            curve = _restrict_components(inner._factored, partial(_restrict_factor, recorded, (p, a, b), {}), p)
+            line, memo = (p, a, b), {}
+            curve = _restrict_components(inner._raw, partial(_restrict_factor, recorded, line, memo), p)
+            if curve is None and has_sums:
+                if canonical is None:
+                    canonical = {id(P): images for P, images in (canonical_images(*pair) for pair in inner._record)}
+                curve = _restrict_components(inner._factored, partial(_restrict_factor, canonical, line, memo), p)
             if curve is None:
                 continue
             mul = partial(univ_mul_mod, p=p)

@@ -37,7 +37,7 @@ node powers and the sum over groups in ``restrict_line_mod``, the
 Newton-coefficient convolution and the blocked Horner in
 ``_interpolate_mod``, the convolutions and the division loop in
 ``_univ_rem_mod``, the product in ``univ_mul_mod``, the sum of term
-restrictions in ``CoprimeBase.decompose_sum``, and the integer products in
+restrictions in ``SumAtom.restrict``, and the integer products in
 ``_mul_int64``.  Each mod-p sum adds at most 2048 products of two residues,
 so it stays below 2^63 for any p <= 2^26; for the primes near 2^25 that the
 callers draw (p < 2^25.01) it stays below 2^61.02.  A constant gcd of the
@@ -52,6 +52,20 @@ coprimality gcd share it.
 x1 = s*x2, x0 = r*x2 read back as symmetric digits, returned only after
 ``divexact`` divides both inputs and the degree meets the bound that a gcd
 of line restrictions gives.
+
+A sum of atom-power products enters a base unexpanded, as a ``SumAtom``:
+its terms, its restrictions through its atoms, and its degree, which a
+restriction that keeps it proves, so a degree is proven from line
+certificates of unexpanded sums.  Its expanded terms, content and sign are
+computed on first read, and only these read them: a zero remainder that
+``divexact`` must confirm, a gcd that ``homo_gcd`` must settle, a sum that
+keeps its degree on no base line (a vanished sum raises ReductionFailure
+there), an atom of the sum losing degree on a line, and a caller reading
+terms.  A ``SumAtom`` is raw: its content and sign stay in it, and its
+restrictions are those of the sum itself, which certificates read up to a
+nonzero scalar.  ``canonical_images`` derives the primitive part and its
+restrictions in new arrays, never rescaling the raw ones, so a unit and the
+restrictions multiplied with it always come from one view.
 """
 
 from __future__ import annotations
@@ -658,39 +672,62 @@ class _LineImages(dict):
     """Restrictions of one polynomial to lines (None where it loses degree), each computed on first read.
 
     ``restrict(line, read)`` restricts the polynomial to the line (p, a, b).
-    ``read(images)`` gives the restriction to the same line of another
-    polynomial, held by its own ``_LineImages``: that is how a sum reads its
-    atoms'.  There are two readers.  The dict, keyed by line index, holds
-    the restrictions to ``lines``, the certificate lines of a coprime base:
-    ``self[n]`` is computed once and kept, and its reads go to the other
-    dicts' entry n.  ``on_line(line, memo)`` restricts to any other line:
-    the memo, which the caller keeps for that one line, takes the result of
-    this and of every ``_LineImages`` read beneath it, keyed by id (each is
-    held by the one that reads it, so no id is reused while the caller holds
-    this one), and no dict gains an entry.  ``inverses`` keeps, per line
-    index, the series inverse that ``_univ_rem_mod`` takes for a remainder
-    by the restriction, so it travels with the restrictions when a base
-    adopts the polynomial.
+    ``read(images, e)`` gives the restriction to the same line of another
+    polynomial, held by its own ``_LineImages``, raised to e: that is how a
+    sum reads its atoms'.  Each power is raised once per line and kept
+    beside the restriction it raises, so a sum whose terms share an
+    (atom, exponent) pair, or two sums that do, raise it once.  There are
+    two readers.  The dict, keyed by line index, holds the restrictions to
+    ``lines``, the certificate lines of a coprime base: ``self[n]`` is
+    computed once and kept, its powers in ``powers[n]``, and its reads go to
+    the other dicts' entry n.  ``on_line(line, memo)`` restricts to any
+    other line: the memo, which the caller keeps for that one line, takes
+    the result of this and of every ``_LineImages`` read beneath it, keyed
+    by id, and their powers, keyed by (id, "powers") (each is held by the
+    one that reads it, so no id is reused while the caller holds this one),
+    and no dict gains an entry.  ``inverses`` keeps, per line index, the
+    series inverse that ``_univ_rem_mod`` takes for a remainder by the
+    restriction, so it travels with the restrictions when a base adopts the
+    polynomial.
     """
 
-    __slots__ = ("lines", "restrict", "inverses")
+    __slots__ = ("lines", "restrict", "inverses", "powers")
 
     def __init__(self, lines, restrict):
         super().__init__()
         self.lines = lines
         self.restrict = restrict
         self.inverses: dict = {}  # line index -> [series inverse of the reversed restriction]
+        self.powers: dict = {}  # line index -> {exponent: restriction raised to it}
 
     def __missing__(self, n):
-        got = self[n] = self.restrict(self.lines[n], lambda images: images[n])
+        got = self[n] = self.restrict(self.lines[n], lambda images, e: images.power(n, e))
         return got
+
+    def power(self, n: int, e: int):
+        """The restriction to line n raised to e, kept beside it; None where it loses degree."""
+        return _raised(self[n], e, self.powers.setdefault(n, {}), self.lines[n][0])
 
     def on_line(self, line, memo: dict):
         """The restriction to the line (p, a, b), memo: id of a ``_LineImages`` -> its restriction to it."""
         key = id(self)
         if key not in memo:
-            memo[key] = self.restrict(line, lambda images: images.on_line(line, memo))
+
+            def read(images, e):
+                return _raised(images.on_line(line, memo), e, memo.setdefault((id(images), "powers"), {}), line[0])
+
+            memo[key] = self.restrict(line, read)
         return memo[key]
+
+
+def _raised(r, e: int, powers: dict, p: int):
+    """The residue array r raised to e mod p, kept in powers (exponent -> power); r itself for e = 1 or None."""
+    if r is None or e == 1:
+        return r
+    got = powers.get(e)
+    if got is None:
+        got = powers[e] = binary_power(r, e, np.ones(1, dtype=np.int64), lambda f, g: univ_mul_mod(f, g, p))
+    return got
 
 
 def _line_images(P: HomoPoly, lines) -> _LineImages:
@@ -860,57 +897,202 @@ def scaled(exps, n: int) -> Counter:
     return Counter({idx: e * n for idx, e in exps.items()})
 
 
-class CoprimeBase:
-    """Maintains a list of pairwise-coprime primitive polynomials (the atoms).
+class SumAtom:
+    """A sum S = sum of c * prod A^e over atoms A, held as its terms: no product is formed until S is read.
 
-    ``decompose`` expresses a polynomial as unit * product of atom powers,
-    inserting new atoms (and splitting existing ones) as needed;
-    ``decompose_sum`` does the same for a sum of products of atom powers.
-    The base owns the splits: every exponent vector that ``decompose``
-    returns or a caller hands to ``track`` keeps naming the same product
-    across them.
+    ``parts`` is ((c, ((A, restrictions of A, e), ...)), ...): each atom
+    is captured with the restriction dict (``_LineImages``) it has when the
+    sum is formed, so the sum keeps its meaning when a base later splits or
+    rescales one of them.  S is the raw sum: its content and sign stay in
+    it.  ``degree`` is the degree every term has; it is S's only while S
+    does not vanish, which a restriction keeping that degree proves.
+
+    ``restrict`` gives S|L through the atoms' restrictions (see
+    ``CoprimeBase``).  ``canonical()`` expands S on first read and keeps it
+    as (unit, primitive sign-normalized part), the one copy of its terms;
+    ``poly()`` gives S itself from it.  A sum that expands to zero raises
+    ReductionFailure.  The sum holds its atoms' restriction dicts, never its
+    own (whose ``restrict`` holds the sum), so no reference cycle forms.
+    """
+
+    __slots__ = ("degree", "parts", "_canonical")
+
+    def __init__(self, degree: int, parts):
+        self.degree = degree
+        self.parts = parts
+        self._canonical = None
+
+    def __repr__(self):
+        return f"SumAtom(degree={self.degree}, terms={len(self.parts)})"
+
+    def canonical(self, powers: dict | None = None):
+        """(unit, P) with S = unit * P and P primitive with a positive anchor coefficient.
+
+        S is expanded on the first call, its zero coefficients dropped once
+        at the end.  powers, (id of an atom, e) -> the atom expanded and
+        raised to e, is the caller's memo for one expansion: sums expanded
+        together share their atoms' powers, and none is kept past it.
+        """
+        if self._canonical is None:
+            powers = {} if powers is None else powers
+            sums = Counter()
+            for c, factors in self.parts:
+                sums.update(expand(c, [_atom_power(A, e, powers) for A, _, e in factors]).terms)
+            total = HomoPoly(self.degree, {key: v for key, v in sums.items() if v})
+            if total.is_zero():
+                raise ReductionFailure("a sum of atom-power products vanished")
+            self._canonical = total.primitive_normalized()
+        return self._canonical
+
+    def poly(self, powers: dict | None = None) -> HomoPoly:
+        """S expanded: its primitive part times its unit (a new polynomial unless the unit is 1)."""
+        unit, P = self.canonical(powers)
+        return P if unit == 1 else P.scale(unit)
+
+    def restrict(self, line, read):
+        """S|L on the line (p, a, b) through the atoms' restrictions, read(images, e) = (A|L)^e; None if S loses degree.
+
+        Restriction to a line followed by reduction mod p is a ring
+        homomorphism, so S|L is the same sum of products of the atoms'
+        restrictions, each power raised once per line (``_LineImages``).
+        A term whose atoms all keep their degree has degree exactly deg S on
+        the line (p is prime), so the terms align.  When an atom loses
+        degree (its restriction is None, not its shorter restriction), S is
+        expanded and restricted by ``restrict_line_mod``.  The residue array
+        is unique, so either way the result is ``restrict_line_mod`` of S.
+        """
+        p, a, b = line
+        if any(read(images, 1) is None for _, factors in self.parts for _, images, _ in factors):
+            return restrict_line_mod(self.poly(), a, b, p)
+        acc = np.zeros(self.degree + 1, dtype=np.int64)
+        for c, factors in self.parts:
+            if c % p:
+                r = np.array([c % p], dtype=np.int64)
+                for _, images, e in factors:
+                    r = univ_mul_mod(r, read(images, e), p)
+                acc += r  # below 2^47.01: at most 2048 * 2049 / 2 < 2^22 terms of residues
+        acc %= p
+        return acc if acc[0] else None
+
+
+def expanded(P, powers: dict | None = None) -> HomoPoly:
+    """The terms of P: P itself, or a ``SumAtom`` expanded (powers as in ``SumAtom.canonical``)."""
+    return P.poly(powers) if isinstance(P, SumAtom) else P
+
+
+def _atom_power(A, e: int, powers: dict) -> HomoPoly:
+    """A expanded and raised to e, kept in the memo powers under (id(A), e)."""
+    key = (id(A), e)
+    got = powers.get(key)
+    if got is None:
+        got = powers[key] = expanded(A, powers).pow(e)
+    return got
+
+
+def canonical_images(atom, images: _LineImages):
+    """(primitive sign-normalized atom, its restrictions) from an atom of a base and the restrictions it holds.
+
+    A ``HomoPoly`` atom of a base is primitive and sign-normalized already.
+    A ``SumAtom`` S = unit * P is expanded, and P|L is S|L times the
+    inverse of the unit mod p, in new arrays (the ones S|L is read from are
+    never rescaled); where p divides the unit, S|L vanishes and P|L comes
+    from ``restrict_line_mod`` of P.  The result is ``restrict_line_mod``
+    of P either way.
+    """
+    if not isinstance(atom, SumAtom):
+        return atom, images
+    unit, P = atom.canonical()
+
+    def restrict(line, read):
+        p, a, b = line
+        if unit % p == 0:
+            return restrict_line_mod(P, a, b, p)
+        r = read(images, 1)
+        return None if r is None else r * pow(unit, -1, p) % p
+
+    return P, _LineImages(images.lines, restrict)
+
+
+class Product:
+    """unit * prod atoms[idx]^e over exps, a Counter {atom index: exponent} of one coprime base.
+
+    The base that made it (``CoprimeBase.track``) keeps it naming the same
+    polynomial across its splits: where an atom is replaced, the unit and
+    the atoms that make up the difference go into unit and exps.
+    """
+
+    __slots__ = ("unit", "exps")
+
+    def __init__(self, unit: int = 1, exps=None):
+        self.unit = unit
+        self.exps = Counter() if exps is None else exps
+
+    def __repr__(self):
+        return f"Product({self.unit}, {dict(self.exps)})"
+
+    def times(self, other: "Product", n: int = 1) -> "Product":
+        """Multiply self by other^n in place; returns self."""
+        if n:
+            self.unit *= other.unit**n
+            self.exps.update(scaled(other.exps, n))
+        return self
+
+
+class CoprimeBase:
+    """Maintains a list of pairwise-coprime polynomials (the atoms).
+
+    ``decompose`` expresses a polynomial as a ``Product`` unit * product of
+    atom powers, inserting new atoms (and splitting existing ones) as
+    needed; ``decompose_sum`` does the same for a sum of products of atom
+    powers.  An atom is a primitive sign-normalized ``HomoPoly``, or a
+    ``SumAtom``: a sum entered unexpanded, content and sign included.  The
+    base owns the splits: every ``Product`` that ``decompose`` returns or
+    ``track`` makes keeps naming the same polynomial across them, its unit
+    included.
 
     The base draws its certificate lines once, from its seed.  Each atom is
     restricted to each line at most once (``images``, reset when the atom is
     replaced), and the polynomial being decomposed likewise for as long as it
     stays unchanged.  Both certificates read these restrictions: a nonzero
     remainder on a line refutes that an atom divides, and a constant gcd on a
-    line proves that two polynomials are coprime.  The remainder the division
-    test takes is kept, for as long as the polynomial and the atom stay
-    unchanged, and the gcd on its line starts from it, so no remainder of a
-    polynomial by an atom is taken twice on one line.  Beside each atom's
-    restriction to a line its ``_LineImages`` keeps the inverse of its
-    reversal as a power series, as long as the longest quotient asked so far
-    (``inverses``, at most 2048 residues), so a remainder by the atom costs
-    two convolutions, in this base and in any base that adopts the atom.
-    The powers of each atom are kept beside its restrictions (``power``) and
-    reset with them.
+    line proves that two polynomials are coprime.  Each decides only up to a
+    nonzero scalar (remainder zero-ness, gcd degree, line degree), so a sum
+    decides the same with or without its content.  The remainder the
+    division test takes is kept, for as long as the polynomial and the atom
+    stay unchanged, and the gcd on its line starts from it, so no remainder
+    of a polynomial by an atom is taken twice on one line.  Beside each
+    atom's restriction to a line its ``_LineImages`` keeps the inverse of
+    its reversal as a power series, as long as the longest quotient asked so
+    far (``inverses``, at most 2048 residues), so a remainder by the atom
+    costs two convolutions, in this base and in any base that adopts the
+    atom, and the powers of the restriction that sums read (``powers``).
 
-    A sum S = sum of c * prod atom^e is restricted to a line, any line and
-    not only the base's, through its atoms: S|L is the same sum of products
-    of the atoms' restrictions, each
-    (A|L)^e by binary powering, and the primitive part S / unit restricts
-    to S|L times the inverse of the unit mod p.  That is exact, because
-    restriction to a line followed by reduction mod p is a ring homomorphism
-    from Z[x0, x1, x2] to F_p[t]: it maps sums to sums, products to products
-    and powers to powers, so the result equals ``restrict_line_mod`` of the
-    expanded primitive part, whose coefficients are also reduced residues.
-    A term whose atoms all keep their degree on the line has degree exactly
-    deg S there (p is prime), so the terms align.  When p divides the unit,
-    or an atom of the sum loses degree on the line (``restrict_line_mod``
-    gives None for it, not its shorter restriction), the sum is restricted
-    by ``restrict_line_mod`` instead.  The sum reads the
-    restriction dicts its atoms have when it is formed: a later split gives
-    the split atom a new dict, so a late read of the sum's restriction still
-    multiplies the restrictions of the atoms the sum was formed from.  On a
-    line of the base the sum and its atoms keep their restrictions in their
-    dicts; on any other line (``_LineImages.on_line``, the line oracle's
-    reader) they go into the caller's memo for that line, so an atom that
-    was itself such a sum is restricted through its own atoms, each once,
-    down to the atoms that ``restrict_line_mod`` restricted.  No
-    restriction dict refers to the base, so a base leaves no reference
-    cycle and is freed as soon as its caller drops it, and a dict can be
-    handed to another base with the same seed (``adopt``).
+    A sum is restricted to a line, any line and not only the base's,
+    through its atoms (``SumAtom.restrict``), and a degree is proven from
+    these line certificates alone: a sum whose restriction to a base line
+    keeps its degree, and that no certificate ties to an atom, enters the
+    base unexpanded.  Only these events expand a sum: a zero remainder,
+    which ``divexact`` must confirm; a gcd on no line constant, which
+    ``homo_gcd`` must settle (and a split may follow); no base line keeping
+    its degree (a sum that vanishes raises ReductionFailure there); an atom
+    of the sum losing degree on a line, where the sum is restricted by
+    ``restrict_line_mod``; and a caller reading its terms.  A prime that
+    divides the sum's content makes its restriction vanish on that prime's
+    lines, which the base reads as a line that loses degree: a skipped line
+    forgoes a certificate and proves nothing.
+
+    A sum reads the restriction dicts its atoms have when it is formed: a
+    later split or rescaling gives the atom a new dict, so a late read of
+    the sum's restriction still multiplies the restrictions of the atoms the
+    sum was formed from.  On a line of the base the sum and its atoms keep
+    their restrictions in their dicts; on any other line
+    (``_LineImages.on_line``, the line oracle's reader) they go into the
+    caller's memo for that line, so an atom that was itself such a sum is
+    restricted through its own atoms, each once, down to the atoms that
+    ``restrict_line_mod`` restricted.  No restriction dict refers to the
+    base, so a base leaves no reference cycle and is freed as soon as its
+    caller drops it, and a dict can be handed to another base with the same
+    seed (``adopt``).
     """
 
     def __init__(self, seed: int = 0):
@@ -918,101 +1100,80 @@ class CoprimeBase:
         self.seed = seed
         self.lines = _certificate_lines(seed)
         self.images: list = []  # per atom: its _LineImages
-        self._powers: list = []  # per atom: exponent -> atom^exponent, filled lazily
-        self._tracked: dict = {}  # id -> exponent vector kept current across splits
+        self._tracked: list = []  # every Product of this base, kept current across splits
 
-    def track(self, exps):
-        """Keep the exponent vector exps (atom index -> exponent) current across splits; returns it."""
-        self._tracked[id(exps)] = exps
-        return exps
+    def track(self, unit: int = 1, exps=None) -> Product:
+        """A new ``Product`` unit * prod atoms[idx]^e over exps, kept current across splits."""
+        got = Product(unit, exps)
+        self._tracked.append(got)
+        return got
 
-    def adopt(self, atom: HomoPoly, images: _LineImages) -> int:
+    def adopt(self, atom, images: _LineImages) -> int:
         """Enter atom with its restrictions to this base's lines as a new atom; returns its index.
 
-        No certificate is taken: the caller vouches that atom is primitive
-        and sign-normalized and coprime to every atom already here, and that
-        images restrict it to this base's lines (another base of the same
-        seed draws the same lines).  That is what ``decompose`` would find,
-        so it would enter atom the same way, with unit 1.  The series
-        inverses already taken on those lines come along in images.
+        No certificate is taken: the caller vouches that atom is coprime to
+        every atom already here, a ``HomoPoly`` atom primitive and
+        sign-normalized, and that images restrict it to this base's lines
+        (another base of the same seed draws the same lines).  That is what
+        ``decompose`` would find, so it would enter atom the same way, with
+        unit 1.  The series inverses and restriction powers already taken on
+        those lines come along in images.
         """
         self.atoms.append(atom)
         self.images.append(images)
-        self._powers.append({})
         return len(self.atoms) - 1
 
-    def power(self, idx: int, e: int) -> HomoPoly:
-        """atoms[idx]^e, computed once for as long as the atom stays unchanged."""
-        powers = self._powers[idx]
-        got = powers.get(e)
-        if got is None:
-            got = powers[e] = self.atoms[idx].pow(e)
-        return got
+    def decompose_sum(self, terms) -> Product:
+        """The ``Product`` of the sum of c * prod atoms[idx]^e over terms.
 
-    def decompose_sum(self, terms):
-        """(unit, Counter {atom_index: exponent}) of the sum of c * prod atoms[idx]^e over terms.
-
-        terms is a list of (c, exps), with exps a Counter {idx: e}; the sum
-        is summed from the atom powers into one term dict, its zero
-        coefficients dropped once at the end, and its restrictions to lines
-        come from the atoms' restrictions (see the class docstring).  The
-        result is that of ``decompose`` on the sum.
+        terms is a list of (c, exps), with exps a Counter {idx: e}, every
+        term of one degree.  A sum of degree 0 is the integer sum of the c.
+        Otherwise the sum is a ``SumAtom`` over the atoms it names, and its
+        restrictions to lines come from theirs (see the class docstring);
+        the result is that of ``decompose`` on it.
         """
-        sums = Counter()
-        for c, exps in terms:
-            term = expand(c, [self.power(idx, e) for idx, e in exps.items()])
-            sums.update(term.terms)
-        total = HomoPoly(term.degree, {key: v for key, v in sums.items() if v})
-        if total.is_zero():
-            raise ReductionFailure("a sum of atom-power products vanished")
-        unit, P = total.primitive_normalized()
-        one = np.ones(1, dtype=np.int64)
-        factors = [(c, [(self.images[idx], e) for idx, e in exps.items()]) for c, exps in terms]
+        degree = sum(e * self.atoms[idx].degree for idx, e in terms[0][1].items())
+        if degree == 0:
+            total = sum(c for c, _ in terms)
+            if not total:
+                raise ReductionFailure("a sum of atom-power products vanished")
+            return self.track(total)
+        S = SumAtom(
+            degree,
+            tuple((c, tuple((self.atoms[idx], self.images[idx], e) for idx, e in exps.items())) for c, exps in terms if c),
+        )
+        return self.decompose(S, _LineImages(self.lines, S.restrict))
 
-        def restrict(line, read):
-            p, a, b = line
-            if unit % p == 0 or any(read(images) is None for _, parts in factors for images, _ in parts):
-                return restrict_line_mod(P, a, b, p)
+    def decompose(self, poly, images: _LineImages | None = None) -> Product:
+        """poly as a tracked ``Product`` unit * prod atoms[idx]^e.
 
-            def mul(f, g):
-                return univ_mul_mod(f, g, p)
-
-            acc = np.zeros(P.degree + 1, dtype=np.int64)
-            for c, parts in factors:
-                if c % p:
-                    r = np.array([c % p], dtype=np.int64)
-                    for images, e in parts:
-                        r = mul(r, binary_power(read(images), e, one, mul))
-                    acc += r  # below 2^47.01: at most 2048 * 2049 / 2 < 2^22 terms of residues
-            acc = acc % p * pow(unit, -1, p) % p
-            return acc if acc[0] else None
-
-        u, exps = self.decompose(P, _LineImages(self.lines, restrict))
-        return unit * u, exps
-
-    def decompose(self, poly: HomoPoly, images: _LineImages | None = None):
-        """(unit, Counter {atom_index: exponent}) with unit in {+1, -1} * content; exps is tracked.
-
-        images, if given, holds the restrictions of poly's primitive part;
-        by default they come from ``restrict_line_mod``.
+        A ``HomoPoly`` loses its content and sign to the unit first.  A
+        ``SumAtom`` keeps them, so its unit is 1 unless an atom divides it,
+        and it must come with images, its restrictions through its atoms.
+        images, if given, holds the restrictions of poly (of its primitive
+        part, for a ``HomoPoly``); by default they come from
+        ``restrict_line_mod``.
         """
-        if poly.is_zero():
+        if isinstance(poly, SumAtom):
+            unit, P = 1, poly
+        elif poly.is_zero():
             raise ValueError("cannot decompose the zero polynomial")
-        unit, P = poly.primitive_normalized()
-        exps = self.track(Counter())
+        else:
+            unit, P = poly.primitive_normalized()
+        out = self.track(unit)
         if images is None:
             images = _line_images(P, self.lines)  # P's restrictions; reset whenever P changes
         kept: dict = {}  # atom index -> (atom, line index, P|L mod A|L); reset with images
 
         def divide_out():
-            nonlocal unit, P, images, kept
+            nonlocal P, images, kept
             idx = 0
             while idx < len(self.atoms):
                 q = self._quotient(P, images, idx, kept)
                 if q is not None:
-                    exps[idx] += 1
+                    out.exps[idx] += 1
                     s, P = q.primitive_normalized()
-                    unit *= s
+                    out.unit *= s
                     images, kept = _line_images(P, self.lines), {}
                     continue  # same atom may divide again
                 idx += 1
@@ -1023,28 +1184,31 @@ class CoprimeBase:
             for aidx, atom in enumerate(self.atoms):
                 if self._certified_coprime(P, images, aidx, kept):
                     continue
-                _, g = homo_gcd(P, atom).primitive_normalized()
+                _, g = homo_gcd(expanded(P), expanded(atom)).primitive_normalized()
                 if g.degree >= 1:
-                    self._split_atom(aidx, g)  # rewrites exps too, if the atom already divided P
+                    self._split_atom(aidx, g)  # rewrites out too, if the atom already divided P
                     break
             else:
-                # genuinely new atom
-                exps[self.adopt(P, images)] += 1
+                # genuinely new atom; a sum's degree needs a line that keeps it
+                if isinstance(P, SumAtom) and all(images[n] is None for n in range(len(self.lines))):
+                    P.poly()  # nonzero, or ReductionFailure
+                out.exps[self.adopt(P, images)] += 1
                 P = HomoPoly.monomial(1, 0, 0, 0)
                 break
             # retry division from the top with the refined base
             divide_out()
         if P.degree == 0:
             s, _ = P.primitive_normalized()
-            unit *= s if s else 1
-        return unit, exps
+            out.unit *= s if s else 1
+        return out
 
-    def _quotient(self, P: HomoPoly, images: _LineImages, idx: int, kept: dict):
+    def _quotient(self, P, images: _LineImages, idx: int, kept: dict):
         """P / atom idx, or None.
 
         A nonzero remainder of the restrictions to the first line on which both
         keep their degree proves the atom does not divide P, as A | P forces
-        A|L | P|L mod p; otherwise ``divexact`` decides.  The remainder goes
+        A|L | P|L mod p; otherwise ``divexact`` decides, on P expanded and on
+        the atom made primitive (``_primitive_atom``).  The remainder goes
         into kept, for the coprimality gcd on that line.  A remainder already
         kept for this atom means the atom was tried against this P and did
         not divide it.
@@ -1058,9 +1222,9 @@ class CoprimeBase:
             if len(rem):
                 return None
             break
-        return divexact(P, atom)
+        return divexact(expanded(P), self._primitive_atom(idx))
 
-    def _certified_coprime(self, P: HomoPoly, images: _LineImages, idx: int, kept: dict) -> bool:
+    def _certified_coprime(self, P, images: _LineImages, idx: int, kept: dict) -> bool:
         """True if a constant gcd of the restrictions to some line proves P and atom idx coprime.
 
         On the line of a kept remainder R = P|L mod A|L the gcd starts from
@@ -1075,27 +1239,43 @@ class CoprimeBase:
         return False
 
     def _kept(self, kept: dict, idx: int):
-        """(line index, remainder) kept for atom idx, or None once the atom was split."""
+        """(line index, remainder) kept for atom idx, or None once the atom was replaced."""
         got = kept.get(idx)
         if got is None or got[0] is not self.atoms[idx]:
             return None
         return got[1:]
+
+    def _replace(self, idx: int, atom, images: _LineImages):
+        """Put atom, restricted by images, at idx; returns [(product, exponent)] of the tracked products that named idx."""
+        named = [(got, got.exps[idx]) for got in self._tracked if got.exps.get(idx)]
+        self.atoms[idx] = atom
+        self.images[idx] = images
+        return named
+
+    @staticmethod
+    def _rewrite(named, rest: Product):
+        """The replaced atom was its replacement times rest: each named product takes rest in, to its exponent."""
+        for got, n in named:
+            got.times(rest, n)
+
+    def _primitive_atom(self, idx: int) -> HomoPoly:
+        """Atom idx, a ``SumAtom`` first replaced by its primitive part, which divides whatever the sum divides."""
+        atom = self.atoms[idx]
+        if isinstance(atom, SumAtom):
+            unit, _ = atom.canonical()
+            self._rewrite(self._replace(idx, *canonical_images(atom, self.images[idx])), Product(unit))
+        return self.atoms[idx]
 
     def _split_atom(self, aidx: int, g: HomoPoly):
         """Replace atom a with its factor g; a/g, decomposed, joins every tracked vector that names a.
 
         g and a/g may share a factor (a = x0^2 (x1+x2), g = x0 (x1+x2)): the
         decomposition of a/g then splits g in turn, so the atoms stay coprime.
+        The unit of a/g (the content and sign of a ``SumAtom`` a) goes into
+        the unit of each product that names a.
         """
-        cof = divexact(self.atoms[aidx], g)
+        cof = divexact(expanded(self.atoms[aidx]), g)
         if cof is None:
             raise ReductionFailure("claimed factor does not divide its atom")
-        named = [(exps, exps[aidx]) for exps in self._tracked.values() if exps.get(aidx)]
-        self.atoms[aidx] = g
-        self.images[aidx] = _line_images(g, self.lines)
-        self._powers[aidx] = {}
-        unit, parts = self.decompose(cof)
-        if unit != 1:
-            raise ReductionFailure("sign drift while splitting an atom")
-        for exps, n in named:
-            exps.update(scaled(parts, n))
+        named = self._replace(aidx, g, _line_images(g, self.lines))
+        self._rewrite(named, self.decompose(cof))

@@ -12,6 +12,7 @@ from dyndeg.errors import (
     CheckFailed,
     DegenerateMatrix,
     OracleInconsistency,
+    ReductionFailure,
     ResourceExhausted,
 )
 from dyndeg.degrees import e_sequence
@@ -33,7 +34,7 @@ from dyndeg.oracle import (
     linear_map,
     monomial_map,
 )
-from dyndeg.polynomials import LINE_PRIMES, CoprimeBase, HomoPoly
+from dyndeg.polynomials import LINE_PRIMES, CoprimeBase, HomoPoly, canonical_images
 
 Z = GaussianInt
 ZETA = Z(1, 2)
@@ -44,6 +45,26 @@ FACTORED_F3_DIGEST = "e208b045246c1c52440f7482ca8446546da78f35d6cfe3d21b01f76891
 # restrict_line_mod of every atom in the records of f, f^2 and f^3 on record_lines(zeta), for the
 # ten ORACLE_ZETAS; recorded before the line oracle restricted recorded atoms through their sums
 RECORD_RESTRICTION_DIGEST = "ba701194f03927b960648a0441cc8760cd2228f32720740f170c731d02ff3ae0"
+
+
+def canonical_record(map_):
+    """map_'s atom record in the canonical view: each sum's primitive part with its restrictions; None without one."""
+    if map_._record is None:
+        return None
+    return tuple(canonical_images(atom, images) for atom, images in map_._record)
+
+
+def spy_expansions(monkeypatch):
+    """Record each sum that ``SumAtom.canonical``, the one point that expands a sum, expands; returns the list."""
+    expanded, canonical = [], polynomials.SumAtom.canonical
+
+    def spy(S, powers=None):
+        if S._canonical is None:
+            expanded.append(S)
+        return canonical(S, powers)
+
+    monkeypatch.setattr(polynomials.SumAtom, "canonical", spy)
+    return expanded
 
 
 def h_of(zeta):
@@ -236,16 +257,19 @@ class TestCompose:
 
     def test_composed_sums_restricted_through_atoms(self, f_map, monkeypatch):
         # compose(f, f^2) for 1+2i: every multi-term composed sum gets its
-        # line restrictions from its atoms', so restrict_line_mod never sees
-        # one.  f^2 rebuilt from its factors has no atom record, so its atoms
-        # are decomposed and restricted again: that run shows the spy is live
+        # line restrictions from its atoms' and is never expanded, so
+        # restrict_line_mod never sees one.  f^2 rebuilt from its factors has
+        # no atom record, so its atoms are decomposed and restricted again:
+        # that run shows the spy is live
         f2 = compose(f_map, f_map)
+        twin = PlaneRationalMap(factored=f2._factored)
+        f_map._factored  # the outer map's terms, read by every compose with f outside
         decompose, restrict = CoprimeBase.decompose, polynomials.restrict_line_mod
 
-        def spy_decompose(self, poly, images=None):
+        def spy_decompose(self, P, images=None):
             if images is not None:
-                sums.append(poly)
-            return decompose(self, poly, images)
+                sums.append(P)
+            return decompose(self, P, images)
 
         def spy_restrict(P, a, b, p):
             restricted.append(P)
@@ -253,14 +277,15 @@ class TestCompose:
 
         monkeypatch.setattr(CoprimeBase, "decompose", spy_decompose)
         monkeypatch.setattr(polynomials, "restrict_line_mod", spy_restrict)
-        for inner, restricts_atoms in ((f2, False), (PlaneRationalMap(factored=f2._factored), True)):
+        expanded = spy_expansions(monkeypatch)
+        for inner, restricts_atoms in ((f2, False), (twin, True)):
             sums, restricted = [], []
+            expanded.clear()
             f3 = compose(f_map, inner)
             assert f3.degree == 454
-            composed = [P for P in sums if P.degree >= 1]
-            assert len(composed) == 3 and min(P.degree for P in composed) == 227  # one per component
+            assert len(sums) == 3 and min(S.degree for S in sums) == 227  # one per component
             assert bool(restricted) == restricts_atoms
-            assert not [P for P in restricted if any(P == S for S in composed)]
+            assert expanded == []
 
     @pytest.mark.parametrize("zeta", ORACLE_ZETAS, ids=str)
     def test_adopted_atoms_match_decomposed(self, zeta):
@@ -271,20 +296,20 @@ class TestCompose:
         adopted = compose(f, f2)
         decomposed = compose(f, PlaneRationalMap(factored=f2._factored))
         assert adopted._factored == decomposed._factored
-        assert [atom for atom, _ in adopted._atoms] == [atom for atom, _ in decomposed._atoms]
+        assert [atom for atom, _ in canonical_record(adopted)] == [atom for atom, _ in canonical_record(decomposed)]
 
     def test_adoption_takes_no_work_between_inner_atoms(self, f_map, monkeypatch):
         # compose(f, f^2) for 1+2i: no division test, coprimality certificate
         # or line restriction is taken for f^2's atoms among themselves
         f2 = compose(f_map, f_map)
-        atoms = {atom for _, factors in f2._factored for atom, _ in factors}
+        atoms = {id(atom) for atom, _ in f2._record}
         pairs, restricted = [], []
 
         def spy(name):
             method = getattr(CoprimeBase, name)
 
             def wrapper(self, P, images, idx, kept):
-                if P in atoms and self.atoms[idx] in atoms:
+                if id(P) in atoms and id(self.atoms[idx]) in atoms:
                     pairs.append((name, P, self.atoms[idx]))
                 return method(self, P, images, idx, kept)
 
@@ -298,16 +323,16 @@ class TestCompose:
         )
         assert compose(f_map, f2).degree == 454
         assert pairs == []
-        assert not [P for P in restricted if P in atoms]
+        assert not [P for P in restricted if id(P) in atoms]
 
     def test_adopted_atoms_keep_their_series_inverses(self, f_map, monkeypatch):
         # compose(f, f^2): a remainder by an adopted atom's restriction to a
         # line on which f^2's base already inverted it takes that inverse
         f2 = compose(f_map, f_map)
         inverted = {
-            id(images[n]): atom for atom, images in f2._atoms for n, inverse in images.inverses.items() if inverse
+            id(images[n]): atom for atom, images in f2._record for n, inverse in images.inverses.items() if inverse
         }
-        assert inverted
+        assert any(isinstance(atom, polynomials.SumAtom) for atom in inverted.values())
         rem = polynomials._univ_rem_mod
         fresh, reused = [], []
 
@@ -322,12 +347,12 @@ class TestCompose:
 
     def test_atom_record_set_only_by_compose(self, f_map, monkeypatch):
         f2 = compose(f_map, f_map)
-        assert [atom for atom, _ in f2._atoms] == list(
+        assert [atom for atom, _ in canonical_record(f2)] == list(
             dict.fromkeys(atom for _, factors in f2._factored for atom, _ in factors)
         )
         built = [g_map(), h_of(ZETA), identity_map(), cremona_map(), conjugating_map()]
         rebuilt = [PlaneRationalMap(factored=f2._factored), PlaneRationalMap(components=f2.components)]
-        assert all(map_._atoms is None for map_ in built + rebuilt)
+        assert all(map_._record is None for map_ in built + rebuilt)
         decompose = CoprimeBase.decompose
 
         def spy_decompose(self, poly, images=None):
@@ -347,7 +372,7 @@ class TestCompose:
         A = (X0 + X1) * (X0 + X2)
         raw = PlaneRationalMap(factored=((1, ((A, 1), (X2, 1))), (1, ((X0, 3),)), (1, ((X0, 1), (X1, 2)))))
         inner = compose(identity_map(), raw)
-        record = inner._atoms
+        record = canonical_record(inner)
         assert [atom for atom, _ in record] == [A, X2, X0, X1]
         outer = linear_map([[1, 1, -1], [0, 1, 0], [0, 0, 1]])
         splits = []
@@ -358,7 +383,7 @@ class TestCompose:
         assert splits
         assert adopted._factored == compose(outer, PlaneRationalMap(factored=inner._factored))._factored
         assert adopted.same_map(PlaneRationalMap(components=raw_compose(outer, raw)))
-        assert [atom for atom, _ in inner._atoms] == [A, X2, X0, X1]
+        assert [atom for atom, _ in canonical_record(inner)] == [A, X2, X0, X1]
         for atom, images in record:
             for n, (p, a, b) in enumerate(CoprimeBase(seed=oracle._BASE_SEED).lines):
                 assert np.array_equal(images[n], polynomials.restrict_line_mod(atom, a, b, p))
@@ -374,7 +399,7 @@ class TestCompose:
         gc.disable()
         try:
             f3 = compose(f_map, f2)
-            assert f3._atoms and f2._atoms
+            assert f3._record and f2._record
             assert factored_line_degree(f3, seed=0) == 454
             assert gc.collect() == 0
             del f3
@@ -464,7 +489,7 @@ class TestRandomLine:
         # so only its three degree-1 monomial atoms reach restrict_line_mod;
         # its record-less twin restricts all 12 atoms there
         f3 = iterate_map(f_map, 3)
-        atoms = {atom for atom, _ in f3._atoms}
+        atoms = {atom for atom, _ in canonical_record(f3)}
         assert len(atoms) == 12 and {X0, X1, X2} <= atoms
         restricted, reads, computed, products, lines = [], [], [], [], []
         restrict, mul, restrict_all = polynomials.restrict_line_mod, oracle.univ_mul_mod, oracle._restrict_components
@@ -484,7 +509,7 @@ class TestRandomLine:
             return mul(f, g, p)
 
         def per_line(factored, restrict_factor, p):
-            if factored is not f3._factored:
+            if factored is not f3._raw and factored is not f3._factored:  # f3's triple, or its record-less twin's
                 return restrict_all(factored, restrict_factor, p)
             for spied in (restricted, reads, computed, products):
                 spied.clear()
@@ -560,7 +585,7 @@ class TestRecordedRestriction:
             f2 = compose(f, f)
             lines = record_lines(zeta)
             memos = [{} for _ in lines]
-            for record in (f._atoms, f2._atoms, compose(f, f2)._atoms):
+            for record in map(canonical_record, (f, f2, compose(f, f2))):
                 for atom, images in record:
                     for line, memo in zip(lines, memos):
                         p, a, b = line
@@ -576,12 +601,151 @@ class TestRecordedRestriction:
     def test_recorded_and_record_less_agree(self, f_map, seed):
         f2 = compose(f_map, f_map)
         f3 = compose(f_map, f2)
-        assert f2._atoms and f3._atoms
+        assert f2._record and f3._record
         twin2, twin3 = (PlaneRationalMap(factored=map_._factored) for map_ in (f2, f3))
-        assert twin2._atoms is None and twin3._atoms is None
+        assert twin2._record is None and twin3._record is None
         assert factored_line_degree(f3, seed) == factored_line_degree(twin3, seed) == 454
         assert composed_line_degree(f_map, f2, seed) == composed_line_degree(f_map, twin2, seed) == 454
         assert factored_line_degree(f2, seed) == factored_line_degree(twin2, seed) == 66
+
+
+def factored_digest(maps):
+    """SHA-256 of the canonical triples of maps, as FACTORED_F3_DIGEST reads them."""
+    h = hashlib.sha256()
+    for map_ in maps:
+        for unit, factors in map_._factored:
+            h.update(f"unit {unit}\n".encode())
+            for poly, e in factors:
+                h.update(f"{e} {poly.degree} {sorted(poly.terms.items())}\n".encode())
+        h.update(b"--\n")
+    return h.hexdigest()
+
+
+class TestDeferredSums:
+    @pytest.mark.parametrize("zeta", ORACLE_ZETAS, ids=str)
+    def test_iterates_expand_no_sum(self, zeta, monkeypatch):
+        # once f is built and its own terms read (compose reads the outer
+        # map's), its third iterate's degree and line-oracle value are proven
+        # from line certificates of unexpanded sums: no sum is expanded and
+        # no polynomial product formed
+        f = compose(g_map(), h_of(zeta))
+        f._factored
+        expanded, products, mul = spy_expansions(monkeypatch), [], HomoPoly.__mul__
+        monkeypatch.setattr(HomoPoly, "__mul__", lambda P, Q: products.append(P) or mul(P, Q))
+        f3 = iterate_map(f, 3)
+        e3 = e_sequence(d_sequence(zeta, 3), 3)[3]
+        assert f3.degree == factored_line_degree(f3, seed=0) == e3
+        assert expanded == [] and products == []
+        assert any(isinstance(atom, polynomials.SumAtom) for atom, _ in f3._record)
+
+    def test_forced_inner_leaves_compose_unchanged(self):
+        # reading f^2's components and its canonical restrictions (a third of
+        # these sums have unit -1) expands its sums; compose(f, f^2) then
+        # adopts the same raw atoms, restrictions and units, so its degree,
+        # canonical triple and line-oracle value are those of an unread f^2
+        forced = []
+        for zeta in ORACLE_ZETAS:
+            f = compose(g_map(), h_of(zeta))
+            f2, unread = compose(f, f), compose(f, f)
+            raw = [[images[n] for n in range(len(images.lines))] for _, images in f2._record]
+            kept = [[None if r is None else r.tolist() for r in rows] for rows in raw]
+            f2.components
+            for _, images in canonical_record(f2):
+                for n in range(len(images.lines)):
+                    images[n]
+            assert all(images[n] is r for (_, images), rows in zip(f2._record, raw) for n, r in enumerate(rows))
+            assert [[None if r is None else r.tolist() for r in rows] for rows in raw] == kept  # not rescaled
+            f3, want = compose(f, f2), compose(f, unread)
+            assert f3.degree == want.degree == e_sequence(d_sequence(zeta, 3), 3)[3]
+            assert f3._factored == want._factored
+            assert factored_line_degree(f3, seed=1) == factored_line_degree(want, seed=1) == f3.degree
+            assert composed_line_degree(f, f2, seed=2) == composed_line_degree(f, unread, seed=2) == f3.degree
+            forced.append(f3)
+        assert factored_digest(forced) == FACTORED_F3_DIGEST
+
+    def test_line_prime_dividing_a_sum_content(self):
+        # y0 + (p - 1) y1 after [x0 + x1 : x0 + (1 + p) x1 : x2] is the sum
+        # p x0 + p^2 x1 for p = LINE_PRIMES[0], the prime of every first
+        # trial: its raw restriction vanishes on each line of p, and the line
+        # oracle takes those lines on the canonical triple, where the
+        # component is p (x0 + p x1), and returns the degree
+        p = LINE_PRIMES[0]
+        outer = linear_map([[1, p - 1, 0], [0, 1, 0], [0, 0, 1]])
+        inner = PlaneRationalMap(components=(X0 + X1, X0 + X1.scale(1 + p), X2))
+        composed = compose(outer, inner)
+        (S,) = [atom for atom, _ in composed._record if isinstance(atom, polynomials.SumAtom)]
+        assert S.poly() == X0.scale(p) + X1.scale(p * p)
+        assert composed.degree == factored_line_degree(composed) == composed_line_degree(outer, inner) == 1
+        assert factored_line_degree(PlaneRationalMap(factored=composed._factored)) == 1
+
+    def test_vanished_sum_raises(self):
+        # y0 - y1 + y2 after [(x0 + x1)(x0 - x1) : x0^2 : x1^2] is a sum of
+        # three atom-power products that no atom power divides, and it vanishes
+        inner = PlaneRationalMap(components=((X0 + X1) * (X0 - X1), X0 * X0, X1 * X1))
+        with pytest.raises(ReductionFailure, match="vanished"):
+            compose(linear_map([[1, -1, 1], [0, 1, 0], [0, 0, 1]]), inner)
+
+    @pytest.mark.parametrize(
+        "first, second, event",
+        [
+            # 2 y0 + 2 y1 enters as the sum 2 (x0 + x1 + x2), which then divides
+            # the composed (y0 + y1)(y0 - y2): the base divides by its primitive part
+            ((X0 + X1).scale(2), (X0 + X1) * (X0 - X2), "_primitive_atom"),
+            # 2 (y0 + y1)(y0 + y2) enters as the sum 4 x0 (x0 + x1 + x2), which
+            # the composed (y0 + y1)(y1 + y2) splits, with cofactor 4 x0
+            (((X0 + X1) * (X0 + X2)).scale(2), (X0 + X1) * (X1 + X2), "_split_atom"),
+        ],
+        ids=["divided", "split"],
+    )
+    def test_sum_atom_units_move_into_products(self, first, second, event, monkeypatch):
+        # a sum atom whose unit is not 1 is replaced in its base; the unit
+        # goes into each tracked Product (unit, exponents) that named it, so the
+        # composite after [x0 + x2 : x1 : x0 - x2] is still the raw composite
+        degree = first.degree + second.degree
+        outer = PlaneRationalMap(factored=((1, ((first, 1), (second, 1))), (1, ((X1, degree),)), (1, ((X2, degree),))))
+        inner = PlaneRationalMap(components=(X0 + X2, X1, X0 - X2))
+        replaced = []
+        method = getattr(CoprimeBase, event)
+
+        def spy(self, idx, *args):
+            replaced.append(self.atoms[idx])
+            return method(self, idx, *args)
+
+        monkeypatch.setattr(CoprimeBase, event, spy)
+        composed = compose(outer, inner)
+        assert [abs(S.canonical()[0]) for S in replaced if isinstance(S, polynomials.SumAtom)] == [2 * first.degree]
+        assert composed.same_map(PlaneRationalMap(components=raw_compose(outer, inner)))
+        assert composed.degree == factored_line_degree(composed) == composed_line_degree(outer, inner) == degree
+
+    def test_one_raise_per_restriction_power_and_line(self, monkeypatch):
+        # a sum raises each (atom restriction, exponent) pair once per line,
+        # on the base's lines (compose) and on the line oracle's, and the
+        # raw restrictions of the record are restrict_line_mod of its sums
+        raises = []
+        power = polynomials.binary_power
+
+        def spy(x, n, one, mul=None):
+            if isinstance(one, np.ndarray):
+                raises.append((x, n))  # keeps x alive, so its id stays unique
+            return power(x, n, one) if mul is None else power(x, n, one, mul)
+
+        for zeta in (Z(1, 2), Z(3, 1), Z(2, 1)):
+            f = compose(g_map(), h_of(zeta))
+            f2 = compose(f, f)
+            with monkeypatch.context() as mp:
+                mp.setattr(polynomials, "binary_power", spy)
+                f3 = compose(f, f2)
+                values = [factored_line_degree(f3, seed) for seed in range(3)]
+            assert values == [f3.degree] * 3
+            assert raises and len({(id(x), n) for x, n in raises}) == len(raises)
+            raises.clear()
+            for line in record_lines(zeta)[:3]:
+                p, a, b = line
+                memo = {}
+                for atom, images in f3._record:
+                    got, want = images.on_line(line, memo), polynomials.restrict_line_mod(polynomials.expanded(atom), a, b, p)
+                    assert (got is None) == (want is None)
+                    assert got is None or np.array_equal(got, want)
 
 
 class TestInvolutionChecks:
@@ -632,6 +796,22 @@ class TestLineOracleConsistency:
         assert f2.degree**2 > polynomials.MAX_PACKED_DEGREE
         assert e_sequence(d_sequence(zeta, 4), 4)[4] == e4
         assert composed_line_degree(f2, f2) == e4
+
+    @pytest.mark.parametrize("zeta", ORACLE_ZETAS, ids=str)
+    def test_exact_fourth_iterate(self, zeta):
+        # the exact route proves e_4 (1744 to 6890, past the packing cap but
+        # for -1+2i and -1-2i) from line certificates of unexpanded sums; the
+        # line oracle agrees, but for 3+i and 3-i (e_4 = 6890), where a
+        # product of two curve evaluations exceeds 2048 coefficients on both
+        # sides and it refuses
+        f4 = iterate_map(compose(g_map(), h_of(zeta)), 4, Budget(degree_cap=10**5))
+        e4 = e_sequence(d_sequence(zeta, 4), 4)[4]
+        assert f4.degree == e4
+        if zeta in (Z(3, 1), Z(3, -1)):
+            with pytest.raises(ValueError, match="both factors exceed 2048 coefficients"):
+                factored_line_degree(f4)
+        else:
+            assert factored_line_degree(f4) == e4
 
     def test_refused_past_product_bound(self):
         # for 1+2i a product of two curve evaluations exceeds 2048 coefficients

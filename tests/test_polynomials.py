@@ -18,6 +18,9 @@ from dyndeg.polynomials import (
     certify_coprime,
     divexact,
     homo_gcd,
+    SumAtom,
+    canonical_images,
+    expanded,
     restrict_line_exact,
     restrict_line_mod,
     scaled,
@@ -735,7 +738,8 @@ class TestCoprimeBase:
         base = CoprimeBase(seed=1)
         A = HomoPoly.from_triples(1, [(1, 0, 0, 1), (0, 1, 0, 1)])
         B = HomoPoly.from_triples(1, [(1, 0, 0, 1), (0, 0, 1, -2)])
-        unit, exps = base.decompose(A * A * B)
+        got = base.decompose(A * A * B)
+        unit, exps = got.unit, got.exps
         assert len(base.atoms) == 1  # one new atom, nothing split
         rebuilt = HomoPoly.monomial(unit, 0, 0, 0)
         for idx, e in exps.items():
@@ -749,7 +753,8 @@ class TestCoprimeBase:
         C = HomoPoly.from_triples(1, [(0, 1, 0, 1), (0, 0, 1, 1)])   # x1+x2
         base.decompose(A * B)
         before = list(base.atoms)
-        unit, exps = base.decompose(A * C)
+        got = base.decompose(A * C)
+        unit, exps = got.unit, got.exps
         # the first atom (A*B) must have been split so that A is shared
         rebuilt = HomoPoly.monomial(unit, 0, 0, 0)
         for idx, e in exps.items():
@@ -762,21 +767,29 @@ class TestCoprimeBase:
                 assert homo_gcd(base.atoms[i], base.atoms[j]).degree == 0
 
     def test_powers_follow_split(self):
-        # powers cached before an atom is split must not survive the split
+        # the powers kept beside an atom's restrictions before the atom is
+        # split must not survive the split
         base = CoprimeBase(seed=2)
         A = HomoPoly.from_triples(1, [(1, 0, 0, 1), (0, 1, 0, 1)])   # x0+x1
         B = HomoPoly.from_triples(1, [(1, 0, 0, 1), (0, 0, 1, 1)])   # x0+x2
         C = HomoPoly.from_triples(1, [(0, 1, 0, 1), (0, 0, 1, 1)])   # x1+x2
         base.decompose(A * B * B)
+        lines = range(len(base.lines))
         used = [(idx, e) for idx in range(len(base.atoms)) for e in (1, 2, 3)]
         atoms = list(base.atoms)
-        before = {key: base.power(*key) for key in used}
+        raised = {(idx, n, e): base.images[idx].power(n, e) for idx, e in used for n in lines}
         base.decompose(A * C)
         assert_split(atoms, base.atoms)
-        used += [(idx, e) for idx in range(len(before), len(base.atoms)) for e in (1, 2, 3)]
+        used += [(idx, e) for idx in range(len(atoms), len(base.atoms)) for e in (1, 2, 3)]
         for idx, e in used:
-            assert base.power(idx, e) == base.atoms[idx].pow(e)
-        assert any(base.power(*key) != got for key, got in before.items())
+            power = base.atoms[idx].pow(e)
+            for n in lines:
+                p, a, b = base.lines[n]
+                got, want = base.images[idx].power(n, e), restrict_line_mod(power, a, b, p)
+                assert (got is None) == (want is None)
+                assert got is None or got.tolist() == want.tolist()
+                assert base.images[idx].power(n, e) is got  # raised once
+        assert any(base.images[idx].power(n, e).tolist() != got.tolist() for (idx, n, e), got in raised.items())
 
     def test_split_rewrites_tracked_vectors(self):
         # atom 0 is (x0+x1)(x0+x2) until x0+x1 splits it; a vector tracked
@@ -785,8 +798,9 @@ class TestCoprimeBase:
         A = HomoPoly.from_triples(1, [(1, 0, 0, 1), (0, 1, 0, 1)])   # x0+x1
         B = HomoPoly.from_triples(1, [(1, 0, 0, 1), (0, 0, 1, 1)])   # x0+x2
         C = HomoPoly.from_triples(1, [(0, 1, 0, 1), (0, 0, 1, 1)])   # x1+x2
-        unit, first = base.decompose(A * B)
-        tracked = base.track(Counter({0: 3}))
+        got = base.decompose(A * B)
+        unit, first = got.unit, got.exps
+        tracked = base.track(exps=Counter({0: 3})).exps
         assert first == Counter({0: 1})
         before = list(base.atoms)
         base.decompose(A * C)
@@ -807,9 +821,9 @@ class TestCoprimeBase:
         decomposed = [base.decompose(P) for P in inputs]
         for i, j in itertools.combinations(range(len(base.atoms)), 2):
             assert homo_gcd(base.atoms[i], base.atoms[j]).degree == 0
-        for P, (unit, exps) in zip(inputs, decomposed):
-            rebuilt = HomoPoly.monomial(unit, 0, 0, 0)
-            for idx, e in exps.items():
+        for P, got in zip(inputs, decomposed):
+            rebuilt = HomoPoly.monomial(got.unit, 0, 0, 0)
+            for idx, e in got.exps.items():
                 rebuilt = rebuilt * base.atoms[idx].pow(e)
             assert rebuilt == P
 
@@ -819,7 +833,8 @@ class TestCoprimeBase:
         x0, x1 = HomoPoly.monomial(1, 1, 0, 0), HomoPoly.monomial(1, 0, 1, 0)
         base.decompose(x0 * x1)
         before = list(base.atoms)
-        unit, exps = base.decompose(x0 * x0 * x1)
+        got = base.decompose(x0 * x0 * x1)
+        unit, exps = got.unit, got.exps
         assert_split(before, base.atoms)
         rebuilt = HomoPoly.monomial(unit, 0, 0, 0)
         for idx, e in exps.items():
@@ -890,7 +905,8 @@ class TestCoprimeBase:
         for P in earlier:
             base.decompose(P)
         before = list(base.atoms)
-        unit, exps = base.decompose(Q)
+        got = base.decompose(Q)
+        unit, exps = got.unit, got.exps
         assert remainders
         assert len(remainders) == len(set(remainders))
         assert_split(before, base.atoms)
@@ -904,7 +920,8 @@ class TestCoprimeBase:
     def test_monomial_factors(self):
         base = CoprimeBase(seed=3)
         P = HomoPoly.monomial(4, 2, 3, 1)
-        unit, exps = base.decompose(P)
+        got = base.decompose(P)
+        unit, exps = got.unit, got.exps
         rebuilt = HomoPoly.monomial(unit, 0, 0, 0)
         for idx, e in exps.items():
             rebuilt = rebuilt * base.atoms[idx].pow(e)
@@ -913,7 +930,7 @@ class TestCoprimeBase:
 
 
 class SumSpyBase(CoprimeBase):
-    """A CoprimeBase that keeps each (primitive part, line images) decompose_sum hands to decompose."""
+    """A CoprimeBase that keeps each (sum, line images) decompose_sum hands to decompose."""
 
     def __init__(self, seed):
         super().__init__(seed)
@@ -928,7 +945,7 @@ class SumSpyBase(CoprimeBase):
 def atom_product(base, exps):
     out = HomoPoly.monomial(1, 0, 0, 0)
     for idx, e in exps.items():
-        out = out * base.atoms[idx].pow(e)
+        out = out * expanded(base.atoms[idx]).pow(e)
     return out
 
 
@@ -946,6 +963,18 @@ def assert_images_match(images, P, lines):
             assert got.tolist() == want.tolist(), n
 
 
+def canonical_decomposition(base, got):
+    """(unit, exps, atoms) of the Product got of base, in primitive atoms: the units of its sums go into unit."""
+    unit, exps = got.unit, got.exps
+    atoms = []
+    for idx, atom in enumerate(base.atoms):
+        if isinstance(atom, SumAtom):
+            u, atom = atom.canonical()
+            unit *= u ** exps.get(idx, 0)
+        atoms.append(atom)
+    return unit, exps, atoms
+
+
 class TestDecomposeSum:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32), st.integers(1, 6), st.sampled_from((1, 5, 1 << 40)))
@@ -955,7 +984,7 @@ class TestDecomposeSum:
         # atoms: x0, which pads every term to one degree, and random forms of degree 1 to 3
         for P in [HomoPoly.monomial(1, 1, 0, 0)] + [random_homo(rng, rng.randint(1, 3), 4) for _ in range(3)]:
             base.decompose(P)
-        (pad,) = base.decompose(HomoPoly.monomial(1, 1, 0, 0))[1]
+        (pad,) = base.decompose(HomoPoly.monomial(1, 1, 0, 0)).exps
         raw = [Counter({idx: rng.randint(0, 3) for idx in rng.sample(range(len(base.atoms)), 2)}) for _ in range(n_terms)]
         degree = max(sum(e * base.atoms[idx].degree for idx, e in exps.items()) for exps in raw) + 1
         for exps in raw:
@@ -964,11 +993,16 @@ class TestDecomposeSum:
         total = sum_of(base, terms)
         if total.is_zero():
             return
-        unit, exps = base.decompose_sum(terms)
-        ((P, images),) = base.sums
+        got = base.decompose_sum(terms)
+        ((S, images),) = base.sums
+        # read after the decomposition, across any split: the raw sum's
+        # restrictions, and the primitive part's, derived from them
+        assert S.poly() == total
+        assert_images_match(images, total, base.lines)
+        P, canonical = canonical_images(S, images)
         assert P == total.primitive_normalized()[1]
-        assert_images_match(images, P, base.lines)  # read after the decomposition, across any split
-        assert atom_product(base, exps).scale(unit) == total
+        assert_images_match(canonical, P, base.lines)
+        assert atom_product(base, got.exps).scale(got.unit) == total
 
     def test_restriction_read_after_a_split(self):
         # the sum names the atom A = (x0 + x1)(x0 + x2), which splits after the
@@ -976,79 +1010,93 @@ class TestDecomposeSum:
         x0, x1, x2 = (HomoPoly.monomial(1, *e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
         A = (x0 + x1) * (x0 + x2)
         base = SumSpyBase(seed=2)
-        (ia,) = base.decompose(A)[1]
-        (i2,) = base.decompose(x2)[1]
+        (ia,) = base.decompose(A).exps
+        (i2,) = base.decompose(x2).exps
         base.decompose_sum([(1, Counter({ia: 1})), (3, Counter({i2: 2}))])
-        ((P, images),) = base.sums
-        assert P == A + (x2 * x2).scale(3)
+        ((S, images),) = base.sums
         unread = [n for n in range(len(base.lines)) if n not in images]
         base.decompose((x0 + x1) * x1)
         assert A not in base.atoms and unread
+        P = S.poly()
+        assert P == A + (x2 * x2).scale(3)
         assert_images_match(images, P, base.lines)
 
     @staticmethod
-    def assert_falls_back_on(monkeypatch, polys, make_terms, line):
+    def decompose_on_twins(monkeypatch, polys, make_terms):
         """decompose_sum against decompose of the expanded sum, on twin bases that hold the atoms polys.
 
-        The sum goes to restrict_line_mod on the given line only, and the
-        two decompositions leave the same result and the same atoms.
+        The two decompositions leave the same result and the same atoms once
+        the sum's content and sign go into the unit.  Returns the sum, its
+        restrictions, its primitive part with restrictions derived from them
+        (each line read), and the restrict_line_mod calls (polynomial, line
+        index) that the decomposition and those reads made.
         """
         calls = []
         restrict = polynomials.restrict_line_mod
+        base, twin = SumSpyBase(seed=3), CoprimeBase(seed=3)
+        lines = {(p, tuple(a), tuple(b)): n for n, (p, a, b) in enumerate(base.lines)}
 
         def counting(P, a, b, p):
-            calls.append((P, (p, tuple(a), tuple(b))))
+            calls.append((P, lines.get((p, tuple(a), tuple(b)))))
             return restrict(P, a, b, p)
 
-        monkeypatch.setattr(polynomials, "restrict_line_mod", counting)
-        base, twin = SumSpyBase(seed=3), CoprimeBase(seed=3)
         for P in polys:
             base.decompose(P)
             twin.decompose(P)
-        terms = make_terms([base.decompose(P)[1] for P in polys])
+        terms = make_terms([base.decompose(P).exps for P in polys])
         total = sum_of(base, terms)
-        calls.clear()
+        monkeypatch.setattr(polynomials, "restrict_line_mod", counting)
         got = base.decompose_sum(terms)
-        ((P, images),) = base.sums
-        assert_images_match(images, P, base.lines)
-        p, a, b = base.lines[line]
-        assert {where for R, where in calls if R is P} == {(p, tuple(a), tuple(b))}
-        assert got == twin.decompose(total)
-        assert base.atoms == twin.atoms
+        ((S, images),) = base.sums
+        P, canonical = canonical_images(S, images)
+        assert_images_match(images, total, base.lines)
+        assert_images_match(canonical, P, base.lines)
+        want = twin.decompose(total)
+        assert canonical_decomposition(base, got) == (want.unit, want.exps, twin.atoms)
+        return S, images, P, canonical, calls
 
     def test_atom_losing_degree_takes_fallback(self, monkeypatch):
-        # x0 a1 - x1 a0 vanishes at a = a_1 of line 1: it loses degree there
+        # x0 a1 - x1 a0 vanishes at a = a_1 of line 1: it loses degree there,
+        # and the sum is expanded and restricted by restrict_line_mod there only
         p, a, b = CoprimeBase(seed=3).lines[1]
         L = HomoPoly.from_triples(1, [(1, 0, 0, a[1]), (0, 1, 0, -a[0])])
         assert restrict_line_mod(L, a, b, p) is None
-        self.assert_falls_back_on(
+        S, _, _, _, calls = self.decompose_on_twins(
             monkeypatch,
             (HomoPoly.monomial(1, 1, 0, 0), HomoPoly.monomial(1, 0, 1, 0), L),
             lambda ex: [(2, scaled(ex[0], 2) + ex[2]), (-3, scaled(ex[1], 3)), (1, ex[0] + scaled(ex[1], 2))],
-            line=1,
         )
+        assert {n for R, n in calls if R == S.poly()} == {1}
 
     def test_content_divisible_by_line_prime_takes_fallback(self, monkeypatch):
+        # the sum's content is a multiple of line 0's prime, so its raw
+        # restriction vanishes there: no line-0 certificate reads it, and its
+        # primitive part is restricted by restrict_line_mod there only
         p = CoprimeBase(seed=3).lines[0][0]
         L = HomoPoly.from_triples(1, [(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1)])
-        self.assert_falls_back_on(
+        S, images, P, canonical, calls = self.decompose_on_twins(
             monkeypatch,
             (HomoPoly.monomial(1, 1, 0, 0), HomoPoly.monomial(1, 0, 1, 0), L),
             lambda ex: [(3 * p, scaled(ex[0], 2) + ex[2]), (-5 * p, scaled(ex[1], 3)), (p, ex[0] + ex[1] + ex[2])],
-            line=0,
         )
+        assert S.canonical()[0] % p == 0 and images[0] is None and canonical[0] is not None
+        assert {n for R, n in calls if R is P} == {0}
+        assert not [R for R, _ in calls if R == S.poly()]
 
     @staticmethod
-    def assert_falls_back_off_base(monkeypatch, polys, make_terms, line):
+    def restrict_off_base(monkeypatch, polys, make_terms, line):
         """decompose_sum's restriction to a line the base does not draw, read as the line oracle reads it.
 
-        ``on_line`` sends the sum to restrict_line_mod of its expanded terms
-        on that line, once per memo, with the same answer, and stores nothing
-        into the index-keyed dicts of the sum or its atoms.
+        ``on_line`` gives the raw sum's restriction and, in the canonical
+        view, its primitive part's, each as restrict_line_mod gives it, once
+        per memo, and stores nothing into the index-keyed dicts of the sum
+        or its atoms.  Returns the sum, its primitive part and the
+        polynomials restrict_line_mod saw.
         """
         base = SumSpyBase(seed=3)
-        base.decompose_sum(make_terms([base.decompose(P)[1] for P in polys]))
-        ((P, images),) = base.sums
+        base.decompose_sum(make_terms([base.decompose(P).exps for P in polys]))
+        ((S, images),) = base.sums
+        P, canonical = canonical_images(S, images)
         held = [images, *base.images]
         keys = [set(im) for im in held]
         calls = []
@@ -1056,12 +1104,13 @@ class TestDecomposeSum:
         monkeypatch.setattr(polynomials, "restrict_line_mod", lambda R, a, b, p: calls.append(R) or restrict(R, a, b, p))
         p, a, b = line
         memo = {}
-        got, want = images.on_line(line, memo), restrict(P, a, b, p)
-        assert (got is None) == (want is None)
-        assert got is None or got.tolist() == want.tolist()
-        assert [R for R in calls if R is P] == [P]
-        assert images.on_line(line, memo) is got and [R for R in calls if R is P] == [P]
+        for view, poly in ((images, S.poly()), (canonical, P)):
+            got, want = view.on_line(line, memo), restrict(poly, a, b, p)
+            assert (got is None) == (want is None)
+            assert got is None or got.tolist() == want.tolist()
+            assert view.on_line(line, memo) is got
         assert [set(im) for im in held] == keys
+        return S, P, calls
 
     def test_off_base_line_atom_losing_degree_takes_fallback(self, monkeypatch):
         # x0 a1 - x1 a0 loses degree on a line of a prime no base of seed 3 draws
@@ -1069,20 +1118,27 @@ class TestDecomposeSum:
         p, a, b = line
         L = HomoPoly.from_triples(1, [(1, 0, 0, a[1]), (0, 1, 0, -a[0])])
         assert restrict_line_mod(L, a, b, p) is None
-        self.assert_falls_back_off_base(
+        S, _, calls = self.restrict_off_base(
             monkeypatch,
             (HomoPoly.monomial(1, 1, 0, 0), HomoPoly.monomial(1, 0, 1, 0), L),
             lambda ex: [(2, scaled(ex[0], 2) + ex[2]), (-3, scaled(ex[1], 3)), (1, ex[0] + scaled(ex[1], 2))],
             line,
         )
+        assert [R for R in calls if R == S.poly()] == [S.poly()]
 
     def test_off_base_line_prime_dividing_unit_takes_fallback(self, monkeypatch):
+        # p divides the sum's unit, so its raw restriction vanishes on every
+        # line of p; the line oracle then reads the canonical view, which
+        # gives restrict_line_mod of the primitive part, taken once
         p = LINE_PRIMES[5]
         assert p not in {q for q, _, _ in CoprimeBase(seed=3).lines}
         L = HomoPoly.from_triples(1, [(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1)])
-        self.assert_falls_back_off_base(
+        S, P, calls = self.restrict_off_base(
             monkeypatch,
             (HomoPoly.monomial(1, 1, 0, 0), HomoPoly.monomial(1, 0, 1, 0), L),
             lambda ex: [(3 * p, scaled(ex[0], 2) + ex[2]), (-5 * p, scaled(ex[1], 3)), (p, ex[0] + ex[1] + ex[2])],
             (p, [3, 5, 7], [11, -13, 17]),
         )
+        assert S.canonical()[0] % p == 0
+        assert [R for R in calls if R is P] == [P]
+        assert not [R for R in calls if R == S.poly()]
