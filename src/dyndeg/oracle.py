@@ -398,9 +398,9 @@ def composed_line_degree(outer: PlaneRationalMap, inner: PlaneRationalMap, seed:
     F_i|L = G|L * R_i|L, and their largest degree minus their gcd's is that
     of the R_i|L: at most deg R, even when every component drops degree.  A
     trial errs low, never high.  Trials redraw lines until every inner
-    factor keeps its degree, and must agree (else OracleInconsistency);
-    ``univ_mul_mod`` raises ValueError on products past 2048 coefficients
-    on both sides.
+    factor keeps its degree, and must agree (else OracleInconsistency).
+    Products past 2048 coefficients on both sides (iterate 4) take
+    ``univ_mul_mod``'s Kronecker route.
 
     inner is read raw: its units and its factors' restrictions, both of
     the raw triple.  A factor that inner's atom record holds (a map

@@ -25,11 +25,13 @@ nodes 0..d with one coordinate divided out, the terms grouped by the
 exponent of one ratio and each group summed by one vector-matrix product,
 then interpolation by one convolution and a Horner blocked in sqrt(n)
 blocks) and the univariate product, remainder and gcd (``univ_mul_mod``,
-``_univ_rem_mod``, ``univ_gcd_mod``; a quotient longer than the divisor
-comes from one Newton inversion of the reversed divisor, a Euclid step from
-the division loop).  They pass univariate polynomials to each other as
-reduced, stripped int64 arrays: coefficients descending, residues in
-[0, p), the leading one nonzero (the zero polynomial is empty), so no
+a Kronecker product on Python ints when both factors exceed 2048
+coefficients; ``_univ_rem_mod``, ``univ_gcd_mod``; a quotient longer than
+the divisor, or any quotient by a divisor whose series inverse the caller
+keeps, comes from one Newton inversion of the reversed divisor, a Euclid
+step from the division loop).  They pass univariate polynomials to each
+other as reduced, stripped int64 arrays: coefficients descending, residues
+in [0, p), the leading one nonzero (the zero polynomial is empty), so no
 result goes through a Python list and back.
 
 Each int64 bound is proved where its sum is formed: the group sums, the
@@ -42,12 +44,17 @@ restrictions in ``SumAtom.restrict``, and the integer products in
 so it stays below 2^63 for any p <= 2^26; for the primes near 2^25 that the
 callers draw (p < 2^25.01) it stays below 2^61.02.  A constant gcd of the
 restrictions to a line that keeps both degrees proves coprimality
-(``certify_coprime``); a nonzero remainder proves non-division.  A
-``CoprimeBase`` draws its certificate lines once, restricts each polynomial
-to each of them at most once (a sum of atom-power products through its
-atoms' restrictions, on those lines and on any other), and takes the
-remainder of a leftover by an atom on a line once: the division test and the
-coprimality gcd share it.
+(``certify_coprime``); a nonzero remainder proves non-division.  One gcd on
+a line proves a polynomial P coprime to a whole set of atoms: if P and the
+atoms keep their degrees on L and gcd(P|L, prod A|L) is constant, then so
+is every common factor of P and an atom, since it keeps its degree on L
+and its restriction divides both (gcd(P, prod A) = 1 exactly when P is
+coprime to each A).  A ``CoprimeBase`` draws its certificate lines once,
+restricts each polynomial to each of them at most once (a sum of
+atom-power products through its atoms' restrictions, on those lines and on
+any other), tests a new polynomial against all its atoms by that one gcd
+per line before any per-atom test, and takes the remainder of a leftover by
+an atom on a line once: the division test and the coprimality gcd share it.
 ``homo_gcd`` is the heuristic gcd GCDHEU: integer gcds of values at
 x1 = s*x2, x0 = r*x2 read back as symmetric digits, returned only after
 ``divexact`` divides both inputs and the degree meets the bound that a gcd
@@ -586,19 +593,21 @@ def _univ_rem_mod(r: np.ndarray, g: np.ndarray, p: int, inverse: list | None = N
     """Remainder of r by g over F_p, both reduced, stripped residue arrays and g nonempty.
 
     The result is reduced and stripped; r and g are not modified.  Two
-    routes, picked by the quotient length nq = len(r) - deg g.  When the
-    quotient is longer than g and nq <= 2048, it is computed in one pass:
+    routes, picked by the quotient length nq = len(r) - deg g and by
+    ``inverse``.  When 0 < nq <= 2048 and either the quotient is longer
+    than g or ``inverse`` is given, the quotient is computed in one pass:
     the reversed g is inverted as a power series by Newton iteration,
     h <- h (2 - g h) mod x^2k, the quotient is r[:nq] * h mod x^nq (a
     descending array read ascending is the reversed polynomial), and the
-    remainder is the low part of r - q g.  ``inverse``, when given, is a
-    one-item list that the caller keeps beside g: the route takes h from it
-    and stores back the longest h computed, so a later remainder by g costs
-    two convolutions.  The truncated series inverse is unique, so an h taken
-    from the list or extended gives the same quotient.  Each
-    ``np.convolve`` there adds at most min(len) <= 2048 products of residues
-    below p < 2^25.01, so every sum stays below 2^61.02 < 2^63; each result
-    is reduced mod p.
+    remainder is the low deg g coefficients of r - q g, which only the low
+    deg g coefficients of q reach.  ``inverse``, when given, is a one-item
+    list that the caller keeps beside g: the route takes h from it and
+    stores back the longest h computed, so a later remainder by g costs two
+    convolutions, whatever the quotient length.  The truncated series
+    inverse is unique, so an h taken from the list or extended gives the
+    same quotient.  Each ``np.convolve`` there adds at most
+    min(len) <= nq <= 2048 products of residues below p < 2^25.01, so every
+    sum stays below 2^61.02 < 2^63; each result is reduced mod p.
 
     Otherwise the division loop subtracts q * g from a copy of r in place,
     one quotient coefficient per step, and reduces it mod p only every 2048
@@ -610,7 +619,7 @@ def _univ_rem_mod(r: np.ndarray, g: np.ndarray, p: int, inverse: list | None = N
     if dg == 0:
         return r[:0]
     nq = len(r) - dg
-    if dg + 1 < nq <= MAX_PACKED_DEGREE + 1:
+    if 0 < nq <= MAX_PACKED_DEGREE + 1 and (inverse is not None or dg + 1 < nq):
         h = inverse[0] if inverse else np.array([pow(int(g[0]), -1, p)], dtype=np.int64)
         k = len(h)
         while k < nq:
@@ -621,7 +630,7 @@ def _univ_rem_mod(r: np.ndarray, g: np.ndarray, p: int, inverse: list | None = N
         if inverse is not None:
             inverse[:] = [h]
         q = np.convolve(r[:nq], h[:nq])[:nq] % p
-        rem = (r[nq:] - np.convolve(q[-dg:], g)[dg:]) % p
+        rem = (r[nq:] - np.convolve(q[-dg:], g)[-dg:]) % p
     else:
         r = r.copy()
         inv_lc = pow(int(g[0]), -1, p)
@@ -639,17 +648,51 @@ def univ_mul_mod(f: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
     """Product over F_p, p prime, of two reduced, stripped residue arrays (descending).
 
     The product of the leading residues is nonzero mod p, so the reduced
-    product is stripped.  ``np.convolve`` sums exact int64 products.  That
-    cannot overflow: residues are < p < 2^25.01, so each product is below
-    2^50.02, and each sum has at most min(len f, len g) products.  Inputs
-    longer than 2048 coefficients occur (the line oracle's evaluations on a
-    curve), so the raise keeps min(len f, len g) <= 2048: every sum < 2^61.02.
+    product is stripped.  Each product coefficient is a sum of at most
+    min(len f, len g) products of residues below p < 2^25.01, each below
+    2^50.02.  While min(len f, len g) <= 2048, ``np.convolve`` sums them
+    exactly in int64: every sum < 2^61.02.  Longer inputs on both sides
+    occur (the line oracle's evaluations on a curve at iterate 4), and
+    take a Kronecker product: each array is packed into one Python int,
+    entry i in bits 80i..80i+79, and the two ints are multiplied exactly.
+    Slot k of the product is then coefficient k of the convolution, since
+    no coefficient carries into the next slot: that holds while
+    min(len f, len g) * p^2 < 2^80, so for any length below 2^29.9 at these
+    primes.  Each slot is unpacked as its low 64 and high 16 bits and
+    reduced mod p.
     """
     if not len(f) or not len(g):
         return f[:0]
-    if min(len(f), len(g)) > MAX_PACKED_DEGREE + 1:
-        raise ValueError("an int64 product sum could overflow: both factors exceed 2048 coefficients")
-    return np.convolve(f, g) % p
+    if min(len(f), len(g)) <= MAX_PACKED_DEGREE + 1:
+        return np.convolve(f, g) % p
+    n = len(f) + len(g) - 1
+    slots = np.frombuffer((_pack_slots(f) * _pack_slots(g)).to_bytes(n * 10, "little"), dtype=np.uint8).reshape(n, 10)
+    low = slots[:, :8].copy().view("<u8")[:, 0] % np.uint64(p)
+    high = slots[:, 8:].copy().view("<u2")[:, 0].astype(np.int64)
+    return (low.astype(np.int64) + high * ((1 << 64) % p)) % p
+
+
+def _pack_slots(f: np.ndarray) -> int:
+    """The residue array f as one int, entry i in the 80-bit slot i (bits 80i..80i+79)."""
+    slots = np.zeros((len(f), 10), dtype=np.uint8)
+    slots[:, :8] = f.astype("<i8").view(np.uint8).reshape(len(f), 8)
+    return int.from_bytes(slots.tobytes(), "little")
+
+
+def _product_mod(factors, g: np.ndarray, p: int, inverse: list) -> np.ndarray:
+    """The product of the residue arrays factors mod g over F_p, reduced after each factor.
+
+    Each reduction is a remainder by g with inverse, the one-item list of
+    g's series inverse that ``_univ_rem_mod`` reads and extends: for a
+    quotient of at most 2048 coefficients (a factor of at most 2048) that is
+    the Newton route, convolutions and no step per quotient coefficient.
+    """
+    acc = np.ones(1, dtype=np.int64)
+    for f in factors:
+        acc = univ_mul_mod(acc, f, p)
+        if len(acc) >= len(g):
+            acc = _univ_rem_mod(acc, g, p, inverse)
+    return acc
 
 
 # certificate lines drawn from one seed, by certify_coprime and by a CoprimeBase
@@ -749,15 +792,18 @@ def _restricted_pairs(lines, p_images: _LineImages, q_images: _LineImages):
 def certify_coprime(P: HomoPoly, Q: HomoPoly, seed: int = 0) -> bool:
     """True only with a proof that gcd(P, Q) is constant.
 
-    Restrict both to a line whose images keep full degree mod p; a constant
-    univariate gcd then forces any common factor to be constant.  False means
-    "unknown" (the caller falls back to ``homo_gcd``).
+    The one-pair case of the coprime base's certificate
+    (``CoprimeBase._certified_coprime``): on a seeded line on which both
+    keep their degree mod p, a constant univariate gcd of the restrictions
+    forces any common factor to be constant.  False means "unknown" (the
+    caller falls back to ``homo_gcd``).  The certificate reads restrictions
+    only up to a nonzero scalar, so Q enters the base as it is.
     """
     if P.is_zero() or Q.is_zero():
         return False
-    lines = _certificate_lines(seed)
-    pairs = _restricted_pairs(lines, _line_images(P, lines), _line_images(Q, lines))
-    return any(len(univ_gcd_mod(rp, rq, p)) == 1 for _, p, rp, rq in pairs)
+    base = CoprimeBase(seed)
+    base.adopt(Q, _line_images(Q, base.lines))
+    return base._certified_coprime(P, _line_images(P, base.lines), (0,), {})
 
 
 # ---------------------------------------------------------------------------
@@ -1055,17 +1101,34 @@ class CoprimeBase:
     replaced), and the polynomial being decomposed likewise for as long as it
     stays unchanged.  Both certificates read these restrictions: a nonzero
     remainder on a line refutes that an atom divides, and a constant gcd on a
-    line proves that two polynomials are coprime.  Each decides only up to a
-    nonzero scalar (remainder zero-ness, gcd degree, line degree), so a sum
-    decides the same with or without its content.  The remainder the
-    division test takes is kept, for as long as the polynomial and the atom
-    stay unchanged, and the gcd on its line starts from it, so no remainder
-    of a polynomial by an atom is taken twice on one line.  Beside each
-    atom's restriction to a line its ``_LineImages`` keeps the inverse of
-    its reversal as a power series, as long as the longest quotient asked so
+    line proves that a polynomial is coprime to one atom or to several at
+    once.  Each decides only up to a nonzero scalar (remainder zero-ness,
+    gcd degree, line degree), so a sum decides the same with or without its
+    content.
+
+    ``decompose`` first tests the polynomial P against the whole base, one
+    gcd per line: gcd(P|L, prod A|L) over the atoms that keep their degree
+    on L, the product reduced mod P|L after each factor.  A constant gcd
+    proves P coprime to each of those atoms: a common factor G of P and an
+    atom A keeps its degree on L (G(a) divides A(a), nonzero mod p), so G|L
+    divides both, and G is constant.  A P so proven coprime to every atom
+    enters as a new atom, with no division test and no per-atom gcd; that
+    is where the per-atom route ends too, so the atoms, exponent vectors and
+    units are the same.  Otherwise (a nonconstant gcd over two or more
+    atoms, or an atom that keeps its degree on no line on which P keeps its)
+    the per-atom route runs: division tests, then one certificate per atom,
+    the one-atom case of the same test, then ``homo_gcd``.  The remainder
+    the division test takes is kept, for as long as the polynomial and the
+    atom stay unchanged, and the one-atom gcd on its line starts from it (or
+    takes it first and keeps it for the division test), so no remainder of a
+    polynomial by an atom is taken twice on one line.  Beside each atom's
+    restriction to a line its ``_LineImages`` keeps the inverse of its
+    reversal as a power series, as long as the longest quotient asked so
     far (``inverses``, at most 2048 residues), so a remainder by the atom
     costs two convolutions, in this base and in any base that adopts the
     atom, and the powers of the restriction that sums read (``powers``).
+    The whole-base test reduces by P|L with the inverse in P's own slot,
+    which its remainders as an atom read once it enters.
 
     A sum is restricted to a line, any line and not only the base's,
     through its atoms (``SumAtom.restrict``), and a degree is proven from
@@ -1163,7 +1226,10 @@ class CoprimeBase:
         out = self.track(unit)
         if images is None:
             images = _line_images(P, self.lines)  # P's restrictions; reset whenever P changes
-        kept: dict = {}  # atom index -> (atom, line index, P|L mod A|L); reset with images
+        kept: dict = {}  # (atom index, line index) -> (atom, P|L mod A|L); reset with images
+        if P.degree >= 1 and self._certified_coprime(P, images, range(len(self.atoms)), kept):
+            out.exps[self.adopt(P, images)] += 1  # coprime to the whole base: a new atom
+            return out
 
         def divide_out():
             nonlocal P, images, kept
@@ -1182,7 +1248,7 @@ class CoprimeBase:
         while P.degree >= 1:
             # coprime-ify the leftover against the base, splitting as required
             for aidx, atom in enumerate(self.atoms):
-                if self._certified_coprime(P, images, aidx, kept):
+                if self._certified_coprime(P, images, (aidx,), kept):
                     continue
                 _, g = homo_gcd(expanded(P), expanded(atom)).primitive_normalized()
                 if g.degree >= 1:
@@ -1208,42 +1274,64 @@ class CoprimeBase:
         A nonzero remainder of the restrictions to the first line on which both
         keep their degree proves the atom does not divide P, as A | P forces
         A|L | P|L mod p; otherwise ``divexact`` decides, on P expanded and on
-        the atom made primitive (``_primitive_atom``).  The remainder goes
-        into kept, for the coprimality gcd on that line.  A remainder already
-        kept for this atom means the atom was tried against this P and did
-        not divide it.
+        the atom made primitive (``_primitive_atom``).
         """
-        atom = self.atoms[idx]
-        if atom.degree > P.degree or self._kept(kept, idx) is not None:
+        if self.atoms[idx].degree > P.degree:
             return None
-        for n, p, rp, ra in _restricted_pairs(self.lines, images, self.images[idx]):
-            rem = _univ_rem_mod(rp, ra, p, self.images[idx].inverses.setdefault(n, []))
-            kept[idx] = (atom, n, rem)
-            if len(rem):
+        for n, _, rp, _ in _restricted_pairs(self.lines, images, self.images[idx]):
+            if len(self._remainder(idx, n, rp, kept)):
                 return None
             break
         return divexact(expanded(P), self._primitive_atom(idx))
 
-    def _certified_coprime(self, P, images: _LineImages, idx: int, kept: dict) -> bool:
-        """True if a constant gcd of the restrictions to some line proves P and atom idx coprime.
+    def _certified_coprime(self, P, images: _LineImages, idxs, kept: dict) -> bool:
+        """True if constant gcds on the base lines prove P, restricted by images, coprime to every atom in idxs.
 
-        On the line of a kept remainder R = P|L mod A|L the gcd starts from
-        gcd(A|L, R), which is gcd(P|L, A|L): the first Euclid step is not
-        taken twice.
+        Line by line, on each line L on which P keeps its degree, the atoms
+        of idxs not yet proven coprime that keep their degree on L are
+        tested at once: if gcd(P|L, prod A|L) is constant, P is coprime to
+        each of them.  A common factor G of P and an atom A keeps its degree
+        on L, as G(a) divides A(a), nonzero mod p; G|L then divides P|L and
+        A|L, so G is constant.  The product is reduced mod P|L after each
+        factor (``_product_mod``, with P|L's series inverse kept in images,
+        where a later remainder by P as an atom finds it).  For a single
+        atom the gcd is gcd(A|L, P|L mod A|L), from the remainder the
+        division test takes (``_remainder``), so no remainder of P|L by A|L
+        is taken twice.  A nonconstant gcd over one atom forgoes that line's
+        certificate and the next line is tried; over two or more it ends
+        the test (some atom likely shares a factor, and the per-atom route
+        finds which).  An empty idxs needs a line on which P keeps its
+        degree, the proof that a sum does not vanish.
         """
-        got = self._kept(kept, idx)
-        for n, p, rp, ra in _restricted_pairs(self.lines, images, self.images[idx]):
-            pair = (ra, got[1]) if got is not None and got[0] == n else (rp, ra)
-            if len(univ_gcd_mod(*pair, p)) == 1:
+        left = list(idxs)
+        for n, (p, _, _) in enumerate(self.lines):
+            rp = images[n]
+            if rp is None:
+                continue
+            here = [idx for idx in left if self.images[idx][n] is not None]
+            if here:
+                if len(here) == 1:
+                    pair = (self.images[here[0]][n], self._remainder(here[0], n, rp, kept))
+                else:
+                    factors = [self.images[idx][n] for idx in here]
+                    pair = (rp, _product_mod(factors, rp, p, images.inverses.setdefault(n, [])))
+                if len(univ_gcd_mod(*pair, p)) > 1:
+                    if len(here) > 1:
+                        return False
+                    continue
+            left = [idx for idx in left if idx not in here]
+            if not left:
                 return True
         return False
 
-    def _kept(self, kept: dict, idx: int):
-        """(line index, remainder) kept for atom idx, or None once the atom was replaced."""
-        got = kept.get(idx)
-        if got is None or got[0] is not self.atoms[idx]:
-            return None
-        return got[1:]
+    def _remainder(self, idx: int, n: int, rp: np.ndarray, kept: dict) -> np.ndarray:
+        """P|L mod A|L on line n for atom idx, rp = P|L; taken once while P and the atom stay unchanged (kept)."""
+        atom, atom_images = self.atoms[idx], self.images[idx]
+        got = kept.get((idx, n))
+        if got is None or got[0] is not atom:
+            rem = _univ_rem_mod(rp, atom_images[n], self.lines[n][0], atom_images.inverses.setdefault(n, []))
+            got = kept[idx, n] = (atom, rem)
+        return got[1]
 
     def _replace(self, idx: int, atom, images: _LineImages):
         """Put atom, restricted by images, at idx; returns [(product, exponent)] of the tracked products that named idx."""

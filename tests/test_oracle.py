@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -308,10 +309,12 @@ class TestCompose:
         def spy(name):
             method = getattr(CoprimeBase, name)
 
-            def wrapper(self, P, images, idx, kept):
-                if id(P) in atoms and id(self.atoms[idx]) in atoms:
-                    pairs.append((name, P, self.atoms[idx]))
-                return method(self, P, images, idx, kept)
+            def wrapper(self, P, images, which, kept):
+                # _quotient takes one atom index, _certified_coprime a sequence of them
+                for idx in [which] if name == "_quotient" else which:
+                    if id(P) in atoms and id(self.atoms[idx]) in atoms:
+                        pairs.append((name, P, self.atoms[idx]))
+                return method(self, P, images, which, kept)
 
             monkeypatch.setattr(CoprimeBase, name, wrapper)
 
@@ -326,8 +329,11 @@ class TestCompose:
         assert not [P for P in restricted if id(P) in atoms]
 
     def test_adopted_atoms_keep_their_series_inverses(self, f_map, monkeypatch):
-        # compose(f, f^2): a remainder by an adopted atom's restriction to a
-        # line on which f^2's base already inverted it takes that inverse
+        # a base that adopts f^2's atoms: a remainder by an adopted atom's
+        # restriction to a line on which f^2's base already inverted it takes
+        # that inverse.  compose(f, f^2) takes no such remainder (each sum is
+        # coprime to the whole base), so the sum decomposed is the product of
+        # two adopted sum atoms, which the division tests divide out
         f2 = compose(f_map, f_map)
         inverted = {
             id(images[n]): atom for atom, images in f2._record for n, inverse in images.inverses.items() if inverse
@@ -342,7 +348,10 @@ class TestCompose:
             return rem(r, g, p, inverse)
 
         monkeypatch.setattr(polynomials, "_univ_rem_mod", counting_rem)
-        assert compose(f_map, f2).degree == 454
+        base = CoprimeBase(seed=oracle._BASE_SEED)
+        sums = [base.adopt(*pair) for pair in f2._record if isinstance(pair[0], polynomials.SumAtom)]
+        got = base.decompose_sum([(1, Counter({sums[0]: 1, sums[1]: 1}))])
+        assert got.exps == Counter({sums[0]: 1, sums[1]: 1})
         assert reused and not fresh
 
     def test_atom_record_set_only_by_compose(self, f_map, monkeypatch):
@@ -748,6 +757,95 @@ class TestDeferredSums:
                     assert got is None or np.array_equal(got, want)
 
 
+def per_atom_certificates(mp):
+    """Take the whole-base test out of CoprimeBase.decompose: every certificate then covers one atom."""
+    certified = CoprimeBase._certified_coprime
+    mp.setattr(
+        CoprimeBase,
+        "_certified_coprime",
+        lambda self, P, images, idxs, kept: len(idxs) == 1 and certified(self, P, images, idxs, kept),
+    )
+
+
+def raw_view(map_):
+    """map_'s raw units and exponents, and its record's atoms by kind and canonical polynomial."""
+    rows = [(unit, [e for _, e in factors]) for unit, factors in map_._raw]
+    atoms = [(type(atom), canonical_images(atom, images)[0]) for atom, images in map_._record]
+    return rows, atoms
+
+
+class TestWholeBaseCertificate:
+    def test_per_atom_route_gives_the_same_maps(self, monkeypatch):
+        # f^3 built with and without the whole-base test: the same atoms,
+        # exponent vectors and units, raw and canonical
+        got, want = [], []
+        for zeta in ORACLE_ZETAS:
+            got.append(iterate_map(compose(g_map(), h_of(zeta)), 3))
+            with monkeypatch.context() as mp:
+                per_atom_certificates(mp)
+                want.append(iterate_map(compose(g_map(), h_of(zeta)), 3))
+        assert [raw_view(m) for m in got] == [raw_view(m) for m in want]
+        assert [m._factored for m in got] == [m._factored for m in want]
+        assert factored_digest(got) == FACTORED_F3_DIGEST
+
+    @pytest.mark.parametrize("zeta", [Z(1, 2), Z(3, 1)], ids=str)
+    def test_one_gcd_per_sum_and_line(self, zeta, monkeypatch):
+        # compose(f, f^2): each sum is certified coprime to the whole base by
+        # at most one gcd per certificate line (the lines have distinct primes)
+        f = compose(g_map(), h_of(zeta))
+        f2 = compose(f, f)
+        sums, current, gcds = [], [None], Counter()
+        decompose, gcd = CoprimeBase.decompose, polynomials.univ_gcd_mod
+
+        def spy_decompose(self, poly, images=None):
+            if isinstance(poly, polynomials.SumAtom):
+                sums.append(poly)  # kept alive, so its id stays unique
+            current.append(poly if isinstance(poly, polynomials.SumAtom) else None)
+            try:
+                return decompose(self, poly, images)
+            finally:
+                current.pop()
+
+        def spy_gcd(a, b, p):
+            if current[-1] is not None:
+                gcds[id(current[-1]), p] += 1
+            return gcd(a, b, p)
+
+        monkeypatch.setattr(CoprimeBase, "decompose", spy_decompose)
+        monkeypatch.setattr(polynomials, "univ_gcd_mod", spy_gcd)
+        assert compose(f, f2).degree == e_sequence(d_sequence(zeta, 3), 3)[3]
+        assert sums and gcds
+        assert max(gcds.values()) == 1
+
+    def test_planted_shared_factor_splits_and_divides(self, monkeypatch):
+        # a base of x0, x1 and (x0 + x1)(x0 - x2); the sum x0^2 - x1^2 shares
+        # x0 + x1 with the third atom only, so its whole-base gcd is not
+        # constant; the per-atom route splits that atom, rewrites a product
+        # that named it, and divides the sum by x0 + x1, as without the test
+        def planted():
+            base = CoprimeBase(seed=3)
+            for P in (X0, X1, (X0 + X1) * (X0 - X2)):
+                base.decompose(P)
+            third, named = base.atoms[2], base.track(1, Counter({2: 1}))
+            got = base.decompose_sum([(1, Counter({0: 2})), (-1, Counter({1: 2}))])
+            atoms = [polynomials.expanded(A) for A in base.atoms]
+            return atoms, (got.unit, dict(got.exps)), (third, named.unit, dict(named.exps))
+
+        atoms, got, named = planted()
+        with monkeypatch.context() as mp:
+            per_atom_certificates(mp)
+            assert planted() == (atoms, got, named)
+        assert len(atoms) == 5 and atoms[2] in (X0 + X1, -(X0 + X1))
+
+        def rebuilt(unit, exps):
+            return polynomials.expand(unit, [atoms[idx].pow(e) for idx, e in exps.items()])
+
+        third, *named = named
+        assert rebuilt(*got) == X0 * X0 - X1 * X1
+        assert rebuilt(*named) == third
+        assert len(named[1]) == 2 and 2 in got[1]
+
+
 class TestInvolutionChecks:
     def test_all_pass(self):
         report = involution_checks()
@@ -801,21 +899,16 @@ class TestLineOracleConsistency:
     def test_exact_fourth_iterate(self, zeta):
         # the exact route proves e_4 (1744 to 6890, past the packing cap but
         # for -1+2i and -1-2i) from line certificates of unexpanded sums; the
-        # line oracle agrees, but for 3+i and 3-i (e_4 = 6890), where a
+        # line oracle agrees, also for 3+i and 3-i (e_4 = 6890), where a
         # product of two curve evaluations exceeds 2048 coefficients on both
-        # sides and it refuses
+        # sides and takes the Kronecker route
         f4 = iterate_map(compose(g_map(), h_of(zeta)), 4, Budget(degree_cap=10**5))
         e4 = e_sequence(d_sequence(zeta, 4), 4)[4]
         assert f4.degree == e4
-        if zeta in (Z(3, 1), Z(3, -1)):
-            with pytest.raises(ValueError, match="both factors exceed 2048 coefficients"):
-                factored_line_degree(f4)
-        else:
-            assert factored_line_degree(f4) == e4
+        assert factored_line_degree(f4) == e4
 
-    def test_refused_past_product_bound(self):
+    def test_composed_past_product_bound(self):
         # for 1+2i a product of two curve evaluations exceeds 2048 coefficients
-        # on both sides, and the oracle raises rather than return a degree
+        # on both sides (the Kronecker route), and the oracle gives e_4
         f2 = iterate_map(compose(g_map(), h_of(Z(1, 2))), 2)
-        with pytest.raises(ValueError, match="both factors exceed 2048 coefficients"):
-            composed_line_degree(f2, f2)
+        assert composed_line_degree(f2, f2) == e_sequence(d_sequence(Z(1, 2), 4), 4)[4] == 3114

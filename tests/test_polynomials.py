@@ -661,6 +661,21 @@ class TestLineTools:
         assert univ_gcd_mod(rfull, rshort, p).tolist() == ref_gcd_mod(full, short, p) == [1] * 8
         assert rfull.tolist() == full and rshort.tolist() == short  # inputs not overwritten
 
+    @pytest.mark.parametrize(
+        "lengths, p",
+        [
+            ((2049, 2049), LINE_PRIMES[0]),
+            ((3000, 5000), LINE_PRIMES[0]),
+            ((2049, 2049), (1 << 31) - 1),  # slot sums up to 2049 (p - 1)^2 > 2^72: the high 16 bits
+        ],
+        ids=["2049x2049", "3000x5000", "2049x2049-high-bits"],
+    )
+    def test_kronecker_product_past_2048(self, lengths, p):
+        # both inputs longer than 2048 coefficients, all p - 1: the product
+        # packs them into 80-bit slots, and matches the pure-Python reference
+        f, g = ([p - 1] * n for n in lengths)
+        assert univ_mul_mod(residues(f, p), residues(g, p), p).tolist() == ref_mul_mod(f, g, p)
+
     def test_univ_gcd_mod(self):
         p = LINE_PRIMES[1]
         # (x+1)(x+2) and (x+1)(x+3) share x+1
