@@ -24,13 +24,23 @@ from .intervals import (
     Dyadic,
     RealInterval,
     _pi_brackets_bits,
+    abs_sq,
+    abs_sup,
     atan2_brackets,
+    box_product,
+    box_quotient,
+    gaussian_product,
+    intersect,
+    real_product,
+    scale_int,
+    squeeze,
+    widen,
 )
+from .powering import binary_power
 from .solver import (
+    _as_width_fraction,
     _bits_of,
-    _box_product,
     _choose_tail_terms,
-    _gaussian_product,
     _series_table,
     precision_cap,
     precision_ladder,
@@ -63,11 +73,11 @@ def _theta_fraction_brackets(re: int, im: int, prec: int):
 
 @dataclass(frozen=True)
 class ThetaContext:
-    """Certified enclosure of the rotation number at a stated precision."""
+    """Certified enclosure theta in [A, B] * 2^-precision_bits of the rotation number."""
 
     zeta: GaussianInt
     precision_bits: int
-    theta: RealInterval
+    theta: tuple  # (A, B)
 
     def refined(self, precision_bits: int) -> "ThetaContext":
         if precision_bits <= self.precision_bits:
@@ -84,10 +94,11 @@ def theta_interval(zeta: GaussianInt, precision_bits: int = 128) -> ThetaContext
     if precision_bits > cap:  # before the exact brackets, whose cost grows fast with the bits
         raise PrecisionError(f"theta precision of {precision_bits} bits exceeds the cap of {cap} bits")
     tl, th = _theta_fraction_brackets(zeta.re, zeta.im, precision_bits)
-    box = RealInterval.from_fractions(tl, th, precision_bits)
-    if not box.strictly_inside_unit():
+    lo = (tl.numerator << precision_bits) // tl.denominator
+    hi = -((-th.numerator << precision_bits) // th.denominator)
+    if not 0 < lo <= hi < 1 << precision_bits:
         raise PrecisionError("rotation-number enclosure escaped (0,1); raise precision")
-    return ThetaContext(zeta=zeta, precision_bits=precision_bits, theta=box)
+    return ThetaContext(zeta=zeta, precision_bits=precision_bits, theta=(lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +114,7 @@ class ContinuedFraction:
     coefficients: tuple  # a_0 .. a_depth
     convergents: tuple  # (m_i, n_i), i = 0 .. depth
     precision_bits: int
-    theta: RealInterval
+    theta: tuple  # theta in [A, B] * 2^-precision_bits
 
     @property
     def depth(self) -> int:
@@ -138,7 +149,7 @@ def _cf_at_precision(bits, args):
         lo, hi = 1 / hi, 1 / lo
     convs = _convergents_from(coeffs)
     theta = theta_interval(zeta, bits).theta
-    if not _certify_convergents(theta, convs):
+    if not _certify_convergents(theta, bits, convs):
         return None
     return ContinuedFraction(
         zeta=zeta, coefficients=tuple(coeffs), convergents=convs, precision_bits=bits, theta=theta
@@ -171,23 +182,28 @@ def cf_expand(ctx: ThetaContext, depth: int) -> ContinuedFraction:
     )
 
 
-def _certify_convergents(theta: RealInterval, convs) -> bool:
-    """|n_i t - m_i| < 1/n_i and alternation of m_i - n_i t, in intervals."""
+def _certify_convergents(theta, p: int, convs) -> bool:
+    """|n_i t - m_i| < 1/n_i and alternation of m_i - n_i t, for t in theta over 2^p."""
     prev_n = 0
     for i, (m, n) in enumerate(convs):
         if n < max(prev_n, 1):
             return False
         prev_n = max(prev_n, n)
-        err = theta.scale_int(n) - RealInterval.point(m)  # n*t - m
-        bound = Fraction(1, n)
-        if not (abs(err.lo.to_fraction()) < bound and abs(err.hi.to_fraction()) < bound):
+        lo, hi = _offset(theta, p, n, m)
+        if not (abs(lo) * n < 1 << p and abs(hi) * n < 1 << p):
             return False
         if i % 2 == 0:  # even convergents approximate from below: n*t - m > 0
-            if not err.strictly_positive():
+            if lo <= 0:
                 return False
-        elif not err.strictly_negative():
+        elif hi >= 0:
             return False
     return True
+
+
+def _offset(theta, p: int, n: int, m: int):
+    """The real box n*t - m over 2^p, for t in theta over 2^p."""
+    lo, hi = scale_int(theta, n)
+    return lo - (m << p), hi - (m << p)
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +237,11 @@ def octant_gamma(ctx: ThetaContext, j: int):
 def _octant_at(bits, args):
     """(octant, gamma) of j*theta decided at bits, args = (ctx, j); None if undecided."""
     ctx, j = args
-    theta = ctx.refined(bits).theta
-    lo, hi = theta.lo, theta.hi
-    p = -min(lo.exp, hi.exp)  # both endpoints are multiples of 2^-p
-    a = (8 * j * lo.man) << (lo.exp + p)
+    ctx = ctx.refined(bits)
+    (lo, hi), p = ctx.theta, ctx.precision_bits
+    a = 8 * j * lo
     q = a >> p
-    if q == ((8 * j * hi.man) << (hi.exp + p)) >> p and a & ((1 << p) - 1):
+    if q == (8 * j * hi) >> p and a & ((1 << p) - 1):
         k = q & 7  # q is the floor of 8*j*theta
         return k, OCTANT_TO_GAMMA[k]
     return None
@@ -362,15 +377,12 @@ def regular_window_check(ctx: ThetaContext, n: int, C) -> RegularWindowReport:
 def _certify_hypothesis(ctx: ThetaContext, n: int, eps: Fraction):
     bits = max(ctx.precision_bits, 2 * n.bit_length() + 32)
     theta = theta_interval(ctx.zeta, bits).theta
-    scaled = theta.scale_int(n)
-    m = round(scaled.mid().to_fraction())
-    err = scaled - RealInterval.point(m)
-    bound = eps / n
-    hi = max(abs(err.lo.to_fraction()), abs(err.hi.to_fraction()))
-    lo = 0 if err.contains_zero() else min(abs(err.lo.to_fraction()), abs(err.hi.to_fraction()))
-    if hi < bound:
+    m = round(Fraction(sum(scale_int(theta, n)), 2 << bits))  # nearest to n * midpoint
+    lo, hi = _offset(theta, bits, n, m)
+    bound = eps * (1 << bits) / n  # over 2^bits
+    if max(abs(lo), abs(hi)) < bound:
         return True
-    if lo >= bound:
+    if not lo <= 0 <= hi and min(abs(lo), abs(hi)) >= bound:
         return False
     return None
 
@@ -406,16 +418,9 @@ def badly_approximable_diagnostics(cf: ContinuedFraction) -> BadApproxReport:
     if cf.depth < 2:
         raise ValueError("need depth >= 2")
     max_coeff = max(cf.coefficients[1:])
-    kappa_lo = None
-    kappa_hi = None
-    for (m, n) in cf.convergents:
-        err = cf.theta.scale_int(n) - RealInterval.point(m)
-        mag_lo = Dyadic.from_int(0) if err.contains_zero() else min(abs(err.lo), abs(err.hi))
-        mag_hi = max(abs(err.lo), abs(err.hi))
-        stat_lo = mag_lo * Dyadic.from_int(n)
-        stat_hi = mag_hi * Dyadic.from_int(n)
-        kappa_lo = stat_lo if kappa_lo is None else min(kappa_lo, stat_lo)
-        kappa_hi = stat_hi if kappa_hi is None else min(kappa_hi, stat_hi)
+    errs = [(n, _offset(cf.theta, cf.precision_bits, n, m)) for m, n in cf.convergents]
+    kappa_lo = min(n * (0 if lo <= 0 <= hi else min(abs(lo), abs(hi))) for n, (lo, hi) in errs)
+    kappa_hi = min(n * max(abs(lo), abs(hi)) for n, (lo, hi) in errs)
     ratios = [
         Fraction(n2, n1)
         for (_, n1), (_, n2) in zip(cf.convergents, cf.convergents[1:])
@@ -425,7 +430,7 @@ def badly_approximable_diagnostics(cf: ContinuedFraction) -> BadApproxReport:
         zeta=cf.zeta,
         depth=cf.depth,
         max_coefficient=max_coeff,
-        kappa=RealInterval(kappa_lo, kappa_hi),
+        kappa=RealInterval.from_fixed(kappa_lo, kappa_hi, cf.precision_bits),
         max_denominator_ratio=max(ratios),
     )
 
@@ -441,31 +446,39 @@ def badly_approximable_diagnostics(cf: ContinuedFraction) -> BadApproxReport:
 _last_power = (None, 0, None)
 
 
-def _alpha_power(alpha: ComplexInterval, n: int) -> ComplexInterval:
-    """The exact alpha^n; phi_n_eval and psi_n_eval of one alpha and n build it once.
+def _alpha_power(a, pa: int, n: int, prec: int):
+    """alpha^n over 2^prec, squeezed from the exact power of the box a over 2^pa.
 
-    The last power is kept in a module slot and reused while alpha (compared by
-    value) and n are unchanged.
+    phi_n_eval and psi_n_eval of one alpha and n build the exact power once:
+    the last one is kept in a module slot and reused while alpha and n are
+    unchanged.
     """
     global _last_power
     alpha0, n0, power = _last_power
-    if n0 != n or alpha0 != alpha:
-        power = alpha.pow_int(n)
-        _last_power = (alpha, n, power)
-    return power
+    if n0 != n or alpha0 != (a, pa):
+        power = binary_power(a, n, (1, 1, 0, 0), box_product)  # over 2^(n pa)
+        _last_power = ((a, pa), n, power)
+    return squeeze(power, n * pa - prec)
+
+
+def _periodic_sum(a, pa: int, n: int, partial, prec: int):
+    """(conj(alpha^n), 1 - alpha^n, Phi_n) over 2^prec, for partial the table's sum at n."""
+    rl, rh, il, ih = _alpha_power(a, pa, n, prec)
+    gap = ((1 << prec) - rh, (1 << prec) - rl, -ih, -il)
+    return (rl, rh, -ih, -il), gap, box_quotient(partial, gap, prec)
 
 
 def phi_n_eval(ctx: ThetaContext, n: int, alpha: ComplexInterval) -> ComplexInterval:
     """Box around (1 - alpha^n)^(-1) * sum_{j<=n} gamma(j) alpha^j."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    w = alpha.max_width()
-    prec = max(96, (-w.exp if w.exp < 0 else 0) + 32)
-    if alpha.abs_sq().hi >= Dyadic.from_int(1):
+    a, pa = alpha.fixed()
+    w = Dyadic.make(max(a[1] - a[0], a[3] - a[2]), -pa)  # the wider side, canonical
+    prec = max(96, 32 - w.exp)
+    if abs_sq(a)[1] >= 1 << (2 * pa):
         raise PrecisionError("need sup|alpha| < 1")
-    _, sums = _series_table(DegreeCache(ctx.zeta).extend_to(n).gammas, alpha, prec)
-    box = ComplexInterval.from_fixed(sums[n - 1], prec)
-    return box.div(ComplexInterval.point(1, 0) - _alpha_power(alpha, n).squeeze(prec), prec)
+    _, sums = _series_table(DegreeCache(ctx.zeta).extend_to(n).gammas, a, pa, prec)
+    return ComplexInterval.from_fixed(_periodic_sum(a, pa, n, sums[n - 1], prec)[2], prec)
 
 
 def psi_n_eval(ctx: ThetaContext, n: int, alpha: ComplexInterval, tail_tol) -> RealInterval:
@@ -475,47 +488,40 @@ def psi_n_eval(ctx: ThetaContext, n: int, alpha: ComplexInterval, tail_tol) -> R
     boxes; route (b) sums the sparse bilinear expansion over irregular
     indices with a certified tail.  Both read one table (_series_table):
     route (a) its partial sums at N and n, route (b) the powers alpha^j at
-    irregular j.  Route (b) runs on the table's ints over 2^prec: each
-    alpha^j * conj(alpha^n) is squeezed by a shift of prec bits, as
-    ComplexInterval.squeeze, and the scalings by beta and by 2 and the sum
-    are exact, so the one RealInterval built at the end is the box that
-    interval arithmetic gives.  The routes must intersect; the intersection
-    is returned.
+    irregular j, each alpha^j * conj(alpha^n) squeezed to prec.  The routes
+    must intersect; the intersection is returned.
     """
-    tol = Fraction(tail_tol)
-    if tol <= 0:
-        raise ValueError("tail_tol must be positive")
+    tol = _as_width_fraction(tail_tol)
     if n < 1:
         raise ValueError("n must be >= 1")
     prec = max(96, _bits_of(tol) + 48)
-    s_hi = alpha.abs_sup(prec)
+    a, pa = alpha.fixed()
     # sqrt(20) as phi_eval; 4*sqrt(20) per bilinear term
-    (N, phi_tail), (T, tail) = _choose_tail_terms(s_hi, tol, prec, 20, 320)
+    (N, phi_tail), (T, tail) = _choose_tail_terms(abs_sup(a, pa, prec), tol, prec, 20, 320)
     T = max(T, n + 1)
     gammas = DegreeCache(ctx.zeta).extend_to(max(N, T)).gammas
-    powers, sums = _series_table(gammas, alpha, prec)
+    powers, sums = _series_table(gammas, a, pa, prec)
 
-    alpha_n = _alpha_power(alpha, n).squeeze(prec)
-    gap = ComplexInterval.point(1, 0) - alpha_n
-    phi_box = ComplexInterval.from_fixed(sums[N - 1], prec).widen(phi_tail)
-    phin_box = ComplexInterval.from_fixed(sums[n - 1], prec).div(gap, prec)  # as phi_n_eval
-    route_a = gap.abs_sq().scale_int(2) * (phi_box.re - phin_box.re)
+    # route (a), over 2^(4 prec): the tails are over 2^(2 prec)
+    conj_n, gap, phi_n = _periodic_sum(a, pa, n, sums[n - 1], prec)
+    phi_lo, phi_hi = widen(squeeze(sums[N - 1][:2], -prec), phi_tail)
+    phin_lo, phin_hi = squeeze(phi_n[:2], -prec)
+    route_a = real_product(*scale_int(abs_sq(gap), 2), phi_lo - phin_hi, phi_hi - phin_lo)
 
     report = _irregularity_report(gammas, n, T)
-    conj_n = alpha_n.conj().fixed(prec)  # exact: alpha_n is squeezed to prec
     lo = hi = 0
     for j in report.irregular:
         c = report.beta[(j, 0)]
-        rl, rh, _, _ = _gaussian_product(powers[j - 1], c)
+        rl, rh, _, _ = gaussian_product(powers[j - 1], c)
         lo, hi = lo + 2 * rl, hi + 2 * rh  # beta_(j,0) and beta_(0,j) pair
         if j + n <= T:
-            rl, rh, _, _ = _gaussian_product(_box_product(powers[j - 1], conj_n, prec), c)
+            rl, rh, _, _ = gaussian_product(box_product(powers[j - 1], conj_n, prec), c)
             lo, hi = lo - 2 * rh, hi - 2 * rl
-    route_b = RealInterval.from_fixed(lo, hi, prec).widen(tail)
+    route_b = squeeze(widen(squeeze((lo, hi), -prec), tail), -2 * prec)
 
-    meet = route_a.intersect(route_b)
+    meet = intersect(route_a, route_b)
     if meet is None:
         raise InconsistencyError(
-            f"defect routes disjoint at n={n}: a={route_a!r}, b={route_b!r}"
+            f"defect routes disjoint at n={n}: a={route_a}, b={route_b} over 2^{4 * prec}"
         )
-    return meet
+    return RealInterval.from_fixed(*meet, 4 * prec)

@@ -1,13 +1,17 @@
-"""Dyadic arbitrary-precision interval arithmetic with explicit outward rounding.
+"""Fixed-point boxes with one outward-rounding rule; pi and arctangent brackets.
 
-Endpoints are exact dyadic rationals m * 2^e.  Addition, subtraction and
-multiplication of dyadics are exact; division and square roots round in a
-stated direction at an explicit fractional-bit precision.  No global rounding
-state exists: every rounding operation names its direction and precision.
+The certified layers carry a box as a tuple of endpoint ints over one
+2^prec that the caller keeps track of: (lo, hi) for a real box and (re lo,
+re hi, im lo, im hi) for a complex one, lower endpoints at even positions.
+Sums, integer scalings and products are exact on the ints (a product of
+boxes over 2^p and 2^q is over 2^(p+q)).  The one rounding rule is a right
+shift that floors a lower endpoint and ceils an upper one, so a rounded box
+contains the exact one.  RealInterval and ComplexInterval are the read-only
+views that the public functions return, with canonical Dyadic endpoints.
 
 The transcendental enclosures (pi, arctangent) are produced from alternating
 Taylor series evaluated in exact rational arithmetic, so consecutive partial
-sums bracket the true value; outward dyadic rounding happens once at the end.
+sums bracket the true value.
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-
-from .powering import binary_power
 
 
 def _normalized(man: int, exp: int):
@@ -28,6 +30,7 @@ def _normalized(man: int, exp: int):
     return man >> shift, exp + shift
 
 
+# Dyadic stays whole: perfbench's tracer wraps each name in DYADIC_METHODS; its checks read man, exp.
 @dataclass(frozen=True)
 class Dyadic:
     """Exact dyadic rational man * 2^exp, canonical (man odd or zero)."""
@@ -210,13 +213,11 @@ class Dyadic:
 
 
 _ZERO = Dyadic(0, 0)
-DY_ZERO = _ZERO
-DY_ONE = Dyadic(1, 0)
 
 
 @dataclass(frozen=True)
 class RealInterval:
-    """Closed interval [lo, hi] with exact dyadic endpoints."""
+    """Read-only view of a real box: the closed interval [lo, hi] with Dyadic endpoints."""
 
     lo: Dyadic
     hi: Dyadic
@@ -226,183 +227,24 @@ class RealInterval:
             raise ValueError(f"interval endpoints out of order: {self.lo!r} > {self.hi!r}")
 
     @staticmethod
-    def point(x) -> "RealInterval":
-        d = Dyadic.from_int(x) if isinstance(x, int) else x
-        return RealInterval(d, d)
-
-    @staticmethod
-    def from_fractions(lo: Fraction, hi: Fraction, prec: int) -> "RealInterval":
-        return RealInterval(
-            Dyadic.from_fraction(lo, prec, "floor"),
-            Dyadic.from_fraction(hi, prec, "ceil"),
-        )
-
-    def __add__(self, other: "RealInterval") -> "RealInterval":
-        return RealInterval(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other: "RealInterval") -> "RealInterval":
-        return RealInterval(self.lo - other.hi, self.hi - other.lo)
-
-    def __neg__(self) -> "RealInterval":
-        return RealInterval(-self.hi, -self.lo)
-
-    def __mul__(self, other: "RealInterval") -> "RealInterval":
-        """Exact product; two endpoint products unless a factor straddles 0.
-
-        A factor with lo >= 0 or hi <= 0 has one sign, so the signs pick the
-        endpoints of the min and the max of the four products.
-        """
-        a, b, c, d = self.lo, self.hi, other.lo, other.hi
-        if a.man >= 0:
-            if c.man >= 0:
-                return RealInterval(a * c, b * d)
-            if d.man <= 0:
-                return RealInterval(b * c, a * d)
-        elif b.man <= 0:
-            if c.man >= 0:
-                return RealInterval(a * d, b * c)
-            if d.man <= 0:
-                return RealInterval(b * d, a * c)
-        products = (a * c, a * d, b * c, b * d)
-        return RealInterval(min(products), max(products))
-
-    def scale_int(self, n: int) -> "RealInterval":
-        d = Dyadic.from_int(n)
-        if n >= 0:
-            return RealInterval(self.lo * d, self.hi * d)
-        return RealInterval(self.hi * d, self.lo * d)
-
-    def sq(self) -> "RealInterval":
-        """Interval square, sharp at intervals containing zero."""
-        a, b = self.lo, self.hi
-        if a.sign() >= 0:
-            return RealInterval(a * a, b * b)
-        if b.sign() <= 0:
-            return RealInterval(b * b, a * a)
-        return RealInterval(_ZERO, max(a * a, b * b))
-
-    def div(self, other: "RealInterval", prec: int) -> "RealInterval":
-        if other.contains_zero():
-            raise ZeroDivisionError("division by an interval containing zero")
-        los = []
-        his = []
-        for a in (self.lo, self.hi):
-            for b in (other.lo, other.hi):
-                los.append(Dyadic.div(a, b, prec, "floor"))
-                his.append(Dyadic.div(a, b, prec, "ceil"))
-        return RealInterval(min(los), max(his))
-
-    def recip(self, prec: int) -> "RealInterval":
-        return RealInterval.point(1).div(self, prec)
-
-    def squeeze(self, prec: int) -> "RealInterval":
-        """Outward requantization; contains the original interval."""
-        return RealInterval(self.lo.round(prec, "floor"), self.hi.round(prec, "ceil"))
-
-    @staticmethod
     def from_fixed(lo: int, hi: int, prec: int) -> "RealInterval":
         """The interval [lo, hi] * 2^-prec."""
         return RealInterval(Dyadic.make(lo, -prec), Dyadic.make(hi, -prec))
 
-    def fixed(self, prec: int):
-        """(lo, hi) ints over 2^prec of the interval squeezed to prec."""
-        lo, hi = self.lo, self.hi
-        return Dyadic(lo.man, lo.exp + prec).floor_int(), -Dyadic(-hi.man, hi.exp + prec).floor_int()
+    def fixed(self):
+        """((lo, hi), p): the endpoints as ints over 2^p, for the least p >= 0 that keeps them exact."""
+        return _fixed((self.lo, self.hi))
 
     def width(self) -> Dyadic:
         return self.hi - self.lo
 
-    def mid(self) -> Dyadic:
-        return Dyadic.make(1, -1) * (self.lo + self.hi)
-
-    def contains_zero(self) -> bool:
-        return self.lo.sign() <= 0 <= self.hi.sign()
-
-    def contains(self, x) -> bool:
-        if isinstance(x, Dyadic):
-            return self.lo <= x <= self.hi
-        fr = Fraction(x)
-        return self.lo.to_fraction() <= fr <= self.hi.to_fraction()
-
-    def contains_interval(self, other: "RealInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
-    def intersect(self, other: "RealInterval"):
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            return None
-        return RealInterval(lo, hi)
-
-    def widen(self, margin: Dyadic) -> "RealInterval":
-        if margin.sign() < 0:
-            raise ValueError("margin must be >= 0")
-        return RealInterval(self.lo - margin, self.hi + margin)
-
-    def strictly_positive(self) -> bool:
-        return self.lo.sign() > 0
-
-    def strictly_negative(self) -> bool:
-        return self.hi.sign() < 0
-
-    def strictly_inside_unit(self) -> bool:
-        return self.lo > Dyadic.from_int(0) and self.hi < Dyadic.from_int(1)
-
-    def __repr__(self):
-        return f"RealInterval({float(self.lo):.17g}, {float(self.hi):.17g})"
-
 
 @dataclass(frozen=True)
 class ComplexInterval:
-    """Axis-aligned box re + i*im with RealInterval components."""
+    """Read-only view of a complex box re + i*im."""
 
     re: RealInterval
     im: RealInterval
-
-    @staticmethod
-    def point(re: int, im: int) -> "ComplexInterval":
-        return ComplexInterval(RealInterval.point(re), RealInterval.point(im))
-
-    def __add__(self, other: "ComplexInterval") -> "ComplexInterval":
-        return ComplexInterval(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "ComplexInterval") -> "ComplexInterval":
-        return ComplexInterval(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "ComplexInterval") -> "ComplexInterval":
-        return ComplexInterval(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def mul_gaussian(self, g) -> "ComplexInterval":
-        """Multiply by an exact Gaussian integer (g.re, g.im)."""
-        return ComplexInterval(
-            self.re.scale_int(g.re) - self.im.scale_int(g.im),
-            self.re.scale_int(g.im) + self.im.scale_int(g.re),
-        )
-
-    def conj(self) -> "ComplexInterval":
-        return ComplexInterval(self.re, -self.im)
-
-    def abs_sq(self) -> RealInterval:
-        return self.re.sq() + self.im.sq()
-
-    def abs_sup(self, prec: int) -> Dyadic:
-        return Dyadic.sqrt(self.abs_sq().hi, prec, "ceil")
-
-    def pow_int(self, n: int) -> "ComplexInterval":
-        return binary_power(self, n, ComplexInterval.point(1, 0))
-
-    def div(self, other: "ComplexInterval", prec: int) -> "ComplexInterval":
-        denom = other.abs_sq()
-        if denom.contains_zero():
-            raise ZeroDivisionError("division by a complex box containing zero")
-        num = self * other.conj()
-        return ComplexInterval(num.re.div(denom, prec), num.im.div(denom, prec))
-
-    def squeeze(self, prec: int) -> "ComplexInterval":
-        return ComplexInterval(self.re.squeeze(prec), self.im.squeeze(prec))
 
     @staticmethod
     def from_fixed(ends, prec: int) -> "ComplexInterval":
@@ -410,18 +252,122 @@ class ComplexInterval:
         rl, rh, il, ih = ends
         return ComplexInterval(RealInterval.from_fixed(rl, rh, prec), RealInterval.from_fixed(il, ih, prec))
 
-    def fixed(self, prec: int):
-        """(re lo, re hi, im lo, im hi) ints over 2^prec of the box squeezed to prec."""
-        return self.re.fixed(prec) + self.im.fixed(prec)
+    def fixed(self):
+        """((re lo, re hi, im lo, im hi), p), as RealInterval.fixed."""
+        return _fixed((self.re.lo, self.re.hi, self.im.lo, self.im.hi))
 
-    def widen(self, margin: Dyadic) -> "ComplexInterval":
-        return ComplexInterval(self.re.widen(margin), self.im.widen(margin))
 
-    def max_width(self) -> Dyadic:
-        return max(self.re.width(), self.im.width())
+def _fixed(ends):
+    p = max(0, *(-d.exp for d in ends))
+    return tuple(d.man << (d.exp + p) for d in ends), p
 
-    def __repr__(self):
-        return f"ComplexInterval({self.re!r}, {self.im!r})"
+
+# ---------------------------------------------------------------------------
+# The box kernel (see the module docstring)
+# ---------------------------------------------------------------------------
+
+
+def squeeze(box, shift: int):
+    """The box over 2^p moved to 2^(p - shift): rounded outward by a right shift, exact if shift <= 0."""
+    if shift <= 0:
+        return tuple(e << -shift for e in box)
+    return tuple(-(-e >> shift) if i & 1 else e >> shift for i, e in enumerate(box))
+
+
+def widen(box, margin: int):
+    """The box grown by margin >= 0 on every side."""
+    return tuple(e + margin if i & 1 else e - margin for i, e in enumerate(box))
+
+
+def intersect(x, y):
+    """The common part of the real boxes x and y, or None if they are disjoint."""
+    lo, hi = max(x[0], y[0]), min(x[1], y[1])
+    return None if lo > hi else (lo, hi)
+
+
+def scale_int(x, n: int):
+    """The real box x times the integer n."""
+    lo, hi = x[0] * n, x[1] * n
+    return (lo, hi) if n >= 0 else (hi, lo)
+
+
+def real_product(a: int, b: int, c: int, d: int):
+    """The exact [a, b] * [c, d]; two endpoint products unless a factor straddles 0.
+
+    A factor with lo >= 0 or hi <= 0 has one sign, so the signs pick the
+    endpoints of the min and the max of the four products.
+    """
+    if a >= 0:
+        if c >= 0:
+            return a * c, b * d
+        if d <= 0:
+            return b * c, a * d
+    elif b <= 0:
+        if c >= 0:
+            return a * d, b * c
+        if d <= 0:
+            return b * d, a * c
+    products = (a * c, a * d, b * c, b * d)
+    return min(products), max(products)
+
+
+def box_product(x, y, shift: int = 0):
+    """The complex box x * y, its endpoints floored or ceiled by a right shift of shift bits."""
+    rl, rh, il, ih = x
+    a, b, c, d = y
+    pl, ph = real_product(rl, rh, a, b)  # re x * re y
+    ql, qh = real_product(il, ih, c, d)  # im x * im y
+    ul, uh = real_product(rl, rh, c, d)  # re x * im y
+    vl, vh = real_product(il, ih, a, b)  # im x * re y
+    return (pl - qh) >> shift, -((ql - ph) >> shift), (ul + vl) >> shift, -((-uh - vh) >> shift)
+
+
+def gaussian_product(x, g):
+    """The complex box x * g, exact, for a Gaussian integer g."""
+    p, q = scale_int(x[:2], g.re), scale_int(x[2:], g.im)
+    u, v = scale_int(x[:2], g.im), scale_int(x[2:], g.re)
+    return p[0] - q[1], p[1] - q[0], u[0] + v[0], u[1] + v[1]
+
+
+def abs_sq(x):
+    """The real box re^2 + im^2 of the complex box x, exact; a part straddling 0 adds [0, max square]."""
+    lo = hi = 0
+    for a, b in (x[:2], x[2:]):
+        if a >= 0:
+            lo, hi = lo + a * a, hi + b * b
+        elif b <= 0:
+            lo, hi = lo + b * b, hi + a * a
+        else:
+            hi += max(a * a, b * b)
+    return lo, hi
+
+
+def ceil_sqrt(n: int) -> int:
+    q = isqrt(n)
+    return q + (q * q != n)
+
+
+def abs_sup(x, p: int, prec: int) -> int:
+    """An upper bound over 2^prec on |z| for z in the complex box x over 2^p."""
+    return ceil_sqrt(squeeze(abs_sq(x), 2 * (p - prec))[1])  # ceil(sqrt(ceil(y))) = ceil(sqrt(y))
+
+
+def quotient(x, y, shift: int):
+    """The real box x / y times 2^shift, shift >= 0, floored and ceiled, for a real box y > 0."""
+    (a, b), (c, d) = x, y
+    if c <= 0:
+        raise ZeroDivisionError("division by a box that is not positive")
+    return (a << shift) // (d if a >= 0 else c), -((-b << shift) // (c if b >= 0 else d))
+
+
+def box_quotient(x, y, shift: int):
+    """The complex box x / y times 2^shift, for complex boxes over one scale, 0 not in y.
+
+    x * conj(y) and |y|^2 are exact; each part of the first is divided by the second.
+    """
+    rl, rh, il, ih = y
+    num, den = box_product(x, (rl, rh, -ih, -il)), abs_sq(y)
+    return quotient(num[:2], den, shift) + quotient(num[2:], den, shift)
 
 
 # ---------------------------------------------------------------------------
@@ -488,12 +434,6 @@ def _pi_brackets_err(err: Fraction):
     return _pi_brackets_bits(bits)
 
 
-def pi_interval(prec: int) -> RealInterval:
-    """Certified enclosure of pi at 2^-prec resolution."""
-    lo, hi = _pi_brackets_bits(prec + 4)
-    return RealInterval.from_fractions(lo, hi, prec)
-
-
 def atan2_brackets(y: int, x: int, prec: int):
     """Exact rational bracket of atan2(y, x) in (-pi, pi], for integer x, y not both 0."""
     if x == 0 and y == 0:
@@ -510,7 +450,3 @@ def atan2_brackets(y: int, x: int, prec: int):
         return lo + pl, hi + ph
     return lo - ph, hi - pl
 
-
-def atan2_interval(y: int, x: int, prec: int) -> RealInterval:
-    lo, hi = atan2_brackets(y, x, prec)
-    return RealInterval.from_fractions(lo, hi, prec)

@@ -12,8 +12,8 @@ def binary_power(x, n: int, one, mul=_mul):
     takes a factor at each set bit of n, and x is squared between bits but
     not after the top one, so n >= 1 costs popcount(n) + bit_length(n) - 1
     products.  Each product is ``mul(result, x)`` or ``mul(x, x)`` (by
-    default ``result * x`` and ``x * x``), in that order, so interval types
-    see the same operations on every run.
+    default ``result * x`` and ``x * x``), in that order, so a box power
+    takes the same roundings on every run.
     """
     if n < 0:
         raise ValueError("negative exponent")

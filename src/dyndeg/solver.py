@@ -34,11 +34,22 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 from .errors import PrecisionError
 from .gaussian import DegreeCache, GaussianInt, _require_admissible
-from .intervals import DY_ONE, ComplexInterval, Dyadic, RealInterval
+from .intervals import (
+    ComplexInterval,
+    Dyadic,
+    RealInterval,
+    abs_sq,
+    abs_sup,
+    box_product,
+    ceil_sqrt,
+    gaussian_product,
+    quotient,
+    squeeze,
+    widen,
+)
 
 DEFAULT_PRECISION_CAP = 1 << 16
 _TERM_CAP = 1 << 20
@@ -127,11 +138,6 @@ def _as_width_fraction(target_width) -> Fraction:
     return w
 
 
-def _ceil_sqrt(n: int) -> int:
-    q = isqrt(n)
-    return q + (q * q != n)
-
-
 def _horner_directed(coeffs, m: int, s: int, direction: str) -> int:
     """sum_{j=1}^{N} d_j t^j at t = m * 2^-s, rounded after every step, over 2^prec.
 
@@ -172,8 +178,8 @@ class _PartialSums:
         self.cache = cache
         self.prec = prec
         self.one = 1 << prec
-        self.abs_hi = _ceil_sqrt(cache.zeta.norm_sq() << (2 * prec))
-        self.sqrt5_hi = _ceil_sqrt(5 << (2 * prec))
+        self.abs_hi = ceil_sqrt(cache.zeta.norm_sq() << (2 * prec))
+        self.sqrt5_hi = ceil_sqrt(5 << (2 * prec))
 
     def resize(self, n_terms: int):
         self.cache.extend_to(n_terms)
@@ -408,14 +414,13 @@ def _solve_at_precision(prec, args):
         doubled_at = None
 
     out_prec = max(prec, _bits_of(width_goal) + 8)
-    lam_lo = Dyadic.div(DY_ONE, Dyadic.make(b, -s), out_prec, "floor")
-    lam_hi = Dyadic.div(DY_ONE, Dyadic.make(a, -s), out_prec, "ceil")
-    interval = RealInterval(lam_lo, lam_hi)
-    if interval.width().to_fraction() > width_goal:
+    lam_lo, lam_hi = quotient((1, 1), (a, b), s + out_prec)  # 1 / [t_lo, t_hi] over 2^out_prec
+    if (lam_hi - lam_lo) * goal_den > goal_num << out_prec:
         return None
     # post-condition lambda > |zeta|: exact integer comparison of squares
-    if lam_lo.to_fraction() ** 2 <= norm:
+    if lam_lo**2 <= norm << (2 * out_prec):
         return None
+    interval = RealInterval.from_fixed(lam_lo, lam_hi, out_prec)
     return LambdaEnclosure(zeta=zeta, interval=interval, n_terms=n_terms, precision_bits=prec)
 
 
@@ -445,39 +450,37 @@ def _bits_of(fr: Fraction) -> int:
 
 def alpha_of(zeta: GaussianInt, lam: LambdaEnclosure) -> ComplexInterval:
     """Box around zeta / lambda; certified strictly inside the unit disk."""
-    interval = lam.interval
-    if interval.lo.sign() <= 0:
+    (lo, hi), p = lam.interval.fixed()
+    if lo <= 0:
         raise ValueError("lambda interval must be strictly positive")
-    prec = max(64, -interval.width().exp + 16) if not interval.width().is_zero() else 64
-    alpha = ComplexInterval(
-        RealInterval.point(zeta.re).div(interval, prec),
-        RealInterval.point(zeta.im).div(interval, prec),
-    )
-    if alpha.abs_sq().hi >= Dyadic.from_int(1):
+    prec = max(64, 16 - lam.interval.width().exp)  # a zero width has exponent 0
+    alpha = quotient((zeta.re,) * 2, (lo, hi), prec + p) + quotient((zeta.im,) * 2, (lo, hi), prec + p)
+    if abs_sq(alpha)[1] >= 1 << (2 * prec):
         raise PrecisionError("cannot certify |alpha| < 1 at this width; tighten lambda")
-    return alpha
+    return ComplexInterval.from_fixed(alpha, prec)
 
 
-def _choose_tail_terms(s_hi: Dyadic, tail_tol: Fraction, prec: int, *constants_sq: int):
+def _choose_tail_terms(s_hi: int, tail_tol: Fraction, prec: int, *constants_sq: int):
     """Per constant c, (smallest tried N with sqrt(c) * s^(N+1) / (1-s) <= tail_tol, bound).
 
-    One pass of the rounded powers of s serves every constant.
+    s_hi is s over 2^prec and each bound is over 2^(2 prec).  One pass of
+    the rounded powers of s serves every constant.
     """
-    one = Dyadic.from_int(1)
+    one = 1 << prec
     if s_hi >= one:
         raise PrecisionError("|alpha| upper bound reached 1; tighten lambda first")
-    inv_gaps = [
-        Dyadic.div(Dyadic.sqrt(Dyadic.from_int(c), prec, "ceil"), one - s_hi, prec, "ceil")
-        for c in constants_sq
-    ]
+    gap = one - s_hi
+    # sqrt(c) / (1 - s) over 2^prec, rounded up
+    inv_gaps = [-((-ceil_sqrt(c << 2 * prec) << prec) // gap) for c in constants_sq]
+    tol_num, tol_den = tail_tol.numerator << 2 * prec, tail_tol.denominator
     chosen = [None] * len(constants_sq)
     n, done, sp = 8, 0, s_hi
     while n <= _TERM_CAP:
         while done < n:  # sp is s^(done+1), rounded up after every product
-            sp = (sp * s_hi).round(prec, "ceil")
+            sp = -(-sp * s_hi >> prec)
             done += 1
         for k, inv_gap in enumerate(inv_gaps):
-            if chosen[k] is None and (bound := inv_gap * sp).to_fraction() <= tail_tol:
+            if chosen[k] is None and (bound := inv_gap * sp) * tol_den <= tol_num:
                 chosen[k] = (n, bound)
         if None not in chosen:
             return chosen
@@ -488,72 +491,34 @@ def _choose_tail_terms(s_hi: Dyadic, tail_tol: Fraction, prec: int, *constants_s
 def phi_eval(zeta: GaussianInt, alpha: ComplexInterval, tail_tol) -> ComplexInterval:
     """Box around the power series sum gamma(j) alpha^j with certified tail.
 
-    Partial sum in interval arithmetic plus a componentwise widening of
+    Partial sum from the table plus a componentwise widening of
     sqrt(20) * s^(N+1) / (1 - s), s = sup |alpha|.
     """
     _require_admissible(zeta)
     tol = _as_width_fraction(tail_tol)
     prec = max(96, _bits_of(tol) + 32)
-    s_hi = alpha.abs_sup(prec)
-    ((n_terms, tail),) = _choose_tail_terms(s_hi, tol, prec, 20)
-    _, sums = _series_table(DegreeCache(zeta).extend_to(n_terms).gammas, alpha, prec)
-    return ComplexInterval.from_fixed(sums[-1], prec).widen(tail)
+    a, pa = alpha.fixed()
+    ((n_terms, tail),) = _choose_tail_terms(abs_sup(a, pa, prec), tol, prec, 20)
+    _, sums = _series_table(DegreeCache(zeta).extend_to(n_terms).gammas, a, pa, prec)
+    return ComplexInterval.from_fixed(widen(squeeze(sums[-1], -prec), tail), 2 * prec)
 
 
-def _series_table(gammas, alpha: ComplexInterval, prec: int):
+def _series_table(gammas, a, pa: int, prec: int):
     """Lists of alpha^j and of sum_{i<=j} gamma(i) alpha^i for j = 1..len(gammas).
 
-    Entries are (re lo, re hi, im lo, im hi) ints over 2^prec; callers build
-    boxes (ComplexInterval.from_fixed) only for the entries they read.  Each
-    power is the previous one times alpha, squeezed outward to prec: alpha's
-    endpoints are ints over one 2^-pa, the box product takes the min and max
-    of exact endpoint products over 2^(prec+pa), and the squeeze is a floor
-    or ceiling shift by pa.  That is the exact Dyadic interval product
-    rounded by RealInterval.squeeze, so every entry has the value, and its
-    box the canonical endpoints, of ComplexInterval arithmetic.  The partial
-    sums add gamma(j) times each power exactly.  Every evaluator of the
-    maximizer series reads this one table, so equal inputs give
-    bit-identical boxes.
+    alpha is the box a over 2^pa; entries are boxes over 2^prec.  Each power
+    is the previous one times alpha, squeezed outward to prec by the box
+    product's shift of pa bits; the partial sums add gamma(j) times each
+    power exactly.  Every evaluator of the maximizer series reads this one
+    table, so equal inputs give bit-identical boxes.
     """
-    pa = max(0, *(-d.exp for d in (alpha.re.lo, alpha.re.hi, alpha.im.lo, alpha.im.hi)))
-    a = alpha.fixed(pa)  # exact: every endpoint is a multiple of 2^-pa
     power = (1 << prec, 1 << prec, 0, 0)
     sl = sh = tl = th = 0
     powers, sums = [], []
     for g in gammas:
-        power = _box_product(power, a, pa)
-        rl, rh, il, ih = _gaussian_product(power, g)
+        power = box_product(power, a, pa)
+        rl, rh, il, ih = gaussian_product(power, g)
         sl, sh, tl, th = sl + rl, sh + rh, tl + il, th + ih
         powers.append(power)
         sums.append((sl, sh, tl, th))
     return powers, sums
-
-
-def _box_product(x, y, shift: int):
-    """The box x * y, its endpoints floored or ceiled by a right shift of shift bits.
-
-    x and y are (re lo, re hi, im lo, im hi) ints; each part takes the min
-    and max of the exact endpoint products, as ComplexInterval.__mul__.
-    """
-    rl, rh, il, ih = x
-    a, b, c, d = y
-    p = (rl * a, rl * b, rh * a, rh * b)  # re x * re y
-    q = (il * c, il * d, ih * c, ih * d)  # im x * im y
-    u = (rl * c, rl * d, rh * c, rh * d)  # re x * im y
-    v = (il * a, il * b, ih * a, ih * b)  # im x * re y
-    return (
-        (min(p) - max(q)) >> shift,
-        -((min(q) - max(p)) >> shift),
-        (min(u) + min(v)) >> shift,
-        -((-max(u) - max(v)) >> shift),
-    )
-
-
-def _gaussian_product(x, g):
-    """The box x * g, exact, for ints x = (re lo, re hi, im lo, im hi) and a GaussianInt g."""
-    rl, rh, il, ih = x
-    p = (rl * g.re, rh * g.re)
-    q = (il * g.im, ih * g.im)
-    u = (rl * g.im, rh * g.im)
-    v = (il * g.re, ih * g.re)
-    return min(p) - max(q), max(p) - min(q), min(u) + min(v), max(u) + max(v)

@@ -29,7 +29,7 @@ from dyndeg.gaussian import (
     monomial_degree,
     psi,
 )
-from dyndeg.intervals import Dyadic, RealInterval
+from dyndeg.intervals import Dyadic
 from dyndeg.oracle import (
     Budget,
     PlaneRationalMap,
@@ -162,12 +162,13 @@ def test_08_root_equation_residual():
     N = enc.n_terms
     d = d_sequence(ZETA, N)
     prec = 256
-    t_box = enc.interval.recip(prec)
+    # t = 1/lambda rounded outward to 2^-prec
+    (lam_lo, lam_hi), p = enc.interval.fixed()
+    t_lo = Fraction((1 << prec + p) // lam_hi, 1 << prec)
+    t_hi = Fraction(-((-1 << prec + p) // lam_lo), 1 << prec)
     # increasing function with positive coefficients: endpoint evaluation
     lo_sum = Fraction(0)
     hi_sum = Fraction(0)
-    t_lo = t_box.lo.to_fraction()
-    t_hi = t_box.hi.to_fraction()
     for j in range(N, 0, -1):
         lo_sum = (lo_sum + d[j]) * t_lo
         hi_sum = (hi_sum + d[j]) * t_hi
@@ -221,13 +222,12 @@ def test_12_continued_fraction_validity():
     # (tests/test_diophantine.py::TestContinuedFraction::test_against_independent_oracle)
     assert cf.coefficients[:5] == (0, 5, 1, 2, 12)
     for i, (m, n) in enumerate(cf.convergents):
-        err = cf.theta.scale_int(n) - RealInterval.point(m)
-        hi = max(abs(err.lo.to_fraction()), abs(err.hi.to_fraction()))
-        assert hi < Fraction(1, n)
+        err_lo, err_hi = (Fraction(n * e, 1 << cf.precision_bits) - m for e in cf.theta)
+        assert max(abs(err_lo), abs(err_hi)) < Fraction(1, n)
         if i % 2 == 0:
-            assert err.strictly_positive()
+            assert err_lo > 0
         else:
-            assert err.strictly_negative()
+            assert err_hi < 0
     report(12, "20 certified convergents; approximation inequality and alternation hold")
 
 

@@ -525,6 +525,10 @@ SURVEY_DIGESTS = {
     ("degrees", "--zeta", "503+64i"): "fd17400434b15b5ab9db7a7c216fc6252be9f71324bd4696ec8dc96a5039db82",
     ("report", "--zeta", "-900+417i"): "f8933bf78782cf74702c511d56d51414303606246d62230bec85badcd8d35dea",
     ("degrees", "--zeta", "503+64i", "--count", "1000"): "7a7cbfb3f9ff5bb600e0de3eda005a5284bef67fe9068fee53a3ba42556590a6",
+    # certified at 2048 and 1024 bits, with the kappa statistic at large n;
+    # recorded before theta and the convergent checks ran on fixed-point ints
+    ("cf", "--zeta", "3+i", "--depth", "300"): "e188b0123692951eb73fe1c798423b76e10ab2f54e5d96df080415f4aff34811",
+    ("cf", "--zeta", "1+2i", "--depth", "200"): "04aff824fe2b5cb932a06d4537b206497746863e2132514a6a4bd496eb82c1ad",
 }
 
 

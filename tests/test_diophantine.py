@@ -1,5 +1,6 @@
 import hashlib
 from fractions import Fraction
+from math import ceil
 
 import mpmath
 import pytest
@@ -19,11 +20,42 @@ from dyndeg.diophantine import (
     regular_window_check,
     theta_interval,
 )
-from dyndeg.intervals import ComplexInterval, Dyadic, RealInterval
+from dyndeg.intervals import (
+    ComplexInterval,
+    Dyadic,
+    RealInterval,
+    abs_sq,
+    abs_sup,
+    box_product,
+    gaussian_product,
+    scale_int,
+    squeeze,
+    widen,
+)
+from dyndeg.powering import binary_power
 from dyndeg.solver import alpha_of, phi_eval, solve_lambda
 
 Z = GaussianInt
 ZETA = Z(1, 2)
+
+
+def theta_bounds(ctx):
+    """(lo, hi) Fractions of a theta enclosure [A, B] * 2^-p."""
+    return tuple(Fraction(e, 1 << ctx.precision_bits) for e in ctx.theta)
+
+
+def offset_bounds(theta, p, n, m):
+    """(lo, hi) Fractions of n * theta - m for theta = [A, B] * 2^-p."""
+    return tuple(Fraction(n * e, 1 << p) - m for e in theta)
+
+
+def overlap(x, y) -> bool:
+    """Whether the real intervals x and y, as (lo, hi) Fractions, meet."""
+    return max(x[0], y[0]) <= min(x[1], y[1])
+
+
+def fractions_of(iv):
+    return iv.lo.to_fraction(), iv.hi.to_fraction()
 
 
 def mp_theta(zeta, dps=150):
@@ -47,39 +79,39 @@ def mp_cf_coefficients(zeta, depth, dps=150):
 
 class TestThetaInterval:
     def test_reference_value(self):
-        ctx = theta_interval(ZETA, 128)
+        lo, hi = theta_bounds(theta_interval(ZETA, 128))
         v = Fraction("0.17620819117478")
-        assert ctx.theta.lo.to_fraction() <= v + Fraction(1, 10**14)
-        assert ctx.theta.hi.to_fraction() >= v
+        assert lo <= v + Fraction(1, 10**14)
+        assert hi >= v
 
     def test_against_mpmath(self):
         for zeta in (ZETA, Z(-3, 4), Z(2, 1), Z(3, 2), Z(1, -2), Z(-5, -3)):
-            ctx = theta_interval(zeta, 160)
+            lo, hi = theta_bounds(theta_interval(zeta, 160))
             truth = Fraction(mpmath.nstr(mp_theta(zeta), 40, strip_zeros=False))
             slack = Fraction(1, 10**35)
-            assert ctx.theta.lo.to_fraction() - slack <= truth
-            assert truth <= ctx.theta.hi.to_fraction() + slack
+            assert lo - slack <= truth
+            assert truth <= hi + slack
 
     def test_first_quadrant_bound(self):
         for zeta in (ZETA, Z(2, 1), Z(5, 3)):
-            ctx = theta_interval(zeta, 96)
-            assert ctx.theta.hi.to_fraction() < Fraction(1, 4)
-            assert ctx.theta.lo.to_fraction() > 0
+            lo, hi = theta_bounds(theta_interval(zeta, 96))
+            assert hi < Fraction(1, 4)
+            assert lo > 0
 
     def test_inadmissible_rejected(self):
         with pytest.raises(AdmissibilityError):
             theta_interval(Z(1, 1), 96)
 
     def test_nesting(self):
-        coarse = theta_interval(ZETA, 96)
-        fine = theta_interval(ZETA, 192)
-        assert coarse.theta.contains_interval(fine.theta)
-        assert fine.theta.width().to_fraction() < coarse.theta.width().to_fraction()
+        coarse = theta_bounds(theta_interval(ZETA, 96))
+        fine = theta_bounds(theta_interval(ZETA, 192))
+        assert coarse[0] <= fine[0] <= fine[1] <= coarse[1]
+        assert fine[1] - fine[0] < coarse[1] - coarse[0]
 
     def test_refined_is_nested(self):
         ctx = theta_interval(ZETA, 64)
-        finer = ctx.refined(256)
-        assert ctx.theta.contains_interval(finer.theta)
+        (lo, hi), (finer_lo, finer_hi) = theta_bounds(ctx), theta_bounds(ctx.refined(256))
+        assert lo <= finer_lo <= finer_hi <= hi
 
 
 class TestContinuedFraction:
@@ -100,11 +132,9 @@ class TestContinuedFraction:
 
     def test_approximation_inequality_certified(self):
         cf = cf_expand(theta_interval(ZETA, 128), 20)
-        theta = cf.theta
         for (m, n) in cf.convergents:
-            err = theta.scale_int(n) - type(theta).point(m)
-            hi = max(abs(err.lo.to_fraction()), abs(err.hi.to_fraction()))
-            assert hi < Fraction(1, n)
+            err = offset_bounds(cf.theta, cf.precision_bits, n, m)
+            assert max(abs(err[0]), abs(err[1])) < Fraction(1, n)
 
     def test_convergents_coprime_increasing(self):
         from math import gcd
@@ -129,9 +159,8 @@ class TestContinuedFraction:
     def test_17_times_theta_inequality(self):
         # |17*theta - 3| < 1/17, certified
         ctx = theta_interval(ZETA, 128)
-        err = ctx.theta.scale_int(17) - type(ctx.theta).point(3)
-        hi = max(abs(err.lo.to_fraction()), abs(err.hi.to_fraction()))
-        assert hi < Fraction(1, 17)
+        err = offset_bounds(ctx.theta, ctx.precision_bits, 17, 3)
+        assert max(abs(err[0]), abs(err[1])) < Fraction(1, 17)
 
     def test_determinism(self):
         a = cf_expand(theta_interval(ZETA, 128), 10)
@@ -183,11 +212,11 @@ class TestOctantGamma:
         assert refinements and max(refinements) >= 32
 
     def test_endpoints_with_different_exponents(self, refinements):
-        # lo = 1/8 is a multiple of 2^-3 only and j*lo is an octant boundary
-        # for every j, so the strict lower bound must send each call to 128 bits
-        hi = theta_interval(ZETA, 64).theta.hi
-        ctx = ThetaContext(ZETA, 64, RealInterval(Dyadic(1, -3), hi))
-        assert (ctx.theta.lo.exp, hi.exp) == (-3, -63)
+        # lo = 1/8 (a Dyadic of exponent -3, hi's is -63) and j*lo is an octant
+        # boundary for every j, so the strict lower bound must send each call to 128 bits
+        hi = theta_interval(ZETA, 64).theta[1]
+        ctx = ThetaContext(ZETA, 64, (1 << 61, hi))
+        assert (Dyadic.make(1 << 61, -64).exp, Dyadic.make(hi, -64).exp) == (-3, -63)
         for j in range(1, 2001):
             assert octant_gamma(ctx, j)[1] == gamma_argmax(ZETA, j)
         assert refinements == [128] * 2000
@@ -347,20 +376,17 @@ class TestPhiN:
         ctx = theta_interval(ZETA, 128)
         box = phi_n_eval(ctx, 1, alpha50)
         g1 = gamma_argmax(ZETA, 1)
-        s = alpha50.abs_sup(96).to_fraction()
-        n_terms, partial = 60, None
-        power = alpha50
-        from dyndeg.intervals import ComplexInterval, Dyadic
-
-        total = ComplexInterval.point(0, 0)
+        a, pa = alpha50.fixed()
+        s = Fraction(abs_sup(a, pa, 96), 1 << 96)
+        n_terms, prec = 60, 256
+        power, total = squeeze(a, pa - prec), (0, 0, 0, 0)
         for _ in range(n_terms):
-            total = total + power.mul_gaussian(g1)
-            power = (power * alpha50).squeeze(256)
+            total = tuple(t + e for t, e in zip(total, gaussian_product(power, g1)))
+            power = box_product(power, a, pa)
         # |gamma| <= sqrt(5) < 3
-        tail = Dyadic.from_fraction(3 * s**n_terms / (1 - s), 200, "ceil")
-        direct = total.widen(tail)
-        assert direct.re.intersect(box.re) is not None
-        assert direct.im.intersect(box.im) is not None
+        direct = [Fraction(e, 1 << prec) for e in widen(total, ceil(3 * s**n_terms / (1 - s) * 2**prec))]
+        assert overlap(direct[:2], fractions_of(box.re))
+        assert overlap(direct[2:], fractions_of(box.im))
 
     def test_defect_decreases_along_n(self):
         enc = solve_lambda(ZETA, Fraction(1, 10**130))
@@ -374,6 +400,14 @@ class TestPhiN:
 
 
 class TestPsiN:
+    def test_tolerance_read_as_phi_eval_reads_it(self, alpha50):
+        ctx = theta_interval(ZETA, 192)
+        box = psi_n_eval(ctx, 10, alpha50, Fraction(1, 1 << 60))
+        assert psi_n_eval(ctx, 10, alpha50, Dyadic.make(1, -60)) == box
+        for tol in (0, Dyadic.make(0, 0)):
+            with pytest.raises(ValueError):
+                psi_n_eval(ctx, 10, alpha50, tol)
+
     def test_routes_intersect_and_inside_unit(self):
         enc = solve_lambda(ZETA, Fraction(1, 10**60))
         alpha = alpha_of(ZETA, enc)
@@ -391,12 +425,12 @@ class TestPsiN:
         n = 50
         psi = psi_n_eval(ctx, n, alpha, Fraction(1, 10**50))
         box = phi_n_eval(ctx, n, alpha)
-        weight = (
-            (type(alpha).point(1, 0) - alpha.pow_int(n)).abs_sq().scale_int(2)
-        )
-        one = type(box.re).point(1)
-        implied = weight * (one - box.re)
-        assert implied.intersect(psi) is not None
+        a, pa = alpha.fixed()
+        rl, rh, il, ih = binary_power(a, n, (1, 1, 0, 0), box_product)  # exact, over 2^(n pa)
+        one = 1 << n * pa
+        weight = [Fraction(w, 1 << 2 * n * pa) for w in scale_int(abs_sq((one - rh, one - rl, -ih, -il)), 2)]
+        products = [w * (1 - x) for w in weight for x in fractions_of(box.re)]
+        assert overlap((min(products), max(products)), fractions_of(psi))
 
     def test_empty_window_small_value(self):
         # n = 1345: no irregular index until far beyond the truncation, so the
