@@ -7,10 +7,11 @@ byte-identical output.
 
 Each policy lives in one place: the parser is built once per process, `main`
 parses `--zeta`, reads DYNDEG_PRECISION_CAP and checks the `_BOUNDS` table
-before a command runs, and `_EXIT_CODES` maps the errors a command raises to
-exit codes.  `main` also lifts Python's limit on int <-> str conversion
-(4300 digits by default) while a command runs and restores it afterwards,
-since exact values such as `e_n` can be longer.  A command takes the parsed
+before a command runs, `_EXIT_CODES` maps the errors a command raises to
+exit codes, and `ORACLE_DEGREE_CAP` bounds the compositions `oracle` takes.
+`main` also lifts Python's limit on int <-> str conversion (4300 digits by
+default) while a command runs and restores it afterwards, since exact
+values such as `e_n` can be longer.  A command takes the parsed
 arguments and zeta and returns its output text and exit code.
 """
 
@@ -38,6 +39,10 @@ EXIT_INADMISSIBLE = 2
 EXIT_PRECISION = 3
 EXIT_RESOURCES = 4
 EXIT_MISMATCH = 5
+
+# largest product of degrees `oracle` composes: compose(f, f^n) is refused
+# when e_1 * e_n exceeds it (iterate 4 of 1+2i: 10 * 454 = 4540)
+ORACLE_DEGREE_CAP = 1000
 
 # (dest, flag, low) of every bounded integer flag, checked in this order
 _BOUNDS = (
@@ -103,16 +108,24 @@ def cmd_lambda(args, zeta):
     return "\n".join(lines) + "\n", EXIT_OK
 
 
+def _capped_compose(outer, inner):
+    """compose(outer, inner), refused with ResourceExhausted when the product of the degrees exceeds the cap."""
+    degree = outer.degree * inner.degree
+    if degree > ORACLE_DEGREE_CAP:
+        raise ResourceExhausted(f"degree {degree} exceeds cap {ORACLE_DEGREE_CAP}")
+    return compose(outer, inner)
+
+
 def cmd_oracle(args, zeta):
     n_max = args.max_iter
     _require_admissible(zeta)
     degrees = []
-    if n_max > 0:  # f alone may exceed the degree budget
-        f = compose(g_map(), monomial_map(IntMatrix2x2.from_zeta(zeta)))
+    if n_max > 0:  # f alone may exceed the degree cap
+        f = _capped_compose(g_map(), monomial_map(IntMatrix2x2.from_zeta(zeta)))
         for n in range(1, n_max + 1):
-            iterate = f if n == 1 else compose(f, iterate)
+            iterate = f if n == 1 else _capped_compose(f, iterate)
             degrees.append(iterate.degree)
-    # the recursion only after the budget let every iterate through: at a large
+    # the recursion only after the cap let every iterate through: at a large
     # --max-iter, e_1..e_N take far longer than the iterates the cap allows
     e = e_sequence(d_sequence(zeta, n_max), n_max)
     rows = [(n, e[n], on, on == e[n]) for n, on in enumerate(degrees, 1)]

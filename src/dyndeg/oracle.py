@@ -13,10 +13,13 @@ are added to the result's exponents, and only the cofactors are decomposed,
 each entering the coprime base as an unexpanded ``SumAtom`` unless a
 certificate needs its terms.  So the degree of a composite is proven from
 line certificates of unexpanded sums, and a sum is expanded only when its
-terms are read: by ``components``, ``same_map``, ``compose`` reading its
-map's factors on the outer side, the canonical ``_factored`` view, a
-line-oracle trial on a prime that divides a sum's content, or one of the
-events ``CoprimeBase`` names.
+terms are read (by ``components``, ``same_map``, ``compose`` reading its
+map's factors on the outer side, or the canonical ``_factored`` view) or by
+one of the other three events ``CoprimeBase`` names: a zero remainder that
+``divexact`` confirms, a gcd that ``homo_gcd`` settles, a sum that keeps
+its degree on no base line.  A term read past the 2047 packing cap fails at
+once with ValueError (``components``, ``SumAtom.canonical``), before any
+product.
 ``iterate_map`` composes each iterate once.  A map that ``compose``
 returns carries its atoms with their line restrictions, and a later
 ``compose`` that takes it as the inner map adopts them into its base as
@@ -38,17 +41,18 @@ the inner map to seeded random lines mod a large prime, factor by factor
 the outer map's factors on that curve, and reports the largest degree minus
 the degree of the gcd: the composite is never formed, and a trial can err
 low, never high.  ``factored_line_degree`` is the oracle after the identity.
-A factor in the inner map's atom record is restricted through the sum it
-came from, as ``compose``'s base restricts it to its own lines; any other
-factor by ``restrict_line_mod`` of its terms.  What the oracle proves stays
-the same: on random lines the reduced triple keeps no common factor, so its
-degree is the composite's.  It does not read the expanded terms of a
-recorded atom, except on a line whose prime divides a sum's content: the
-raw sum vanishes there, and the trial is taken on the canonical triple.
-Pinned tests tie those terms to the sums on seeded lines.
-The only budget of ``compose`` is a degree cap; a sum is not a ``HomoPoly``
-until read, so the 2047 packing cap bounds a component only once it is
-expanded.
+A factor in the inner map's atom record is restricted only through the sum
+it came from, as ``compose``'s base restricts it to its own lines; any other
+factor by ``restrict_line_mod`` of its terms.  Where a recorded sum cannot
+be read through its atoms (an atom beneath loses degree, or the line's
+prime divides a sum's content) the attempt draws another line, of the next
+prime.  What the oracle proves stays the same: on random lines the reduced
+triple keeps no common factor, so its degree is the composite's.  It never
+reads the expanded terms of a recorded atom.  Pinned tests tie those terms
+to the sums on seeded lines.  ``compose`` has no budget; a caller that
+wants one bounds the product of the degrees (the CLI does), and a sum is
+not a ``HomoPoly`` until read, so the 2047 packing cap bounds a component
+only once it is expanded.
 """
 
 from __future__ import annotations
@@ -63,19 +67,14 @@ from operator import and_
 
 import numpy as np
 
-from .errors import (
-    CheckFailed,
-    DegenerateMatrix,
-    OracleInconsistency,
-    ResourceExhausted,
-)
+from .errors import CheckFailed, DegenerateMatrix, OracleInconsistency
 from .gaussian import IntMatrix2x2
 from .polynomials import (
     CoprimeBase,
     HomoPoly,
     LINE_PRIMES,
+    MAX_PACKED_DEGREE,
     SumAtom,
-    canonical_images,
     expand,
     restrict_line_mod,
     scaled,
@@ -84,21 +83,8 @@ from .polynomials import (
 )
 from .powering import binary_power
 
-DEFAULT_DEGREE_CAP = 1000
 _BASE_SEED = 7  # certificate-line seed of the coprime base of every compose
 _LINE_TRIALS = 3  # seeded trials of the line oracle; all must agree
-
-
-@dataclass(frozen=True)
-class Budget:
-    degree_cap: int = DEFAULT_DEGREE_CAP
-
-    def check_degree(self, degree: int):
-        if degree > self.degree_cap:
-            raise ResourceExhausted(f"degree {degree} exceeds cap {self.degree_cap}")
-
-
-DEFAULT_BUDGET = Budget()
 
 
 class PlaneRationalMap:
@@ -119,7 +105,8 @@ class PlaneRationalMap:
     without sums is its own canonical triple.  It holds new polynomials;
     the raw ones a unit was multiplied with are never rescaled, so a unit
     and the restrictions multiplied with it always come from one view.
-    ``components`` expands the canonical triple.
+    ``components`` expands the canonical triple; past the packing cap it
+    raises ValueError before reading it.
     """
 
     __slots__ = ("_raw", "_record", "_canonical", "_components", "degree")
@@ -148,6 +135,8 @@ class PlaneRationalMap:
     @property
     def components(self):
         if self._components is None:
+            if self.degree > MAX_PACKED_DEGREE:
+                raise ValueError(f"map degree {self.degree} exceeds packing cap {MAX_PACKED_DEGREE}")
             self._components = tuple(
                 expand(unit, [poly.pow(e) for poly, e in factors]) for unit, factors in self._factored
             )
@@ -287,7 +276,7 @@ def monomial_map(mat: IntMatrix2x2) -> PlaneRationalMap:
 # ---------------------------------------------------------------------------
 
 
-def compose(outer: PlaneRationalMap, inner: PlaneRationalMap, budget: Budget = DEFAULT_BUDGET) -> PlaneRationalMap:
+def compose(outer: PlaneRationalMap, inner: PlaneRationalMap) -> PlaneRationalMap:
     """outer after inner, reduced.
 
     Exponent-level substitution over a shared coprime base: each outer factor
@@ -313,7 +302,6 @@ def compose(outer: PlaneRationalMap, inner: PlaneRationalMap, budget: Budget = D
     enter each as a new atom, in order of first appearance and with unit 1.
     Any other inner map is decomposed factor by factor.
     """
-    budget.check_degree(outer.degree * inner.degree)
     if any(unit == 0 for map_ in (outer, inner) for unit, _ in map_._raw):
         raise ValueError("cannot decompose the zero polynomial")
     base = CoprimeBase(seed=_BASE_SEED)
@@ -357,24 +345,23 @@ def compose(outer: PlaneRationalMap, inner: PlaneRationalMap, budget: Budget = D
     out = PlaneRationalMap(
         factored=tuple((unit, tuple((base.atoms[idx], n) for idx, n in row)) for unit, row in rows)
     )
-    budget.check_degree(out.degree)
     first_seen = dict.fromkeys(idx for _, row in rows for idx, _ in row)
     out._record = tuple((base.atoms[idx], base.images[idx]) for idx in first_seen)
     return out
 
 
-def degree_of_iterate(map_: PlaneRationalMap, n: int, budget: Budget = DEFAULT_BUDGET) -> int:
+def degree_of_iterate(map_: PlaneRationalMap, n: int) -> int:
     """deg of the n-th iterate, reducing after every composition step."""
-    return iterate_map(map_, n, budget).degree
+    return iterate_map(map_, n).degree
 
 
-def iterate_map(map_: PlaneRationalMap, n: int, budget: Budget = DEFAULT_BUDGET) -> PlaneRationalMap:
+def iterate_map(map_: PlaneRationalMap, n: int) -> PlaneRationalMap:
     """The n-th iterate, reducing after every composition step."""
     if n < 1:
         raise ValueError("n must be >= 1")
     acc = map_
     for _ in range(n - 1):
-        acc = compose(map_, acc, budget)
+        acc = compose(map_, acc)
     return acc
 
 
@@ -398,51 +385,44 @@ def composed_line_degree(outer: PlaneRationalMap, inner: PlaneRationalMap, seed:
     F_i|L = G|L * R_i|L, and their largest degree minus their gcd's is that
     of the R_i|L: at most deg R, even when every component drops degree.  A
     trial errs low, never high.  Trials redraw lines until every inner
-    factor keeps its degree, and must agree (else OracleInconsistency).
+    factor keeps its degree, attempt k of trial t on a line mod
+    ``LINE_PRIMES[(t + k) % len(LINE_PRIMES)]``, so a prime that fails an
+    attempt (one dividing a sum's content fails every line) is not drawn
+    by the next; the trials must agree (else OracleInconsistency).
     Products past 2048 coefficients on both sides (iterate 4) take
     ``univ_mul_mod``'s Kronecker route.
 
     inner is read raw: its units and its factors' restrictions, both of
     the raw triple.  A factor that inner's atom record holds (a map
     ``compose`` returned) is restricted through the sum of atom-power
-    products it came from, as its coprime base restricts it
+    products it came from, and only so, as its coprime base restricts it
     (``_LineImages.on_line``, one memo per line, so every atom beneath is
-    restricted once per line, and each power of it raised once); the
-    residue array is unique, so that equals ``restrict_line_mod`` of the
-    sum, content and sign included, the route of any other factor.  Unless
-    the line's prime divides the content of a sum of inner, the raw triple
-    is the canonical one times an integer the prime does not divide, and
-    each factor's raw restriction a nonzero multiple of its canonical one,
-    so the trial value is the canonical triple's.  Where the prime divides
-    a sum's content, the sum restricts to zero, so to None, on every line
-    of the prime: a line on which the raw triple loses degree and inner
-    holds a sum is tried again on the canonical triple (``_factored``, with
-    the record through ``canonical_images``), which expands inner's sums,
-    so the value stays the canonical triple's.  The trial still proves that
-    the reduced triple keeps no common factor on the line; on the raw
-    triple it reads no recorded atom's expanded terms.  outer's terms are
-    read from its canonical triple.
+    restricted once per line, and each power of it raised once); where
+    that restriction is not None it equals ``restrict_line_mod`` of the
+    sum, content and sign included (the residue array is unique), the route
+    of any other factor.  It is None where an atom beneath loses degree, or
+    where the line's prime divides a sum's content, and the attempt draws
+    another line.  On a line it keeps, the prime divides no sum's content,
+    so the raw triple is the canonical one times an integer the prime does
+    not divide, each factor's raw restriction a nonzero multiple of its
+    canonical one, and the trial value the canonical triple's.  No recorded
+    atom's expanded terms are read; outer's terms are read from its
+    canonical triple.
     """
     top = max((poly.degree for _, factors in outer._raw for poly, _ in factors), default=0)  # highest power used
     recorded = {id(atom): images for atom, images in inner._record or ()}
-    has_sums = any(isinstance(atom, SumAtom) for atom, _ in inner._record or ())
-    canonical = None  # inner's record in the canonical view, made on the first line that needs it
     rng = random.Random(seed)
     answers = []
     for trial in range(_LINE_TRIALS):
-        p = LINE_PRIMES[trial % len(LINE_PRIMES)]
         value = None
-        for _attempt in range(12):
+        for attempt in range(12):
+            p = LINE_PRIMES[(trial + attempt) % len(LINE_PRIMES)]
             a = [rng.randint(-(10**6), 10**6) for _ in range(3)]
             b = [rng.randint(-(10**6), 10**6) for _ in range(3)]
             if all(v == 0 for v in a):
                 continue
             line, memo = (p, a, b), {}
             curve = _restrict_components(inner._raw, partial(_restrict_factor, recorded, line, memo), p)
-            if curve is None and has_sums:
-                if canonical is None:
-                    canonical = {id(P): images for P, images in (canonical_images(*pair) for pair in inner._record)}
-                curve = _restrict_components(inner._factored, partial(_restrict_factor, canonical, line, memo), p)
             if curve is None:
                 continue
             mul = partial(univ_mul_mod, p=p)

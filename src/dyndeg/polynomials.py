@@ -50,29 +50,29 @@ atoms keep their degrees on L and gcd(P|L, prod A|L) is constant, then so
 is every common factor of P and an atom, since it keeps its degree on L
 and its restriction divides both (gcd(P, prod A) = 1 exactly when P is
 coprime to each A).  A ``CoprimeBase`` draws its certificate lines once,
-restricts each polynomial to each of them at most once (a sum of
-atom-power products through its atoms' restrictions, on those lines and on
-any other), tests a new polynomial against all its atoms by that one gcd
-per line before any per-atom test, and takes the remainder of a leftover by
-an atom on a line once: the division test and the coprimality gcd share it.
-``homo_gcd`` is the heuristic gcd GCDHEU: integer gcds of values at
-x1 = s*x2, x0 = r*x2 read back as symmetric digits, returned only after
-``divexact`` divides both inputs and the degree meets the bound that a gcd
-of line restrictions gives.
+restricts each polynomial to each of them at most once, and tests a
+polynomial against one atom or many by that one gcd per line, the product
+of the atoms' restrictions reduced mod P|L.  ``homo_gcd`` is the heuristic
+gcd GCDHEU: integer gcds of values at x1 = s*x2, x0 = r*x2 read back as
+symmetric digits, returned only after ``divexact`` divides both inputs and
+the degree meets the bound that a gcd of line restrictions gives.
 
 A sum of atom-power products enters a base unexpanded, as a ``SumAtom``:
 its terms, its restrictions through its atoms, and its degree, which a
 restriction that keeps it proves, so a degree is proven from line
-certificates of unexpanded sums.  Its expanded terms, content and sign are
-computed on first read, and only these read them: a zero remainder that
-``divexact`` must confirm, a gcd that ``homo_gcd`` must settle, a sum that
-keeps its degree on no base line (a vanished sum raises ReductionFailure
-there), an atom of the sum losing degree on a line, and a caller reading
-terms.  A ``SumAtom`` is raw: its content and sign stay in it, and its
-restrictions are those of the sum itself, which certificates read up to a
-nonzero scalar.  ``canonical_images`` derives the primitive part and its
-restrictions in new arrays, never rescaling the raw ones, so a unit and the
-restrictions multiplied with it always come from one view.
+certificates of unexpanded sums.  One rule holds on every line, a base's or
+the line oracle's: a sum's restriction is read only through its atoms'
+restrictions, and where that fails, because an atom loses degree on the
+line or the line's prime divides the sum's content, the restriction is
+None, a line that proves nothing.  The expanded terms, content and sign of
+a sum are computed on first read, and only four events read them: a zero
+remainder that ``divexact`` must confirm, a gcd that ``homo_gcd`` must
+settle, a sum that keeps its degree on no base line (a vanished sum raises
+ReductionFailure there), and a caller reading terms.  A sum past the 2047
+packing cap is never expanded: ``SumAtom.canonical`` raises ValueError
+before any product.  A ``SumAtom`` is raw: its content and sign stay in
+it, and its restrictions are those of the sum itself, which certificates
+read up to a nonzero scalar.
 """
 
 from __future__ import annotations
@@ -406,7 +406,7 @@ def _primes_from(start: int):
 
 
 # ~2^25: small enough for int64-safe numpy modular arithmetic, large enough
-# for interpolation grids beyond any degree the budget allows
+# for interpolation grids beyond any degree the packing allows
 LINE_PRIMES = tuple(islice(_primes_from(1 << 25), 8))
 
 
@@ -712,14 +712,16 @@ def _certificate_lines(seed: int, count: int = _BASE_LINES):
 
 
 class _LineImages(dict):
-    """Restrictions of one polynomial to lines (None where it loses degree), each computed on first read.
+    """Restrictions of one polynomial to lines (None where it proves nothing), each computed on first read.
 
     ``restrict(line, read)`` restricts the polynomial to the line (p, a, b).
     ``read(images, e)`` gives the restriction to the same line of another
     polynomial, held by its own ``_LineImages``, raised to e: that is how a
-    sum reads its atoms'.  Each power is raised once per line and kept
-    beside the restriction it raises, so a sum whose terms share an
-    (atom, exponent) pair, or two sums that do, raise it once.  There are
+    sum reads its atoms', and only that (``SumAtom.restrict``), so a sum's
+    entry is None where it loses degree and also where an atom beneath it
+    does.  Each power is raised once per line and kept beside the
+    restriction it raises, so a sum whose terms share an (atom, exponent)
+    pair, or two sums that do, raise it once.  There are
     two readers.  The dict, keyed by line index, holds the restrictions to
     ``lines``, the certificate lines of a coprime base: ``self[n]`` is
     computed once and kept, its powers in ``powers[n]``, and its reads go to
@@ -803,7 +805,7 @@ def certify_coprime(P: HomoPoly, Q: HomoPoly, seed: int = 0) -> bool:
         return False
     base = CoprimeBase(seed)
     base.adopt(Q, _line_images(Q, base.lines))
-    return base._certified_coprime(P, _line_images(P, base.lines), (0,), {})
+    return base._certified_coprime(P, _line_images(P, base.lines), (0,))
 
 
 # ---------------------------------------------------------------------------
@@ -953,12 +955,15 @@ class SumAtom:
     it.  ``degree`` is the degree every term has; it is S's only while S
     does not vanish, which a restriction keeping that degree proves.
 
-    ``restrict`` gives S|L through the atoms' restrictions (see
+    ``restrict`` gives S|L only through the atoms' restrictions, on any
+    line; where they cannot give it (an atom loses degree on L, or p
+    divides S's content) S|L is None, and the line proves nothing (see
     ``CoprimeBase``).  ``canonical()`` expands S on first read and keeps it
     as (unit, primitive sign-normalized part), the one copy of its terms;
     ``poly()`` gives S itself from it.  A sum that expands to zero raises
-    ReductionFailure.  The sum holds its atoms' restriction dicts, never its
-    own (whose ``restrict`` holds the sum), so no reference cycle forms.
+    ReductionFailure, and one past the packing cap ValueError, before any
+    product.  The sum holds its atoms' restriction dicts, never its own
+    (whose ``restrict`` holds the sum), so no reference cycle forms.
     """
 
     __slots__ = ("degree", "parts", "_canonical")
@@ -980,6 +985,8 @@ class SumAtom:
         together share their atoms' powers, and none is kept past it.
         """
         if self._canonical is None:
+            if self.degree > MAX_PACKED_DEGREE:
+                raise ValueError(f"sum degree {self.degree} exceeds packing cap {MAX_PACKED_DEGREE}")
             powers = {} if powers is None else powers
             sums = Counter()
             for c, factors in self.parts:
@@ -996,20 +1003,21 @@ class SumAtom:
         return P if unit == 1 else P.scale(unit)
 
     def restrict(self, line, read):
-        """S|L on the line (p, a, b) through the atoms' restrictions, read(images, e) = (A|L)^e; None if S loses degree.
+        """S|L on the line (p, a, b) through the atoms' restrictions, read(images, e) = (A|L)^e; None if that fails.
 
         Restriction to a line followed by reduction mod p is a ring
         homomorphism, so S|L is the same sum of products of the atoms'
         restrictions, each power raised once per line (``_LineImages``).
         A term whose atoms all keep their degree has degree exactly deg S on
-        the line (p is prime), so the terms align.  When an atom loses
-        degree (its restriction is None, not its shorter restriction), S is
-        expanded and restricted by ``restrict_line_mod``.  The residue array
-        is unique, so either way the result is ``restrict_line_mod`` of S.
+        the line (p is prime), so the terms align, and a result that keeps
+        deg S is ``restrict_line_mod`` of S (the residue array is unique).
+        None when an atom loses degree (its restriction is None, not its
+        shorter restriction) or when the sum does, p dividing S's content
+        included: S is never expanded here.
         """
-        p, a, b = line
+        p = line[0]
         if any(read(images, 1) is None for _, factors in self.parts for _, images, _ in factors):
-            return restrict_line_mod(self.poly(), a, b, p)
+            return None
         acc = np.zeros(self.degree + 1, dtype=np.int64)
         for c, factors in self.parts:
             if c % p:
@@ -1033,30 +1041,6 @@ def _atom_power(A, e: int, powers: dict) -> HomoPoly:
     if got is None:
         got = powers[key] = expanded(A, powers).pow(e)
     return got
-
-
-def canonical_images(atom, images: _LineImages):
-    """(primitive sign-normalized atom, its restrictions) from an atom of a base and the restrictions it holds.
-
-    A ``HomoPoly`` atom of a base is primitive and sign-normalized already.
-    A ``SumAtom`` S = unit * P is expanded, and P|L is S|L times the
-    inverse of the unit mod p, in new arrays (the ones S|L is read from are
-    never rescaled); where p divides the unit, S|L vanishes and P|L comes
-    from ``restrict_line_mod`` of P.  The result is ``restrict_line_mod``
-    of P either way.
-    """
-    if not isinstance(atom, SumAtom):
-        return atom, images
-    unit, P = atom.canonical()
-
-    def restrict(line, read):
-        p, a, b = line
-        if unit % p == 0:
-            return restrict_line_mod(P, a, b, p)
-        r = read(images, 1)
-        return None if r is None else r * pow(unit, -1, p) % p
-
-    return P, _LineImages(images.lines, restrict)
 
 
 class Product:
@@ -1116,33 +1100,28 @@ class CoprimeBase:
     is where the per-atom route ends too, so the atoms, exponent vectors and
     units are the same.  Otherwise (a nonconstant gcd over two or more
     atoms, or an atom that keeps its degree on no line on which P keeps its)
-    the per-atom route runs: division tests, then one certificate per atom,
-    the one-atom case of the same test, then ``homo_gcd``.  The remainder
-    the division test takes is kept, for as long as the polynomial and the
-    atom stay unchanged, and the one-atom gcd on its line starts from it (or
-    takes it first and keeps it for the division test), so no remainder of a
-    polynomial by an atom is taken twice on one line.  Beside each atom's
-    restriction to a line its ``_LineImages`` keeps the inverse of its
-    reversal as a power series, as long as the longest quotient asked so
-    far (``inverses``, at most 2048 residues), so a remainder by the atom
+    the per-atom route runs: division tests, then one certificate per atom
+    by the same formula, then ``homo_gcd``.  Beside each atom's restriction
+    to a line its ``_LineImages`` keeps the inverse of its reversal as a
+    power series, as long as the longest quotient asked so far
+    (``inverses``, at most 2048 residues), so a division test by the atom
     costs two convolutions, in this base and in any base that adopts the
     atom, and the powers of the restriction that sums read (``powers``).
-    The whole-base test reduces by P|L with the inverse in P's own slot,
-    which its remainders as an atom read once it enters.
+    The certificate reduces by P|L with the inverse in P's own slot, which
+    its remainders as an atom read once it enters.
 
-    A sum is restricted to a line, any line and not only the base's,
-    through its atoms (``SumAtom.restrict``), and a degree is proven from
-    these line certificates alone: a sum whose restriction to a base line
-    keeps its degree, and that no certificate ties to an atom, enters the
-    base unexpanded.  Only these events expand a sum: a zero remainder,
-    which ``divexact`` must confirm; a gcd on no line constant, which
-    ``homo_gcd`` must settle (and a split may follow); no base line keeping
-    its degree (a sum that vanishes raises ReductionFailure there); an atom
-    of the sum losing degree on a line, where the sum is restricted by
-    ``restrict_line_mod``; and a caller reading its terms.  A prime that
-    divides the sum's content makes its restriction vanish on that prime's
-    lines, which the base reads as a line that loses degree: a skipped line
-    forgoes a certificate and proves nothing.
+    A sum is restricted to a line, any line and not only the base's, only
+    through its atoms (``SumAtom.restrict``); where that fails, because an
+    atom of the sum loses degree on the line or the line's prime divides the
+    sum's content, the restriction is None, which the base reads as a line
+    that loses degree: a skipped line forgoes a certificate and proves
+    nothing.  A degree is proven from these line certificates alone: a sum
+    whose restriction to a base line keeps its degree, and that no
+    certificate ties to an atom, enters the base unexpanded.  Only four
+    events expand a sum: a zero remainder, which ``divexact`` must confirm;
+    a gcd on no line constant, which ``homo_gcd`` must settle (and a split
+    may follow); no base line keeping its degree (a sum that vanishes
+    raises ReductionFailure there); and a caller reading its terms.
 
     A sum reads the restriction dicts its atoms have when it is formed: a
     later split or rescaling gives the atom a new dict, so a late read of
@@ -1226,21 +1205,20 @@ class CoprimeBase:
         out = self.track(unit)
         if images is None:
             images = _line_images(P, self.lines)  # P's restrictions; reset whenever P changes
-        kept: dict = {}  # (atom index, line index) -> (atom, P|L mod A|L); reset with images
-        if P.degree >= 1 and self._certified_coprime(P, images, range(len(self.atoms)), kept):
+        if P.degree >= 1 and self._certified_coprime(P, images, range(len(self.atoms))):
             out.exps[self.adopt(P, images)] += 1  # coprime to the whole base: a new atom
             return out
 
         def divide_out():
-            nonlocal P, images, kept
+            nonlocal P, images
             idx = 0
             while idx < len(self.atoms):
-                q = self._quotient(P, images, idx, kept)
+                q = self._quotient(P, images, idx)
                 if q is not None:
                     out.exps[idx] += 1
                     s, P = q.primitive_normalized()
                     out.unit *= s
-                    images, kept = _line_images(P, self.lines), {}
+                    images = _line_images(P, self.lines)
                     continue  # same atom may divide again
                 idx += 1
 
@@ -1248,7 +1226,7 @@ class CoprimeBase:
         while P.degree >= 1:
             # coprime-ify the leftover against the base, splitting as required
             for aidx, atom in enumerate(self.atoms):
-                if self._certified_coprime(P, images, (aidx,), kept):
+                if self._certified_coprime(P, images, (aidx,)):
                     continue
                 _, g = homo_gcd(expanded(P), expanded(atom)).primitive_normalized()
                 if g.degree >= 1:
@@ -1268,23 +1246,25 @@ class CoprimeBase:
             out.unit *= s if s else 1
         return out
 
-    def _quotient(self, P, images: _LineImages, idx: int, kept: dict):
+    def _quotient(self, P, images: _LineImages, idx: int):
         """P / atom idx, or None.
 
         A nonzero remainder of the restrictions to the first line on which both
         keep their degree proves the atom does not divide P, as A | P forces
-        A|L | P|L mod p; otherwise ``divexact`` decides, on P expanded and on
-        the atom made primitive (``_primitive_atom``).
+        A|L | P|L mod p; it is taken with the series inverse the atom keeps.
+        Otherwise ``divexact`` decides, on P expanded and on the atom made
+        primitive (``_primitive_atom``).
         """
         if self.atoms[idx].degree > P.degree:
             return None
-        for n, _, rp, _ in _restricted_pairs(self.lines, images, self.images[idx]):
-            if len(self._remainder(idx, n, rp, kept)):
+        atom_images = self.images[idx]
+        for n, p, rp, ra in _restricted_pairs(self.lines, images, atom_images):
+            if len(_univ_rem_mod(rp, ra, p, atom_images.inverses.setdefault(n, []))):
                 return None
             break
         return divexact(expanded(P), self._primitive_atom(idx))
 
-    def _certified_coprime(self, P, images: _LineImages, idxs, kept: dict) -> bool:
+    def _certified_coprime(self, P, images: _LineImages, idxs) -> bool:
         """True if constant gcds on the base lines prove P, restricted by images, coprime to every atom in idxs.
 
         Line by line, on each line L on which P keeps its degree, the atoms
@@ -1294,10 +1274,8 @@ class CoprimeBase:
         on L, as G(a) divides A(a), nonzero mod p; G|L then divides P|L and
         A|L, so G is constant.  The product is reduced mod P|L after each
         factor (``_product_mod``, with P|L's series inverse kept in images,
-        where a later remainder by P as an atom finds it).  For a single
-        atom the gcd is gcd(A|L, P|L mod A|L), from the remainder the
-        division test takes (``_remainder``), so no remainder of P|L by A|L
-        is taken twice.  A nonconstant gcd over one atom forgoes that line's
+        where a later remainder by P as an atom finds it), for one atom as
+        for many.  A nonconstant gcd over one atom forgoes that line's
         certificate and the next line is tried; over two or more it ends
         the test (some atom likely shares a factor, and the per-atom route
         finds which).  An empty idxs needs a line on which P keeps its
@@ -1310,12 +1288,8 @@ class CoprimeBase:
                 continue
             here = [idx for idx in left if self.images[idx][n] is not None]
             if here:
-                if len(here) == 1:
-                    pair = (self.images[here[0]][n], self._remainder(here[0], n, rp, kept))
-                else:
-                    factors = [self.images[idx][n] for idx in here]
-                    pair = (rp, _product_mod(factors, rp, p, images.inverses.setdefault(n, [])))
-                if len(univ_gcd_mod(*pair, p)) > 1:
+                factors = [self.images[idx][n] for idx in here]
+                if len(univ_gcd_mod(rp, _product_mod(factors, rp, p, images.inverses.setdefault(n, [])), p)) > 1:
                     if len(here) > 1:
                         return False
                     continue
@@ -1323,15 +1297,6 @@ class CoprimeBase:
             if not left:
                 return True
         return False
-
-    def _remainder(self, idx: int, n: int, rp: np.ndarray, kept: dict) -> np.ndarray:
-        """P|L mod A|L on line n for atom idx, rp = P|L; taken once while P and the atom stay unchanged (kept)."""
-        atom, atom_images = self.atoms[idx], self.images[idx]
-        got = kept.get((idx, n))
-        if got is None or got[0] is not atom:
-            rem = _univ_rem_mod(rp, atom_images[n], self.lines[n][0], atom_images.inverses.setdefault(n, []))
-            got = kept[idx, n] = (atom, rem)
-        return got[1]
 
     def _replace(self, idx: int, atom, images: _LineImages):
         """Put atom, restricted by images, at idx; returns [(product, exponent)] of the tracked products that named idx."""
@@ -1347,11 +1312,15 @@ class CoprimeBase:
             got.times(rest, n)
 
     def _primitive_atom(self, idx: int) -> HomoPoly:
-        """Atom idx, a ``SumAtom`` first replaced by its primitive part, which divides whatever the sum divides."""
+        """Atom idx, a ``SumAtom`` first replaced by its primitive part, which divides whatever the sum divides.
+
+        The primitive part P is expanded for ``divexact`` anyway, so its
+        restrictions come from ``restrict_line_mod`` of P.
+        """
         atom = self.atoms[idx]
         if isinstance(atom, SumAtom):
-            unit, _ = atom.canonical()
-            self._rewrite(self._replace(idx, *canonical_images(atom, self.images[idx])), Product(unit))
+            unit, P = atom.canonical()
+            self._rewrite(self._replace(idx, P, _line_images(P, self.lines)), Product(unit))
         return self.atoms[idx]
 
     def _split_atom(self, aidx: int, g: HomoPoly):

@@ -31,7 +31,6 @@ from dyndeg.gaussian import (
 )
 from dyndeg.intervals import Dyadic
 from dyndeg.oracle import (
-    Budget,
     PlaneRationalMap,
     compose,
     composed_line_degree,
@@ -120,7 +119,6 @@ def test_04_oracle_equivalence(f_map):
 def test_05_monomial_formula_equivalence():
     t0 = time.perf_counter()
     rng = random.Random(2024)
-    budget = Budget(degree_cap=10**6)
 
     def random_matrix():
         while True:
@@ -134,7 +132,7 @@ def test_05_monomial_formula_equivalence():
     for m in matrices[:20]:
         hm = monomial_map(m)
         for n in range(1, 5):
-            assert degree_of_iterate(hm, n, budget) == monomial_degree(m**n)
+            assert degree_of_iterate(hm, n) == monomial_degree(m**n)
     elapsed = time.perf_counter() - t0
     assert elapsed < 30
     report(5, f"monomial degree formula on 100 matrices + 20x4 iterates ({elapsed:.1f}s)")

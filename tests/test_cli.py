@@ -164,6 +164,11 @@ class TestOracleCommand:
         assert (proc.returncode, proc.stdout) == (4, "")
         assert proc.stderr == "error: degree 4540 exceeds cap 1000\n"
 
+    def test_budget_exit4_building_f(self, capsys):
+        # the cap is checked before the compose that builds f = g o h too
+        code, out, err = run(capsys, "oracle", "--zeta", "503+64i", "--max-iter", "1")
+        assert (code, out, err) == (4, "", "error: degree 1262 exceeds cap 1000\n")
+
     def test_zero_iterations_large_zeta(self, capsys):
         # f at 503+64i exceeds the degree budget, but --max-iter 0 composes nothing
         code, out, _ = run(capsys, "oracle", "--zeta", "503+64i", "--max-iter", "0", "--format", "csv")

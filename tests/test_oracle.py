@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import random
+import time
 from collections import Counter
 
 import numpy as np
@@ -14,12 +15,10 @@ from dyndeg.errors import (
     DegenerateMatrix,
     OracleInconsistency,
     ReductionFailure,
-    ResourceExhausted,
 )
 from dyndeg.degrees import e_sequence
 from dyndeg.gaussian import GaussianInt, IntMatrix2x2, d_sequence, monomial_degree, psi
 from dyndeg.oracle import (
-    Budget,
     PlaneRationalMap,
     compose,
     composed_line_degree,
@@ -35,17 +34,36 @@ from dyndeg.oracle import (
     linear_map,
     monomial_map,
 )
-from dyndeg.polynomials import LINE_PRIMES, CoprimeBase, HomoPoly, canonical_images
+from dyndeg.polynomials import LINE_PRIMES, MAX_PACKED_DEGREE, CoprimeBase, HomoPoly
 
 Z = GaussianInt
 ZETA = Z(1, 2)
-BIG = Budget(degree_cap=10**6)
 X0, X1, X2 = (HomoPoly.monomial(1, *e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 ORACLE_ZETAS = [Z(re, s * im) for re, im in ((1, 2), (-1, 2), (2, 1), (-2, 1), (3, 1)) for s in (1, -1)]
 FACTORED_F3_DIGEST = "e208b045246c1c52440f7482ca8446546da78f35d6cfe3d21b01f768918c7de5"
 # restrict_line_mod of every atom in the records of f, f^2 and f^3 on record_lines(zeta), for the
 # ten ORACLE_ZETAS; recorded before the line oracle restricted recorded atoms through their sums
 RECORD_RESTRICTION_DIGEST = "ba701194f03927b960648a0441cc8760cd2228f32720740f170c731d02ff3ae0"
+
+
+def canonical_images(atom, images):
+    """(primitive sign-normalized atom, its restrictions) from an atom of a base and the restrictions it holds.
+
+    A sum S = unit * P gives P|L as S|L times the inverse of the unit mod p,
+    in new arrays, or as restrict_line_mod of P where p divides the unit.
+    """
+    if not isinstance(atom, polynomials.SumAtom):
+        return atom, images
+    unit, P = atom.canonical()
+
+    def restrict(line, read):
+        p, a, b = line
+        if unit % p == 0:
+            return polynomials.restrict_line_mod(P, a, b, p)
+        r = read(images, 1)
+        return None if r is None else r * pow(unit, -1, p) % p
+
+    return P, polynomials._LineImages(images.lines, restrict)
 
 
 def canonical_record(map_):
@@ -173,12 +191,12 @@ class TestMonomialMap:
                     break
             hm = monomial_map(m)
             for n in range(1, 5):
-                assert degree_of_iterate(hm, n, BIG) == monomial_degree(m**n)
+                assert degree_of_iterate(hm, n) == monomial_degree(m**n)
 
     def test_composition_multiplicativity(self):
         # h_z1 o h_z2 = h_(z1 z2) after reduction
         for z1, z2 in [(Z(1, 2), Z(2, 1)), (Z(1, 2), Z(1, 2)), (Z(3, 2), Z(1, -2))]:
-            lhs = compose(h_of(z1), h_of(z2), BIG)
+            lhs = compose(h_of(z1), h_of(z2))
             rhs = h_of(z1 * z2)
             assert lhs.same_map(rhs)
 
@@ -202,15 +220,11 @@ class TestCompose:
         assert f2.degree <= f_map.degree * f_map.degree
         assert f2.degree == 66  # strict drop: common factors were removed
         # equality branch: composing coprime-component monomial maps
-        mm = compose(h_of(Z(2, 1)), h_of(Z(1, 2)), BIG)
+        mm = compose(h_of(Z(2, 1)), h_of(Z(1, 2)))
         assert mm.degree == psi(Z(2, 1) * Z(1, 2))
 
     def test_identity_iterates(self):
         assert degree_of_iterate(identity_map(), 5) == 1
-
-    def test_budget_exhaustion(self, f_map):
-        with pytest.raises(ResourceExhausted):
-            degree_of_iterate(f_map, 5, Budget(degree_cap=500))
 
     @pytest.mark.parametrize("zeta", [Z(1, 2), Z(2, 1), Z(-1, 2), Z(3, 2)])
     def test_expanded_outer_matches_factored(self, zeta):
@@ -309,12 +323,12 @@ class TestCompose:
         def spy(name):
             method = getattr(CoprimeBase, name)
 
-            def wrapper(self, P, images, which, kept):
+            def wrapper(self, P, images, which):
                 # _quotient takes one atom index, _certified_coprime a sequence of them
                 for idx in [which] if name == "_quotient" else which:
                     if id(P) in atoms and id(self.atoms[idx]) in atoms:
                         pairs.append((name, P, self.atoms[idx]))
-                return method(self, P, images, which, kept)
+                return method(self, P, images, which)
 
             monkeypatch.setattr(CoprimeBase, name, wrapper)
 
@@ -584,8 +598,9 @@ class TestRandomLine:
 class TestRecordedRestriction:
     def test_record_atoms_restrict_as_expanded(self):
         # every atom in the records of f, f^2 and f^3, restricted through the
-        # sum it came from, equals restrict_line_mod of its expanded terms,
-        # None included, on a line of each prime and on three lines where
+        # sum it came from, equals restrict_line_mod of its expanded terms or
+        # is None, and None only where that is None or an atom beneath the
+        # sum loses degree, on a line of each prime and on three lines where
         # atoms lose degree; one memo per line serves the three records
         h = hashlib.sha256()
         nones = 0
@@ -594,15 +609,19 @@ class TestRecordedRestriction:
             f2 = compose(f, f)
             lines = record_lines(zeta)
             memos = [{} for _ in lines]
-            for record in map(canonical_record, (f, f2, compose(f, f2))):
-                for atom, images in record:
+            for raw, record in ((m._record, canonical_record(m)) for m in (f, f2, compose(f, f2))):
+                for (sum_, raw_images), (atom, images) in zip(raw, record):
                     for line, memo in zip(lines, memos):
                         p, a, b = line
                         got, want = images.on_line(line, memo), polynomials.restrict_line_mod(atom, a, b, p)
-                        assert (got is None) == (want is None)
                         assert got is None or np.array_equal(got, want)
-                        nones += got is None
-                        h.update(b"None\n" if got is None else f"{got.tolist()}\n".encode())
+                        if got is None and want is not None:
+                            assert raw_images.on_line(line, memo) is None
+                            assert any(
+                                A.on_line(line, memo) is None for _, factors in sum_.parts for _, A, _ in factors
+                            )
+                        nones += want is None
+                        h.update(b"None\n" if want is None else f"{want.tolist()}\n".encode())
         assert nones
         assert h.hexdigest() == RECORD_RESTRICTION_DIGEST
 
@@ -672,19 +691,28 @@ class TestDeferredSums:
             forced.append(f3)
         assert factored_digest(forced) == FACTORED_F3_DIGEST
 
-    def test_line_prime_dividing_a_sum_content(self):
+    def test_line_prime_dividing_a_sum_content(self, monkeypatch):
         # y0 + (p - 1) y1 after [x0 + x1 : x0 + (1 + p) x1 : x2] is the sum
-        # p x0 + p^2 x1 for p = LINE_PRIMES[0], the prime of every first
-        # trial: its raw restriction vanishes on each line of p, and the line
-        # oracle takes those lines on the canonical triple, where the
-        # component is p (x0 + p x1), and returns the degree
+        # p x0 + p^2 x1 for p = LINE_PRIMES[0], the prime of the first
+        # attempt of trial 0: its raw restriction vanishes on each line of p,
+        # so that attempt fails and the next draws a line of the next prime;
+        # the oracle returns the degree and expands no sum
         p = LINE_PRIMES[0]
         outer = linear_map([[1, p - 1, 0], [0, 1, 0], [0, 0, 1]])
         inner = PlaneRationalMap(components=(X0 + X1, X0 + X1.scale(1 + p), X2))
         composed = compose(outer, inner)
         (S,) = [atom for atom, _ in composed._record if isinstance(atom, polynomials.SumAtom)]
-        assert S.poly() == X0.scale(p) + X1.scale(p * p)
+        expanded, primes, restrict_all = spy_expansions(monkeypatch), [], oracle._restrict_components
+
+        def spy(factored, restrict, q):
+            primes.append(q)
+            return restrict_all(factored, restrict, q)
+
+        monkeypatch.setattr(oracle, "_restrict_components", spy)
         assert composed.degree == factored_line_degree(composed) == composed_line_degree(outer, inner) == 1
+        assert expanded == []
+        assert primes[:2] == [p, LINE_PRIMES[1]]  # the first attempt stops at the inner map
+        assert S.poly() == X0.scale(p) + X1.scale(p * p)
         assert factored_line_degree(PlaneRationalMap(factored=composed._factored)) == 1
 
     def test_vanished_sum_raises(self):
@@ -763,7 +791,7 @@ def per_atom_certificates(mp):
     mp.setattr(
         CoprimeBase,
         "_certified_coprime",
-        lambda self, P, images, idxs, kept: len(idxs) == 1 and certified(self, P, images, idxs, kept),
+        lambda self, P, images, idxs: len(idxs) == 1 and certified(self, P, images, idxs),
     )
 
 
@@ -902,10 +930,30 @@ class TestLineOracleConsistency:
         # line oracle agrees, also for 3+i and 3-i (e_4 = 6890), where a
         # product of two curve evaluations exceeds 2048 coefficients on both
         # sides and takes the Kronecker route
-        f4 = iterate_map(compose(g_map(), h_of(zeta)), 4, Budget(degree_cap=10**5))
+        f4 = iterate_map(compose(g_map(), h_of(zeta)), 4)
         e4 = e_sequence(d_sequence(zeta, 4), 4)[4]
         assert f4.degree == e4
         assert factored_line_degree(f4) == e4
+
+    def test_term_reads_past_packing_cap_fail_fast(self, monkeypatch):
+        # f^4 of 1+2i has degree 3114, and f^4 of 3+i holds sum atoms of
+        # degree 3445: reading their terms raises at once, before any product
+        f4 = iterate_map(compose(g_map(), h_of(Z(1, 2))), 4)
+        big = [
+            atom
+            for atom, _ in iterate_map(compose(g_map(), h_of(Z(3, 1))), 4)._record
+            if isinstance(atom, polynomials.SumAtom) and atom.degree > MAX_PACKED_DEGREE
+        ]
+        assert f4.degree == 3114 and max(S.degree for S in big) == 3445
+        products, mul = [], HomoPoly.__mul__
+        monkeypatch.setattr(HomoPoly, "__mul__", lambda P, Q: products.append(P) or mul(P, Q))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="3114 exceeds packing cap 2047"):
+            f4.components
+        with pytest.raises(ValueError, match="exceeds packing cap 2047"):
+            big[0].canonical()
+        assert time.perf_counter() - start < 1
+        assert products == []
 
     def test_composed_past_product_bound(self):
         # for 1+2i a product of two curve evaluations exceeds 2048 coefficients

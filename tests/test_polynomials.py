@@ -19,7 +19,6 @@ from dyndeg.polynomials import (
     divexact,
     homo_gcd,
     SumAtom,
-    canonical_images,
     expanded,
     restrict_line_exact,
     restrict_line_mod,
@@ -893,11 +892,10 @@ class TestCoprimeBase:
         ids=["x0x1,x0^2x1", "x0x1,x0x2", "x1+x2,x0x1,x0x2"],
     )
     def test_one_remainder_per_leftover_atom_and_line(self, monkeypatch, inputs):
-        # a remainder of one restriction by another is taken once: the
-        # coprimality gcd goes on from the one the division test kept.  With
-        # x0 x1 then x0 x2, the remainder of x0 x2 by x0 x1 is kept, the atom
-        # splits into x0, which divides: the kept remainder dies with the
-        # split.  The one kept for x1 + x2, which does not split, outlives it
+        # a leftover that the division tests refute by remainders of its
+        # restrictions by the atoms'.  With x0 x1 then x0 x2, x0 x1 splits
+        # into x0, which divides x0 x2; x1 + x2 does not split.  The result
+        # rebuilds the input over pairwise coprime atoms
         base = CoprimeBase(seed=4)
         restrictions, remainders = set(), []
         restrict, rem = polynomials.restrict_line_mod, polynomials._univ_rem_mod
@@ -923,7 +921,6 @@ class TestCoprimeBase:
         got = base.decompose(Q)
         unit, exps = got.unit, got.exps
         assert remainders
-        assert len(remainders) == len(set(remainders))
         assert_split(before, base.atoms)
         rebuilt = HomoPoly.monomial(unit, 0, 0, 0)
         for idx, e in exps.items():
@@ -968,14 +965,53 @@ def sum_of(base, terms):
     return sum((atom_product(base, exps).scale(c) for c, exps in terms), HomoPoly.zero(0))
 
 
-def assert_images_match(images, P, lines):
-    """Every line's entry of images is restrict_line_mod of P."""
+def assert_images_match(images, P, lines, atoms=()):
+    """Each line's entry of images is restrict_line_mod of P, or None where a dict in atoms holds None."""
     for n, (p, a, b) in enumerate(lines):
         want = restrict_line_mod(P, a, b, p)
         got = images[n]
-        assert (got is None) == (want is None), n
-        if got is not None:
-            assert got.tolist() == want.tolist(), n
+        if got is None:
+            assert want is None or any(A[n] is None for A in atoms), n
+        else:
+            assert want is not None and got.tolist() == want.tolist(), n
+
+
+def sum_atoms(S):
+    """The restriction dicts of the atoms the sum S reads."""
+    return [A for _, factors in S.parts for _, A, _ in factors]
+
+
+def canonical_images(atom, images):
+    """(primitive sign-normalized atom, its restrictions) from an atom of a base and the restrictions it holds.
+
+    A sum S = unit * P gives P|L as S|L times the inverse of the unit mod p,
+    in new arrays, or as restrict_line_mod of P where p divides the unit.
+    """
+    if not isinstance(atom, SumAtom):
+        return atom, images
+    unit, P = atom.canonical()
+
+    def restrict(line, read):
+        p, a, b = line
+        if unit % p == 0:
+            return restrict_line_mod(P, a, b, p)
+        r = read(images, 1)
+        return None if r is None else r * pow(unit, -1, p) % p
+
+    return P, polynomials._LineImages(images.lines, restrict)
+
+
+def spy_expansions(monkeypatch):
+    """Record each sum that ``SumAtom.canonical``, the one point that expands a sum, expands; returns the list."""
+    expansions, canonical = [], SumAtom.canonical
+
+    def spy(S, powers=None):
+        if S._canonical is None:
+            expansions.append(S)
+        return canonical(S, powers)
+
+    monkeypatch.setattr(SumAtom, "canonical", spy)
+    return expansions
 
 
 def canonical_decomposition(base, got):
@@ -1013,10 +1049,10 @@ class TestDecomposeSum:
         # read after the decomposition, across any split: the raw sum's
         # restrictions, and the primitive part's, derived from them
         assert S.poly() == total
-        assert_images_match(images, total, base.lines)
+        assert_images_match(images, total, base.lines, sum_atoms(S))
         P, canonical = canonical_images(S, images)
         assert P == total.primitive_normalized()[1]
-        assert_images_match(canonical, P, base.lines)
+        assert_images_match(canonical, P, base.lines, sum_atoms(S))
         assert atom_product(base, got.exps).scale(got.unit) == total
 
     def test_restriction_read_after_a_split(self):
@@ -1034,126 +1070,110 @@ class TestDecomposeSum:
         assert A not in base.atoms and unread
         P = S.poly()
         assert P == A + (x2 * x2).scale(3)
-        assert_images_match(images, P, base.lines)
+        assert_images_match(images, P, base.lines, sum_atoms(S))
 
     @staticmethod
     def decompose_on_twins(monkeypatch, polys, make_terms):
         """decompose_sum against decompose of the expanded sum, on twin bases that hold the atoms polys.
 
-        The two decompositions leave the same result and the same atoms once
-        the sum's content and sign go into the unit.  Returns the sum, its
-        restrictions, its primitive part with restrictions derived from them
-        (each line read), and the restrict_line_mod calls (polynomial, line
-        index) that the decomposition and those reads made.
+        decompose_sum, and a read of the sum's restriction to each base line,
+        expand no sum; each restriction is restrict_line_mod of the expanded
+        sum or None, and None only where that is None or an atom of the sum
+        loses degree.  The two decompositions leave the same result and the
+        same atoms once the sum's content and sign go into the unit.
+        Returns the sum and its restrictions.
         """
-        calls = []
-        restrict = polynomials.restrict_line_mod
         base, twin = SumSpyBase(seed=3), CoprimeBase(seed=3)
-        lines = {(p, tuple(a), tuple(b)): n for n, (p, a, b) in enumerate(base.lines)}
-
-        def counting(P, a, b, p):
-            calls.append((P, lines.get((p, tuple(a), tuple(b)))))
-            return restrict(P, a, b, p)
-
         for P in polys:
             base.decompose(P)
             twin.decompose(P)
         terms = make_terms([base.decompose(P).exps for P in polys])
         total = sum_of(base, terms)
-        monkeypatch.setattr(polynomials, "restrict_line_mod", counting)
-        got = base.decompose_sum(terms)
-        ((S, images),) = base.sums
-        P, canonical = canonical_images(S, images)
-        assert_images_match(images, total, base.lines)
-        assert_images_match(canonical, P, base.lines)
+        with monkeypatch.context() as mp:
+            expansions = spy_expansions(mp)
+            got = base.decompose_sum(terms)
+            ((S, images),) = base.sums
+            assert_images_match(images, total, base.lines, sum_atoms(S))
+            assert expansions == []
         want = twin.decompose(total)
         assert canonical_decomposition(base, got) == (want.unit, want.exps, twin.atoms)
-        return S, images, P, canonical, calls
+        return S, images
 
     def test_atom_losing_degree_takes_fallback(self, monkeypatch):
-        # x0 a1 - x1 a0 vanishes at a = a_1 of line 1: it loses degree there,
-        # and the sum is expanded and restricted by restrict_line_mod there only
+        # the fallback where a sum cannot be read through its atoms is a
+        # skipped line.  x0 a1 - x1 a0 vanishes at a = a_1 of line 1: it
+        # loses degree there, so the sum's restriction there is None, though
+        # the expanded sum keeps its degree on that line; the sum is not
+        # expanded for it
         p, a, b = CoprimeBase(seed=3).lines[1]
         L = HomoPoly.from_triples(1, [(1, 0, 0, a[1]), (0, 1, 0, -a[0])])
         assert restrict_line_mod(L, a, b, p) is None
-        S, _, _, _, calls = self.decompose_on_twins(
+        S, images = self.decompose_on_twins(
             monkeypatch,
             (HomoPoly.monomial(1, 1, 0, 0), HomoPoly.monomial(1, 0, 1, 0), L),
             lambda ex: [(2, scaled(ex[0], 2) + ex[2]), (-3, scaled(ex[1], 3)), (1, ex[0] + scaled(ex[1], 2))],
         )
-        assert {n for R, n in calls if R == S.poly()} == {1}
+        assert [n for n in range(len(images.lines)) if images[n] is None] == [1]
+        assert restrict_line_mod(S.poly(), a, b, p) is not None
 
     def test_content_divisible_by_line_prime_takes_fallback(self, monkeypatch):
         # the sum's content is a multiple of line 0's prime, so its raw
-        # restriction vanishes there: no line-0 certificate reads it, and its
-        # primitive part is restricted by restrict_line_mod there only
+        # restriction vanishes there: line 0 is skipped, and the sum is not
+        # expanded for it
         p = CoprimeBase(seed=3).lines[0][0]
         L = HomoPoly.from_triples(1, [(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1)])
-        S, images, P, canonical, calls = self.decompose_on_twins(
+        S, images = self.decompose_on_twins(
             monkeypatch,
             (HomoPoly.monomial(1, 1, 0, 0), HomoPoly.monomial(1, 0, 1, 0), L),
             lambda ex: [(3 * p, scaled(ex[0], 2) + ex[2]), (-5 * p, scaled(ex[1], 3)), (p, ex[0] + ex[1] + ex[2])],
         )
-        assert S.canonical()[0] % p == 0 and images[0] is None and canonical[0] is not None
-        assert {n for R, n in calls if R is P} == {0}
-        assert not [R for R, _ in calls if R == S.poly()]
+        assert [n for n in range(len(images.lines)) if images[n] is None] == [0]
+        assert S.canonical()[0] % p == 0
 
-    @staticmethod
-    def restrict_off_base(monkeypatch, polys, make_terms, line):
+    def restrict_off_base(self, monkeypatch, polys, make_terms, line):
         """decompose_sum's restriction to a line the base does not draw, read as the line oracle reads it.
 
-        ``on_line`` gives the raw sum's restriction and, in the canonical
-        view, its primitive part's, each as restrict_line_mod gives it, once
-        per memo, and stores nothing into the index-keyed dicts of the sum
-        or its atoms.  Returns the sum, its primitive part and the
-        polynomials restrict_line_mod saw.
+        The sum is built as ``decompose_on_twins`` builds it.  ``on_line``
+        gives None, keeps it in the memo, expands no sum, and stores nothing
+        into the index-keyed dicts of the sum or its atoms.  Returns the sum.
         """
-        base = SumSpyBase(seed=3)
-        base.decompose_sum(make_terms([base.decompose(P).exps for P in polys]))
-        ((S, images),) = base.sums
-        P, canonical = canonical_images(S, images)
-        held = [images, *base.images]
+        S, images = self.decompose_on_twins(monkeypatch, polys, make_terms)
+        held = [images, *sum_atoms(S)]
         keys = [set(im) for im in held]
-        calls = []
-        restrict = polynomials.restrict_line_mod
-        monkeypatch.setattr(polynomials, "restrict_line_mod", lambda R, a, b, p: calls.append(R) or restrict(R, a, b, p))
-        p, a, b = line
         memo = {}
-        for view, poly in ((images, S.poly()), (canonical, P)):
-            got, want = view.on_line(line, memo), restrict(poly, a, b, p)
-            assert (got is None) == (want is None)
-            assert got is None or got.tolist() == want.tolist()
-            assert view.on_line(line, memo) is got
+        with monkeypatch.context() as mp:
+            expansions = spy_expansions(mp)
+            assert images.on_line(line, memo) is None
+            assert id(images) in memo
+            assert expansions == []
         assert [set(im) for im in held] == keys
-        return S, P, calls
+        return S
 
     def test_off_base_line_atom_losing_degree_takes_fallback(self, monkeypatch):
-        # x0 a1 - x1 a0 loses degree on a line of a prime no base of seed 3 draws
+        # x0 a1 - x1 a0 loses degree on a line of a prime no base of seed 3
+        # draws; the expanded sum keeps its degree there
         line = (LINE_PRIMES[5], [3, 5, 7], [11, -13, 17])
         p, a, b = line
         L = HomoPoly.from_triples(1, [(1, 0, 0, a[1]), (0, 1, 0, -a[0])])
         assert restrict_line_mod(L, a, b, p) is None
-        S, _, calls = self.restrict_off_base(
+        S = self.restrict_off_base(
             monkeypatch,
             (HomoPoly.monomial(1, 1, 0, 0), HomoPoly.monomial(1, 0, 1, 0), L),
             lambda ex: [(2, scaled(ex[0], 2) + ex[2]), (-3, scaled(ex[1], 3)), (1, ex[0] + scaled(ex[1], 2))],
             line,
         )
-        assert [R for R in calls if R == S.poly()] == [S.poly()]
+        assert restrict_line_mod(S.poly(), a, b, p) is not None
 
     def test_off_base_line_prime_dividing_unit_takes_fallback(self, monkeypatch):
         # p divides the sum's unit, so its raw restriction vanishes on every
-        # line of p; the line oracle then reads the canonical view, which
-        # gives restrict_line_mod of the primitive part, taken once
+        # line of p; the line oracle reads None there and draws another line
         p = LINE_PRIMES[5]
         assert p not in {q for q, _, _ in CoprimeBase(seed=3).lines}
         L = HomoPoly.from_triples(1, [(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1)])
-        S, P, calls = self.restrict_off_base(
+        S = self.restrict_off_base(
             monkeypatch,
             (HomoPoly.monomial(1, 1, 0, 0), HomoPoly.monomial(1, 0, 1, 0), L),
             lambda ex: [(3 * p, scaled(ex[0], 2) + ex[2]), (-5 * p, scaled(ex[1], 3)), (p, ex[0] + ex[1] + ex[2])],
             (p, [3, 5, 7], [11, -13, 17]),
         )
         assert S.canonical()[0] % p == 0
-        assert [R for R in calls if R is P] == [P]
-        assert not [R for R in calls if R == S.poly()]
