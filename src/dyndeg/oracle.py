@@ -21,11 +21,11 @@ its degree on no base line.  A term read past the 2047 packing cap fails at
 once with ValueError (``components``, ``SumAtom.canonical``), before any
 product.
 ``iterate_map`` composes each iterate once.  A map that ``compose``
-returns carries its atoms with their line restrictions, and a later
-``compose`` that takes it as the inner map adopts them into its base as
-they are, so along an iterate chain no atom is decomposed or proved coprime
-to the others again, none is restricted to a line twice, and none is
-expanded.
+returns carries its base's line memos, and a later ``compose`` that takes
+it as the inner map adopts its distinct factors as atoms, over copies of
+those memos, so along an iterate chain no atom is decomposed or proved
+coprime to the others again, none is restricted to a line twice, and none
+is expanded.
 
 A composed map is held raw: a sum keeps its content and sign, its
 restrictions are those of the sum, and the units are those of the raw
@@ -41,18 +41,18 @@ the inner map to seeded random lines mod a large prime, factor by factor
 the outer map's factors on that curve, and reports the largest degree minus
 the degree of the gcd: the composite is never formed, and a trial can err
 low, never high.  ``factored_line_degree`` is the oracle after the identity.
-A factor in the inner map's atom record is restricted only through the sum
-it came from, as ``compose``'s base restricts it to its own lines; any other
-factor by ``restrict_line_mod`` of its terms.  Where a recorded sum cannot
-be read through its atoms (an atom beneath loses degree, or the line's
-prime divides a sum's content) the attempt draws another line, of the next
-prime.  What the oracle proves stays the same: on random lines the reduced
-triple keeps no common factor, so its degree is the composite's.  It never
-reads the expanded terms of a recorded atom.  Pinned tests tie those terms
-to the sums on seeded lines.  ``compose`` has no budget; a caller that
-wants one bounds the product of the degrees (the CLI does), and a sum is
-not a ``HomoPoly`` until read, so the 2047 packing cap bounds a component
-only once it is expanded.
+Each attempt keeps one ``LineMemo`` for its line, so a sum factor of the
+inner map is restricted only through its atoms, as ``compose``'s base
+restricts it to its own lines, and a ``HomoPoly`` by ``restrict_line_mod``
+of its terms.  Where a sum cannot be read through its atoms (an atom
+beneath loses degree, or the line's prime divides a sum's content) the
+attempt draws another line, of the next prime.  What the oracle proves
+stays the same: on random lines the reduced triple keeps no common factor,
+so its degree is the composite's.  It never reads the expanded terms of a
+sum.  Pinned tests tie those terms to the sums on seeded lines.
+``compose`` has no budget; a caller that wants one bounds the product of
+the degrees (the CLI does), and a sum is not a ``HomoPoly`` until read, so
+the 2047 packing cap bounds a component only once it is expanded.
 """
 
 from __future__ import annotations
@@ -73,10 +73,10 @@ from .polynomials import (
     CoprimeBase,
     HomoPoly,
     LINE_PRIMES,
+    LineMemo,
     MAX_PACKED_DEGREE,
     SumAtom,
     expand,
-    restrict_line_mod,
     scaled,
     univ_gcd_mod,
     univ_mul_mod,
@@ -93,10 +93,10 @@ class PlaneRationalMap:
     ``_raw`` is the triple as built: (unit, ((factor, exponent), ...)) per
     component.  A map that ``compose`` returns holds it raw: its factors
     include ``SumAtom`` sums, unexpanded, whose content and sign stay in
-    them and out of the units.  ``_record`` is None, or set by compose:
-    ((atom, its restrictions), ...) over the distinct factors of ``_raw`` in
-    order of first appearance, all atoms of one coprime base of seed
-    ``_BASE_SEED``, each restriction that of the raw factor.  ``degree``,
+    them and out of the units.  ``_memos`` is None, or set by compose: the
+    ``LineMemo`` of each certificate line of its coprime base (seed
+    ``_BASE_SEED``), which holds the restrictions of the raw factors, all
+    atoms of that base, and of the sums beneath them.  ``degree``,
     ``compose`` on the inner side and the line oracle read only these.
 
     ``_factored`` is the canonical triple, derived from the raw one on first
@@ -109,7 +109,7 @@ class PlaneRationalMap:
     raises ValueError before reading it.
     """
 
-    __slots__ = ("_raw", "_record", "_canonical", "_components", "degree")
+    __slots__ = ("_raw", "_memos", "_canonical", "_components", "degree")
 
     def __init__(self, components=None, factored=None):
         if factored is None:
@@ -119,7 +119,7 @@ class PlaneRationalMap:
             factored = tuple((0, ()) if c.is_zero() else (1, ((c, 1),)) for c in components)
         self._components = components
         self._raw = factored
-        self._record = None
+        self._memos = None
         self._canonical = None
         degs = {sum(e * p.degree for p, e in factors) for unit, factors in factored if unit}
         if len(degs) != 1:
@@ -296,27 +296,36 @@ def compose(outer: PlaneRationalMap, inner: PlaneRationalMap) -> PlaneRationalMa
     expands one except an outer factor's terms (the outer map's canonical
     triple is read) and the events ``CoprimeBase`` names.
 
-    An inner map that compose returned carries its atoms with their
-    restrictions (``_record``), and the base adopts them as they are: they
-    are pairwise coprime by proof, so decomposing them in a fresh base would
-    enter each as a new atom, in order of first appearance and with unit 1.
-    Any other inner map is decomposed factor by factor.
+    Each distinct factor of the inner map enters the base once, in order
+    of first appearance.  The factors of a map that compose returned are
+    atoms of one base, pairwise coprime by proof, so the base adopts them
+    over copies of that base's memos (``_memos``): decomposing them in a
+    fresh base would enter each as a new atom, in that order and with unit
+    1.  The copies share their entries, so the restrictions, powers and
+    series inverses taken there are read, not taken again, and the inner
+    map's memos gain no entry.  Any other inner map is decomposed factor by
+    factor.
     """
     if any(unit == 0 for map_ in (outer, inner) for unit, _ in map_._raw):
         raise ValueError("cannot decompose the zero polynomial")
     base = CoprimeBase(seed=_BASE_SEED)
-
-    inner_rows = []
-    if inner._record is not None:
-        index = {id(atom): base.adopt(atom, images) for atom, images in inner._record}
-        for unit, factors in inner._raw:
-            inner_rows.append(base.track(unit, Counter({index[id(poly)]: e for poly, e in factors})))
+    if inner._memos is None:
+        enter = base.decompose
     else:
-        for unit, factors in inner._raw:
-            row = base.track(unit)
-            for poly, e in factors:
-                row.times(base.decompose(poly), e)
-            inner_rows.append(row)
+        base.memos = [memo.copy() for memo in inner._memos]
+
+        def enter(atom):
+            return base.track(1, Counter({base.adopt(atom): 1}))
+
+    entered = {}  # id(factor) -> its tracked Product, kept current across splits
+    inner_rows = []
+    for unit, factors in inner._raw:
+        row = base.track(unit)
+        for poly, e in factors:
+            if id(poly) not in entered:
+                entered[id(poly)] = enter(poly)
+            row.times(entered[id(poly)], e)
+        inner_rows.append(row)
 
     @cache
     def image(*mults):
@@ -345,8 +354,7 @@ def compose(outer: PlaneRationalMap, inner: PlaneRationalMap) -> PlaneRationalMa
     out = PlaneRationalMap(
         factored=tuple((unit, tuple((base.atoms[idx], n) for idx, n in row)) for unit, row in rows)
     )
-    first_seen = dict.fromkeys(idx for _, row in rows for idx, _ in row)
-    out._record = tuple((base.atoms[idx], base.images[idx]) for idx in first_seen)
+    out._memos = base.memos
     return out
 
 
@@ -393,24 +401,23 @@ def composed_line_degree(outer: PlaneRationalMap, inner: PlaneRationalMap, seed:
     ``univ_mul_mod``'s Kronecker route.
 
     inner is read raw: its units and its factors' restrictions, both of
-    the raw triple.  A factor that inner's atom record holds (a map
-    ``compose`` returned) is restricted through the sum of atom-power
-    products it came from, and only so, as its coprime base restricts it
-    (``_LineImages.on_line``, one memo per line, so every atom beneath is
-    restricted once per line, and each power of it raised once); where
-    that restriction is not None it equals ``restrict_line_mod`` of the
-    sum, content and sign included (the residue array is unique), the route
-    of any other factor.  It is None where an atom beneath loses degree, or
-    where the line's prime divides a sum's content, and the attempt draws
-    another line.  On a line it keeps, the prime divides no sum's content,
-    so the raw triple is the canonical one times an integer the prime does
-    not divide, each factor's raw restriction a nonzero multiple of its
-    canonical one, and the trial value the canonical triple's.  No recorded
-    atom's expanded terms are read; outer's terms are read from its
-    canonical triple.
+    the raw triple, through one ``LineMemo`` per attempt.  A ``SumAtom``
+    factor is restricted through the sum of atom-power products it is, and
+    only so, as a coprime base restricts it (``SumAtom.restrict``: every
+    atom beneath is restricted once per line, and each power of it raised
+    once); where that restriction is not None it equals
+    ``restrict_line_mod`` of the sum, content and sign included (the
+    residue array is unique), the route of a ``HomoPoly`` factor.  It is
+    None where an atom beneath loses degree, or where the line's prime
+    divides a sum's content, and the attempt draws another line.  On a line
+    it keeps, the prime divides no sum's content, so the raw triple is the
+    canonical one times an integer the prime does not divide, each factor's
+    raw restriction a nonzero multiple of its canonical one, and the trial
+    value the canonical triple's.  No sum's expanded terms are read; outer's
+    terms are read from its canonical triple.  The memo lives for one
+    attempt, so no oracle line persists in a map.
     """
     top = max((poly.degree for _, factors in outer._raw for poly, _ in factors), default=0)  # highest power used
-    recorded = {id(atom): images for atom, images in inner._record or ()}
     rng = random.Random(seed)
     answers = []
     for trial in range(_LINE_TRIALS):
@@ -421,8 +428,7 @@ def composed_line_degree(outer: PlaneRationalMap, inner: PlaneRationalMap, seed:
             b = [rng.randint(-(10**6), 10**6) for _ in range(3)]
             if all(v == 0 for v in a):
                 continue
-            line, memo = (p, a, b), {}
-            curve = _restrict_components(inner._raw, partial(_restrict_factor, recorded, line, memo), p)
+            curve = _restrict_components(inner._raw, LineMemo((p, a, b)).restriction, p)
             if curve is None:
                 continue
             mul = partial(univ_mul_mod, p=p)
@@ -464,15 +470,6 @@ def _restrict_components(factored, restrict, p: int):
             r = mul(r, binary_power(rp, e, one, mul))
         out.append(r)
     return out
-
-
-def _restrict_factor(recorded: dict, line, memo: dict, P: HomoPoly):
-    """P's restriction to the line (p, a, b): through the sum it came from if the record holds it."""
-    images = recorded.get(id(P))
-    if images is None:
-        p, a, b = line
-        return restrict_line_mod(P, a, b, p)
-    return images.on_line(line, memo)
 
 
 def _on_curve(P: HomoPoly, powers, degree: int, p: int) -> np.ndarray:

@@ -49,13 +49,15 @@ a line proves a polynomial P coprime to a whole set of atoms: if P and the
 atoms keep their degrees on L and gcd(P|L, prod A|L) is constant, then so
 is every common factor of P and an atom, since it keeps its degree on L
 and its restriction divides both (gcd(P, prod A) = 1 exactly when P is
-coprime to each A).  A ``CoprimeBase`` draws its certificate lines once,
-restricts each polynomial to each of them at most once, and tests a
-polynomial against one atom or many by that one gcd per line, the product
-of the atoms' restrictions reduced mod P|L.  ``homo_gcd`` is the heuristic
-gcd GCDHEU: integer gcds of values at x1 = s*x2, x0 = r*x2 read back as
-symmetric digits, returned only after ``divexact`` divides both inputs and
-the degree meets the bound that a gcd of line restrictions gives.
+coprime to each A).  Every restriction, the powers raised of it and its
+series inverse live in one store, a ``LineMemo`` per line, keyed by the
+polynomial restricted.  A ``CoprimeBase`` draws its certificate lines once,
+keeps one memo for each, and tests a polynomial against one atom or many
+by that one gcd per line, the product of the atoms' restrictions reduced
+mod P|L.  ``homo_gcd`` is the heuristic gcd GCDHEU: integer gcds of
+values at x1 = s*x2, x0 = r*x2 read back as symmetric digits, returned only
+after ``divexact`` divides both inputs and the degree meets the bound that
+a gcd of line restrictions gives.
 
 A sum of atom-power products enters a base unexpanded, as a ``SumAtom``:
 its terms, its restrictions through its atoms, and its degree, which a
@@ -711,84 +713,57 @@ def _certificate_lines(seed: int, count: int = _BASE_LINES):
     return lines
 
 
-class _LineImages(dict):
-    """Restrictions of one polynomial to lines (None where it proves nothing), each computed on first read.
+class LineMemo:
+    """Restrictions to one line (p, a, b) of the polynomials read on it, each computed once while the memo lives.
 
-    ``restrict(line, read)`` restricts the polynomial to the line (p, a, b).
-    ``read(images, e)`` gives the restriction to the same line of another
-    polynomial, held by its own ``_LineImages``, raised to e: that is how a
-    sum reads its atoms', and only that (``SumAtom.restrict``), so a sum's
-    entry is None where it loses degree and also where an atom beneath it
-    does.  Each power is raised once per line and kept beside the
-    restriction it raises, so a sum whose terms share an (atom, exponent)
-    pair, or two sums that do, raise it once.  There are
-    two readers.  The dict, keyed by line index, holds the restrictions to
-    ``lines``, the certificate lines of a coprime base: ``self[n]`` is
-    computed once and kept, its powers in ``powers[n]``, and its reads go to
-    the other dicts' entry n.  ``on_line(line, memo)`` restricts to any
-    other line: the memo, which the caller keeps for that one line, takes
-    the result of this and of every ``_LineImages`` read beneath it, keyed
-    by id, and their powers, keyed by (id, "powers") (each is held by the
-    one that reads it, so no id is reused while the caller holds this one),
-    and no dict gains an entry.  ``inverses`` keeps, per line index, the
-    series inverse that ``_univ_rem_mod`` takes for a remainder by the
-    restriction, so it travels with the restrictions when a base adopts the
-    polynomial.
+    An entry is keyed by ``id(P)`` and holds P itself, so no id is reused
+    while the memo lives; P's restriction, by ``restrict_line_mod`` for a
+    ``HomoPoly`` and by ``SumAtom.restrict`` for a sum, which reads its
+    atoms' entries here (None where the restriction proves nothing); the
+    powers of the restriction raised so far, each once; and the one-item
+    list of the series inverse of the reversed restriction that
+    ``_univ_rem_mod`` reads and extends.  ``copy`` gives a memo with a new
+    entry dict over the same entries: what the copy adds stays out of the
+    original, and the powers and inverses taken through either are shared.
     """
 
-    __slots__ = ("lines", "restrict", "inverses", "powers")
+    __slots__ = ("line", "entries")
 
-    def __init__(self, lines, restrict):
-        super().__init__()
-        self.lines = lines
-        self.restrict = restrict
-        self.inverses: dict = {}  # line index -> [series inverse of the reversed restriction]
-        self.powers: dict = {}  # line index -> {exponent: restriction raised to it}
+    def __init__(self, line):
+        self.line = line
+        self.entries: dict = {}  # id(P) -> (P, restriction, {exponent: power}, [series inverse])
 
-    def __missing__(self, n):
-        got = self[n] = self.restrict(self.lines[n], lambda images, e: images.power(n, e))
+    def copy(self) -> "LineMemo":
+        got = LineMemo(self.line)
+        got.entries = dict(self.entries)
         return got
 
-    def power(self, n: int, e: int):
-        """The restriction to line n raised to e, kept beside it; None where it loses degree."""
-        return _raised(self[n], e, self.powers.setdefault(n, {}), self.lines[n][0])
+    def _entry(self, P):
+        got = self.entries.get(id(P))
+        if got is None:
+            p, a, b = self.line
+            r = P.restrict(self) if isinstance(P, SumAtom) else restrict_line_mod(P, a, b, p)
+            got = self.entries[id(P)] = (P, r, {}, [])
+        return got
 
-    def on_line(self, line, memo: dict):
-        """The restriction to the line (p, a, b), memo: id of a ``_LineImages`` -> its restriction to it."""
-        key = id(self)
-        if key not in memo:
+    def restriction(self, P):
+        """P restricted to the line mod p; None where that proves nothing."""
+        return self._entry(P)[1]
 
-            def read(images, e):
-                return _raised(images.on_line(line, memo), e, memo.setdefault((id(images), "powers"), {}), line[0])
+    def power(self, P, e: int):
+        """P's restriction raised to e, kept beside it; the restriction itself for e = 1 or None."""
+        _, r, powers, _ = self._entry(P)
+        if r is None or e == 1:
+            return r
+        got = powers.get(e)
+        if got is None:
+            p = self.line[0]
+            got = powers[e] = binary_power(r, e, np.ones(1, dtype=np.int64), lambda f, g: univ_mul_mod(f, g, p))
+        return got
 
-            memo[key] = self.restrict(line, read)
-        return memo[key]
-
-
-def _raised(r, e: int, powers: dict, p: int):
-    """The residue array r raised to e mod p, kept in powers (exponent -> power); r itself for e = 1 or None."""
-    if r is None or e == 1:
-        return r
-    got = powers.get(e)
-    if got is None:
-        got = powers[e] = binary_power(r, e, np.ones(1, dtype=np.int64), lambda f, g: univ_mul_mod(f, g, p))
-    return got
-
-
-def _line_images(P: HomoPoly, lines) -> _LineImages:
-    """P's restrictions to lines [(p, a, b)] by ``restrict_line_mod``, computed on first read."""
-    return _LineImages(lines, lambda line, _: restrict_line_mod(P, line[1], line[2], line[0]))
-
-
-def _restricted_pairs(lines, p_images: _LineImages, q_images: _LineImages):
-    """(line index, p, P restricted, Q restricted) for each line on which both keep their degree.
-
-    Lazy: a line's restrictions are computed when the line is reached.
-    """
-    for n, (p, _, _) in enumerate(lines):
-        rp, rq = p_images[n], q_images[n]
-        if rp is not None and rq is not None:
-            yield n, p, rp, rq
+    def inverse(self, P) -> list:
+        """The one-item list of the series inverse of P's reversed restriction, as ``_univ_rem_mod`` takes it."""
+        return self._entry(P)[3]
 
 
 def certify_coprime(P: HomoPoly, Q: HomoPoly, seed: int = 0) -> bool:
@@ -804,8 +779,8 @@ def certify_coprime(P: HomoPoly, Q: HomoPoly, seed: int = 0) -> bool:
     if P.is_zero() or Q.is_zero():
         return False
     base = CoprimeBase(seed)
-    base.adopt(Q, _line_images(Q, base.lines))
-    return base._certified_coprime(P, _line_images(P, base.lines), (0,))
+    base.adopt(Q)
+    return base._certified_coprime(P, (0,))
 
 
 # ---------------------------------------------------------------------------
@@ -948,12 +923,12 @@ def scaled(exps, n: int) -> Counter:
 class SumAtom:
     """A sum S = sum of c * prod A^e over atoms A, held as its terms: no product is formed until S is read.
 
-    ``parts`` is ((c, ((A, restrictions of A, e), ...)), ...): each atom
-    is captured with the restriction dict (``_LineImages``) it has when the
-    sum is formed, so the sum keeps its meaning when a base later splits or
-    rescales one of them.  S is the raw sum: its content and sign stay in
-    it.  ``degree`` is the degree every term has; it is S's only while S
-    does not vanish, which a restriction keeping that degree proves.
+    ``parts`` is ((c, ((A, e), ...)), ...), over the atom objects the sum
+    is formed from: a base that later splits or rescales an atom puts a new
+    object at its index, so the sum keeps its meaning.  S is the raw sum:
+    its content and sign stay in it.  ``degree`` is the degree every term
+    has; it is S's only while S does not vanish, which a restriction
+    keeping that degree proves.
 
     ``restrict`` gives S|L only through the atoms' restrictions, on any
     line; where they cannot give it (an atom loses degree on L, or p
@@ -962,8 +937,8 @@ class SumAtom:
     as (unit, primitive sign-normalized part), the one copy of its terms;
     ``poly()`` gives S itself from it.  A sum that expands to zero raises
     ReductionFailure, and one past the packing cap ValueError, before any
-    product.  The sum holds its atoms' restriction dicts, never its own
-    (whose ``restrict`` holds the sum), so no reference cycle forms.
+    product.  A sum holds no restriction: a ``LineMemo`` holds the sum and
+    its restrictions, so no reference cycle forms.
     """
 
     __slots__ = ("degree", "parts", "_canonical")
@@ -990,7 +965,7 @@ class SumAtom:
             powers = {} if powers is None else powers
             sums = Counter()
             for c, factors in self.parts:
-                sums.update(expand(c, [_atom_power(A, e, powers) for A, _, e in factors]).terms)
+                sums.update(expand(c, [_atom_power(A, e, powers) for A, e in factors]).terms)
             total = HomoPoly(self.degree, {key: v for key, v in sums.items() if v})
             if total.is_zero():
                 raise ReductionFailure("a sum of atom-power products vanished")
@@ -1002,12 +977,12 @@ class SumAtom:
         unit, P = self.canonical(powers)
         return P if unit == 1 else P.scale(unit)
 
-    def restrict(self, line, read):
-        """S|L on the line (p, a, b) through the atoms' restrictions, read(images, e) = (A|L)^e; None if that fails.
+    def restrict(self, memo: "LineMemo"):
+        """S|L on the memo's line (p, a, b) through the atoms' restrictions held there; None if that fails.
 
         Restriction to a line followed by reduction mod p is a ring
         homomorphism, so S|L is the same sum of products of the atoms'
-        restrictions, each power raised once per line (``_LineImages``).
+        restrictions, each power raised once per line (``LineMemo.power``).
         A term whose atoms all keep their degree has degree exactly deg S on
         the line (p is prime), so the terms align, and a result that keeps
         deg S is ``restrict_line_mod`` of S (the residue array is unique).
@@ -1015,15 +990,15 @@ class SumAtom:
         shorter restriction) or when the sum does, p dividing S's content
         included: S is never expanded here.
         """
-        p = line[0]
-        if any(read(images, 1) is None for _, factors in self.parts for _, images, _ in factors):
+        p = memo.line[0]
+        if any(memo.restriction(A) is None for _, factors in self.parts for A, _ in factors):
             return None
         acc = np.zeros(self.degree + 1, dtype=np.int64)
         for c, factors in self.parts:
             if c % p:
                 r = np.array([c % p], dtype=np.int64)
-                for _, images, e in factors:
-                    r = univ_mul_mod(r, read(images, e), p)
+                for A, e in factors:
+                    r = univ_mul_mod(r, memo.power(A, e), p)
                 acc += r  # below 2^47.01: at most 2048 * 2049 / 2 < 2^22 terms of residues
         acc %= p
         return acc if acc[0] else None
@@ -1080,14 +1055,14 @@ class CoprimeBase:
     ``track`` makes keeps naming the same polynomial across them, its unit
     included.
 
-    The base draws its certificate lines once, from its seed.  Each atom is
-    restricted to each line at most once (``images``, reset when the atom is
-    replaced), and the polynomial being decomposed likewise for as long as it
-    stays unchanged.  Both certificates read these restrictions: a nonzero
-    remainder on a line refutes that an atom divides, and a constant gcd on a
-    line proves that a polynomial is coprime to one atom or to several at
-    once.  Each decides only up to a nonzero scalar (remainder zero-ness,
-    gcd degree, line degree), so a sum decides the same with or without its
+    The base draws its certificate lines once, from its seed, and keeps one
+    ``LineMemo`` per line (``memos``), so each polynomial it reads, an atom
+    or a leftover being decomposed, is restricted to each line at most
+    once.  Both certificates read these restrictions: a nonzero remainder
+    on a line refutes that an atom divides, and a constant gcd on a line
+    proves that a polynomial is coprime to one atom or to several at once.
+    Each decides only up to a nonzero scalar (remainder zero-ness, gcd
+    degree, line degree), so a sum decides the same with or without its
     content.
 
     ``decompose`` first tests the polynomial P against the whole base, one
@@ -1101,14 +1076,11 @@ class CoprimeBase:
     units are the same.  Otherwise (a nonconstant gcd over two or more
     atoms, or an atom that keeps its degree on no line on which P keeps its)
     the per-atom route runs: division tests, then one certificate per atom
-    by the same formula, then ``homo_gcd``.  Beside each atom's restriction
-    to a line its ``_LineImages`` keeps the inverse of its reversal as a
-    power series, as long as the longest quotient asked so far
-    (``inverses``, at most 2048 residues), so a division test by the atom
-    costs two convolutions, in this base and in any base that adopts the
-    atom, and the powers of the restriction that sums read (``powers``).
-    The certificate reduces by P|L with the inverse in P's own slot, which
-    its remainders as an atom read once it enters.
+    by the same formula, then ``homo_gcd``.  Each remainder by a
+    polynomial's restriction takes the series inverse its memo entry keeps
+    (at most 2048 residues), so a division test by an atom costs two
+    convolutions, and the certificate's reductions mod P|L leave P's
+    inverse where its remainders as an atom read it once it enters.
 
     A sum is restricted to a line, any line and not only the base's, only
     through its atoms (``SumAtom.restrict``); where that fails, because an
@@ -1123,25 +1095,19 @@ class CoprimeBase:
     may follow); no base line keeping its degree (a sum that vanishes
     raises ReductionFailure there); and a caller reading its terms.
 
-    A sum reads the restriction dicts its atoms have when it is formed: a
-    later split or rescaling gives the atom a new dict, so a late read of
-    the sum's restriction still multiplies the restrictions of the atoms the
-    sum was formed from.  On a line of the base the sum and its atoms keep
-    their restrictions in their dicts; on any other line
-    (``_LineImages.on_line``, the line oracle's reader) they go into the
-    caller's memo for that line, so an atom that was itself such a sum is
-    restricted through its own atoms, each once, down to the atoms that
-    ``restrict_line_mod`` restricted.  No restriction dict refers to the
-    base, so a base leaves no reference cycle and is freed as soon as its
-    caller drops it, and a dict can be handed to another base with the same
-    seed (``adopt``).
+    A split or a rescaling puts a new object at the atom's index; the old
+    one stays in the sums formed from it and keeps its memo entries, so a
+    late read of a sum's restriction still multiplies the restrictions of
+    the atoms the sum was formed from.  No memo refers to the base, so a
+    base leaves no reference cycle and is freed as soon as its caller drops
+    it, and a base of the same seed can start from copies of its memos
+    (``adopt``).
     """
 
     def __init__(self, seed: int = 0):
         self.atoms: list = []
         self.seed = seed
-        self.lines = _certificate_lines(seed)
-        self.images: list = []  # per atom: its _LineImages
+        self.memos = [LineMemo(line) for line in _certificate_lines(seed)]
         self._tracked: list = []  # every Product of this base, kept current across splits
 
     def track(self, unit: int = 1, exps=None) -> Product:
@@ -1150,19 +1116,18 @@ class CoprimeBase:
         self._tracked.append(got)
         return got
 
-    def adopt(self, atom, images: _LineImages) -> int:
-        """Enter atom with its restrictions to this base's lines as a new atom; returns its index.
+    def adopt(self, atom) -> int:
+        """Enter atom as a new atom; returns its index.
 
         No certificate is taken: the caller vouches that atom is coprime to
         every atom already here, a ``HomoPoly`` atom primitive and
-        sign-normalized, and that images restrict it to this base's lines
-        (another base of the same seed draws the same lines).  That is what
-        ``decompose`` would find, so it would enter atom the same way, with
-        unit 1.  The series inverses and restriction powers already taken on
-        those lines come along in images.
+        sign-normalized.  That is what ``decompose`` would find, so it would
+        enter atom the same way, with unit 1.  Its restrictions, powers and
+        series inverses are those in ``memos``: a base whose memos are
+        copies of another base's (the same seed draws the same lines) reads
+        those already taken there.
         """
         self.atoms.append(atom)
-        self.images.append(images)
         return len(self.atoms) - 1
 
     def decompose_sum(self, terms) -> Product:
@@ -1180,21 +1145,14 @@ class CoprimeBase:
             if not total:
                 raise ReductionFailure("a sum of atom-power products vanished")
             return self.track(total)
-        S = SumAtom(
-            degree,
-            tuple((c, tuple((self.atoms[idx], self.images[idx], e) for idx, e in exps.items())) for c, exps in terms if c),
-        )
-        return self.decompose(S, _LineImages(self.lines, S.restrict))
+        parts = tuple((c, tuple((self.atoms[idx], e) for idx, e in exps.items())) for c, exps in terms if c)
+        return self.decompose(SumAtom(degree, parts))
 
-    def decompose(self, poly, images: _LineImages | None = None) -> Product:
+    def decompose(self, poly) -> Product:
         """poly as a tracked ``Product`` unit * prod atoms[idx]^e.
 
         A ``HomoPoly`` loses its content and sign to the unit first.  A
-        ``SumAtom`` keeps them, so its unit is 1 unless an atom divides it,
-        and it must come with images, its restrictions through its atoms.
-        images, if given, holds the restrictions of poly (of its primitive
-        part, for a ``HomoPoly``); by default they come from
-        ``restrict_line_mod``.
+        ``SumAtom`` keeps them, so its unit is 1 unless an atom divides it.
         """
         if isinstance(poly, SumAtom):
             unit, P = 1, poly
@@ -1203,22 +1161,19 @@ class CoprimeBase:
         else:
             unit, P = poly.primitive_normalized()
         out = self.track(unit)
-        if images is None:
-            images = _line_images(P, self.lines)  # P's restrictions; reset whenever P changes
-        if P.degree >= 1 and self._certified_coprime(P, images, range(len(self.atoms))):
-            out.exps[self.adopt(P, images)] += 1  # coprime to the whole base: a new atom
+        if P.degree >= 1 and self._certified_coprime(P, range(len(self.atoms))):
+            out.exps[self.adopt(P)] += 1  # coprime to the whole base: a new atom
             return out
 
         def divide_out():
-            nonlocal P, images
+            nonlocal P
             idx = 0
             while idx < len(self.atoms):
-                q = self._quotient(P, images, idx)
+                q = self._quotient(P, idx)
                 if q is not None:
                     out.exps[idx] += 1
                     s, P = q.primitive_normalized()
                     out.unit *= s
-                    images = _line_images(P, self.lines)
                     continue  # same atom may divide again
                 idx += 1
 
@@ -1226,7 +1181,7 @@ class CoprimeBase:
         while P.degree >= 1:
             # coprime-ify the leftover against the base, splitting as required
             for aidx, atom in enumerate(self.atoms):
-                if self._certified_coprime(P, images, (aidx,)):
+                if self._certified_coprime(P, (aidx,)):
                     continue
                 _, g = homo_gcd(expanded(P), expanded(atom)).primitive_normalized()
                 if g.degree >= 1:
@@ -1234,9 +1189,9 @@ class CoprimeBase:
                     break
             else:
                 # genuinely new atom; a sum's degree needs a line that keeps it
-                if isinstance(P, SumAtom) and all(images[n] is None for n in range(len(self.lines))):
+                if isinstance(P, SumAtom) and all(memo.restriction(P) is None for memo in self.memos):
                     P.poly()  # nonzero, or ReductionFailure
-                out.exps[self.adopt(P, images)] += 1
+                out.exps[self.adopt(P)] += 1
                 P = HomoPoly.monomial(1, 0, 0, 0)
                 break
             # retry division from the top with the refined base
@@ -1246,7 +1201,7 @@ class CoprimeBase:
             out.unit *= s if s else 1
         return out
 
-    def _quotient(self, P, images: _LineImages, idx: int):
+    def _quotient(self, P, idx: int):
         """P / atom idx, or None.
 
         A nonzero remainder of the restrictions to the first line on which both
@@ -1255,17 +1210,19 @@ class CoprimeBase:
         Otherwise ``divexact`` decides, on P expanded and on the atom made
         primitive (``_primitive_atom``).
         """
-        if self.atoms[idx].degree > P.degree:
+        atom = self.atoms[idx]
+        if atom.degree > P.degree:
             return None
-        atom_images = self.images[idx]
-        for n, p, rp, ra in _restricted_pairs(self.lines, images, atom_images):
-            if len(_univ_rem_mod(rp, ra, p, atom_images.inverses.setdefault(n, []))):
-                return None
-            break
+        for memo in self.memos:
+            rp, ra = memo.restriction(P), memo.restriction(atom)
+            if rp is not None and ra is not None:
+                if len(_univ_rem_mod(rp, ra, memo.line[0], memo.inverse(atom))):
+                    return None
+                break
         return divexact(expanded(P), self._primitive_atom(idx))
 
-    def _certified_coprime(self, P, images: _LineImages, idxs) -> bool:
-        """True if constant gcds on the base lines prove P, restricted by images, coprime to every atom in idxs.
+    def _certified_coprime(self, P, idxs) -> bool:
+        """True if constant gcds on the base lines prove P coprime to every atom in idxs.
 
         Line by line, on each line L on which P keeps its degree, the atoms
         of idxs not yet proven coprime that keep their degree on L are
@@ -1273,23 +1230,24 @@ class CoprimeBase:
         each of them.  A common factor G of P and an atom A keeps its degree
         on L, as G(a) divides A(a), nonzero mod p; G|L then divides P|L and
         A|L, so G is constant.  The product is reduced mod P|L after each
-        factor (``_product_mod``, with P|L's series inverse kept in images,
-        where a later remainder by P as an atom finds it), for one atom as
-        for many.  A nonconstant gcd over one atom forgoes that line's
-        certificate and the next line is tried; over two or more it ends
-        the test (some atom likely shares a factor, and the per-atom route
-        finds which).  An empty idxs needs a line on which P keeps its
+        factor (``_product_mod``, with P|L's series inverse kept in P's memo
+        entry, where a later remainder by P as an atom finds it), for one
+        atom as for many.  A nonconstant gcd over one atom forgoes that
+        line's certificate and the next line is tried; over two or more it
+        ends the test (some atom likely shares a factor, and the per-atom
+        route finds which).  An empty idxs needs a line on which P keeps its
         degree, the proof that a sum does not vanish.
         """
         left = list(idxs)
-        for n, (p, _, _) in enumerate(self.lines):
-            rp = images[n]
+        for memo in self.memos:
+            rp = memo.restriction(P)
             if rp is None:
                 continue
-            here = [idx for idx in left if self.images[idx][n] is not None]
+            here = [idx for idx in left if memo.restriction(self.atoms[idx]) is not None]
             if here:
-                factors = [self.images[idx][n] for idx in here]
-                if len(univ_gcd_mod(rp, _product_mod(factors, rp, p, images.inverses.setdefault(n, [])), p)) > 1:
+                p = memo.line[0]
+                factors = [memo.restriction(self.atoms[idx]) for idx in here]
+                if len(univ_gcd_mod(rp, _product_mod(factors, rp, p, memo.inverse(P)), p)) > 1:
                     if len(here) > 1:
                         return False
                     continue
@@ -1298,11 +1256,10 @@ class CoprimeBase:
                 return True
         return False
 
-    def _replace(self, idx: int, atom, images: _LineImages):
-        """Put atom, restricted by images, at idx; returns [(product, exponent)] of the tracked products that named idx."""
+    def _replace(self, idx: int, atom):
+        """Put atom at idx; returns [(product, exponent)] of the tracked products that named idx."""
         named = [(got, got.exps[idx]) for got in self._tracked if got.exps.get(idx)]
         self.atoms[idx] = atom
-        self.images[idx] = images
         return named
 
     @staticmethod
@@ -1320,7 +1277,7 @@ class CoprimeBase:
         atom = self.atoms[idx]
         if isinstance(atom, SumAtom):
             unit, P = atom.canonical()
-            self._rewrite(self._replace(idx, P, _line_images(P, self.lines)), Product(unit))
+            self._rewrite(self._replace(idx, P), Product(unit))
         return self.atoms[idx]
 
     def _split_atom(self, aidx: int, g: HomoPoly):
@@ -1334,5 +1291,5 @@ class CoprimeBase:
         cof = divexact(expanded(self.atoms[aidx]), g)
         if cof is None:
             raise ReductionFailure("claimed factor does not divide its atom")
-        named = self._replace(aidx, g, _line_images(g, self.lines))
+        named = self._replace(aidx, g)
         self._rewrite(named, self.decompose(cof))

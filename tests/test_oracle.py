@@ -41,36 +41,45 @@ ZETA = Z(1, 2)
 X0, X1, X2 = (HomoPoly.monomial(1, *e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 ORACLE_ZETAS = [Z(re, s * im) for re, im in ((1, 2), (-1, 2), (2, 1), (-2, 1), (3, 1)) for s in (1, -1)]
 FACTORED_F3_DIGEST = "e208b045246c1c52440f7482ca8446546da78f35d6cfe3d21b01f768918c7de5"
-# restrict_line_mod of every atom in the records of f, f^2 and f^3 on record_lines(zeta), for the
-# ten ORACLE_ZETAS; recorded before the line oracle restricted recorded atoms through their sums
+# restrict_line_mod of every atom of f, f^2 and f^3 (canonical, in record order) on record_lines(zeta),
+# for the ten ORACLE_ZETAS; recorded before the line oracle restricted recorded atoms through their sums
 RECORD_RESTRICTION_DIGEST = "ba701194f03927b960648a0441cc8760cd2228f32720740f170c731d02ff3ae0"
 
 
-def canonical_images(atom, images):
-    """(primitive sign-normalized atom, its restrictions) from an atom of a base and the restrictions it holds.
+def record(map_):
+    """The distinct factors of map_'s raw triple in order of first appearance: the atoms compose adopts."""
+    return list({id(poly): poly for _, factors in map_._raw for poly, _ in factors}.values())
 
-    A sum S = unit * P gives P|L as S|L times the inverse of the unit mod p,
-    in new arrays, or as restrict_line_mod of P where p divides the unit.
-    """
-    if not isinstance(atom, polynomials.SumAtom):
-        return atom, images
-    unit, P = atom.canonical()
 
-    def restrict(line, read):
-        p, a, b = line
-        if unit % p == 0:
-            return polynomials.restrict_line_mod(P, a, b, p)
-        r = read(images, 1)
-        return None if r is None else r * pow(unit, -1, p) % p
-
-    return P, polynomials._LineImages(images.lines, restrict)
+def canonical(atom):
+    """The primitive sign-normalized polynomial of an atom: a sum's primitive part, a HomoPoly itself."""
+    return atom.canonical()[1] if isinstance(atom, polynomials.SumAtom) else atom
 
 
 def canonical_record(map_):
-    """map_'s atom record in the canonical view: each sum's primitive part with its restrictions; None without one."""
-    if map_._record is None:
-        return None
-    return tuple(canonical_images(atom, images) for atom, images in map_._record)
+    """map_'s atoms in record order, each sum replaced by its primitive part."""
+    return [canonical(atom) for atom in record(map_)]
+
+
+def canonical_restriction(memo, atom):
+    """The restriction to memo's line of canonical(atom), from atom's restriction held in memo.
+
+    A sum S = unit * P gives P|L as S|L times the inverse of the unit mod p,
+    in a new array, or as restrict_line_mod of P where p divides the unit.
+    """
+    if not isinstance(atom, polynomials.SumAtom):
+        return memo.restriction(atom)
+    unit, P = atom.canonical()
+    p, a, b = memo.line
+    if unit % p == 0:
+        return polynomials.restrict_line_mod(P, a, b, p)
+    r = memo.restriction(atom)
+    return None if r is None else r * pow(unit, -1, p) % p
+
+
+def entry_counts(map_):
+    """The number of entries in each of map_'s line memos."""
+    return [len(memo.entries) for memo in map_._memos]
 
 
 def spy_expansions(monkeypatch):
@@ -274,17 +283,17 @@ class TestCompose:
         # compose(f, f^2) for 1+2i: every multi-term composed sum gets its
         # line restrictions from its atoms' and is never expanded, so
         # restrict_line_mod never sees one.  f^2 rebuilt from its factors has
-        # no atom record, so its atoms are decomposed and restricted again:
+        # no line memos, so its atoms are decomposed and restricted again:
         # that run shows the spy is live
         f2 = compose(f_map, f_map)
         twin = PlaneRationalMap(factored=f2._factored)
         f_map._factored  # the outer map's terms, read by every compose with f outside
         decompose, restrict = CoprimeBase.decompose, polynomials.restrict_line_mod
 
-        def spy_decompose(self, P, images=None):
-            if images is not None:
+        def spy_decompose(self, P):
+            if isinstance(P, polynomials.SumAtom):
                 sums.append(P)
-            return decompose(self, P, images)
+            return decompose(self, P)
 
         def spy_restrict(P, a, b, p):
             restricted.append(P)
@@ -311,24 +320,24 @@ class TestCompose:
         adopted = compose(f, f2)
         decomposed = compose(f, PlaneRationalMap(factored=f2._factored))
         assert adopted._factored == decomposed._factored
-        assert [atom for atom, _ in canonical_record(adopted)] == [atom for atom, _ in canonical_record(decomposed)]
+        assert canonical_record(adopted) == canonical_record(decomposed)
 
     def test_adoption_takes_no_work_between_inner_atoms(self, f_map, monkeypatch):
         # compose(f, f^2) for 1+2i: no division test, coprimality certificate
         # or line restriction is taken for f^2's atoms among themselves
         f2 = compose(f_map, f_map)
-        atoms = {id(atom) for atom, _ in f2._record}
+        atoms = {id(atom) for atom in record(f2)}
         pairs, restricted = [], []
 
         def spy(name):
             method = getattr(CoprimeBase, name)
 
-            def wrapper(self, P, images, which):
+            def wrapper(self, P, which):
                 # _quotient takes one atom index, _certified_coprime a sequence of them
                 for idx in [which] if name == "_quotient" else which:
                     if id(P) in atoms and id(self.atoms[idx]) in atoms:
                         pairs.append((name, P, self.atoms[idx]))
-                return method(self, P, images, which)
+                return method(self, P, which)
 
             monkeypatch.setattr(CoprimeBase, name, wrapper)
 
@@ -350,7 +359,10 @@ class TestCompose:
         # two adopted sum atoms, which the division tests divide out
         f2 = compose(f_map, f_map)
         inverted = {
-            id(images[n]): atom for atom, images in f2._record for n, inverse in images.inverses.items() if inverse
+            id(memo.restriction(atom)): atom
+            for atom in record(f2)
+            for memo in f2._memos
+            if id(atom) in memo.entries and memo.inverse(atom)
         }
         assert any(isinstance(atom, polynomials.SumAtom) for atom in inverted.values())
         rem = polynomials._univ_rem_mod
@@ -363,24 +375,23 @@ class TestCompose:
 
         monkeypatch.setattr(polynomials, "_univ_rem_mod", counting_rem)
         base = CoprimeBase(seed=oracle._BASE_SEED)
-        sums = [base.adopt(*pair) for pair in f2._record if isinstance(pair[0], polynomials.SumAtom)]
+        base.memos = [memo.copy() for memo in f2._memos]
+        sums = [base.adopt(atom) for atom in record(f2) if isinstance(atom, polynomials.SumAtom)]
         got = base.decompose_sum([(1, Counter({sums[0]: 1, sums[1]: 1}))])
         assert got.exps == Counter({sums[0]: 1, sums[1]: 1})
         assert reused and not fresh
 
     def test_atom_record_set_only_by_compose(self, f_map, monkeypatch):
         f2 = compose(f_map, f_map)
-        assert [atom for atom, _ in canonical_record(f2)] == list(
-            dict.fromkeys(atom for _, factors in f2._factored for atom, _ in factors)
-        )
+        assert canonical_record(f2) == list(dict.fromkeys(atom for _, factors in f2._factored for atom, _ in factors))
         built = [g_map(), h_of(ZETA), identity_map(), cremona_map(), conjugating_map()]
         rebuilt = [PlaneRationalMap(factored=f2._factored), PlaneRationalMap(components=f2.components)]
-        assert all(map_._record is None for map_ in built + rebuilt)
+        assert all(map_._memos is None for map_ in built + rebuilt)
         decompose = CoprimeBase.decompose
 
-        def spy_decompose(self, poly, images=None):
-            plain.append(images is None)  # a plain decompose: a factor of the inner map
-            return decompose(self, poly, images)
+        def spy_decompose(self, poly):
+            plain.append(not isinstance(poly, polynomials.SumAtom))  # a plain decompose: a factor of the inner map
+            return decompose(self, poly)
 
         monkeypatch.setattr(CoprimeBase, "decompose", spy_decompose)
         for inner, decomposes in ((f2, False), *((map_, True) for map_ in rebuilt)):
@@ -390,13 +401,14 @@ class TestCompose:
 
     def test_split_of_adopted_atom_leaves_record(self):
         # inner = [A x2 : x0^3 : x0 x1^2] with the atom A = (x0 + x1)(x0 + x2),
-        # carried in a record; y0 + y1 - y2 composes to a sum divisible by
-        # x0 + x1, which splits A in the adopting base only
+        # which compose adopts; y0 + y1 - y2 composes to a sum divisible by
+        # x0 + x1, which splits A in the adopting base only: the inner map's
+        # memos gain no entry, and their restrictions stay those of its atoms
         A = (X0 + X1) * (X0 + X2)
         raw = PlaneRationalMap(factored=((1, ((A, 1), (X2, 1))), (1, ((X0, 3),)), (1, ((X0, 1), (X1, 2)))))
         inner = compose(identity_map(), raw)
-        record = canonical_record(inner)
-        assert [atom for atom, _ in record] == [A, X2, X0, X1]
+        counts = entry_counts(inner)
+        assert canonical_record(inner) == [A, X2, X0, X1]
         outer = linear_map([[1, 1, -1], [0, 1, 0], [0, 0, 1]])
         splits = []
         split_atom = CoprimeBase._split_atom
@@ -406,23 +418,50 @@ class TestCompose:
         assert splits
         assert adopted._factored == compose(outer, PlaneRationalMap(factored=inner._factored))._factored
         assert adopted.same_map(PlaneRationalMap(components=raw_compose(outer, raw)))
-        assert [atom for atom, _ in canonical_record(inner)] == [A, X2, X0, X1]
-        for atom, images in record:
-            for n, (p, a, b) in enumerate(CoprimeBase(seed=oracle._BASE_SEED).lines):
-                assert np.array_equal(images[n], polynomials.restrict_line_mod(atom, a, b, p))
+        assert entry_counts(inner) == counts
+        lines = [memo.line for memo in CoprimeBase(seed=oracle._BASE_SEED).memos]
+        assert [memo.line for memo in inner._memos] == lines
+        for atom in record(inner):
+            for memo in inner._memos:
+                p, a, b = memo.line
+                assert np.array_equal(canonical_restriction(memo, atom), polynomials.restrict_line_mod(canonical(atom), a, b, p))
         assert compose(outer, inner)._factored == adopted._factored
 
+    def test_shared_inner_factor_decomposed_once(self, monkeypatch):
+        # monomial_map puts the same coordinate objects in two rows; building
+        # f decomposes each once, so it takes 3 fewer certificate calls than
+        # from the same inner map with a copy in every factor slot, and gives
+        # the same map
+        calls, certified = [], CoprimeBase._certified_coprime
+        monkeypatch.setattr(
+            CoprimeBase, "_certified_coprime", lambda self, P, idxs: calls.append(P) or certified(self, P, idxs)
+        )
+        for zeta in ORACLE_ZETAS:
+            h = h_of(zeta)
+            copies = PlaneRationalMap(
+                factored=tuple(
+                    (unit, tuple((HomoPoly(P.degree, dict(P.terms)), e) for P, e in factors)) for unit, factors in h._raw
+                )
+            )
+            calls.clear()
+            f = compose(g_map(), h)
+            shared = len(calls)
+            calls.clear()
+            twin = compose(g_map(), copies)
+            assert shared == len(calls) - 3
+            assert raw_view(f) == raw_view(twin) and f._factored == twin._factored
+
     def test_compose_leaves_no_reference_cycle(self, f_map):
-        # a coprime base and its cached restrictions are freed by reference
-        # counting when compose returns, not at a later garbage collection;
-        # so is the atom record of a composed map, once the map is dropped,
-        # and the per-line memo of the line oracle that read the record
+        # a coprime base and its line memos are freed by reference counting
+        # when compose returns, not at a later garbage collection; so are the
+        # memos a composed map carries, once the map is dropped, and the
+        # memo of each line oracle attempt
         f2 = compose(f_map, f_map)
         gc.collect()
         gc.disable()
         try:
             f3 = compose(f_map, f2)
-            assert f3._record and f2._record
+            assert f3._memos and f2._memos
             assert factored_line_degree(f3, seed=0) == 454
             assert gc.collect() == 0
             del f3
@@ -507,25 +546,24 @@ class TestRandomLine:
         # route restricts it, at most popcount(e) + bit_length(e) univariate
         # products per slot with exponent e, summed over the slots, and the
         # restrictions of the one-product-at-a-time loop; the identity it runs
-        # after is restricted by its own call.  The recorded f^3 restricts its
-        # atoms through the sums they came from, each sum beneath them once,
-        # so only its three degree-1 monomial atoms reach restrict_line_mod;
-        # its record-less twin restricts all 12 atoms there
+        # after is restricted by its own call.  The raw f^3 restricts its sum
+        # atoms through their atoms, each sum beneath them once, so only its
+        # three degree-1 monomial atoms reach restrict_line_mod; its
+        # canonical twin restricts all 12 atoms there
         f3 = iterate_map(f_map, 3)
-        atoms = {atom for atom, _ in canonical_record(f3)}
+        atoms = set(canonical_record(f3))
         assert len(atoms) == 12 and {X0, X1, X2} <= atoms
         restricted, reads, computed, products, lines = [], [], [], [], []
         restrict, mul, restrict_all = polynomials.restrict_line_mod, oracle.univ_mul_mod, oracle._restrict_components
-        on_line = polynomials._LineImages.on_line
+        restrict_sum = polynomials.SumAtom.restrict
 
         def counting_restrict(P, a, b, p):
             restricted.append(P)
             return restrict(P, a, b, p)
 
-        def counting_on_line(images, line, memo):
-            if id(images) not in memo:
-                computed.append(id(images))
-            return on_line(images, line, memo)
+        def counting_restrict_sum(S, memo):
+            computed.append(id(S))
+            return restrict_sum(S, memo)
 
         def counting_mul(f, g, p):
             products.append(p)
@@ -554,9 +592,8 @@ class TestRandomLine:
                 assert got.tolist() == want.tolist()
             return out
 
-        monkeypatch.setattr(oracle, "restrict_line_mod", counting_restrict)
         monkeypatch.setattr(polynomials, "restrict_line_mod", counting_restrict)
-        monkeypatch.setattr(polynomials._LineImages, "on_line", counting_on_line)
+        monkeypatch.setattr(polynomials.SumAtom, "restrict", counting_restrict_sum)
         monkeypatch.setattr(oracle, "univ_mul_mod", counting_mul)
         monkeypatch.setattr(oracle, "_restrict_components", per_line)
         for map_, reaching in ((f3, {X0, X1, X2}), (PlaneRationalMap(factored=f3._factored), atoms)):
@@ -597,41 +634,56 @@ class TestRandomLine:
 
 class TestRecordedRestriction:
     def test_record_atoms_restrict_as_expanded(self):
-        # every atom in the records of f, f^2 and f^3, restricted through the
-        # sum it came from, equals restrict_line_mod of its expanded terms or
-        # is None, and None only where that is None or an atom beneath the
-        # sum loses degree, on a line of each prime and on three lines where
-        # atoms lose degree; one memo per line serves the three records
+        # every atom of f, f^2 and f^3, a sum restricted through its atoms,
+        # equals restrict_line_mod of its expanded terms or is None, and None
+        # only where that is None or an atom beneath the sum loses degree, on
+        # a line of each prime and on three lines where atoms lose degree;
+        # one memo per line serves the three maps
         h = hashlib.sha256()
         nones = 0
         for zeta in ORACLE_ZETAS:
             f = compose(g_map(), h_of(zeta))
             f2 = compose(f, f)
-            lines = record_lines(zeta)
-            memos = [{} for _ in lines]
-            for raw, record in ((m._record, canonical_record(m)) for m in (f, f2, compose(f, f2))):
-                for (sum_, raw_images), (atom, images) in zip(raw, record):
-                    for line, memo in zip(lines, memos):
-                        p, a, b = line
-                        got, want = images.on_line(line, memo), polynomials.restrict_line_mod(atom, a, b, p)
+            memos = [polynomials.LineMemo(line) for line in record_lines(zeta)]
+            for raw in (record(m) for m in (f, f2, compose(f, f2))):
+                for sum_ in raw:
+                    for memo in memos:
+                        p, a, b = memo.line
+                        got, want = canonical_restriction(memo, sum_), polynomials.restrict_line_mod(canonical(sum_), a, b, p)
                         assert got is None or np.array_equal(got, want)
                         if got is None and want is not None:
-                            assert raw_images.on_line(line, memo) is None
-                            assert any(
-                                A.on_line(line, memo) is None for _, factors in sum_.parts for _, A, _ in factors
-                            )
+                            assert memo.restriction(sum_) is None
+                            assert any(memo.restriction(A) is None for _, factors in sum_.parts for A, _ in factors)
                         nones += want is None
                         h.update(b"None\n" if want is None else f"{want.tolist()}\n".encode())
         assert nones
         assert h.hexdigest() == RECORD_RESTRICTION_DIGEST
 
+    def test_raw_sum_factors_without_memos(self, f_map):
+        # a map built from f^2's raw triple holds sum factors and no line
+        # memos: the line oracle and compose read each sum through its atoms
+        f2 = compose(f_map, f_map)
+        twin = PlaneRationalMap(factored=f2._raw)
+        assert twin._memos is None and any(isinstance(atom, polynomials.SumAtom) for atom in record(twin))
+        assert factored_line_degree(twin) == 66
+        composed = compose(f_map, twin)
+        assert composed.degree == 454 and composed._factored == compose(f_map, f2)._factored
+        assert composed_line_degree(f_map, twin) == 454
+
+    def test_line_oracle_adds_no_entry_to_a_map(self, f_map):
+        # each attempt keeps its own memo: no oracle line persists in f^3
+        f3 = iterate_map(f_map, 3)
+        counts = entry_counts(f3)
+        assert factored_line_degree(f3, seed=0) == composed_line_degree(identity_map(), f3, seed=3) == 454
+        assert entry_counts(f3) == counts
+
     @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
     def test_recorded_and_record_less_agree(self, f_map, seed):
         f2 = compose(f_map, f_map)
         f3 = compose(f_map, f2)
-        assert f2._record and f3._record
+        assert f2._memos and f3._memos
         twin2, twin3 = (PlaneRationalMap(factored=map_._factored) for map_ in (f2, f3))
-        assert twin2._record is None and twin3._record is None
+        assert twin2._memos is None and twin3._memos is None
         assert factored_line_degree(f3, seed) == factored_line_degree(twin3, seed) == 454
         assert composed_line_degree(f_map, f2, seed) == composed_line_degree(f_map, twin2, seed) == 454
         assert factored_line_degree(f2, seed) == factored_line_degree(twin2, seed) == 66
@@ -664,7 +716,7 @@ class TestDeferredSums:
         e3 = e_sequence(d_sequence(zeta, 3), 3)[3]
         assert f3.degree == factored_line_degree(f3, seed=0) == e3
         assert expanded == [] and products == []
-        assert any(isinstance(atom, polynomials.SumAtom) for atom, _ in f3._record)
+        assert any(isinstance(atom, polynomials.SumAtom) for atom in record(f3))
 
     def test_forced_inner_leaves_compose_unchanged(self):
         # reading f^2's components and its canonical restrictions (a third of
@@ -675,13 +727,13 @@ class TestDeferredSums:
         for zeta in ORACLE_ZETAS:
             f = compose(g_map(), h_of(zeta))
             f2, unread = compose(f, f), compose(f, f)
-            raw = [[images[n] for n in range(len(images.lines))] for _, images in f2._record]
+            raw = [[memo.restriction(atom) for memo in f2._memos] for atom in record(f2)]
             kept = [[None if r is None else r.tolist() for r in rows] for rows in raw]
             f2.components
-            for _, images in canonical_record(f2):
-                for n in range(len(images.lines)):
-                    images[n]
-            assert all(images[n] is r for (_, images), rows in zip(f2._record, raw) for n, r in enumerate(rows))
+            for atom in record(f2):
+                for memo in f2._memos:
+                    canonical_restriction(memo, atom)
+            assert all(memo.restriction(atom) is r for atom, rows in zip(record(f2), raw) for memo, r in zip(f2._memos, rows))
             assert [[None if r is None else r.tolist() for r in rows] for rows in raw] == kept  # not rescaled
             f3, want = compose(f, f2), compose(f, unread)
             assert f3.degree == want.degree == e_sequence(d_sequence(zeta, 3), 3)[3]
@@ -701,7 +753,7 @@ class TestDeferredSums:
         outer = linear_map([[1, p - 1, 0], [0, 1, 0], [0, 0, 1]])
         inner = PlaneRationalMap(components=(X0 + X1, X0 + X1.scale(1 + p), X2))
         composed = compose(outer, inner)
-        (S,) = [atom for atom, _ in composed._record if isinstance(atom, polynomials.SumAtom)]
+        (S,) = [atom for atom in record(composed) if isinstance(atom, polynomials.SumAtom)]
         expanded, primes, restrict_all = spy_expansions(monkeypatch), [], oracle._restrict_components
 
         def spy(factored, restrict, q):
@@ -757,7 +809,7 @@ class TestDeferredSums:
     def test_one_raise_per_restriction_power_and_line(self, monkeypatch):
         # a sum raises each (atom restriction, exponent) pair once per line,
         # on the base's lines (compose) and on the line oracle's, and the
-        # raw restrictions of the record are restrict_line_mod of its sums
+        # raw restrictions of f^3's atoms are restrict_line_mod of its sums
         raises = []
         power = polynomials.binary_power
 
@@ -778,9 +830,9 @@ class TestDeferredSums:
             raises.clear()
             for line in record_lines(zeta)[:3]:
                 p, a, b = line
-                memo = {}
-                for atom, images in f3._record:
-                    got, want = images.on_line(line, memo), polynomials.restrict_line_mod(polynomials.expanded(atom), a, b, p)
+                memo = polynomials.LineMemo(line)
+                for atom in record(f3):
+                    got, want = memo.restriction(atom), polynomials.restrict_line_mod(polynomials.expanded(atom), a, b, p)
                     assert (got is None) == (want is None)
                     assert got is None or np.array_equal(got, want)
 
@@ -791,14 +843,14 @@ def per_atom_certificates(mp):
     mp.setattr(
         CoprimeBase,
         "_certified_coprime",
-        lambda self, P, images, idxs: len(idxs) == 1 and certified(self, P, images, idxs),
+        lambda self, P, idxs: len(idxs) == 1 and certified(self, P, idxs),
     )
 
 
 def raw_view(map_):
     """map_'s raw units and exponents, and its record's atoms by kind and canonical polynomial."""
     rows = [(unit, [e for _, e in factors]) for unit, factors in map_._raw]
-    atoms = [(type(atom), canonical_images(atom, images)[0]) for atom, images in map_._record]
+    atoms = [(type(atom), canonical(atom)) for atom in record(map_)]
     return rows, atoms
 
 
@@ -825,12 +877,12 @@ class TestWholeBaseCertificate:
         sums, current, gcds = [], [None], Counter()
         decompose, gcd = CoprimeBase.decompose, polynomials.univ_gcd_mod
 
-        def spy_decompose(self, poly, images=None):
+        def spy_decompose(self, poly):
             if isinstance(poly, polynomials.SumAtom):
                 sums.append(poly)  # kept alive, so its id stays unique
             current.append(poly if isinstance(poly, polynomials.SumAtom) else None)
             try:
-                return decompose(self, poly, images)
+                return decompose(self, poly)
             finally:
                 current.pop()
 
@@ -941,7 +993,7 @@ class TestLineOracleConsistency:
         f4 = iterate_map(compose(g_map(), h_of(Z(1, 2))), 4)
         big = [
             atom
-            for atom, _ in iterate_map(compose(g_map(), h_of(Z(3, 1))), 4)._record
+            for atom in record(iterate_map(compose(g_map(), h_of(Z(3, 1))), 4))
             if isinstance(atom, polynomials.SumAtom) and atom.degree > MAX_PACKED_DEGREE
         ]
         assert f4.degree == 3114 and max(S.degree for S in big) == 3445

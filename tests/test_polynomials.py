@@ -15,6 +15,7 @@ from dyndeg.polynomials import (
     CoprimeBase,
     HomoPoly,
     LINE_PRIMES,
+    LineMemo,
     certify_coprime,
     divexact,
     homo_gcd,
@@ -788,22 +789,25 @@ class TestCoprimeBase:
         B = HomoPoly.from_triples(1, [(1, 0, 0, 1), (0, 0, 1, 1)])   # x0+x2
         C = HomoPoly.from_triples(1, [(0, 1, 0, 1), (0, 0, 1, 1)])   # x1+x2
         base.decompose(A * B * B)
-        lines = range(len(base.lines))
+        lines = range(len(base.memos))
         used = [(idx, e) for idx in range(len(base.atoms)) for e in (1, 2, 3)]
         atoms = list(base.atoms)
-        raised = {(idx, n, e): base.images[idx].power(n, e) for idx, e in used for n in lines}
+        raised = {(idx, n, e): base.memos[n].power(base.atoms[idx], e) for idx, e in used for n in lines}
         base.decompose(A * C)
         assert_split(atoms, base.atoms)
         used += [(idx, e) for idx in range(len(atoms), len(base.atoms)) for e in (1, 2, 3)]
         for idx, e in used:
             power = base.atoms[idx].pow(e)
             for n in lines:
-                p, a, b = base.lines[n]
-                got, want = base.images[idx].power(n, e), restrict_line_mod(power, a, b, p)
+                memo = base.memos[n]
+                p, a, b = memo.line
+                got, want = memo.power(base.atoms[idx], e), restrict_line_mod(power, a, b, p)
                 assert (got is None) == (want is None)
                 assert got is None or got.tolist() == want.tolist()
-                assert base.images[idx].power(n, e) is got  # raised once
-        assert any(base.images[idx].power(n, e).tolist() != got.tolist() for (idx, n, e), got in raised.items())
+                assert memo.power(base.atoms[idx], e) is got  # raised once
+        assert any(
+            base.memos[n].power(base.atoms[idx], e).tolist() != got.tolist() for (idx, n, e), got in raised.items()
+        )
 
     def test_split_rewrites_tracked_vectors(self):
         # atom 0 is (x0+x1)(x0+x2) until x0+x1 splits it; a vector tracked
@@ -859,7 +863,7 @@ class TestCoprimeBase:
         # on the base's own lines: no polynomial twice within one decompose,
         # and no atom again once restricted while it stays an atom
         base = CoprimeBase(seed=5)
-        lines = {(p, tuple(a), tuple(b)) for p, a, b in base.lines}
+        lines = {(p, tuple(a), tuple(b)) for p, a, b in (memo.line for memo in base.memos)}
         calls = []
         original = polynomials.restrict_line_mod
 
@@ -941,17 +945,53 @@ class TestCoprimeBase:
 
 
 
+class TestLineMemo:
+    LINE = (LINE_PRIMES[0], [3, -5, 7], [11, 13, -17])
+
+    def test_dropped_polynomials_never_read_a_stale_entry(self):
+        # each polynomial is dropped by the caller after its read; the memo
+        # holds it, so no freed id is reused and served another's entry
+        memo, rng = LineMemo(self.LINE), random.Random(31)
+        p, a, b = self.LINE
+        for _ in range(200):
+            P = random_homo(rng, rng.randint(1, 4), 5)
+            got, want = memo.restriction(P), restrict_line_mod(P, a, b, p)
+            assert (got is None) == (want is None)
+            assert got is None or got.tolist() == want.tolist()
+            del P
+        assert len(memo.entries) == 200
+
+    def test_one_restriction_per_polynomial(self, monkeypatch):
+        # restriction, power and inverse all read one entry, computed once
+        restricted, restrict = [], polynomials.restrict_line_mod
+        monkeypatch.setattr(
+            polynomials, "restrict_line_mod", lambda P, a, b, p: restricted.append(id(P)) or restrict(P, a, b, p)
+        )
+        rng = random.Random(37)
+        polys = [random_homo(rng, rng.randint(1, 3), 4) for _ in range(5)]
+        memo = LineMemo(self.LINE)
+        p, a, b = self.LINE
+        for _ in range(3):
+            for P in polys:
+                r = memo.restriction(P)
+                assert memo.inverse(P) is memo.inverse(P)
+                if r is not None:
+                    assert memo.power(P, 3) is memo.power(P, 3)
+                    assert memo.power(P, 3).tolist() == restrict_line_mod(P.pow(3), a, b, p).tolist()
+        assert restricted == [id(P) for P in polys]
+
+
 class SumSpyBase(CoprimeBase):
-    """A CoprimeBase that keeps each (sum, line images) decompose_sum hands to decompose."""
+    """A CoprimeBase that keeps each sum decompose_sum hands to decompose."""
 
     def __init__(self, seed):
         super().__init__(seed)
         self.sums = []
 
-    def decompose(self, poly, images=None):
-        if images is not None:
-            self.sums.append((poly, images))
-        return super().decompose(poly, images)
+    def decompose(self, poly):
+        if isinstance(poly, SumAtom):
+            self.sums.append(poly)
+        return super().decompose(poly)
 
 
 def atom_product(base, exps):
@@ -965,40 +1005,35 @@ def sum_of(base, terms):
     return sum((atom_product(base, exps).scale(c) for c, exps in terms), HomoPoly.zero(0))
 
 
-def assert_images_match(images, P, lines, atoms=()):
-    """Each line's entry of images is restrict_line_mod of P, or None where a dict in atoms holds None."""
-    for n, (p, a, b) in enumerate(lines):
+def assert_restrictions_match(restrict, P, memos, atoms=()):
+    """restrict(memo) is restrict_line_mod of P on each memo's line, or None where an atom in atoms restricts to None."""
+    for n, memo in enumerate(memos):
+        p, a, b = memo.line
         want = restrict_line_mod(P, a, b, p)
-        got = images[n]
+        got = restrict(memo)
         if got is None:
-            assert want is None or any(A[n] is None for A in atoms), n
+            assert want is None or any(memo.restriction(A) is None for A in atoms), n
         else:
             assert want is not None and got.tolist() == want.tolist(), n
 
 
 def sum_atoms(S):
-    """The restriction dicts of the atoms the sum S reads."""
-    return [A for _, factors in S.parts for _, A, _ in factors]
+    """The atoms the sum S reads."""
+    return [A for _, factors in S.parts for A, _ in factors]
 
 
-def canonical_images(atom, images):
-    """(primitive sign-normalized atom, its restrictions) from an atom of a base and the restrictions it holds.
+def canonical_restriction(memo, S):
+    """The restriction to memo's line of the sum S's primitive part, from S's restriction held in memo.
 
-    A sum S = unit * P gives P|L as S|L times the inverse of the unit mod p,
-    in new arrays, or as restrict_line_mod of P where p divides the unit.
+    S = unit * P gives P|L as S|L times the inverse of the unit mod p, in a
+    new array, or as restrict_line_mod of P where p divides the unit.
     """
-    if not isinstance(atom, SumAtom):
-        return atom, images
-    unit, P = atom.canonical()
-
-    def restrict(line, read):
-        p, a, b = line
-        if unit % p == 0:
-            return restrict_line_mod(P, a, b, p)
-        r = read(images, 1)
-        return None if r is None else r * pow(unit, -1, p) % p
-
-    return P, polynomials._LineImages(images.lines, restrict)
+    unit, P = S.canonical()
+    p, a, b = memo.line
+    if unit % p == 0:
+        return restrict_line_mod(P, a, b, p)
+    r = memo.restriction(S)
+    return None if r is None else r * pow(unit, -1, p) % p
 
 
 def spy_expansions(monkeypatch):
@@ -1045,14 +1080,14 @@ class TestDecomposeSum:
         if total.is_zero():
             return
         got = base.decompose_sum(terms)
-        ((S, images),) = base.sums
+        (S,) = base.sums
         # read after the decomposition, across any split: the raw sum's
         # restrictions, and the primitive part's, derived from them
         assert S.poly() == total
-        assert_images_match(images, total, base.lines, sum_atoms(S))
-        P, canonical = canonical_images(S, images)
+        assert_restrictions_match(lambda memo: memo.restriction(S), total, base.memos, sum_atoms(S))
+        P = S.canonical()[1]
         assert P == total.primitive_normalized()[1]
-        assert_images_match(canonical, P, base.lines, sum_atoms(S))
+        assert_restrictions_match(lambda memo: canonical_restriction(memo, S), P, base.memos, sum_atoms(S))
         assert atom_product(base, got.exps).scale(got.unit) == total
 
     def test_restriction_read_after_a_split(self):
@@ -1064,13 +1099,13 @@ class TestDecomposeSum:
         (ia,) = base.decompose(A).exps
         (i2,) = base.decompose(x2).exps
         base.decompose_sum([(1, Counter({ia: 1})), (3, Counter({i2: 2}))])
-        ((S, images),) = base.sums
-        unread = [n for n in range(len(base.lines)) if n not in images]
+        (S,) = base.sums
+        unread = [memo for memo in base.memos if id(S) not in memo.entries]
         base.decompose((x0 + x1) * x1)
         assert A not in base.atoms and unread
         P = S.poly()
         assert P == A + (x2 * x2).scale(3)
-        assert_images_match(images, P, base.lines, sum_atoms(S))
+        assert_restrictions_match(lambda memo: memo.restriction(S), P, base.memos, sum_atoms(S))
 
     @staticmethod
     def decompose_on_twins(monkeypatch, polys, make_terms):
@@ -1081,7 +1116,7 @@ class TestDecomposeSum:
         sum or None, and None only where that is None or an atom of the sum
         loses degree.  The two decompositions leave the same result and the
         same atoms once the sum's content and sign go into the unit.
-        Returns the sum and its restrictions.
+        Returns the sum and its base.
         """
         base, twin = SumSpyBase(seed=3), CoprimeBase(seed=3)
         for P in polys:
@@ -1092,12 +1127,12 @@ class TestDecomposeSum:
         with monkeypatch.context() as mp:
             expansions = spy_expansions(mp)
             got = base.decompose_sum(terms)
-            ((S, images),) = base.sums
-            assert_images_match(images, total, base.lines, sum_atoms(S))
+            (S,) = base.sums
+            assert_restrictions_match(lambda memo: memo.restriction(S), total, base.memos, sum_atoms(S))
             assert expansions == []
         want = twin.decompose(total)
         assert canonical_decomposition(base, got) == (want.unit, want.exps, twin.atoms)
-        return S, images
+        return S, base
 
     def test_atom_losing_degree_takes_fallback(self, monkeypatch):
         # the fallback where a sum cannot be read through its atoms is a
@@ -1105,48 +1140,47 @@ class TestDecomposeSum:
         # loses degree there, so the sum's restriction there is None, though
         # the expanded sum keeps its degree on that line; the sum is not
         # expanded for it
-        p, a, b = CoprimeBase(seed=3).lines[1]
+        p, a, b = CoprimeBase(seed=3).memos[1].line
         L = HomoPoly.from_triples(1, [(1, 0, 0, a[1]), (0, 1, 0, -a[0])])
         assert restrict_line_mod(L, a, b, p) is None
-        S, images = self.decompose_on_twins(
+        S, base = self.decompose_on_twins(
             monkeypatch,
             (HomoPoly.monomial(1, 1, 0, 0), HomoPoly.monomial(1, 0, 1, 0), L),
             lambda ex: [(2, scaled(ex[0], 2) + ex[2]), (-3, scaled(ex[1], 3)), (1, ex[0] + scaled(ex[1], 2))],
         )
-        assert [n for n in range(len(images.lines)) if images[n] is None] == [1]
+        assert [n for n, memo in enumerate(base.memos) if memo.restriction(S) is None] == [1]
         assert restrict_line_mod(S.poly(), a, b, p) is not None
 
     def test_content_divisible_by_line_prime_takes_fallback(self, monkeypatch):
         # the sum's content is a multiple of line 0's prime, so its raw
         # restriction vanishes there: line 0 is skipped, and the sum is not
         # expanded for it
-        p = CoprimeBase(seed=3).lines[0][0]
+        p = CoprimeBase(seed=3).memos[0].line[0]
         L = HomoPoly.from_triples(1, [(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1)])
-        S, images = self.decompose_on_twins(
+        S, base = self.decompose_on_twins(
             monkeypatch,
             (HomoPoly.monomial(1, 1, 0, 0), HomoPoly.monomial(1, 0, 1, 0), L),
             lambda ex: [(3 * p, scaled(ex[0], 2) + ex[2]), (-5 * p, scaled(ex[1], 3)), (p, ex[0] + ex[1] + ex[2])],
         )
-        assert [n for n in range(len(images.lines)) if images[n] is None] == [0]
+        assert [n for n, memo in enumerate(base.memos) if memo.restriction(S) is None] == [0]
         assert S.canonical()[0] % p == 0
 
     def restrict_off_base(self, monkeypatch, polys, make_terms, line):
         """decompose_sum's restriction to a line the base does not draw, read as the line oracle reads it.
 
-        The sum is built as ``decompose_on_twins`` builds it.  ``on_line``
-        gives None, keeps it in the memo, expands no sum, and stores nothing
-        into the index-keyed dicts of the sum or its atoms.  Returns the sum.
+        The sum is built as ``decompose_on_twins`` builds it.  A memo of
+        that line gives None, keeps it, expands no sum, and adds no entry to
+        the base's memos.  Returns the sum.
         """
-        S, images = self.decompose_on_twins(monkeypatch, polys, make_terms)
-        held = [images, *sum_atoms(S)]
-        keys = [set(im) for im in held]
-        memo = {}
+        S, base = self.decompose_on_twins(monkeypatch, polys, make_terms)
+        counts = [len(memo.entries) for memo in base.memos]
+        memo = polynomials.LineMemo(line)
         with monkeypatch.context() as mp:
             expansions = spy_expansions(mp)
-            assert images.on_line(line, memo) is None
-            assert id(images) in memo
+            assert memo.restriction(S) is None
+            assert id(S) in memo.entries
             assert expansions == []
-        assert [set(im) for im in held] == keys
+        assert [len(memo.entries) for memo in base.memos] == counts
         return S
 
     def test_off_base_line_atom_losing_degree_takes_fallback(self, monkeypatch):
@@ -1168,7 +1202,7 @@ class TestDecomposeSum:
         # p divides the sum's unit, so its raw restriction vanishes on every
         # line of p; the line oracle reads None there and draws another line
         p = LINE_PRIMES[5]
-        assert p not in {q for q, _, _ in CoprimeBase(seed=3).lines}
+        assert p not in {memo.line[0] for memo in CoprimeBase(seed=3).memos}
         L = HomoPoly.from_triples(1, [(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1)])
         S = self.restrict_off_base(
             monkeypatch,
