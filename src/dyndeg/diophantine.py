@@ -27,6 +27,7 @@ from .intervals import (
     abs_sq,
     abs_sup,
     atan2_brackets,
+    box_power,
     box_product,
     box_quotient,
     gaussian_product,
@@ -36,7 +37,6 @@ from .intervals import (
     squeeze,
     widen,
 )
-from .powering import binary_power
 from .solver import (
     _as_width_fraction,
     _bits_of,
@@ -440,30 +440,9 @@ def badly_approximable_diagnostics(cf: ContinuedFraction) -> BadApproxReport:
 # ---------------------------------------------------------------------------
 
 
-# (alpha, n, alpha^n) of the last _alpha_power call.  It is read once and
-# replaced whole, as gaussian.gamma_argmax's cursor, so interleaved callers can
-# only cost each other a fresh powering, never change a box.
-_last_power = (None, 0, None)
-
-
-def _alpha_power(a, pa: int, n: int, prec: int):
-    """alpha^n over 2^prec, squeezed from the exact power of the box a over 2^pa.
-
-    phi_n_eval and psi_n_eval of one alpha and n build the exact power once:
-    the last one is kept in a module slot and reused while alpha and n are
-    unchanged.
-    """
-    global _last_power
-    alpha0, n0, power = _last_power
-    if n0 != n or alpha0 != (a, pa):
-        power = binary_power(a, n, (1, 1, 0, 0), box_product)  # over 2^(n pa)
-        _last_power = ((a, pa), n, power)
-    return squeeze(power, n * pa - prec)
-
-
 def _periodic_sum(a, pa: int, n: int, partial, prec: int):
     """(conj(alpha^n), 1 - alpha^n, Phi_n) over 2^prec, for partial the table's sum at n."""
-    rl, rh, il, ih = _alpha_power(a, pa, n, prec)
+    rl, rh, il, ih = box_power(a, pa, n, prec)
     gap = ((1 << prec) - rh, (1 << prec) - rl, -ih, -il)
     return (rl, rh, -ih, -il), gap, box_quotient(partial, gap, prec)
 

@@ -6,8 +6,11 @@ re hi, im lo, im hi) for a complex one, lower endpoints at even positions.
 Sums, integer scalings and products are exact on the ints (a product of
 boxes over 2^p and 2^q is over 2^(p+q)).  The one rounding rule is a right
 shift that floors a lower endpoint and ceils an upper one, so a rounded box
-contains the exact one.  RealInterval and ComplexInterval are the read-only
-views that the public functions return, with canonical Dyadic endpoints.
+contains the exact one.  An inward squeeze (lower endpoints ceiled, upper
+ones floored) exists only inside box_power, to bracket the exact power from
+inside; box_power itself returns the exact power squeezed outward.
+RealInterval and ComplexInterval are the read-only views that the public
+functions return, with canonical Dyadic endpoints.
 
 The transcendental enclosures (pi, arctangent) are produced from alternating
 Taylor series evaluated in exact rational arithmetic, so consecutive partial
@@ -20,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+
+from .powering import binary_power
 
 
 def _normalized(man: int, exp: int):
@@ -320,6 +325,46 @@ def box_product(x, y, shift: int = 0):
     ul, uh = real_product(rl, rh, c, d)  # re x * im y
     vl, vh = real_product(il, ih, a, b)  # im x * re y
     return (pl - qh) >> shift, -((ql - ph) >> shift), (ul + vl) >> shift, -((-uh - vh) >> shift)
+
+
+def _inward_product(x, y, shift: int):
+    """The complex box x * y with its lower endpoints ceiled and upper ones floored by a right shift.
+
+    None if a part comes out empty or a factor is None, so a power taken by
+    binary_power with this product is None once any step empties.
+    """
+    if x is None or y is None:
+        return None
+    rl, rh, il, ih = box_product(x, y)
+    rl, il = -(-rl >> shift), -(-il >> shift)
+    rh, ih = rh >> shift, ih >> shift
+    return None if rl > rh or il > ih else (rl, rh, il, ih)
+
+
+def box_power(a, pa: int, n: int, prec: int):
+    """a^n over 2^prec for the complex box a over 2^pa, n >= 0.
+
+    The value is squeeze(E, n*pa - prec) for E the exact power
+    binary_power(a, n, (1, 1, 0, 0), box_product), over 2^(n*pa).  It is
+    decided from two powers over 2^p taken in the same product order: R
+    rounds every product outward and I every product inward.  Box products
+    are monotone under inclusion, so R contains E and E contains I at every
+    step, and where R and I squeeze to one box, that box is E's (floor and
+    ceil are monotone).  Otherwise the guard p - max(prec, pa) doubles;
+    once p reaches n*pa, E itself is formed.  A point box forms E at once:
+    its I empties unless every power lies on the 2^p grid, which takes
+    about E's own bits.
+    """
+    guard = 64 if a[0] < a[1] or a[2] < a[3] else n * pa
+    while (p := max(prec, pa) + guard) < n * pa:
+        x, one = squeeze(a, pa - p), (1 << p, 1 << p, 0, 0)  # x exact, as p > pa
+        inner = binary_power(x, n, one, lambda u, v: _inward_product(u, v, p))
+        if inner is not None:
+            inner = squeeze(inner, p - prec)
+            if squeeze(binary_power(x, n, one, lambda u, v: box_product(u, v, p)), p - prec) == inner:
+                return inner
+        guard *= 2
+    return squeeze(binary_power(a, n, (1, 1, 0, 0), box_product), n * pa - prec)
 
 
 def gaussian_product(x, g):

@@ -575,3 +575,38 @@ STRADDLING_DIGESTS = {
 def test_straddling_alpha_phi_n_bit_identical(name, n):
     box = phi_n_eval(theta_interval(ZETA, 128), n, STRADDLING_ALPHAS[name])
     assert _box_digest(box) == STRADDLING_DIGESTS[(name, n)]
+
+
+# SHA-256 of the Phi_n and Psi_n boxes for 1+2i in the lambda-deep
+# configuration, recorded when alpha^n was the exact box power
+PERIODIC_DIGESTS = {
+    1000: (
+        "c7d8f8fa9e21cf8510aefecbcad620f3e811a7cd791f7e65b4843d812736ea03",
+        "82e1e919cce307ccad75f5d9ef1035743aa0472d30fda2da6aa8e1d12be2982f",
+    ),
+    3000: (
+        "e47696a9bfa538a42a09268540f488d580beaa0a69d8675596c6ed07b647dd5a",
+        "1240bb30a771a64fbe4c1ede05c7b1cae808171608d0c0b626e745251f4107f4",
+    ),
+}
+
+
+@pytest.mark.parametrize("n", list(PERIODIC_DIGESTS))
+def test_long_period_boxes_bit_identical(n):
+    alpha = alpha_of(ZETA, solve_lambda(ZETA, Fraction(1, 10**150)))
+    ctx = theta_interval(ZETA, 256)
+    boxes = (phi_n_eval(ctx, n, alpha), psi_n_eval(ctx, n, alpha, Fraction(1, 10**110)))
+    assert tuple(_box_digest(b) for b in boxes) == PERIODIC_DIGESTS[n]
+
+
+def test_interleaved_calls_give_the_boxes_of_single_calls(alpha50):
+    alphas = (alpha50, alpha_of(ZETA, solve_lambda(ZETA, Fraction(1, 10**60))))
+    ctx, tol = theta_interval(ZETA, 192), Fraction(1, 10**40)
+
+    def box(kind, i, n):
+        return psi_n_eval(ctx, n, alphas[i], tol) if kind == "psi" else phi_n_eval(ctx, n, alphas[i])
+
+    calls = [(kind, i, n) for kind in ("psi", "phi") for i in (0, 1) for n in (50, 100)]
+    single = {call: box(*call) for call in calls}
+    for call in calls[::-1] + calls[1::2] + calls[::2]:
+        assert box(*call) == single[call], call

@@ -5,6 +5,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, strategies as st
 
+from dyndeg import intervals
 from dyndeg.gaussian import GaussianInt
 from dyndeg.intervals import (
     ComplexInterval,
@@ -14,6 +15,7 @@ from dyndeg.intervals import (
     abs_sq,
     abs_sup,
     atan2_brackets,
+    box_power,
     box_product,
     box_quotient,
     gaussian_product,
@@ -212,6 +214,73 @@ class TestBoxKernel:
         s = Fraction(abs_sup(x, p, prec), 1 << prec)
         assert s * s >= hi
         assert s == 0 or (s - Fraction(1, 1 << prec)) ** 2 < hi
+
+
+def exact_power(a, pa: int, n: int, prec: int):
+    """The reference: the exact box power over 2^(n pa), squeezed outward to 2^prec."""
+    return squeeze(binary_power(a, n, (1, 1, 0, 0), box_product), n * pa - prec)
+
+
+@st.composite
+def power_cases(draw):
+    """(a, pa, n, prec): a box over 2^pa of modulus up to about 3, each part a point, narrow or wide, maybe straddling 0."""
+    pa = draw(st.integers(1, 64))
+
+    def part():
+        width = draw(st.one_of(st.just(0), st.integers(1, 16), st.integers(0, 2 << pa)))
+        lo = draw(st.one_of(st.integers(-(2 << pa), 2 << pa), st.integers(-width, 0)))
+        return lo, lo + width
+
+    a = part() + part()
+    prec = draw(st.one_of(st.integers(0, pa - 1), st.just(pa), st.integers(pa + 1, pa + 200)))
+    return a, pa, draw(st.integers(0, 300)), prec
+
+
+@pytest.fixture
+def exact_fallbacks(monkeypatch):
+    """The exponents of the exact powers (product box_product itself) that box_power forms."""
+    calls = []
+
+    def spy(x, n, one, mul):
+        if mul is box_product:
+            calls.append(n)
+        return binary_power(x, n, one, mul)
+
+    monkeypatch.setattr(intervals, "binary_power", spy)
+    return calls
+
+
+class TestBoxPower:
+    @given(power_cases())
+    @example(((-3, 5, -(1 << 40), 1 << 40), 40, 255, 40))
+    @example(((7 << 60, (7 << 60) + 1, 5 << 60, 5 << 60), 63, 300, 400))
+    def test_equals_exact_squeezed_power(self, case):
+        assert box_power(*case) == exact_power(*case)
+
+    @pytest.mark.parametrize(
+        "a, pa",
+        [
+            # a point: 5 + 2i has odd norm, so a part of every power is odd
+            # over 2^(3n), and rounding it inward at fewer bits empties it
+            ((5, 5, 2, 2), 3),
+            # the real part of a^n is [0, 2^-(n pa)]: rounded inward it is
+            # [0, 0] below n pa bits, so R and I squeeze to different boxes
+            ((0, 1, 0, 0), 8),
+        ],
+    )
+    def test_undecided_powers_fall_back_to_the_exact_power(self, exact_fallbacks, a, pa):
+        n, prec = 200, 20
+        want = exact_power(a, pa, n, prec)
+        assert box_power(a, pa, n, prec) == want
+        assert exact_fallbacks == [n]
+
+    def test_narrow_box_decided_without_exact_power(self, exact_fallbacks):
+        # about 0.3 + 0.8i, one unit wide over 2^200 in each part, as alpha is
+        pa, n, prec = 200, 100, 150
+        c, d = 3 * (1 << pa) // 10, 8 * (1 << pa) // 10
+        a = (c, c + 1, d, d + 1)
+        assert box_power(a, pa, n, prec) == exact_power(a, pa, n, prec)
+        assert exact_fallbacks == []
 
 
 dyadic_intervals = st.builds(lambda a, b: RealInterval(min(a, b), max(a, b)), dyadics, dyadics)
