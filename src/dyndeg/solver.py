@@ -26,6 +26,15 @@ to the kernels).  A midpoint at or beyond hi, or at or below lo, is decided by t
 certified bracket; only a midpoint inside (lo, hi) is evaluated.  Either way
 the bisection takes the step evaluation would take (see _solve_at_precision),
 so the enclosure is the one a full evaluation of every midpoint returns.
+
+Placing the root.  Newton climbs a precision ladder, q, q/2, q/4, ...,
+one step per rung above the lowest.  At the first N it starts from the
+bisection's upper point; after a term doubling it restarts from the last
+bracket's root, which lies above r_N and is already accurate to about the
+tail bound at the doubling, so only the rungs above that accuracy run.  A
+step at p bits keeps each Horner value on its own term's grid,
+2^(bits(d_j) - p - _GUARD), so it multiplies numbers of about p + _GUARD
+bits rather than bits(d_j) + p.  None of this touches a certified value.
 """
 
 from __future__ import annotations
@@ -172,7 +181,12 @@ def _tail_upper(abs_hi: int, sqrt5_hi: int, m: int, s: int, n_terms: int, prec: 
 
 
 class _PartialSums:
-    """The two directed partial sums of the first n_terms d_j at one precision."""
+    """The two directed partial sums of the first n_terms d_j at one precision.
+
+    tail is the tail bound of the last upper call, and root the root that
+    the last certified bracket was placed around, where Newton restarts
+    after a term doubling.
+    """
 
     def __init__(self, cache: DegreeCache, prec: int):
         self.cache = cache
@@ -180,6 +194,7 @@ class _PartialSums:
         self.one = 1 << prec
         self.abs_hi = ceil_sqrt(cache.zeta.norm_sq() << (2 * prec))
         self.sqrt5_hi = ceil_sqrt(5 << (2 * prec))
+        self.root = None  # root of the last certified bracket, over 2^(prec + _GUARD)
 
     def resize(self, n_terms: int):
         self.cache.extend_to(n_terms)
@@ -199,32 +214,56 @@ class _PartialSums:
 
 
 def _newton_step(ds, r: int, p: int):
-    """(Newton correction, slope) of sum d_j t^j = 1 at t = r * 2^-p, both over 2^p."""
-    acc = slope = 0
+    """(Newton correction, slope) of S(t) = sum d_j t^j = 1 at t = r * 2^-p, both over 2^p.
+
+    Rung-sized: the Horner value c_j = d_j + t c_(j+1) and its derivative in t
+    are kept on the grid of their own term, multiples of
+    2^(bits(d_j) - p - _GUARD), and shifted onto the next term's grid after
+    each product; so a step multiplies numbers of about p + _GUARD bits by
+    p-bit ones, however large d_j is.  Every rounding is a floor and
+    2^(bits(d_j) - p - _GUARD) <= 2 d_j 2^(-p - _GUARD), so the sum comes out
+    below S(t) by less than 1 + 4 S(t) 2^-_GUARD units of 2^-p and the slope
+    below S'(t) by a relative 2^-p + 6 * 2^(-p - _GUARD) (S' >= d_1 >= 1).
+    Wherever S(t) <= 2 the correction is therefore within 4 units of 2^-p of
+    the exact (S(t) - 1) / S'(t).
+    """
+    width = p + _GUARD
+    c = slope = 0
+    e = ds[0].bit_length() - width  # grid exponent of c and slope, the previous term's
     for d in ds:
-        c = acc + (d << p)
-        slope = ((slope * r) >> p) + c
-        acc = (c * r) >> p
+        g = d.bit_length() - width
+        k = p + g - e  # c * r is on the grid 2^(e - p); k more bits make it 2^g
+        if k < 0:  # d_j / d_(j+1) below 2^-p, only for |zeta| near 2^p
+            c, slope, k = c << -k, slope << -k, 0
+        c = ((c * r) >> k) + (d >> g if g >= 0 else d << -g)
+        slope = ((slope * r) >> k) + c
+        e = g
+    acc = (c * r) << e if e >= 0 else (c * r) >> -e  # S(t) over 2^p
+    slope = slope << (e + p) if e + p >= 0 else slope >> -(e + p)
     return ((acc - (1 << p)) << p) // slope, slope
 
 
-def _newton_root(ds, m: int, s: int, q: int):
-    """Root of sum d_j t^j = 1 over 2^q, and the slope near it, from t = m * 2^-s above it.
+def _newton_root(ds, r: int, q: int, known: int):
+    """Root of sum d_j t^j = 1 over 2^q, and the slope near it, from r * 2^-q above it.
 
-    Not certified: it only places the bracket points.  Newton runs at the
-    lowest precision of the ladder q, q/2, q/4, ... that is at least 64 bits
-    until a step is below 2^-40 of the root, then takes one step per rung.
-    A rung's root can miss some of the rung's low bits, and a step doubles
-    the miss along with the correct bits, so the root returned can be tens
-    of bits short of q: off by about 2^34 units of 2^-q for -42+13i at
-    N = 512 and q = 579.  _certified_bracket takes further steps at q when
-    a bracket side needs them.
+    Not certified: it only places the bracket points.  r is within about
+    2^-known of the root (known = 0 when it is far off).  The ladder is q,
+    q/2, q/4, ..., down to the lowest rung of at least 64 bits, and runs only
+    the rungs that one step from known bits does not already fill: Newton
+    runs at the lowest of them until a step is below 2^-40 of the root, then
+    takes one step per rung above it.  From a start near the root that is
+    one step at q alone.  A rung's root can miss some of the rung's low
+    bits, and a step doubles the miss along with the correct bits, so the
+    root returned can be tens of bits short of q: off by about 2^34 units of
+    2^-q for -42+13i at N = 512 and q = 579 when the ladder starts from
+    afar.  _certified_bracket takes further steps at q when a bracket side
+    needs them.
     """
     ladder = [q]
-    while ladder[-1] >= 128:
+    while ladder[-1] >= 128 and (ladder[-1] + 1) // 2 > known:
         ladder.append((ladder[-1] + 1) // 2)
     p = ladder.pop()
-    r = m >> (s - p) if s >= p else m << (p - s)
+    r >>= q - p
     for _ in range(_NEWTON_STEPS):
         step, slope = _newton_step(ds, r, p)
         r -= step
@@ -241,29 +280,45 @@ def _newton_root(ds, m: int, s: int, q: int):
 def _certified_bracket(sums: _PartialSums, m: int, s: int, q: int):
     """(lo, hi) over 2^q with upper(lo) < 1 < lower(hi) at sums' N and precision.
 
-    m * 2^-s must lie above the root of the partial sum, r_N.  Newton finds
-    r_N; hi sits a few units of 2^-prec (divided by the slope) above it, lo
-    below it by the tail bound at r_N over the slope.  _newton_root can return
-    a root far enough off r_N that every try of one side lands on the wrong
-    side of r_N; so while a side fails, a Newton step at q with a fresh slope
-    moves the root and both sides are tried again.  A point certified at an
-    earlier root stays valid, but the new root's is nearer r_N and leaves
-    fewer midpoints between lo and hi to evaluate (ten fewer at N = 8192 for
-    1+2i at 3000 digits).  Once a step is no larger than one unit the root is
-    as close as the offsets can resolve, and a side that still fails is None.
+    Newton finds the root of the partial sum, r_N.  At the first term count
+    it starts from m * 2^-s, s <= q, which must lie above r_N, and runs the
+    whole ladder.  After a term doubling it restarts from sums.root, the root of
+    the last bracket: more positive terms lower the root, so that one lies
+    above r_N (Newton on the convex, increasing partial sum then descends
+    monotonically), by at most the tail bound where the terms doubled
+    (sums.tail, from the undecided midpoint's upper call) over the slope,
+    which exceeds 1.  So it has about prec - bits(tail) correct bits, and
+    the ladder runs only the rungs above those, often just q.
+
+    hi sits a few units of 2^-prec (divided by the slope) above the root, lo
+    below it by the tail bound at the root over the slope.  _newton_root can
+    return a root far enough off r_N that every try of one side lands on the
+    wrong side of r_N; so while a side fails, a Newton step at q with a
+    fresh slope moves the root and both sides are tried again.  A point
+    certified at an earlier root stays valid, but the new root's is nearer
+    r_N and leaves fewer midpoints between lo and hi to evaluate (ten fewer
+    at N = 8192 for 1+2i at 3000 digits).  Once a step is no larger than
+    one unit the root is as close as the offsets can resolve, and a side
+    that still fails is None.  The last root is kept as sums.root.
     """
-    root, slope = _newton_root(sums.ds, m, s, q)
+    if sums.root is None:
+        start, known = m << (q - s), 0
+    else:
+        start, known = sums.root, sums.prec - sums.tail.bit_length()
+    root, slope = _newton_root(sums.ds, start, q, known)
     lo = hi = None
     while True:
         unit = (1 << (2 * q - sums.prec)) // slope + 1  # 2^-prec / slope, over 2^q
         hi = _certified_above(sums, root, unit, q) or hi  # points are positive
         lo = _certified_below(sums, root, unit, q) or lo
         if lo is not None and hi is not None:
-            return lo, hi
+            break
         step, slope = _newton_step(sums.ds, root, q)
         root -= step
         if abs(step) <= unit:
-            return lo, hi
+            break
+    sums.root = root
+    return lo, hi
 
 
 def _certified_above(sums: _PartialSums, root: int, unit: int, q: int):
@@ -345,7 +400,10 @@ def _solve_at_precision(prec, args):
     tail bound) and lower <= upper, so a midpoint >= hi has lower >= lower(hi) > 1
     and one <= lo has lower <= upper <= upper(lo) < 1.  Only midpoints inside
     (lo, hi) are evaluated, and every decision is the one evaluating would give.
-    A term doubling changes the kernels, so it voids the certified points.
+    So where Newton puts lo and hi changes only how many midpoints are
+    evaluated, never the path, N or the enclosure.  A term doubling changes
+    the kernels, so it voids the certified points; Newton restarts from the
+    root they were placed around.
     """
     zeta, cache, width_goal = args
     norm = zeta.norm_sq()
@@ -510,13 +568,19 @@ def _series_table(gammas, a, pa: int, prec: int):
     is the previous one times alpha, squeezed outward to prec by the box
     product's shift of pa bits; the partial sums add gamma(j) times each
     power exactly.  Every evaluator of the maximizer series reads this one
-    table, so equal inputs give bit-identical boxes.
+    table, so equal inputs give bit-identical boxes.  Once alpha times a
+    power rounds back to that power (an ulp box around 0, once alpha^j has
+    decayed below 2^-prec), every later power is the same box, so the
+    multiplying stops and the box is reused.
     """
     power = (1 << prec, 1 << prec, 0, 0)
     sl = sh = tl = th = 0
     powers, sums = [], []
+    settled = False
     for g in gammas:
-        power = box_product(power, a, pa)
+        if not settled:
+            previous, power = power, box_product(power, a, pa)
+            settled = power == previous
         rl, rh, il, ih = gaussian_product(power, g)
         sl, sh, tl, th = sl + rl, sh + rh, tl + il, th + ih
         powers.append(power)

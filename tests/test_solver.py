@@ -9,12 +9,12 @@ from math import ceil, floor
 
 import mpmath
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dyndeg import solver
 from dyndeg.errors import AdmissibilityError, PrecisionError
-from dyndeg.gaussian import GaussianInt, d_sequence
-from dyndeg.intervals import ComplexInterval, Dyadic, RealInterval, abs_sq
+from dyndeg.gaussian import DegreeCache, GaussianInt, d_sequence, is_admissible
+from dyndeg.intervals import ComplexInterval, Dyadic, RealInterval, abs_sq, box_product, gaussian_product
 from dyndeg.solver import (
     LambdaEnclosure,
     _series_table,
@@ -97,6 +97,9 @@ BRACKET_CASES = [
     (Z(4, 5), 600),
 ]
 
+# Solves whose Newton ladders are compared across term doublings
+RESTART_CASES = [(Z(1, 2), 150), (Z(-42, 13), 150), (Z(1, 2), 1250)]
+
 
 def _near_powers_of_two(top_bits):
     """Positive ints, half of them 2^k - 1, 2^k or 2^k + 1, where bit-length bounds are tightest."""
@@ -165,6 +168,60 @@ class TestSolveLambda:
         # the initial bracket, the tries of each side and the few midpoints
         # between the certified points: 4 to 8 calls per term count here
         assert max(calls.values()) <= 12
+
+    @pytest.mark.parametrize(
+        "zeta", [z for z, e in ENCLOSURE_DIGESTS if e == 150], ids=[str(z) for z, e in ENCLOSURE_DIGESTS if e == 150]
+    )
+    def test_enclosure_does_not_depend_on_newton(self, zeta, monkeypatch):
+        # Newton only places the points that the kernels certify: a step that
+        # overshoots by 2^20 units at the top rung moves them, not the enclosure
+        tops, brackets, overshoots = set(), [], []
+        step, bracket = solver._newton_step, solver._certified_bracket
+
+        def overshooting_step(ds, r, p):
+            correction, slope = step(ds, r, p)
+            if p in tops:
+                overshoots.append(p)
+                correction += 1 << 20
+            return correction, slope
+
+        def recorded_bracket(sums, m, s, q):
+            tops.add(q)
+            lo, hi = bracket(sums, m, s, q)
+            brackets.append((lo, hi))
+            return lo, hi
+
+        monkeypatch.setattr(solver, "_newton_step", overshooting_step)
+        monkeypatch.setattr(solver, "_certified_bracket", recorded_bracket)
+        enc = solve_lambda(zeta, Fraction(1, 10**150))
+        assert hashlib.sha256(enc.to_json_text(160).encode()).hexdigest() == ENCLOSURE_DIGESTS[(zeta, 150)]
+        assert len(overshoots) >= len(brackets) > 0
+        assert all(lo is not None and hi is not None for lo, hi in brackets)
+
+    @pytest.mark.parametrize(
+        "zeta, exponent", RESTART_CASES, ids=[f"{z}-1e-{e}" for z, e in RESTART_CASES]
+    )
+    def test_newton_restarts_from_the_last_root(self, zeta, exponent, monkeypatch):
+        # after a term doubling the ladder starts above the last count's
+        # lowest rung, and at the last count it is the one step at q
+        rungs = []
+        step, bracket = solver._newton_step, solver._certified_bracket
+
+        def recorded_step(ds, r, p):
+            rungs[-1][1].append(p)
+            return step(ds, r, p)
+
+        def recorded_bracket(sums, m, s, q):
+            rungs.append((q, []))
+            return bracket(sums, m, s, q)
+
+        monkeypatch.setattr(solver, "_newton_step", recorded_step)
+        monkeypatch.setattr(solver, "_certified_bracket", recorded_bracket)
+        solve_lambda(zeta, Fraction(1, 10**exponent))
+        lowest = [min(ps) for _, ps in rungs]
+        assert len(rungs) >= 4
+        assert all(a < b for a, b in zip(lowest[1:], lowest[2:]))
+        assert rungs[-1][1] == [rungs[-1][0]]
 
     def test_300_digits_contains_findroot(self):
         enc = solve_lambda(ZETA, Fraction(1, 10**300))
@@ -259,6 +316,56 @@ class TestSolveLambda:
         assert set(obj) == {"zeta", "lambda_lo", "lambda_hi", "width", "N_used", "precision_bits"}
         assert all(isinstance(v, str) for v in obj.values())
         assert obj["zeta"] == "1+2i"
+
+
+def exact_newton_correction(ds, r, p):
+    """(S(t) - 1) / S'(t) over 2^p as a Fraction, and whether S(t) <= 2, at t = r 2^-p.
+
+    ds is d_N first, as the solver keeps it.  With T = 2^p, P = S(t) T^N and
+    Q = S'(t) T^(N-1) are integers, and the correction over 2^p is (P - T^N) / Q.
+    """
+    n = len(ds)
+    value = slope = 0
+    for i, d in enumerate(ds):  # d = d_j, j = n - i
+        value = value * r + (d << (p * i))
+        slope = slope * r + ((n - i) * d << (p * i))
+    value *= r
+    return Fraction(value - (1 << (p * n)), slope), value <= 2 << (p * n)
+
+
+def partial_sum_root(ds, p):
+    """The root of sum_j d_j t^j = 1, rounded to 2^-p, by Newton in mpmath at p + 32 bits."""
+    coeffs = list(ds) + [-1]  # polyval takes the leading coefficient first
+    with mpmath.workprec(p + 32):
+        t = mpmath.mpf(1) / ds[-1]  # d_1 t >= 1 there, so the root lies below
+        for _ in range(400):
+            value, slope = mpmath.polyval(coeffs, t, derivative=True)
+            t -= value / slope
+            if abs(value) < mpmath.ldexp(1, -p - 16):
+                break
+        return int(mpmath.nint(mpmath.ldexp(t, p)))
+
+
+admissible_zetas = st.one_of(
+    st.builds(GaussianInt, st.integers(-50, 50), st.integers(-50, 50)).filter(is_admissible),
+    st.just(GaussianInt(10**20, 7)),  # d_(j+1) / d_j above 2^64: the step's left-shift branch
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(admissible_zetas, st.integers(1, 512), st.integers(64, 1200), st.integers(0, 1210), st.integers(-(1 << 16), 1 << 16))
+@example(GaussianInt(-42, 13), 512, 579, 579, 3)
+@example(GaussianInt(1, 2), 32, 73, 20, 1 << 16)
+@example(GaussianInt(10**20, 7), 8, 64, 64, -5)
+def test_rung_sized_newton_step_matches_exact_correction(zeta, n_terms, p, distance_bits, numerator):
+    # r lies numerator * 2^-(distance_bits + 16) from the partial sum's root
+    ds = DegreeCache(zeta).extend_to(n_terms).values[::-1]
+    r = partial_sum_root(ds, p) + ((numerator << p) >> (distance_bits + 16))
+    assume(r > 0)
+    exact, near = exact_newton_correction(ds, r, p)
+    assume(near)
+    step, slope = solver._newton_step(ds, r, p)
+    assert abs(step - exact) < 4
 
 
 class TestTailBoundAtItsPrecisionFloor:
@@ -375,6 +482,19 @@ class TestPhi:
         assert loose.re.width().to_fraction() > tight.re.width().to_fraction()
 
 
+def plain_series_table(gammas, a, pa, prec):
+    """_series_table as one box product per power, with no reuse of a settled power."""
+    power = (1 << prec, 1 << prec, 0, 0)
+    total = (0, 0, 0, 0)
+    powers, sums = [], []
+    for g in gammas:
+        power = box_product(power, a, pa)
+        total = tuple(t + e for t, e in zip(total, gaussian_product(power, g)))
+        powers.append(power)
+        sums.append(total)
+    return powers, sums
+
+
 def reference_series_table(gammas, alpha, prec):
     """The powers and partial sums of _series_table, in exact Fraction interval arithmetic.
 
@@ -432,3 +552,15 @@ class TestSeriesTable:
     )
     def test_matches_interval_arithmetic(self, alpha, gammas, prec):
         assert _series_table(gammas, *alpha.fixed(), prec) == reference_series_table(gammas, alpha, prec)
+
+    @pytest.mark.parametrize("settles", [True, False], ids=["settles", "never-settles"])
+    def test_reused_settled_power_matches_plain_loop(self, settles):
+        if settles:  # alpha of 1+2i decays below 2^-96 by j = 60, then stays an ulp box around 0
+            a, pa = alpha_of(ZETA, solve_lambda(ZETA, W9)).fixed()
+        else:  # a box around 3/5 + 4i/5, of modulus about 1: no power rounds back to the one before
+            a, pa = ((3 << 40) // 5, -(-3 << 40) // 5, (4 << 40) // 5, -(-4 << 40) // 5), 40
+        gammas = DegreeCache(ZETA).extend_to(200).gammas
+        powers, sums = _series_table(gammas, a, pa, 96)
+        assert (powers, sums) == plain_series_table(gammas, a, pa, 96)
+        assert (powers[-1] == powers[-2]) is settles
+        assert all(x != y for x, y in zip(powers, powers[1:])) is not settles
