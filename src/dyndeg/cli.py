@@ -1,9 +1,9 @@
 """Command-line front door: parse the parameter, dispatch, emit text/JSON/CSV.
 
 Exit codes: 0 success, 1 usage or invalid argument, 2 inadmissible parameter,
-3 precision cap reached, 4 resource budget exceeded, 5 oracle mismatch.  All
-JSON numerals are decimal strings, and identical invocations produce
-byte-identical output.
+3 precision cap reached, 4 resource budget exceeded or memory exhausted,
+5 oracle mismatch.  All JSON numerals are decimal strings, and identical
+invocations produce byte-identical output.
 
 Each policy lives in one place: the parser is built once per process, `main`
 parses `--zeta`, reads DYNDEG_PRECISION_CAP and checks the `_BOUNDS` table
@@ -60,6 +60,7 @@ _EXIT_CODES = {
     AdmissibilityError: EXIT_INADMISSIBLE,
     PrecisionError: EXIT_PRECISION,
     ResourceExhausted: EXIT_RESOURCES,
+    MemoryError: EXIT_RESOURCES,  # str(MemoryError()) is empty, so it has a message of its own
     OSError: EXIT_USAGE,  # an unwritable --out
 }
 
@@ -192,7 +193,7 @@ def cmd_irregular(args, zeta):
         f"  min excess over n: {rep.min_excess}",
         f"  min pairwise gap: {rep.min_pair_gap}",
         f"  min shifted gap |j-j'-n|: {rep.min_shifted_gap}",
-        f"  nonzero beta entries: {len(rep.beta)}",
+        f"  nonzero beta entries: {4 * len(rep.irregular)}",
     ]
     return "\n".join(lines) + "\n", EXIT_OK
 
@@ -318,7 +319,7 @@ def _main(argv) -> int:
             sys.stdout.write(text)
         return code
     except tuple(_EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {'out of memory' if isinstance(exc, MemoryError) else exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import floor
+from types import MappingProxyType
 
 from .errors import InconsistencyError, PrecisionError
 from .gaussian import DegreeCache, GaussianInt, _require_admissible
@@ -30,7 +31,6 @@ from .intervals import (
     box_power,
     box_product,
     box_quotient,
-    gaussian_product,
     intersect,
     real_product,
     scale_int,
@@ -249,15 +249,53 @@ def _octant_at(bits, args):
 
 @dataclass(frozen=True)
 class IrregularityReport:
-    """Indices j in (n, window_end] whose maximizer changed across the lag n."""
+    """Indices j in (n, window_end] whose maximizer changed across the lag n.
+
+    The report keeps one step per irregular index: steps[k] is
+    c_j = gamma(j) - gamma(j - n) as (re, im) for j = irregular[k], nonzero.
+    The bilinear expansion of the defect has four nonzero coefficients per
+    irregular j, all read off c_j: beta_(j,0) = c_j, beta_(0,j) = conj c_j,
+    beta_(j,n) = -c_j and beta_(n,j) = -conj c_j.
+    """
 
     n: int
     window_end: int
     irregular: tuple
+    steps: tuple
     min_excess: int = None  # min j - n
     min_pair_gap: int = None  # min |j - j'| over distinct irregular pairs
     min_shifted_gap: int = None  # min |j - j' - n| where j != j' + n
-    beta: dict = field(default_factory=dict)
+
+    @cached_property
+    def beta(self):
+        """Read-only map (i, j) -> beta_(i,j) as GaussianInt over the nonzero entries, built on first read."""
+        n, beta = self.n, {}
+        for j, (re, im) in zip(self.irregular, self.steps):
+            beta[(j, 0)] = GaussianInt(re, im)
+            beta[(0, j)] = GaussianInt(re, -im)
+            beta[(j, n)] = GaussianInt(-re, -im)
+            beta[(n, j)] = GaussianInt(-re, im)
+        return MappingProxyType(beta)
+
+    def _beta_rows(self):
+        """[i, j, re, im] as decimal strings for every nonzero beta_(i,j), in sorted key order.
+
+        Every irregular j exceeds n >= 1, so a key's first entry is 0, n or
+        an irregular j, in that order: the keys sort as every (0, j) for
+        ascending j, then every (n, j), then (j, 0) and (j, n) for each
+        ascending j.  The keys are distinct, so the rows are written in that
+        order and never sorted.
+        """
+        n = str(self.n)
+        cols = [
+            (str(j), str(re), str(im), str(-re), str(-im)) for j, (re, im) in zip(self.irregular, self.steps)
+        ]
+        rows = [["0", j, re, neg_im] for j, re, _, _, neg_im in cols]
+        rows += [[n, j, neg_re, im] for j, _, im, neg_re, _ in cols]
+        for j, re, im, neg_re, neg_im in cols:
+            rows.append([j, "0", re, im])
+            rows.append([j, n, neg_re, neg_im])
+        return rows
 
     def to_json_obj(self):
         return {
@@ -269,16 +307,12 @@ class IrregularityReport:
             "min_shifted_gap": None
             if self.min_shifted_gap is None
             else str(self.min_shifted_gap),
-            "beta": [
-                [str(i), str(j), str(v.re), str(v.im)]
-                for (i, j), v in sorted(self.beta.items())
-            ],
+            "beta": self._beta_rows(),
         }
 
     def beta_csv_text(self):
-        lines = ["n,i,j,beta_re,beta_im"]
-        for (i, j), v in sorted(self.beta.items()):
-            lines.append(f"{self.n},{i},{j},{v.re},{v.im}")
+        n = str(self.n)
+        lines = ["n,i,j,beta_re,beta_im"] + [",".join([n, *row]) for row in self._beta_rows()]
         return "\n".join(lines) + "\n"
 
 
@@ -292,29 +326,31 @@ def irregular_indices(zeta: GaussianInt, n: int, window_end: int) -> Irregularit
     return _irregularity_report(DegreeCache(zeta).extend_to(window_end).gammas, n, window_end)
 
 
+def _lag_steps(gammas, n: int, window_end: int):
+    """(irregular, steps) of lag n over (n, window_end], read from gamma(1), ..., gamma(>= window_end).
+
+    irregular lists the j with gamma(j) != gamma(j - n) in ascending order;
+    steps holds c_j = gamma(j) - gamma(j - n) of each, as (re, im).
+    """
+    irregular, steps = [], []
+    for j, g, h in zip(range(n + 1, window_end + 1), gammas[n:window_end], gammas[: window_end - n]):
+        if g != h:
+            irregular.append(j)
+            steps.append((g.re - h.re, g.im - h.im))
+    return irregular, steps
+
+
 def _irregularity_report(gammas, n: int, window_end: int) -> IrregularityReport:
-    """The report of ``irregular_indices`` read from gamma(1), ..., gamma(>= window_end)."""
-    irregular = [j for j in range(n + 1, window_end + 1) if gammas[j - 1] != gammas[j - n - 1]]
-    beta = {}
-    for j in irregular:
-        c = gammas[j - 1] - gammas[j - n - 1]
-        beta[(j, 0)] = c
-        beta[(0, j)] = c.conj()
-        beta[(j, n)] = -c
-        beta[(n, j)] = -c.conj()
-    min_excess = min((j - n for j in irregular), default=None)
-    min_pair_gap = min(
-        (b - a for a, b in zip(irregular, irregular[1:])), default=None
-    )
-    min_shifted_gap = _min_shifted_gap(irregular, n)
+    """The report of ``irregular_indices``: the lag-n steps and their gap statistics."""
+    irregular, steps = _lag_steps(gammas, n, window_end)
     return IrregularityReport(
         n=n,
         window_end=window_end,
         irregular=tuple(irregular),
-        min_excess=min_excess,
-        min_pair_gap=min_pair_gap,
-        min_shifted_gap=min_shifted_gap,
-        beta=beta,
+        steps=tuple(steps),
+        min_excess=irregular[0] - n if irregular else None,
+        min_pair_gap=min((b - a for a, b in zip(irregular, irregular[1:])), default=None),
+        min_shifted_gap=_min_shifted_gap(irregular, n),
     )
 
 
@@ -447,6 +483,12 @@ def _periodic_sum(a, pa: int, n: int, partial, prec: int):
     return (rl, rh, -ih, -il), gap, box_quotient(partial, gap, prec)
 
 
+def _real_product(x, c):
+    """The real box Re(x * c), exact, for a complex box x and a Gaussian integer c = (re, im)."""
+    p, q = scale_int(x[:2], c[0]), scale_int(x[2:], c[1])
+    return p[0] - q[1], p[1] - q[0]
+
+
 def phi_n_eval(ctx: ThetaContext, n: int, alpha: ComplexInterval) -> ComplexInterval:
     """Box around (1 - alpha^n)^(-1) * sum_{j<=n} gamma(j) alpha^j."""
     if n < 1:
@@ -465,7 +507,8 @@ def psi_n_eval(ctx: ThetaContext, n: int, alpha: ComplexInterval, tail_tol) -> R
 
     Route (a) evaluates the definition from the full and periodic series
     boxes; route (b) sums the sparse bilinear expansion over irregular
-    indices with a certified tail.  Both read one table (_series_table):
+    indices with a certified tail, reading each (j, c_j) from _lag_steps
+    (no report is built).  Both read one table (_series_table):
     route (a) its partial sums at N and n, route (b) the powers alpha^j at
     irregular j, each alpha^j * conj(alpha^n) squeezed to prec.  The routes
     must intersect; the intersection is returned.
@@ -487,14 +530,12 @@ def psi_n_eval(ctx: ThetaContext, n: int, alpha: ComplexInterval, tail_tol) -> R
     phin_lo, phin_hi = squeeze(phi_n[:2], -prec)
     route_a = real_product(*scale_int(abs_sq(gap), 2), phi_lo - phin_hi, phi_hi - phin_lo)
 
-    report = _irregularity_report(gammas, n, T)
     lo = hi = 0
-    for j in report.irregular:
-        c = report.beta[(j, 0)]
-        rl, rh, _, _ = gaussian_product(powers[j - 1], c)
+    for j, c in zip(*_lag_steps(gammas, n, T)):  # c = beta_(j,0)
+        rl, rh = _real_product(powers[j - 1], c)
         lo, hi = lo + 2 * rl, hi + 2 * rh  # beta_(j,0) and beta_(0,j) pair
         if j + n <= T:
-            rl, rh, _, _ = gaussian_product(box_product(powers[j - 1], conj_n, prec), c)
+            rl, rh = _real_product(box_product(powers[j - 1], conj_n, prec), c)
             lo, hi = lo - 2 * rh, hi - 2 * rl
     route_b = squeeze(widen(squeeze((lo, hi), -prec), tail), -2 * prec)
 

@@ -21,13 +21,25 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_module(*argv, timeout=60, **env_vars):
+def run_module(*argv, timeout=60, preexec_fn=None, **env_vars):
     """`python -m dyndeg.cli argv` in a fresh process, against this checkout's source."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), **env_vars)
     return subprocess.run(
-        [sys.executable, "-m", "dyndeg.cli", *argv], capture_output=True, text=True, env=env, timeout=timeout
+        [sys.executable, "-m", "dyndeg.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=timeout,
+        preexec_fn=preexec_fn,
     )
+
+
+def limit_address_space():
+    """Cap the child's address space at 512 MiB, so a runaway allocation fails within seconds."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 
 
 class TestDegreesCommand:
@@ -369,6 +381,19 @@ class TestUsageErrors:
         bits = cap or "65536"
         assert proc.stderr == f"error: needed more than {bits} fractional bits (cap; see DYNDEG_PRECISION_CAP)\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("irregular", "--zeta", "1+2i", "--n", "210", "--window", "1000000000000"),
+            ("degrees", "--zeta", "1+2i", "--count", "1000000000000"),
+        ],
+        ids=["irregular", "degrees"],
+    )
+    def test_out_of_memory_exit4_one_line(self, argv):
+        proc = run_module(*argv, timeout=60, preexec_fn=limit_address_space)
+        assert (proc.returncode, proc.stdout) == (4, "")
+        assert proc.stderr == "error: out of memory\n"
+
     def test_huge_digits_inadmissible_exit2(self):
         proc = run_module("lambda", "--zeta", "1+1i", "--digits", "100000000", timeout=20)
         assert (proc.returncode, proc.stdout) == (2, "")
@@ -537,6 +562,32 @@ SURVEY_DIGESTS = {
 }
 
 
+# SHA-256 of `irregular` stdout in each format, recorded before the report
+# kept one step per irregular index and wrote its beta rows unsorted
+IRREGULAR_DIGESTS = {
+    ("1+2i", "1345", "2"): {  # no irregular index
+        "text": "0360c55394f66504588fe3d5257af66f848903194597334f5f468b998e21571b",
+        "json": "bfd8e148fcf8bfe8380403e0e0f475f53a250dff96000931b46fd530dc7dc19c",
+        "csv": "b9504b2426f645cd0aafcd2e1c226a01ecf4c55c41063dbfb0ea8a7118cf8b0c",
+    },
+    ("517-263i", "210", "5"): {  # 840 irregular indices, 630 exact hits j = j' + n
+        "text": "cee0b65ed804ba973e027a52ecd758d329905fb5cffb43fc9642f3c08ef28187",
+        "json": "2ca0b04140b8497e300ac776c097d2b8e2970488e82c1915afbca9c968a174cb",
+        "csv": "432f610e2b7363b788a41944868de82664598526bd6a2348693ccab47088a74e",
+    },
+    ("-11-8i", "100", "7"): {
+        "text": "bf96df9e5eb14f437f7ca243213006183f1cf0384d3c8654c327e053f16cbbfa",
+        "json": "b6827677041d4e7453e81cb84ae7f05591bdba8e6b7a2749502370a2be95a82d",
+        "csv": "cf9c8f06ac0292dd2147d557046363ac29e1ec180dab237fa7b7998cf333d2ae",
+    },
+    ("2+i", "12", "4"): {
+        "text": "edbad3d6a3a9ada96a1cb94bc83a69b5459048960262e404e472a376a3ed0f4e",
+        "json": "df731e8f0ab4e33a0b31debd971af71ec0af858c839163a97cea6a19a2991360",
+        "csv": "1ad4cd8580569fb12c102680fe066bd61d73f5451511807a5eb7e8b566671d7e",
+    },
+}
+
+
 class TestPinnedOutput:
     @pytest.mark.parametrize("argv", list(README_DIGESTS), ids="_".join)
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
@@ -550,6 +601,14 @@ class TestPinnedOutput:
         code, out, _ = run(capsys, *argv, "--format", "json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == SURVEY_DIGESTS[argv]
+
+    @pytest.mark.parametrize("case", list(IRREGULAR_DIGESTS), ids="_".join)
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_irregular_byte_identical(self, capsys, case, fmt):
+        zeta, n, window = case
+        code, out, _ = run(capsys, "irregular", "--zeta", zeta, "--n", n, "--window", window, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == IRREGULAR_DIGESTS[case][fmt]
 
     def test_parser_built_once(self, capsys, monkeypatch):
         def fail():

@@ -4,9 +4,10 @@ from math import ceil
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dyndeg.errors import AdmissibilityError, InconsistencyError
-from dyndeg.gaussian import GaussianInt, gamma_argmax
+from dyndeg.gaussian import GaussianInt, gamma_argmax, is_admissible
 from dyndeg import diophantine
 from dyndeg.diophantine import (
     OCTANT_TO_GAMMA,
@@ -306,6 +307,40 @@ class TestIrregularIndices:
         assert lines[0] == "n,i,j,beta_re,beta_im"
         assert len(lines) == 1 + len(rep.beta)
 
+    def test_beta_is_read_only(self):
+        rep = irregular_indices(ZETA, 50, 120)
+        with pytest.raises(TypeError):
+            rep.beta[(0, 0)] = Z(1, 0)
+
+    # 1000+i: j*theta stays in one octant up to j = 785, so the report is empty
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)).filter(lambda z: is_admissible(Z(*z))),
+        st.integers(1, 300),
+        st.integers(2, 6),
+    )
+    @example((1000, 1), 100, 5)
+    @example((517, -263), 210, 5)
+    def test_beta_rows_match_the_sorted_four_entry_dict(self, zeta, n, window):
+        z, window_end = Z(*zeta), n * window
+        gammas = [gamma_argmax(z, j) for j in range(1, window_end + 1)]
+        reference = {}
+        for j in range(n + 1, window_end + 1):
+            c = gammas[j - 1] - gammas[j - n - 1]
+            if not c.is_zero():
+                reference[(j, 0)] = c
+                reference[(0, j)] = c.conj()
+                reference[(j, n)] = -c
+                reference[(n, j)] = -c.conj()
+        rows = sorted(reference.items())
+        rep = irregular_indices(z, n, window_end)
+        assert dict(rep.beta) == reference
+        assert rep.to_json_obj()["beta"] == [[str(i), str(j), str(v.re), str(v.im)] for (i, j), v in rows]
+        csv = "".join(f"{n},{i},{j},{v.re},{v.im}\n" for (i, j), v in rows)
+        assert rep.beta_csv_text() == "n,i,j,beta_re,beta_im\n" + csv
+        if zeta == (1000, 1):
+            assert rep.irregular == () and rep.to_json_obj()["beta"] == []
+
     def test_inadmissible_rejected_first(self):
         # admissibility is checked before the window, as theta_interval did
         with pytest.raises(AdmissibilityError, match="integer multiple of 1\\+i"):
@@ -431,6 +466,17 @@ class TestPsiN:
         weight = [Fraction(w, 1 << 2 * n * pa) for w in scale_int(abs_sq((one - rh, one - rl, -ih, -il)), 2)]
         products = [w * (1 - x) for w in weight for x in fractions_of(box.re)]
         assert overlap((min(products), max(products)), fractions_of(psi))
+
+    def test_builds_no_irregularity_report(self, alpha50, monkeypatch):
+        # route (b) reads the lag steps alone: no gap statistics, no beta table
+        ctx, tol = theta_interval(ZETA, 192), Fraction(1, 10**40)
+        box = psi_n_eval(ctx, 50, alpha50, tol)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("psi_n_eval built an IrregularityReport")
+
+        monkeypatch.setattr(diophantine, "IrregularityReport", refuse)
+        assert psi_n_eval(ctx, 50, alpha50, tol) == box
 
     def test_empty_window_small_value(self):
         # n = 1345: no irregular index until far beyond the truncation, so the
@@ -589,6 +635,26 @@ PERIODIC_DIGESTS = {
         "1240bb30a771a64fbe4c1ede05c7b1cae808171608d0c0b626e745251f4107f4",
     ),
 }
+
+
+# SHA-256 of the Psi_n box in the lambda-deep configuration (n = 100) for one
+# parameter of each band 10(b-1) < max(|re|, |im|) <= 10b, recorded before
+# the irregularity report kept one step per index
+PSI_BAND_DIGESTS = {
+    (-5, 3): "e83835f08fe391fc3d0fa85791eaa858fd7ed0a16563cf3aa7ee3e8932783364",
+    (13, -19): "071d6f279c62c8c5bce347e5327bd476f28c2322c41b0afc684b2db82894eaed",
+    (-28, -6): "df338a67a5fd88ac96143eb9b4ac62771dc9f9724078ee3683cdfcf5c4aa5293",
+    (35, 31): "16b5af30010e1e73d35dd9f62f38cf7226c55bbbce30e00263c8c6c435e44adc",
+    (-49, 12): "fd06ed35206bd26796551830eb65ff7cc243c6b6763046d2b43fb16684f07c06",
+}
+
+
+@pytest.mark.parametrize("zeta", list(PSI_BAND_DIGESTS))
+def test_lambda_deep_psi_box_bit_identical_across_bands(zeta):
+    z = Z(*zeta)
+    alpha = alpha_of(z, solve_lambda(z, Fraction(1, 10**150)))
+    box = psi_n_eval(theta_interval(z, 256), 100, alpha, Fraction(1, 10**110))
+    assert _box_digest(box) == PSI_BAND_DIGESTS[zeta]
 
 
 @pytest.mark.parametrize("n", list(PERIODIC_DIGESTS))
