@@ -30,9 +30,9 @@ involve no randomness.
   and c_k = 0 modulo primes whose product exceeds 2^beta proves c_k = 0.
   The bound comes from the integers the check is handed, whoever computed
   them.
-- int64.  The primes lie in (2^(k-1), 2^k) with k = floor((63 - bitlen N) / 2),
-  so a sum of at most N products of two residues stays below
-  N 2^(2k) < 2^63.  Two more sums have bounds of their own:
+- int64.  The primes are ``modp``'s word-size primes for sums of at most N
+  products, in (2^(k-1), 2^k) with k = floor((63 - bitlen N) / 2).  Two
+  more sums have bounds of their own:
   - residues: an integer, first reduced modulo the product of a group's
     primes (one big-integer division), is its 16-bit limbs times
     2^(16i) mod p, one int64 matrix product.  A sum of w limb products stays
@@ -52,12 +52,10 @@ modulo the product P of the groups before, one more group adds the digit
 only the groups its own bound needs: once P > 2^(sn+1), e_n mod P is e_n,
 so rows of small n stop after the first groups.
 
-The primes come from ``polynomials._primes_from``, whose Miller-Rabin bases
-include 2, 3, 5, 7, 11, 13 and 17: that is deterministic below 3.4 * 10^14,
-far above 2^31.  They are generated on first use and kept per k.  The
-primes run in groups and the integers in row blocks, so an int64 temporary
-holds at most _BLOCK_WORDS entries, or one prime's row when that alone is
-longer.
+The primes come from ``modp``'s table per k, generated on first use and
+kept, and the powers 2^(16i) mod p from its power table.  The primes run
+in groups and the integers in row blocks, so an int64 temporary holds at
+most _BLOCK_WORDS entries, or one prime's row when that alone is longer.
 """
 
 from __future__ import annotations
@@ -68,12 +66,10 @@ from math import isqrt, prod
 
 import numpy as np
 
-from .errors import ResourceExhausted
-from .polynomials import _primes_from
+from .modp import _power_table, prime_table
 
 _BLOCK_WORDS = 1 << 17  # int64 entries of a temporary: one group's table or one row block
 _RESIDUE_ROWS = 32  # rows of a residue block, each block as wide as its own largest value
-_PRIMES = {}  # k -> (primes in (2^(k-1), 2^k) found so far, ascending; their generator)
 
 _ORIGINS = ("monomial_d", "composed_e")
 
@@ -205,14 +201,7 @@ def _word_bits(N: int) -> int:
 
 def _moduli(k: int, bits: int) -> tuple:
     """The first primes in (2^(k-1), 2^k) whose product exceeds 2^bits."""
-    count = max(1, -(-bits // (k - 1)))  # each prime exceeds 2^(k-1)
-    primes, source = _PRIMES.setdefault(k, ([], _primes_from((1 << (k - 1)) + 1)))
-    while len(primes) < count:
-        p = next(source)
-        if p >> k:
-            raise ResourceExhausted(f"needs more primes than (2^{k - 1}, 2^{k}) holds")
-        primes.append(p)
-    return tuple(primes[:count])
+    return prime_table(k, max(1, -(-bits // (k - 1))))  # each prime exceeds 2^(k-1)
 
 
 def _growth_rate(dv) -> int:
@@ -263,14 +252,7 @@ def _residues(values, primes: tuple):
     values = [v % m for v in values]
     p = np.array(primes, dtype=np.int64)
     width = _limb_count(max(values))
-    powers = np.empty((len(p), width), dtype=np.int64)  # powers[:, i] = 2^(16i) mod p
-    powers[:, 0] = 1
-    filled = 1
-    while filled < width:  # doubling: the next block is the filled one times 2^(16 filled)
-        step = powers[:, filled - 1] * 65536 % p
-        n = min(filled, width - filled)
-        powers[:, filled : filled + n] = powers[:, :n] * step[:, None] % p[:, None]
-        filled += n
+    powers = np.ascontiguousarray(_power_table(65536 % p, width - 1, p).T)  # powers[:, i] = 2^(16i) mod p
     out = np.empty((len(values), len(p)), dtype=np.int64)
     rows = max(1, min(_RESIDUE_ROWS, _BLOCK_WORDS // width))
     for start in range(0, len(values), rows):

@@ -11,7 +11,6 @@ real power of zeta, which admissibility excludes).
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -358,12 +357,13 @@ def _min_shifted_gap(irregular, n: int):
     """min |j - j2 - n| over j, j2 in the sorted list with j != j2 + n, or None.
 
     For each j2 only the neighbours of j2 + n in the list can attain the
-    minimum, so a binary search per j2 replaces the scan over all pairs.
+    minimum; the targets ascend with j2, so one forward pointer finds them.
     """
-    gaps = []
+    gaps, i = [], 0
     for j2 in irregular:
         target = j2 + n
-        i = bisect_left(irregular, target)
+        while i < len(irregular) and irregular[i] < target:
+            i += 1
         hit = i < len(irregular) and irregular[i] == target
         for k in (i - 1, i + 1 if hit else i):
             if 0 <= k < len(irregular):

@@ -69,19 +69,16 @@ import numpy as np
 
 from .errors import CheckFailed, DegenerateMatrix, OracleInconsistency
 from .gaussian import IntMatrix2x2
+from .modp import LINE_PRIMES, univ_gcd_mod, univ_mul_mod, univ_pow_mod, weighted_sum_mod
 from .polynomials import (
     CoprimeBase,
     HomoPoly,
-    LINE_PRIMES,
     LineMemo,
     MAX_PACKED_DEGREE,
     SumAtom,
     expand,
     scaled,
-    univ_gcd_mod,
-    univ_mul_mod,
 )
-from .powering import binary_power
 
 _BASE_SEED = 7  # certificate-line seed of the coprime base of every compose
 _LINE_TRIALS = 3  # seeded trials of the line oracle; all must agree
@@ -456,7 +453,6 @@ def _restrict_components(factored, restrict, p: int):
     popcount(e) + bit_length(e) univariate products.  A zero component
     (unit 0) restricts to zero, which leaves a gcd unchanged.
     """
-    mul, one = partial(univ_mul_mod, p=p), np.ones(1, dtype=np.int64)
     restricted = {}  # id(factor) -> its restriction; every factor stays alive in factored
     out = []
     for unit, factors in factored:
@@ -467,7 +463,7 @@ def _restrict_components(factored, restrict, p: int):
                 rp = restricted[id(poly)] = restrict(poly)
                 if rp is None:
                     return None
-            r = mul(r, binary_power(rp, e, one, mul))
+            r = univ_mul_mod(r, univ_pow_mod(rp, e, p), p)
         out.append(r)
     return out
 
@@ -476,16 +472,10 @@ def _on_curve(P: HomoPoly, powers, degree: int, p: int) -> np.ndarray:
     """P mod p on a curve of the given degree, powers[c][e] the e-th power of its c-th array.
 
     Term by term: c x0^i x1^j x2^k adds c times the product of three powers,
-    of degree at most (i + j + k) * degree, aligned at the constant term.
-    The sum adds at most 2048 * 2049 / 2 < 2^22 residues, below 2^47.01.
-    The result is a stripped residue array.
+    of degree at most (i + j + k) * degree.
     """
-    acc = np.zeros(P.degree * degree + 1, dtype=np.int64)
-    for i, j, k, c in P.items():
-        if c % p:
-            r = univ_mul_mod(univ_mul_mod(powers[0][i], powers[1][j], p), powers[2][k], p) * (c % p) % p
-            acc[len(acc) - len(r) :] += r
-    return np.trim_zeros(acc % p, "f")
+    terms = ((c, (powers[0][i], powers[1][j], powers[2][k])) for i, j, k, c in P.items())
+    return weighted_sum_mod(terms, P.degree * degree + 1, p)
 
 
 # ---------------------------------------------------------------------------

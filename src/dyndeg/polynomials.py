@@ -19,33 +19,11 @@ at any size.
 shares no code with the mod-p kernels, and the tests use it as their
 independent reference for ``restrict_line_mod``.
 
-Everything modular runs on one set of mod-p kernels over numpy int64:
-restriction of a polynomial to a line (``restrict_line_mod``: values at the
-nodes 0..d with one coordinate divided out, the terms grouped by the
-exponent of one ratio and each group summed by one vector-matrix product,
-then interpolation by one convolution and a Horner blocked in sqrt(n)
-blocks) and the univariate product, remainder and gcd (``univ_mul_mod``,
-a Kronecker product on Python ints when both factors exceed 2048
-coefficients; ``_univ_rem_mod``, ``univ_gcd_mod``; a quotient longer than
-the divisor, or any quotient by a divisor whose series inverse the caller
-keeps, comes from one Newton inversion of the reversed divisor, a Euclid
-step from the division loop).  They pass univariate polynomials to each
-other as reduced, stripped int64 arrays: coefficients descending, residues
-in [0, p), the leading one nonzero (the zero polynomial is empty), so no
-result goes through a Python list and back.
-
-Each int64 bound is proved where its sum is formed: the group sums, the
-node powers and the sum over groups in ``restrict_line_mod``, the
-Newton-coefficient convolution and the blocked Horner in
-``_interpolate_mod``, the convolutions and the division loop in
-``_univ_rem_mod``, the product in ``univ_mul_mod``, the sum of term
-restrictions in ``SumAtom.restrict``, and the integer products in
-``_mul_int64``.  Each mod-p sum adds at most 2048 products of two residues,
-so it stays below 2^63 for any p <= 2^26; for the primes near 2^25 that the
-callers draw (p < 2^25.01) it stays below 2^61.02.  A constant gcd of the
-restrictions to a line that keeps both degrees proves coprimality
-(``certify_coprime``); a nonzero remainder proves non-division.  One gcd on
-a line proves a polynomial P coprime to a whole set of atoms: if P and the
+Everything modular, ``restrict_line_mod`` included, runs on the line
+primes and the residue-array kernels of ``modp``, under its int64 rule.  A
+constant gcd of the restrictions to a line that keeps both degrees proves
+coprimality (``certify_coprime``); a nonzero remainder proves
+non-division.  One gcd on a line proves a polynomial P coprime to a whole set of atoms: if P and the
 atoms keep their degrees on L and gcd(P|L, prod A|L) is constant, then so
 is every common factor of P and an atom, since it keeps its degree on L
 and its restriction divides both (gcd(P, prod A) = 1 exactly when P is
@@ -81,12 +59,21 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from itertools import islice
-from math import gcd as igcd, isqrt
+from math import gcd as igcd
 
 import numpy as np
 
 from .errors import ReductionFailure
+from .modp import (
+    LINE_PRIMES,
+    _interpolate_mod,
+    _power_table,
+    _product_mod,
+    _univ_rem_mod,
+    univ_gcd_mod,
+    univ_pow_mod,
+    weighted_sum_mod,
+)
 from .powering import binary_power
 
 _J_BITS = 11
@@ -375,43 +362,6 @@ def divexact(num: HomoPoly, den: HomoPoly):
 # ---------------------------------------------------------------------------
 
 
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _primes_from(start: int):
-    """Probable primes >= start in increasing order, generated on demand."""
-    n = start | 1
-    while True:
-        if _is_probable_prime(n):
-            yield n
-        n += 2
-
-
-# ~2^25: small enough for int64-safe numpy modular arithmetic, large enough
-# for interpolation grids beyond any degree the packing allows
-LINE_PRIMES = tuple(islice(_primes_from(1 << 25), 8))
-
-
 def restrict_line_mod(P: HomoPoly, a, b, p: int):
     """Coefficients of t -> P(a*t + b) mod p, via evaluation/interpolation.
 
@@ -431,11 +381,10 @@ def restrict_line_mod(P: HomoPoly, a, b, p: int):
     Each S(e_u) is one int64 vector-matrix product of the group's
     coefficients with rows of the r_v power table.  At the node where x_c
     vanishes only the terms free of x_c contribute; they are summed there
-    directly.  Every sum adds at most 2048 products of residues below
-    p < 2^25.01: a group's terms have distinct e_v and the groups distinct
-    e_u, so neither outnumbers d + 1 <= 2048, and each sum stays below
-    2^61.02 < 2^63.  The node vector x_c^d comes from binary powering, each
-    step one product of two residue vectors, below 2^50.02.
+    directly.  Every sum adds at most 2048 residue products (``modp``'s
+    int64 rule): a group's terms have distinct e_v and the groups distinct
+    e_u, so neither outnumbers d + 1 <= 2048.  The node vector x_c^d comes
+    from binary powering, each step one product of two residue vectors.
     """
     d = P.degree
     ts = np.arange(d + 1, dtype=np.int64)
@@ -476,77 +425,6 @@ def restrict_line_mod(P: HomoPoly, a, b, p: int):
     return coeffs_asc[::-1].copy()
 
 
-def _power_table(r: np.ndarray, top: int, p: int) -> np.ndarray:
-    """Rows r^0..r^top mod p of the residue vector r, filled by doubling."""
-    table = np.empty((top + 1, len(r)), dtype=np.int64)
-    table[0] = 1
-    k = 1
-    while k <= top:  # rows below k are filled
-        m = min(k, top + 1 - k)
-        table[k : k + m] = table[:m] * (table[k - 1] * r % p) % p
-        k += m
-    return table
-
-
-def _interpolate_mod(values: np.ndarray, p: int) -> np.ndarray:
-    """Interpolation of the residues values at nodes 0..n-1 over F_p, n <= 2048; ascending residues.
-
-    The Newton coefficients are the scaled forward differences
-    N_j = sum over i <= j of f(i)/i! * (-1)^(j-i)/(j-i)!, one convolution
-    that adds at most n <= 2048 products of residues below p < 2^25.01, so
-    each sum stays below 2^61.02 < 2^63.
-
-    The Newton form sum_j N_j (x - 0)...(x - j + 1) becomes monomial
-    coefficients by a blocked Horner (baby steps, giant steps; Paterson and
-    Stockmeyer, SIAM J. Comput. 1973) with k = ceil(sqrt(n)) nodes per block
-    and m = ceil(n / k) blocks, the last padded with N_j = 0.  Block b holds
-    B_b = sum_i N_(bk+i) (x - bk)...(x - bk - i + 1), i < k, and
-    W_b = (x - bk)...(x - bk - k + 1), so
-
-        P = B_0 + W_0 (B_1 + W_1 (... + W_(m-2) B_(m-1))).
-
-    The baby steps run Horner on every B_b and build every W_b at once: k
-    numpy steps, each multiplying all rows by (x - s) for their own s and
-    adding the block's N at the low end; an entry adds a residue to s times
-    a residue, s < n + k, so it stays below 2^37.  The giant steps are
-    m - 1 convolutions by the W_b, each adding at most k + 1 <= 2048
-    residue products (k + 1 <= 47 here), each below 2^50.02, plus one
-    residue of B_b: below 2^56 < 2^63.  Exact mod p throughout, so the
-    result is the unique interpolant, whatever the blocking.
-    """
-    n = len(values)
-    if n > MAX_PACKED_DEGREE + 1:
-        raise ValueError("an int64 interpolation sum could overflow: more than 2048 nodes")
-    inv = [0, 1] + [0] * (n - 2)
-    for step in range(2, n):  # p = (p // step) * step + p % step, read mod p
-        inv[step] = -(p // step) * inv[p % step] % p
-    inv_fact = [1] * n
-    for step in range(1, n):
-        inv_fact[step] = inv_fact[step - 1] * inv[step] % p
-    inv_fact = np.array(inv_fact, dtype=np.int64)
-    signed = inv_fact.copy()
-    signed[1::2] = -signed[1::2] % p
-    k = isqrt(n - 1) + 1
-    m = -(-n // k)
-    newton = np.zeros(m * k, dtype=np.int64)  # row b: the N of block b
-    newton[:n] = np.convolve(values * inv_fact % p, signed)[:n]
-    newton = newton.reshape(m, k)
-    # rows 0..m-1 hold B_b, rows m..2m-2 hold W_b for b < m - 1; column 0
-    # takes the N added at each step, columns 1..k+1 the ascending coefficients
-    shifts = (np.arange(2 * m - 1) % m * k)[:, None] + np.arange(k)
-    rows = np.zeros((2 * m - 1, k + 2), dtype=np.int64)
-    rows[m:, 1] = 1
-    for i in range(k - 1, -1, -1):
-        rows[:m, 0] = newton[:, i]
-        np.remainder(rows[:, :-1] - shifts[:, i : i + 1] * rows[:, 1:], p, out=rows[:, 1:])
-    out = rows[m - 1, 1:-1]
-    for b in range(m - 2, -1, -1):
-        out = np.convolve(rows[m + b, 1:], out)
-        out[:k] += rows[b, 1:-1]
-        out %= p
-    return out[:n]
-
-
 def restrict_line_exact(P: HomoPoly, a, b):
     """Exact integer coefficients (descending, stripped) of t -> P(a*t + b).
 
@@ -574,127 +452,6 @@ def restrict_line_exact(P: HomoPoly, a, b):
         addmul(coeffs, powers[0][i], s)
     lead = next((n for n, c in enumerate(coeffs) if c), len(coeffs))
     return coeffs[lead:]
-
-
-def _strip(f: np.ndarray) -> np.ndarray:
-    """f with its leading zeros dropped (a view)."""
-    nonzero = np.flatnonzero(f)
-    return f[nonzero[0]:] if len(nonzero) else f[:0]
-
-
-def univ_gcd_mod(f: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
-    """Monic gcd over F_p of two reduced, stripped residue arrays (descending)."""
-    while len(g):
-        f, g = g, _univ_rem_mod(f, g, p)
-    if not len(f):
-        return f
-    return f * pow(int(f[0]), -1, p) % p
-
-
-def _univ_rem_mod(r: np.ndarray, g: np.ndarray, p: int, inverse: list | None = None) -> np.ndarray:
-    """Remainder of r by g over F_p, both reduced, stripped residue arrays and g nonempty.
-
-    The result is reduced and stripped; r and g are not modified.  Two
-    routes, picked by the quotient length nq = len(r) - deg g and by
-    ``inverse``.  When 0 < nq <= 2048 and either the quotient is longer
-    than g or ``inverse`` is given, the quotient is computed in one pass:
-    the reversed g is inverted as a power series by Newton iteration,
-    h <- h (2 - g h) mod x^2k, the quotient is r[:nq] * h mod x^nq (a
-    descending array read ascending is the reversed polynomial), and the
-    remainder is the low deg g coefficients of r - q g, which only the low
-    deg g coefficients of q reach.  ``inverse``, when given, is a one-item
-    list that the caller keeps beside g: the route takes h from it and
-    stores back the longest h computed, so a later remainder by g costs two
-    convolutions, whatever the quotient length.  The truncated series
-    inverse is unique, so an h taken from the list or extended gives the
-    same quotient.  Each ``np.convolve`` there adds at most
-    min(len) <= nq <= 2048 products of residues below p < 2^25.01, so every
-    sum stays below 2^61.02 < 2^63; each result is reduced mod p.
-
-    Otherwise the division loop subtracts q * g from a copy of r in place,
-    one quotient coefficient per step, and reduces it mod p only every 2048
-    steps and at the end: between reductions an entry takes at most 2048
-    products q * g[k] below p^2, so it stays below p + 2^61.02 < 2^63 in
-    magnitude.
-    """
-    dg = len(g) - 1
-    if dg == 0:
-        return r[:0]
-    nq = len(r) - dg
-    if 0 < nq <= MAX_PACKED_DEGREE + 1 and (inverse is not None or dg + 1 < nq):
-        h = inverse[0] if inverse else np.array([pow(int(g[0]), -1, p)], dtype=np.int64)
-        k = len(h)
-        while k < nq:
-            k = min(2 * k, nq)
-            e = -np.convolve(g[:k], h)[:k] % p
-            e[0] = (e[0] + 2) % p
-            h = np.convolve(h, e)[:k] % p
-        if inverse is not None:
-            inverse[:] = [h]
-        q = np.convolve(r[:nq], h[:nq])[:nq] % p
-        rem = (r[nq:] - np.convolve(q[-dg:], g)[-dg:]) % p
-    else:
-        r = r.copy()
-        inv_lc = pow(int(g[0]), -1, p)
-        for i in range(nq):
-            if i and not i % (MAX_PACKED_DEGREE + 1):
-                r[i:] %= p
-            q = int(r[i]) * inv_lc % p
-            if q:
-                r[i : i + dg + 1] -= q * g
-        rem = r[max(nq, 0) :] % p
-    return rem if not len(rem) or rem[0] else _strip(rem)
-
-
-def univ_mul_mod(f: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
-    """Product over F_p, p prime, of two reduced, stripped residue arrays (descending).
-
-    The product of the leading residues is nonzero mod p, so the reduced
-    product is stripped.  Each product coefficient is a sum of at most
-    min(len f, len g) products of residues below p < 2^25.01, each below
-    2^50.02.  While min(len f, len g) <= 2048, ``np.convolve`` sums them
-    exactly in int64: every sum < 2^61.02.  Longer inputs on both sides
-    occur (the line oracle's evaluations on a curve at iterate 4), and
-    take a Kronecker product: each array is packed into one Python int,
-    entry i in bits 80i..80i+79, and the two ints are multiplied exactly.
-    Slot k of the product is then coefficient k of the convolution, since
-    no coefficient carries into the next slot: that holds while
-    min(len f, len g) * p^2 < 2^80, so for any length below 2^29.9 at these
-    primes.  Each slot is unpacked as its low 64 and high 16 bits and
-    reduced mod p.
-    """
-    if not len(f) or not len(g):
-        return f[:0]
-    if min(len(f), len(g)) <= MAX_PACKED_DEGREE + 1:
-        return np.convolve(f, g) % p
-    n = len(f) + len(g) - 1
-    slots = np.frombuffer((_pack_slots(f) * _pack_slots(g)).to_bytes(n * 10, "little"), dtype=np.uint8).reshape(n, 10)
-    low = slots[:, :8].copy().view("<u8")[:, 0] % np.uint64(p)
-    high = slots[:, 8:].copy().view("<u2")[:, 0].astype(np.int64)
-    return (low.astype(np.int64) + high * ((1 << 64) % p)) % p
-
-
-def _pack_slots(f: np.ndarray) -> int:
-    """The residue array f as one int, entry i in the 80-bit slot i (bits 80i..80i+79)."""
-    slots = np.zeros((len(f), 10), dtype=np.uint8)
-    slots[:, :8] = f.astype("<i8").view(np.uint8).reshape(len(f), 8)
-    return int.from_bytes(slots.tobytes(), "little")
-
-
-def _product_mod(factors, g: np.ndarray, p: int, inverse: list) -> np.ndarray:
-    """The product of the residue arrays factors mod g over F_p, reduced after each factor.
-
-    Each reduction is a remainder by g with inverse, the one-item list of
-    g's series inverse that ``_univ_rem_mod`` reads and extends: for a
-    quotient of at most 2048 coefficients (a factor of at most 2048) that is
-    the Newton route, convolutions and no step per quotient coefficient.
-    """
-    acc = np.ones(1, dtype=np.int64)
-    for f in factors:
-        acc = univ_mul_mod(acc, f, p)
-        if len(acc) >= len(g):
-            acc = _univ_rem_mod(acc, g, p, inverse)
-    return acc
 
 
 # certificate lines drawn from one seed, by certify_coprime and by a CoprimeBase
@@ -757,8 +514,7 @@ class LineMemo:
             return r
         got = powers.get(e)
         if got is None:
-            p = self.line[0]
-            got = powers[e] = binary_power(r, e, np.ones(1, dtype=np.int64), lambda f, g: univ_mul_mod(f, g, p))
+            got = powers[e] = univ_pow_mod(r, e, self.line[0])
         return got
 
     def inverse(self, P) -> list:
@@ -990,18 +746,11 @@ class SumAtom:
         shorter restriction) or when the sum does, p dividing S's content
         included: S is never expanded here.
         """
-        p = memo.line[0]
         if any(memo.restriction(A) is None for _, factors in self.parts for A, _ in factors):
             return None
-        acc = np.zeros(self.degree + 1, dtype=np.int64)
-        for c, factors in self.parts:
-            if c % p:
-                r = np.array([c % p], dtype=np.int64)
-                for A, e in factors:
-                    r = univ_mul_mod(r, memo.power(A, e), p)
-                acc += r  # below 2^47.01: at most 2048 * 2049 / 2 < 2^22 terms of residues
-        acc %= p
-        return acc if acc[0] else None
+        terms = ((c, (memo.power(A, e) for A, e in factors)) for c, factors in self.parts)
+        got = weighted_sum_mod(terms, self.degree + 1, memo.line[0])
+        return got if len(got) > self.degree else None
 
 
 def expanded(P, powers: dict | None = None) -> HomoPoly:

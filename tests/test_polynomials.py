@@ -9,12 +9,13 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
+import dyndeg.modp as modp
 import dyndeg.polynomials as polynomials
 from dyndeg.errors import ReductionFailure
+from dyndeg.modp import LINE_PRIMES, univ_gcd_mod, univ_mul_mod
 from dyndeg.polynomials import (
     CoprimeBase,
     HomoPoly,
-    LINE_PRIMES,
     LineMemo,
     certify_coprime,
     divexact,
@@ -24,8 +25,6 @@ from dyndeg.polynomials import (
     restrict_line_exact,
     restrict_line_mod,
     scaled,
-    univ_gcd_mod,
-    univ_mul_mod,
 )
 
 X0, X1, X2 = sympy.symbols("x0 x1 x2")
@@ -652,11 +651,11 @@ class TestLineTools:
             g = [rng.randint(1, p - 1)] + [rng.randint(0, p - 1) for _ in range(rng.randint(0, 60))]
             rf, rg = residues(f, p), residues(g, p)
             assert univ_mul_mod(rf, rg, p).tolist() == ref_mul_mod(f, g, p)
-            assert polynomials._univ_rem_mod(rf, rg, p).tolist() == ref_rem_mod(f, g, p)
+            assert modp._univ_rem_mod(rf, rg, p).tolist() == ref_rem_mod(f, g, p)
             assert univ_gcd_mod(rf, rg, p).tolist() == ref_gcd_mod(f, g, p)
         short = [p - 1] * 1000
         rfull, rshort = residues(full, p), residues(short, p)
-        assert polynomials._univ_rem_mod(rfull, rshort, p).tolist() == ref_rem_mod(full, short, p)
+        assert modp._univ_rem_mod(rfull, rshort, p).tolist() == ref_rem_mod(full, short, p)
         # gcd(x^2048 - 1, x^1000 - 1) / (x - 1) = 1 + x + ... + x^7
         assert univ_gcd_mod(rfull, rshort, p).tolist() == ref_gcd_mod(full, short, p) == [1] * 8
         assert rfull.tolist() == full and rshort.tolist() == short  # inputs not overwritten
@@ -711,7 +710,7 @@ class TestUnivariateKernels:
     def test_rem_and_gcd_match_reference(self, operands):
         f, g, p = operands
         rf, rg = residues(f, p), residues(g, p)
-        assert polynomials._univ_rem_mod(rf, rg, p).tolist() == ref_rem_mod(f, g, p)
+        assert modp._univ_rem_mod(rf, rg, p).tolist() == ref_rem_mod(f, g, p)
         assert univ_gcd_mod(rf, rg, p).tolist() == ref_gcd_mod(f, g, p)
 
     def test_rem_long_quotient_and_divisor(self):
@@ -721,7 +720,7 @@ class TestUnivariateKernels:
         rng = random.Random(31)
         f = [p - 1] * 4200
         g = [p - 1] + [rng.randrange(p) for _ in range(2099)]
-        assert polynomials._univ_rem_mod(residues(f, p), residues(g, p), p).tolist() == ref_rem_mod(f, g, p)
+        assert modp._univ_rem_mod(residues(f, p), residues(g, p), p).tolist() == ref_rem_mod(f, g, p)
 
     # k = ceil(sqrt(n)) nodes per block: n at and around k^2 and k(k - 1)
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 10, 40, 63, 64, 65, 399, 400, 401])
@@ -730,7 +729,7 @@ class TestUnivariateKernels:
         for p in LINE_PRIMES[:3]:
             values = [rng.randrange(p) for _ in range(n)]
             expected = ref_interpolate_mod(values, p)
-            assert polynomials._interpolate_mod(np.array(values, dtype=np.int64), p).tolist() == expected
+            assert modp._interpolate_mod(np.array(values, dtype=np.int64), p).tolist() == expected
 
     def test_interpolate_2048_nodes_matches_lagrange(self):
         # nonzero values at a few nodes keep the reference's sum short; the
@@ -739,7 +738,7 @@ class TestUnivariateKernels:
         values = [0] * 2048
         values[0], values[1], values[1000], values[2047] = p - 1, 12345, 1, p - 2
         expected = ref_interpolate_mod(values, p)
-        assert polynomials._interpolate_mod(np.array(values, dtype=np.int64), p).tolist() == expected
+        assert modp._interpolate_mod(np.array(values, dtype=np.int64), p).tolist() == expected
 
 
 def assert_split(before, after):
@@ -902,7 +901,7 @@ class TestCoprimeBase:
         # rebuilds the input over pairwise coprime atoms
         base = CoprimeBase(seed=4)
         restrictions, remainders = set(), []
-        restrict, rem = polynomials.restrict_line_mod, polynomials._univ_rem_mod
+        restrict, rem = polynomials.restrict_line_mod, modp._univ_rem_mod
 
         def counting_restrict(P, a, b, p):
             r = restrict(P, a, b, p)
@@ -917,7 +916,8 @@ class TestCoprimeBase:
             return rem(r, g, p, inverse)
 
         monkeypatch.setattr(polynomials, "restrict_line_mod", counting_restrict)
-        monkeypatch.setattr(polynomials, "_univ_rem_mod", counting_rem)
+        for module in (polynomials, modp):  # the division tests, and the gcds and products mod P|L
+            monkeypatch.setattr(module, "_univ_rem_mod", counting_rem)
         earlier, Q = inputs(*(HomoPoly.monomial(1, *e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
         for P in earlier:
             base.decompose(P)
