@@ -10,11 +10,22 @@ strictly increasing.  Bisection keeps a bracket t_lo < t_hi: at t_hi the
 partial sum rounded down is > 1, at t_lo the partial sum rounded up plus a
 certified geometric tail bound is < 1, so the root lies strictly inside.
 
-Integer kernel.  Both directed partial sums run on plain Python ints at the
-fixed exponent -prec.  A point is t = m * 2^-s, and one Horner step is
-acc = ((acc + (d_j << prec)) * m) >> s, the floor of (acc + d_j) * t on the
-2^-prec grid; the ceiling negates around the shift.  These are the values of
-exact dyadic products rounded to 2^-prec in the named direction.
+Integer kernel.  Both directed partial sums run on plain Python ints.  A
+point is t = m * 2^-s.  Each Horner value c_j = d_j + t c_(j+1) is kept on
+its own term's grid, multiples of 2^g_j with g_j = bits(d_j) - prec - _GUARD,
+and the sum t c_1 on g_0 = -prec; one step shifts c_j * m right by
+s + g_(j-1) - g_j onto the next grid.  So a step multiplies about
+prec + _GUARD bits by the point, where a fixed 2^-prec grid would carry
+bits(d_j) + prec.  The lower sum floors d_j and every product onto its grid
+and the upper ceils them, so each stays a bound in its own direction.  A grid
+unit is at most 2 d_j 2^(-prec - _GUARD), so each side is within
+1 + 4 S_N(t) 2^-_GUARD units of 2^-prec of the exact S_N(t).  A fixed 2^-prec
+grid loses a unit per step, carried forward by t^(j-1): (1 - t^N) / (1 - t)
+units, about 1 / (1 - t).  Near the root, where the decisions are close,
+S_N(t) is about 1, so the per-term grids are within 1 + 2^-30 units against
+more than 1 + t: tighter for every t > 2^-30, that is for |zeta| up to about
+2^28.  The tail bound raises |zeta| t to the power N + 1 by binary powering,
+every product rounded up.
 
 Deciding a midpoint.  For each series length N and precision, Newton's method
 in uncertified fixed point finds the root r_N of the partial sum, and the
@@ -59,6 +70,7 @@ from .intervals import (
     squeeze,
     widen,
 )
+from .powering import binary_power
 
 DEFAULT_PRECISION_CAP = 1 << 16
 _TERM_CAP = 1 << 20
@@ -147,20 +159,23 @@ def _as_width_fraction(target_width) -> Fraction:
     return w
 
 
-def _horner_directed(coeffs, m: int, s: int, direction: str) -> int:
-    """sum_{j=1}^{N} d_j t^j at t = m * 2^-s, rounded after every step, over 2^prec.
+def _horner_floor(table, m: int, s: int, min_step: int) -> int:
+    """floor-rounded Horner pass of a _PartialSums table at t = m * 2^-s, over 2^prec.
 
-    coeffs is d_N << prec, ..., d_1 << prec.  Each step is one directed rounding
-    of (acc + d_j) * t to a multiple of 2^-prec, so floor gives a certified
-    lower bound and ceil an upper bound (t > 0, d_j > 0).
+    table holds (D_j, step_j) for j = 1..N, D_j on the grid 2^g_j and
+    step_j = g_(j-1) - g_j with g_0 = -prec; min_step is the least step_j.
+    Each step adds D_j to the running value and floors its product with t
+    onto the next term's grid, a right shift by s + step_j.  Where that
+    shift would be negative (bits(d_j) - bits(d_(j-1)) > s, so only for
+    |zeta| near 2^s or above) the point is first lifted to m * 2^L over
+    2^(s+L), the same t: those shifts become exact and the others are
+    unchanged.
     """
+    if s + min_step < 0:
+        m, s = m << -(s + min_step), -min_step
     acc = 0
-    if direction == "floor":
-        for c in coeffs:
-            acc = ((acc + c) * m) >> s
-    else:
-        for c in coeffs:
-            acc = -((-(acc + c) * m) >> s)
+    for d, step in reversed(table):
+        acc = ((acc + d) * m) >> (s + step)
     return acc
 
 
@@ -168,20 +183,34 @@ def _tail_upper(abs_hi: int, sqrt5_hi: int, m: int, s: int, n_terms: int, prec: 
     """Upper bound over 2^prec on sum_{j>N} d_j t^j, t = m * 2^-s; None if divergent.
 
     Uses d_j <= sqrt(5)|zeta|^j; abs_hi and sqrt5_hi are |zeta| and sqrt(5)
-    rounded up, over 2^prec.
+    rounded up, over 2^prec.  x = |zeta| t is rounded up, and x^(N+1) comes
+    from binary_power with every product rounded up, popcount(N+1) +
+    bit_length(N+1) - 1 products.
     """
     one = 1 << prec
     x = -((-abs_hi * m) >> s)
     if x >= one:
         return None
-    xp = x
-    for _ in range(n_terms):  # x^(N+1), rounded up each step
-        xp = -((-xp * x) >> prec)
+    xp = binary_power(x, n_terms + 1, one, lambda u, v: -((-u * v) >> prec))
     return -((-sqrt5_hi * xp) // (one - x))
 
 
 class _PartialSums:
     """The two directed partial sums of the first n_terms d_j at one precision.
+
+    Each Horner value c_j = d_j + t c_(j+1) is kept on its own term's grid,
+    multiples of 2^g_j with g_j = bits(d_j) - prec - _GUARD, and the last
+    product, t c_1, lands on g_0 = -prec.  floors holds d_j floored onto
+    its grid and ceils the negated ceiling, each with the shift to the next
+    term's grid, and _horner_floor floors every step: on floors that is the
+    lower sum, and on ceils it is minus the upper sum (floor(-x) = -ceil(x)),
+    so each side rounds only its own way and stays certified.  A grid
+    unit is at most 2 d_j 2^(-prec - _GUARD), and term j's two roundings
+    (of d_j and of t c_(j+1)) reach the sum times t^j and t^(j-1), so each
+    side is within 1 + 4 S_N(t) 2^-_GUARD units of 2^-prec of S_N(t):
+    upper - tail - lower < 2 + 8 S_N(t) 2^-_GUARD units.  resize extends
+    both tables in place; a term's entry depends only on it and the term
+    before, so the table at 2N is the table at N followed by the new terms.
 
     tail is the tail bound of the last upper call, and root the root that
     the last certified bracket was placed around, where Newton restarts
@@ -195,22 +224,43 @@ class _PartialSums:
         self.abs_hi = ceil_sqrt(cache.zeta.norm_sq() << (2 * prec))
         self.sqrt5_hi = ceil_sqrt(5 << (2 * prec))
         self.root = None  # root of the last certified bracket, over 2^(prec + _GUARD)
+        self.n_terms = 0
+        self.floors, self.ceils = [], []
+        self.min_step = 0
+        self.grid = -prec  # g_N, the grid of the last term in the tables
 
     def resize(self, n_terms: int):
-        self.cache.extend_to(n_terms)
+        """Extend both tables to the first n_terms d_j; n_terms only grows."""
+        values = self.cache.extend_to(n_terms).values
+        width = self.prec + _GUARD
+        add_floor, add_neg_ceil = self.floors.append, self.ceils.append
+        g, min_step = self.grid, self.min_step
+        for d in values[self.n_terms : n_terms]:
+            e = d.bit_length() - width
+            step = g - e
+            if step < min_step:
+                min_step = step
+            if e > 0:
+                add_floor((d >> e, step))
+                add_neg_ceil((-d >> e, step))
+            else:  # d_j fits its grid exactly
+                x = d << -e
+                add_floor((x, step))
+                add_neg_ceil((-x, step))
+            g = e
+        self.grid, self.min_step = g, min_step
         self.n_terms = n_terms
-        self.ds = self.cache.values[n_terms - 1 :: -1]  # d_N first, for Horner
-        self.coeffs = [d << self.prec for d in self.ds]
+        self.ds = values[n_terms - 1 :: -1]  # d_N first, for Newton
 
     def lower(self, m: int, s: int) -> int:
-        return _horner_directed(self.coeffs, m, s, "floor")
+        return _horner_floor(self.floors, m, s, self.min_step)
 
     def upper(self, m: int, s: int):
         """Upper partial sum plus the tail bound, kept as self.tail; None if divergent."""
         self.tail = tail = _tail_upper(self.abs_hi, self.sqrt5_hi, m, s, self.n_terms, self.prec)
         if tail is None:
             return None
-        return _horner_directed(self.coeffs, m, s, "ceil") + tail
+        return tail - _horner_floor(self.ceils, m, s, self.min_step)
 
 
 def _newton_step(ds, r: int, p: int):

@@ -5,7 +5,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, isqrt
 
 import mpmath
 import pytest
@@ -366,6 +366,71 @@ def test_rung_sized_newton_step_matches_exact_correction(zeta, n_terms, p, dista
     assume(near)
     step, slope = solver._newton_step(ds, r, p)
     assert abs(step - exact) < 4
+
+
+def exact_partial_sum(ds, m, s):
+    """S_N(t) 2^(s N) as an int at t = m 2^-s, ds d_N first: sum_j d_j m^j 2^(s (N - j))."""
+    value = 0
+    for i, d in enumerate(ds):  # d = d_j, j = N - i
+        value = value * m + (d << (s * i))
+    return value * m
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    admissible_zetas,
+    st.integers(1, 200),
+    st.integers(64, 700),
+    st.integers(0, 800),
+    st.integers(1, (1 << 16) - 1),
+)
+@example(GaussianInt(10**20, 7), 8, 64, 2, 1)  # t = 2^-66, s below the 67-bit fall of a grid: the point is lifted
+@example(GaussianInt(1, 2), 4, 64, 0, 40000)  # every d_j narrower than its grid
+@example(GaussianInt(3, 2), 1, 100, 50, 60000)  # N = 1
+def test_directed_partial_sums_bracket_the_exact_sum(zeta, n_terms, prec, extra, fraction):
+    # t = m 2^-s, at least 2^-s and at most 5 / (4 |zeta|), with s >= prec as in the solve
+    s, n = prec + extra, n_terms
+    m = max(1, (fraction * ((5 << s) // (4 * isqrt(zeta.norm_sq())))) >> 16)
+    sums = solver._PartialSums(DegreeCache(zeta), prec)
+    sums.resize(n)
+    lower = sums.lower(m, s)
+    ceiled = -solver._horner_floor(sums.ceils, m, s, sums.min_step)
+    exact = exact_partial_sum(sums.ds, m, s)  # S_N(t) over 2^(s N)
+    assert lower << (s * n) <= exact << prec <= ceiled << (s * n)
+    # ceiled - lower < 2 + 8 S_N(t) 2^-_GUARD units of 2^-prec, as _PartialSums states
+    assert (ceiled - lower - 2) << (s * n + solver._GUARD) < 8 * exact
+    # the tail is at least sqrt(5) x^(N+1) / (1 - x), x = |zeta| t rounded up onto 2^-prec
+    x = -((-sums.abs_hi * m) >> s)
+    upper = sums.upper(m, s)
+    if upper is None:
+        assert x >= 1 << prec
+        return
+    tail = sums.tail
+    assert upper - tail == ceiled
+    assert (tail * ((1 << prec) - x) << (prec * n)) ** 2 >= 5 * x ** (2 * n + 2)
+
+
+@pytest.mark.parametrize("zeta", [Z(1, 2), Z(517, -263), Z(10**20, 7)], ids=str)
+@pytest.mark.parametrize("prec", [64, 547])
+def test_resize_extends_the_table_as_a_fresh_build(zeta, prec):
+    grown = solver._PartialSums(DegreeCache(zeta), prec)
+    n_terms = 32
+    while n_terms <= 1024:
+        grown.resize(n_terms)
+        fresh = solver._PartialSums(DegreeCache(zeta), prec)
+        fresh.resize(n_terms)
+        assert (grown.floors, grown.ceils, grown.min_step, grown.ds) == (fresh.floors, fresh.ceils, fresh.min_step, fresh.ds)
+        n_terms *= 2
+    # entry j is d_j floored (and ceiled, negated) onto 2^g_j, g_j = bits(d_j) - prec - _GUARD,
+    # with the step g_(j-1) - g_j from g_0 = -prec
+    previous = -prec
+    for d, (lo, step), (neg_hi, step_hi) in zip(grown.ds[::-1], grown.floors, grown.ceils):
+        g = d.bit_length() - prec - solver._GUARD
+        assert step == step_hi == previous - g
+        q, r = divmod(d << max(0, -g), 1 << max(0, g))
+        assert (lo, -neg_hi) == (q, q + (r > 0))
+        previous = g
+    assert grown.min_step == min(step for _, step in grown.floors)
 
 
 class TestTailBoundAtItsPrecisionFloor:
