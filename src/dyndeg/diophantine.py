@@ -393,12 +393,8 @@ def regular_window_check(ctx: ThetaContext, n: int, C) -> RegularWindowReport:
     if C < 1:
         raise ValueError("C must be >= 1")
     window_end = int(n * C)
-    gammas = DegreeCache(ctx.zeta).extend_to(window_end).gammas
-    first = None
-    for j in range(n + 1, window_end + 1):
-        if gammas[j - 1] != gammas[j - n - 1]:
-            first = j
-            break
+    irregular, _ = _lag_steps(DegreeCache(ctx.zeta).extend_to(window_end).gammas, n, window_end)
+    first = irregular[0] if irregular else None
     eps = Fraction(1, 16 * (C + 1))
     hyp = _certify_hypothesis(ctx, n, eps)
     return RegularWindowReport(

@@ -21,7 +21,6 @@ deterministic below 3.4 * 10^14, far above 2^31.
 from __future__ import annotations
 
 from functools import partial, reduce
-from math import isqrt
 
 import numpy as np
 
@@ -100,25 +99,11 @@ def _interpolate_mod(values: np.ndarray, p: int) -> np.ndarray:
 
     The Newton coefficients are the scaled forward differences
     N_j = sum over i <= j of f(i)/i! * (-1)^(j-i)/(j-i)!, one convolution
-    of at most n <= 2048 products in each sum.
-
-    The Newton form sum_j N_j (x - 0)...(x - j + 1) becomes monomial
-    coefficients by a blocked Horner (baby steps, giant steps; Paterson and
-    Stockmeyer, SIAM J. Comput. 1973) with k = ceil(sqrt(n)) nodes per block
-    and m = ceil(n / k) blocks, the last padded with N_j = 0.  Block b holds
-    B_b = sum_i N_(bk+i) (x - bk)...(x - bk - i + 1), i < k, and
-    W_b = (x - bk)...(x - bk - k + 1), so
-
-        P = B_0 + W_0 (B_1 + W_1 (... + W_(m-2) B_(m-1))).
-
-    The baby steps run Horner on every B_b and build every W_b at once: k
-    numpy steps, each multiplying all rows by (x - s) for their own s and
-    adding the block's N at the low end; an entry adds a residue to s times
-    a residue, s < n + k, so it stays below 2^37.  The giant steps are
-    m - 1 convolutions by the W_b, each adding at most k + 1 <= 2048
-    residue products (k + 1 <= 47 here), each below 2^50.02, plus one
-    residue of B_b: below 2^56 < 2^63.  Exact mod p throughout, so the
-    result is the unique interpolant, whatever the blocking.
+    of at most n <= 2048 products in each sum.  The Newton form
+    sum_j N_j (x - 0)...(x - j + 1) becomes monomial coefficients by one
+    Horner step per node, out <- out * (x - k) + N_k for k = n-1, ..., 0:
+    an entry adds a residue to k * out[m] < 2^11 * 2^25.01, far inside
+    int64, and is reduced mod p after each step.
     """
     n = len(values)
     if n > _SUM_TERMS:
@@ -132,25 +117,11 @@ def _interpolate_mod(values: np.ndarray, p: int) -> np.ndarray:
     inv_fact = np.array(inv_fact, dtype=np.int64)
     signed = inv_fact.copy()
     signed[1::2] = -signed[1::2] % p
-    k = isqrt(n - 1) + 1
-    m = -(-n // k)
-    newton = np.zeros(m * k, dtype=np.int64)  # row b: the N of block b
-    newton[:n] = np.convolve(values * inv_fact % p, signed)[:n]
-    newton = newton.reshape(m, k)
-    # rows 0..m-1 hold B_b, rows m..2m-2 hold W_b for b < m - 1; column 0
-    # takes the N added at each step, columns 1..k+1 the ascending coefficients
-    shifts = (np.arange(2 * m - 1) % m * k)[:, None] + np.arange(k)
-    rows = np.zeros((2 * m - 1, k + 2), dtype=np.int64)
-    rows[m:, 1] = 1
-    for i in range(k - 1, -1, -1):
-        rows[:m, 0] = newton[:, i]
-        np.remainder(rows[:, :-1] - shifts[:, i : i + 1] * rows[:, 1:], p, out=rows[:, 1:])
-    out = rows[m - 1, 1:-1]
-    for b in range(m - 2, -1, -1):
-        out = np.convolve(rows[m + b, 1:], out)
-        out[:k] += rows[b, 1:-1]
-        out %= p
-    return out[:n]
+    newton = np.convolve(values * inv_fact % p, signed)[:n]
+    out = np.zeros(n, dtype=np.int64)
+    for k in range(n - 1, -1, -1):
+        out = (np.concatenate((newton[k : k + 1], out[:-1])) - k * out) % p
+    return out
 
 
 def univ_gcd_mod(f: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
@@ -173,13 +144,12 @@ def _univ_rem_mod(r: np.ndarray, g: np.ndarray, p: int, inverse: list | None = N
     h <- h (2 - g h) mod x^2k, the quotient is r[:nq] * h mod x^nq (a
     descending array read ascending is the reversed polynomial), and the
     remainder is the low deg g coefficients of r - q g, which only the low
-    deg g coefficients of q reach.  ``inverse``, when given, is a one-item
-    list that the caller keeps beside g: the route takes h from it and
-    stores back the longest h computed, so a later remainder by g costs two
-    convolutions, whatever the quotient length.  The truncated series
-    inverse is unique, so an h taken from the list or extended gives the
-    same quotient.  Each ``np.convolve`` there adds at most
-    min(len) <= nq <= 2048 products; each result is reduced mod p.
+    deg g coefficients of q reach.  ``inverse``, when given, is the
+    one-item list that ``_product_mod`` keeps beside g over its reductions:
+    the route takes h from it and stores back the longest h computed.  The
+    truncated series inverse is unique, so an h taken from the list or
+    extended gives the same quotient.  Each ``np.convolve`` there adds at
+    most min(len) <= nq <= 2048 products; each result is reduced mod p.
 
     Otherwise the division loop subtracts q * g from a copy of r in place,
     one quotient coefficient per step, and reduces it mod p only every 2048
@@ -270,15 +240,15 @@ def weighted_sum_mod(terms, length: int, p: int) -> np.ndarray:
     return _strip(acc % p)
 
 
-def _product_mod(factors, g: np.ndarray, p: int, inverse: list) -> np.ndarray:
+def _product_mod(factors, g: np.ndarray, p: int) -> np.ndarray:
     """The product of the residue arrays factors mod g over F_p, reduced after each factor.
 
-    Each reduction is a remainder by g with inverse, the one-item list of
-    g's series inverse that ``_univ_rem_mod`` reads and extends: for a
+    Each reduction is a remainder by g with one series inverse of g, kept in
+    a local one-item list that ``_univ_rem_mod`` reads and extends: for a
     quotient of at most 2048 coefficients (a factor of at most 2048) that is
     the Newton route, convolutions and no step per quotient coefficient.
     """
-    acc = np.ones(1, dtype=np.int64)
+    acc, inverse = np.ones(1, dtype=np.int64), []
     for f in factors:
         acc = univ_mul_mod(acc, f, p)
         if len(acc) >= len(g):

@@ -298,10 +298,9 @@ def compose(outer: PlaneRationalMap, inner: PlaneRationalMap) -> PlaneRationalMa
     atoms of one base, pairwise coprime by proof, so the base adopts them
     over copies of that base's memos (``_memos``): decomposing them in a
     fresh base would enter each as a new atom, in that order and with unit
-    1.  The copies share their entries, so the restrictions, powers and
-    series inverses taken there are read, not taken again, and the inner
-    map's memos gain no entry.  Any other inner map is decomposed factor by
-    factor.
+    1.  The copies share their entries, so the restrictions and powers
+    taken there are read, not taken again, and the inner map's memos gain
+    no entry.  Any other inner map is decomposed factor by factor.
     """
     if any(unit == 0 for map_ in (outer, inner) for unit, _ in map_._raw):
         raise ValueError("cannot decompose the zero polynomial")

@@ -27,15 +27,15 @@ non-division.  One gcd on a line proves a polynomial P coprime to a whole set of
 atoms keep their degrees on L and gcd(P|L, prod A|L) is constant, then so
 is every common factor of P and an atom, since it keeps its degree on L
 and its restriction divides both (gcd(P, prod A) = 1 exactly when P is
-coprime to each A).  Every restriction, the powers raised of it and its
-series inverse live in one store, a ``LineMemo`` per line, keyed by the
-polynomial restricted.  A ``CoprimeBase`` draws its certificate lines once,
-keeps one memo for each, and tests a polynomial against one atom or many
-by that one gcd per line, the product of the atoms' restrictions reduced
-mod P|L.  ``homo_gcd`` is the heuristic gcd GCDHEU: integer gcds of
-values at x1 = s*x2, x0 = r*x2 read back as symmetric digits, returned only
-after ``divexact`` divides both inputs and the degree meets the bound that
-a gcd of line restrictions gives.
+coprime to each A).  Every restriction and the powers raised of it live
+in one store, a ``LineMemo`` per line, keyed by the polynomial restricted.
+A ``CoprimeBase`` draws its certificate lines once, keeps one memo for
+each, and tests a polynomial against one atom or many by that one gcd per
+line, the product of the atoms' restrictions reduced mod P|L.
+``homo_gcd`` is the heuristic gcd GCDHEU: integer gcds of values at
+x1 = s*x2, x0 = r*x2 read back as symmetric digits, returned only after
+``divexact`` divides both inputs and the degree meets the bound that a gcd
+of line restrictions gives.
 
 A sum of atom-power products enters a base unexpanded, as a ``SumAtom``:
 its terms, its restrictions through its atoms, and its degree, which a
@@ -476,19 +476,18 @@ class LineMemo:
     An entry is keyed by ``id(P)`` and holds P itself, so no id is reused
     while the memo lives; P's restriction, by ``restrict_line_mod`` for a
     ``HomoPoly`` and by ``SumAtom.restrict`` for a sum, which reads its
-    atoms' entries here (None where the restriction proves nothing); the
-    powers of the restriction raised so far, each once; and the one-item
-    list of the series inverse of the reversed restriction that
-    ``_univ_rem_mod`` reads and extends.  ``copy`` gives a memo with a new
-    entry dict over the same entries: what the copy adds stays out of the
-    original, and the powers and inverses taken through either are shared.
+    atoms' entries here (None where the restriction proves nothing); and the
+    powers of the restriction raised so far, each once.  ``copy`` gives a
+    memo with a new entry dict over the same entries: what the copy adds
+    stays out of the original, and the powers raised through either are
+    shared.
     """
 
     __slots__ = ("line", "entries")
 
     def __init__(self, line):
         self.line = line
-        self.entries: dict = {}  # id(P) -> (P, restriction, {exponent: power}, [series inverse])
+        self.entries: dict = {}  # id(P) -> (P, restriction, {exponent: power})
 
     def copy(self) -> "LineMemo":
         got = LineMemo(self.line)
@@ -500,7 +499,7 @@ class LineMemo:
         if got is None:
             p, a, b = self.line
             r = P.restrict(self) if isinstance(P, SumAtom) else restrict_line_mod(P, a, b, p)
-            got = self.entries[id(P)] = (P, r, {}, [])
+            got = self.entries[id(P)] = (P, r, {})
         return got
 
     def restriction(self, P):
@@ -509,17 +508,13 @@ class LineMemo:
 
     def power(self, P, e: int):
         """P's restriction raised to e, kept beside it; the restriction itself for e = 1 or None."""
-        _, r, powers, _ = self._entry(P)
+        _, r, powers = self._entry(P)
         if r is None or e == 1:
             return r
         got = powers.get(e)
         if got is None:
             got = powers[e] = univ_pow_mod(r, e, self.line[0])
         return got
-
-    def inverse(self, P) -> list:
-        """The one-item list of the series inverse of P's reversed restriction, as ``_univ_rem_mod`` takes it."""
-        return self._entry(P)[3]
 
 
 def certify_coprime(P: HomoPoly, Q: HomoPoly, seed: int = 0) -> bool:
@@ -825,11 +820,7 @@ class CoprimeBase:
     units are the same.  Otherwise (a nonconstant gcd over two or more
     atoms, or an atom that keeps its degree on no line on which P keeps its)
     the per-atom route runs: division tests, then one certificate per atom
-    by the same formula, then ``homo_gcd``.  Each remainder by a
-    polynomial's restriction takes the series inverse its memo entry keeps
-    (at most 2048 residues), so a division test by an atom costs two
-    convolutions, and the certificate's reductions mod P|L leave P's
-    inverse where its remainders as an atom read it once it enters.
+    by the same formula, then ``homo_gcd``.
 
     A sum is restricted to a line, any line and not only the base's, only
     through its atoms (``SumAtom.restrict``); where that fails, because an
@@ -871,10 +862,10 @@ class CoprimeBase:
         No certificate is taken: the caller vouches that atom is coprime to
         every atom already here, a ``HomoPoly`` atom primitive and
         sign-normalized.  That is what ``decompose`` would find, so it would
-        enter atom the same way, with unit 1.  Its restrictions, powers and
-        series inverses are those in ``memos``: a base whose memos are
-        copies of another base's (the same seed draws the same lines) reads
-        those already taken there.
+        enter atom the same way, with unit 1.  Its restrictions and powers
+        are those in ``memos``: a base whose memos are copies of another
+        base's (the same seed draws the same lines) reads those already
+        taken there.
         """
         self.atoms.append(atom)
         return len(self.atoms) - 1
@@ -955,9 +946,8 @@ class CoprimeBase:
 
         A nonzero remainder of the restrictions to the first line on which both
         keep their degree proves the atom does not divide P, as A | P forces
-        A|L | P|L mod p; it is taken with the series inverse the atom keeps.
-        Otherwise ``divexact`` decides, on P expanded and on the atom made
-        primitive (``_primitive_atom``).
+        A|L | P|L mod p.  Otherwise ``divexact`` decides, on P expanded and on
+        the atom made primitive (``_primitive_atom``).
         """
         atom = self.atoms[idx]
         if atom.degree > P.degree:
@@ -965,7 +955,7 @@ class CoprimeBase:
         for memo in self.memos:
             rp, ra = memo.restriction(P), memo.restriction(atom)
             if rp is not None and ra is not None:
-                if len(_univ_rem_mod(rp, ra, memo.line[0], memo.inverse(atom))):
+                if len(_univ_rem_mod(rp, ra, memo.line[0])):
                     return None
                 break
         return divexact(expanded(P), self._primitive_atom(idx))
@@ -979,13 +969,12 @@ class CoprimeBase:
         each of them.  A common factor G of P and an atom A keeps its degree
         on L, as G(a) divides A(a), nonzero mod p; G|L then divides P|L and
         A|L, so G is constant.  The product is reduced mod P|L after each
-        factor (``_product_mod``, with P|L's series inverse kept in P's memo
-        entry, where a later remainder by P as an atom finds it), for one
-        atom as for many.  A nonconstant gcd over one atom forgoes that
-        line's certificate and the next line is tried; over two or more it
-        ends the test (some atom likely shares a factor, and the per-atom
-        route finds which).  An empty idxs needs a line on which P keeps its
-        degree, the proof that a sum does not vanish.
+        factor (``_product_mod``), for one atom as for many.  A nonconstant
+        gcd over one atom forgoes that line's certificate and the next line
+        is tried; over two or more it ends the test (some atom likely shares
+        a factor, and the per-atom route finds which).  An empty idxs needs a
+        line on which P keeps its degree, the proof that a sum does not
+        vanish.
         """
         left = list(idxs)
         for memo in self.memos:
@@ -996,7 +985,7 @@ class CoprimeBase:
             if here:
                 p = memo.line[0]
                 factors = [memo.restriction(self.atoms[idx]) for idx in here]
-                if len(univ_gcd_mod(rp, _product_mod(factors, rp, p, memo.inverse(P)), p)) > 1:
+                if len(univ_gcd_mod(rp, _product_mod(factors, rp, p), p)) > 1:
                     if len(here) > 1:
                         return False
                     continue

@@ -7,7 +7,7 @@ import pytest
 import sympy
 
 from dyndeg.errors import ResourceExhausted
-from dyndeg.modp import LINE_PRIMES, _power_table, prime_table
+from dyndeg.modp import LINE_PRIMES, _interpolate_mod, _power_table, prime_table
 
 
 def consecutive_primes(above: int, count: int) -> list:
@@ -33,6 +33,27 @@ def test_prime_table_stops_at_its_bit_size():
     with pytest.raises(ResourceExhausted):
         prime_table(3, 3)
     assert prime_table(3, 1) == (5,)
+
+
+@pytest.mark.parametrize("p", [LINE_PRIMES[0], LINE_PRIMES[7]])
+@pytest.mark.parametrize("n", [1, 2, 3, 47, 48, 455, 2048])
+def test_interpolate_recovers_the_polynomial_of_its_values(n, p):
+    # a polynomial of degree below n, evaluated at 0..n-1 on Python ints by
+    # Horner, is the one interpolant of those values
+    rng = random.Random(n)
+    coeffs = [rng.randrange(p) for _ in range(n - 1)] + [p - 1]  # ascending
+    values = []
+    for x in range(n):
+        v = 0
+        for c in reversed(coeffs):
+            v = (v * x + c) % p
+        values.append(v)
+    assert _interpolate_mod(np.array(values, dtype=np.int64), p).tolist() == coeffs
+
+
+def test_interpolate_refuses_more_than_2048_nodes():
+    with pytest.raises(ValueError):
+        _interpolate_mod(np.ones(2049, dtype=np.int64), LINE_PRIMES[0])
 
 
 @pytest.mark.parametrize("top", [0, 1, 2, 37, 64])

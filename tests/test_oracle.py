@@ -353,36 +353,16 @@ class TestCompose:
         assert pairs == []
         assert not [P for P in restricted if id(P) in atoms]
 
-    def test_adopted_atoms_keep_their_series_inverses(self, f_map, monkeypatch):
-        # a base that adopts f^2's atoms: a remainder by an adopted atom's
-        # restriction to a line on which f^2's base already inverted it takes
-        # that inverse.  compose(f, f^2) takes no such remainder (each sum is
-        # coprime to the whole base), so the sum decomposed is the product of
-        # two adopted sum atoms, which the division tests divide out
+    def test_adopted_sum_atoms_divide_out_of_their_product(self, f_map):
+        # a base that adopts f^2's atoms over copies of its memos: the
+        # product of two adopted sum atoms is refuted by no division test,
+        # so each divides it once, and it decomposes into the two of them
         f2 = compose(f_map, f_map)
-        inverted = {
-            id(memo.restriction(atom)): atom
-            for atom in record(f2)
-            for memo in f2._memos
-            if id(atom) in memo.entries and memo.inverse(atom)
-        }
-        assert any(isinstance(atom, polynomials.SumAtom) for atom in inverted.values())
-        rem = modp._univ_rem_mod
-        fresh, reused = [], []
-
-        def counting_rem(r, g, p, inverse=None):
-            if id(g) in inverted and inverse is not None:
-                (reused if inverse else fresh).append(inverted[id(g)])
-            return rem(r, g, p, inverse)
-
-        for module in (polynomials, modp):  # the division tests, and the products mod P|L
-            monkeypatch.setattr(module, "_univ_rem_mod", counting_rem)
         base = CoprimeBase(seed=oracle._BASE_SEED)
         base.memos = [memo.copy() for memo in f2._memos]
         sums = [base.adopt(atom) for atom in record(f2) if isinstance(atom, polynomials.SumAtom)]
         got = base.decompose_sum([(1, Counter({sums[0]: 1, sums[1]: 1}))])
         assert got.exps == Counter({sums[0]: 1, sums[1]: 1})
-        assert reused and not fresh
 
     def test_atom_record_set_only_by_compose(self, f_map, monkeypatch):
         f2 = compose(f_map, f_map)

@@ -722,7 +722,6 @@ class TestUnivariateKernels:
         g = [p - 1] + [rng.randrange(p) for _ in range(2099)]
         assert modp._univ_rem_mod(residues(f, p), residues(g, p), p).tolist() == ref_rem_mod(f, g, p)
 
-    # k = ceil(sqrt(n)) nodes per block: n at and around k^2 and k(k - 1)
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 10, 40, 63, 64, 65, 399, 400, 401])
     def test_interpolate_matches_lagrange(self, n):
         rng = random.Random(n)
@@ -962,7 +961,7 @@ class TestLineMemo:
         assert len(memo.entries) == 200
 
     def test_one_restriction_per_polynomial(self, monkeypatch):
-        # restriction, power and inverse all read one entry, computed once
+        # restriction and power both read one entry, computed once
         restricted, restrict = [], polynomials.restrict_line_mod
         monkeypatch.setattr(
             polynomials, "restrict_line_mod", lambda P, a, b, p: restricted.append(id(P)) or restrict(P, a, b, p)
@@ -974,7 +973,6 @@ class TestLineMemo:
         for _ in range(3):
             for P in polys:
                 r = memo.restriction(P)
-                assert memo.inverse(P) is memo.inverse(P)
                 if r is not None:
                     assert memo.power(P, 3) is memo.power(P, 3)
                     assert memo.power(P, 3).tolist() == restrict_line_mod(P.pow(3), a, b, p).tolist()
