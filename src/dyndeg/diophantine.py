@@ -18,7 +18,7 @@ from math import floor
 from types import MappingProxyType
 
 from .errors import InconsistencyError, PrecisionError
-from .gaussian import DegreeCache, GaussianInt, _require_admissible
+from .gaussian import GaussianInt, _require_admissible, gamma_sequence
 from .intervals import (
     ComplexInterval,
     Dyadic,
@@ -322,7 +322,7 @@ def irregular_indices(zeta: GaussianInt, n: int, window_end: int) -> Irregularit
         raise ValueError("n must be >= 1")
     if window_end <= n:
         raise ValueError("window_end must exceed n")
-    return _irregularity_report(DegreeCache(zeta).extend_to(window_end).gammas, n, window_end)
+    return _irregularity_report(gamma_sequence(zeta, window_end), n, window_end)
 
 
 def _lag_steps(gammas, n: int, window_end: int):
@@ -359,7 +359,7 @@ def _min_shifted_gap(irregular, n: int):
     For each j2 only the neighbours of j2 + n in the list can attain the
     minimum; the targets ascend with j2, so one forward pointer finds them.
     """
-    gaps, i = [], 0
+    best, i = None, 0
     for j2 in irregular:
         target = j2 + n
         while i < len(irregular) and irregular[i] < target:
@@ -367,8 +367,10 @@ def _min_shifted_gap(irregular, n: int):
         hit = i < len(irregular) and irregular[i] == target
         for k in (i - 1, i + 1 if hit else i):
             if 0 <= k < len(irregular):
-                gaps.append(abs(irregular[k] - target))
-    return min(gaps, default=None)
+                gap = abs(irregular[k] - target)
+                if best is None or gap < best:
+                    best = gap
+    return best
 
 
 @dataclass(frozen=True)
@@ -393,7 +395,7 @@ def regular_window_check(ctx: ThetaContext, n: int, C) -> RegularWindowReport:
     if C < 1:
         raise ValueError("C must be >= 1")
     window_end = int(n * C)
-    irregular, _ = _lag_steps(DegreeCache(ctx.zeta).extend_to(window_end).gammas, n, window_end)
+    irregular, _ = _lag_steps(gamma_sequence(ctx.zeta, window_end), n, window_end)
     first = irregular[0] if irregular else None
     eps = Fraction(1, 16 * (C + 1))
     hyp = _certify_hypothesis(ctx, n, eps)
@@ -494,7 +496,7 @@ def phi_n_eval(ctx: ThetaContext, n: int, alpha: ComplexInterval) -> ComplexInte
     prec = max(96, 32 - w.exp)
     if abs_sq(a)[1] >= 1 << (2 * pa):
         raise PrecisionError("need sup|alpha| < 1")
-    _, sums = _series_table(DegreeCache(ctx.zeta).extend_to(n).gammas, a, pa, prec)
+    _, sums = _series_table(gamma_sequence(ctx.zeta, n), a, pa, prec)
     return ComplexInterval.from_fixed(_periodic_sum(a, pa, n, sums[n - 1], prec)[2], prec)
 
 
@@ -517,7 +519,7 @@ def psi_n_eval(ctx: ThetaContext, n: int, alpha: ComplexInterval, tail_tol) -> R
     # sqrt(20) as phi_eval; 4*sqrt(20) per bilinear term
     (N, phi_tail), (T, tail) = _choose_tail_terms(abs_sup(a, pa, prec), tol, prec, 20, 320)
     T = max(T, n + 1)
-    gammas = DegreeCache(ctx.zeta).extend_to(max(N, T)).gammas
+    gammas = gamma_sequence(ctx.zeta, max(N, T))
     powers, sums = _series_table(gammas, a, pa, prec)
 
     # route (a), over 2^(4 prec): the tails are over 2^(2 prec)

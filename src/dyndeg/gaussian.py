@@ -7,12 +7,19 @@ piecewise-linear support function
 
 and for an admissible parameter the maximizer is unique at every power, which
 is what makes the degree sequence d_j = psi(zeta^j) well behaved.
+
+DegreeCache is the one generator of the exact d_j, stepping the exact
+zeta^j.  The gamma cursor (gamma_sequence, and gamma_argmax one index at a
+time) is the one generator of the maximizers gamma(j) alone: it carries
+zeta^j in a box of bounded width and falls back to the exact power only
+where the box cannot decide.
 """
 
 from __future__ import annotations
 
 import re as _regex
 from dataclasses import dataclass
+from math import isqrt
 
 from .degrees import DegreeSequence
 from .errors import AdmissibilityError, DegenerateMatrix
@@ -109,7 +116,9 @@ class DegreeCache:
     """Exact d_j = psi(zeta^j) and the maximizers gamma(j), extended on demand.
 
     After extend_to(n), values[j-1] is d_j and gammas[j-1] is gamma(j) for
-    j <= n.  This is the one generator of the degree sequence.
+    j <= n.  This is the one generator of the exact d_j, for d_sequence and
+    the solver; a reader of the maximizers alone takes gamma_sequence, whose
+    cost per index does not grow with j.
     """
 
     def __init__(self, zeta: GaussianInt):
@@ -169,39 +178,130 @@ def _require_admissible(zeta: GaussianInt):
         raise AdmissibilityError(f"zeta={zeta} is inadmissible: {reason}")
 
 
-# (zeta, j, re, im) with zeta^j = re + im*i, left by the last gamma_argmax call.
-# It is read once and replaced whole, so callers that interleave (or threads)
-# can only cost each other a fresh powering, never change an answer.
-_cursor = (None, 0, 1, 0)
+# Bits that the gamma cursor's mantissas carry beyond those of zeta.
+_CURSOR_BITS = 128
+
+
+def gamma_sequence(zeta: GaussianInt, n: int) -> list:
+    """[gamma(1), ..., gamma(n)] by the gamma cursor, without the exact zeta^j.
+
+    The cursor carries zeta^j as a box of integers (R, I, E, s) with
+    |zeta^j - (R + I*i) 2^s| <= E 2^s; no decision reads the shift s.
+    A step multiplies R + I*i by zeta exactly, which multiplies the error by
+    |zeta|, so E becomes |zeta| E, rounded up with |zeta| rounded up at
+    2^-64.  When the larger mantissa then has t > 0 bits beyond the width w,
+    both are floored by t bits.  That moves R + I*i by under sqrt(2) < 2
+    units of the new scale 2^(s + t), so the new bound is
+    ceil(|zeta| E / 2^t) + 2.  The mantissas keep w bits, so E / |R + I*i|
+    grows by at most 3 / 2^(w - 1) a step: the error stays below about
+    6 j 2^-w |zeta^j|.
+
+    _support_argmax reads three signs only: of re, of im and, when re < 0,
+    of |im| - |re|.  The errors in re and in im are at most E each, and the
+    error in |im| - |re| is at most sqrt(2) E.  So the box decides sign(re)
+    when |R| > E, sign(im) when |I| > E and sign(|im| - |re|) when
+    ||I| - |R|| > 2E.  (With re < 0, a decided |im| - |re| > 0 gives
+    |I| > 3E, so sign(im) is decided too.)  A step whose box leaves a needed
+    sign undecided forms the exact zeta^j with gi_pow, decides from it and
+    restarts the box from it.  The exact power always decides: a zero sign
+    puts zeta^j on an axis or a diagonal, so zeta^(4j) would be real, which
+    admissibility excludes.  The route multiplies in Z[i] and never reads
+    Arg(zeta), so it stays independent of the octant route.
+
+    A sign goes undecided only when zeta^j lies within about 6 j 2^-w of an
+    axis or a diagonal.  Arg(zeta) can lie as close to one as
+    1 / (sqrt(2) |zeta|), and zeta^j for small j lies about j times that
+    off it, so w is _CURSOR_BITS plus the bit length of zeta's larger part.
+
+    The cursor is the one generator of the maximizers alone; DegreeCache is
+    the one generator of the exact d_j.  The list is allocated whole before
+    the first step, so a window too large for memory fails at once.
+    """
+    _require_admissible(zeta)
+    gammas = [None] * n
+    _cursor_fill(zeta, 0, (1, 0, 0, 0), _abs_up(zeta), _width(zeta), gammas)
+    return gammas
+
+
+def _width(zeta: GaussianInt) -> int:
+    """The cursor's mantissa width for zeta, in bits; see gamma_sequence."""
+    return _CURSOR_BITS + max(abs(zeta.re), abs(zeta.im)).bit_length()
+
+
+def _abs_up(zeta: GaussianInt) -> int:
+    """|zeta| rounded up, over 2^64."""
+    return isqrt((zeta.norm_sq() << 128) - 1) + 1
+
+
+def _exact_box(zeta: GaussianInt, j: int, w: int):
+    """(k, box of zeta^j with mantissas of w bits) with gamma(j) = GAMMA0[k], from the exact power."""
+    power = gi_pow(zeta, j)
+    re, im = power.re, power.im
+    k, tie = _support_argmax(re, im)
+    if tie:
+        raise AdmissibilityError(f"argmax tie at zeta={zeta}, j={j}; zeta cannot be admissible")
+    t = max((abs(re) | abs(im)).bit_length() - w, 0)
+    return k, (re >> t, im >> t, 2 if t else 0, t)
+
+
+def _cursor_fill(zeta: GaussianInt, j: int, box, zn: int, w: int, out: list):
+    """Store gamma(j + 1), gamma(j + 2), ... in out from the box of zeta^j; return the box of the last power.
+
+    zn is _abs_up(zeta) and w the mantissa width.  The steps are gamma_sequence's.
+    """
+    a, b = zeta.re, zeta.im
+    R, I, E, s = box
+    for i in range(len(out)):
+        R, I = R * a - I * b, R * b + I * a
+        t = (abs(R) | abs(I)).bit_length() - w
+        if t > 0:
+            R, I, E, s = R >> t, I >> t, 2 - (-zn * E >> (64 + t)), s + t
+        else:
+            E = -(-zn * E >> 64)
+        if R > E:
+            k = 4 if I > E else 3 if I < -E else None
+        elif R < -E:
+            c = (I if I > 0 else -I) + R  # |I| - |R|
+            k = (2 if I > 0 else 1) if c > 2 * E else 0 if c < -2 * E else None
+        else:
+            k = None
+        if k is None:
+            k, (R, I, E, s) = _exact_box(zeta, j + i + 1, w)
+        out[i] = GAMMA0[k]
+    return R, I, E, s
+
+
+# (zeta, j, box of zeta^j, _abs_up(zeta), mantissa width) left by the last
+# gamma_argmax call.  It is read once and replaced whole, so callers that
+# interleave (or threads) can only cost each other a fresh powering, never
+# change an answer.
+_cursor = (None, 0, None, 0, 0)
 
 
 def gamma_argmax(zeta: GaussianInt, j: int) -> GaussianInt:
     """The unique element of GAMMA0 maximizing Re(gamma * zeta^j).
 
-    A call with the zeta of the previous call and j + 1 steps that call's
-    power by one small-times-big multiply, so a sweep over j costs one
-    multiply per call; any other call powers from scratch. The last power
-    stays in a module slot after the call returns, until the next call
-    replaces it.
+    A call with the zeta of the previous call and j + 1 takes one step of
+    the gamma cursor (see gamma_sequence) from that call's box, so a sweep
+    over j costs a bounded-width multiply per call; any other call powers
+    exactly from scratch and starts a box there.  The last box stays in a
+    module slot after the call returns, until the next call replaces it.
     """
     global _cursor
     if j < 1:
         raise ValueError("j must be >= 1")
-    _require_admissible(zeta)
-    a, b = zeta.re, zeta.im
-    z0, j0, re, im = _cursor
-    if z0 == zeta and j == j0 + 1:
-        re, im = re * a - im * b, re * b + im * a
+    z0, j0, box, zn, w = _cursor
+    if j == j0 + 1 and (z0 is zeta or z0 == zeta):  # the slot holds admissible zetas only
+        out = [None]
+        box = _cursor_fill(zeta, j0, box, zn, w, out)
+        gamma = out[0]
     else:
-        power = gi_pow(zeta, j)
-        re, im = power.re, power.im
-    _cursor = (zeta, j, re, im)
-    k, tie = _support_argmax(re, im)
-    if tie:
-        raise AdmissibilityError(
-            f"argmax tie at zeta={zeta}, j={j}; zeta cannot be admissible"
-        )
-    return GAMMA0[k]
+        _require_admissible(zeta)
+        zn, w = _abs_up(zeta), _width(zeta)
+        k, box = _exact_box(zeta, j, w)
+        gamma = GAMMA0[k]
+    _cursor = (zeta, j, box, zn, w)
+    return gamma
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PrecisionError
-from .gaussian import DegreeCache, GaussianInt, _require_admissible
+from .gaussian import DegreeCache, GaussianInt, _require_admissible, gamma_sequence
 from .intervals import (
     ComplexInterval,
     Dyadic,
@@ -607,7 +607,7 @@ def phi_eval(zeta: GaussianInt, alpha: ComplexInterval, tail_tol) -> ComplexInte
     prec = max(96, _bits_of(tol) + 32)
     a, pa = alpha.fixed()
     ((n_terms, tail),) = _choose_tail_terms(abs_sup(a, pa, prec), tol, prec, 20)
-    _, sums = _series_table(DegreeCache(zeta).extend_to(n_terms).gammas, a, pa, prec)
+    _, sums = _series_table(gamma_sequence(zeta, n_terms), a, pa, prec)
     return ComplexInterval.from_fixed(widen(squeeze(sums[-1], -prec), tail), 2 * prec)
 
 

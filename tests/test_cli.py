@@ -588,6 +588,11 @@ IRREGULAR_DIGESTS = {
 }
 
 
+# SHA-256 of `irregular --zeta 517-263i --n 1345 --window 20 --format json`
+# (indices to 26 900), recorded while the maximizers came from the exact zeta^j
+IRREGULAR_DEEP_JSON_DIGEST = "9179bd162f1d40be5fa2468317434ef1385d4efb860e596bd8143f43b786d6df"
+
+
 class TestPinnedOutput:
     @pytest.mark.parametrize("argv", list(README_DIGESTS), ids="_".join)
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
@@ -609,6 +614,12 @@ class TestPinnedOutput:
         code, out, _ = run(capsys, "irregular", "--zeta", zeta, "--n", n, "--window", window, "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == IRREGULAR_DIGESTS[case][fmt]
+
+    def test_irregular_to_26900_byte_identical(self, capsys):
+        argv = ("irregular", "--zeta", "517-263i", "--n", "1345", "--window", "20", "--format", "json")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == IRREGULAR_DEEP_JSON_DIGEST
 
     def test_parser_built_once(self, capsys, monkeypatch):
         def fail():

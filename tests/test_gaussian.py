@@ -1,14 +1,20 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dyndeg import gaussian
 from dyndeg.errors import AdmissibilityError, DegenerateMatrix
 from dyndeg.gaussian import (
     GAMMA0,
     DegreeCache,
     GaussianInt,
     IntMatrix2x2,
+    _abs_up,
+    _cursor_fill,
     d_sequence,
     gamma_argmax,
+    gamma_sequence,
     gi_pow,
     is_admissible,
     monomial_degree,
@@ -25,6 +31,9 @@ small_ints = st.integers(-5, 5)
 
 # admissible parameters of several sizes and one inadmissible parameter
 CURSOR_ZETAS = (Z(1, 2), Z(-3, 4), Z(503, 64), Z(999, -998), Z(6, 6))
+# parameters whose argument lies within 2^-60 and 2^-200 of the real axis
+WIDE_ZETAS = (Z(10**20, 7), Z(2**200 + 1, 1))
+admissible_zetas = st.builds(Z, st.integers(-10**3, 10**3), st.integers(-10**3, 10**3)).filter(is_admissible)
 
 
 def check_sign_rule(re, im):
@@ -180,6 +189,74 @@ class TestGammaArgmax:
             assert gamma_argmax(a, j) == reference_argmax(a, j)
             if j % 50 == 0:
                 assert gamma_argmax(b, j) == reference_argmax(b, j)
+
+
+class TestGammaCursor:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(admissible_zetas, st.sampled_from(WIDE_ZETAS)), st.integers(1, 2000))
+    def test_matches_degree_cache(self, zeta, n):
+        assert gamma_sequence(zeta, n) == DegreeCache(zeta).extend_to(n).gammas
+
+    def test_matches_degree_cache_to_20000(self):
+        assert gamma_sequence(ZETA, 20000) == DegreeCache(ZETA).extend_to(20000).gammas
+
+    @pytest.mark.parametrize("zeta", (ZETA, Z(517, -263), *WIDE_ZETAS), ids=("1+2i", "517-263i", "1e20+7i", "2^200+1+i"))
+    def test_box_holds_the_exact_power(self, zeta):
+        # |zeta^j - (R + I*i) 2^s| <= E 2^s at every j, well past the first trim
+        box, power, zn = (1, 0, 0, 0), Z(1, 0), _abs_up(zeta)
+        for j in range(1, 400):
+            box = _cursor_fill(zeta, j - 1, box, zn, gaussian._width(zeta), [None])
+            power = power * zeta
+            R, I, E, s = box
+            assert (power - Z(R << s, I << s)).norm_sq() <= (E << s) ** 2
+
+    @pytest.mark.parametrize("zeta", (Z(1000, 999), Z(-3, 4), Z(517, -263)), ids=str)
+    def test_step_bound_covers_every_point_of_the_box(self, zeta, monkeypatch):
+        # a point within E of the centre maps within |rho| + |zeta| E of the new
+        # centre, rho the rounding of the centre's product; that must be at most
+        # E' 2^t, checked in integers as sqrt(x) + sqrt(y) <= A
+        def no_fallback(zeta, j, w):
+            raise AssertionError("a random box left a sign undecided")
+
+        monkeypatch.setattr(gaussian, "_exact_box", no_fallback)
+        rng, zn, w = random.Random(5), _abs_up(zeta), gaussian._width(zeta)
+        for _ in range(2000):
+            R, I = rng.choice((-1, 1)) * rng.getrandbits(w), rng.choice((-1, 1)) * rng.getrandbits(w)
+            E = rng.randrange(1, 1 << 20)
+            R2, I2, E2, t = _cursor_fill(zeta, 0, (R, I, E, 0), zn, w, [None])
+            rho = Z(R, I) * zeta - Z(R2 << t, I2 << t)
+            x, y, A = rho.norm_sq(), zeta.norm_sq() * E * E, E2 << t
+            assert A * A - x - y >= 0 and (A * A - x - y) ** 2 >= 4 * x * y
+
+    def test_narrow_boxes_fall_back_to_the_exact_power(self, monkeypatch):
+        calls = []
+
+        def counted(z, n):
+            calls.append(n)
+            return gi_pow(z, n)
+
+        monkeypatch.setattr(gaussian, "_CURSOR_BITS", 2)
+        monkeypatch.setattr(gaussian, "gi_pow", counted)
+        for zeta in (ZETA, Z(-3, 4), Z(517, -263), WIDE_ZETAS[0]):
+            assert gamma_sequence(zeta, 300) == DegreeCache(zeta).extend_to(300).gammas
+        assert calls
+
+    def test_interleaved_calls_match_single_calls(self, monkeypatch):
+        # two zetas, j stepping, jumping back and jumping ahead
+        rng, calls, last = random.Random(11), [], {}
+        for _ in range(1500):
+            zeta = rng.choice((Z(517, -263), Z(-3, 4)))
+            j = last.get(zeta, 0)
+            move = rng.random()
+            j = j + 1 if move < 0.8 else max(1, j - rng.randint(1, 60)) if move < 0.9 else j + rng.randint(2, 60)
+            last[zeta] = j
+            calls.append((zeta, j))
+        answers = [gamma_argmax(zeta, j) for zeta, j in calls]
+        singles = []
+        for zeta, j in calls:
+            monkeypatch.setattr(gaussian, "_cursor", (None, 0, None, 0, 0))
+            singles.append(gamma_argmax(zeta, j))
+        assert answers == singles
 
 
 class TestMonomialDegree:
