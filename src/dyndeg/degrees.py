@@ -10,10 +10,10 @@ numpy across the primes (multimodular arithmetic and Chinese remaindering:
 von zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 5).
 ``e_sequence`` runs the recursion e_n = d_n + sum_{j<n} e_j d_{n-j} on
 residues and rebuilds each e_n exactly by CRT.  ``series_identity_check``
-forms every coefficient of (2 + Delta_f)(1 - Delta_h) on residues, offline
-(one pass per e_i over all later coefficients), and reads a coefficient as
-zero only when it vanishes modulo every prime.  The number of primes comes
-from the bounds below, never from a setting, so both results are exact and
+forms every coefficient of (2 + Delta_f)(1 - Delta_h) on residues of the
+e_i it is handed, whoever computed them, and reads a coefficient as zero
+only when it vanishes modulo every prime.  The number of primes comes from
+the bounds below, never from a setting, so both results are exact and
 involve no randomness.
 
 - Growth.  With G_0 = 1 and G_n = sum_{j=1..n} d_j G_{n-j}, e_n = 2 G_n for
@@ -31,20 +31,44 @@ involve no randomness.
   The bound comes from the integers the check is handed, whoever computed
   them.
 - int64.  The primes are ``modp``'s word-size primes for sums of at most N
-  products, in (2^(k-1), 2^k) with k = floor((63 - bitlen N) / 2).  Two
-  more sums have bounds of their own:
+  products, in (2^(k-1), 2^k) with k = floor((63 - bitlen N) / 2), so
+  N 2^(2k) < 2^63.  Both convolutions form one coefficient per prime as
+  one dot product of two residue rows, reduced mod p once: the recursion's
+  G_n adds the n products d_j G_{n-j}, the check's sum_{i<k} ê_i d_{k-i}
+  adds k <= N products.  Two more sums have bounds of their own:
   - residues: an integer, first reduced modulo the product of a group's
     primes (one big-integer division), is its 16-bit limbs times
     2^(16i) mod p, one int64 matrix product.  A sum of w limb products stays
     below w 2^(k+16) <= 2^63 for w <= 2^(47-k), so a group's product has at
     most 2^(47-k) limbs: at most (2^(51-k) - 15) / k primes.
-  - CRT: with m the product of a group's primes, the residues r_p times the
+  - CRT: with m the product of some primes, the residues r_p times the
     16-bit limbs of c_p = (m/p)((m/p)^-1 mod p) give the limb sums of
     sum_p r_p c_p, which is e_n modulo m.  A limb sum over g primes stays
     below g 2^(k+16) <= 2^63 for g <= 2^(47-k); more primes are split into
     groups.
 
   No float or BLAS product is taken.
+
+Each conversion is done once, and each row is only as wide as its bound:
+- Shared table.  While one group holds all the primes (at N = 200 a group
+  holds 151 primes, and |zeta| <= 1000 needs at most 101, a table under
+  170 KB), the residues of d_1..d_N are kept on the ``DegreeSequence`` d,
+  for one N at a time, and both ``e_sequence`` and
+  ``series_identity_check`` read them; the check adds columns when beta
+  needs more primes than the recursion took.  Longer inputs convert d
+  group by group and keep nothing.
+- Prefix CRT.  In the first group, which is a prefix of the prime table,
+  the rows are rebuilt in blocks of _RESIDUE_ROWS.  A block whose last row
+  n has the bound 2^(sn+1) is rebuilt from the first
+  q = ceil((sn+1)/(k-1)) primes, the count ``_moduli`` takes for sn+1
+  bits, or from the whole group when that is shorter (later groups then
+  add their Garner digits).  Each prime exceeds 2^(k-1), so the product of
+  the q primes exceeds every e_n of the block, and e_n modulo it is e_n.
+  The table's first primes lie just above 2^(k-1), so no shorter prefix
+  exceeds the bound while the product of the q stays below
+  2^(q(k-1)+1).  The constants c_p of a prefix and their limb table are
+  built on first use per (k, q) and kept, like the prime table.  Later
+  groups rebuild each row they serve from the whole group.
 
 Across groups, e_n is rebuilt by Garner's mixed-radix step: with e_n known
 modulo the product P of the groups before, one more group adds the digit
@@ -69,7 +93,9 @@ import numpy as np
 from .modp import _power_table, prime_table
 
 _BLOCK_WORDS = 1 << 17  # int64 entries of a temporary: one group's table or one row block
-_RESIDUE_ROWS = 32  # rows of a residue block, each block as wide as its own largest value
+_RESIDUE_ROWS = 32  # rows of a residue block (as wide as its largest value) or a prefix CRT block
+
+_PREFIX_CRT = {}  # (k, q) -> _crt_constants of the first q primes of (2^(k-1), 2^k)
 
 _ORIGINS = ("monomial_d", "composed_e")
 
@@ -82,6 +108,8 @@ class DegreeSequence:
     start_index: int
     origin: str
     gammas: tuple = field(default=None, compare=False)
+    # N -> residues of d_1..d_N modulo the degree kernel's primes (see _d_residues)
+    _residue_table: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.origin not in _ORIGINS:
@@ -127,24 +155,31 @@ def e_sequence(d: DegreeSequence, N: int) -> DegreeSequence:
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    if N > 0 and (d.start_index > 1 or d.last_index < N):
-        raise ValueError(f"need d_1..d_{N}, have d_{d.start_index}..d_{d.last_index}")
-    first = 1 - d.start_index  # position of d_1 in d.values
-    dv = d.values[first : first + N]
+    dv = _inner_values(d, N)
     values = [0] * N  # values[n - 1]: e_n modulo the product of the groups so far
     if N:
         k = _word_bits(N)
         s = _growth_rate(dv)  # e_n <= 2^(sn+1)
         primes = _moduli(k, s * N + 1)
+        groups = _groups(len(primes), k, N + 1)
         modulus = 1
-        for group in _groups(len(primes), k, N + 1):
+        for group in groups:
             p = primes[group]
             m = prod(p)
             # e_n with s n + 1 < bits(modulus) lies below the (odd) modulus already
             done = max(0, -(-(modulus.bit_length() - 1) // s) - 1)
             inv = pow(modulus % m, -1, m)
-            residues = _recursion_mod(_residues(dv, p), np.array(p, dtype=np.int64))
-            for i, y in enumerate(_crt(residues[done:], p), done):  # Garner: one mixed-radix digit per group
+            D = _d_residues(d, dv, k, len(p)) if len(groups) == 1 else _residues(dv, p)
+            residues = _recursion_mod(D, np.array(p, dtype=np.int64))
+            if modulus == 1:  # the first group is a prefix of the prime table
+                rebuilt = []
+                for start in range(0, N, _RESIDUE_ROWS):
+                    stop = min(N, start + _RESIDUE_ROWS)
+                    q = min(len(p), _prime_count(k, s * stop + 1))  # e_n < 2^(s stop + 1) in this block
+                    rebuilt += _crt(residues[start:stop, :q], *_prefix_constants(k, q))
+            else:
+                rebuilt = _crt(residues[done:], *_crt_constants(p))
+            for i, y in enumerate(rebuilt, done):  # Garner: one mixed-radix digit per group
                 x = values[i]
                 values[i] = x + modulus * ((y - x % m) * inv % m)
             modulus *= m
@@ -164,12 +199,12 @@ def series_identity_check(d: DegreeSequence, e: DegreeSequence, N: int) -> int:
         raise ValueError("N must be >= 0")
     if e.start_index != 0 or e[0] != 1:
         raise ValueError("e must be a composed_e-style sequence with e_0 = 1")
-    if N > 0 and (d.last_index < N or e.last_index < N):
-        raise ValueError("both sequences must reach index N")
+    dv = _inner_values(d, N)
+    if e.last_index < N:
+        raise ValueError(f"need e_0..e_{N}, have e_0..e_{e.last_index}")
     if N == 0:
         return 0
-    dv = [d[j] for j in range(1, N + 1)]
-    ev = [2, *(e[i] for i in range(1, N + 1))]  # ê_0 = 2 carries the 2 d_k term
+    ev = (2, *e.values[1 : N + 1])  # ê_0 = 2 carries the 2 d_k term
     d_bits = list(accumulate((v.bit_length() for v in dv), max))  # d_bits[m - 1]: max over d_1..d_m
     beta = max(
         max(v.bit_length() for v in ev[1:]),
@@ -177,16 +212,14 @@ def series_identity_check(d: DegreeSequence, e: DegreeSequence, N: int) -> int:
     )
     k = _word_bits(N)
     primes = _moduli(k, beta)
+    groups = _groups(len(primes), k, N + 1)
     order = N  # coefficients 1..order vanish modulo every group so far
-    for group in _groups(len(primes), k, N + 1):
-        D = _residues(dv[:order], primes[group])
-        E = _residues(ev[: order + 1], primes[group])
-        p = np.array(primes[group], dtype=np.int64)
-        conv = np.zeros_like(E)  # row k: sum_{i<k} ê_i d_{k-i}, unreduced
-        scratch = np.empty_like(D)
-        for i in range(order):
-            conv[i + 1 :] += np.multiply(E[i], D[: order - i], out=scratch[: order - i])
-        bad = np.flatnonzero((conv[1:] % p != E[1:]).any(axis=1))
+    for group in groups:
+        p = primes[group]
+        D = _d_residues(d, dv, k, len(p)) if len(groups) == 1 else _residues(dv[:order], p)
+        E = _residues(ev[: order + 1], p)
+        conv = _convolution_mod(D[:order], E, np.array(p, dtype=np.int64))
+        bad = np.flatnonzero((conv != E[1:]).any(axis=1))
         if len(bad):
             order = int(bad[0])  # coefficient bad[0] + 1 is the first nonzero one
             if order == 0:
@@ -194,16 +227,27 @@ def series_identity_check(d: DegreeSequence, e: DegreeSequence, N: int) -> int:
     return order
 
 
+def _inner_values(d: DegreeSequence, N: int) -> tuple:
+    """d_1..d_N; ValueError unless d covers them."""
+    if N > 0 and (d.start_index > 1 or d.last_index < N):
+        raise ValueError(f"need d_1..d_{N}, have d_{d.start_index}..d_{d.last_index}")
+    first = 1 - d.start_index  # position of d_1 in d.values
+    return d.values[first : first + N]
+
+
 def _word_bits(N: int) -> int:
     """k such that N products of two residues below 2^k sum below 2^63."""
     return (63 - N.bit_length()) // 2
 
 
+def _prime_count(k: int, bits: int) -> int:
+    """Primes of (2^(k-1), 2^k) whose product exceeds 2^bits: each exceeds 2^(k-1)."""
+    return max(1, -(-bits // (k - 1)))
+
+
 def _moduli(k: int, bits: int) -> tuple:
     """The first primes in (2^(k-1), 2^k) whose product exceeds 2^bits."""
-    return prime_table(k, max(1, -(-bits // (k - 1))))  # each prime exceeds 2^(k-1)
-
-
+    return prime_table(k, _prime_count(k, bits))
 def _growth_rate(dv) -> int:
     """The first s of s0, s0 + 1 with sum_j d_j 2^(s(N-j)) <= 2^(sN); then e_n <= 2^(sn+1) for n <= N."""
     N = len(dv)
@@ -262,6 +306,23 @@ def _residues(values, primes: tuple):
     return out
 
 
+def _d_residues(d: DegreeSequence, dv, k: int, count: int):
+    """Residues of dv = d_1..d_N modulo the first count primes of (2^(k-1), 2^k), one column each.
+
+    The table is kept on d for this N and extended by columns when a caller
+    needs more primes, so the recursion and the check convert d once."""
+    N = len(dv)
+    table = d._residue_table.get(N)
+    have = 0 if table is None else table.shape[1]
+    if have < count:
+        new = _residues(dv, prime_table(k, count)[have:])
+        table = new if table is None else np.hstack((table, new))
+        table.flags.writeable = False
+        d._residue_table.clear()  # one N at a time
+        d._residue_table[N] = table
+    return table[:, :count]
+
+
 def _recursion_mod(D, p):
     """Residues of e_1..e_N (rows) from those of d_1..d_N, one column per prime.
 
@@ -278,10 +339,22 @@ def _recursion_mod(D, p):
     return np.ascontiguousarray((2 * G[:, 1:] % p[:, None]).T)
 
 
-def _crt(residues, p) -> list:
-    """Each row's integer modulo m, the product of the primes p, from its
-    residues (one column per prime): sum_q r_q c_q mod m with
-    c_q = (m/q)((m/q)^-1 mod q)."""
+def _convolution_mod(D, E, p):
+    """Residues of sum_{0<=i<k} ê_i d_{k-i} for k = 1..n (rows), one column per prime,
+    from those of d_1..d_n (D) and ê_0..ê_n (E): one dot product of at most n
+    products of two residues per coefficient, the recursion's shape."""
+    n, g = D.shape
+    rev = np.ascontiguousarray(D[::-1].T)  # rev[:, i] = d_{n-i}
+    Et = np.ascontiguousarray(E.T)  # Et[:, i] = ê_i
+    conv = np.empty((g, n), dtype=np.int64)
+    for k in range(1, n + 1):
+        conv[:, k - 1] = np.einsum("pi,pi->p", Et[:, :k], rev[:, n - k :])
+    return (conv % p[:, None]).T
+
+
+def _crt_constants(p) -> tuple:
+    """(m, table) for rebuilding integers modulo m, the product of the primes p:
+    table holds the 16-bit limbs of c_q = (m/q)((m/q)^-1 mod q), one column per prime."""
     m = prod(p)
     c = [m // q * pow(m // q % q, -1, q) for q in p]
     quarter = -(-_limb_count(m) // 4)  # every c_q < m has at most 4 * quarter limbs
@@ -289,6 +362,21 @@ def _crt(residues, p) -> list:
     # row r*quarter + a holds limb 4a + r, at bit 64a + 16r: the limb sums of one
     # r sit together as 64-bit words, and four from_bytes rebuild a row's integer
     table = np.ascontiguousarray(limbs.reshape(len(c), quarter, 4).transpose(2, 1, 0)).reshape(4 * quarter, len(c))
+    return m, table
+
+
+def _prefix_constants(k: int, q: int) -> tuple:
+    """``_crt_constants`` of the first q primes of (2^(k-1), 2^k), built on first use and kept."""
+    key = (k, q)
+    if key not in _PREFIX_CRT:
+        _PREFIX_CRT[key] = _crt_constants(prime_table(k, q))
+    return _PREFIX_CRT[key]
+
+
+def _crt(residues, m: int, table) -> list:
+    """Each row's integer modulo m from its residues (one column per prime of
+    ``_crt_constants``' table): sum_q r_q c_q mod m."""
+    quarter = len(table) // 4
     step = 8 * quarter
     rows = max(1, _BLOCK_WORDS // (4 * quarter))
     out = []

@@ -333,9 +333,11 @@ def _lag_steps(gammas, n: int, window_end: int):
     """
     irregular, steps = [], []
     for j, g, h in zip(range(n + 1, window_end + 1), gammas[n:window_end], gammas[: window_end - n]):
-        if g != h:
-            irregular.append(j)
-            steps.append((g.re - h.re, g.im - h.im))
+        if g is not h:  # gamma_sequence hands out GAMMA0's own elements; the step settles other equal pairs
+            step = (g.re - h.re, g.im - h.im)
+            if step != (0, 0):
+                irregular.append(j)
+                steps.append(step)
     return irregular, steps
 
 
@@ -359,14 +361,14 @@ def _min_shifted_gap(irregular, n: int):
     For each j2 only the neighbours of j2 + n in the list can attain the
     minimum; the targets ascend with j2, so one forward pointer finds them.
     """
-    best, i = None, 0
+    best, i, size = None, 0, len(irregular)
     for j2 in irregular:
         target = j2 + n
-        while i < len(irregular) and irregular[i] < target:
+        while i < size and irregular[i] < target:
             i += 1
-        hit = i < len(irregular) and irregular[i] == target
+        hit = i < size and irregular[i] == target
         for k in (i - 1, i + 1 if hit else i):
-            if 0 <= k < len(irregular):
+            if 0 <= k < size:
                 gap = abs(irregular[k] - target)
                 if best is None or gap < best:
                     best = gap

@@ -5,7 +5,7 @@ from math import prod
 from operator import mul
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dyndeg import degrees
 from dyndeg.degrees import DegreeSequence, e_sequence, lambda2, series_identity_check
@@ -93,6 +93,13 @@ class TestESequence:
     def test_requires_enough_d(self):
         with pytest.raises(ValueError):
             e_sequence(d_sequence(ZETA, 3), 5)
+        # d_2..d_4 reaches index 3 but lacks d_1
+        late = DegreeSequence((3, 4, 5), start_index=2, origin="monomial_d")
+        e = e_sequence(d_sequence(ZETA, 3), 3)
+        with pytest.raises(ValueError, match="need d_1..d_3, have d_2..d_4"):
+            e_sequence(late, 3)
+        with pytest.raises(ValueError, match="need d_1..d_3, have d_2..d_4"):
+            series_identity_check(late, e, 3)
 
 
 class TestSeriesIdentity:
@@ -141,6 +148,17 @@ class TestSeriesIdentity:
 
 
 class TestModularKernel:
+    # the edges of the 32-row CRT blocks, each rebuilt from its own prime prefix
+    @example(Z(1, 2), 31)
+    @example(Z(1, 2), 32)
+    @example(Z(1, 2), 33)
+    @example(Z(1, 2), 64)
+    @example(Z(1, 2), 65)
+    @example(Z(903, 411), 31)
+    @example(Z(903, 411), 32)
+    @example(Z(903, 411), 33)
+    @example(Z(903, 411), 64)
+    @example(Z(903, 411), 65)
     @settings(max_examples=25, deadline=None)
     @given(zetas(1000), st.sampled_from([0, 1, 2, 3, 20, 200]))
     def test_psi_sequences_match_reference(self, zeta, N):
@@ -153,6 +171,7 @@ class TestModularKernel:
         d = d_sequence(zeta, 1000)
         assert e_sequence(d, 1000).values == reference_e(d, 1000)
 
+    @example([(1 << 41) - 1] + [1] * 29)  # the check's beta needs one more prime than the recursion took
     @settings(max_examples=60, deadline=None)
     @given(positive_sequences())
     def test_arbitrary_positive_sequences_match_reference(self, values):
@@ -225,6 +244,22 @@ class TestModularKernel:
             assert all((vals[k] - e[k]) % p == 0 for p in primes)
         bad = composed(vals)
         assert series_identity_check(d, bad, N) == reference_check(d, bad, N) == k - 1
+
+    def test_d_converted_once(self, monkeypatch):
+        # the recursion and the check read one residue table of d; the check's
+        # bound needs no more primes than the recursion's here
+        d = d_sequence(Z(517, -263), 200)
+        converted = []
+        residues = degrees._residues
+
+        def spy(values, primes):
+            converted.append(tuple(values) == d.values)
+            return residues(values, primes)
+
+        monkeypatch.setattr(degrees, "_residues", spy)
+        e = e_sequence(d, 200)
+        assert series_identity_check(d, e, 200) == 200
+        assert converted.count(True) == 1
 
     def test_memory_bounded_at_1000(self):
         d = d_sequence(Z(503, 64), 1000)
