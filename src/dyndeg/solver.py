@@ -27,6 +27,17 @@ more than 1 + t: tighter for every t > 2^-30, that is for |zeta| up to about
 2^28.  The tail bound raises |zeta| t to the power N + 1 by binary powering,
 every product rounded up.
 
+Rungs that can hold t.  A precision rung runs only if its first upper point,
+t_hi = b 2^-prec about (1 - 2^-10) / |zeta|, has b >= 4, so
+|zeta| < 2^(prec - 2); otherwise the ladder takes the next rung.
+hull(GAMMA0) lies between the unit disk and the disk of radius sqrt 5, so
+|zeta|^j <= d_j <= sqrt5 |zeta|^j and bits(d_j) - bits(d_(j-1)) <
+log2|zeta| + 2.2.  So no shift is negative:
+- every evaluated point has s >= prec, so a Horner shift exceeds
+  prec - log2|zeta| - 2.2 > -0.2;
+- every Newton rung p exceeds log2|zeta| + 34 (the top is prec + _GUARD, the
+  lowest keeps 48 bits of a start below 1/|zeta|), so a step's shift exceeds 31.
+
 Deciding a midpoint.  For each series length N and precision, Newton's method
 in uncertified fixed point finds the root r_N of the partial sum, and the
 kernels certify two points around it: upper < 1 at lo < r_N and lower > 1 at
@@ -159,20 +170,15 @@ def _as_width_fraction(target_width) -> Fraction:
     return w
 
 
-def _horner_floor(table, m: int, s: int, min_step: int) -> int:
+def _horner_floor(table, m: int, s: int) -> int:
     """floor-rounded Horner pass of a _PartialSums table at t = m * 2^-s, over 2^prec.
 
     table holds (D_j, step_j) for j = 1..N, D_j on the grid 2^g_j and
-    step_j = g_(j-1) - g_j with g_0 = -prec; min_step is the least step_j.
-    Each step adds D_j to the running value and floors its product with t
-    onto the next term's grid, a right shift by s + step_j.  Where that
-    shift would be negative (bits(d_j) - bits(d_(j-1)) > s, so only for
-    |zeta| near 2^s or above) the point is first lifted to m * 2^L over
-    2^(s+L), the same t: those shifts become exact and the others are
-    unchanged.
+    step_j = g_(j-1) - g_j with g_0 = -prec.  Each step adds D_j to the
+    running value and floors its product with t onto the next term's grid,
+    a right shift by s + step_j >= 0: the solve evaluates only s >= prec,
+    and |zeta| < 2^(prec - 2) gives step_j > -(log2|zeta| + 2.2).
     """
-    if s + min_step < 0:
-        m, s = m << -(s + min_step), -min_step
     acc = 0
     for d, step in reversed(table):
         acc = ((acc + d) * m) >> (s + step)
@@ -226,7 +232,6 @@ class _PartialSums:
         self.root = None  # root of the last certified bracket, over 2^(prec + _GUARD)
         self.n_terms = 0
         self.floors, self.ceils = [], []
-        self.min_step = 0
         self.grid = -prec  # g_N, the grid of the last term in the tables
 
     def resize(self, n_terms: int):
@@ -234,12 +239,10 @@ class _PartialSums:
         values = self.cache.extend_to(n_terms).values
         width = self.prec + _GUARD
         add_floor, add_neg_ceil = self.floors.append, self.ceils.append
-        g, min_step = self.grid, self.min_step
+        g = self.grid
         for d in values[self.n_terms : n_terms]:
             e = d.bit_length() - width
             step = g - e
-            if step < min_step:
-                min_step = step
             if e > 0:
                 add_floor((d >> e, step))
                 add_neg_ceil((-d >> e, step))
@@ -248,19 +251,19 @@ class _PartialSums:
                 add_floor((x, step))
                 add_neg_ceil((-x, step))
             g = e
-        self.grid, self.min_step = g, min_step
+        self.grid = g
         self.n_terms = n_terms
         self.ds = values[n_terms - 1 :: -1]  # d_N first, for Newton
 
     def lower(self, m: int, s: int) -> int:
-        return _horner_floor(self.floors, m, s, self.min_step)
+        return _horner_floor(self.floors, m, s)
 
     def upper(self, m: int, s: int):
         """Upper partial sum plus the tail bound, kept as self.tail; None if divergent."""
         self.tail = tail = _tail_upper(self.abs_hi, self.sqrt5_hi, m, s, self.n_terms, self.prec)
         if tail is None:
             return None
-        return tail - _horner_floor(self.ceils, m, s, self.min_step)
+        return tail - _horner_floor(self.ceils, m, s)
 
 
 def _newton_step(ds, r: int, p: int):
@@ -275,7 +278,8 @@ def _newton_step(ds, r: int, p: int):
     below S(t) by less than 1 + 4 S(t) 2^-_GUARD units of 2^-p and the slope
     below S'(t) by a relative 2^-p + 6 * 2^(-p - _GUARD) (S' >= d_1 >= 1).
     Wherever S(t) <= 2 the correction is therefore within 4 units of 2^-p of
-    the exact (S(t) - 1) / S'(t).
+    the exact (S(t) - 1) / S'(t).  The shift onto the next grid exceeds
+    p - log2|zeta| - 2.2 > 31: every rung exceeds log2|zeta| + 34.
     """
     width = p + _GUARD
     c = slope = 0
@@ -283,8 +287,6 @@ def _newton_step(ds, r: int, p: int):
     for d in ds:
         g = d.bit_length() - width
         k = p + g - e  # c * r is on the grid 2^(e - p); k more bits make it 2^g
-        if k < 0:  # d_j / d_(j+1) below 2^-p, only for |zeta| near 2^p
-            c, slope, k = c << -k, slope << -k, 0
         c = ((c * r) >> k) + (d >> g if g >= 0 else d << -g)
         slope = ((slope * r) >> k) + c
         e = g
@@ -298,8 +300,10 @@ def _newton_root(ds, r: int, q: int, known: int):
 
     Not certified: it only places the bracket points.  r is within about
     2^-known of the root (known = 0 when it is far off).  The ladder is q,
-    q/2, q/4, ..., down to the lowest rung of at least 64 bits, and runs only
-    the rungs that one step from known bits does not already fill: Newton
+    q/2, q/4, ..., down to the lowest rung of at least 64 bits that keeps 48
+    bits of r (whose q - bits(r) leading zero bits exceed log2|zeta| - 1), so
+    every rung exceeds log2|zeta| + 34 and none starts from r = 0.  It runs
+    only the rungs that one step from known bits does not already fill: Newton
     runs at the lowest of them until a step is below 2^-40 of the root, then
     takes one step per rung above it.  From a start near the root that is
     one step at q alone.  A rung's root can miss some of the rung's low
@@ -309,8 +313,9 @@ def _newton_root(ds, r: int, q: int, known: int):
     afar.  _certified_bracket takes further steps at q when a bracket side
     needs them.
     """
+    floor = max(64, q - r.bit_length() + 48)
     ladder = [q]
-    while ladder[-1] >= 128 and (ladder[-1] + 1) // 2 > known:
+    while ladder[-1] >= 2 * floor and (ladder[-1] + 1) // 2 > known:
         ladder.append((ladder[-1] + 1) // 2)
     p = ladder.pop()
     r >>= q - p
@@ -436,6 +441,13 @@ def digits_goal(zeta: GaussianInt, digits: int) -> Fraction:
 def _solve_at_precision(prec, args):
     """Bisection in t at fixed precision, args = (zeta, cache, width goal); None if it cannot finish.
 
+    The rung runs only if t_hi = b 2^-prec, about (1 - 2^-10) / |zeta|, has
+    b >= 4: then |zeta| < 2^(prec - 2), the kernels' precondition, and the
+    first bracket holds at N = 32.  |zeta| t_hi > 4/5 * 0.998 and
+    d_j >= |zeta|^j give S_32(t_hi) > 3; |zeta| t_lo <= 2^-10 and
+    d_j <= sqrt5 |zeta|^j keep S_32(t_lo) plus its tail below 0.003.  Below
+    b = 4 the 2^-prec grid places lambda only to about |zeta| 2^-prec > 1/4.
+
     The bracket is t_lo = a * 2^-s < t_hi = b * 2^-s, and a midpoint is
     (a + b) * 2^-(s+1), exact.  A midpoint goes to t_hi if lower > 1 there, to
     t_lo if upper < 1, and otherwise doubles the number of terms, unless the
@@ -462,28 +474,16 @@ def _solve_at_precision(prec, args):
     q = prec + _GUARD
 
     b = (1023 << (2 * prec - 10)) // sums.abs_hi  # (1 - 2^-10) / |zeta|, rounded down
+    if b < 4:  # too coarse to place t = 1/lambda; see the docstring
+        return None
     a = b >> 10
     s = prec
 
     n_terms = _START_TERMS
     sums.resize(n_terms)
-
-    # establish the initial bracket: strictly below 1 at t_lo, strictly above at t_hi
-    guard = 0
-    while True:
-        up = sums.upper(a, s)
-        if up is not None and up < one:
-            break
-        n_terms *= 2
-        guard += 1
-        if n_terms > _TERM_CAP or guard > 24:
-            return None
-        sums.resize(n_terms)
-    while sums.lower(b, s) <= one:
-        n_terms *= 2
-        if n_terms > _TERM_CAP:
-            return None
-        sums.resize(n_terms)
+    up = sums.upper(a, s)
+    if up is None or up >= one or sums.lower(b, s) <= one:  # never taken; see the docstring
+        return None
 
     goal_num, goal_den = width_goal.numerator, width_goal.denominator
     certified = None

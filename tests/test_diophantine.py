@@ -169,6 +169,22 @@ class TestContinuedFraction:
         assert a.coefficients == b.coefficients
         assert a.theta == b.theta
 
+    @pytest.mark.parametrize(
+        "convergents",
+        [
+            ((0, 1), (1, 5), (0, 1)),  # a denominator below the one before
+            ((0, 1), (1, 5), (1, 6), (4, 17)),  # |17 theta - 4| >= 1/17
+            ((1, 5),),  # an even index approximating from above
+            ((0, 1), (1, 6)),  # an odd index approximating from below
+        ],
+        ids=["decreasing", "inequality", "even-above", "odd-below"],
+    )
+    def test_certificate_rejects_a_wrong_convergent(self, convergents):
+        # theta = 0.1762...; the true convergents are (0, 1), (1, 5), (1, 6), (3, 17), (37, 210)
+        ctx = theta_interval(ZETA, 128)
+        assert diophantine._certify_convergents(ctx.theta, ctx.precision_bits, cf_expand(ctx, 4).convergents)
+        assert diophantine._certify_convergents(ctx.theta, ctx.precision_bits, convergents) is False
+
 
 @pytest.fixture
 def refinements(monkeypatch):
@@ -477,6 +493,18 @@ class TestPsiN:
 
         monkeypatch.setattr(diophantine, "IrregularityReport", refuse)
         assert psi_n_eval(ctx, 50, alpha50, tol) == box
+
+    def test_disjoint_routes_raise(self, alpha50, monkeypatch):
+        # route (b) with every lag step negated sums to minus the defect, which is positive
+        lag_steps = diophantine._lag_steps
+
+        def negated(gammas, n, window_end):
+            irregular, steps = lag_steps(gammas, n, window_end)
+            return irregular, [(-re, -im) for re, im in steps]
+
+        monkeypatch.setattr(diophantine, "_lag_steps", negated)
+        with pytest.raises(InconsistencyError, match="^defect routes disjoint at n=50: a="):
+            psi_n_eval(theta_interval(ZETA, 192), 50, alpha50, Fraction(1, 10**40))
 
     def test_empty_window_small_value(self):
         # n = 1345: no irregular index until far beyond the truncation, so the

@@ -519,6 +519,25 @@ class TestRandomLine:
         assert factored_line_degree(PlaneRationalMap(components=raw), seed=4) == 66
         assert composed_line_degree(f_map, f_map, seed=4) == 66
 
+    def test_no_degree_preserving_line_raises(self, monkeypatch):
+        # every line drawn loses degree: the trial gives up after its attempts
+        monkeypatch.setattr(oracle, "_restrict_components", lambda factored, restrict, p: None)
+        with pytest.raises(OracleInconsistency, match="^no degree-preserving line found in trial 0$"):
+            composed_line_degree(g_map(), g_map(), seed=2)
+
+    def test_disagreeing_trials_raise(self, monkeypatch):
+        # the first trial's first gcd comes back as 1, so that trial reads the raw degree 4
+        gcds = []
+        gcd = oracle.univ_gcd_mod
+
+        def first_is_one(a, b, p):
+            gcds.append(p)
+            return np.ones(1, dtype=np.int64) if len(gcds) == 1 else gcd(a, b, p)
+
+        monkeypatch.setattr(oracle, "univ_gcd_mod", first_is_one)
+        with pytest.raises(OracleInconsistency, match=r"^line trials disagree: \[4, 1, 1\]$"):
+            composed_line_degree(g_map(), g_map(), seed=2)
+
     def test_factored_f3(self, f_map):
         f3 = iterate_map(f_map, 3)
         assert factored_line_degree(f3, seed=5) == 454

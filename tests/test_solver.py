@@ -348,7 +348,7 @@ def partial_sum_root(ds, p):
 
 admissible_zetas = st.one_of(
     st.builds(GaussianInt, st.integers(-50, 50), st.integers(-50, 50)).filter(is_admissible),
-    st.just(GaussianInt(10**20, 7)),  # d_(j+1) / d_j above 2^64: the step's left-shift branch
+    st.just(GaussianInt(10**20, 7)),  # bit lengths of d_j grow by 66 or 67 a term, near the lowest rungs
 )
 
 
@@ -384,17 +384,19 @@ def exact_partial_sum(ds, m, s):
     st.integers(0, 800),
     st.integers(1, (1 << 16) - 1),
 )
-@example(GaussianInt(10**20, 7), 8, 64, 2, 1)  # t = 2^-66, s below the 67-bit fall of a grid: the point is lifted
+@example(GaussianInt(10**20, 7), 8, 69, 0, 52429)  # |zeta| just below 2^(prec - 2), t near 1 / |zeta|
 @example(GaussianInt(1, 2), 4, 64, 0, 40000)  # every d_j narrower than its grid
 @example(GaussianInt(3, 2), 1, 100, 50, 60000)  # N = 1
 def test_directed_partial_sums_bracket_the_exact_sum(zeta, n_terms, prec, extra, fraction):
-    # t = m 2^-s, at least 2^-s and at most 5 / (4 |zeta|), with s >= prec as in the solve
+    # t = m 2^-s, at least 2^-s and at most 5 / (4 |zeta|), with s >= prec and
+    # |zeta| < 2^(prec - 2) as at every point the solve evaluates
+    assume(zeta.norm_sq() < 1 << 2 * (prec - 2))
     s, n = prec + extra, n_terms
     m = max(1, (fraction * ((5 << s) // (4 * isqrt(zeta.norm_sq())))) >> 16)
     sums = solver._PartialSums(DegreeCache(zeta), prec)
     sums.resize(n)
     lower = sums.lower(m, s)
-    ceiled = -solver._horner_floor(sums.ceils, m, s, sums.min_step)
+    ceiled = -solver._horner_floor(sums.ceils, m, s)
     exact = exact_partial_sum(sums.ds, m, s)  # S_N(t) over 2^(s N)
     assert lower << (s * n) <= exact << prec <= ceiled << (s * n)
     # ceiled - lower < 2 + 8 S_N(t) 2^-_GUARD units of 2^-prec, as _PartialSums states
@@ -419,7 +421,7 @@ def test_resize_extends_the_table_as_a_fresh_build(zeta, prec):
         grown.resize(n_terms)
         fresh = solver._PartialSums(DegreeCache(zeta), prec)
         fresh.resize(n_terms)
-        assert (grown.floors, grown.ceils, grown.min_step, grown.ds) == (fresh.floors, fresh.ceils, fresh.min_step, fresh.ds)
+        assert (grown.floors, grown.ceils, grown.ds) == (fresh.floors, fresh.ceils, fresh.ds)
         n_terms *= 2
     # entry j is d_j floored (and ceiled, negated) onto 2^g_j, g_j = bits(d_j) - prec - _GUARD,
     # with the step g_(j-1) - g_j from g_0 = -prec
@@ -430,7 +432,6 @@ def test_resize_extends_the_table_as_a_fresh_build(zeta, prec):
         q, r = divmod(d << max(0, -g), 1 << max(0, g))
         assert (lo, -neg_hi) == (q, q + (r > 0))
         previous = g
-    assert grown.min_step == min(step for _, step in grown.floors)
 
 
 class TestTailBoundAtItsPrecisionFloor:
@@ -469,6 +470,76 @@ class TestTailBoundAtItsPrecisionFloor:
         done = self.run_limited("-m", "dyndeg.cli", argv[0], "--zeta", self.ZETA, *argv[1:])
         assert (done.returncode, done.stderr) == (0, "")
         assert "176" in done.stdout
+
+    # From |zeta| = 2^(prec - 2) up, the first rung's t_hi = b 2^-prec keeps
+    # under 2 bits (at 2^88 and up, at 12 digits, it is 0, and doubling N at
+    # t = 0 ran out of memory); the solve takes the next rung instead.
+    @pytest.mark.parametrize("k, digits", [(100, 12), (200, 40)], ids=["2^100+1+i-1e-12", "2^200+1+i-1e-40"])
+    def test_huge_zeta_within_the_limit(self, k, digits):
+        code = (
+            "from fractions import Fraction\n"
+            "from dyndeg.gaussian import GaussianInt\n"
+            "from dyndeg.solver import solve_lambda\n"
+            f"goal = Fraction(1, 10**{digits})\n"
+            f"enc = solve_lambda(GaussianInt(2**{k} + 1, 1), goal)\n"
+            "print(enc.n_terms, enc.lo.to_fraction(), enc.hi.to_fraction(), enc.width() <= goal)\n"
+        )
+        done = self.run_limited("-c", code)
+        assert (done.returncode, done.stderr) == (0, "")
+        n_terms, lo, hi, within = done.stdout.split()
+        assert within == "True"
+        assert_brackets_the_root(Z(2**k + 1, 1), Fraction(lo), Fraction(hi), int(n_terms))
+
+    def test_huge_zeta_cli_within_the_limit(self):
+        done = self.run_limited("-m", "dyndeg.cli", "lambda", "--zeta", "1267650600228229401496703205377+i", "--format", "json")
+        assert (done.returncode, done.stderr) == (0, "")
+        obj = json.loads(done.stdout)
+        # the printed decimals round outward, so they bracket the root too
+        assert_brackets_the_root(Z(2**100 + 1, 1), Fraction(obj["lambda_lo"]), Fraction(obj["lambda_hi"]), int(obj["N_used"]))
+
+    @pytest.mark.parametrize("k", [120, 150])
+    def test_newton_steps_at_huge_zeta(self, k, monkeypatch):
+        # Newton's lowest rung keeps 48 bits of its start point; at 64 bits
+        # the start was 0 or a few bits, and Newton ran to its step cap
+        steps = []
+        step = solver._newton_step
+
+        def counted(ds, r, p):
+            steps.append(p)
+            return step(ds, r, p)
+
+        monkeypatch.setattr(solver, "_newton_step", counted)
+        solve_lambda(Z(2**k + 1, 1), Fraction(1, 10**40))
+        assert len(steps) <= 100
+
+
+def assert_brackets_the_root(zeta, lo, hi, n_terms):
+    """Check with n_terms terms, rounding outward on a 2^-4096 grid, that 1/lambda lies in [1/hi, 1/lo].
+
+    At t = 1/lo a lower bound of the partial sum exceeds 1; at t = 1/hi an
+    upper bound of it plus sqrt(5) x^(N+1) / (1 - x), x = |zeta| t, stays
+    below 1.  The series is increasing in t, so its root lies between.
+    """
+    k = 4096
+    one = 1 << k
+    ds = DegreeCache(zeta).extend_to(n_terms).values[::-1]  # d_N first
+    m = one // lo  # 1/lo rounded down, over 2^k
+    acc = 0
+    for d in ds:
+        acc = (d << k) + (acc * m >> k)
+    assert acc * m >> k > one
+    m = -(-one // hi)  # 1/hi rounded up
+    acc = 0
+    for d in ds:
+        acc = (d << k) + -(-acc * m >> k)
+    upper = -(-acc * m >> k)
+    x = -(-(isqrt(zeta.norm_sq() << 128) + 1) * m >> 64)  # |zeta| / hi rounded up
+    power = x
+    for _ in range(n_terms):
+        power = -(-power * x >> k)
+    sqrt5 = isqrt(5 << 128) + 1  # over 2^64
+    assert x < one and upper - ((-sqrt5 * power << k) // ((one - x) << 64)) < one
+    assert lo * lo > zeta.norm_sq()
 
 
 class TestDigitsGoal:
